@@ -9,15 +9,22 @@ CharacterizeParams for diagnostics.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .core import DataError, Dataset, concat_user_streams
-from .entropy import fano_predictability, lz_entropy_rate
-from .metrics import MiDecay, mi_decay_curve, pmi_from_counts, _pair_counts
+from .entropy import CLAMP_SLACK_BITS, fano_predictability, lz_entropy_rate
+from .metrics import (
+    MiDecay,
+    _decay_from_curve,
+    _pair_counts,
+    mi_decay_curve,
+    mutual_information_at_distance,
+    pmi_from_counts,
+)
 
 SECONDS_PER_MONTH = 2629800  # Julian year / 12
 
@@ -31,7 +38,6 @@ class CharacterizeParams:
     fano_global_n: bool = False  # per-user distinct POIs by default
     entropy_scope: str = "per_user"  # or "dataset"
     mi_scope: str = "dataset"  # or "per_user"
-    threads: int = 1
 
     def __post_init__(self):
         if self.d_max < 1:
@@ -40,8 +46,6 @@ class CharacterizeParams:
             raise ValueError(f"unknown entropy_scope {self.entropy_scope!r}")
         if self.mi_scope not in ("dataset", "per_user"):
             raise ValueError(f"unknown mi_scope {self.mi_scope!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -154,12 +158,20 @@ def report_from_dict(obj: dict) -> MetaAttributeReport:
 def _user_stats(
     seq, fano_n_global: Optional[int]
 ) -> UserStats:
+    """Entropy and predictability of one user; DataError when the LZ
+    estimate is too far above log2(N) to be more than small-sample noise
+    (a handful of symbols alternating between two POIs reads ~1.19 bits)."""
     ids = seq.poi_ids()
     distinct = int(np.unique(ids).shape[0])
     s = lz_entropy_rate(ids)
     n_for_fano = fano_n_global if fano_n_global is not None else distinct
     if n_for_fano < 2:
         pi = 1.0
+    elif s > math.log2(n_for_fano) + CLAMP_SLACK_BITS:
+        raise DataError(
+            f"entropy estimate {s} bits exceeds log2({n_for_fano}) by more "
+            f"than {CLAMP_SLACK_BITS} bits over {ids.shape[0]} symbols"
+        )
     else:
         pi = fano_predictability(s, n_for_fano)
     return UserStats(seq.user_id, int(ids.shape[0]), distinct, s, pi)
@@ -183,24 +195,33 @@ def characterize(
 ) -> MetaAttributeReport:
     """Full meta-attribute report; deterministic for fixed inputs.
 
-    Sequences too short for the entropy estimator (< 2 symbols) are
-    skipped with a warning; at least one usable sequence is required.
-    MI distances are capped to enforce d_max < stream_length / 10.
+    Sequences too short for the entropy estimator (< 2 symbols), and
+    those whose estimate exceeds log2(N) by more than CLAMP_SLACK_BITS,
+    are skipped with a warning and left out of every statistic; at least
+    one usable sequence is required.  MI distances are capped to enforce
+    d_max < stream_length / 10.
     """
     notes: list[str] = []
-    usable = [s for s in ds.sequences if len(s) >= 2]
     skipped = [s.user_id for s in ds.sequences if len(s) < 2]
     if skipped:
         notes.append(f"skipped short sequences: {', '.join(skipped)}")
-    if not usable:
-        raise DataError("no sequence has the >= 2 symbols needed")
 
     fano_n = ds.alphabet.size if params.fano_global_n else None
-    if params.threads > 1:
-        with ThreadPoolExecutor(max_workers=params.threads) as pool:
-            stats = list(pool.map(lambda s: _user_stats(s, fano_n), usable))
-    else:
-        stats = [_user_stats(s, fano_n) for s in usable]
+    usable, stats = [], []
+    for seq in ds.sequences:
+        if len(seq) < 2:
+            continue
+        try:
+            stats.append(_user_stats(seq, fano_n))
+        except DataError as e:
+            notes.append(f"skipped user {seq.user_id}: {e}")
+            continue
+        usable.append(seq)
+    if not usable:
+        raise DataError(
+            "no sequence has the >= 2 symbols and plausible entropy "
+            "estimate needed" + "".join(f"; {n}" for n in notes)
+        )
 
     if params.entropy_scope == "dataset":
         joined = concat_user_streams(
@@ -278,8 +299,6 @@ def _per_user_decay(
     usable, d_max: int, params: CharacterizeParams, notes: list[str]
 ) -> MiDecay:
     """Average per-user MI curves; users too short for a distance drop out."""
-    from .metrics import mutual_information_at_distance, fit_power_law
-
     curve = []
     for d in range(1, d_max + 1):
         vals = []
@@ -290,22 +309,8 @@ def _per_user_decay(
         if not vals:
             break
         curve.append((d, float(np.mean(vals))))
-    fit_pts = [(d, i) for d, i in curve if i > params.eps_fit]
-    alpha = rmse = None
-    if len(fit_pts) >= 2:
-        alpha, rmse = fit_power_law(
-            [d for d, _ in fit_pts], [i for _, i in fit_pts]
-        )
-    depths = [d for d, i in curve if i >= params.eps_depth]
     notes.append("mi_scope=per_user: averaged per-user curves")
-    return MiDecay(
-        curve=tuple(curve),
-        alpha=alpha,
-        fit_rmse=rmse,
-        ldd_depth=max(depths) if depths else None,
-        eps_fit=params.eps_fit,
-        eps_depth=params.eps_depth,
-    )
+    return _decay_from_curve(curve, params.eps_fit, params.eps_depth)
 
 
 def per_user_attribute_matrix(

@@ -2,11 +2,12 @@
 validate, sensitivity, recommend, and report bundling.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 infeasible plan.
-Every command writes exactly one run_manifest.json beside its outputs,
-recording the command line, config and dataset hashes (over canonical
-serializations), tool version, wall time, and output paths.  Defaults
-for --seed, --threads, and --out come from MOBMETA_SEED,
-MOBMETA_THREADS, and MOBMETA_OUT.
+main() runs every command the same way: warnings raised during the
+command print to stderr as "warning: <message>" (also when it fails),
+and a command that succeeds gets exactly one run_manifest.json beside
+its outputs, recording the command line, config and dataset hashes (over
+canonical serializations), tool version, wall time, and output paths.
+Defaults for --seed and --out come from MOBMETA_SEED and MOBMETA_OUT.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import shlex
 import sys
 import time
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -84,20 +86,23 @@ def _default_out(cmd_default: str | None) -> str | None:
     return os.environ.get("MOBMETA_OUT") or cmd_default
 
 
-def write_manifest(
-    anchor: Path,
-    argv: list[str],
-    config: dict,
-    dataset_hash: str | None,
-    outputs: list[Path],
-    t0: float,
-) -> Path:
+@dataclass(frozen=True)
+class Run:
+    """What a finished command records in its run_manifest.json."""
+
+    anchor: Path  # the output file or directory the manifest sits beside
+    config: dict
+    dataset_hash: str | None
+    outputs: list[Path]
+
+
+def write_manifest(run: Run, argv: list[str], t0: float) -> Path:
     """One run_manifest.json next to (or inside) the command's output."""
-    directory = anchor if anchor.is_dir() else anchor.parent
+    directory = run.anchor if run.anchor.is_dir() else run.anchor.parent
     directory.mkdir(parents=True, exist_ok=True)
     config_hash = (
         "sha256:"
-        + hashlib.sha256(canonical_dumps(config).encode("utf-8")).hexdigest()
+        + hashlib.sha256(canonical_dumps(run.config).encode("utf-8")).hexdigest()
     )
     path = directory / "run_manifest.json"
     write_canonical_json(
@@ -105,10 +110,10 @@ def write_manifest(
         {
             "command_line": argv,
             "config_hash": config_hash,
-            "dataset_hash": dataset_hash,
+            "dataset_hash": run.dataset_hash,
             "tool_version": __version__,
             "wall_time_s": round(time.monotonic() - t0, 6),
-            "outputs": sorted(str(p) for p in outputs),
+            "outputs": sorted(str(p) for p in run.outputs),
         },
     )
     return path
@@ -247,7 +252,17 @@ def _require_out(args, what: str) -> Path:
     return Path(args.out)
 
 
-def cmd_ingest(args, argv, t0) -> int:
+def _out_file(args, default: str) -> Path:
+    """--out (or the command's default file name), its directory created."""
+    out = Path(args.out or default)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+DATASET_FILES = ("alphabet.json", "sequences.jsonl", "meta.json")
+
+
+def cmd_ingest(args) -> Run:
     out_dir = _require_out(args, "dataset directory")
     cfg = IngestConfig(
         format=args.format,
@@ -268,13 +283,11 @@ def cmd_ingest(args, argv, t0) -> int:
     if args.format == "symbols_jsonl":
         ds = load_symbols_jsonl(args.input, name=name)
         save_dataset(ds, out_dir)
-        outputs = [out_dir / f for f in
-                   ("alphabet.json", "sequences.jsonl", "meta.json")]
-        write_manifest(out_dir, argv, config, dataset_digest(ds), outputs, t0)
         print(
             f"ingested {ds.n_users} users, {ds.alphabet.size} POIs -> {out_dir}"
         )
-        return 0
+        return Run(out_dir, config, dataset_digest(ds),
+                   [out_dir / f for f in DATASET_FILES])
     trajs, rep = parse_raw_with_report(args.input, cfg)
     save_raw(
         trajs, out_dir, name,
@@ -288,20 +301,17 @@ def cmd_ingest(args, argv, t0) -> int:
             "rejects": [[line, reason] for line, reason in rep.rejects],
         },
     )
-    outputs = [out_dir / f for f in
-               ("raw.jsonl", "meta.json", "ingest_report.json")]
-    write_manifest(
-        out_dir, argv, config,
-        "sha256:" + sha256_file(out_dir / "raw.jsonl"), outputs, t0,
-    )
     print(
         f"ingested {rep.points_kept} points from {rep.rows_read} rows "
         f"({len(rep.rejects)} rejected) for {len(trajs)} users -> {out_dir}"
     )
-    return 0
+    return Run(
+        out_dir, config, "sha256:" + sha256_file(out_dir / "raw.jsonl"),
+        [out_dir / f for f in ("raw.jsonl", "meta.json", "ingest_report.json")],
+    )
 
 
-def cmd_extract_poi(args, argv, t0) -> int:
+def cmd_extract_poi(args) -> Run:
     out_dir = _require_out(args, "dataset directory")
     trajs = load_raw(args.raw_dir)
     try:
@@ -316,8 +326,6 @@ def cmd_extract_poi(args, argv, t0) -> int:
     name = args.name or Path(args.raw_dir).name
     ds = extract_dataset(trajs, params, name)
     save_dataset(ds, out_dir)
-    outputs = [out_dir / f for f in
-               ("alphabet.json", "sequences.jsonl", "meta.json")]
     config = {
         "stay_radius_m": params.stay_radius_m,
         "stay_min_duration_s": params.stay_min_duration_s,
@@ -325,35 +333,32 @@ def cmd_extract_poi(args, argv, t0) -> int:
         "min_visits": params.min_visits,
         "name": name,
     }
-    write_manifest(out_dir, argv, config, dataset_digest(ds), outputs, t0)
     excluded = ds.provenance.get("excluded_short_users", [])
     print(
         f"extracted {ds.alphabet.size} POIs, {ds.n_users} users "
         f"({len(excluded)} excluded as too short) -> {out_dir}"
     )
-    return 0
+    return Run(out_dir, config, dataset_digest(ds),
+               [out_dir / f for f in DATASET_FILES])
 
 
-def cmd_synth(args, argv, t0) -> int:
+def cmd_synth(args) -> Run:
     out_dir = _require_out(args, "dataset directory")
     spec = _spec_from_args(args)
     ds, ground_truth = generate(spec)
     save_dataset(ds, out_dir)
     write_canonical_json(out_dir / "ground_truth.json", ground_truth)
-    outputs = [out_dir / f for f in
-               ("alphabet.json", "sequences.jsonl", "meta.json",
-                "ground_truth.json")]
-    write_manifest(
-        out_dir, argv, spec_to_dict(spec), dataset_digest(ds), outputs, t0
-    )
     print(
         f"generated {spec.kind}: {ds.n_users} users, "
         f"alphabet {ds.alphabet.size} -> {out_dir}"
     )
-    return 0
+    return Run(
+        out_dir, spec_to_dict(spec), dataset_digest(ds),
+        [out_dir / f for f in DATASET_FILES + ("ground_truth.json",)],
+    )
 
 
-def cmd_characterize(args, argv, t0) -> int:
+def cmd_characterize(args) -> Run:
     ds = load_dataset(args.dataset_dir)
     try:
         params = CharacterizeParams(
@@ -364,19 +369,14 @@ def cmd_characterize(args, argv, t0) -> int:
             fano_global_n=args.fano_global_n,
             entropy_scope=args.entropy_scope,
             mi_scope=args.mi_scope,
-            threads=args.threads,
         )
     except ValueError as e:
         raise UsageError(str(e)) from None
     report = characterize(ds, params)
-    out = Path(args.out or "report.json")
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out_file(args, "report.json")
     write_canonical_json(out, report.to_dict())
-    outputs = [out]
-
     mi_path = out.parent / "mi_curve.csv"
     write_mi_curve_csv(mi_path, report.mi_curve)
-    outputs.append(mi_path)
 
     stream = concat_user_streams(
         ds.sequences,
@@ -388,32 +388,24 @@ def cmd_characterize(args, argv, t0) -> int:
     )
     ms_path = out.parent / "match_structure.csv"
     write_match_structure_csv(ms_path, triples)
-    outputs.append(ms_path)
 
     corr_path = out.parent / "corr_matrix.csv"
-    if report.n_users >= 3:
-        names, matrix = per_user_attribute_matrix(report)
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                kept, corr = attribute_correlations(names, matrix)
-        except DataError as e:
-            # identical users leave nothing to correlate; not fatal here
-            corr_path.write_text("attribute\n", encoding="utf-8")
-            print(
-                f"warning: {e}, correlation matrix skipped", file=sys.stderr
-            )
-        else:
-            for w in caught:
-                print(f"warning: {w.message}", file=sys.stderr)
-            write_corr_matrix_csv(corr_path, kept, corr)
-    else:
+    try:
+        kept, corr = attribute_correlations(*per_user_attribute_matrix(report))
+    except DataError as e:
+        # too few or identical users leave nothing to correlate; not fatal
         corr_path.write_text("attribute\n", encoding="utf-8")
-        print(
-            "warning: < 3 users, correlation matrix skipped", file=sys.stderr
-        )
-    outputs.append(corr_path)
+        print(f"warning: {e}, correlation matrix skipped", file=sys.stderr)
+    else:
+        write_corr_matrix_csv(corr_path, kept, corr)
 
+    print(
+        f"{report.dataset_name}: {report.n_users} users, "
+        f"{report.n_pois} POIs, entropy {report.entropy_bits_mean:.3f} bits, "
+        f"predictability {report.predictability_mean:.4f} -> {out}"
+    )
+    for note in report.warnings:
+        print(f"note: {note}", file=sys.stderr)
     config = {
         "d_max": params.d_max,
         "eps_fit": params.eps_fit,
@@ -423,43 +415,21 @@ def cmd_characterize(args, argv, t0) -> int:
         "entropy_scope": params.entropy_scope,
         "mi_scope": params.mi_scope,
     }
-    write_manifest(out, argv, config, dataset_digest(ds), outputs, t0)
-    print(
-        f"{report.dataset_name}: {report.n_users} users, "
-        f"{report.n_pois} POIs, entropy {report.entropy_bits_mean:.3f} bits, "
-        f"predictability {report.predictability_mean:.4f} -> {out}"
-    )
-    for note in report.warnings:
-        print(f"note: {note}", file=sys.stderr)
-    return 0
+    return Run(out, config, dataset_digest(ds),
+               [out, mi_path, ms_path, corr_path])
 
 
-def cmd_validate(args, argv, t0) -> int:
+def cmd_validate(args) -> Run:
     ds = load_dataset(args.dataset_dir)
     spec = parse_model_arg(args.model, args.external_cmd)
     plan = parse_scheme_arg(
         args.scheme, args.seed, not args.concat_users, args.context_window
     )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = evaluate(ds, spec, plan)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    out = Path(args.out or "folds.csv")
-    out.parent.mkdir(parents=True, exist_ok=True)
+    result = evaluate(ds, spec, plan)
+    out = _out_file(args, "folds.csv")
     write_folds_csv(out, result.fold_results)
     results_path = out.parent / "results.json"
     write_canonical_json(results_path, result.to_dict())
-    config = {
-        "model": args.model,
-        "scheme": args.scheme,
-        "per_user": plan.per_user,
-        "seed": args.seed,
-        "context_window": args.context_window,
-    }
-    write_manifest(
-        out, argv, config, dataset_digest(ds), [out, results_path], t0
-    )
     bits = (
         f"{result.bits_weighted:.4f}"
         if result.bits_weighted is not None else "n/a"
@@ -471,10 +441,17 @@ def cmd_validate(args, argv, t0) -> int:
         f"weighted {result.accuracy_weighted:.4f}, bits/symbol {bits}, "
         f"{result.n_predictions} predictions -> {out}"
     )
-    return 0
+    config = {
+        "model": args.model,
+        "scheme": args.scheme,
+        "per_user": plan.per_user,
+        "seed": args.seed,
+        "context_window": args.context_window,
+    }
+    return Run(out, config, dataset_digest(ds), [out, results_path])
 
 
-def cmd_sensitivity(args, argv, t0) -> int:
+def cmd_sensitivity(args) -> Run:
     ds = load_dataset(args.dataset_dir)
     spec = parse_model_arg(args.model, args.external_cmd)
     if args.schemes:
@@ -489,13 +466,8 @@ def cmd_sensitivity(args, argv, t0) -> int:
         plans = default_sensitivity_plans(
             per_user=not args.concat_users, seed=args.seed
         )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rows = validation_sensitivity(ds, spec, plans)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    out = Path(args.out or "table.csv")
-    out.parent.mkdir(parents=True, exist_ok=True)
+    rows = validation_sensitivity(ds, spec, plans)
+    out = _out_file(args, "table.csv")
     write_sensitivity_csv(out, rows)
     rows_json = out.parent / "sensitivity.json"
     write_canonical_json(
@@ -514,10 +486,6 @@ def cmd_sensitivity(args, argv, t0) -> int:
             ],
         },
     )
-    config = {"model": args.model, "schemes": args.schemes, "seed": args.seed}
-    write_manifest(
-        out, argv, config, dataset_digest(ds), [out, rows_json], t0
-    )
     spread = max(r.accuracy_user_mean for r in rows) - min(
         r.accuracy_user_mean for r in rows
     )
@@ -528,20 +496,16 @@ def cmd_sensitivity(args, argv, t0) -> int:
             f"acc {r.accuracy_user_mean:.4f} ({tag})"
         )
     print(f"spread across schemes: {spread:.4f} -> {out}")
-    return 0
+    config = {"model": args.model, "schemes": args.schemes, "seed": args.seed}
+    return Run(out, config, dataset_digest(ds), [out, rows_json])
 
 
-def cmd_recommend(args, argv, t0) -> int:
+def cmd_recommend(args) -> Run:
     report = report_from_dict(read_json(args.report))
     rules = load_rules(args.rules) if args.rules else None
     rec = recommend(report, rules)
-    out = Path(args.out or "recommendation.json")
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out_file(args, "recommendation.json")
     write_canonical_json(out, rec.to_dict())
-    config = {"report": str(args.report), "rules": args.rules}
-    write_manifest(
-        out, argv, config, "sha256:" + sha256_file(args.report), [out], t0
-    )
     print(f"verdict: {rec.verdict}  (rule {rec.fired_rule}: {rec.rationale})")
     for entry in rec.trace:
         conds = (
@@ -555,10 +519,11 @@ def cmd_recommend(args, argv, t0) -> int:
         mark = "*" if entry["fired"] else " "
         print(f" {mark} {entry['rule']}: {conds} -> "
               f"{entry['verdict_if_matched']}")
-    return 0
+    config = {"report": str(args.report), "rules": args.rules}
+    return Run(out, config, "sha256:" + sha256_file(args.report), [out])
 
 
-def cmd_report(args, argv, t0) -> int:
+def cmd_report(args) -> Run:
     out_dir = _require_out(args, "report directory")
     ds = load_dataset(args.dataset_dir)
     summary = bundle_report(
@@ -569,19 +534,16 @@ def cmd_report(args, argv, t0) -> int:
         recommendation_path=args.recommendation,
         sensitivity_path=args.sensitivity,
     )
-    outputs = sorted(
-        p for p in out_dir.iterdir() if p.name != "run_manifest.json"
-    )
+    print(stats_table([summary["dataset"]]), end="")
+    print(f"report bundle -> {out_dir}")
     config = {
         "characterization": str(args.characterization),
         "validation": [str(p) for p in (args.validation or [])],
         "recommendation": args.recommendation,
         "sensitivity": args.sensitivity,
     }
-    write_manifest(out_dir, argv, config, dataset_digest(ds), outputs, t0)
-    print(stats_table([summary["dataset"]]), end="")
-    print(f"report bundle -> {out_dir}")
-    return 0
+    outputs = [p for p in out_dir.iterdir() if p.name != "run_manifest.json"]
+    return Run(out_dir, config, dataset_digest(ds), outputs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -589,11 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--seed", type=int, default=_env_int("MOBMETA_SEED", 0),
         help="RNG seed (MOBMETA_SEED)",
-    )
-    common.add_argument(
-        "--threads", type=int,
-        default=_env_int("MOBMETA_THREADS", os.cpu_count() or 1),
-        help="worker cap (MOBMETA_THREADS)",
     )
     common.add_argument(
         "--out", default=_default_out(None),
@@ -716,10 +673,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the exit code maps the error kind (see above)."""
+    t0 = time.monotonic()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args, ["mobmeta"] + argv, time.monotonic())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                run = args.func(args)
+            finally:
+                for w in caught:
+                    print(f"warning: {w.message}", file=sys.stderr)
+        write_manifest(run, ["mobmeta"] + argv, t0)
+        return 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

@@ -106,6 +106,11 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
+# How far an entropy estimate may fall outside [0, log2 N] and still be
+# clamped as estimator noise rather than rejected.
+CLAMP_SLACK_BITS = 0.1
+
+
 def fano_predictability(s_bits: float, n_symbols: int) -> float:
     """Upper bound on prediction accuracy for entropy rate S and alphabet N.
 
@@ -113,21 +118,23 @@ def fano_predictability(s_bits: float, n_symbols: int) -> float:
     [1/N, 1]; the left side is strictly decreasing there, from log2(N)
     down to 0, so bisection converges unconditionally.  S slightly
     outside [0, log2 N] is clamped with a warning (estimator noise); more
-    than 0.1 bits outside is an error.
+    than CLAMP_SLACK_BITS outside is an error.
     """
     if n_symbols < 2:
         raise ValueError(f"alphabet size must be >= 2, got {n_symbols}")
     s_max = math.log2(n_symbols)
     if s_bits < 0.0:
-        if s_bits < -0.1:
-            raise ValueError(f"entropy rate {s_bits} is not plausible (< -0.1)")
+        if s_bits < -CLAMP_SLACK_BITS:
+            raise ValueError(
+                f"entropy rate {s_bits} is not plausible (< -{CLAMP_SLACK_BITS})"
+            )
         warnings.warn(f"clamping entropy rate {s_bits} to 0", stacklevel=2)
         s_bits = 0.0
     elif s_bits > s_max:
-        if s_bits > s_max + 0.1:
+        if s_bits > s_max + CLAMP_SLACK_BITS:
             raise ValueError(
                 f"entropy rate {s_bits} exceeds log2(N) = {s_max} by more "
-                "than 0.1 bits"
+                f"than {CLAMP_SLACK_BITS} bits"
             )
         warnings.warn(
             f"clamping entropy rate {s_bits} to log2(N) = {s_max}", stacklevel=2

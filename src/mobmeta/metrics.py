@@ -173,6 +173,14 @@ def mi_decay_curve(
         (d, mutual_information_at_distance(stream, d, separator_id))
         for d in range(1, d_max + 1)
     ]
+    return _decay_from_curve(curve, eps_fit, eps_depth)
+
+
+def _decay_from_curve(
+    curve: Sequence[tuple[int, float]], eps_fit: float, eps_depth: float
+) -> MiDecay:
+    """Power-law fit over the points above eps_fit; the LDD depth is the
+    largest distance whose I(d) reaches eps_depth."""
     fit_pts = [(d, i) for d, i in curve if i > eps_fit]
     alpha = rmse = None
     if len(fit_pts) >= 2:
@@ -181,7 +189,7 @@ def mi_decay_curve(
     elif fit_pts:
         warnings.warn(
             "only one MI point above eps_fit; exponent left undefined",
-            stacklevel=2,
+            stacklevel=3,
         )
     depths = [d for d, i in curve if i >= eps_depth]
     return MiDecay(

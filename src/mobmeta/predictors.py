@@ -216,23 +216,24 @@ class MmcModel:
         mapped = [self._state_of(int(c)) for c in context]
         return self.inner.distribution(mapped)
 
-    def distribution(self, context: Sequence[int]) -> np.ndarray:
-        state_dist = self._state_distribution(context)
-        dist = np.zeros(self.alphabet_size)
-        for i, poi in enumerate(self.top_states):
-            dist[poi] = state_dist[i]
+    def _poi_distribution(self, state_dist: np.ndarray) -> np.ndarray:
+        """State probabilities in poi space: each top state at its poi id,
+        the "other" mass shared evenly by the non-top symbols."""
+        n_top = len(self.top_states)
         if self.has_other:
-            top = set(self.top_states)
-            non_top = self.alphabet_size - len(self.top_states)
-            share = state_dist[len(self.top_states)] / non_top
-            for sym in range(self.alphabet_size):
-                if sym not in top:
-                    dist[sym] = share
+            share = state_dist[n_top] / (self.alphabet_size - n_top)
+            dist = np.full(self.alphabet_size, share)
+        else:
+            dist = np.zeros(self.alphabet_size)
+        dist[list(self.top_states)] = state_dist[:n_top]
         return dist
+
+    def distribution(self, context: Sequence[int]) -> np.ndarray:
+        return self._poi_distribution(self._state_distribution(context))
 
     def predict(self, context: Sequence[int]) -> tuple[int, np.ndarray]:
         state_dist = self._state_distribution(context)
-        dist = self.distribution(context)
+        dist = self._poi_distribution(state_dist)
         best = _argmax_smallest(state_dist)
         if self.has_other and best == len(self.top_states):
             return int(self.other_resolution), dist

@@ -83,21 +83,25 @@ def write_folds_csv(path: Union[str, Path], results) -> None:
     _write_csv(Path(path), FOLDS_CSV_COLUMNS, rows)
 
 
-def write_fold_curve_csv(path: Union[str, Path], evaluations) -> None:
-    """Accuracy-per-fold drift curves, one row per (model, plan, fold)."""
+def write_fold_curve_csv(path: Union[str, Path], results) -> None:
+    """Accuracy-per-fold drift curves, one row per (model, plan, fold).
+
+    results are results.json dicts (EvaluationResult.to_dict()).
+    """
     rows = (
-        (ev.model_label, ev.plan_label, f, acc)
-        for ev in evaluations
-        for f, acc in ev.fold_curve()
+        (r["model"], r["plan"], f, acc)
+        for r in results
+        for f, acc in r.get("fold_curve", [])
     )
     _write_csv(Path(path), ["model", "plan", "fold", "accuracy"], rows)
 
 
-def write_compression_csv(path: Union[str, Path], evaluations) -> None:
-    """bits/symbol per model; argmax-only models print n/a."""
+def write_compression_csv(path: Union[str, Path], results) -> None:
+    """bits/symbol per results.json dict; argmax-only models print n/a."""
     rows = (
-        (ev.model_label, ev.plan_label, ev.bits_weighted, ev.bits_user_mean)
-        for ev in evaluations
+        (r["model"], r["plan"], r.get("bits_weighted"),
+         r.get("bits_user_mean"))
+        for r in results
     )
     _write_csv(
         Path(path),
@@ -287,22 +291,6 @@ def bundle_report(
 
     write_mi_curve_csv(out / "mi_curve.csv", characterization["mi_curve"])
     if validation is not None:
-        _write_csv(
-            out / "fold_curve.csv",
-            ["model", "plan", "fold", "accuracy"],
-            (
-                (v["model"], v["plan"], f, acc)
-                for v in validation
-                for f, acc in v.get("fold_curve", [])
-            ),
-        )
-        _write_csv(
-            out / "compression.csv",
-            ["model", "plan", "bits_weighted", "bits_user_mean"],
-            (
-                (v["model"], v["plan"], v.get("bits_weighted"),
-                 v.get("bits_user_mean"))
-                for v in validation
-            ),
-        )
+        write_fold_curve_csv(out / "fold_curve.csv", validation)
+        write_compression_csv(out / "compression.csv", validation)
     return summary

@@ -405,13 +405,6 @@ def evaluate(
     )
 
 
-def compression_ratio(
-    ds: Dataset, spec: PredictorSpec, plan: ValidationPlan
-) -> Optional[float]:
-    """Prediction-weighted bits/symbol, or None for argmax-only models."""
-    return evaluate(ds, spec, plan).bits_weighted
-
-
 @dataclass(frozen=True)
 class SensitivityRow:
     scheme: str

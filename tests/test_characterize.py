@@ -91,12 +91,6 @@ def test_characterize_deterministic(markov_report):
     assert again == rep
 
 
-def test_threads_bit_identical(markov_report):
-    ds, _, rep = markov_report
-    threaded = characterize(ds, CharacterizeParams(d_max=6, threads=4))
-    assert threaded == rep
-
-
 def test_dataset_entropy_scope(markov_report):
     ds, _, _ = markov_report
     rep = characterize(
@@ -123,6 +117,22 @@ def test_short_sequences_skipped():
     assert any("skipped short" in w for w in rep.warnings)
     with pytest.raises(DataError, match=">= 2 symbols"):
         characterize(make_dataset({"b": [3]}, n_pois=4))
+
+
+def test_implausible_short_user_skipped():
+    # 5 symbols alternating over 2 POIs: the LZ estimate (1.16 bits) is
+    # more than 0.1 bits above log2(2), so that user is left out
+    long = [0, 1, 2, 0, 1, 2, 3, 0, 1, 2] * 30
+    ds = make_dataset({"a": long, "b": [0, 1, 0, 1, 0]}, n_pois=4)
+    rep = characterize(ds, CharacterizeParams(d_max=5))
+    alone = characterize(make_dataset({"a": long}, n_pois=4),
+                         CharacterizeParams(d_max=5))
+    assert [u.user_id for u in rep.per_user] == ["a"]
+    assert rep.per_user == alone.per_user
+    assert rep.mi_curve == alone.mi_curve
+    assert any("skipped user b" in w and "1.16" in w for w in rep.warnings)
+    with pytest.raises(DataError, match="skipped user b"):
+        characterize(make_dataset({"b": [0, 1, 0, 1, 0]}, n_pois=4))
 
 
 def test_dmax_capped_for_short_streams():
@@ -163,5 +173,3 @@ def test_params_validation():
         CharacterizeParams(entropy_scope="global")
     with pytest.raises(ValueError):
         CharacterizeParams(mi_scope="both")
-    with pytest.raises(ValueError):
-        CharacterizeParams(threads=0)

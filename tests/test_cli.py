@@ -290,6 +290,8 @@ def test_infeasible_plan_exits_4(tmp_path, capsys):
     _, err = capsys.readouterr()
     assert rc == 4
     assert "infeasible plan" in err
+    # the warning raised before the failure still reaches stderr
+    assert "warning: excluding user" in err
 
 
 def test_env_seed_matches_explicit_flag(tmp_path, capsys, monkeypatch):
@@ -315,12 +317,40 @@ def test_env_out_directory(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "from_env" / "sequences.jsonl").is_file()
 
 
-def test_env_threads_must_be_integer(monkeypatch, capsys):
-    monkeypatch.setenv("MOBMETA_THREADS", "many")
+def test_env_seed_must_be_integer(monkeypatch, capsys):
+    monkeypatch.setenv("MOBMETA_SEED", "many")
     rc = main(["synth", "--kind", "iid", "--out", "unused"])
     _, err = capsys.readouterr()
     assert rc == 2
-    assert "MOBMETA_THREADS" in err
+    assert "MOBMETA_SEED" in err
+
+
+def test_threads_flag_is_gone(tmp_path, capsys):
+    d = synth_periodic(tmp_path, capsys)
+    with pytest.raises(SystemExit) as e:
+        main(["characterize", str(d), "--threads", "2",
+              "--out", str(tmp_path / "r.json")])
+    assert e.value.code == 2
+
+
+def test_characterize_prints_caught_warnings(tmp_path, capsys):
+    # 8 symbols alternating over 2 POIs read ~1.09 bits > log2(2): the
+    # estimate is clamped, and the clamp warning goes to stderr
+    src = tmp_path / "sym.jsonl"
+    users = {"long": [0, 1, 2, 0, 1, 2, 3, 0, 1, 2] * 30, "short": [0, 1] * 4}
+    src.write_text(
+        "".join(
+            json.dumps({"user_id": u, "symbols": [[s, t] for t, s in
+                                                  enumerate(syms)]}) + "\n"
+            for u, syms in users.items()
+        ),
+        encoding="utf-8",
+    )
+    ok(["ingest", src, "--format", "symbols_jsonl", "--out", tmp_path / "ds"],
+       capsys)
+    _, err = ok(["characterize", tmp_path / "ds", "--dmax", 5,
+                 "--out", tmp_path / "ch" / "report.json"], capsys)
+    assert "warning: clamping entropy rate" in err
 
 
 def test_characterize_few_users_skips_correlations(tmp_path, capsys):

@@ -91,12 +91,12 @@ def test_fold_curve_and_compression_csv(tmp_path):
         ValidationPlan("block_rolling", k=5, p=1),
     )
     fc = tmp_path / "fc.csv"
-    write_fold_curve_csv(fc, [res])
+    write_fold_curve_csv(fc, [res.to_dict()])
     lines = fc.read_text().splitlines()
     assert lines[0] == "model,plan,fold,accuracy"
     assert len(lines) == 5  # 4 folds
     cc = tmp_path / "cc.csv"
-    write_compression_csv(cc, [res])
+    write_compression_csv(cc, [res.to_dict()])
     assert cc.read_text().splitlines()[1].startswith(
         "markov_1,block_rolling:k=5,p=1,"
     )

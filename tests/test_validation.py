@@ -11,7 +11,6 @@ from mobmeta.validation import (
     LEAKY_SCHEMES,
     TIME_ORDERED_SCHEMES,
     ValidationPlan,
-    compression_ratio,
     default_sensitivity_plans,
     evaluate,
     make_folds,
@@ -208,9 +207,9 @@ def test_uniform_model_bits_exactly_log2_n():
             kind="iid", n_symbols=500, n_users=1, seed=5, dist=(0.125,) * 8
         )
     )
-    bits = compression_ratio(
+    bits = evaluate(
         ds, PredictorSpec(kind="random_uniform"), ValidationPlan("holdout")
-    )
+    ).bits_weighted
     assert bits == 3.0
 
 
@@ -244,10 +243,10 @@ def order2_dataset():
 def test_markov2_beats_markov1_on_order2_source():
     ds = order2_dataset()
     plan = ValidationPlan("block_rolling", k=10, p=1)
-    bits1 = compression_ratio(ds, M1, plan)
-    bits2 = compression_ratio(
+    bits1 = evaluate(ds, M1, plan).bits_weighted
+    bits2 = evaluate(
         ds, PredictorSpec(kind="markov_k", k=2), plan
-    )
+    ).bits_weighted
     assert bits2 < bits1 - 0.3
 
 
@@ -334,7 +333,6 @@ def test_argmax_only_external_has_no_bits():
     res = evaluate(ds, spec, ValidationPlan("holdout"))
     assert res.bits_user_mean is None
     assert res.bits_weighted is None
-    assert compression_ratio(ds, spec, ValidationPlan("holdout")) is None
 
 
 def test_sensitivity_rows_and_guard():
