@@ -4,27 +4,21 @@ dataset-level dependence structure folded into one report object.
 Scope conventions: entropy and predictability are computed per user and
 averaged; the MI decay curve runs over the separator-joined dataset
 stream so cross-user n-grams never form.  Both scopes can be flipped via
-CharacterizeParams for diagnostics.
+CharacterizeParams for diagnostics.  Every MI and PMI figure comes from
+metrics; this module only chooses the streams and scopes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .core import DataError, Dataset, concat_user_streams
 from .entropy import CLAMP_SLACK_BITS, fano_predictability, lz_entropy_rate
-from .metrics import (
-    MiDecay,
-    _decay_from_curve,
-    _pair_counts,
-    mi_decay_curve,
-    mutual_information_at_distance,
-    pmi_from_counts,
-)
+from .metrics import MiDecay, mi_decay_curve, per_user_mi_decay, top_pmi
 
 SECONDS_PER_MONTH = 2629800  # Julian year / 12
 
@@ -97,16 +91,7 @@ class MetaAttributeReport:
                 "mean": self.predictability_mean,
                 "per_user": [u.predictability for u in self.per_user],
             },
-            "per_user": [
-                {
-                    "user_id": u.user_id,
-                    "n_symbols": u.n_symbols,
-                    "n_pois": u.n_pois,
-                    "entropy_bits": u.entropy_bits,
-                    "predictability": u.predictability,
-                }
-                for u in self.per_user
-            ],
+            "per_user": [asdict(u) for u in self.per_user],
             "mi_curve": [[d, i] for d, i in self.mi_curve],
             "ldd_exponent_alpha": self.ldd_exponent_alpha,
             "ldd_fit_rmse": self.ldd_fit_rmse,
@@ -177,19 +162,6 @@ def _user_stats(
     return UserStats(seq.user_id, int(ids.shape[0]), distinct, s, pi)
 
 
-def _top_pmi(
-    stream: np.ndarray, d: int, separator_id: int, top_k: int
-) -> list[tuple[tuple[int, int, int], float]]:
-    """Highest finite PMI pairs at distance d, ties by (a, b)."""
-    joint, left, right, n = _pair_counts(stream, d, separator_id)
-    scored = [
-        ((a, b, d), pmi_from_counts(n, left[a], right[b], c))
-        for (a, b), c in joint.items()
-    ]
-    scored.sort(key=lambda e: (-e[1], e[0]))
-    return scored[:top_k]
-
-
 def characterize(
     ds: Dataset, params: CharacterizeParams = CharacterizeParams()
 ) -> MetaAttributeReport:
@@ -245,7 +217,11 @@ def characterize(
     decay: Optional[MiDecay] = None
     if d_max >= 1:
         if params.mi_scope == "per_user":
-            decay = _per_user_decay(usable, d_max, params, notes)
+            decay = per_user_mi_decay(
+                [seq.poi_ids() for seq in usable], d_max,
+                params.eps_fit, params.eps_depth,
+            )
+            notes.append("mi_scope=per_user: averaged per-user curves")
         else:
             decay = mi_decay_curve(
                 stream, d_max, params.eps_fit, params.eps_depth, sep
@@ -266,7 +242,7 @@ def characterize(
     pmi_top = []
     if stream.shape[0] >= 3:
         try:
-            pmi_top = _top_pmi(stream, 1, sep, params.pmi_top_k)
+            pmi_top = top_pmi(stream, 1, params.pmi_top_k, sep)
         except DataError as e:
             notes.append(f"pmi unavailable: {e}")
 
@@ -293,24 +269,6 @@ def characterize(
         pmi_top=tuple(pmi_top),
         warnings=tuple(notes),
     )
-
-
-def _per_user_decay(
-    usable, d_max: int, params: CharacterizeParams, notes: list[str]
-) -> MiDecay:
-    """Average per-user MI curves; users too short for a distance drop out."""
-    curve = []
-    for d in range(1, d_max + 1):
-        vals = []
-        for seq in usable:
-            ids = seq.poi_ids()
-            if ids.shape[0] > d + 1:
-                vals.append(mutual_information_at_distance(ids, d))
-        if not vals:
-            break
-        curve.append((d, float(np.mean(vals))))
-    notes.append("mi_scope=per_user: averaged per-user curves")
-    return _decay_from_curve(curve, params.eps_fit, params.eps_depth)
 
 
 def per_user_attribute_matrix(

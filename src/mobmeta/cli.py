@@ -19,7 +19,7 @@ import shlex
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -48,7 +48,7 @@ from .jsonutil import (
 )
 from .metrics import attribute_correlations, match_structure
 from .poi import ExtractionParams, extract_dataset
-from .predictors import PredictorSpec
+from .predictors import PredictorSpec, parse_model
 from .report import (
     bundle_report,
     stats_table,
@@ -134,26 +134,13 @@ def parse_cols(text: str) -> dict:
 def parse_model_arg(
     text: str, external_cmd: str | None = None
 ) -> PredictorSpec:
-    """markov:K | mmc[:M] | top_frequency | random_uniform | external."""
-    kind, _, arg = text.partition(":")
+    """predictors.parse_model on --model and --external-cmd; exits 2."""
+    if text.partition(":")[0] == "external" and not external_cmd:
+        raise UsageError("external model needs --external-cmd")
     try:
-        if kind == "markov":
-            return PredictorSpec(kind="markov_k", k=int(arg or 1))
-        if kind == "mmc":
-            return PredictorSpec(kind="mmc", top_m=int(arg or 10))
-        if kind == "top_frequency":
-            return PredictorSpec(kind="top_frequency")
-        if kind == "random_uniform":
-            return PredictorSpec(kind="random_uniform")
-        if kind == "external":
-            if not external_cmd:
-                raise UsageError("external model needs --external-cmd")
-            return PredictorSpec(
-                kind="external", command=tuple(shlex.split(external_cmd))
-            )
+        return parse_model(text, shlex.split(external_cmd or ""))
     except ValueError as e:
-        raise UsageError(f"bad model {text!r}: {e}") from None
-    raise UsageError(f"unknown model {text!r}")
+        raise UsageError(str(e)) from None
 
 
 _SCHEME_KEYS = {
@@ -272,14 +259,7 @@ def cmd_ingest(args) -> Run:
         dedup_policy=args.dedup,
     )
     name = args.name or Path(args.input).stem
-    config = {
-        "format": cfg.format,
-        "column_map": cfg.column_map,
-        "timezone_policy": cfg.timezone_policy,
-        "tz_offset_seconds": cfg.tz_offset_seconds,
-        "dedup_policy": cfg.dedup_policy,
-        "name": name,
-    }
+    config = {**asdict(cfg), "name": name}
     if args.format == "symbols_jsonl":
         ds = load_symbols_jsonl(args.input, name=name)
         save_dataset(ds, out_dir)
@@ -326,13 +306,7 @@ def cmd_extract_poi(args) -> Run:
     name = args.name or Path(args.raw_dir).name
     ds = extract_dataset(trajs, params, name)
     save_dataset(ds, out_dir)
-    config = {
-        "stay_radius_m": params.stay_radius_m,
-        "stay_min_duration_s": params.stay_min_duration_s,
-        "cluster_merge_radius_m": params.cluster_merge_radius_m,
-        "min_visits": params.min_visits,
-        "name": name,
-    }
+    config = {**asdict(params), "name": name}
     excluded = ds.provenance.get("excluded_short_users", [])
     print(
         f"extracted {ds.alphabet.size} POIs, {ds.n_users} users "
@@ -406,16 +380,7 @@ def cmd_characterize(args) -> Run:
     )
     for note in report.warnings:
         print(f"note: {note}", file=sys.stderr)
-    config = {
-        "d_max": params.d_max,
-        "eps_fit": params.eps_fit,
-        "eps_depth": params.eps_depth,
-        "pmi_top_k": params.pmi_top_k,
-        "fano_global_n": params.fano_global_n,
-        "entropy_scope": params.entropy_scope,
-        "mi_scope": params.mi_scope,
-    }
-    return Run(out, config, dataset_digest(ds),
+    return Run(out, asdict(params), dataset_digest(ds),
                [out, mi_path, ms_path, corr_path])
 
 
@@ -472,19 +437,7 @@ def cmd_sensitivity(args) -> Run:
     rows_json = out.parent / "sensitivity.json"
     write_canonical_json(
         rows_json,
-        {
-            "model": spec.label,
-            "rows": [
-                {
-                    "scheme": r.scheme,
-                    "params": r.params,
-                    "accuracy_user_mean": r.accuracy_user_mean,
-                    "accuracy_weighted": r.accuracy_weighted,
-                    "leaky": r.leaky,
-                }
-                for r in rows
-            ],
-        },
+        {"model": spec.label, "rows": [asdict(r) for r in rows]},
     )
     spread = max(r.accuracy_user_mean for r in rows) - min(
         r.accuracy_user_mean for r in rows

@@ -14,22 +14,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .predictors import PredictorSpec, train
+from .predictors import parse_model, train
 
 MISBEHAVIORS = ("none", "bad_sum", "wrong_len", "oob_id", "garbage", "close")
-
-
-def parse_model(text: str) -> PredictorSpec:
-    kind, _, arg = text.partition(":")
-    if kind == "markov":
-        return PredictorSpec(kind="markov_k", k=int(arg or 1))
-    if kind == "mmc":
-        return PredictorSpec(kind="mmc", top_m=int(arg or 10))
-    if kind == "top_frequency":
-        return PredictorSpec(kind="top_frequency")
-    if kind == "random_uniform":
-        return PredictorSpec(kind="random_uniform")
-    raise ValueError(f"unknown model {text!r}")
 
 
 def _read_block(stdin, n: int) -> tuple[list[int], list[int]]:

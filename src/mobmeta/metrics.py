@@ -1,10 +1,13 @@
 """Dependence metrics over symbol streams: mutual information at a
-distance, its decay curve with a power-law fit, pointwise MI, repeat
-(match) structure, and per-user attribute correlations.
+distance, its decay curve (over one stream or averaged over users) with
+a power-law fit, pointwise MI and its top pairs, repeat (match)
+structure, and per-user attribute correlations.
 
-All estimates are plug-in (empirical counts, no bias correction).  The
-per-cell MI terms are accumulated with math.fsum over Python floats so
-results are exactly reproducible regardless of iteration order.
+All estimates are plug-in (empirical counts, no bias correction).  MI,
+PMI and top-PMI read one pair-count table, `_pair_counts`, held in
+arrays with one entry per occupied cell.  The per-cell MI terms are
+summed with math.fsum, so results are exactly reproducible regardless
+of summation order.
 """
 
 from __future__ import annotations
@@ -19,47 +22,30 @@ import numpy as np
 from .core import DataError
 
 
-def _pair_counts(
-    stream: np.ndarray, d: int, separator_id: Optional[int]
-) -> tuple[dict[tuple[int, int], int], dict[int, int], dict[int, int], int]:
-    """Joint and marginal counts over (s_i, s_{i+d}) pairs.
+def _log2(values: np.ndarray) -> np.ndarray:
+    """math.log2 element by element.
 
-    Marginals are taken from the paired positions only, so the three
-    entropy forms of the MI identity share one empirical table.  A pair
-    is dropped when the separator appears anywhere in its window
-    [i, i+d], not just at the endpoints, so no pair straddles a stream
-    boundary.
+    Not np.log2: its vectorized kernels may differ from the correctly
+    rounded libm result in the last bit (numpy 2.4 does on a few hundred
+    of 2M random inputs), which would change reported figures between numpy
+    builds and break the exact agreement with the oracles.
     """
-    left = stream[:-d]
-    right = stream[d:]
-    if separator_id is not None:
-        hits = np.concatenate(
-            ([0], np.cumsum(stream == separator_id, dtype=np.int64))
-        )
-        keep = (hits[d + 1 :] - hits[: -d - 1]) == 0
-        left = left[keep]
-        right = right[keep]
-    n_pairs = int(left.shape[0])
-    if n_pairs < 2:
-        raise DataError(f"fewer than 2 pairs at distance {d}")
-    span = int(max(left.max(), right.max())) + 1
-    codes = left.astype(np.int64) * span + right.astype(np.int64)
-    uniq, counts = np.unique(codes, return_counts=True)
-    joint = {
-        (int(c) // span, int(c) % span): int(k)
-        for c, k in zip(uniq.tolist(), counts.tolist())
-    }
-    lu, lc = np.unique(left, return_counts=True)
-    ru, rc = np.unique(right, return_counts=True)
-    left_marg = {int(x): int(k) for x, k in zip(lu.tolist(), lc.tolist())}
-    right_marg = {int(x): int(k) for x, k in zip(ru.tolist(), rc.tolist())}
-    return joint, left_marg, right_marg, n_pairs
+    return np.fromiter(map(math.log2, values.tolist()), np.float64)
 
 
-def mutual_information_at_distance(
-    seq: Sequence[int], d: int, separator_id: Optional[int] = None
-) -> float:
-    """Plug-in I(s_i; s_{i+d}) in bits over all position pairs at lag d."""
+def _pair_counts(
+    seq: Sequence[int], d: int, separator_id: Optional[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
+    """The count table of (s_i, s_{i+d}) pairs, one entry per occupied cell.
+
+    Returns (x, y, c_xy, n_pairs, c_x, c_y): the cells in ascending
+    (x, y) order, their joint counts, the number of pairs, and each
+    cell's left (x) and right (y) marginal count.  Marginals are taken
+    from the paired positions only, so the three entropy forms of the MI
+    identity share one empirical table.  A pair is dropped when the
+    separator appears anywhere in its window [i, i+d], not just at the
+    endpoints, so no pair straddles a stream boundary.
+    """
     if d < 1:
         raise ValueError(f"distance must be >= 1, got {d}")
     stream = np.asarray(seq, dtype=np.int64)
@@ -67,14 +53,32 @@ def mutual_information_at_distance(
         raise DataError(
             f"sequence of length {stream.shape[0]} has no pairs at distance {d}"
         )
-    joint, left_marg, right_marg, n = _pair_counts(stream, d, separator_id)
-    terms = []
-    for (x, y), c_xy in joint.items():
-        p_xy = c_xy / n
-        p_x = left_marg[x] / n
-        p_y = right_marg[y] / n
-        terms.append(p_xy * math.log2(p_xy / (p_x * p_y)))
-    return math.fsum(terms)
+    left, right = stream[:-d], stream[d:]
+    if separator_id is not None:
+        hits = np.concatenate(
+            ([0], np.cumsum(stream == separator_id, dtype=np.int64))
+        )
+        keep = (hits[d + 1 :] - hits[: -d - 1]) == 0
+        left, right = left[keep], right[keep]
+    n_pairs = int(left.shape[0])
+    if n_pairs < 2:
+        raise DataError(f"fewer than 2 pairs at distance {d}")
+    span = int(max(left.max(), right.max())) + 1
+    codes, c_xy = np.unique(left * span + right, return_counts=True)
+    x, y = np.divmod(codes, span)
+    lu, lc = np.unique(left, return_counts=True)
+    ru, rc = np.unique(right, return_counts=True)
+    c_x, c_y = lc[np.searchsorted(lu, x)], rc[np.searchsorted(ru, y)]
+    return x, y, c_xy, n_pairs, c_x, c_y
+
+
+def mutual_information_at_distance(
+    seq: Sequence[int], d: int, separator_id: Optional[int] = None
+) -> float:
+    """Plug-in I(s_i; s_{i+d}) in bits over all position pairs at lag d."""
+    _, _, c_xy, n, c_x, c_y = _pair_counts(seq, d, separator_id)
+    p_xy = c_xy / n
+    return math.fsum((p_xy * _log2(p_xy / ((c_x / n) * (c_y / n)))).tolist())
 
 
 def pmi_from_counts(n_pairs: int, c_a: int, c_b: int, c_ab: int) -> float:
@@ -98,21 +102,36 @@ def pmi(
     Returns -inf ("never co-occurs") when the pair count is zero; raises
     when a or b itself never occurs at the paired positions.
     """
-    if d < 1:
-        raise ValueError(f"distance must be >= 1, got {d}")
-    stream = np.asarray(seq, dtype=np.int64)
-    if stream.shape[0] <= d:
-        raise DataError(
-            f"sequence of length {stream.shape[0]} has no pairs at distance {d}"
-        )
-    joint, left_marg, right_marg, n = _pair_counts(stream, d, separator_id)
-    c_a = left_marg.get(int(a), 0)
-    c_b = right_marg.get(int(b), 0)
+    x, y, c_xy, n, _, _ = _pair_counts(seq, d, separator_id)
+    c_a = int(c_xy[x == a].sum())
+    c_b = int(c_xy[y == b].sum())
     if c_a == 0 or c_b == 0:
         raise DataError(
             f"poi {a if c_a == 0 else b} never occurs at the paired positions"
         )
-    return pmi_from_counts(n, c_a, c_b, joint.get((int(a), int(b)), 0))
+    return pmi_from_counts(n, c_a, c_b, int(c_xy[(x == a) & (y == b)].sum()))
+
+
+def top_pmi(
+    seq: Sequence[int],
+    d: int,
+    top_k: int,
+    separator_id: Optional[int] = None,
+) -> list[tuple[tuple[int, int, int], float]]:
+    """The top_k occurring pairs by PMI at distance d, ties by (a, b).
+
+    Entries are ((a, b, d), pmi_bits), all finite.  The count products
+    are exact in float64 below 2**53, so each score equals
+    pmi_from_counts on the same counts for any stream under ~9e7 pairs.
+    """
+    x, y, c_xy, n, c_x, c_y = _pair_counts(seq, d, separator_id)
+    scores = _log2((n * c_xy) / (c_x * c_y))
+    order = np.lexsort((y, x, -scores))[:top_k]
+    return [
+        ((a, b, d), s)
+        for a, b, s in zip(x[order].tolist(), y[order].tolist(),
+                           scores[order].tolist())
+    ]
 
 
 def fit_power_law(
@@ -173,6 +192,28 @@ def mi_decay_curve(
         (d, mutual_information_at_distance(stream, d, separator_id))
         for d in range(1, d_max + 1)
     ]
+    return _decay_from_curve(curve, eps_fit, eps_depth)
+
+
+def per_user_mi_decay(
+    streams: Sequence[Sequence[int]],
+    d_max: int,
+    eps_fit: float = 1e-3,
+    eps_depth: float = 0.1,
+) -> MiDecay:
+    """mi_decay_curve over the mean of per-user I(d), d = 1..d_max.
+
+    A user too short for a distance (< 2 pairs) drops out of its mean;
+    the curve stops at the first distance no user reaches.
+    """
+    arrays = [np.asarray(s, dtype=np.int64) for s in streams]
+    curve = []
+    for d in range(1, d_max + 1):
+        vals = [mutual_information_at_distance(ids, d)
+                for ids in arrays if ids.shape[0] > d + 1]
+        if not vals:
+            break
+        curve.append((d, float(np.mean(vals))))
     return _decay_from_curve(curve, eps_fit, eps_depth)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .core import (
@@ -232,12 +232,7 @@ def extract_dataset(
         sequences=tuple(sequences),
         provenance={
             "source": "extract",
-            "extraction_params": {
-                "stay_radius_m": params.stay_radius_m,
-                "stay_min_duration_s": params.stay_min_duration_s,
-                "cluster_merge_radius_m": params.cluster_merge_radius_m,
-                "min_visits": params.min_visits,
-            },
+            "extraction_params": asdict(params),
             "raw_fix_count": sum(len(t) for t in trajs),
             "excluded_short_users": excluded,
         },

@@ -65,6 +65,29 @@ class PredictorSpec:
         return self.kind
 
 
+def parse_model(text: str, command: Sequence[str] = ()) -> PredictorSpec:
+    """markov:K | mmc[:M] | top_frequency | random_uniform | external.
+
+    external runs the argv `command`.  Raises ValueError on an unknown or
+    malformed model.
+    """
+    kind, _, arg = text.partition(":")
+    try:
+        if kind == "markov":
+            return PredictorSpec(kind="markov_k", k=int(arg or 1))
+        if kind == "mmc":
+            return PredictorSpec(kind="mmc", top_m=int(arg or 10))
+        if kind == "top_frequency":
+            return PredictorSpec(kind="top_frequency")
+        if kind == "random_uniform":
+            return PredictorSpec(kind="random_uniform")
+        if kind == "external":
+            return PredictorSpec(kind="external", command=tuple(command))
+    except ValueError as e:
+        raise ValueError(f"bad model {text!r}: {e}") from None
+    raise ValueError(f"unknown model {text!r}")
+
+
 def _argmax_smallest(dist: np.ndarray) -> int:
     # np.argmax returns the first index among ties, i.e. the smallest id
     return int(np.argmax(dist))

@@ -255,6 +255,30 @@ def _context_need(spec: PredictorSpec, plan: ValidationPlan) -> int:
     return 0
 
 
+def _test_contexts(
+    fold: Fold, symbols: np.ndarray, timestamps: np.ndarray, need: int
+):
+    """(truth, context, context timestamps) per test position, in order.
+
+    The context of test position t is the last `need` known positions
+    before t, known meaning in the train set or earlier in the test set.
+    Test indices ascend in every scheme, so that context is a slice of
+    the sorted union of both sets; only the part of the union from the
+    first context to the last test position is read.
+    """
+    is_known = np.zeros(symbols.shape[0], dtype=bool)
+    is_known[fold.train_idx] = is_known[fold.test_idx] = True
+    known = np.flatnonzero(is_known)
+    ends = np.searchsorted(known, fold.test_idx)
+    first = max(0, int(ends[0]) - need)
+    known = known[first : int(ends[-1]) + 1]
+    syms = symbols[known].tolist()
+    ts = timestamps[known].tolist()
+    for e in (ends - first).tolist():
+        lo = max(0, e - need)
+        yield syms[e], syms[lo:e], ts[lo:e]
+
+
 def _eval_stream(
     user_id: str,
     symbols: np.ndarray,
@@ -275,35 +299,22 @@ def _eval_stream(
         )
         is_external = isinstance(model, ExternalModel)
         try:
-            mask = np.zeros(symbols.shape[0], dtype=bool)
-            mask[fold.train_idx] = True
-            floor = int(min(fold.train_idx.min(), fold.test_idx.min()))
             n_correct = 0
             bits_terms: list[float] = []
             has_bits = True
-            for t in fold.test_idx.tolist():
-                ctx: list[int] = []
-                ctx_ts: list[int] = []
-                j = t - 1
-                while j >= floor and len(ctx) < need:
-                    if mask[j]:
-                        ctx.append(int(symbols[j]))
-                        ctx_ts.append(int(timestamps[j]))
-                    j -= 1
-                ctx.reverse()
-                ctx_ts.reverse()
+            for truth, ctx, ctx_ts in _test_contexts(
+                fold, symbols, timestamps, need
+            ):
                 if is_external:
                     pred, dist = model.predict(ctx, ctx_ts)
                 else:
                     pred, dist = model.predict(ctx)
-                truth = int(symbols[t])
                 n_correct += pred == truth
                 if dist is None:
                     has_bits = False
                 else:
                     p = float(dist[truth])
                     bits_terms.append(-math.log2(p) if p > 0.0 else math.inf)
-                mask[t] = True
             n_pred = int(fold.test_idx.shape[0])
             results.append(
                 FoldResult(
@@ -333,19 +344,15 @@ def evaluate(
 ) -> EvaluationResult:
     """Train/test a predictor under a plan; teacher-forced test contexts.
 
-    Test contexts walk backward from each test position over indices that
-    are in the fold's train set or already-revealed test prefix; for
+    A test position's context is made of the nearest preceding positions
+    that are in the fold's train set or already-revealed test prefix; for
     time-ordered schemes that is exactly the window [train_lo, t).  Users
     the plan cannot split are excluded with a warning.
     """
-    streams: list[tuple[str, np.ndarray, np.ndarray]] = []
-    if plan.per_user:
-        for seq in ds.sequences:
-            streams.append((seq.user_id, seq.poi_ids(), seq.timestamps()))
-    else:
-        ids = np.concatenate([s.poi_ids() for s in ds.sequences])
-        ts = np.concatenate([s.timestamps() for s in ds.sequences])
-        streams.append(("__all__", ids, ts))
+    streams = [(s.user_id, s.poi_ids(), s.timestamps()) for s in ds.sequences]
+    if not plan.per_user:
+        streams = [("__all__", np.concatenate([s[1] for s in streams]),
+                    np.concatenate([s[2] for s in streams]))]
     all_results: list[FoldResult] = []
     per_user_acc: list[float] = []
     per_user_bits: list[float] = []
@@ -424,15 +431,8 @@ def validation_sensitivity(
     for plan in plans:
         res = evaluate(ds, spec, plan)
         scheme, _, params = plan.label.partition(":")
-        rows.append(
-            SensitivityRow(
-                scheme=scheme,
-                params=params,
-                accuracy_user_mean=res.accuracy_user_mean,
-                accuracy_weighted=res.accuracy_weighted,
-                leaky=res.leaky,
-            )
-        )
+        rows.append(SensitivityRow(scheme, params, res.accuracy_user_mean,
+                                   res.accuracy_weighted, res.leaky))
     return rows
 
 

@@ -58,6 +58,41 @@ def mi_by_cell_sum(seq, d, separator=None) -> float:
     )
 
 
+def top_pmi_by_counting(seq, d, top_k, separator=None):
+    """((a, b, d), pmi) for the top_k occurring pairs, sorted by
+    (-pmi, a, b), from Counters over the enumerated pairs."""
+    pairs = pairs_at_distance(seq, d, separator)
+    n = len(pairs)
+    joint = Counter(pairs)
+    left = Counter(x for x, _ in pairs)
+    right = Counter(y for _, y in pairs)
+    scored = [
+        ((a, b, d), math.log2((n * c) / (left[a] * right[b])))
+        for (a, b), c in joint.items()
+    ]
+    scored.sort(key=lambda e: (-e[1], e[0]))
+    return scored[:top_k]
+
+
+def contexts_by_walk(train_idx, test_idx, symbols, timestamps, need):
+    """(truth, context, context timestamps) per test position: walk back
+    from each test position over the train positions and the test
+    positions already revealed, collecting at most `need` of them."""
+    known = set(train_idx)
+    out = []
+    for t in test_idx:
+        ctx, ctx_ts = [], []
+        j = t - 1
+        while j >= 0 and len(ctx) < need:
+            if j in known:
+                ctx.append(symbols[j])
+                ctx_ts.append(timestamps[j])
+            j -= 1
+        out.append((symbols[t], ctx[::-1], ctx_ts[::-1]))
+        known.add(t)
+    return out
+
+
 def brute_match_lengths(seq) -> list[int]:
     """Lambda_i = 1 + longest prefix of seq[i:] appearing in seq[:i]."""
     n = len(seq)

@@ -264,6 +264,16 @@ def test_bad_scheme_parameter_is_usage_error(tmp_path, capsys):
     assert "bad scheme parameter" in err
 
 
+def test_characterize_default_config_hash(tmp_path, capsys):
+    # the hash of the default CharacterizeParams config; renaming a field
+    # or changing how the config is serialized shows here
+    d = synth_periodic(tmp_path, capsys)
+    ok(["characterize", d, "--out", tmp_path / "c" / "report.json"], capsys)
+    assert read_manifest(tmp_path / "c")["config_hash"] == (
+        "sha256:17c8af796186aa3e7bb357729899480ab46125dc13d41309dc4951db07c46729"
+    )
+
+
 def test_external_model_requires_command(tmp_path, capsys):
     d = synth_periodic(tmp_path, capsys)
     rc = main(["validate", str(d), "--model", "external",

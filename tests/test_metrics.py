@@ -12,6 +12,7 @@ from mobmeta.metrics import (
     mutual_information_at_distance,
     pmi,
     pmi_from_counts,
+    top_pmi,
 )
 from oracles import (
     brute_match_structure,
@@ -19,6 +20,7 @@ from oracles import (
     mi_by_pair_enumeration,
     pairs_at_distance,
     pearson_by_hand,
+    top_pmi_by_counting,
 )
 
 
@@ -58,6 +60,21 @@ def test_mi_separator_windows_excluded(rng):
         )
     # pair counting really does skip the straddling windows
     assert len(pairs_at_distance(seq, 3, separator=sep)) == 601 - 3 - 4
+
+
+@pytest.mark.parametrize("k", [50, 300])
+def test_mi_exact_at_wide_alphabets(rng, k):
+    # the fsum'd cell terms equal the oracle's to the last bit, not just
+    # within a tolerance, also where most cells hold one or two pairs
+    seq = rng.integers(0, k, size=3000).tolist()
+    with_sep = seq[:1000] + [k] + seq[1000:2000] + [k] + seq[2000:]
+    for d in (1, 2, 7, 40):
+        assert mutual_information_at_distance(seq, d) == mi_by_cell_sum(
+            seq, d
+        )
+        assert mutual_information_at_distance(
+            with_sep, d, separator_id=k
+        ) == mi_by_cell_sum(with_sep, d, separator=k)
 
 
 def test_mi_reversal_symmetric(rng):
@@ -107,6 +124,31 @@ def test_pmi_matches_direct_count(rng):
     c_ab = sum(1 for p in prs if p == (1, 2))
     expected = math.log2(n * c_ab / (c_a * c_b))
     assert pmi(seq, 1, 2, d) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 4, 50, 300])
+def test_top_pmi_matches_counting_oracle(rng, k):
+    # in the cyclic stream nearly every cell has the same score, so the
+    # (a, b) tie order decides; top_k beyond the cell count returns all
+    random_seq = rng.integers(0, k, size=2000).tolist()
+    cyclic = list(range(k)) * (2000 // k) + [0]
+    for seq in (random_seq, cyclic):
+        with_sep = seq[:700] + [k] + seq[700:]
+        for d in (1, 3):
+            for top_k in (1, 10, 10**6):
+                assert top_pmi(seq, d, top_k) == top_pmi_by_counting(
+                    seq, d, top_k
+                )
+                assert top_pmi(
+                    with_sep, d, top_k, k
+                ) == top_pmi_by_counting(with_sep, d, top_k, separator=k)
+
+
+def test_top_pmi_ties_by_pair():
+    # 0 1 2 0 1 2 ... 0: the three lag-1 cells share one score, log2(3)
+    got = top_pmi([0, 1, 2] * 10 + [0], 1, 10)
+    assert [key for key, _ in got] == [(0, 1, 1), (1, 2, 1), (2, 0, 1)]
+    assert {v for _, v in got} == {math.log2(3.0)}
 
 
 def test_fit_power_law_recovers_exponent():

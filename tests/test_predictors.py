@@ -11,6 +11,7 @@ from mobmeta.predictors import (
     ExternalModel,
     PredictorSpec,
     ProtocolError,
+    parse_model,
     train,
     retrain,
     transition_counts,
@@ -32,6 +33,24 @@ def test_spec_validation_and_labels():
         PredictorSpec(kind="external")
     with pytest.raises(ValueError, match="fallback"):
         PredictorSpec(kind="markov_k", fallback="zeros")
+
+
+def test_parse_model():
+    assert parse_model("markov:2") == PredictorSpec(kind="markov_k", k=2)
+    assert parse_model("markov") == PredictorSpec(kind="markov_k", k=1)
+    assert parse_model("mmc") == PredictorSpec(kind="mmc", top_m=10)
+    assert parse_model("top_frequency").kind == "top_frequency"
+    assert parse_model("random_uniform").kind == "random_uniform"
+    ext = parse_model("external", ["predict", "--flag"])
+    assert ext.command == ("predict", "--flag")
+    with pytest.raises(ValueError, match="unknown model 'lstm'"):
+        parse_model("lstm")
+    with pytest.raises(ValueError, match="bad model 'mmc:x'"):
+        parse_model("mmc:x")
+    with pytest.raises(ValueError, match="bad model 'markov:9'.*order"):
+        parse_model("markov:9")
+    with pytest.raises(ValueError, match="needs a command"):
+        parse_model("external")
 
 
 def test_markov1_counts_and_smoothing():

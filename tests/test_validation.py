@@ -11,12 +11,14 @@ from mobmeta.validation import (
     LEAKY_SCHEMES,
     TIME_ORDERED_SCHEMES,
     ValidationPlan,
+    _test_contexts,
     default_sensitivity_plans,
     evaluate,
     make_folds,
     validation_sensitivity,
 )
 from conftest import make_dataset
+from oracles import contexts_by_walk
 
 M1 = PredictorSpec(kind="markov_k", k=1)
 
@@ -361,3 +363,28 @@ def test_teacher_forcing_reveals_test_prefix():
     (fold,) = res.fold_results
     assert fold.n_predictions == 75
     assert fold.accuracy == 1.0
+
+
+@pytest.mark.parametrize("plan", [
+    ValidationPlan("holdout", split=0.7),
+    ValidationPlan("kfold", k=4),
+    ValidationPlan("kfold", k=3, shuffled=False),
+    ValidationPlan("leave_one_out"),
+    ValidationPlan("bootstrap", iterations=5, seed=3),
+    ValidationPlan("rolling", k=4),
+    ValidationPlan("block_rolling", k=5, p=2),
+    ValidationPlan("window10_cumulative"),
+], ids=lambda plan: plan.label)
+def test_test_contexts_match_backward_walk(rng, plan):
+    n = 53
+    symbols = rng.integers(0, 5, size=n)
+    timestamps = 1000 + 7 * np.arange(n)
+    for fold in make_folds(plan, n):
+        assert np.all(np.diff(fold.test_idx) > 0)
+        for need in (0, 1, 2, 3, 64):
+            assert list(
+                _test_contexts(fold, symbols, timestamps, need)
+            ) == contexts_by_walk(
+                fold.train_idx.tolist(), fold.test_idx.tolist(),
+                symbols.tolist(), timestamps.tolist(), need,
+            )
