@@ -147,7 +147,7 @@ def _user_stats(
     estimate is too far above log2(N) to be more than small-sample noise
     (a handful of symbols alternating between two POIs reads ~1.19 bits)."""
     ids = seq.poi_ids()
-    distinct = int(np.unique(ids).shape[0])
+    distinct = int(np.count_nonzero(np.bincount(ids)))
     s = lz_entropy_rate(ids)
     n_for_fano = fano_n_global if fano_n_global is not None else distinct
     if n_for_fano < 2:

@@ -19,6 +19,11 @@ import numpy as np
 from .core import DataError
 
 
+# How long an external predictor may take to exit after its stdin closes
+# before it is killed.
+CLOSE_TIMEOUT_S = 10.0
+
+
 class ProtocolError(DataError):
     """External predictor violated the line protocol."""
 
@@ -495,9 +500,18 @@ class ExternalModel:
                 self._proc.stdin.close()
             except OSError:
                 pass
-        self._proc.wait(timeout=10)
-        if self._proc.stdout:
-            self._proc.stdout.close()
+        try:
+            self._proc.wait(timeout=CLOSE_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+            raise ProtocolError(
+                f"external predictor {' '.join(self.spec.command)} did not "
+                f"exit within {CLOSE_TIMEOUT_S:g} s of end of input; killed"
+            ) from None
+        finally:
+            if self._proc.stdout:
+                self._proc.stdout.close()
 
     def __enter__(self):
         return self

@@ -142,7 +142,9 @@ def make_folds(plan: ValidationPlan, n: int) -> list[Fold]:
             draws = np.sort(
                 np.asarray([rng.randint(n) for _ in range(n)], dtype=np.int64)
             )
-            oob = np.setdiff1d(np.arange(n), draws)
+            mask = np.ones(n, dtype=bool)
+            mask[draws] = False
+            oob = np.flatnonzero(mask)
             if oob.size == 0:
                 continue
             folds.append(Fold(it, draws, oob, True))

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+from mobmeta.poi import Staypoint, haversine_m
+
 
 def pairs_at_distance(seq, d, separator=None):
     """All (x, y) position pairs with y exactly d after x, skipping any
@@ -157,3 +159,77 @@ def binary_entropy(p: float) -> float:
 def fano_residual(pi: float, s: float, n: int) -> float:
     """H_b(pi) + (1-pi) log2(N-1) - S; zero at the Fano solution."""
     return binary_entropy(pi) + (1 - pi) * math.log2(n - 1) - s
+
+
+def staypoints_by_full_recheck(traj, p):
+    """detect_staypoints as it was before the drift bound: every candidate
+    centroid re-measures every fix of the window (quadratic in dwell
+    length), so the fast scan must return exactly this."""
+    pts = traj.points
+    n = len(pts)
+    out = []
+    i = 0
+    while i < n:
+        lat_sum, lon_sum = pts[i].lat, pts[i].lon
+        j = i
+        while j + 1 < n:
+            cand_lat = (lat_sum + pts[j + 1].lat) / (j + 2 - i)
+            cand_lon = (lon_sum + pts[j + 1].lon) / (j + 2 - i)
+            if all(
+                haversine_m(pts[m].lat, pts[m].lon, cand_lat, cand_lon)
+                <= p.stay_radius_m
+                for m in range(i, j + 2)
+            ):
+                lat_sum += pts[j + 1].lat
+                lon_sum += pts[j + 1].lon
+                j += 1
+            else:
+                break
+        if pts[j].t - pts[i].t >= p.stay_min_duration_s:
+            out.append(
+                Staypoint(
+                    traj.user_id,
+                    lat_sum / (j + 1 - i),
+                    lon_sum / (j + 1 - i),
+                    pts[i].t,
+                    pts[j].t,
+                )
+            )
+            i = j + 1
+        else:
+            i += 1
+    return out
+
+
+def naive_staypoints(points, p):
+    """Independent greedy reimplementation recomputing every window's
+    centroid and maximum distance from scratch; (lat, lon, arrival,
+    departure) per staypoint."""
+    out = []
+    i = 0
+    while i < len(points):
+        j = i
+        while j + 1 < len(points):
+            window = points[i : j + 2]
+            clat = sum(q.lat for q in window) / len(window)
+            clon = sum(q.lon for q in window) / len(window)
+            if max(
+                haversine_m(q.lat, q.lon, clat, clon) for q in window
+            ) <= p.stay_radius_m:
+                j += 1
+            else:
+                break
+        if points[j].t - points[i].t >= p.stay_min_duration_s:
+            window = points[i : j + 1]
+            out.append(
+                (
+                    sum(q.lat for q in window) / len(window),
+                    sum(q.lon for q in window) / len(window),
+                    points[i].t,
+                    points[j].t,
+                )
+            )
+            i = j + 1
+        else:
+            i += 1
+    return out

@@ -6,10 +6,13 @@ asserts on exit codes, produced files, and printed lines.  Exit codes:
 """
 
 import json
+import shlex
+import sys
+import textwrap
 
 import pytest
 
-from mobmeta import __version__
+from mobmeta import __version__, predictors
 from mobmeta.cli import main
 from mobmeta.ingest import load_dataset
 from mobmeta.report import FOLDS_CSV_COLUMNS
@@ -282,6 +285,35 @@ def test_external_model_requires_command(tmp_path, capsys):
     _, err = capsys.readouterr()
     assert rc == 2
     assert "needs --external-cmd" in err
+
+
+def test_external_predictor_that_outlives_eof_exits_3(
+    tmp_path, capsys, monkeypatch
+):
+    # answers every PREDICT with POI 0, but sleeps instead of exiting
+    # once its stdin closes
+    script = tmp_path / "lingers.py"
+    script.write_text(textwrap.dedent("""\
+        import sys, time
+        for line in sys.stdin:
+            word, count = line.split()
+            for _ in range(int(count)):
+                sys.stdin.readline()
+            if word == "PREDICT":
+                print(0, flush=True)
+        time.sleep(30)
+    """), encoding="utf-8")
+    monkeypatch.setattr(predictors, "CLOSE_TIMEOUT_S", 0.3)
+    d = synth_periodic(tmp_path, capsys, users=1)
+    cmd = shlex.join([sys.executable, str(script)])
+    rc = main(["validate", str(d), "--model", "external",
+               "--external-cmd", cmd, "--scheme", "holdout:split=0.8",
+               "--out", str(tmp_path / "f.csv")])
+    _, err = capsys.readouterr()
+    assert rc == 3
+    assert "data error:" in err
+    assert "did not exit within 0.3 s" in err
+    assert str(script) in err
 
 
 def test_missing_dataset_exits_3(tmp_path, capsys):

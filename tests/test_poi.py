@@ -1,7 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mobmeta import poi
 from mobmeta.core import DataError, GeoPoint, RawTrajectory
 from mobmeta.poi import (
     EARTH_RADIUS_M,
@@ -13,6 +17,7 @@ from mobmeta.poi import (
     haversine_m,
     to_poi_sequence,
 )
+import oracles
 
 DEG_M = EARTH_RADIUS_M * math.pi / 180.0  # meters per degree along a meridian
 
@@ -79,38 +84,6 @@ def test_continuous_motion_yields_nothing():
     assert detect_staypoints(traj("u", fixes), P) == []
 
 
-def _naive_staypoints(points, p):
-    """Independent greedy reimplementation recomputing everything naively."""
-    out = []
-    i = 0
-    while i < len(points):
-        j = i
-        while j + 1 < len(points):
-            window = points[i : j + 2]
-            clat = sum(q.lat for q in window) / len(window)
-            clon = sum(q.lon for q in window) / len(window)
-            if max(
-                haversine_m(q.lat, q.lon, clat, clon) for q in window
-            ) <= p.stay_radius_m:
-                j += 1
-            else:
-                break
-        if points[j].t - points[i].t >= p.stay_min_duration_s:
-            window = points[i : j + 1]
-            out.append(
-                (
-                    sum(q.lat for q in window) / len(window),
-                    sum(q.lon for q in window) / len(window),
-                    points[i].t,
-                    points[j].t,
-                )
-            )
-            i = j + 1
-        else:
-            i += 1
-    return out
-
-
 def test_two_dwells_on_hand_built_trace():
     # 50 fixes: dwell A (15 fixes, 28 min), travel, dwell B (20), travel
     fixes = []
@@ -132,7 +105,7 @@ def test_two_dwells_on_hand_built_trace():
     sps = detect_staypoints(tr, P)
     assert len(sps) == 2
     assert (sps[0].arrival, sps[0].departure) == (0, 14 * 120)
-    naive = _naive_staypoints(tr.points, P)
+    naive = oracles.naive_staypoints(tr.points, P)
     assert [
         (sp.lat, sp.lon, sp.arrival, sp.departure) for sp in sps
     ] == pytest.approx(naive)
@@ -154,7 +127,81 @@ def test_detector_agrees_with_naive_on_random_walks(rng):
             (sp.lat, sp.lon, sp.arrival, sp.departure)
             for sp in detect_staypoints(tr, P)
         ]
-        assert got == pytest.approx(_naive_staypoints(tr.points, P))
+        assert got == pytest.approx(oracles.naive_staypoints(tr.points, P))
+
+
+def _offset(lat, lon, north_m, east_m):
+    """(lat, lon) moved by the given meters; latitude clamped at the
+    poles, longitude wrapped across the dateline."""
+    lat2 = min(90.0, max(-90.0, lat + north_m / DEG_M))
+    coslat = max(1e-3, math.cos(math.radians(lat2)))
+    lon2 = (lon + east_m / (DEG_M * coslat) + 180.0) % 360.0 - 180.0
+    return lat2, lon2
+
+
+# dwell anchors: mid-latitude, on the dateline, next to the north pole,
+# next to the south pole on the dateline
+ANCHORS = [(45.0, 7.0), (0.0, 180.0), (89.9999, 0.0), (-89.99, -180.0)]
+
+
+@st.composite
+def staypoint_cases(draw):
+    """A trace that alternates dwells of fixes jittered out to about the
+    stay radius with jumps of several radii, plus its parameters."""
+    radius = draw(st.sampled_from([1.0, 50.0, 200.0, 5e5]))
+    lat, lon = draw(st.sampled_from(ANCHORS))
+    unit = st.floats(-1.0, 1.0)
+    fixes, t = [], 0
+    for _ in range(draw(st.integers(1, 60))):
+        if draw(st.booleans()) and draw(st.booleans()):
+            lat, lon = _offset(lat, lon, draw(unit) * 6 * radius,
+                               draw(unit) * 6 * radius)
+        r = draw(st.floats(0.0, 1.3)) * radius
+        theta = draw(unit) * math.pi
+        fixes.append(GeoPoint(*_offset(lat, lon, r * math.cos(theta),
+                                       r * math.sin(theta)), t))
+        t += draw(st.integers(30, 600))
+    params = ExtractionParams(
+        stay_radius_m=radius,
+        stay_min_duration_s=draw(st.sampled_from([300.0, 1200.0])),
+        cluster_merge_radius_m=max(250.0, radius),
+    )
+    return RawTrajectory("u", tuple(fixes)), params
+
+
+@settings(max_examples=300, deadline=None)
+@given(staypoint_cases())
+def test_detector_equals_full_recheck(case):
+    tr, params = case
+    assert detect_staypoints(tr, params) == oracles.staypoints_by_full_recheck(
+        tr, params
+    )
+
+
+def test_long_dwell_costs_few_distance_evaluations(monkeypatch):
+    # one dwell of 2,000 fixes jittered up to 60 m per axis: the full
+    # re-check measures about 1,000 distances per fix, the drift bound
+    # a handful
+    rng = np.random.default_rng(2008)
+    n = 2000
+    east = 60.0 / (DEG_M * math.cos(math.radians(45.0)))
+    tr = RawTrajectory("u", tuple(
+        GeoPoint(45.0 + rng.uniform(-60, 60) / DEG_M,
+                 7.0 + rng.uniform(-1, 1) * east, 30 * i)
+        for i in range(n)
+    ))
+    calls = 0
+    exact = poi.haversine_m
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return exact(*args)
+
+    monkeypatch.setattr(poi, "haversine_m", counting)
+    sps = detect_staypoints(tr, P)
+    assert [(s.arrival, s.departure) for s in sps] == [(0, 30 * (n - 1))]
+    assert calls <= 20 * n
 
 
 def sp(user, lat_m, t):

@@ -6,6 +6,7 @@ import pytest
 
 from mobmeta.core import DataError, InfeasiblePlanError
 from mobmeta.predictors import PredictorSpec
+from mobmeta.rng import SplitMix64
 from mobmeta.synth import SourceSpec, generate
 from mobmeta.validation import (
     LEAKY_SCHEMES,
@@ -113,6 +114,27 @@ def test_bootstrap_oob_disjoint():
     for f in folds:
         assert np.intersect1d(np.unique(f.train_idx), f.test_idx).size == 0
         assert f.train_idx.shape[0] == 40  # drawn with replacement
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 40, 257])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_bootstrap_folds_equal_setdiff(n, seed):
+    plan = ValidationPlan("bootstrap", iterations=8, seed=seed)
+    rng = SplitMix64(seed)
+    expected = []
+    for it in range(plan.iterations):
+        draws = np.sort(
+            np.asarray([rng.randint(n) for _ in range(n)], dtype=np.int64)
+        )
+        oob = np.setdiff1d(np.arange(n), draws)
+        if oob.size:
+            expected.append((it, draws, oob))
+    folds = make_folds(plan, n)
+    assert [f.index for f in folds] == [it for it, _, _ in expected]
+    for f, (_, draws, oob) in zip(folds, expected):
+        np.testing.assert_array_equal(f.train_idx, draws)
+        np.testing.assert_array_equal(f.test_idx, oob)
+        assert f.test_idx.dtype == oob.dtype
 
 
 def test_time_ordered_folds_never_leak():
