@@ -102,10 +102,7 @@ def _smoothed(counts: dict[int, int], total: int, n: int, alpha: float) -> np.nd
     dist = np.full(n, alpha, dtype=np.float64)
     for sym, c in counts.items():
         dist[sym] += c
-    denom = total + alpha * n
-    if denom == 0.0:
-        return np.full(n, 1.0 / n)
-    return dist / denom
+    return dist / (total + alpha * n)
 
 
 @dataclass(frozen=True)
@@ -427,19 +424,21 @@ class ExternalModel:
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 text=True,
-                bufsize=1,
             )
         except OSError as e:
             raise ProtocolError(f"cannot start {spec.command}: {e}") from e
         model = cls(spec, proc, alphabet_size)
-        model._send(f"TRAIN {len(symbols)}")
-        for s, t in zip(symbols, timestamps):
-            model._send(f"{int(s)} {int(t)}")
+        model._send("TRAIN", symbols, timestamps)
         return model
 
-    def _send(self, line: str) -> None:
+    def _send(self, verb: str, symbols: Sequence[int],
+              timestamps: Sequence[int]) -> None:
+        """One request block: "<verb> <n>" and n "poi_id t" lines, sent
+        with one write and one flush."""
+        lines = [f"{verb} {len(symbols)}"]
+        lines += [f"{int(s)} {int(t)}" for s, t in zip(symbols, timestamps)]
         try:
-            self._proc.stdin.write(line + "\n")
+            self._proc.stdin.write("\n".join(lines) + "\n")
             self._proc.stdin.flush()
         except (BrokenPipeError, OSError) as e:
             raise ProtocolError(f"external predictor pipe closed: {e}") from e
@@ -447,12 +446,9 @@ class ExternalModel:
     def predict(self, context: Sequence[int],
                 context_timestamps: Optional[Sequence[int]] = None
                 ) -> tuple[int, Optional[np.ndarray]]:
-        ctx = [int(c) for c in context]
         if context_timestamps is None:
-            context_timestamps = list(range(len(ctx)))
-        self._send(f"PREDICT {len(ctx)}")
-        for s, t in zip(ctx, context_timestamps):
-            self._send(f"{s} {int(t)}")
+            context_timestamps = range(len(context))
+        self._send("PREDICT", context, context_timestamps)
         line = self._proc.stdout.readline()
         self._lines_read += 1
         if not line:

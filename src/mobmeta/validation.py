@@ -8,6 +8,17 @@ min(test index), asserted at construction.  The conventional schemes
 the sensitivity demonstration and always tagged leaky=True in outputs;
 the tag marks them as outside the certified time-ordered family, not a
 claim that each individual fold mixes time.
+
+Each fold trains on its distinct train positions in time order (a
+bootstrap fold's repeated draws count once).  When the previous fold's
+positions are a prefix of this fold's, as in the expanding windows of
+rolling and window10_cumulative, the previous native model is extended
+with `predictors.retrain` on the remainder instead of refitting; that
+equals training on the whole prefix.  A native model is immutable, so a
+fold calls `predict` once per distinct test context and every test
+position with that context reads the same (argmax, distribution).  An
+external predictor gets a fresh child per fold and one PREDICT request
+per test position.
 """
 
 from __future__ import annotations
@@ -20,7 +31,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import DataError, Dataset, InfeasiblePlanError
-from .predictors import ExternalModel, PredictorSpec, ProtocolError, train
+from .predictors import (
+    ExternalModel, PredictorSpec, ProtocolError, retrain, train,
+)
 from .rng import SplitMix64
 
 LEAKY_SCHEMES = frozenset({"holdout", "kfold", "leave_one_out", "bootstrap"})
@@ -292,14 +305,26 @@ def _eval_stream(
 ) -> list[FoldResult]:
     need = _context_need(spec, plan)
     results = []
+    # the last native model and its training positions, extended with
+    # retrain when they prefix the next fold's (expanding windows)
+    prev_pos: Optional[np.ndarray] = None
+    prev_model = None
     for fold in folds:
-        model = train(
-            spec,
-            symbols[fold.train_idx],
-            alphabet_size,
-            timestamps[fold.train_idx],
-        )
+        # distinct train positions in time order: a bootstrap fold draws
+        # repeats, which as a stream would read as self-transitions
+        in_train = np.zeros(symbols.shape[0], dtype=bool)
+        in_train[fold.train_idx] = True
+        pos = np.flatnonzero(in_train)
+        if (prev_pos is not None and prev_pos.size <= pos.size
+                and np.array_equal(pos[: prev_pos.size], prev_pos)):
+            model = retrain(prev_model, symbols[pos[prev_pos.size :]])
+        else:
+            model = train(spec, symbols[pos], alphabet_size, timestamps[pos])
         is_external = isinstance(model, ExternalModel)
+        if not is_external:
+            prev_pos, prev_model = pos, model
+        # a native model is immutable, so one predict per distinct context
+        by_context: dict[tuple[int, ...], tuple] = {}
         try:
             n_correct = 0
             bits_terms: list[float] = []
@@ -310,7 +335,11 @@ def _eval_stream(
                 if is_external:
                     pred, dist = model.predict(ctx, ctx_ts)
                 else:
-                    pred, dist = model.predict(ctx)
+                    key = tuple(ctx)
+                    hit = by_context.get(key)
+                    if hit is None:
+                        hit = by_context[key] = model.predict(ctx)
+                    pred, dist = hit
                 n_correct += pred == truth
                 if dist is None:
                     has_bits = False
@@ -322,8 +351,8 @@ def _eval_stream(
                 FoldResult(
                     user_id=user_id,
                     fold_index=fold.index,
-                    train_lo=int(fold.train_idx.min()),
-                    train_hi=int(fold.train_idx.max()) + 1,
+                    train_lo=int(pos[0]),
+                    train_hi=int(pos[-1]) + 1,
                     test_lo=int(fold.test_idx.min()),
                     test_hi=int(fold.test_idx.max()) + 1,
                     n_correct=int(n_correct),

@@ -10,7 +10,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+import numpy as np
+
+from mobmeta.core import DataError, InfeasiblePlanError
 from mobmeta.poi import Staypoint, haversine_m
+from mobmeta.predictors import ExternalModel, ProtocolError, train
+from mobmeta.validation import make_folds
 
 
 def pairs_at_distance(seq, d, separator=None):
@@ -93,6 +98,116 @@ def contexts_by_walk(train_idx, test_idx, symbols, timestamps, need):
         out.append((symbols[t], ctx[::-1], ctx_ts[::-1]))
         known.add(t)
     return out
+
+
+def evaluate_per_position(ds, spec, plan) -> dict:
+    """evaluate(ds, spec, plan).to_dict() by the per-position loop: every
+    fold trains a fresh model on its distinct train positions in time
+    order, and every test position calls predict on its own context, as
+    found by contexts_by_walk.  Raises what evaluate raises."""
+    need = {"markov_k": spec.k, "mmc": 1,
+            "external": plan.external_context_window}.get(spec.kind, 0)
+    streams = [
+        (s.user_id, s.poi_ids().tolist(), s.timestamps().tolist())
+        for s in ds.sequences
+    ]
+    if not plan.per_user:
+        streams = [("__all__", [x for s in streams for x in s[1]],
+                    [x for s in streams for x in s[2]])]
+    rows, per_user_acc, per_user_bits, excluded = [], [], [], []
+    n_infeasible = 0
+    for user_id, symbols, timestamps in streams:
+        user_rows = []
+        try:
+            for fold in make_folds(plan, len(symbols)):
+                train_pos = sorted(set(fold.train_idx.tolist()))
+                model = train(
+                    spec, [symbols[i] for i in train_pos], ds.alphabet.size,
+                    [timestamps[i] for i in train_pos],
+                )
+                test_idx = fold.test_idx.tolist()
+                n_correct, bits_terms, has_bits = 0, [], True
+                for truth, ctx, ctx_ts in contexts_by_walk(
+                    train_pos, test_idx, symbols, timestamps, need
+                ):
+                    if isinstance(model, ExternalModel):
+                        pred, dist = model.predict(ctx, ctx_ts)
+                    else:
+                        pred, dist = model.predict(ctx)
+                    n_correct += pred == truth
+                    if dist is None:
+                        has_bits = False
+                    else:
+                        p = float(dist[truth])
+                        bits_terms.append(
+                            -math.log2(p) if p > 0.0 else math.inf
+                        )
+                if isinstance(model, ExternalModel):
+                    model.close()
+                n_pred = len(test_idx)
+                user_rows.append({
+                    "user_id": user_id,
+                    "fold": fold.index,
+                    "train_lo": train_pos[0],
+                    "train_hi": train_pos[-1] + 1,
+                    "test_lo": test_idx[0],
+                    "test_hi": test_idx[-1] + 1,
+                    "n_correct": int(n_correct),
+                    "n_predictions": n_pred,
+                    "accuracy": n_correct / n_pred,
+                    "bits_per_symbol": (
+                        math.fsum(bits_terms) / n_pred if has_bits else None
+                    ),
+                    "leaky": fold.leaky,
+                })
+        except ProtocolError:
+            raise
+        except (InfeasiblePlanError, DataError) as e:
+            excluded.append(user_id)
+            n_infeasible += isinstance(e, InfeasiblePlanError)
+            continue
+        rows += user_rows
+        per_user_acc.append(float(np.mean([r["accuracy"] for r in user_rows])))
+        fold_bits = [r["bits_per_symbol"] for r in user_rows]
+        if None not in fold_bits:
+            per_user_bits.append(float(np.mean(fold_bits)))
+    total_pred = sum(r["n_predictions"] for r in rows)
+    if total_pred == 0:
+        if n_infeasible == len(streams):
+            raise InfeasiblePlanError(
+                f"plan {plan.label} is infeasible for every stream "
+                f"({', '.join(excluded)})"
+            )
+        raise DataError(
+            "zero test predictions overall"
+            + (f" (excluded users: {', '.join(excluded)})" if excluded else "")
+        )
+    have_bits = len(per_user_bits) == len(per_user_acc)
+    by_fold = {}
+    for r in rows:
+        by_fold.setdefault(r["fold"], []).append(r["accuracy"])
+    return {
+        "plan": plan.label,
+        "model": spec.label,
+        "leaky": plan.leaky,
+        "accuracy_user_mean": float(np.mean(per_user_acc)),
+        "accuracy_weighted": sum(r["n_correct"] for r in rows) / total_pred,
+        "bits_user_mean": (
+            float(np.mean(per_user_bits)) if have_bits else None
+        ),
+        "bits_weighted": (
+            math.fsum(r["bits_per_symbol"] * r["n_predictions"] for r in rows)
+            / total_pred
+            if have_bits
+            else None
+        ),
+        "n_predictions": total_pred,
+        "excluded_users": excluded,
+        "fold_curve": [
+            [f, float(np.mean(accs))] for f, accs in sorted(by_fold.items())
+        ],
+        "folds": rows,
+    }
 
 
 def brute_match_lengths(seq) -> list[int]:

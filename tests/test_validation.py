@@ -1,11 +1,15 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mobmeta import validation
 from mobmeta.core import DataError, InfeasiblePlanError
-from mobmeta.predictors import PredictorSpec
+from mobmeta.predictors import PredictorSpec, retrain, train
 from mobmeta.rng import SplitMix64
 from mobmeta.synth import SourceSpec, generate
 from mobmeta.validation import (
@@ -18,8 +22,8 @@ from mobmeta.validation import (
     make_folds,
     validation_sensitivity,
 )
-from conftest import make_dataset
-from oracles import contexts_by_walk
+from conftest import make_dataset, random_collapsed
+from oracles import contexts_by_walk, evaluate_per_position
 
 M1 = PredictorSpec(kind="markov_k", k=1)
 
@@ -410,3 +414,138 @@ def test_test_contexts_match_backward_walk(rng, plan):
                 fold.train_idx.tolist(), fold.test_idx.tolist(),
                 symbols.tolist(), timestamps.tolist(), need,
             )
+
+
+def test_bootstrap_trains_on_distinct_positions():
+    # repeated draws must not become self-transitions: bootstrap scores
+    # what kfold scores on the same source
+    ds, _ = generate(
+        SourceSpec(kind="copy_with_gap", n_symbols=2000, gap=6, eps=0.05)
+    )
+    for k in (1, 2):
+        spec = PredictorSpec(kind="markov_k", k=k)
+        boot = evaluate(ds, spec, ValidationPlan("bootstrap", iterations=7))
+        kfold = evaluate(ds, spec, ValidationPlan("kfold", k=3))
+        assert boot.accuracy_weighted == pytest.approx(
+            kfold.accuracy_weighted, abs=0.05
+        )
+
+
+@st.composite
+def scoring_cases(draw):
+    n_pois = draw(st.integers(2, 30))
+    streams = {
+        f"u{u}": random_collapsed(
+            np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+            draw(st.integers(20, 300)),
+            n_pois,
+        )
+        for u in range(draw(st.integers(1, 2)))
+    }
+    spec = PredictorSpec(
+        kind=draw(st.sampled_from(
+            ["markov_k", "mmc", "top_frequency", "random_uniform"]
+        )),
+        k=draw(st.integers(1, 3)),
+        top_m=draw(st.integers(1, n_pois + 1)),
+        fallback=draw(st.sampled_from(["backoff_to_lower_order", "uniform"])),
+        smoothing_alpha=draw(st.sampled_from([0.0, 0.01, 1.0])),
+    )
+    k = draw(st.integers(2, 10))
+    plan = ValidationPlan(
+        draw(st.sampled_from(sorted(LEAKY_SCHEMES | TIME_ORDERED_SCHEMES))),
+        split=draw(st.sampled_from([0.5, 0.7, 0.8, 0.9])),
+        k=k,
+        p=draw(st.integers(1, k - 1)),
+        iterations=draw(st.integers(1, 5)),
+        shuffled=draw(st.booleans()),
+        per_user=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return make_dataset(streams, n_pois=n_pois), spec, plan
+
+
+def _outcome(fn, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return fn(*args)
+        except (InfeasiblePlanError, DataError) as e:
+            return type(e), str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scoring_cases())
+def test_evaluate_equals_per_position_oracle(case):
+    ds, spec, plan = case
+    got = _outcome(evaluate, ds, spec, plan)
+    if isinstance(got, validation.EvaluationResult):
+        got = got.to_dict()
+    assert got == _outcome(evaluate_per_position, ds, spec, plan)
+
+
+class CountingModel:
+    """A native model that records every context it is asked about."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.contexts = []
+
+    def predict(self, context):
+        self.contexts.append(tuple(context))
+        return self.inner.predict(context)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    calls = {"train": 0, "retrain": 0, "models": []}
+
+    def counting_train(*args, **kwargs):
+        calls["train"] += 1
+        calls["models"].append(CountingModel(train(*args, **kwargs)))
+        return calls["models"][-1]
+
+    def counting_retrain(model, *args, **kwargs):
+        calls["retrain"] += 1
+        calls["models"].append(CountingModel(retrain(model.inner, *args,
+                                                     **kwargs)))
+        return calls["models"][-1]
+
+    monkeypatch.setattr(validation, "train", counting_train)
+    monkeypatch.setattr(validation, "retrain", counting_retrain)
+    return calls
+
+
+@pytest.mark.parametrize("plan", [
+    ValidationPlan("holdout", split=0.7),
+    ValidationPlan("kfold", k=4),
+    ValidationPlan("bootstrap", iterations=5, seed=3),
+    ValidationPlan("rolling", k=4),
+    ValidationPlan("block_rolling", k=5, p=2),
+], ids=lambda plan: plan.label)
+def test_one_predict_per_distinct_context(rng, counted, plan):
+    symbols = random_collapsed(rng, 400, 4)
+    ds = make_dataset({"u": symbols}, n_pois=4)
+    spec = PredictorSpec(kind="markov_k", k=2)
+    evaluate(ds, spec, plan)
+    folds = make_folds(plan, len(symbols))
+    assert len(counted["models"]) == len(folds)
+    for model, fold in zip(counted["models"], folds):
+        contexts = {
+            tuple(ctx) for _, ctx, _ in contexts_by_walk(
+                fold.train_idx.tolist(), fold.test_idx.tolist(), symbols,
+                list(range(len(symbols))), 2,
+            )
+        }
+        assert len(model.contexts) == len(set(model.contexts))
+        assert set(model.contexts) == contexts
+        assert len(contexts) < fold.test_idx.size
+
+
+def test_rolling_trains_once_and_retrains_the_rest(rng, counted):
+    ds = make_dataset(
+        {u: random_collapsed(rng, 300, 5) for u in ("a", "b")}, n_pois=5
+    )
+    evaluate(ds, PredictorSpec(kind="markov_k", k=2),
+             ValidationPlan("rolling", k=10))
+    assert (counted["train"], counted["retrain"]) == (2, 16)
