@@ -213,10 +213,6 @@ def parse_raw_with_report(
     return trajs, IngestReport(n_input, kept, tuple(rejects))
 
 
-def parse_raw(path: str | Path, cfg: IngestConfig) -> list[RawTrajectory]:
-    return parse_raw_with_report(path, cfg)[0]
-
-
 def load_symbols_jsonl(
     path: str | Path, name: str, collapse: bool = True
 ) -> Dataset:

@@ -397,6 +397,11 @@ class ExternalModel:
     The alphabet size is the predictor's own business (argv, config); the
     adapter only validates what comes back.  Malformed output aborts the
     fold with the offending line number.
+
+    One instance serves one fold: it reads that fold's TRAIN block and
+    PREDICT requests, then end of input.  `validation.evaluate` starts the
+    instance for fold i+1 while fold i is scored, so a predictor may have
+    two instances alive at once.
     """
 
     def __init__(self, spec: PredictorSpec, proc: subprocess.Popen,
@@ -428,7 +433,11 @@ class ExternalModel:
         except OSError as e:
             raise ProtocolError(f"cannot start {spec.command}: {e}") from e
         model = cls(spec, proc, alphabet_size)
-        model._send("TRAIN", symbols, timestamps)
+        try:
+            model._send("TRAIN", symbols, timestamps)
+        except ProtocolError:
+            model.kill()
+            raise
         return model
 
     def _send(self, verb: str, symbols: Sequence[int],
@@ -441,7 +450,10 @@ class ExternalModel:
             self._proc.stdin.write("\n".join(lines) + "\n")
             self._proc.stdin.flush()
         except (BrokenPipeError, OSError) as e:
-            raise ProtocolError(f"external predictor pipe closed: {e}") from e
+            raise ProtocolError(
+                f"external predictor pipe closed before response line "
+                f"{self._lines_read + 1}: {e}"
+            ) from e
 
     def predict(self, context: Sequence[int],
                 context_timestamps: Optional[Sequence[int]] = None
@@ -509,8 +521,24 @@ class ExternalModel:
             if self._proc.stdout:
                 self._proc.stdout.close()
 
+    def kill(self) -> None:
+        """Kill and reap the child without the grace period of `close`,
+        and without raising: on an error path the first error is the one
+        to report."""
+        self._proc.kill()
+        self._proc.wait()
+        for pipe in (self._proc.stdin, self._proc.stdout):
+            if pipe:
+                try:
+                    pipe.close()
+                except OSError:
+                    pass
+
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
-        self.close()
+    def __exit__(self, exc_type, *exc):
+        if exc_type is None:
+            self.close()
+        else:
+            self.kill()

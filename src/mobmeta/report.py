@@ -8,10 +8,10 @@ on identical inputs are byte-identical.
 
 from __future__ import annotations
 
-import io
+import itertools
 import statistics
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .core import DataError, Dataset
 from .jsonutil import read_json, write_canonical_json
@@ -31,12 +31,27 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# Exact cell types whose whole column formats with one map call; a column
+# of any other type, or of mixed types, goes cell by cell through _fmt.
+_COLUMN_FMT = {float: repr, int: str, str: str}
+# Rows formatted per write: whole columns at a time, but never a second
+# copy of a long table in memory.
+_CSV_CHUNK_ROWS = 4096
+
+
+def _fmt_column(column: tuple) -> Iterable[str]:
+    kinds = set(map(type, column))
+    fmt = _COLUMN_FMT.get(kinds.pop()) if len(kinds) == 1 else None
+    return map(fmt or _fmt, column)
+
+
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(c) for c in row) + "\n")
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    rows = iter(rows)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        while chunk := list(itertools.islice(rows, _CSV_CHUNK_ROWS)):
+            columns = [_fmt_column(c) for c in zip(*chunk)]
+            f.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def write_mi_curve_csv(path: Union[str, Path], mi_curve) -> None:

@@ -17,8 +17,10 @@ with `predictors.retrain` on the remainder instead of refitting; that
 equals training on the whole prefix.  A native model is immutable, so a
 fold calls `predict` once per distinct test context and every test
 position with that context reads the same (argmax, distribution).  An
-external predictor gets a fresh child per fold and one PREDICT request
-per test position.
+external predictor gets a child of its own per fold and one PREDICT
+request per test position; the child of fold i+1 is started, and sent its
+TRAIN block, while fold i is scored, so two children may be alive at once
+and each sees one fold only.
 """
 
 from __future__ import annotations
@@ -294,6 +296,60 @@ def _test_contexts(
         yield syms[e], syms[lo:e], ts[lo:e]
 
 
+def _train_positions(fold: Fold, n: int) -> np.ndarray:
+    """A fold's distinct train positions in time order: a bootstrap fold
+    draws repeats, which as a stream would read as self-transitions."""
+    in_train = np.zeros(n, dtype=bool)
+    in_train[fold.train_idx] = True
+    return np.flatnonzero(in_train)
+
+
+def _score_fold(
+    user_id: str,
+    fold: Fold,
+    pos: np.ndarray,
+    model,
+    symbols: np.ndarray,
+    timestamps: np.ndarray,
+    need: int,
+) -> FoldResult:
+    is_external = isinstance(model, ExternalModel)
+    # a native model is immutable, so one predict per distinct context
+    by_context: dict[tuple[int, ...], tuple] = {}
+    n_correct = 0
+    bits_terms: list[float] = []
+    has_bits = True
+    for truth, ctx, ctx_ts in _test_contexts(fold, symbols, timestamps, need):
+        if is_external:
+            pred, dist = model.predict(ctx, ctx_ts)
+        else:
+            key = tuple(ctx)
+            hit = by_context.get(key)
+            if hit is None:
+                hit = by_context[key] = model.predict(ctx)
+            pred, dist = hit
+        n_correct += pred == truth
+        if dist is None:
+            has_bits = False
+        else:
+            p = float(dist[truth])
+            bits_terms.append(-math.log2(p) if p > 0.0 else math.inf)
+    n_pred = int(fold.test_idx.shape[0])
+    return FoldResult(
+        user_id=user_id,
+        fold_index=fold.index,
+        train_lo=int(pos[0]),
+        train_hi=int(pos[-1]) + 1,
+        test_lo=int(fold.test_idx.min()),
+        test_hi=int(fold.test_idx.max()) + 1,
+        n_correct=int(n_correct),
+        n_predictions=n_pred,
+        accuracy=n_correct / n_pred,
+        bits_per_symbol=math.fsum(bits_terms) / n_pred if has_bits else None,
+        leaky=fold.leaky,
+    )
+
+
 def _eval_stream(
     user_id: str,
     symbols: np.ndarray,
@@ -304,69 +360,49 @@ def _eval_stream(
     alphabet_size: int,
 ) -> list[FoldResult]:
     need = _context_need(spec, plan)
+    n = symbols.shape[0]
+
+    def fit(pos: np.ndarray):
+        return train(spec, symbols[pos], alphabet_size, timestamps[pos])
+
     results = []
-    # the last native model and its training positions, extended with
-    # retrain when they prefix the next fold's (expanding windows)
+    if spec.kind == "external":
+        # the child of fold i+1 starts, and gets its TRAIN block, before
+        # fold i is scored, so its start-up overlaps the scoring; at most
+        # two children are alive, and each sees one fold only
+        child = spare = None
+        try:
+            for i, fold in enumerate(folds):
+                pos = _train_positions(fold, n)
+                child = spare if spare is not None else fit(pos)
+                spare = None
+                if i + 1 < len(folds):
+                    spare = fit(_train_positions(folds[i + 1], n))
+                results.append(_score_fold(user_id, fold, pos, child,
+                                           symbols, timestamps, need))
+                child.close()
+        except BaseException:
+            # kill rather than close: a close that waits could raise an
+            # error of its own and hide this one
+            for model in (child, spare):
+                if model is not None:
+                    model.kill()
+            raise
+        return results
+    # the last model and its training positions, extended with retrain
+    # when they prefix the next fold's (expanding windows)
     prev_pos: Optional[np.ndarray] = None
-    prev_model = None
+    model = None
     for fold in folds:
-        # distinct train positions in time order: a bootstrap fold draws
-        # repeats, which as a stream would read as self-transitions
-        in_train = np.zeros(symbols.shape[0], dtype=bool)
-        in_train[fold.train_idx] = True
-        pos = np.flatnonzero(in_train)
+        pos = _train_positions(fold, n)
         if (prev_pos is not None and prev_pos.size <= pos.size
                 and np.array_equal(pos[: prev_pos.size], prev_pos)):
-            model = retrain(prev_model, symbols[pos[prev_pos.size :]])
+            model = retrain(model, symbols[pos[prev_pos.size :]])
         else:
-            model = train(spec, symbols[pos], alphabet_size, timestamps[pos])
-        is_external = isinstance(model, ExternalModel)
-        if not is_external:
-            prev_pos, prev_model = pos, model
-        # a native model is immutable, so one predict per distinct context
-        by_context: dict[tuple[int, ...], tuple] = {}
-        try:
-            n_correct = 0
-            bits_terms: list[float] = []
-            has_bits = True
-            for truth, ctx, ctx_ts in _test_contexts(
-                fold, symbols, timestamps, need
-            ):
-                if is_external:
-                    pred, dist = model.predict(ctx, ctx_ts)
-                else:
-                    key = tuple(ctx)
-                    hit = by_context.get(key)
-                    if hit is None:
-                        hit = by_context[key] = model.predict(ctx)
-                    pred, dist = hit
-                n_correct += pred == truth
-                if dist is None:
-                    has_bits = False
-                else:
-                    p = float(dist[truth])
-                    bits_terms.append(-math.log2(p) if p > 0.0 else math.inf)
-            n_pred = int(fold.test_idx.shape[0])
-            results.append(
-                FoldResult(
-                    user_id=user_id,
-                    fold_index=fold.index,
-                    train_lo=int(pos[0]),
-                    train_hi=int(pos[-1]) + 1,
-                    test_lo=int(fold.test_idx.min()),
-                    test_hi=int(fold.test_idx.max()) + 1,
-                    n_correct=int(n_correct),
-                    n_predictions=n_pred,
-                    accuracy=n_correct / n_pred,
-                    bits_per_symbol=(
-                        math.fsum(bits_terms) / n_pred if has_bits else None
-                    ),
-                    leaky=fold.leaky,
-                )
-            )
-        finally:
-            if is_external:
-                model.close()
+            model = fit(pos)
+        prev_pos = pos
+        results.append(_score_fold(user_id, fold, pos, model, symbols,
+                                   timestamps, need))
     return results
 
 

@@ -1,4 +1,5 @@
 import re
+import subprocess
 
 import numpy as np
 import pytest
@@ -37,6 +38,20 @@ def random_collapsed(rng: np.random.Generator, n: int, n_sym: int) -> list[int]:
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xC0FFEE)
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every subprocess.Popen started during the test."""
+    procs = []
+
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            procs.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    return procs
 
 
 _CRITERION_PAT = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_")

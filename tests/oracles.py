@@ -7,6 +7,7 @@ not tautology.
 
 from __future__ import annotations
 
+import io
 import math
 from collections import Counter
 
@@ -208,6 +209,25 @@ def evaluate_per_position(ds, spec, plan) -> dict:
         ],
         "folds": rows,
     }
+
+
+def write_csv_cell_by_cell(path, header, rows) -> None:
+    """report._write_csv's bytes, formatting one cell at a time."""
+
+    def fmt(v) -> str:
+        if v is None:
+            return "n/a"
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, float):
+            return repr(v)
+        return str(v)
+
+    buf = io.StringIO()
+    buf.write(",".join(header) + "\n")
+    for row in rows:
+        buf.write(",".join(fmt(c) for c in row) + "\n")
+    path.write_text(buf.getvalue(), encoding="utf-8")
 
 
 def brute_match_lengths(seq) -> list[int]:

@@ -9,6 +9,7 @@ import json
 import shlex
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -287,33 +288,83 @@ def test_external_model_requires_command(tmp_path, capsys):
     assert "needs --external-cmd" in err
 
 
+# answers every PREDICT with POI 0, but sleeps instead of exiting once its
+# stdin closes
+LINGERING_PREDICTOR = textwrap.dedent("""\
+    import sys, time
+    for line in sys.stdin:
+        word, count = line.split()
+        for _ in range(int(count)):
+            sys.stdin.readline()
+        if word == "PREDICT":
+            print(0, flush=True)
+    time.sleep(30)
+""")
+
+
+def run_external(tmp_path, capsys, script_text, scheme):
+    script = tmp_path / "predictor.py"
+    script.write_text(script_text, encoding="utf-8")
+    d = synth_periodic(tmp_path, capsys, users=1)
+    cmd = shlex.join([sys.executable, str(script)])
+    t0 = time.perf_counter()
+    rc = main(["validate", str(d), "--model", "external",
+               "--external-cmd", cmd, "--scheme", scheme,
+               "--out", str(tmp_path / "f.csv")])
+    elapsed = time.perf_counter() - t0
+    _, err = capsys.readouterr()
+    return rc, err, str(script), elapsed
+
+
 def test_external_predictor_that_outlives_eof_exits_3(
     tmp_path, capsys, monkeypatch
 ):
-    # answers every PREDICT with POI 0, but sleeps instead of exiting
-    # once its stdin closes
-    script = tmp_path / "lingers.py"
-    script.write_text(textwrap.dedent("""\
-        import sys, time
+    monkeypatch.setattr(predictors, "CLOSE_TIMEOUT_S", 0.3)
+    rc, err, script, _ = run_external(tmp_path, capsys, LINGERING_PREDICTOR,
+                                      "holdout:split=0.8")
+    assert rc == 3
+    assert "data error:" in err
+    assert "did not exit within 0.3 s" in err
+    assert script in err
+
+
+def test_close_timeout_kills_the_spare_at_once(
+    tmp_path, capsys, monkeypatch, spawned
+):
+    # fold 0's close times out while fold 1's child is already running:
+    # that child is killed, not given its own close timeout
+    monkeypatch.setattr(predictors, "CLOSE_TIMEOUT_S", 0.3)
+    rc, err, _, elapsed = run_external(
+        tmp_path, capsys, LINGERING_PREDICTOR, "block_rolling:k=4,p=1"
+    )
+    assert rc == 3
+    assert "did not exit within 0.3 s" in err
+    assert elapsed < 2 * 0.3
+    assert len(spawned) == 2
+    assert all(p.returncode is not None for p in spawned)
+
+
+def test_spare_that_dies_reading_train_exits_3(tmp_path, capsys, spawned):
+    # under rolling:k=4 fold 0 trains on 30 symbols and later folds on
+    # more; an instance given a longer TRAIN block crashes inside it
+    script_text = textwrap.dedent("""\
+        import sys
         for line in sys.stdin:
             word, count = line.split()
+            if word == "TRAIN" and int(count) > 30:
+                sys.stdin.readline()
+                sys.exit(1)
             for _ in range(int(count)):
                 sys.stdin.readline()
             if word == "PREDICT":
                 print(0, flush=True)
-        time.sleep(30)
-    """), encoding="utf-8")
-    monkeypatch.setattr(predictors, "CLOSE_TIMEOUT_S", 0.3)
-    d = synth_periodic(tmp_path, capsys, users=1)
-    cmd = shlex.join([sys.executable, str(script)])
-    rc = main(["validate", str(d), "--model", "external",
-               "--external-cmd", cmd, "--scheme", "holdout:split=0.8",
-               "--out", str(tmp_path / "f.csv")])
-    _, err = capsys.readouterr()
+    """)
+    rc, err, _, _ = run_external(tmp_path, capsys, script_text,
+                                 "rolling:k=4")
     assert rc == 3
-    assert "data error:" in err
-    assert "did not exit within 0.3 s" in err
-    assert str(script) in err
+    assert "response line 1" in err
+    assert len(spawned) == 3
+    assert all(p.returncode is not None for p in spawned)
 
 
 def test_missing_dataset_exits_3(tmp_path, capsys):

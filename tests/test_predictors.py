@@ -1,11 +1,13 @@
 import math
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mobmeta import predictors
 from mobmeta.core import DataError
 from mobmeta.predictors import (
     ExternalModel,
@@ -265,6 +267,39 @@ def test_external_bad_command():
     )
     with pytest.raises(ProtocolError, match="cannot start"):
         train(spec, [0, 1], alphabet_size=2)
+
+
+def test_child_that_exits_before_reading_train_is_reaped(spawned):
+    # a TRAIN block larger than the pipe buffer makes the write fail once
+    # the child is gone; the child must not be left unreaped
+    spec = PredictorSpec(kind="external", command=(sys.executable, "-c", ""))
+    with pytest.raises(ProtocolError, match="pipe closed before response"):
+        train(spec, [0, 1] * 20_000, alphabet_size=2)
+    assert len(spawned) == 1
+    assert spawned[0].returncode is not None
+
+
+def test_error_inside_with_is_not_masked_by_close(tmp_path, monkeypatch,
+                                                  spawned):
+    # the child answers garbage and then ignores end of input: leaving the
+    # block must report the garbage, not the close timeout
+    script = tmp_path / "garbage_then_linger.py"
+    script.write_text(textwrap.dedent("""\
+        import sys, time
+        for line in sys.stdin:
+            word, count = line.split()
+            for _ in range(int(count)):
+                sys.stdin.readline()
+            if word == "PREDICT":
+                print("garbage", flush=True)
+        time.sleep(30)
+    """), encoding="utf-8")
+    monkeypatch.setattr(predictors, "CLOSE_TIMEOUT_S", 0.3)
+    spec = PredictorSpec(kind="external", command=(sys.executable, str(script)))
+    with pytest.raises(ProtocolError, match="integer poi_id"):
+        with train(spec, [0, 1, 2, 3], alphabet_size=4) as ext:
+            ext.predict([1])
+    assert spawned[0].returncode is not None
 
 
 def test_protocol_error_is_data_error():

@@ -1,16 +1,22 @@
 import json
 import math
 from pathlib import Path
+from unittest.mock import patch
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobmeta.characterize import CharacterizeParams, characterize
 from mobmeta.core import DataError
 from mobmeta.jsonutil import write_canonical_json
+from mobmeta import report
 from mobmeta.predictors import PredictorSpec
 from mobmeta.report import (
     FOLDS_CSV_COLUMNS,
+    _write_csv,
     build_summary,
     bundle_report,
     dataset_summary_row,
@@ -30,6 +36,7 @@ from mobmeta.validation import (
     evaluate,
 )
 from conftest import make_dataset
+from oracles import write_csv_cell_by_cell
 
 SUMMARY_SCHEMA = json.loads(
     (
@@ -111,6 +118,52 @@ def test_sensitivity_csv_none_prints_na(tmp_path):
     write_sensitivity_csv(p, rows)
     lines = p.read_text().splitlines()
     assert lines[1] == "holdout,split=0.8,0.5,0.5,true"
+
+
+CELLS = {
+    "int": st.integers(-10**20, 10**20),
+    "float": st.floats(allow_nan=True, allow_infinity=True),
+    "bool": st.booleans(),
+    "none": st.none(),
+    "str": st.text(st.characters(blacklist_characters=",\n\r"), max_size=5),
+    "np_int": st.integers(-10**6, 10**6).map(np.int64),
+    "np_float": st.floats(-1e6, 1e6).map(np.float64),
+}
+
+
+@st.composite
+def csv_tables(draw):
+    # each column is one cell type (the whole-column path) or a mix of
+    # them (the cell-by-cell path)
+    kinds = [
+        draw(st.sets(st.sampled_from(sorted(CELLS)), min_size=1, max_size=3))
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    n_rows = draw(st.integers(0, 8))
+    columns = [
+        [draw(st.one_of([CELLS[k] for k in sorted(ks)]))
+         for _ in range(n_rows)]
+        for ks in kinds
+    ]
+    header = [f"c{j}" for j in range(len(kinds))]
+    return header, [tuple(row) for row in zip(*columns)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(csv_tables())
+def test_write_csv_equals_cell_by_cell(tmp_path_factory, table):
+    header, rows = table
+    d = tmp_path_factory.mktemp("csv")
+    with patch.object(report, "_CSV_CHUNK_ROWS", 3):
+        _write_csv(d / "got.csv", header, iter(rows))
+    write_csv_cell_by_cell(d / "want.csv", header, rows)
+    assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+
+
+def test_write_csv_mixed_column_bytes(tmp_path):
+    p = tmp_path / "m.csv"
+    _write_csv(p, ["a", "b"], [(1, None), (2.5, True), (False, 0.1)])
+    assert p.read_text() == "a,b\n1,n/a\n2.5,true\nfalse,0.1\n"
 
 
 def test_granularity_medians():

@@ -1,5 +1,6 @@
 import math
 import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from mobmeta import validation
 from mobmeta.core import DataError, InfeasiblePlanError
-from mobmeta.predictors import PredictorSpec, retrain, train
+from mobmeta.predictors import ExternalModel, PredictorSpec, retrain, train
 from mobmeta.rng import SplitMix64
 from mobmeta.synth import SourceSpec, generate
 from mobmeta.validation import (
@@ -549,3 +550,127 @@ def test_rolling_trains_once_and_retrains_the_rest(rng, counted):
     evaluate(ds, PredictorSpec(kind="markov_k", k=2),
              ValidationPlan("rolling", k=10))
     assert (counted["train"], counted["retrain"]) == (2, 16)
+
+
+# answers every PREDICT with POI 0 and appends everything it reads to
+# <dir>/<pid>.log, so each file holds exactly one instance's input
+LOGGING_PREDICTOR = textwrap.dedent("""\
+    import os, sys
+    with open(os.path.join(sys.argv[1], f"{os.getpid()}.log"), "w") as log:
+        for line in sys.stdin:
+            log.write(line)
+            word, count = line.split()
+            for _ in range(int(count)):
+                log.write(sys.stdin.readline())
+            if word == "PREDICT":
+                print(0, flush=True)
+""")
+
+LOOKAHEAD_PLANS = [
+    ValidationPlan("block_rolling", k=4, p=1),
+    ValidationPlan("rolling", k=3),
+    ValidationPlan("kfold", k=3),
+    ValidationPlan("bootstrap", iterations=2, seed=3),
+    ValidationPlan("holdout", external_context_window=3),
+]
+
+
+@pytest.fixture
+def logging_predictor(tmp_path):
+    script = tmp_path / "logs.py"
+    script.write_text(LOGGING_PREDICTOR, encoding="utf-8")
+    log_dir = tmp_path / "logs"
+    log_dir.mkdir()
+    spec = PredictorSpec(
+        kind="external", command=(sys.executable, str(script), str(log_dir))
+    )
+    return spec, log_dir
+
+
+def two_user_dataset(rng):
+    return make_dataset(
+        {"a": random_collapsed(rng, 40, 4), "b": random_collapsed(rng, 33, 4)},
+        n_pois=4,
+    )
+
+
+def fold_input(plan, symbols, timestamps):
+    """The bytes each fold's predictor instance must read, fold by fold."""
+    out = []
+    for fold in make_folds(plan, len(symbols)):
+        pos = sorted(set(fold.train_idx.tolist()))
+        lines = [f"TRAIN {len(pos)}"]
+        lines += [f"{symbols[i]} {timestamps[i]}" for i in pos]
+        for _, ctx, ctx_ts in contexts_by_walk(
+            pos, fold.test_idx.tolist(), symbols, timestamps,
+            plan.external_context_window,
+        ):
+            lines.append(f"PREDICT {len(ctx)}")
+            lines += [f"{s} {t}" for s, t in zip(ctx, ctx_ts)]
+        out.append("\n".join(lines) + "\n")
+    return out
+
+
+@pytest.mark.parametrize("plan", LOOKAHEAD_PLANS, ids=lambda p: p.label)
+def test_each_external_instance_reads_one_fold(rng, logging_predictor, plan):
+    spec, log_dir = logging_predictor
+    ds = two_user_dataset(rng)
+    evaluate(ds, spec, plan)
+    want = [
+        block
+        for seq in ds.sequences
+        for block in fold_input(plan, seq.poi_ids().tolist(),
+                                seq.timestamps().tolist())
+    ]
+    got = [p.read_text(encoding="utf-8") for p in log_dir.iterdir()]
+    assert sorted(got) == sorted(want)
+
+
+@pytest.mark.parametrize("plan", LOOKAHEAD_PLANS, ids=lambda p: p.label)
+def test_one_start_per_fold_and_at_most_two_alive(
+    rng, logging_predictor, monkeypatch, plan
+):
+    spec, _ = logging_predictor
+    start, close = ExternalModel.start, ExternalModel.close
+    live = {"now": 0, "peak": 0, "starts": 0}
+
+    def counting_start(cls, *args, **kwargs):
+        model = start(*args, **kwargs)
+        live["starts"] += 1
+        live["now"] += 1
+        live["peak"] = max(live["peak"], live["now"])
+        return model
+
+    def counting_close(self):
+        live["now"] -= 1
+        close(self)
+
+    monkeypatch.setattr(ExternalModel, "start", classmethod(counting_start))
+    monkeypatch.setattr(ExternalModel, "close", counting_close)
+    ds = two_user_dataset(rng)
+    evaluate(ds, spec, plan)
+    n_folds = [len(make_folds(plan, len(s))) for s in ds.sequences]
+    assert live["starts"] == sum(n_folds)
+    assert live["now"] == 0
+    assert live["peak"] == (2 if max(n_folds) > 1 else 1)
+
+
+@pytest.mark.parametrize("plan,n", [
+    (ValidationPlan("holdout", split=0.7), 30),
+    (ValidationPlan("kfold", k=3, seed=5), 30),
+    (ValidationPlan("leave_one_out"), 7),
+    (ValidationPlan("bootstrap", iterations=2, seed=1), 30),
+    (ValidationPlan("rolling", k=3), 30),
+    (ValidationPlan("block_rolling", k=4, p=2), 30),
+    (ValidationPlan("window10_cumulative"), 30),
+], ids=lambda x: getattr(x, "label", None))
+def test_reference_external_equals_per_position_oracle(plan, n):
+    ds = make_dataset(
+        {"u": random_collapsed(np.random.default_rng(n), n, 4)}, n_pois=4
+    )
+    cmd = (sys.executable, "-m", "mobmeta.extpred", "--model", "markov:1",
+           "--alphabet-size", "4")
+    spec = PredictorSpec(kind="external", command=cmd)
+    want = evaluate_per_position(ds, spec, plan)
+    assert evaluate(ds, spec, plan).to_dict() == want
+    assert want["n_predictions"] > 0
