@@ -2,17 +2,19 @@
 Markov with backoff, mobility Markov chain with a collapsed state space,
 and an adapter for external predictors speaking a line protocol.
 
-Every native model exposes the full predictive distribution so bits per
-symbol can be scored; fitted models are immutable and retraining returns
-a new model whose count tables equal training on the concatenation.
+Native models keep one array count table per order (see _Table), and mmc
+sums the markov_1 tables through its state map.  `score` serves many
+positions of a stream at once; `predict` and `distribution` are the same
+computation for one context.  Fitted models are immutable; retrain
+returns a new model whose tables equal training on the concatenation.
 """
 
 from __future__ import annotations
 
 import math
 import subprocess
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -93,126 +95,156 @@ def parse_model(text: str, command: Sequence[str] = ()) -> PredictorSpec:
     raise ValueError(f"unknown model {text!r}")
 
 
-def _argmax_smallest(dist: np.ndarray) -> int:
-    # np.argmax returns the first index among ties, i.e. the smallest id
-    return int(np.argmax(dist))
+def _find(keys: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Index of each wanted key in the sorted, non-empty `keys`, or -1."""
+    at = keys.searchsorted(want)
+    at[keys.take(at, mode="clip") != want] = -1
+    return at
 
 
-def _smoothed(counts: dict[int, int], total: int, n: int, alpha: float) -> np.ndarray:
-    dist = np.full(n, alpha, dtype=np.float64)
-    for sym, c in counts.items():
-        dist[sym] += c
-    return dist / (total + alpha * n)
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in `a`."""
+    start = np.empty(a.size, dtype=bool)
+    start[:1] = True
+    np.not_equal(a[1:], a[:-1], out=start[1:])
+    return start
+
+
+def _summed(keys: np.ndarray, weights: Optional[np.ndarray]):
+    """The distinct keys in ascending order, the summed weight of each (1
+    without weights), and the index of every input key among them."""
+    ordered = np.sort(keys)
+    distinct = ordered[_run_starts(ordered)]
+    where = distinct.searchsorted(keys)
+    sums = np.bincount(where, weights, distinct.size)
+    return distinct, sums.astype(np.int64), where
+
+
+class _Table(NamedTuple):
+    """The order-j counts of a stream over n symbols.
+
+    keys holds each (context, next symbol) cell seen in training as
+    context code * n + next symbol, ascending; counts aligns with it.
+    The empty context has code 0, and a longer one the index of its cell
+    in the order j-1 table (all but its last symbol, then its last), so
+    codes stay below the number of training symbols at any alphabet
+    size.  By context code, totals holds the context's count and best its
+    most frequent next symbol (smallest id on ties); totals ends in a 0
+    for the code -1 of a context never seen.
+    """
+
+    keys: np.ndarray
+    counts: np.ndarray
+    totals: np.ndarray
+    best: np.ndarray
+
+
+def _table(keys: np.ndarray, counts: np.ndarray, n: int,
+           n_contexts: int) -> _Table:
+    context = keys // n
+    # stable, so equal counts stay in ascending next-symbol order
+    first = np.lexsort((-counts, context))[_run_starts(context)]
+    best = np.zeros(n_contexts, dtype=np.int64)
+    best[context[first]] = keys[first] % n
+    totals = np.bincount(context, counts, n_contexts + 1)
+    return _Table(keys, counts, totals, best)
+
+
+def _count(tables: tuple[_Table, ...], tail: tuple[int, ...],
+           new: np.ndarray, n: int, k: int):
+    """(tables of orders 0..k, last k symbols) once `new` follows a stream
+    with `tables` (() when empty) that ends in `tail`.
+
+    Only the windows that end in `new` are counted, those that start in
+    the tail included; the old cells are renumbered, never recounted.
+    """
+    buf = np.concatenate((np.asarray(tail, dtype=np.int64), new))
+    is_new = np.arange(buf.size) >= len(tail)
+    context = np.zeros(buf.size, dtype=np.int64)  # order-j code per position
+    out: list[_Table] = []
+    for j in range(k + 1):
+        keys, weights, m = context[j:] * n + buf[j:], None, 0
+        if tables:
+            old_keys, old_counts = tables[j].keys, tables[j].counts
+            m = old_keys.size
+            if j:  # the merge below renumbered the order-j contexts
+                old_keys = remap[old_keys // n] * n + old_keys % n
+            keys = np.concatenate((old_keys, keys))
+            weights = np.concatenate((old_counts, is_new[j:]))
+        keys, counts, where = _summed(keys, weights)
+        # the window ending at position i is the order j+1 context of i+1
+        remap, context[j + 1 :] = where[:m], where[m:-1]
+        out.append(_table(keys, counts, n, out[-1].keys.size if out else 1))
+    return tuple(out), tuple(buf[max(buf.size - k, 0) :].tolist())
+
+
+class _CountModel:
+    """predict and distribution: score every symbol after one context."""
+
+    def predict(self, context: Sequence[int]) -> tuple[int, np.ndarray]:
+        seq = np.asarray(context, dtype=np.int64)
+        seq = seq[max(seq.size - len(self.tables) + 1, 0) :]  # last k
+        n = self.alphabet_size
+        best, dist = self.score(seq, np.full(n, seq.size), np.arange(n))
+        return int(best[0]), dist
+
+    def distribution(self, context: Sequence[int]) -> np.ndarray:
+        return self.predict(context)[1]
 
 
 @dataclass(frozen=True)
-class _TableModel:
-    """Shared count-table machinery for markov_k and mmc.
+class MarkovModel(_CountModel):
+    """Counts of orders 0..k with backoff: markov_k, top_frequency (order 0
+    alone) and random_uniform (no order, so every prediction is uniform).
 
-    tables[j] maps a length-j context tuple to (counts dict, total); the
-    order-0 table lives at key () of tables[0].  tail keeps the last
-    max_order symbols so retraining can stitch transitions across the
-    boundary exactly.
+    tables[j] holds the order-j counts (see _Table); tail keeps the last k
+    training symbols so that retrain can count the windows that cross
+    the boundary.
     """
 
     spec: PredictorSpec
     alphabet_size: int
-    max_order: int
-    tables: tuple[dict, ...]
+    tables: tuple[_Table, ...]
     tail: tuple[int, ...]
-    n_trained: int
 
-    def _lookup(self, context: Sequence[int]) -> tuple[dict[int, int], int]:
-        ctx = tuple(int(c) for c in context[-self.max_order:]) if self.max_order else ()
-        orders = range(len(ctx), -1, -1)
-        if self.spec.fallback == "uniform":
-            hit = self.tables[len(ctx)].get(ctx) if len(ctx) == self.max_order else None
-            if hit is not None and hit[1] > 0:
-                return hit
-            return {}, 0
-        for j in orders:
-            hit = self.tables[j].get(ctx[len(ctx) - j:])
-            if hit is not None and hit[1] > 0:
-                return hit
-        return {}, 0
+    def score(self, seq: np.ndarray, ends: np.ndarray, truth: np.ndarray):
+        """(argmax, probability of truth[i]) after the context seq[:e] of
+        each end e = ends[i].  The highest order whose context was seen
+        serves it under backoff, order k alone under `uniform`; an end
+        that no order serves gets the uniform distribution."""
+        n, k = self.alphabet_size, len(self.tables) - 1
+        alpha = self.spec.smoothing_alpha
+        pred = np.zeros(ends.size, dtype=np.int64)
+        p = np.full(ends.size, 1.0 / n)
+        # no window through a symbol outside the alphabet was seen
+        outside = (seq < 0) | (seq >= n)
+        context = np.zeros(seq.size + 1, dtype=np.int64)  # order-j code
+        for j, table in enumerate(self.tables):
+            code = context[ends]
+            seen = table.totals[code] > 0
+            if j == k or self.spec.fallback == "backoff_to_lower_order":
+                code = code[seen]
+                cell = _find(table.keys, code * n + truth[seen])
+                count = table.counts[cell]
+                count[cell < 0] = 0
+                pred[seen] = table.best[code]
+                p[seen] = (alpha + count) / (table.totals[code] + alpha * n)
+            if j < k:
+                # order j+1 contexts: the order-j windows ending one earlier
+                cell = _find(table.keys, context[:-1] * n + seq)
+                cell[outside] = -1
+                context = np.concatenate(([-1], cell))
+        return pred, p
 
-    def distribution(self, context: Sequence[int]) -> np.ndarray:
-        counts, total = self._lookup(context)
-        if total == 0:
-            return np.full(self.alphabet_size, 1.0 / self.alphabet_size)
-        return _smoothed(counts, total, self.alphabet_size, self.spec.smoothing_alpha)
 
-    def predict(self, context: Sequence[int]) -> tuple[int, np.ndarray]:
-        dist = self.distribution(context)
-        return _argmax_smallest(dist), dist
-
-
-def _build_tables(
-    prev: Optional[tuple[dict, ...]],
-    tail: tuple[int, ...],
-    new_symbols: Sequence[int],
-    max_order: int,
-) -> tuple[tuple[dict, ...], tuple[int, ...]]:
-    tables: list[dict] = (
-        [dict((k, (dict(c), t)) for k, (c, t) in tbl.items()) for tbl in prev]
-        if prev is not None
-        else [{} for _ in range(max_order + 1)]
-    )
-    buf = list(tail) + [int(s) for s in new_symbols]
-    off = len(tail)
-    for idx in range(len(new_symbols)):
-        pos = off + idx
-        sym = buf[pos]
-        for j in range(min(max_order, pos) + 1):
-            ctx = tuple(buf[pos - j : pos])
-            counts, total = tables[j].get(ctx, (None, 0))
-            if counts is None:
-                counts = {}
-                tables[j][ctx] = (counts, 0)
-            counts[sym] = counts.get(sym, 0) + 1
-            tables[j][ctx] = (counts, total + 1)
-    new_tail = tuple(buf[len(buf) - max_order :]) if max_order else ()
-    return tuple(tables), new_tail
+def _states(top: tuple[int, ...], symbols) -> np.ndarray:
+    """Each symbol's state: its index in the sorted top set, else "other"."""
+    at = _find(np.asarray(top), np.asarray(symbols, dtype=np.int64))
+    return np.where(at < 0, len(top), at)
 
 
 @dataclass(frozen=True)
-class MarkovModel(_TableModel):
-    pass
-
-
-@dataclass(frozen=True)
-class FrequencyModel:
-    """Predicts the most frequent training symbol regardless of context."""
-
-    spec: PredictorSpec
-    alphabet_size: int
-    counts: dict[int, int]
-    total: int
-
-    def distribution(self, context: Sequence[int]) -> np.ndarray:
-        return _smoothed(self.counts, self.total, self.alphabet_size,
-                         self.spec.smoothing_alpha)
-
-    def predict(self, context: Sequence[int]) -> tuple[int, np.ndarray]:
-        dist = self.distribution(context)
-        return _argmax_smallest(dist), dist
-
-
-@dataclass(frozen=True)
-class UniformModel:
-    spec: PredictorSpec
-    alphabet_size: int
-
-    def distribution(self, context: Sequence[int]) -> np.ndarray:
-        return np.full(self.alphabet_size, 1.0 / self.alphabet_size)
-
-    def predict(self, context: Sequence[int]) -> tuple[int, np.ndarray]:
-        dist = self.distribution(context)
-        return 0, dist
-
-
-@dataclass(frozen=True)
-class MmcModel:
+class MmcModel(_CountModel):
     """First-order chain over the top-M training POIs plus an "other" state.
 
     States are dense: state i is top_states[i] (sorted poi ids) and the
@@ -220,49 +252,73 @@ class MmcModel:
     cover the alphabet; without it the model coincides with markov_1
     exactly, smoothing included.  Back in poi space, "other" probability
     mass is spread uniformly over the non-top symbols and an "other"
-    argmax resolves to the most frequent non-top training POI.
+    argmax resolves to the most frequent non-top training POI.  tables
+    and tail are the markov_1 counts of the training stream, from which
+    _mmc derives the top set, other_resolution and the state chain inner.
     """
 
     spec: PredictorSpec
     alphabet_size: int
+    tables: tuple[_Table, ...]
+    tail: tuple[int, ...]
     inner: MarkovModel
     top_states: tuple[int, ...]
     has_other: bool
     other_resolution: Optional[int]
-    train_symbols: tuple[int, ...]
 
-    def _state_of(self, sym: int) -> int:
-        try:
-            return self.top_states.index(sym)
-        except ValueError:
-            return len(self.top_states)
-
-    def _state_distribution(self, context: Sequence[int]) -> np.ndarray:
-        mapped = [self._state_of(int(c)) for c in context]
-        return self.inner.distribution(mapped)
-
-    def _poi_distribution(self, state_dist: np.ndarray) -> np.ndarray:
-        """State probabilities in poi space: each top state at its poi id,
-        the "other" mass shared evenly by the non-top symbols."""
+    def score(self, seq: np.ndarray, ends: np.ndarray, truth: np.ndarray):
+        truth = _states(self.top_states, truth)
+        best, p = self.inner.score(_states(self.top_states, seq), ends, truth)
         n_top = len(self.top_states)
         if self.has_other:
-            share = state_dist[n_top] / (self.alphabet_size - n_top)
-            dist = np.full(self.alphabet_size, share)
+            p[truth == n_top] /= self.alphabet_size - n_top
+        resolve = self.top_states + ((self.other_resolution,)
+                                     if self.has_other else ())
+        return np.asarray(resolve)[best], p
+
+
+def _mmc(spec: PredictorSpec, n: int, tables: tuple[_Table, ...],
+         tail: tuple[int, ...]) -> MmcModel:
+    """The mmc of a training stream whose markov_1 counts are `tables`:
+    its top set, "other" resolution and state chain all sum those counts
+    through the state map."""
+    unigram, bigram = tables
+    # seen POIs by descending count, then ascending id
+    by_freq = unigram.keys[np.argsort(-unigram.counts, kind="stable")]
+    other = None
+    if spec.top_m >= n:
+        top = tuple(range(n))
+    else:
+        top = tuple(sorted(by_freq[: spec.top_m].tolist()))
+        if by_freq.size > spec.top_m:
+            other = int(by_freq[spec.top_m])
         else:
-            dist = np.zeros(self.alphabet_size)
-        dist[list(self.top_states)] = state_dist[:n_top]
-        return dist
+            # the smallest id missing from the sorted top set
+            other = next(i for i, s in enumerate(top + (n,)) if s != i)
+    n_states = len(top) + (other is not None)
+    state = _states(top, unigram.keys)
+    keys0, counts0, _ = _summed(state, unigram.counts)
+    # an order-1 context code is the index of its symbol in unigram.keys
+    before, after = np.divmod(bigram.keys, n)
+    keys1, counts1, _ = _summed(
+        np.searchsorted(keys0, state[before]) * n_states + _states(top, after),
+        bigram.counts,
+    )
+    inner = MarkovModel(
+        replace(spec, kind="markov_k", k=1), n_states,
+        (_table(keys0, counts0, n_states, 1),
+         _table(keys1, counts1, n_states, keys0.size)),
+        tuple(_states(top, tail).tolist()),
+    )
+    return MmcModel(spec, n, tables, tail, inner, top, other is not None,
+                    other)
 
-    def distribution(self, context: Sequence[int]) -> np.ndarray:
-        return self._poi_distribution(self._state_distribution(context))
 
-    def predict(self, context: Sequence[int]) -> tuple[int, np.ndarray]:
-        state_dist = self._state_distribution(context)
-        dist = self._poi_distribution(state_dist)
-        best = _argmax_smallest(state_dist)
-        if self.has_other and best == len(self.top_states):
-            return int(self.other_resolution), dist
-        return int(self.top_states[best]), dist
+def _in_alphabet(symbols: Sequence[int], n: int) -> np.ndarray:
+    symbols = np.asarray(symbols)  # ids past int64 compare as objects
+    if symbols.size and (symbols.min() < 0 or symbols.max() >= n):
+        raise DataError("training symbol outside alphabet")
+    return symbols.astype(np.int64, copy=False)
 
 
 def train(
@@ -276,112 +332,55 @@ def train(
     timestamps are accepted for interface symmetry (the external protocol
     transmits them); native models ignore them.
     """
-    symbols = [int(s) for s in symbols]
     if alphabet_size < 1:
         raise ValueError("alphabet_size must be >= 1")
-    if any(not 0 <= s < alphabet_size for s in symbols):
-        raise DataError("training symbol outside alphabet")
-    if spec.kind == "random_uniform":
-        return UniformModel(spec, alphabet_size)
-    if spec.kind == "top_frequency":
-        if not symbols:
-            raise DataError("top_frequency needs at least 1 training symbol")
-        counts: dict[int, int] = {}
-        for s in symbols:
-            counts[s] = counts.get(s, 0) + 1
-        return FrequencyModel(spec, alphabet_size, counts, len(symbols))
-    if spec.kind == "markov_k":
-        if len(symbols) < spec.k + 1:
-            raise DataError(
-                f"markov_{spec.k} needs at least {spec.k + 1} training "
-                f"symbols, got {len(symbols)}"
-            )
-        tables, tail = _build_tables(None, (), symbols, spec.k)
-        return MarkovModel(spec, alphabet_size, spec.k, tables, tail,
-                           len(symbols))
-    if spec.kind == "mmc":
-        return _train_mmc(spec, symbols, alphabet_size)
+    symbols = _in_alphabet(symbols, alphabet_size)
     if spec.kind == "external":
         return ExternalModel.start(spec, symbols, timestamps, alphabet_size)
-    raise AssertionError(spec.kind)
+    # the highest order counted; counting it takes k+1 symbols
+    k = {"random_uniform": -1, "top_frequency": 0, "mmc": 1}.get(spec.kind,
+                                                                 spec.k)
+    if symbols.size < k + 1:
+        raise DataError(
+            f"{spec.label} needs at least {k + 1} training "
+            f"symbol{'s' if k else ''}, got {symbols.size}"
+        )
+    tables, tail = _count((), (), symbols, alphabet_size, k)
+    if spec.kind == "mmc":
+        return _mmc(spec, alphabet_size, tables, tail)
+    return MarkovModel(spec, alphabet_size, tables, tail)
 
 
 def retrain(model, new_symbols: Sequence[int],
             timestamps: Optional[Sequence[int]] = None):
     """Extend a fitted model; equals train() on the concatenated stream."""
-    new_symbols = [int(s) for s in new_symbols]
-    if isinstance(model, UniformModel):
-        return model
-    if isinstance(model, FrequencyModel):
-        counts = dict(model.counts)
-        for s in new_symbols:
-            if not 0 <= s < model.alphabet_size:
-                raise DataError("training symbol outside alphabet")
-            counts[s] = counts.get(s, 0) + 1
-        return replace(model, counts=counts, total=model.total + len(new_symbols))
-    if isinstance(model, MarkovModel):
-        if any(not 0 <= s < model.alphabet_size for s in new_symbols):
-            raise DataError("training symbol outside alphabet")
-        tables, tail = _build_tables(model.tables, model.tail, new_symbols,
-                                     model.max_order)
-        return replace(model, tables=tables, tail=tail,
-                       n_trained=model.n_trained + len(new_symbols))
+    if not isinstance(model, (MarkovModel, MmcModel)):
+        raise TypeError(f"cannot retrain {type(model).__name__}")
+    n = model.alphabet_size
+    new_symbols = _in_alphabet(new_symbols, n)
+    tables, tail = _count(model.tables, model.tail, new_symbols, n,
+                          len(model.tables) - 1)
     if isinstance(model, MmcModel):
-        # the state space depends on whole-stream frequencies, so the
-        # only faithful extension is retraining on the concatenation
-        return _train_mmc(
-            model.spec, list(model.train_symbols) + new_symbols,
-            model.alphabet_size,
-        )
-    raise TypeError(f"cannot retrain {type(model).__name__}")
-
-
-def _train_mmc(spec: PredictorSpec, symbols: list[int], alphabet_size: int):
-    if len(symbols) < 2:
-        raise DataError(f"mmc needs at least 2 training symbols, got {len(symbols)}")
-    counts: dict[int, int] = {}
-    for s in symbols:
-        counts[s] = counts.get(s, 0) + 1
-    by_freq = sorted(counts, key=lambda s: (-counts[s], s))
-    if spec.top_m >= alphabet_size:
-        top = tuple(range(alphabet_size))
-        has_other = False
-        other_resolution = None
-    else:
-        top = tuple(sorted(by_freq[: spec.top_m]))
-        has_other = True
-        top_set = set(top)
-        non_top_seen = [s for s in by_freq if s not in top_set]
-        if non_top_seen:
-            other_resolution = non_top_seen[0]
-        else:
-            other_resolution = next(
-                s for s in range(alphabet_size) if s not in top_set
-            )
-    state_of = {poi: i for i, poi in enumerate(top)}
-    other_state = len(top)
-    mapped = [state_of.get(s, other_state) for s in symbols]
-    n_states = len(top) + (1 if has_other else 0)
-    inner_spec = PredictorSpec(
-        kind="markov_k", k=1, smoothing_alpha=spec.smoothing_alpha,
-        fallback=spec.fallback,
-    )
-    tables, tail = _build_tables(None, (), mapped, 1)
-    inner = MarkovModel(inner_spec, n_states, 1, tables, tail, len(mapped))
-    return MmcModel(spec, alphabet_size, inner, top, has_other,
-                    other_resolution, tuple(symbols))
+        return _mmc(model.spec, n, tables, tail)
+    return MarkovModel(model.spec, n, tables, tail)
 
 
 def transition_counts(model) -> dict[tuple[int, ...], dict[int, int]]:
     """Raw highest-order context counts, for inspection and tests."""
     if isinstance(model, MmcModel):
         model = model.inner
-    if not isinstance(model, MarkovModel):
-        raise TypeError(f"{type(model).__name__} has no transition table")
-    return {
-        ctx: dict(counts)
-        for ctx, (counts, _total) in model.tables[model.max_order].items()
-    }
+    if not isinstance(model, MarkovModel) or len(model.tables) < 2:
+        raise TypeError(f"{model.spec.label} has no transition table")
+    # the order j+1 contexts by code are the order-j cells, so the cells
+    # of the top order come out as whole windows
+    cells = [()]
+    for table in model.tables:
+        code, sym = np.divmod(table.keys, model.alphabet_size)
+        cells = [cells[c] + (s,) for c, s in zip(code.tolist(), sym.tolist())]
+    out: dict[tuple[int, ...], dict[int, int]] = {}
+    for cell, count in zip(cells, model.tables[-1].counts.tolist()):
+        out.setdefault(cell[:-1], {})[cell[-1]] = count
+    return out
 
 
 class ExternalModel:

@@ -14,13 +14,13 @@ bootstrap fold's repeated draws count once).  When the previous fold's
 positions are a prefix of this fold's, as in the expanding windows of
 rolling and window10_cumulative, the previous native model is extended
 with `predictors.retrain` on the remainder instead of refitting; that
-equals training on the whole prefix.  A native model is immutable, so a
-fold calls `predict` once per distinct test context and every test
-position with that context reads the same (argmax, distribution).  An
-external predictor gets a child of its own per fold and one PREDICT
-request per test position; the child of fold i+1 is started, and sent its
-TRAIN block, while fold i is scored, so two children may be alive at once
-and each sees one fold only.
+equals training on the whole prefix.  A native model scores all test
+positions of a fold in one `score` call, which returns each position's
+argmax and the probability of its true symbol.  An external predictor
+gets a child of its own per fold and one PREDICT request per test
+position; the child of fold i+1 is started, and sent its TRAIN block,
+while fold i is scored, so two children may be alive at once and each
+sees one fold only.
 """
 
 from __future__ import annotations
@@ -263,35 +263,37 @@ class EvaluationResult:
 
 
 def _context_need(spec: PredictorSpec, plan: ValidationPlan) -> int:
-    if spec.kind == "markov_k":
-        return spec.k
-    if spec.kind == "mmc":
-        return 1
     if spec.kind == "external":
         return plan.external_context_window
-    return 0
+    return {"markov_k": spec.k, "mmc": 1}.get(spec.kind, 0)
 
 
-def _test_contexts(
-    fold: Fold, symbols: np.ndarray, timestamps: np.ndarray, need: int
-):
-    """(truth, context, context timestamps) per test position, in order.
+def _window(fold: Fold, n: int, need: int) -> tuple[np.ndarray, np.ndarray]:
+    """(known, ends): the known positions a fold's test contexts read, and
+    the index in `known` of each test position.
 
     The context of test position t is the last `need` known positions
     before t, known meaning in the train set or earlier in the test set.
     Test indices ascend in every scheme, so that context is a slice of
     the sorted union of both sets; only the part of the union from the
-    first context to the last test position is read.
+    first context to the last test position is kept.
     """
-    is_known = np.zeros(symbols.shape[0], dtype=bool)
+    is_known = np.zeros(n, dtype=bool)
     is_known[fold.train_idx] = is_known[fold.test_idx] = True
-    known = np.flatnonzero(is_known)
-    ends = np.searchsorted(known, fold.test_idx)
+    known = is_known.nonzero()[0]
+    ends = known.searchsorted(fold.test_idx)
     first = max(0, int(ends[0]) - need)
-    known = known[first : int(ends[-1]) + 1]
+    return known[first : int(ends[-1]) + 1], ends - first
+
+
+def _test_contexts(
+    fold: Fold, symbols: np.ndarray, timestamps: np.ndarray, need: int
+):
+    """(truth, context, context timestamps) per test position, in order."""
+    known, ends = _window(fold, symbols.shape[0], need)
     syms = symbols[known].tolist()
     ts = timestamps[known].tolist()
-    for e in (ends - first).tolist():
+    for e in ends.tolist():
         lo = max(0, e - need)
         yield syms[e], syms[lo:e], ts[lo:e]
 
@@ -301,7 +303,7 @@ def _train_positions(fold: Fold, n: int) -> np.ndarray:
     draws repeats, which as a stream would read as self-transitions."""
     in_train = np.zeros(n, dtype=bool)
     in_train[fold.train_idx] = True
-    return np.flatnonzero(in_train)
+    return in_train.nonzero()[0]
 
 
 def _score_fold(
@@ -313,35 +315,32 @@ def _score_fold(
     timestamps: np.ndarray,
     need: int,
 ) -> FoldResult:
-    is_external = isinstance(model, ExternalModel)
-    # a native model is immutable, so one predict per distinct context
-    by_context: dict[tuple[int, ...], tuple] = {}
-    n_correct = 0
-    bits_terms: list[float] = []
-    has_bits = True
-    for truth, ctx, ctx_ts in _test_contexts(fold, symbols, timestamps, need):
-        if is_external:
+    if isinstance(model, ExternalModel):
+        n_correct, probs = 0, []
+        for truth, ctx, ctx_ts in _test_contexts(fold, symbols, timestamps,
+                                                 need):
             pred, dist = model.predict(ctx, ctx_ts)
-        else:
-            key = tuple(ctx)
-            hit = by_context.get(key)
-            if hit is None:
-                hit = by_context[key] = model.predict(ctx)
-            pred, dist = hit
-        n_correct += pred == truth
-        if dist is None:
-            has_bits = False
-        else:
-            p = float(dist[truth])
-            bits_terms.append(-math.log2(p) if p > 0.0 else math.inf)
+            n_correct += pred == truth
+            probs.append(None if dist is None else float(dist[truth]))
+    else:
+        # a native model scores every test position of the fold at once
+        known, ends = _window(fold, symbols.shape[0], need)
+        seq = symbols[known]
+        truth = seq[ends]
+        pred, p = model.score(seq, ends, truth)
+        n_correct = int(np.count_nonzero(pred == truth))
+        probs = p.tolist()
+    has_bits = None not in probs
+    bits_terms = [-math.log2(p) if p > 0.0 else math.inf
+                  for p in probs] if has_bits else []
     n_pred = int(fold.test_idx.shape[0])
     return FoldResult(
         user_id=user_id,
         fold_index=fold.index,
         train_lo=int(pos[0]),
         train_hi=int(pos[-1]) + 1,
-        test_lo=int(fold.test_idx.min()),
-        test_hi=int(fold.test_idx.max()) + 1,
+        test_lo=int(fold.test_idx[0]),
+        test_hi=int(fold.test_idx[-1]) + 1,
         n_correct=int(n_correct),
         n_predictions=n_pred,
         accuracy=n_correct / n_pred,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import math
 from collections import Counter
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -80,6 +81,109 @@ def top_pmi_by_counting(seq, d, top_k, separator=None):
     ]
     scored.sort(key=lambda e: (-e[1], e[0]))
     return scored[:top_k]
+
+
+def _smoothed(counts: dict[int, int], total: int, n: int, alpha: float) -> np.ndarray:
+    dist = np.full(n, alpha, dtype=np.float64)
+    for sym, c in counts.items():
+        dist[sym] += c
+    return dist / (total + alpha * n)
+
+
+def _build_tables(
+    prev: Optional[tuple[dict, ...]],
+    tail: tuple[int, ...],
+    new_symbols: Sequence[int],
+    max_order: int,
+) -> tuple[tuple[dict, ...], tuple[int, ...]]:
+    tables: list[dict] = (
+        [dict((k, (dict(c), t)) for k, (c, t) in tbl.items()) for tbl in prev]
+        if prev is not None
+        else [{} for _ in range(max_order + 1)]
+    )
+    buf = list(tail) + [int(s) for s in new_symbols]
+    off = len(tail)
+    for idx in range(len(new_symbols)):
+        pos = off + idx
+        sym = buf[pos]
+        for j in range(min(max_order, pos) + 1):
+            ctx = tuple(buf[pos - j : pos])
+            counts, total = tables[j].get(ctx, (None, 0))
+            if counts is None:
+                counts = {}
+                tables[j][ctx] = (counts, 0)
+            counts[sym] = counts.get(sym, 0) + 1
+            tables[j][ctx] = (counts, total + 1)
+    new_tail = tuple(buf[len(buf) - max_order :]) if max_order else ()
+    return tuple(tables), new_tail
+
+
+class DictModel:
+    """markov_k, top_frequency and mmc as dict count tables: tables[j]
+    maps a length-j context tuple to (counts dict, total), built by the
+    per-symbol loop _build_tables and read by a walk down the orders.
+    mmc fits its top set on whole-stream frequencies and runs a markov_1
+    table over the mapped states."""
+
+    def __init__(self, spec, symbols, alphabet_size):
+        symbols = [int(s) for s in symbols]
+        self.spec, self.n = spec, alphabet_size
+        self.k = {"markov_k": spec.k, "mmc": 1}.get(spec.kind, 0)
+        n_states = alphabet_size
+        if spec.kind == "mmc":
+            counts = Counter(symbols)
+            by_freq = sorted(counts, key=lambda s: (-counts[s], s))
+            if spec.top_m >= alphabet_size:
+                self.top, self.other = tuple(range(alphabet_size)), None
+            else:
+                self.top = tuple(sorted(by_freq[: spec.top_m]))
+                rest = [s for s in by_freq if s not in self.top]
+                rest += [s for s in range(alphabet_size) if s not in self.top]
+                self.other = rest[0]
+            n_states = len(self.top) + (self.other is not None)
+            symbols = [self._state(s) for s in symbols]
+        self.n_states = n_states
+        self.tables, _ = _build_tables(None, (), symbols, self.k)
+
+    def _state(self, sym):
+        return self.top.index(sym) if sym in self.top else len(self.top)
+
+    def _lookup(self, ctx):
+        ctx = tuple(int(c) for c in ctx[-self.k:]) if self.k else ()
+        if self.spec.fallback == "uniform":
+            hit = self.tables[len(ctx)].get(ctx) if len(ctx) == self.k else None
+            if hit is not None and hit[1] > 0:
+                return hit
+            return {}, 0
+        for j in range(len(ctx), -1, -1):
+            hit = self.tables[j].get(ctx[len(ctx) - j:])
+            if hit is not None and hit[1] > 0:
+                return hit
+        return {}, 0
+
+    def predict(self, context):
+        """(argmax, distribution) after `context`."""
+        if self.spec.kind == "mmc":
+            context = [self._state(int(c)) for c in context]
+        counts, total = self._lookup(list(context))
+        if total == 0:
+            dist = np.full(self.n_states, 1.0 / self.n_states)
+        else:
+            dist = _smoothed(counts, total, self.n_states,
+                             self.spec.smoothing_alpha)
+        best = int(np.argmax(dist))
+        if self.spec.kind != "mmc":
+            return best, dist
+        n_top = len(self.top)
+        if self.other is not None:
+            out = np.full(self.n, dist[n_top] / (self.n - n_top))
+        else:
+            out = np.zeros(self.n)
+        out[list(self.top)] = dist[:n_top]
+        return (self.other if best == n_top else self.top[best]), out
+
+    def transition_counts(self):
+        return {ctx: dict(c) for ctx, (c, _) in self.tables[self.k].items()}
 
 
 def contexts_by_walk(train_idx, test_idx, symbols, timestamps, need):

@@ -19,6 +19,7 @@ from mobmeta.predictors import (
     transition_counts,
 )
 from conftest import random_collapsed
+from oracles import DictModel
 
 M1 = PredictorSpec(kind="markov_k", k=1)
 
@@ -176,6 +177,95 @@ def test_retrain_equals_concatenation(rng):
             )
         if spec.kind in ("markov_k", "mmc"):
             assert transition_counts(stepped) == transition_counts(direct)
+
+
+def test_mmc_retrain_moves_top_set_and_other_resolution():
+    # before the boundary 0 and 1 lead and 2 resolves "other"; after it 2
+    # and 3 lead and 0 does
+    a = [0, 1] * 20 + [2, 0, 3]
+    b = [2, 3] * 30
+    spec = PredictorSpec(kind="mmc", top_m=2)
+    first = train(spec, a, alphabet_size=5)
+    stepped = retrain(first, b)
+    direct = train(spec, a + b, alphabet_size=5)
+    assert (first.top_states, first.other_resolution) == ((0, 1), 2)
+    assert (direct.top_states, direct.other_resolution) == ((2, 3), 0)
+    assert (stepped.top_states, stepped.other_resolution) == (
+        direct.top_states, direct.other_resolution)
+    assert transition_counts(stepped) == transition_counts(direct)
+    for ctx in ([], [0], [1], [2], [3], [4]):
+        pred, dist = stepped.predict(ctx)
+        assert pred == direct.predict(ctx)[0]
+        np.testing.assert_array_equal(dist, direct.distribution(ctx))
+
+
+@pytest.mark.parametrize("kind", ["random_uniform", "top_frequency",
+                                  "markov_k", "mmc"])
+def test_retrain_rejects_symbols_outside_alphabet(kind):
+    model = train(PredictorSpec(kind=kind), [0, 1, 2, 3, 4, 0],
+                  alphabet_size=5)
+    for bad in ([7, 1, 2, 3], [9], [-1], [2**70]):
+        with pytest.raises(DataError, match="outside alphabet"):
+            retrain(model, bad)
+
+
+def assert_same_as_dict(model, ref, contexts):
+    for ctx in contexts:
+        pred, dist = model.predict(ctx)
+        want_pred, want_dist = ref.predict(ctx)
+        assert pred == want_pred
+        np.testing.assert_array_equal(dist, want_dist)
+        np.testing.assert_array_equal(model.distribution(ctx), want_dist)
+    if model.spec.kind != "top_frequency":
+        assert transition_counts(model) == ref.transition_counts()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    n_sym=st.integers(1, 6),
+    kind=st.sampled_from(["markov_k", "mmc", "top_frequency"]),
+    k=st.integers(1, 3),
+    alpha=st.sampled_from([0.0, 0.01, 1.0]),
+    fallback=st.sampled_from(["backoff_to_lower_order", "uniform"]),
+)
+def test_count_tables_equal_dict_reference(data, n_sym, kind, k, alpha,
+                                           fallback):
+    top_m = data.draw(st.integers(1, 7))
+    spec = PredictorSpec(kind=kind, k=k, smoothing_alpha=alpha,
+                         fallback=fallback, top_m=top_m)
+    stream = data.draw(
+        st.lists(st.integers(0, n_sym - 1), min_size=4, max_size=30)
+    )
+    ref = DictModel(spec, stream, n_sym)
+    # every context the stream holds, shorter ones at its start, and a
+    # few that may never occur
+    contexts = {tuple(stream[max(0, i - k - 1) : i])
+                for i in range(len(stream) + 1)}
+    contexts |= {tuple(c) for c in data.draw(st.lists(
+        st.lists(st.integers(0, n_sym - 1), max_size=k + 1), max_size=4))}
+    contexts = sorted(contexts)
+    assert_same_as_dict(train(spec, stream, n_sym), ref, contexts)
+    for split in range(1, len(stream)):
+        try:
+            first = train(spec, stream[:split], n_sym)
+        except DataError:  # too short for this order
+            continue
+        assert_same_as_dict(retrain(first, stream[split:]), ref, contexts)
+
+
+def test_markov3_keys_do_not_overflow_at_a_wide_alphabet():
+    # raw base-K keys of four symbols would pass 2**63 here
+    K = 100_000
+    rng = np.random.default_rng(7)
+    stream = (K - 1 - rng.integers(0, 6, size=300)).tolist()
+    spec = PredictorSpec(kind="markov_k", k=3)
+    ref = DictModel(spec, stream, K)
+    contexts = [stream[i - 3 : i] for i in range(3, 300, 37)]
+    contexts += [[K - 1, K - 2, K - 3], [0, K - 1], []]
+    assert_same_as_dict(train(spec, stream, K), ref, contexts)
+    stepped = retrain(train(spec, stream[:150], K), stream[150:])
+    assert_same_as_dict(stepped, ref, contexts)
 
 
 def test_retrain_counts_cross_boundary():

@@ -486,15 +486,21 @@ def test_evaluate_equals_per_position_oracle(case):
 
 
 class CountingModel:
-    """A native model that records every context it is asked about."""
+    """A native model that records every single-context predict and every
+    batch it is asked to score."""
 
     def __init__(self, inner):
         self.inner = inner
         self.contexts = []
+        self.batches = []
 
     def predict(self, context):
         self.contexts.append(tuple(context))
         return self.inner.predict(context)
+
+    def score(self, seq, ends, truth):
+        self.batches.append((seq.tolist(), ends.tolist(), truth.tolist()))
+        return self.inner.score(seq, ends, truth)
 
 
 @pytest.fixture
@@ -524,23 +530,25 @@ def counted(monkeypatch):
     ValidationPlan("rolling", k=4),
     ValidationPlan("block_rolling", k=5, p=2),
 ], ids=lambda plan: plan.label)
-def test_one_predict_per_distinct_context(rng, counted, plan):
+def test_each_native_fold_is_one_batch(rng, counted, plan):
+    # one score call per fold, no single-context predict, and the batch
+    # ends read exactly the contexts and truths of the backward walk
     symbols = random_collapsed(rng, 400, 4)
     ds = make_dataset({"u": symbols}, n_pois=4)
-    spec = PredictorSpec(kind="markov_k", k=2)
-    evaluate(ds, spec, plan)
+    evaluate(ds, PredictorSpec(kind="markov_k", k=2), plan)
     folds = make_folds(plan, len(symbols))
     assert len(counted["models"]) == len(folds)
     for model, fold in zip(counted["models"], folds):
-        contexts = {
-            tuple(ctx) for _, ctx, _ in contexts_by_walk(
-                fold.train_idx.tolist(), fold.test_idx.tolist(), symbols,
-                list(range(len(symbols))), 2,
-            )
-        }
-        assert len(model.contexts) == len(set(model.contexts))
-        assert set(model.contexts) == contexts
-        assert len(contexts) < fold.test_idx.size
+        assert model.contexts == []
+        (seq, ends, truth), = model.batches
+        assert truth == [seq[e] for e in ends]
+        want = contexts_by_walk(
+            fold.train_idx.tolist(), fold.test_idx.tolist(), symbols,
+            list(range(len(symbols))), 2,
+        )
+        assert [(seq[e], seq[max(0, e - 2):e]) for e in ends] == [
+            (symbol, ctx) for symbol, ctx, _ in want
+        ]
 
 
 def test_rolling_trains_once_and_retrains_the_rest(rng, counted):
