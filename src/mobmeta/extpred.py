@@ -53,6 +53,10 @@ def serve(argv=None) -> int:
         if op == "TRAIN":
             symbols, ts = _read_block(stdin, n)
             model = train(spec, symbols, n_sym, ts)
+            # a model reads only the last k context symbols, so contexts
+            # that share them share the answer
+            k = len(model.tables) - 1
+            memo = {}
             continue
         if op != "PREDICT":
             print(f"protocol error: unknown op {op!r}", file=sys.stderr)
@@ -61,7 +65,10 @@ def serve(argv=None) -> int:
         if model is None:
             print("protocol error: PREDICT before TRAIN", file=sys.stderr)
             return 1
-        pred, dist = model.predict(ctx)
+        key = tuple(ctx[-k:]) if k > 0 else ()
+        if key not in memo:
+            memo[key] = model.predict(ctx)
+        pred, dist = memo[key]
         if args.misbehave == "close":
             return 0
         if args.misbehave == "garbage":

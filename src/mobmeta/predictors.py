@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import subprocess
+import time
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
@@ -336,7 +337,13 @@ def train(
         raise ValueError("alphabet_size must be >= 1")
     symbols = _in_alphabet(symbols, alphabet_size)
     if spec.kind == "external":
-        return ExternalModel.start(spec, symbols, timestamps, alphabet_size)
+        if timestamps is None:
+            timestamps = range(len(symbols))
+        if len(timestamps) != len(symbols):
+            raise ValueError("timestamps must align with symbols")
+        model = ExternalModel.start(spec, alphabet_size)
+        model.send_train(symbols, timestamps)
+        return model
     # the highest order counted; counting it takes k+1 symbols
     k = {"random_uniform": -1, "top_frequency": 0, "mmc": 1}.get(spec.kind,
                                                                  spec.k)
@@ -398,9 +405,13 @@ class ExternalModel:
     fold with the offending line number.
 
     One instance serves one fold: it reads that fold's TRAIN block and
-    PREDICT requests, then end of input.  `validation.evaluate` starts the
-    instance for fold i+1 while fold i is scored, so a predictor may have
-    two instances alive at once.
+    PREDICT requests, then end of input.  Its life is split so that
+    start-up and exit can overlap other work: `start` spawns the child,
+    `send_train` sends the TRAIN block, `predict` is one round trip, `end`
+    closes the child's stdin and `close` reaps it.  `validation.evaluate`
+    spawns the instance of a fold two folds ahead, sends its TRAIN block
+    when its fold begins and reaps it after the next fold, so a predictor
+    may have up to four instances alive at once.
     """
 
     def __init__(self, spec: PredictorSpec, proc: subprocess.Popen,
@@ -409,19 +420,13 @@ class ExternalModel:
         self.alphabet_size = alphabet_size
         self._proc = proc
         self._lines_read = 0
+        # monotonic time by which the child must exit, set by end()
+        self._deadline: Optional[float] = None
 
     @classmethod
-    def start(
-        cls,
-        spec: PredictorSpec,
-        symbols: Sequence[int],
-        timestamps: Optional[Sequence[int]],
-        alphabet_size: int,
-    ) -> "ExternalModel":
-        if timestamps is None:
-            timestamps = list(range(len(symbols)))
-        if len(timestamps) != len(symbols):
-            raise ValueError("timestamps must align with symbols")
+    def start(cls, spec: PredictorSpec,
+              alphabet_size: int) -> "ExternalModel":
+        """Spawn the child; it reads nothing until `send_train`."""
         try:
             proc = subprocess.Popen(
                 list(spec.command),
@@ -431,13 +436,16 @@ class ExternalModel:
             )
         except OSError as e:
             raise ProtocolError(f"cannot start {spec.command}: {e}") from e
-        model = cls(spec, proc, alphabet_size)
+        return cls(spec, proc, alphabet_size)
+
+    def send_train(self, symbols: Sequence[int],
+                   timestamps: Sequence[int]) -> None:
+        """Send the TRAIN block; a child that cannot take it is killed."""
         try:
-            model._send("TRAIN", symbols, timestamps)
+            self._send("TRAIN", symbols, timestamps)
         except ProtocolError:
-            model.kill()
+            self.kill()
             raise
-        return model
 
     def _send(self, verb: str, symbols: Sequence[int],
               timestamps: Sequence[int]) -> None:
@@ -501,14 +509,23 @@ class ExternalModel:
             )
         return poi, dist
 
-    def close(self) -> None:
-        if self._proc.stdin:
-            try:
-                self._proc.stdin.close()
-            except OSError:
-                pass
+    def end(self) -> None:
+        """Close the child's stdin, its end of input; the child then has
+        CLOSE_TIMEOUT_S to exit."""
+        if self._deadline is not None:
+            return
+        self._deadline = time.monotonic() + CLOSE_TIMEOUT_S
         try:
-            self._proc.wait(timeout=CLOSE_TIMEOUT_S)
+            self._proc.stdin.close()
+        except OSError:
+            pass
+
+    def close(self) -> None:
+        """End input if `end` has not, wait out what is left of the
+        child's CLOSE_TIMEOUT_S, and kill it if it is still running."""
+        self.end()
+        try:
+            self._proc.wait(timeout=max(0.0, self._deadline - time.monotonic()))
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()

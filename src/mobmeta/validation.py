@@ -18,15 +18,17 @@ equals training on the whole prefix.  A native model scores all test
 positions of a fold in one `score` call, which returns each position's
 argmax and the probability of its true symbol.  An external predictor
 gets a child of its own per fold and one PREDICT request per test
-position; the child of fold i+1 is started, and sent its TRAIN block,
-while fold i is scored, so two children may be alive at once and each
-sees one fold only.
+position.  Each child sees one fold only, but its start-up and exit
+overlap the scoring of other folds: it is spawned two folds ahead, sent
+its TRAIN block when its fold begins and reaped after the next fold, so
+up to four children may be alive at once.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -349,6 +351,53 @@ def _score_fold(
     )
 
 
+def _eval_external(
+    user_id: str,
+    symbols: np.ndarray,
+    timestamps: np.ndarray,
+    spec: PredictorSpec,
+    folds: list[Fold],
+    alphabet_size: int,
+    need: int,
+) -> list[FoldResult]:
+    """Score each fold with a fresh child of the external predictor.
+
+    A fold's child is spawned two folds ahead, so its start-up runs while
+    earlier folds are scored, and gets its TRAIN block only when its fold
+    begins, so no spawn waits on a pipe.  After fold i is scored, child i
+    gets end of input and child i-1, which has had a fold's time to exit,
+    is reaped.  At most four children are alive: the one scored, two
+    spares and one exiting.
+    """
+    n = symbols.shape[0]
+    results = []
+    spares: deque[ExternalModel] = deque()
+    child = exiting = None
+    try:
+        for i, fold in enumerate(folds):
+            child = (spares.popleft() if spares
+                     else ExternalModel.start(spec, alphabet_size))
+            while len(spares) < min(2, len(folds) - i - 1):
+                spares.append(ExternalModel.start(spec, alphabet_size))
+            pos = _train_positions(fold, n)
+            child.send_train(symbols[pos], timestamps[pos])
+            results.append(_score_fold(user_id, fold, pos, child, symbols,
+                                       timestamps, need))
+            child.end()
+            if exiting is not None:
+                exiting.close()
+            exiting, child = child, None
+        exiting.close()
+    except BaseException:
+        # kill rather than close: a close that waits could raise an error
+        # of its own and hide this one
+        for model in (child, exiting, *spares):
+            if model is not None:
+                model.kill()
+        raise
+    return results
+
+
 def _eval_stream(
     user_id: str,
     symbols: np.ndarray,
@@ -359,35 +408,11 @@ def _eval_stream(
     alphabet_size: int,
 ) -> list[FoldResult]:
     need = _context_need(spec, plan)
-    n = symbols.shape[0]
-
-    def fit(pos: np.ndarray):
-        return train(spec, symbols[pos], alphabet_size, timestamps[pos])
-
-    results = []
     if spec.kind == "external":
-        # the child of fold i+1 starts, and gets its TRAIN block, before
-        # fold i is scored, so its start-up overlaps the scoring; at most
-        # two children are alive, and each sees one fold only
-        child = spare = None
-        try:
-            for i, fold in enumerate(folds):
-                pos = _train_positions(fold, n)
-                child = spare if spare is not None else fit(pos)
-                spare = None
-                if i + 1 < len(folds):
-                    spare = fit(_train_positions(folds[i + 1], n))
-                results.append(_score_fold(user_id, fold, pos, child,
-                                           symbols, timestamps, need))
-                child.close()
-        except BaseException:
-            # kill rather than close: a close that waits could raise an
-            # error of its own and hide this one
-            for model in (child, spare):
-                if model is not None:
-                    model.kill()
-            raise
-        return results
+        return _eval_external(user_id, symbols, timestamps, spec, folds,
+                              alphabet_size, need)
+    n = symbols.shape[0]
+    results = []
     # the last model and its training positions, extended with retrain
     # when they prefix the next fold's (expanding windows)
     prev_pos: Optional[np.ndarray] = None
@@ -398,7 +423,7 @@ def _eval_stream(
                 and np.array_equal(pos[: prev_pos.size], prev_pos)):
             model = retrain(model, symbols[pos[prev_pos.size :]])
         else:
-            model = fit(pos)
+            model = train(spec, symbols[pos], alphabet_size, timestamps[pos])
         prev_pos = pos
         results.append(_score_fold(user_id, fold, pos, model, symbols,
                                    timestamps, need))

@@ -331,8 +331,9 @@ def test_external_predictor_that_outlives_eof_exits_3(
 def test_close_timeout_kills_the_spare_at_once(
     tmp_path, capsys, monkeypatch, spawned
 ):
-    # fold 0's close times out while fold 1's child is already running:
-    # that child is killed, not given its own close timeout
+    # fold 0's child is reaped after fold 1 and times out there, while the
+    # children of folds 1 and 2 are running: they are killed, not given
+    # close timeouts of their own
     monkeypatch.setattr(predictors, "CLOSE_TIMEOUT_S", 0.3)
     rc, err, _, elapsed = run_external(
         tmp_path, capsys, LINGERING_PREDICTOR, "block_rolling:k=4,p=1"
@@ -340,7 +341,7 @@ def test_close_timeout_kills_the_spare_at_once(
     assert rc == 3
     assert "did not exit within 0.3 s" in err
     assert elapsed < 2 * 0.3
-    assert len(spawned) == 2
+    assert len(spawned) == 3
     assert all(p.returncode is not None for p in spawned)
 
 

@@ -1,3 +1,4 @@
+import io
 import math
 import sys
 import textwrap
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobmeta import predictors
+from mobmeta import extpred, predictors
 from mobmeta.core import DataError
 from mobmeta.predictors import (
     ExternalModel,
@@ -349,6 +350,46 @@ def test_external_protocol_violations(rng, mode, msg):
         with pytest.raises(ProtocolError, match=msg) as exc:
             ext.predict([1])
         assert "line 1" in str(exc.value)
+
+
+@pytest.mark.parametrize("model", ["markov:1", "markov:2", "markov:3",
+                                   "mmc:2", "top_frequency", "random_uniform"])
+def test_reference_predictor_memo_answers_like_native(rng, monkeypatch,
+                                                      model):
+    # the reference predictor answers a context whose last k symbols it has
+    # seen since the last TRAIN from a memo: every line must still be the
+    # native answer, and each distinct tail is predicted once per TRAIN
+    n_sym = 5
+    spec = parse_model(model)
+    contexts = [[], [1], [3, 1], [0, 3, 1], [2, 0, 3, 1], [1], [7], [2, 7],
+                [-1, 2], [4, 2], [0, 1, 2], [3, 1, 2], [3, 1, 2], [5, 0, 1]]
+    lines, want, calls, distinct = [], [], [], 0
+    for symbols in (random_collapsed(rng, 60, n_sym - 1),
+                    random_collapsed(rng, 40, n_sym)):
+        native = train(spec, symbols, n_sym)
+        k = len(native.tables) - 1
+        distinct += len({tuple(c[max(len(c) - k, 0):]) for c in contexts})
+        lines.append(f"TRAIN {len(symbols)}")
+        lines += [f"{s} {t}" for t, s in enumerate(symbols)]
+        for ctx in contexts:
+            lines.append(f"PREDICT {len(ctx)}")
+            lines += [f"{s} {t}" for t, s in enumerate(ctx)]
+            pred, dist = native.predict(ctx)
+            want.append(f"{pred} " + " ".join(repr(float(p)) for p in dist))
+    predict = predictors._CountModel.predict
+
+    def counted(self, context):
+        calls.append(tuple(context))
+        return predict(self, context)
+
+    monkeypatch.setattr(predictors._CountModel, "predict", counted)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert extpred.serve(["--model", model,
+                          "--alphabet-size", str(n_sym)]) == 0
+    assert out.getvalue().splitlines() == want
+    assert len(calls) == distinct
 
 
 def test_external_bad_command():

@@ -1,6 +1,7 @@
 import math
 import sys
 import textwrap
+import time
 import warnings
 
 import numpy as np
@@ -580,6 +581,7 @@ LOOKAHEAD_PLANS = [
     ValidationPlan("kfold", k=3),
     ValidationPlan("bootstrap", iterations=2, seed=3),
     ValidationPlan("holdout", external_context_window=3),
+    ValidationPlan("block_rolling", k=6, p=1),
 ]
 
 
@@ -635,9 +637,11 @@ def test_each_external_instance_reads_one_fold(rng, logging_predictor, plan):
 
 
 @pytest.mark.parametrize("plan", LOOKAHEAD_PLANS, ids=lambda p: p.label)
-def test_one_start_per_fold_and_at_most_two_alive(
+def test_one_start_per_fold_and_at_most_four_alive(
     rng, logging_predictor, monkeypatch, plan
 ):
+    # spawned two folds ahead and reaped one fold later, so the peak is
+    # min(folds, 4): the child scored, two spares and one exiting
     spec, _ = logging_predictor
     start, close = ExternalModel.start, ExternalModel.close
     live = {"now": 0, "peak": 0, "starts": 0}
@@ -660,7 +664,37 @@ def test_one_start_per_fold_and_at_most_two_alive(
     n_folds = [len(make_folds(plan, len(s))) for s in ds.sequences]
     assert live["starts"] == sum(n_folds)
     assert live["now"] == 0
-    assert live["peak"] == (2 if max(n_folds) > 1 else 1)
+    assert live["peak"] == min(max(n_folds), 4)
+
+
+def test_train_block_beyond_pipe_buffer_keeps_the_lookahead(tmp_path):
+    # each child sleeps 1 s before it reads, and each TRAIN block (19,700
+    # symbols, about 150 kB) exceeds the pipe buffer; spares get their TRAIN
+    # block only at take-over, so the three sleeps overlap instead of
+    # adding up to about 3 s
+    script = tmp_path / "slow_start.py"
+    script.write_text(textwrap.dedent("""\
+        import sys, time
+        time.sleep(1.0)
+        for line in sys.stdin:
+            word, count = line.split()
+            for _ in range(int(count)):
+                sys.stdin.readline()
+            if word == "PREDICT":
+                print(0, flush=True)
+    """), encoding="utf-8")
+    ds = make_dataset(
+        {"u": random_collapsed(np.random.default_rng(14), 20_000, 4)},
+        n_pois=4,
+    )
+    spec = PredictorSpec(kind="external", command=(sys.executable, str(script)))
+    plan = ValidationPlan("block_rolling", k=200, p=197,
+                          external_context_window=1)
+    t0 = time.perf_counter()
+    res = evaluate(ds, spec, plan)
+    elapsed = time.perf_counter() - t0
+    assert len(res.fold_results) == 3
+    assert elapsed < 2 * 1.0
 
 
 @pytest.mark.parametrize("plan,n", [
