@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .core import (
     DataError,
     Dataset,
-    GeoPoint,
     InfeasiblePlanError,
     IngestError,
     MobmetaError,
@@ -19,7 +18,6 @@ from .core import (
 __all__ = [
     "DataError",
     "Dataset",
-    "GeoPoint",
     "InfeasiblePlanError",
     "IngestError",
     "MobmetaError",

@@ -146,7 +146,7 @@ def _user_stats(
     """Entropy and predictability of one user; DataError when the LZ
     estimate is too far above log2(N) to be more than small-sample noise
     (a handful of symbols alternating between two POIs reads ~1.19 bits)."""
-    ids = seq.poi_ids()
+    ids = seq.poi_ids
     distinct = int(np.count_nonzero(np.bincount(ids)))
     s = lz_entropy_rate(ids)
     n_for_fano = fano_n_global if fano_n_global is not None else distinct
@@ -196,9 +196,7 @@ def characterize(
         )
 
     if params.entropy_scope == "dataset":
-        joined = concat_user_streams(
-            usable, "unique_separator", ds.alphabet.separator_id
-        )
+        joined = concat_user_streams(usable, ds.alphabet.separator_id)
         entropy_mean = lz_entropy_rate(joined)
         # the joined stream's effective alphabet includes the separator
         n_eff = ds.alphabet.size + (1 if len(usable) > 1 else 0)
@@ -211,14 +209,14 @@ def characterize(
         predictability_mean = float(np.mean([u.predictability for u in stats]))
 
     sep = ds.alphabet.separator_id
-    stream = concat_user_streams(usable, "unique_separator", sep)
+    stream = concat_user_streams(usable, sep)
     d_cap = (stream.shape[0] - 1) // 10
     d_max = min(params.d_max, d_cap)
     decay: Optional[MiDecay] = None
     if d_max >= 1:
         if params.mi_scope == "per_user":
             decay = per_user_mi_decay(
-                [seq.poi_ids() for seq in usable], d_max,
+                [seq.poi_ids for seq in usable], d_max,
                 params.eps_fit, params.eps_depth,
             )
             notes.append("mi_scope=per_user: averaged per-user curves")
@@ -246,7 +244,7 @@ def characterize(
         except DataError as e:
             notes.append(f"pmi unavailable: {e}")
 
-    ts = np.concatenate([s.timestamps() for s in usable])
+    ts = np.concatenate([s.timestamps for s in usable])
     span = float((int(ts.max()) - int(ts.min())) / SECONDS_PER_MONTH)
     n_symbols = [u.n_symbols for u in stats]
     raw_fixes = ds.provenance.get("raw_fix_count")

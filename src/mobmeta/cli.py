@@ -352,11 +352,7 @@ def cmd_characterize(args) -> Run:
     mi_path = out.parent / "mi_curve.csv"
     write_mi_curve_csv(mi_path, report.mi_curve)
 
-    stream = concat_user_streams(
-        ds.sequences,
-        separator_policy="unique_separator" if ds.n_users > 1 else "none",
-        separator_id=ds.alphabet.separator_id,
-    )
+    stream = concat_user_streams(ds.sequences, ds.alphabet.separator_id)
     triples = match_structure(
         stream, separator_id=ds.alphabet.separator_id
     )

@@ -1,15 +1,18 @@
-"""Core domain types: GPS fixes, POI alphabets, and symbol sequences.
+"""Core domain types: GPS trajectories, POI alphabets, and symbol sequences.
 
-All types are immutable after construction and therefore safe to share
-across workers without synchronization.  POI identifiers are dense
-integers starting at 0 so that downstream counting (mutual information,
-match scans, transition tables) can be array-indexed.
+All types are immutable after construction.  Trajectories and sequences
+hold their data as numpy columns (``RawTrajectory.lat``/``lon``/``t``,
+``PoiSequence.poi_ids``/``timestamps``) that are copied on construction
+and marked read-only, so callers can share and slice them freely: a write
+raises ValueError.  POI identifiers are dense integers starting at 0 so
+that downstream counting (mutual information, match scans, transition
+tables) can be array-indexed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,46 +33,81 @@ class InfeasiblePlanError(MobmetaError):
     """A validation plan cannot be realized on the given data (exit code 4)."""
 
 
-@dataclass(frozen=True)
-class GeoPoint:
-    """A single GPS fix: WGS-84 coordinates plus a UTC timestamp in seconds."""
+def _column(values, dtype, what: str) -> np.ndarray:
+    """``values`` as a new read-only 1-D array of ``dtype``.
 
-    lat: float
-    lon: float
-    t: int
+    Integer conversion follows ``int()``; a value it rejects or that does
+    not fit in int64 raises DataError naming ``what``.
+    """
+    try:
+        col = np.array(values, dtype=dtype)
+    except (OverflowError, TypeError, ValueError) as e:
+        raise DataError(f"{what}: {e}") from e
+    if col.ndim != 1:
+        raise DataError(f"{what}: expected one column, got shape {col.shape}")
+    col.flags.writeable = False
+    return col
 
-    def __post_init__(self):
-        if not -90.0 <= self.lat <= 90.0:
-            raise DataError(f"latitude {self.lat} outside [-90, 90]")
-        if not -180.0 <= self.lon <= 180.0:
-            raise DataError(f"longitude {self.lon} outside [-180, 180]")
+
+def _first(mask: np.ndarray) -> Optional[int]:
+    """Index of the first True in ``mask``, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
 
 
-@dataclass(frozen=True)
+def _same_columns(a, b) -> bool:
+    """``==`` of RawTrajectory and PoiSequence: same type, user and columns."""
+    return (
+        type(a) is type(b)
+        and a.user_id == b.user_id
+        and all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+                for f in fields(a)[1:])
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class RawTrajectory:
-    """Time-ordered GPS fixes of one user.
+    """Time-ordered GPS fixes of one user, stored as columns.
 
-    Timestamps must be strictly ascending; equal-timestamp fixes are a
-    dedup concern of the ingest layer and are rejected here.
+    ``lat``/``lon`` are WGS-84 degrees (float64) and ``t`` UTC seconds
+    (int64).  Timestamps must be strictly ascending; equal-timestamp
+    fixes are a dedup concern of the ingest layer and are rejected here.
     """
 
     user_id: str
-    points: tuple[GeoPoint, ...]
+    lat: np.ndarray
+    lon: np.ndarray
+    t: np.ndarray
 
     def __post_init__(self):
-        if not self.points:
-            raise DataError(f"trajectory of user {self.user_id!r} has no points")
-        object.__setattr__(self, "points", tuple(self.points))
-        ts = [p.t for p in self.points]
-        for i in range(1, len(ts)):
-            if ts[i] <= ts[i - 1]:
+        who = f"user {self.user_id!r}"
+        lat = _column(self.lat, np.float64, f"{who}: lat")
+        lon = _column(self.lon, np.float64, f"{who}: lon")
+        t = _column(self.t, np.int64, f"{who}: t")
+        object.__setattr__(self, "lat", lat)
+        object.__setattr__(self, "lon", lon)
+        object.__setattr__(self, "t", t)
+        if not lat.shape == lon.shape == t.shape:
+            raise DataError(f"{who}: lat, lon and t differ in length")
+        if t.shape[0] == 0:
+            raise DataError(f"trajectory of {who} has no points")
+        for name, col, limit in (("latitude", lat, 90), ("longitude", lon, 180)):
+            i = _first(~(np.abs(col) <= limit))  # NaN fails too
+            if i is not None:
                 raise DataError(
-                    f"user {self.user_id!r}: timestamps not strictly ascending "
-                    f"at index {i} ({ts[i - 1]} -> {ts[i]})"
+                    f"{who}: {name} {col[i]} outside [-{limit}, {limit}]"
                 )
+        i = _first(t[1:] <= t[:-1])
+        if i is not None:
+            raise DataError(
+                f"{who}: timestamps not strictly ascending at index {i + 1} "
+                f"({t[i]} -> {t[i + 1]})"
+            )
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.t.shape[0]
+
+    __eq__ = _same_columns
 
 
 @dataclass(frozen=True)
@@ -118,81 +156,69 @@ class PoiAlphabet:
     def __contains__(self, poi_id: int) -> bool:
         return 0 <= poi_id < len(self.entries)
 
-
-def collapse_self_transitions(symbols: Sequence[int]) -> list[int]:
-    """Drop repeats of the immediately preceding symbol (keep the first).
-
-    The prediction task is defined over sequences with self-transitions
-    eliminated, so the collapse happens once, at construction time.
-    """
-    out: list[int] = []
-    for s in symbols:
-        if not out or out[-1] != s:
-            out.append(s)
-    return out
+    @classmethod
+    def synthetic(cls, size: int) -> "PoiAlphabet":
+        """``size`` POIs without geography: centroids at lat 0 on a
+        0.001-degree longitude grid, labels S0, S1, ..."""
+        return cls(
+            tuple(
+                PoiRecord(i, 0.0, round(0.001 * i, 6), f"S{i}")
+                for i in range(size)
+            )
+        )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoiSequence:
     """Time-ordered POI visits of one user, self-transitions eliminated.
 
-    ``symbols`` is a tuple of ``(poi_id, t)`` pairs with strictly ascending
-    timestamps and no two consecutive equal poi_ids.  Use
-    :meth:`from_visits` to build one from raw visit data; by default runs
-    of the same POI are collapsed to their first visit, with
-    ``collapse=False`` they are rejected instead.
+    ``poi_ids`` and ``timestamps`` are int64 arrays of equal length, with
+    strictly ascending timestamps and no two consecutive equal poi_ids.
+    Use :meth:`from_visits` to build one from raw visit data, which
+    collapses runs of the same POI to their first visit.
     """
 
     user_id: str
-    symbols: tuple[tuple[int, int], ...]
+    poi_ids: np.ndarray
+    timestamps: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(tuple(s) for s in self.symbols))
-        if not self.symbols:
-            raise DataError(f"user {self.user_id!r}: empty symbol sequence")
-        prev_id, prev_t = self.symbols[0]
-        for poi_id, t in self.symbols[1:]:
-            if t <= prev_t:
-                raise DataError(
-                    f"user {self.user_id!r}: timestamps not strictly ascending "
-                    f"({prev_t} -> {t})"
-                )
-            if poi_id == prev_id:
-                raise DataError(
-                    f"user {self.user_id!r}: self-transition {poi_id} -> {poi_id}"
-                )
-            prev_id, prev_t = poi_id, t
+        who = f"user {self.user_id!r}"
+        ids = _column(self.poi_ids, np.int64, f"{who}: poi_ids")
+        ts = _column(self.timestamps, np.int64, f"{who}: timestamps")
+        object.__setattr__(self, "poi_ids", ids)
+        object.__setattr__(self, "timestamps", ts)
+        if ids.shape != ts.shape:
+            raise DataError(f"{who}: poi_ids and timestamps differ in length")
+        if ids.shape[0] == 0:
+            raise DataError(f"{who}: empty symbol sequence")
+        i = _first(ts[1:] <= ts[:-1])
+        if i is not None:
+            raise DataError(
+                f"{who}: timestamps not strictly ascending "
+                f"({ts[i]} -> {ts[i + 1]})"
+            )
+        i = _first(ids[1:] == ids[:-1])
+        if i is not None:
+            raise DataError(f"{who}: self-transition {ids[i]} -> {ids[i]}")
 
     @classmethod
     def from_visits(
-        cls,
-        user_id: str,
-        visits: Iterable[tuple[int, int]],
-        collapse: bool = True,
+        cls, user_id: str, poi_ids: Sequence[int], timestamps: Sequence[int]
     ) -> "PoiSequence":
-        """Build a sequence from (poi_id, t) visits.
-
-        With ``collapse=True`` consecutive repeats keep the first visit's
-        timestamp; with ``collapse=False`` a repeat raises DataError.
-        """
-        visits = list(visits)
-        if not collapse:
-            return cls(user_id, tuple(visits))
-        kept: list[tuple[int, int]] = []
-        for poi_id, t in visits:
-            if not kept or kept[-1][0] != poi_id:
-                kept.append((poi_id, t))
-        return cls(user_id, tuple(kept))
-
-    def poi_ids(self) -> np.ndarray:
-        """Symbol stream as an int64 array (timestamps stripped)."""
-        return np.asarray([s[0] for s in self.symbols], dtype=np.int64)
-
-    def timestamps(self) -> np.ndarray:
-        return np.asarray([s[1] for s in self.symbols], dtype=np.int64)
+        """Build a sequence from visits in time order, keeping the first
+        visit of each run of the same POI (and its timestamp)."""
+        ids = np.asarray(poi_ids, dtype=np.int64)
+        starts = np.ones(ids.shape[0], dtype=bool)
+        starts[1:] = ids[1:] != ids[:-1]
+        return cls(
+            user_id, ids[starts], np.asarray(timestamps, dtype=np.int64)[starts]
+        )
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return self.poi_ids.shape[0]
+
+    __eq__ = _same_columns
 
 
 @dataclass(frozen=True)
@@ -210,60 +236,37 @@ class Dataset:
         object.__setattr__(self, "sequences", tuple(self.sequences))
         n = self.alphabet.size
         for seq in self.sequences:
-            for poi_id, _ in seq.symbols:
-                if not 0 <= poi_id < n:
-                    raise DataError(
-                        f"user {seq.user_id!r}: poi_id {poi_id} not in alphabet "
-                        f"of size {n}"
-                    )
+            lo, hi = int(seq.poi_ids.min()), int(seq.poi_ids.max())
+            if lo < 0 or hi >= n:
+                raise DataError(
+                    f"user {seq.user_id!r}: poi_id {lo if lo < 0 else hi} "
+                    f"not in alphabet of size {n}"
+                )
 
     @property
     def n_users(self) -> int:
         return len(self.sequences)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.alphabet == other.alphabet
-            and self.sequences == other.sequences
-            and self.provenance == other.provenance
-        )
-
 
 def concat_user_streams(
-    sequences: Sequence[PoiSequence],
-    separator_policy: str = "none",
-    separator_id: Optional[int] = None,
+    sequences: Sequence[PoiSequence], separator_id: int
 ) -> np.ndarray:
     """Flatten per-user symbol streams into one dataset-level stream.
 
-    With ``unique_separator`` a reserved symbol sits between users so that
-    cross-user n-grams can never form; the separator must lie outside the
-    POI alphabet (``PoiAlphabet.separator_id`` by convention) and defaults
-    to max(symbol)+1 when not given.  With ``none`` the streams abut.
-
-    Returns an int64 array in user order.
+    ``separator_id`` sits between users so that cross-user n-grams can
+    never form; it must lie outside every stream
+    (``PoiAlphabet.separator_id`` by convention).  One user's stream is
+    returned as is.  Returns an int64 array in user order.
     """
-    if separator_policy not in ("none", "unique_separator"):
-        raise ValueError(f"unknown separator_policy {separator_policy!r}")
     if not sequences:
         raise DataError("empty dataset")
-    streams = [seq.poi_ids() for seq in sequences]
-    if separator_policy == "none":
-        return np.concatenate(streams)
-    top = int(max(int(s.max()) for s in streams))
-    if separator_id is None:
-        separator_id = top + 1
-    elif separator_id <= top:
+    top = max(int(seq.poi_ids.max()) for seq in sequences)
+    if separator_id <= top:
         raise DataError(
             f"separator {separator_id} collides with symbols up to {top}"
         )
     sep = np.asarray([separator_id], dtype=np.int64)
     parts = []
-    for i, s in enumerate(streams):
-        if i > 0:
-            parts.append(sep)
-        parts.append(s)
-    return np.concatenate(parts)
+    for seq in sequences:
+        parts += (sep, seq.poi_ids)
+    return np.concatenate(parts[1:])

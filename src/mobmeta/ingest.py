@@ -15,12 +15,13 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, Optional
+
+import numpy as np
 
 from .core import (
     DataError,
     Dataset,
-    GeoPoint,
     IngestError,
     PoiAlphabet,
     PoiRecord,
@@ -75,9 +76,12 @@ class IngestReport:
     rejects: tuple[tuple[int, str], ...]
 
 
-def _apply_tz(t: int, cfg: IngestConfig) -> int:
+def _timestamp(t: int, cfg: IngestConfig) -> int:
+    """t with the configured offset applied; ValueError outside int64."""
     if cfg.timezone_policy == "offset_seconds":
-        return t + cfg.tz_offset_seconds
+        t += cfg.tz_offset_seconds
+    if not -(2**63) <= t < 2**63:
+        raise ValueError(f"timestamp {t} outside the int64 range")
     return t
 
 
@@ -96,21 +100,22 @@ def _rows_to_trajectories(
     rejects: list[tuple[int, str]] = []
     trajs = []
     for user in sorted(by_user):
-        pts = sorted(by_user[user])
-        kept: list[GeoPoint] = []
-        last_t: Optional[int] = None
-        for t, lat, lon, line_no in pts:
-            if last_t is not None and t == last_t:
+        lats: list[float] = []
+        lons: list[float] = []
+        ts: list[int] = []
+        for t, lat, lon, line_no in sorted(by_user[user]):
+            if ts and t == ts[-1]:
                 if cfg.dedup_policy == "error":
                     raise IngestError(
                         f"line {line_no}: duplicate timestamp {t} for user {user!r}"
                     )
                 rejects.append((line_no, f"duplicate timestamp for user {user}"))
                 continue
-            kept.append(GeoPoint(lat, lon, t))
-            last_t = t
-        if kept:
-            trajs.append(RawTrajectory(user, tuple(kept)))
+            lats.append(lat)
+            lons.append(lon)
+            ts.append(t)
+        if ts:
+            trajs.append(RawTrajectory(user, lats, lons, ts))
     return trajs, rejects
 
 
@@ -135,15 +140,15 @@ def _parse_csv_gps(path: Path, cfg: IngestConfig) -> tuple[list, list]:
                 user = parts[cm["user"]].strip()
                 lat = float(parts[cm["lat"]])
                 lon = float(parts[cm["lon"]])
-                t = int(float(parts[cm["t"]]))
-            except ValueError as e:
+                t = _timestamp(int(float(parts[cm["t"]])), cfg)
+            except (OverflowError, ValueError) as e:
                 raise IngestError(f"{path.name} line {line_no}: {e}") from e
             if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
                 raise IngestError(
                     f"{path.name} line {line_no}: coordinates ({lat}, {lon}) "
                     "out of range"
                 )
-            rows.append((user, lat, lon, _apply_tz(t, cfg)))
+            rows.append((user, lat, lon, t))
     return rows, rejects
 
 
@@ -173,16 +178,17 @@ def _parse_plt(path: Path, cfg: IngestConfig) -> tuple[list, list]:
             try:
                 lat = float(parts[0])
                 lon = float(parts[1])
-                days = float(parts[4])
-            except ValueError as e:
+                t = _timestamp(
+                    round((float(parts[4]) - _PLT_EPOCH_DAYS) * 86400.0), cfg
+                )
+            except (OverflowError, ValueError) as e:
                 raise IngestError(f"{path.name} line {line_no}: {e}") from e
             if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
                 raise IngestError(
                     f"{path.name} line {line_no}: coordinates ({lat}, {lon}) "
                     "out of range"
                 )
-            t = round((days - _PLT_EPOCH_DAYS) * 86400.0)
-            rows.append((user, lat, lon, _apply_tz(int(t), cfg)))
+            rows.append((user, lat, lon, t))
     return rows, rejects
 
 
@@ -213,53 +219,91 @@ def parse_raw_with_report(
     return trajs, IngestReport(n_input, kept, tuple(rejects))
 
 
-def load_symbols_jsonl(
-    path: str | Path, name: str, collapse: bool = True
-) -> Dataset:
+def _rows(rows: list, width: int, dtype) -> np.ndarray:
+    """A JSON list of ``width``-value rows as an (n, width) array."""
+    table = np.array(rows, dtype=dtype)
+    if table.size and table.shape[1:] != (width,):
+        raise ValueError(f"expected rows of {width} values")
+    return table.reshape(-1, width)
+
+
+def _records(path: Path, label: str, build: Callable[[dict], Any]) -> list:
+    """``build(obj)`` for each nonblank JSON line of ``path``.
+
+    Any parse or data error, values beyond int64 included, becomes an
+    IngestError naming ``label`` and the line.
+    """
+    out = []
+    with open(path, "r", encoding="utf-8") as f:
+        for line_no, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                out.append(build(json.loads(line)))
+            except (KeyError, TypeError, ValueError, OverflowError,
+                    DataError) as e:
+                raise IngestError(f"{label} line {line_no}: {e}") from e
+    return out
+
+
+def _sequence(obj: dict, build=PoiSequence) -> PoiSequence:
+    symbols = _rows(obj["symbols"], 2, np.int64)
+    return build(str(obj["user_id"]), symbols[:, 0], symbols[:, 1])
+
+
+def _trajectory(obj: dict) -> RawTrajectory:
+    points = _rows(obj["points"], 3, object)
+    return RawTrajectory(
+        str(obj["user_id"]), points[:, 0], points[:, 1], points[:, 2]
+    )
+
+
+def load_symbols_jsonl(path: str | Path, name: str) -> Dataset:
     """Build a Dataset from pre-symbolized lines {user_id, symbols}.
 
-    No geography is available, so POI centroids are synthesized at lat 0
-    on a 0.001-degree longitude grid.  The alphabet spans 0..max(poi_id).
+    Runs of the same POI collapse to their first visit.  No geography is
+    available, so POI centroids are synthesized (PoiAlphabet.synthetic).
+    The alphabet spans 0..max(poi_id).
     """
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"no such file: {path}")
-    seqs = []
-    max_id = -1
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                user_id = str(obj["user_id"])
-                visits = [(int(p), int(t)) for p, t in obj["symbols"]]
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
-                raise IngestError(f"{path.name} line {line_no}: {e}") from e
-            try:
-                seq = PoiSequence.from_visits(user_id, visits, collapse=collapse)
-            except DataError as e:
-                raise IngestError(f"{path.name} line {line_no}: {e}") from e
-            max_id = max(max_id, max(p for p, _ in seq.symbols))
-            seqs.append(seq)
+    seqs = _records(
+        path, path.name, lambda obj: _sequence(obj, PoiSequence.from_visits)
+    )
     if not seqs:
         raise IngestError(f"{path.name}: empty file")
-    alphabet = _synthetic_alphabet(max_id + 1)
     return Dataset(
         name=name,
-        alphabet=alphabet,
+        alphabet=PoiAlphabet.synthetic(
+            max(int(seq.poi_ids.max()) for seq in seqs) + 1
+        ),
         sequences=tuple(seqs),
         provenance={"source_path": path.name, "format": "symbols_jsonl"},
     )
 
 
-def _synthetic_alphabet(size: int) -> PoiAlphabet:
-    return PoiAlphabet(
-        tuple(
-            PoiRecord(i, 0.0, round(0.001 * i, 6), f"S{i}") for i in range(size)
+def _dataset_text(ds: Dataset) -> tuple[str, str]:
+    """The bytes save_dataset writes: alphabet.json and sequences.jsonl."""
+    alphabet = [
+        {"poi_id": e.poi_id, "lat": e.lat, "lon": e.lon, "label": e.label}
+        for e in ds.alphabet.entries
+    ]
+    lines = [
+        json.dumps(
+            {
+                "user_id": seq.user_id,
+                "symbols": np.column_stack(
+                    (seq.poi_ids, seq.timestamps)
+                ).tolist(),
+            },
+            sort_keys=True,
+            separators=(",", ":"),
         )
-    )
+        + "\n"
+        for seq in ds.sequences
+    ]
+    return canonical_dumps(alphabet), "".join(lines)
 
 
 def dataset_digest(ds: Dataset) -> str:
@@ -269,20 +313,8 @@ def dataset_digest(ds: Dataset) -> str:
     Dataset equals the digest of its on-disk form.
     """
     h = hashlib.sha256()
-    alphabet = [
-        {"poi_id": e.poi_id, "lat": e.lat, "lon": e.lon, "label": e.label}
-        for e in ds.alphabet.entries
-    ]
-    h.update(canonical_dumps(alphabet).encode("utf-8"))
-    for seq in ds.sequences:
-        obj = {
-            "user_id": seq.user_id,
-            "symbols": [[int(p), int(t)] for p, t in seq.symbols],
-        }
-        h.update(
-            (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
-            .encode("utf-8")
-        )
+    for text in _dataset_text(ds):
+        h.update(text.encode("utf-8"))
     return "sha256:" + h.hexdigest()
 
 
@@ -290,18 +322,9 @@ def save_dataset(ds: Dataset, dir_path: str | Path) -> None:
     """Write the canonical directory; idempotent and bit-stable."""
     d = Path(dir_path)
     d.mkdir(parents=True, exist_ok=True)
-    alphabet = [
-        {"poi_id": e.poi_id, "lat": e.lat, "lon": e.lon, "label": e.label}
-        for e in ds.alphabet.entries
-    ]
-    write_canonical_json(d / "alphabet.json", alphabet)
-    with open(d / "sequences.jsonl", "w", encoding="utf-8") as f:
-        for seq in ds.sequences:
-            obj = {
-                "user_id": seq.user_id,
-                "symbols": [[int(p), int(t)] for p, t in seq.symbols],
-            }
-            f.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    alphabet, sequences = _dataset_text(ds)
+    (d / "alphabet.json").write_text(alphabet, encoding="utf-8")
+    (d / "sequences.jsonl").write_text(sequences, encoding="utf-8")
     write_canonical_json(
         d / "meta.json",
         {
@@ -313,6 +336,24 @@ def save_dataset(ds: Dataset, dir_path: str | Path) -> None:
     )
 
 
+def _meta(d: Path) -> dict:
+    """meta.json of directory d ({} when absent); IngestError when its
+    schema_version is not the supported one."""
+    meta_path = d / "meta.json"
+    if not meta_path.is_file():
+        return {}
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        version = meta.get("schema_version")
+    except (AttributeError, ValueError) as e:
+        raise IngestError(f"{meta_path}: {e}") from e
+    if version != SCHEMA_VERSION:
+        raise IngestError(
+            f"{d}: schema_version {version} != supported {SCHEMA_VERSION}"
+        )
+    return meta
+
+
 def load_dataset(dir_path: str | Path) -> Dataset:
     d = Path(dir_path)
     alpha_path = d / "alphabet.json"
@@ -321,47 +362,20 @@ def load_dataset(dir_path: str | Path) -> Dataset:
     seq_path = d / "sequences.jsonl"
     if not seq_path.is_file():
         raise IngestError(f"{d}: missing sequences.jsonl")
-    meta_path = d / "meta.json"
-    name = d.name
-    provenance: dict = {}
-    if meta_path.is_file():
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        version = meta.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise IngestError(
-                f"{d}: schema_version {version} != supported {SCHEMA_VERSION}"
-            )
-        name = meta.get("name", name)
-        provenance = meta.get("provenance", {})
-    entries = []
-    for rec in json.loads(alpha_path.read_text(encoding="utf-8")):
-        entries.append(
-            PoiRecord(
-                int(rec["poi_id"]),
-                float(rec["lat"]),
-                float(rec["lon"]),
-                rec.get("label"),
-            )
-        )
-    alphabet = PoiAlphabet(tuple(entries))
-    seqs = []
-    with open(seq_path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                seqs.append(
-                    PoiSequence(
-                        str(obj["user_id"]),
-                        tuple((int(p), int(t)) for p, t in obj["symbols"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
-                raise IngestError(f"sequences.jsonl line {line_no}: {e}") from e
-    return Dataset(name=name, alphabet=alphabet, sequences=tuple(seqs),
-                   provenance=provenance)
+    meta = _meta(d)
+    try:
+        alphabet = PoiAlphabet(tuple(
+            PoiRecord(int(rec["poi_id"]), float(rec["lat"]), float(rec["lon"]),
+                      rec.get("label"))
+            for rec in json.loads(alpha_path.read_text(encoding="utf-8"))
+        ))
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
+            DataError) as e:
+        raise IngestError(f"{alpha_path}: {e}") from e
+    seqs = _records(seq_path, "sequences.jsonl", _sequence)
+    return Dataset(name=meta.get("name", d.name), alphabet=alphabet,
+                   sequences=tuple(seqs),
+                   provenance=meta.get("provenance", {}))
 
 
 def save_raw(
@@ -375,7 +389,10 @@ def save_raw(
         for traj in trajs:
             obj = {
                 "user_id": traj.user_id,
-                "points": [[p.lat, p.lon, p.t] for p in traj.points],
+                # one column at a time: column_stack would make t a float
+                "points": list(zip(
+                    traj.lat.tolist(), traj.lon.tolist(), traj.t.tolist()
+                )),
             }
             f.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
     write_canonical_json(
@@ -394,27 +411,5 @@ def load_raw(dir_path: str | Path) -> list[RawTrajectory]:
     raw_path = d / "raw.jsonl"
     if not raw_path.is_file():
         raise IngestError(f"{d}: missing raw.jsonl")
-    meta_path = d / "meta.json"
-    if meta_path.is_file():
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        if meta.get("schema_version") != SCHEMA_VERSION:
-            raise IngestError(
-                f"{d}: schema_version {meta.get('schema_version')} != "
-                f"supported {SCHEMA_VERSION}"
-            )
-    trajs = []
-    with open(raw_path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                pts = tuple(
-                    GeoPoint(float(lat), float(lon), int(t))
-                    for lat, lon, t in obj["points"]
-                )
-                trajs.append(RawTrajectory(str(obj["user_id"]), pts))
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
-                raise IngestError(f"raw.jsonl line {line_no}: {e}") from e
-    return trajs
+    _meta(d)
+    return _records(raw_path, "raw.jsonl", _trajectory)

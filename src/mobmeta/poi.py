@@ -61,6 +61,14 @@ class Staypoint:
     departure: int
 
 
+def _unwrap(lon: float, ref: float = 0.0) -> float:
+    """``lon`` moved by a multiple of 360 degrees to within 180 of ``ref``,
+    so that means across the dateline stay local; unchanged when already
+    there (round(0.5) is 0).  With the default ``ref`` it wraps a mean of
+    unwrapped longitudes back into [-180, 180]."""
+    return lon - 360.0 * round((lon - ref) / 360.0)
+
+
 # Margin added to the triangle-inequality bound of detect_staypoints so
 # that it also bounds haversine_m's *computed* distances, which carry float
 # error: about 1e-10 m at city scales and up to about 0.3 m near the
@@ -80,7 +88,9 @@ def detect_staypoints(
     A window [i..j] qualifies while every fix lies within stay_radius of
     the running window centroid; it is closed at the first violating fix.
     Windows lasting at least stay_min_duration are emitted and the scan
-    resumes after them, so emitted windows never overlap.
+    resumes after them, so emitted windows never overlap.  Longitudes are
+    unwrapped to within 180 degrees of the window's first fix, so a dwell
+    on the dateline averages to a point on it.
 
     The scan carries ``bound``, an upper bound on every window fix's
     distance to the current centroid.  When the centroid moves by
@@ -92,37 +102,36 @@ def detect_staypoints(
     re-measuring every fix for every candidate centroid, at about two
     distance evaluations per fix instead of one per window fix.
     """
-    pts = traj.points
-    n = len(pts)
-    lat = [q.lat for q in pts]
-    lon = [q.lon for q in pts]
-    t = [q.t for q in pts]
+    lat, lon, t = traj.lat.tolist(), traj.lon.tolist(), traj.t.tolist()
+    n = len(t)
     radius = p.stay_radius_m
     slack = STAY_BOUND_SLACK * radius
     out: list[Staypoint] = []
     i = 0
     while i < n:
-        lat_sum, lon_sum = lat[i], lon[i]
-        cur_lat, cur_lon = lat[i], lon[i]
+        ref = lon[i]
+        lat_sum, lon_sum = lat[i], ref
+        cur_lat, cur_lon = lat[i], ref
         bound = 0.0
         j = i
         while j + 1 < n:
-            cand_lat = (lat_sum + lat[j + 1]) / (j + 2 - i)
-            cand_lon = (lon_sum + lon[j + 1]) / (j + 2 - i)
-            d_new = haversine_m(lat[j + 1], lon[j + 1], cand_lat, cand_lon)
+            new_lat, new_lon = lat[j + 1], _unwrap(lon[j + 1], ref)
+            cand_lat = (lat_sum + new_lat) / (j + 2 - i)
+            cand_lon = (lon_sum + new_lon) / (j + 2 - i)
+            d_new = haversine_m(new_lat, new_lon, cand_lat, cand_lon)
             if d_new > radius:
                 break
             nb = bound + haversine_m(cur_lat, cur_lon, cand_lat, cand_lon) + slack
             if nb > radius:
                 nb = max(
-                    haversine_m(lat[m], lon[m], cand_lat, cand_lon)
+                    haversine_m(lat[m], _unwrap(lon[m], ref), cand_lat, cand_lon)
                     for m in range(i, j + 1)
                 )
                 if nb > radius:
                     break
             bound = max(nb, d_new)
-            lat_sum += lat[j + 1]
-            lon_sum += lon[j + 1]
+            lat_sum += new_lat
+            lon_sum += new_lon
             cur_lat, cur_lon = cand_lat, cand_lon
             j += 1
         if t[j] - t[i] >= p.stay_min_duration_s:
@@ -130,7 +139,7 @@ def detect_staypoints(
                 Staypoint(
                     traj.user_id,
                     lat_sum / (j + 1 - i),
-                    lon_sum / (j + 1 - i),
+                    _unwrap(lon_sum / (j + 1 - i)),
                     t[i],
                     t[j],
                 )
@@ -150,9 +159,11 @@ def build_alphabet(
     greedy result is deterministic.  Each staypoint joins the nearest
     existing cluster whose running-mean centroid is within
     cluster_merge_radius (ties to the older cluster), else founds a new
-    one.  Clusters with fewer than min_visits members are dropped; their
-    staypoints get assignment None.  Surviving clusters are renumbered
-    densely in founding order.
+    one; the mean takes each longitude unwrapped to within 180 degrees of
+    the centroid, so clusters on the dateline stay on it.  Clusters with
+    fewer than min_visits members are dropped; their staypoints get
+    assignment None.  Surviving clusters are renumbered densely in
+    founding order.
     """
     if not staypoints:
         raise DataError("no staypoints to cluster")
@@ -186,7 +197,7 @@ def build_alphabet(
             clat, clon = centroids[best]
             centroids[best] = (
                 clat + (sp.lat - clat) / k,
-                clon + (sp.lon - clon) / k,
+                _unwrap(clon + (_unwrap(sp.lon, clon) - clon) / k),
             )
             cluster_of[idx] = best
     poi_of_cluster: dict[int, int] = {}
@@ -222,9 +233,8 @@ def to_poi_sequence(
     )
     if not visits:
         return None
-    return PoiSequence.from_visits(
-        user_id, [(pid, t) for t, pid in visits], collapse=True
-    )
+    arrivals, pids = zip(*visits)
+    return PoiSequence.from_visits(user_id, pids, arrivals)
 
 
 def extract_dataset(

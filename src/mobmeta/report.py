@@ -146,11 +146,10 @@ def granularity(ds: Dataset) -> tuple[Optional[float], Optional[float]]:
     gaps_m: list[float] = []
     entries = ds.alphabet.entries
     for seq in ds.sequences:
-        ids = seq.poi_ids()
-        ts = seq.timestamps()
-        for i in range(1, ids.shape[0]):
+        ids, ts = seq.poi_ids.tolist(), seq.timestamps.tolist()
+        for i in range(1, len(ids)):
             gaps_s.append(float(ts[i] - ts[i - 1]))
-            a, b = entries[int(ids[i - 1])], entries[int(ids[i])]
+            a, b = entries[ids[i - 1]], entries[ids[i]]
             gaps_m.append(haversine_m(a.lat, a.lon, b.lat, b.lon))
     if not gaps_s:
         return None, None

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DataError, Dataset, PoiAlphabet, PoiRecord, PoiSequence
+from .core import DataError, Dataset, PoiAlphabet, PoiSequence
 from .entropy import binary_entropy
 from .rng import SplitMix64
 
@@ -247,23 +247,15 @@ def generate(spec: SourceSpec) -> tuple[Dataset, dict]:
     sequences = []
     for u in range(spec.n_users):
         raw = raw_stream(spec, rng)
-        seq = PoiSequence.from_visits(
-            f"u{u:04d}", [(s, i) for i, s in enumerate(raw)], collapse=True
-        )
+        seq = PoiSequence.from_visits(f"u{u:04d}", raw, range(len(raw)))
         if len(seq) < 2:
             raise DataError(
                 f"source collapses to a constant sequence for user u{u:04d}"
             )
         sequences.append(seq)
-    alphabet = PoiAlphabet(
-        tuple(
-            PoiRecord(i, 0.0, round(0.001 * i, 6), f"S{i}")
-            for i in range(n_pois)
-        )
-    )
     ds = Dataset(
         name=f"synth_{spec.kind}",
-        alphabet=alphabet,
+        alphabet=PoiAlphabet.synthetic(n_pois),
         sequences=tuple(sequences),
         provenance={
             "source": "synth",

@@ -440,7 +440,7 @@ def evaluate(
     time-ordered schemes that is exactly the window [train_lo, t).  Users
     the plan cannot split are excluded with a warning.
     """
-    streams = [(s.user_id, s.poi_ids(), s.timestamps()) for s in ds.sequences]
+    streams = [(s.user_id, s.poi_ids, s.timestamps) for s in ds.sequences]
     if not plan.per_user:
         streams = [("__all__", np.concatenate([s[1] for s in streams]),
                     np.concatenate([s[2] for s in streams]))]

@@ -4,26 +4,20 @@ import subprocess
 import numpy as np
 import pytest
 
-from mobmeta.core import Dataset, PoiAlphabet, PoiRecord, PoiSequence
+from mobmeta.core import Dataset, PoiAlphabet, PoiSequence
 
 
 def make_dataset(streams: dict[str, list[int]], n_pois=None) -> Dataset:
     """Dataset from an in-memory {user: symbols} dict (index timestamps)."""
     if n_pois is None:
         n_pois = max(max(s) for s in streams.values()) + 1
-    alphabet = PoiAlphabet(
-        tuple(
-            PoiRecord(i, 0.0, round(0.001 * i, 6), f"S{i}")
-            for i in range(n_pois)
-        )
-    )
     seqs = tuple(
-        PoiSequence.from_visits(
-            user, [(s, t) for t, s in enumerate(symbols)], collapse=True
-        )
+        PoiSequence.from_visits(user, symbols, range(len(symbols)))
         for user, symbols in streams.items()
     )
-    return Dataset(name="inline", alphabet=alphabet, sequences=seqs)
+    return Dataset(
+        name="inline", alphabet=PoiAlphabet.synthetic(n_pois), sequences=seqs
+    )
 
 
 def random_collapsed(rng: np.random.Generator, n: int, n_sym: int) -> list[int]:

@@ -213,7 +213,7 @@ def evaluate_per_position(ds, spec, plan) -> dict:
     need = {"markov_k": spec.k, "mmc": 1,
             "external": plan.external_context_window}.get(spec.kind, 0)
     streams = [
-        (s.user_id, s.poi_ids().tolist(), s.timestamps().tolist())
+        (s.user_id, s.poi_ids.tolist(), s.timestamps.tolist())
         for s in ds.sequences
     ]
     if not plan.per_user:
@@ -400,38 +400,63 @@ def fano_residual(pi: float, s: float, n: int) -> float:
     return binary_entropy(pi) + (1 - pi) * math.log2(n - 1) - s
 
 
+def collapse_self_transitions(symbols: Sequence[int]) -> list[int]:
+    """Drop repeats of the immediately preceding symbol (keep the first)."""
+    out: list[int] = []
+    for s in symbols:
+        if not out or out[-1] != s:
+            out.append(s)
+    return out
+
+
+def unwrap_lon(lon: float, ref: float) -> float:
+    """lon moved by 360 degrees to within 180 of ref, when it is not."""
+    if lon - ref > 180.0:
+        return lon - 360.0
+    if ref - lon > 180.0:
+        return lon + 360.0
+    return lon
+
+
+def wrap_lon(lon: float) -> float:
+    """A mean of unwrapped longitudes back in [-180, 180]."""
+    return unwrap_lon(lon, 0.0)
+
+
 def staypoints_by_full_recheck(traj, p):
     """detect_staypoints as it was before the drift bound: every candidate
     centroid re-measures every fix of the window (quadratic in dwell
-    length), so the fast scan must return exactly this."""
-    pts = traj.points
-    n = len(pts)
+    length), so the fast scan must return exactly this.  Longitudes are
+    unwrapped around the window's first fix, as the scan does."""
+    lat, raw_lon, t = traj.lat.tolist(), traj.lon.tolist(), traj.t.tolist()
+    n = len(t)
     out = []
     i = 0
     while i < n:
-        lat_sum, lon_sum = pts[i].lat, pts[i].lon
+        lon = [unwrap_lon(x, raw_lon[i]) for x in raw_lon]
+        lat_sum, lon_sum = lat[i], lon[i]
         j = i
         while j + 1 < n:
-            cand_lat = (lat_sum + pts[j + 1].lat) / (j + 2 - i)
-            cand_lon = (lon_sum + pts[j + 1].lon) / (j + 2 - i)
+            cand_lat = (lat_sum + lat[j + 1]) / (j + 2 - i)
+            cand_lon = (lon_sum + lon[j + 1]) / (j + 2 - i)
             if all(
-                haversine_m(pts[m].lat, pts[m].lon, cand_lat, cand_lon)
+                haversine_m(lat[m], lon[m], cand_lat, cand_lon)
                 <= p.stay_radius_m
                 for m in range(i, j + 2)
             ):
-                lat_sum += pts[j + 1].lat
-                lon_sum += pts[j + 1].lon
+                lat_sum += lat[j + 1]
+                lon_sum += lon[j + 1]
                 j += 1
             else:
                 break
-        if pts[j].t - pts[i].t >= p.stay_min_duration_s:
+        if t[j] - t[i] >= p.stay_min_duration_s:
             out.append(
                 Staypoint(
                     traj.user_id,
                     lat_sum / (j + 1 - i),
-                    lon_sum / (j + 1 - i),
-                    pts[i].t,
-                    pts[j].t,
+                    wrap_lon(lon_sum / (j + 1 - i)),
+                    t[i],
+                    t[j],
                 )
             )
             i = j + 1
@@ -440,34 +465,35 @@ def staypoints_by_full_recheck(traj, p):
     return out
 
 
-def naive_staypoints(points, p):
+def naive_staypoints(traj, p):
     """Independent greedy reimplementation recomputing every window's
-    centroid and maximum distance from scratch; (lat, lon, arrival,
-    departure) per staypoint."""
+    centroid and maximum distance from scratch, longitudes unwrapped
+    around the window's first fix; (lat, lon, arrival, departure) per
+    staypoint."""
+    points = list(zip(traj.lat.tolist(), traj.lon.tolist(), traj.t.tolist()))
+
+    def centroid(window):
+        return (
+            sum(q[0] for q in window) / len(window),
+            sum(unwrap_lon(q[1], window[0][1]) for q in window) / len(window),
+        )
+
     out = []
     i = 0
     while i < len(points):
         j = i
         while j + 1 < len(points):
             window = points[i : j + 2]
-            clat = sum(q.lat for q in window) / len(window)
-            clon = sum(q.lon for q in window) / len(window)
+            clat, clon = centroid(window)
             if max(
-                haversine_m(q.lat, q.lon, clat, clon) for q in window
+                haversine_m(q[0], q[1], clat, clon) for q in window
             ) <= p.stay_radius_m:
                 j += 1
             else:
                 break
-        if points[j].t - points[i].t >= p.stay_min_duration_s:
-            window = points[i : j + 1]
-            out.append(
-                (
-                    sum(q.lat for q in window) / len(window),
-                    sum(q.lon for q in window) / len(window),
-                    points[i].t,
-                    points[j].t,
-                )
-            )
+        if points[j][2] - points[i][2] >= p.stay_min_duration_s:
+            clat, clon = centroid(points[i : j + 1])
+            out.append((clat, wrap_lon(clon), points[i][2], points[j][2]))
             i = j + 1
         else:
             i += 1

@@ -212,7 +212,7 @@ def test_ingest_extract_poi_path(tmp_path, capsys):
     assert "extracted 2 POIs, 1 users" in out
     ds = load_dataset(tmp_path / "ds")
     assert ds.alphabet.size == 2
-    assert ds.sequences[0].poi_ids().tolist() == [0, 1, 0]
+    assert ds.sequences[0].poi_ids.tolist() == [0, 1, 0]
     m = read_manifest(tmp_path / "ds")
     assert m["command_line"][1] == "extract-poi"
 
@@ -374,6 +374,17 @@ def test_missing_dataset_exits_3(tmp_path, capsys):
     _, err = capsys.readouterr()
     assert rc == 3
     assert "data error" in err
+
+
+def test_value_beyond_int64_on_disk_exits_3(tmp_path, capsys):
+    d = synth_periodic(tmp_path, capsys, users=1)
+    (d / "sequences.jsonl").write_text(
+        json.dumps({"user_id": "u", "symbols": [[0, 1], [1, 2**63]]}) + "\n"
+    )
+    rc = main(["characterize", str(d), "--out", str(tmp_path / "r.json")])
+    _, err = capsys.readouterr()
+    assert rc == 3
+    assert "sequences.jsonl line 1" in err
 
 
 def test_infeasible_plan_exits_4(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from mobmeta.core import Dataset, IngestError
@@ -13,6 +15,7 @@ from mobmeta.ingest import (
     save_dataset,
     save_raw,
 )
+from mobmeta.synth import SourceSpec, generate
 
 from conftest import make_dataset
 
@@ -34,8 +37,9 @@ def test_csv_interleaved_users_sorted(tmp_path):
     )
     trajs, rep = parse_raw_with_report(p, CSV_CFG)
     assert [t.user_id for t in trajs] == ["u1", "u2"]
-    assert [pt.t for pt in trajs[0].points] == [50, 100]
-    assert [pt.t for pt in trajs[1].points] == [50, 150]
+    assert trajs[0].t.tolist() == [50, 100]
+    assert trajs[0].lat.tolist() == [45.1, 45.0]
+    assert trajs[1].t.tolist() == [50, 150]
     assert rep.rows_read == 4 and rep.points_kept == 4 and not rep.rejects
 
 
@@ -78,7 +82,7 @@ def test_custom_column_map_ignores_extra_columns(tmp_path):
     )
     trajs, _ = parse_raw_with_report(p, cfg)
     assert trajs[0].user_id == "u1"
-    assert trajs[0].points[0].lat == 45.0
+    assert trajs[0].lat[0] == 45.0
 
 
 def test_tz_offset_applied(tmp_path):
@@ -89,7 +93,7 @@ def test_tz_offset_applied(tmp_path):
         tz_offset_seconds=-3600,
     )
     trajs, _ = parse_raw_with_report(p, cfg)
-    assert trajs[0].points[0].t == 100 - 3600
+    assert trajs[0].t[0] == 100 - 3600
 
 
 def test_plt_header_and_epoch(tmp_path):
@@ -103,7 +107,7 @@ def test_plt_header_and_epoch(tmp_path):
         p, IngestConfig(format="plt_geolife_like")
     )
     assert trajs[0].user_id == "007"
-    assert [pt.t for pt in trajs[0].points] == [43200, 64800]
+    assert trajs[0].t.tolist() == [43200, 64800]
     assert rep.rows_read == 8 and rep.points_kept == 2
 
 
@@ -126,7 +130,7 @@ def test_symbols_jsonl_roundtrip(tmp_path):
     assert isinstance(ds, Dataset)
     assert ds.alphabet.size == 3
     # collapse applied: a's duplicate 0 run is shortened
-    assert ds.sequences[0].poi_ids().tolist() == [0, 2]
+    assert ds.sequences[0].poi_ids.tolist() == [0, 2]
 
 
 def test_symbols_jsonl_rejected_by_parse_raw(tmp_path):
@@ -188,3 +192,107 @@ def test_dataset_digest_matches_disk_content(tmp_path):
     assert d1.startswith("sha256:")
     other = make_dataset({"a": [0, 1, 2], "b": [1, 2]})
     assert dataset_digest(other) != d1
+
+
+def test_digest_and_raw_bytes_pinned(tmp_path):
+    # captured before sequences and trajectories became numpy columns: the
+    # digest and the saved bytes must not depend on the in-memory layout
+    ds, _ = generate(SourceSpec(kind="copy_with_gap", gap=3, eps=0.1,
+                                n_symbols=500, n_users=3, seed=11))
+    digest = ("sha256:90109278ba519f5fa8b7e89fc6e5d47a"
+              "759c8976ac5ab04d968970d692070bd2")
+    assert dataset_digest(ds) == digest
+    save_dataset(ds, tmp_path / "d")
+    assert dataset_digest(load_dataset(tmp_path / "d")) == digest
+
+    rng = np.random.default_rng(5)
+    lines = []
+    for i in range(400):
+        u = int(rng.integers(3))
+        lat = 39.9 + rng.normal(0, 0.01)
+        lon = 116.38 + rng.normal(0, 0.01)
+        lines.append(f"u{u},{lat!r},{lon!r},{1_262_304_000 + 30 * i}\n")
+    trajs, _ = parse_raw_with_report(
+        write(tmp_path, "gps.csv", "".join(lines)), CSV_CFG
+    )
+    save_raw(trajs, tmp_path / "raw", "pin")
+    raw = (tmp_path / "raw" / "raw.jsonl").read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == (
+        "ee9fa7f8d70be6d739769e6e6a98e42f213cffdfc1d525a9c7f784ba6ba552d4"
+    )
+    assert load_raw(tmp_path / "raw") == trajs
+
+
+BIG = 2**63
+
+BAD_SYMBOLS = {
+    "poi_id beyond int64": [[BIG, 1], [0, 2]],
+    "timestamp beyond int64": [[0, 1], [1, 4 * BIG]],
+    "float timestamp beyond int64": [[0, 1], [1, 1e30]],
+    "row of three values": [[0, 1], [1, 2, 3]],
+    "not a list of rows": 7,
+    "null value": [[0, 1], [None, 2]],
+    "non-ascending timestamps": [[0, 5], [1, 3]],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("symbols", BAD_SYMBOLS.values(), ids=BAD_SYMBOLS)
+def test_bad_sequences_line_is_named(tmp_path, symbols):
+    save_dataset(make_dataset({"a": [0, 1], "b": [1, 0]}), tmp_path / "d")
+    path = tmp_path / "d" / "sequences.jsonl"
+    first = path.read_text().splitlines()[0]
+    bad = json.dumps({"user_id": "b", "symbols": symbols})
+    path.write_text(first + "\n" + bad + "\n")
+    with pytest.raises(IngestError, match="sequences.jsonl line 2"):
+        load_dataset(tmp_path / "d")
+    # load_symbols_jsonl collapses runs, and rejects everything else
+    src = write(tmp_path, "sym.jsonl", first + "\n" + bad + "\n")
+    with pytest.raises(IngestError, match="sym.jsonl line 2"):
+        load_symbols_jsonl(src, name="sym")
+
+
+def test_self_transition_on_disk_is_named(tmp_path):
+    save_dataset(make_dataset({"a": [0, 1]}), tmp_path / "d")
+    (tmp_path / "d" / "sequences.jsonl").write_text(
+        json.dumps({"user_id": "a", "symbols": [[0, 1], [0, 2]]}) + "\n"
+    )
+    with pytest.raises(IngestError, match="line 1: .*self-transition"):
+        load_dataset(tmp_path / "d")
+
+
+@pytest.mark.parametrize("point", [
+    [45.0, 7.0, BIG], [45.0, 7.0, 1e30], [95.0, 7.0, 3], [45.0, 7.0],
+    [45.0, None, 3], [45.0, 7.0, 1],
+])
+def test_bad_raw_line_is_named(tmp_path, point):
+    p = write(tmp_path, "in.csv", "u1,45.0,7.0,1\nu1,45.1,7.1,2\n")
+    trajs, _ = parse_raw_with_report(p, CSV_CFG)
+    save_raw(trajs, tmp_path / "raw", "test")
+    path = tmp_path / "raw" / "raw.jsonl"
+    bad = json.dumps({"user_id": "u2", "points": [[45.0, 7.0, 1], point]})
+    path.write_text(path.read_text() + bad + "\n")
+    with pytest.raises(IngestError, match="raw.jsonl line 2"):
+        load_raw(tmp_path / "raw")
+
+
+@pytest.mark.parametrize("t", ["1e30", "inf", "nan", str(BIG)])
+def test_csv_timestamp_beyond_int64_names_line(tmp_path, t):
+    p = write(tmp_path, "in.csv", f"u1,45.0,7.0,1\nu1,45.0,7.0,{t}\n")
+    with pytest.raises(IngestError, match="line 2"):
+        parse_raw_with_report(p, CSV_CFG)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("alphabet.json", '[{"lat": 0.0, "lon": 0.0}]'),
+    ("alphabet.json", "[[0, 0.0, 0.0]]"),
+    ("alphabet.json", '[{"poi_id": 0, "lat": 1e999, "lon": 0.0}]'),
+    ("alphabet.json", "{"),
+    ("meta.json", "nope"),
+    ("meta.json", "[1]"),
+])
+def test_corrupt_dataset_file_is_named(tmp_path, name, text):
+    save_dataset(make_dataset({"a": [0, 1]}), tmp_path / "d")
+    (tmp_path / "d" / name).write_text(text)
+    with pytest.raises(IngestError, match=name):
+        load_dataset(tmp_path / "d")

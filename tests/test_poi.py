@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobmeta import poi
-from mobmeta.core import DataError, GeoPoint, RawTrajectory
+from mobmeta.core import DataError, RawTrajectory
 from mobmeta.poi import (
     EARTH_RADIUS_M,
     ExtractionParams,
@@ -23,7 +23,7 @@ DEG_M = EARTH_RADIUS_M * math.pi / 180.0  # meters per degree along a meridian
 
 
 def traj(user, fixes):
-    return RawTrajectory(user, tuple(GeoPoint(la, lo, t) for la, lo, t in fixes))
+    return RawTrajectory(user, *zip(*fixes))
 
 
 def test_haversine_analytic_points():
@@ -105,7 +105,7 @@ def test_two_dwells_on_hand_built_trace():
     sps = detect_staypoints(tr, P)
     assert len(sps) == 2
     assert (sps[0].arrival, sps[0].departure) == (0, 14 * 120)
-    naive = oracles.naive_staypoints(tr.points, P)
+    naive = oracles.naive_staypoints(tr, P)
     assert [
         (sp.lat, sp.lon, sp.arrival, sp.departure) for sp in sps
     ] == pytest.approx(naive)
@@ -127,7 +127,23 @@ def test_detector_agrees_with_naive_on_random_walks(rng):
             (sp.lat, sp.lon, sp.arrival, sp.departure)
             for sp in detect_staypoints(tr, P)
         ]
-        assert got == pytest.approx(oracles.naive_staypoints(tr.points, P))
+        assert got == pytest.approx(oracles.naive_staypoints(tr, P))
+
+
+@pytest.mark.parametrize("first, rest", [(-179.99995, 179.99995),
+                                         (179.99995, -179.9999)])
+def test_dwell_across_the_dateline_is_detected(first, rest):
+    # 10 fixes alternating 11-16 m either side of the antimeridian over
+    # 30 minutes; the second case's unwrapped mean lies beyond 180
+    fixes = [(0.0, rest if i % 2 else first, i * 200) for i in range(10)]
+    tr = traj("u", fixes)
+    sps = detect_staypoints(tr, P)
+    assert [(s.arrival, s.departure) for s in sps] == [(0, 1800)]
+    assert -180.0 <= sps[0].lon <= 180.0
+    assert haversine_m(0.0, 180.0, sps[0].lat, sps[0].lon) < 10.0
+    assert sps == oracles.staypoints_by_full_recheck(tr, P)
+    assert [(s.lat, s.lon, s.arrival, s.departure) for s in sps] == \
+        pytest.approx(oracles.naive_staypoints(tr, P))
 
 
 def _offset(lat, lon, north_m, east_m):
@@ -158,15 +174,15 @@ def staypoint_cases(draw):
                                draw(unit) * 6 * radius)
         r = draw(st.floats(0.0, 1.3)) * radius
         theta = draw(unit) * math.pi
-        fixes.append(GeoPoint(*_offset(lat, lon, r * math.cos(theta),
-                                       r * math.sin(theta)), t))
+        fixes.append((*_offset(lat, lon, r * math.cos(theta),
+                               r * math.sin(theta)), t))
         t += draw(st.integers(30, 600))
     params = ExtractionParams(
         stay_radius_m=radius,
         stay_min_duration_s=draw(st.sampled_from([300.0, 1200.0])),
         cluster_merge_radius_m=max(250.0, radius),
     )
-    return RawTrajectory("u", tuple(fixes)), params
+    return traj("u", fixes), params
 
 
 @settings(max_examples=300, deadline=None)
@@ -185,11 +201,9 @@ def test_long_dwell_costs_few_distance_evaluations(monkeypatch):
     rng = np.random.default_rng(2008)
     n = 2000
     east = 60.0 / (DEG_M * math.cos(math.radians(45.0)))
-    tr = RawTrajectory("u", tuple(
-        GeoPoint(45.0 + rng.uniform(-60, 60) / DEG_M,
-                 7.0 + rng.uniform(-1, 1) * east, 30 * i)
-        for i in range(n)
-    ))
+    tr = traj("u", [(45.0 + rng.uniform(-60, 60) / DEG_M,
+                     7.0 + rng.uniform(-1, 1) * east, 30 * i)
+                    for i in range(n)])
     calls = 0
     exact = poi.haversine_m
 
@@ -225,6 +239,17 @@ def test_distant_staypoints_stay_apart():
     )
     assert alpha.size == 2
     assert assign == [0, 1]
+
+
+def test_staypoints_across_the_dateline_merge():
+    # 22 m apart across the antimeridian: one POI on it, not at lon 0
+    east = Staypoint("u", 0.0, 179.9999, 0, 1800)
+    west = Staypoint("u", 0.0, -179.9999, 4000, 5800)
+    alpha, assign = build_alphabet([east, west], ExtractionParams())
+    assert assign == [0, 0]
+    poi = alpha.entries[0]
+    assert -180.0 <= poi.lon <= 180.0
+    assert haversine_m(0.0, 180.0, poi.lat, poi.lon) < 1.0
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -271,10 +296,10 @@ def test_min_visits_monotonicity(rng):
 def test_to_poi_sequence_collapse_and_short():
     sps = [sp("u", 0.0, 0), sp("u", 5.0, 4000), sp("u", 5000.0, 8000)]
     seq = to_poi_sequence("u", sps, [0, 0, 1])
-    assert seq.poi_ids().tolist() == [0, 1]
-    assert seq.timestamps().tolist() == [0, 8000]
+    assert seq.poi_ids.tolist() == [0, 1]
+    assert seq.timestamps.tolist() == [0, 8000]
     seq2 = to_poi_sequence("u", sps, [0, 0, None])
-    assert seq2.poi_ids().tolist() == [0]
+    assert seq2.poi_ids.tolist() == [0]
     assert to_poi_sequence("u", sps, [None, None, None]) is None
 
 
@@ -295,7 +320,7 @@ def test_extract_dataset_excludes_short_users():
     assert [s.user_id for s in ds.sequences] == ["alice"]
     assert ds.provenance["excluded_short_users"] == ["bob"]
     assert ds.alphabet.size == 2
-    assert ds.sequences[0].poi_ids().tolist() == [0, 1] * 4
+    assert ds.sequences[0].poi_ids.tolist() == [0, 1] * 4
     assert ds.provenance["raw_fix_count"] == len(fixes_a) + len(fixes_b)
 
 

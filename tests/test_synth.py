@@ -76,7 +76,7 @@ def test_users_draw_from_one_stream():
     ds, _ = generate(spec)
     a, b = ds.sequences
     assert a.user_id == "u0000" and b.user_id == "u0001"
-    assert a.poi_ids().tolist() != b.poi_ids().tolist()
+    assert a.poi_ids.tolist() != b.poi_ids.tolist()
 
 
 def test_periodic_markov1_is_perfect():
@@ -85,7 +85,7 @@ def test_periodic_markov1_is_perfect():
     )
     assert gt["entropy_rate_bits"] == 0.0
     assert gt["collapse_is_noop"] is True
-    ids = ds.sequences[0].poi_ids()
+    ids = ds.sequences[0].poi_ids
     assert ids.shape[0] == 300
     model = train(
         PredictorSpec(kind="markov_k", k=1), ids[:150], alphabet_size=3
@@ -106,7 +106,7 @@ def test_copy_with_gap_noiseless_freezes_periodic():
     assert gt["phase_mi_every_distance_bits"] == 1.0
     assert gt["entropy_rate_bits"] == 0.0
     assert gt["collapse_is_noop"] is True
-    ids = ds.sequences[0].poi_ids()
+    ids = ds.sequences[0].poi_ids
     # collapse really was a no-op
     assert ids.tolist() == raw_stream(spec, SplitMix64(12))
     assert np.array_equal(ids[10:], ids[:-10])
@@ -124,7 +124,7 @@ def test_copy_with_gap_designed_dependence():
     ds, gt = generate(spec)
     designed = 1.0 - binary_entropy(eps / 2.0)
     assert gt["bit_channel_mi_at_gap_bits"] == pytest.approx(designed)
-    ids = ds.sequences[0].poi_ids()
+    ids = ds.sequences[0].poi_ids
     assert mutual_information_at_distance(ids, 5) == pytest.approx(
         1.0 + designed, abs=0.02
     )
@@ -141,7 +141,7 @@ def test_copy_with_gap_noisy_channel_matches_oracle():
     ds, gt = generate(spec)
     designed = 1.0 - binary_entropy(eps / 2.0)
     assert gt["bit_channel_mi_at_gap_bits"] == pytest.approx(designed)
-    ids = ds.sequences[0].poi_ids().tolist()
+    ids = ds.sequences[0].poi_ids.tolist()
     got = mutual_information_at_distance(ids, 3)
     assert got == pytest.approx(
         mi_by_pair_enumeration(ids, 3), abs=1e-12

@@ -629,8 +629,8 @@ def test_each_external_instance_reads_one_fold(rng, logging_predictor, plan):
     want = [
         block
         for seq in ds.sequences
-        for block in fold_input(plan, seq.poi_ids().tolist(),
-                                seq.timestamps().tolist())
+        for block in fold_input(plan, seq.poi_ids.tolist(),
+                                seq.timestamps.tolist())
     ]
     got = [p.read_text(encoding="utf-8") for p in log_dir.iterdir()]
     assert sorted(got) == sorted(want)
