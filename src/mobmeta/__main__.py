@@ -1,0 +1,8 @@
+"""``python -m mobmeta``: the same command line as the ``mobmeta`` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -357,7 +357,7 @@ def cmd_characterize(args) -> Run:
         stream, separator_id=ds.alphabet.separator_id
     )
     ms_path = out.parent / "match_structure.csv"
-    write_match_structure_csv(ms_path, triples)
+    write_match_structure_csv(ms_path, *triples.T)
 
     corr_path = out.parent / "corr_matrix.csv"
     try:

@@ -221,6 +221,18 @@ class PoiSequence:
     __eq__ = _same_columns
 
 
+def check_poi_ids(seq: PoiSequence, n_pois: Optional[int]) -> PoiSequence:
+    """seq itself, once every poi_id is >= 0 and, given n_pois, below it."""
+    lo, hi = int(seq.poi_ids.min()), int(seq.poi_ids.max())
+    if lo < 0 or (n_pois is not None and hi >= n_pois):
+        size = "" if n_pois is None else f" of size {n_pois}"
+        raise DataError(
+            f"user {seq.user_id!r}: poi_id {lo if lo < 0 else hi} "
+            f"not in alphabet{size}"
+        )
+    return seq
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A named collection of POI sequences over one shared alphabet."""
@@ -234,14 +246,8 @@ class Dataset:
         if not self.name:
             raise DataError("dataset name must be nonempty")
         object.__setattr__(self, "sequences", tuple(self.sequences))
-        n = self.alphabet.size
         for seq in self.sequences:
-            lo, hi = int(seq.poi_ids.min()), int(seq.poi_ids.max())
-            if lo < 0 or hi >= n:
-                raise DataError(
-                    f"user {seq.user_id!r}: poi_id {lo if lo < 0 else hi} "
-                    f"not in alphabet of size {n}"
-                )
+            check_poi_ids(seq, self.alphabet.size)
 
     @property
     def n_users(self) -> int:

@@ -27,6 +27,7 @@ from .core import (
     PoiRecord,
     PoiSequence,
     RawTrajectory,
+    check_poi_ids,
 )
 from .jsonutil import canonical_dumps, write_canonical_json
 
@@ -263,13 +264,15 @@ def load_symbols_jsonl(path: str | Path, name: str) -> Dataset:
 
     Runs of the same POI collapse to their first visit.  No geography is
     available, so POI centroids are synthesized (PoiAlphabet.synthetic).
-    The alphabet spans 0..max(poi_id).
+    The alphabet spans 0..max(poi_id); a negative poi_id is an error
+    naming its line.
     """
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"no such file: {path}")
     seqs = _records(
-        path, path.name, lambda obj: _sequence(obj, PoiSequence.from_visits)
+        path, path.name,
+        lambda obj: check_poi_ids(_sequence(obj, PoiSequence.from_visits), None),
     )
     if not seqs:
         raise IngestError(f"{path.name}: empty file")
@@ -372,7 +375,10 @@ def load_dataset(dir_path: str | Path) -> Dataset:
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
             DataError) as e:
         raise IngestError(f"{alpha_path}: {e}") from e
-    seqs = _records(seq_path, "sequences.jsonl", _sequence)
+    seqs = _records(
+        seq_path, "sequences.jsonl",
+        lambda obj: check_poi_ids(_sequence(obj), alphabet.size),
+    )
     return Dataset(name=meta.get("name", d.name), alphabet=alphabet,
                    sequences=tuple(seqs),
                    provenance=meta.get("provenance", {}))

@@ -5,9 +5,12 @@ structure, and per-user attribute correlations.
 
 All estimates are plug-in (empirical counts, no bias correction).  MI,
 PMI and top-PMI read one pair-count table, `_pair_counts`, held in
-arrays with one entry per occupied cell.  The per-cell MI terms are
-summed with math.fsum, so results are exactly reproducible regardless
-of summation order.
+arrays with one entry per occupied cell: the runs of one sorted array of
+joint codes per distance, with bincount marginals.  A decay curve finds
+the separator positions once for all its distances.  The per-cell MI
+terms are summed with math.fsum, so results are exactly reproducible
+regardless of summation order.  Match structure is array code too: exact
+gram ranks by prefix doubling, one stable argsort per match length.
 """
 
 from __future__ import annotations
@@ -33,52 +36,68 @@ def _log2(values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log2, values.tolist()), np.float64)
 
 
+def _separator_hits(
+    stream: np.ndarray, separator_id: Optional[int]
+) -> Optional[np.ndarray]:
+    """Prefix counts of the separator (hits[j] = separators in stream[:j]),
+    or None when there is no separator."""
+    if separator_id is None:
+        return None
+    return np.concatenate(([0], np.cumsum(stream == separator_id,
+                                          dtype=np.int64)))
+
+
 def _pair_counts(
-    seq: Sequence[int], d: int, separator_id: Optional[int]
+    stream: np.ndarray, d: int, hits: Optional[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
     """The count table of (s_i, s_{i+d}) pairs, one entry per occupied cell.
 
-    Returns (x, y, c_xy, n_pairs, c_x, c_y): the cells in ascending
-    (x, y) order, their joint counts, the number of pairs, and each
-    cell's left (x) and right (y) marginal count.  Marginals are taken
-    from the paired positions only, so the three entropy forms of the MI
-    identity share one empirical table.  A pair is dropped when the
+    stream is an int64 array of non-negative symbols and hits its
+    `_separator_hits`.  Returns (x, y, c_xy, n_pairs, c_x, c_y): the cells
+    in ascending (x, y) order, their joint counts, the number of pairs,
+    and each cell's left (x) and right (y) marginal count.  Marginals are
+    taken from the paired positions only, so the three entropy forms of
+    the MI identity share one empirical table.  A pair is dropped when the
     separator appears anywhere in its window [i, i+d], not just at the
-    endpoints, so no pair straddles a stream boundary.
+    endpoints, so no pair straddles a stream boundary.  The cells are the
+    runs of one sorted array of joint codes; the marginals are bincounts,
+    so the cost grows with the largest symbol as well as with the pairs.
     """
     if d < 1:
         raise ValueError(f"distance must be >= 1, got {d}")
-    stream = np.asarray(seq, dtype=np.int64)
     if stream.shape[0] <= d:
         raise DataError(
             f"sequence of length {stream.shape[0]} has no pairs at distance {d}"
         )
     left, right = stream[:-d], stream[d:]
-    if separator_id is not None:
-        hits = np.concatenate(
-            ([0], np.cumsum(stream == separator_id, dtype=np.int64))
-        )
+    if hits is not None:
         keep = (hits[d + 1 :] - hits[: -d - 1]) == 0
         left, right = left[keep], right[keep]
     n_pairs = int(left.shape[0])
     if n_pairs < 2:
         raise DataError(f"fewer than 2 pairs at distance {d}")
     span = int(max(left.max(), right.max())) + 1
-    codes, c_xy = np.unique(left * span + right, return_counts=True)
-    x, y = np.divmod(codes, span)
-    lu, lc = np.unique(left, return_counts=True)
-    ru, rc = np.unique(right, return_counts=True)
-    c_x, c_y = lc[np.searchsorted(lu, x)], rc[np.searchsorted(ru, y)]
+    codes = np.sort(left * span + right)
+    starts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
+    c_xy = np.diff(np.concatenate(([0], starts, [n_pairs])))
+    x, y = np.divmod(codes[np.concatenate(([0], starts))], span)
+    c_x, c_y = np.bincount(left)[x], np.bincount(right)[y]
     return x, y, c_xy, n_pairs, c_x, c_y
+
+
+def _mi_bits(stream: np.ndarray, d: int, hits: Optional[np.ndarray]) -> float:
+    """mutual_information_at_distance on an int64 stream and its hits."""
+    _, _, c_xy, n, c_x, c_y = _pair_counts(stream, d, hits)
+    p_xy = c_xy / n
+    return math.fsum((p_xy * _log2(p_xy / ((c_x / n) * (c_y / n)))).tolist())
 
 
 def mutual_information_at_distance(
     seq: Sequence[int], d: int, separator_id: Optional[int] = None
 ) -> float:
     """Plug-in I(s_i; s_{i+d}) in bits over all position pairs at lag d."""
-    _, _, c_xy, n, c_x, c_y = _pair_counts(seq, d, separator_id)
-    p_xy = c_xy / n
-    return math.fsum((p_xy * _log2(p_xy / ((c_x / n) * (c_y / n)))).tolist())
+    stream = np.asarray(seq, dtype=np.int64)
+    return _mi_bits(stream, d, _separator_hits(stream, separator_id))
 
 
 def pmi_from_counts(n_pairs: int, c_a: int, c_b: int, c_ab: int) -> float:
@@ -102,7 +121,10 @@ def pmi(
     Returns -inf ("never co-occurs") when the pair count is zero; raises
     when a or b itself never occurs at the paired positions.
     """
-    x, y, c_xy, n, _, _ = _pair_counts(seq, d, separator_id)
+    stream = np.asarray(seq, dtype=np.int64)
+    x, y, c_xy, n, _, _ = _pair_counts(
+        stream, d, _separator_hits(stream, separator_id)
+    )
     c_a = int(c_xy[x == a].sum())
     c_b = int(c_xy[y == b].sum())
     if c_a == 0 or c_b == 0:
@@ -124,7 +146,10 @@ def top_pmi(
     are exact in float64 below 2**53, so each score equals
     pmi_from_counts on the same counts for any stream under ~9e7 pairs.
     """
-    x, y, c_xy, n, c_x, c_y = _pair_counts(seq, d, separator_id)
+    stream = np.asarray(seq, dtype=np.int64)
+    x, y, c_xy, n, c_x, c_y = _pair_counts(
+        stream, d, _separator_hits(stream, separator_id)
+    )
     scores = _log2((n * c_xy) / (c_x * c_y))
     order = np.lexsort((y, x, -scores))[:top_k]
     return [
@@ -188,10 +213,8 @@ def mi_decay_curve(
             f"d_max {d_max} too large for length {n}: need d_max < n/10 "
             "for enough pairs per distance"
         )
-    curve = [
-        (d, mutual_information_at_distance(stream, d, separator_id))
-        for d in range(1, d_max + 1)
-    ]
+    hits = _separator_hits(stream, separator_id)
+    curve = [(d, _mi_bits(stream, d, hits)) for d in range(1, d_max + 1)]
     return _decay_from_curve(curve, eps_fit, eps_depth)
 
 
@@ -209,7 +232,7 @@ def per_user_mi_decay(
     arrays = [np.asarray(s, dtype=np.int64) for s in streams]
     curve = []
     for d in range(1, d_max + 1):
-        vals = [mutual_information_at_distance(ids, d)
+        vals = [_mi_bits(ids, d, None)
                 for ids in arrays if ids.shape[0] > d + 1]
         if not vals:
             break
@@ -247,36 +270,59 @@ def match_structure(
     seq: Sequence[int],
     match_lengths: Sequence[int] = (1, 2, 4, 8),
     separator_id: Optional[int] = None,
-) -> list[tuple[int, int, int]]:
-    """(position, L, delta) for every position whose length-L gram repeats.
+) -> np.ndarray:
+    """(position, L, delta) rows for every position whose length-L gram repeats.
 
     delta is the smallest positive back-shift with seq[i:i+L] ==
     seq[i-delta:i-delta+L]; overlapping matches count.  Positions with no
     earlier occurrence are omitted.  Grams containing the separator are
-    skipped on both sides.
+    skipped on both sides.  Returns an (m, 3) int64 array in ascending
+    (position, L) order.
+
+    Grams are compared by exact ranks built by prefix doubling: the
+    L-gram at i is the pair of p-grams at i and i+L-p, p the largest
+    power of two below L.  One stable argsort of that pair's key ranks
+    the L-grams and puts each occurrence right after the previous one.
     """
-    stream = [int(x) for x in seq]
-    n = len(stream)
-    out: list[tuple[int, int, int]] = []
     for L in match_lengths:
         if L < 1:
             raise ValueError(f"match length must be >= 1, got {L}")
-        last: dict[tuple[int, ...], int] = {}
-        sep_count = 0
-        if separator_id is not None:
-            sep_count = sum(1 for x in stream[: L - 1] if x == separator_id)
-        for i in range(n - L + 1):
-            if separator_id is not None:
-                if i > 0:
-                    sep_count -= stream[i - 1] == separator_id
-                sep_count += stream[i + L - 1] == separator_id
-                if sep_count:
-                    continue
-            gram = tuple(stream[i : i + L])
-            if gram in last:
-                out.append((i, L, i - last[gram]))
-            last[gram] = i
-    out.sort()
+    stream = np.asarray(seq, dtype=np.int64)
+    n = stream.shape[0]
+    columns = sorted(L for L in match_lengths if L <= n)
+    if not columns:
+        return np.empty((0, 3), dtype=np.int64)
+    if separator_id is not None:
+        # each separator becomes a symbol of its own, so no gram holding
+        # one repeats or is repeated
+        at = stream == separator_id
+        stream = np.where(at, stream.max() + np.cumsum(at), stream)
+    doubling = {1 << j for j in range((columns[-1] - 1).bit_length())}
+    # deltas[i, j]: delta of the columns[j]-gram at i, 0 when it is new
+    deltas = np.zeros((n, len(columns)), dtype=np.int64)
+    rank, p = None, 0  # ranks (< n) of the p-grams, p the last power of two
+    for length in sorted(set(columns) | doubling):
+        if length == 1:
+            key = stream
+        else:
+            key = rank[: n - length + 1] * n + rank[length - p :]
+        order = np.argsort(key, kind="stable")
+        keys = key[order]
+        if length in doubling:
+            rank, p = np.searchsorted(keys, key), length
+        if length in columns:
+            repeat = np.flatnonzero(keys[1:] == keys[:-1])
+            pos = order[repeat + 1]
+            j = columns.index(length)  # a repeated length fills each copy
+            deltas[pos, j : j + columns.count(length)] = (
+                pos - order[repeat]
+            )[:, None]
+    # row-major order is ascending (position, L)
+    flat = np.flatnonzero(deltas)
+    out = np.empty((flat.shape[0], 3), dtype=np.int64)
+    out[:, 2] = deltas.ravel()[flat]
+    np.divmod(flat, len(columns), out=(out[:, 0], out[:, 1]))
+    out[:, 1] = np.asarray(columns, dtype=np.int64)[out[:, 1]]
     return out
 
 

@@ -9,9 +9,12 @@ on identical inputs are byte-identical.
 from __future__ import annotations
 
 import itertools
+import math
 import statistics
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 from .core import DataError, Dataset
 from .jsonutil import read_json, write_canonical_json
@@ -58,13 +61,24 @@ def write_mi_curve_csv(path: Union[str, Path], mi_curve) -> None:
     _write_csv(Path(path), ["d", "I_bits"], mi_curve)
 
 
-def write_match_structure_csv(path: Union[str, Path], triples) -> None:
-    """Rows (pos, L, log10_delta); delta=0 (adjacent repeat) logs as 0."""
-    import math
+def write_match_structure_csv(
+    path: Union[str, Path], pos, length, delta
+) -> None:
+    """Rows (pos, L, log10_delta) from match_structure's three columns.
 
-    rows = (
-        (pos, L, math.log10(delta) if delta > 0 else 0.0)
-        for pos, L, delta in triples
+    delta is the smallest positive back-shift, so an adjacent repeat
+    (delta 1) logs as 0.0.  Each distinct delta is formatted once.
+    """
+    pos, length = np.asarray(pos), np.asarray(length)
+    delta = np.asarray(delta, dtype=np.int64)
+    distinct = np.flatnonzero(np.bincount(delta)).tolist()
+    text = dict(zip(distinct, (repr(math.log10(d)) for d in distinct)))
+    chunks = (slice(lo, lo + _CSV_CHUNK_ROWS)
+              for lo in range(0, delta.shape[0], _CSV_CHUNK_ROWS))
+    rows = itertools.chain.from_iterable(
+        zip(pos[s].tolist(), length[s].tolist(),
+            map(text.__getitem__, delta[s].tolist()))
+        for s in chunks
     )
     _write_csv(Path(path), ["pos", "L", "log10_delta"], rows)
 

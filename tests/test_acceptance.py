@@ -152,7 +152,9 @@ def test_criterion_06_match_structure_oracle(rng):
     for _ in range(20):
         m = int(rng.integers(2, 9))
         seq = rng.integers(0, m, size=700).tolist()[:500]
-        assert match_structure(seq) == oracles.brute_match_structure(seq)
+        assert match_structure(seq).tolist() == [
+            list(t) for t in oracles.brute_match_structure(seq)
+        ]
 
 
 def test_criterion_07_predictor_exactness(rng):

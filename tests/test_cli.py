@@ -5,14 +5,19 @@ asserts on exit codes, produced files, and printed lines.  Exit codes:
 0 success, 2 usage, 3 data error, 4 infeasible plan.
 """
 
+import hashlib
 import json
+import os
 import shlex
+import subprocess
 import sys
 import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
+import mobmeta
 from mobmeta import __version__, predictors
 from mobmeta.cli import main
 from mobmeta.ingest import load_dataset
@@ -180,6 +185,54 @@ def test_rerun_byte_identical_except_manifest(tmp_path, capsys):
     assert (tmp_path / "a" / "d" / "run_manifest.json").is_file()
 
 
+# sha256 of characterize's artifacts (--dmax 20) on two seeded 3-user
+# datasets, so the separator paths run: a rewrite of any kernel behind
+# them must reproduce these bytes exactly.
+CHARACTERIZE_PINS = {
+    "copy_with_gap": (
+        ["--kind", "copy_with_gap", "--k", 6, "--eps", 0.05,
+         "--alphabet-size", 4, "--n", 1500, "--users", 3, "--seed", 11],
+        {
+            "report.json": "8a8dda01090ff507abab1552c967e56a"
+                           "d2da6163d965b40ffea9777997d96170",
+            "mi_curve.csv": "350b5e4edea6bce5dc98207a79290801"
+                            "cb4d9bf36731b2fd882ea7379312ee44",
+            "match_structure.csv": "3e551943d3dc848392a6695832d6ae24"
+                                   "d198e39b91705a900c4a1116eff63493",
+            "corr_matrix.csv": "5a366377454590ca5c8757efd7c6494b"
+                               "e4f042eb29f6043bcb55271538d2acb9",
+        },
+    ),
+    "iid_k300": (
+        ["--kind", "iid", "--alphabet-size", 300, "--n", 3000,
+         "--users", 3, "--seed", 12],
+        {
+            "report.json": "927b4850c86c80243aa5b0668b476150"
+                           "89bd1af0c9b609326412b10341cac44d",
+            "mi_curve.csv": "cf519e2c46b7848cf1939d3488a8efe5"
+                            "9c9e753c869fddc965ab8178a401ccd7",
+            "match_structure.csv": "ac00984a3b9274fbc29b4b8ef8e5eff0"
+                                   "50b3ac5d758196b9b1bd5f37beca0203",
+            "corr_matrix.csv": "a6a4c8c0ee782d60910fa84ca90d93e1"
+                               "f5c62343435108d3673453bcb84429d7",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CHARACTERIZE_PINS)
+def test_characterize_bytes_pinned(tmp_path, capsys, case):
+    synth_args, pins = CHARACTERIZE_PINS[case]
+    ok(["synth", *synth_args, "--out", tmp_path / "d"], capsys)
+    ok(["characterize", tmp_path / "d", "--dmax", 20,
+        "--out", tmp_path / "ch" / "report.json"], capsys)
+    got = {
+        name: hashlib.sha256((tmp_path / "ch" / name).read_bytes()).hexdigest()
+        for name in pins
+    }
+    assert got == pins
+
+
 def test_ingest_extract_poi_path(tmp_path, capsys):
     # three dwells (A, B, A) of 15 fixes at 120 s spacing; 5 km apart
     lat_b = 45.0 + 5000.0 / 111194.92664455873
@@ -233,6 +286,46 @@ def test_ingest_symbols_jsonl(tmp_path, capsys):
     )
     assert "ingested 2 users, 3 POIs" in out
     assert load_dataset(tmp_path / "ds").n_users == 2
+
+
+def test_negative_poi_id_in_symbols_jsonl_names_line(tmp_path, capsys):
+    src = tmp_path / "neg.jsonl"
+    src.write_text(
+        json.dumps({"user_id": "a", "symbols": [[0, 1], [1, 2]]}) + "\n"
+        + json.dumps({"user_id": "b", "symbols": [[1, 1], [-1, 2]]}) + "\n",
+        encoding="utf-8",
+    )
+    rc = main(["ingest", str(src), "--format", "symbols_jsonl",
+               "--out", str(tmp_path / "ds")])
+    _, err = capsys.readouterr()
+    assert rc == 3
+    assert "neg.jsonl line 2: user 'b': poi_id -1 not in alphabet" in err
+
+
+@pytest.mark.parametrize("bad", [-1, 7])
+def test_poi_id_outside_alphabet_on_disk_names_line(tmp_path, capsys, bad):
+    d = synth_periodic(tmp_path, capsys, users=2)
+    path = d / "sequences.jsonl"
+    lines = path.read_text().splitlines()
+    lines[1] = json.dumps({"user_id": "v", "symbols": [[0, 1], [bad, 2]]})
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(["characterize", str(d), "--out", str(tmp_path / "r.json")])
+    _, err = capsys.readouterr()
+    assert rc == 3
+    assert f"sequences.jsonl line 2: user 'v': poi_id {bad} not in" in err
+
+
+def test_python_dash_m_mobmeta(tmp_path):
+    src = str(Path(mobmeta.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mobmeta", "--help"], env=env, cwd=tmp_path,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: mobmeta")
 
 
 def test_unknown_subcommand_exits_2(capsys):

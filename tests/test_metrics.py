@@ -1,10 +1,15 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from mobmeta.core import DataError
 from mobmeta.metrics import (
+    _pair_counts,
+    _separator_hits,
     attribute_correlations,
     fit_power_law,
     match_structure,
@@ -195,16 +200,21 @@ def test_mi_decay_no_dependence_leaves_alpha_none(rng):
     assert decay.ldd_depth is None
 
 
+def triples(rows: np.ndarray) -> list[tuple[int, int, int]]:
+    assert rows.dtype == np.int64 and rows.shape[1:] == (3,)
+    return [tuple(r) for r in rows.tolist()]
+
+
 def test_match_structure_hand_example():
     # abab: "a" repeats at 2, "b" repeats at 3, "ab" repeats at 2
     got = match_structure([0, 1, 0, 1], match_lengths=(1, 2))
-    assert got == [(2, 1, 2), (2, 2, 2), (3, 1, 2)]
+    assert triples(got) == [(2, 1, 2), (2, 2, 2), (3, 1, 2)]
 
 
 def test_match_structure_matches_quadratic_oracle(rng):
     seq = rng.integers(0, 3, size=200).tolist()
     got = match_structure(seq)
-    assert got == brute_match_structure(seq)
+    assert triples(got) == brute_match_structure(seq)
 
 
 def test_match_structure_separator_skipped(rng):
@@ -214,7 +224,7 @@ def test_match_structure_separator_skipped(rng):
         + [sep]
         + rng.integers(0, 3, size=60).tolist()
     )
-    got = match_structure(seq, separator_id=sep)
+    got = triples(match_structure(seq, separator_id=sep))
     assert got == brute_match_structure(seq, separator=sep)
     assert all(
         sep not in seq[pos : pos + L] for pos, L, _ in got
@@ -224,7 +234,77 @@ def test_match_structure_separator_skipped(rng):
 def test_match_structure_smallest_delta():
     # position 4 gram "0": previous occurrences at 0 and 2; delta is 2
     got = match_structure([0, 1, 0, 1, 0], match_lengths=(1,))
-    assert (4, 1, 2) in got
+    assert (4, 1, 2) in triples(got)
+
+
+@st.composite
+def match_cases(draw):
+    """(stream, match lengths, separator) over 1-6 symbols; separators
+    anywhere, adjacent ones included, and lengths up to past the end."""
+    k = draw(st.integers(1, 6))
+    seq = draw(st.lists(st.integers(0, k - 1), max_size=80))
+    sep = None
+    if draw(st.booleans()):
+        sep = k
+        for i in draw(st.lists(st.integers(0, len(seq)), max_size=5)):
+            seq.insert(i, sep)
+    lengths = draw(st.one_of(
+        st.sampled_from([(1, 2, 4, 8), (3, 5, 7), (6, 1, 6)]),
+        st.lists(st.integers(1, 90), min_size=1, max_size=4).map(tuple),
+    ))
+    return seq, lengths, sep
+
+
+@seed(20261018)
+@settings(max_examples=400, deadline=None)
+@given(match_cases())
+@example(([9, 0, 1, 0, 1, 0], (1, 2, 4, 8), 9))  # separator first
+@example(([0, 1, 0, 1, 0, 9], (1, 2, 4, 8), 9))  # separator last
+@example(([0, 1, 9, 9, 0, 1, 9, 0, 1], (1, 2, 3), 9))  # adjacent ones
+@example(([3, 0, 3, 1, 0, 3, 1, 3], (1, 2), 0))  # the smallest symbol
+@example(([2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0], (3, 5, 7), None))
+@example(([0, 1, 0], (2, 4, 8), None))  # L greater than n
+@example(([5] * 40, (1, 2, 4, 8, 40, 41), None))  # constant stream
+def test_match_structure_equals_quadratic_oracle(case):
+    seq, lengths, sep = case
+    got = match_structure(seq, lengths, sep)
+    assert triples(got) == brute_match_structure(seq, lengths, sep)
+
+
+@pytest.mark.parametrize("lengths", [(0,), (1, 2, -1), (3, 0, 8)])
+def test_match_structure_rejects_lengths_below_one(lengths):
+    with pytest.raises(ValueError, match="match length"):
+        match_structure([0, 1, 0, 1], lengths)
+
+
+def test_pair_counts_with_a_large_span(rng):
+    # one symbol far above the rest makes span ~1e5 while only a few
+    # cells are occupied; the separator is the largest symbol
+    far, sep = 100_000, 100_001
+    seq = rng.integers(0, 4, size=600).tolist()
+    for i in rng.choice(600, size=40, replace=False).tolist():
+        seq[i] = far
+    seq[200] = seq[201] = seq[450] = sep
+    stream = np.asarray(seq, dtype=np.int64)
+    for d in (1, 2, 5, 30):
+        x, y, c_xy, n, c_x, c_y = _pair_counts(
+            stream, d, _separator_hits(stream, sep)
+        )
+        pairs = pairs_at_distance(seq, d, separator=sep)
+        joint = sorted(Counter(pairs).items())
+        assert n == len(pairs)
+        assert list(zip(x.tolist(), y.tolist())) == [xy for xy, _ in joint]
+        assert c_xy.tolist() == [c for _, c in joint]
+        left, right = Counter(a for a, _ in pairs), Counter(b for _, b in pairs)
+        assert c_x.tolist() == [left[a] for a in x.tolist()]
+        assert c_y.tolist() == [right[b] for b in y.tolist()]
+        assert far in x.tolist() and sep not in x.tolist() + y.tolist()
+        assert mutual_information_at_distance(
+            seq, d, separator_id=sep
+        ) == mi_by_cell_sum(seq, d, separator=sep)
+        assert top_pmi(seq, d, 25, separator_id=sep) == top_pmi_by_counting(
+            seq, d, 25, separator=sep
+        )
 
 
 def test_correlations_hand_checked():

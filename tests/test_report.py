@@ -61,11 +61,18 @@ def test_mi_curve_csv_exact_bytes(tmp_path):
 
 def test_match_structure_csv_log_delta(tmp_path):
     p = tmp_path / "ms.csv"
-    write_match_structure_csv(p, [(5, 2, 100), (7, 1, 1)])
+    pos, length, delta = np.array([[5, 2, 100], [7, 1, 1], [9, 4, 3]]).T
+    write_match_structure_csv(p, pos, length, delta)
     lines = p.read_text().splitlines()
     assert lines[0] == "pos,L,log10_delta"
     assert lines[1] == "5,2,2.0"
+    # delta 1, an adjacent repeat, logs as log10(1)
     assert lines[2] == "7,1,0.0"
+    assert lines[3] == f"9,4,{math.log10(3)!r}"
+    chunked = tmp_path / "chunked.csv"
+    with patch.object(report, "_CSV_CHUNK_ROWS", 2):
+        write_match_structure_csv(chunked, pos, length, delta)
+    assert chunked.read_bytes() == p.read_bytes()
 
 
 def test_corr_matrix_csv(tmp_path):
