@@ -1,19 +1,12 @@
 """mobmeta: meta-attribute characterization, model selection, and
-leakage-free validation for mobility POI sequences."""
+leakage-free validation for mobility POI sequences.
+
+The names below come from `core` and are resolved on first use, so that
+importing a submodule that needs no numpy (`mobmeta.extpred`) imports
+none.
+"""
 
 __version__ = "0.1.0"
-
-from .core import (
-    DataError,
-    Dataset,
-    InfeasiblePlanError,
-    IngestError,
-    MobmetaError,
-    PoiAlphabet,
-    PoiRecord,
-    PoiSequence,
-    RawTrajectory,
-)
 
 __all__ = [
     "DataError",
@@ -27,3 +20,11 @@ __all__ = [
     "RawTrajectory",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        from . import core
+
+        return getattr(core, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

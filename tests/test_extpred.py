@@ -1,0 +1,122 @@
+"""The reference external predictor: its stdlib count model against the
+native models, and the flags it rejects."""
+
+import contextlib
+import io
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from mobmeta import extpred
+from mobmeta.core import DataError
+from mobmeta.predictors import parse_model, train
+
+
+def run_serve(argv: list[str], text: str) -> tuple[int, str]:
+    """serve() on `text` as stdin: (exit status, stdout)."""
+    out, stdin = io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out):
+            status = extpred.serve(argv)
+    finally:
+        sys.stdin = stdin
+    return status, out.getvalue()
+
+
+def block(verb: str, symbols: list[int]) -> str:
+    return f"{verb} {len(symbols)}\n" + "".join(
+        f"{s} {t}\n" for t, s in enumerate(symbols))
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n_sym=st.integers(1, 8),
+       model=st.sampled_from(["markov:1", "markov:2", "markov:3", "mmc",
+                              "top_frequency", "random_uniform"]))
+def test_serve_lines_equal_native_predict(data, n_sym, model):
+    # every response line is the native prediction printed with repr,
+    # byte for byte, over several TRAIN blocks: contexts empty, shorter
+    # than k, and holding ids outside the alphabet
+    if model == "mmc":  # top sets smaller than, equal to and over n_sym
+        model = f"mmc:{data.draw(st.integers(1, n_sym + 1))}"
+    spec = parse_model(model)
+    text, want = "", []
+    for _ in range(data.draw(st.integers(1, 3))):
+        symbols = data.draw(st.lists(st.integers(0, n_sym - 1), min_size=4,
+                                     max_size=40))
+        native = train(spec, symbols, n_sym)
+        text += block("TRAIN", symbols)
+        contexts = data.draw(st.lists(
+            st.lists(st.integers(-2, n_sym + 2), max_size=5), max_size=12))
+        for ctx in contexts:
+            text += block("PREDICT", ctx)
+            pred, dist = native.predict(ctx)
+            want.append(f"{pred} " + " ".join(repr(float(p)) for p in dist))
+    status, out = run_serve(["--model", model, "--alphabet-size", str(n_sym)],
+                            text)
+    assert status == 0
+    assert out.splitlines() == want
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["--model", "markov:4", "--alphabet-size", "4"], "'markov:4'"),
+    (["--model", "markov:0", "--alphabet-size", "4"], "'markov:0'"),
+    (["--model", "markov:x", "--alphabet-size", "4"], "'markov:x'"),
+    (["--model", "mmc:0", "--alphabet-size", "4"], "'mmc:0'"),
+    (["--model", "lstm", "--alphabet-size", "4"], "'lstm'"),
+    (["--model", "external", "--alphabet-size", "4"], "'external'"),
+    (["--model", "markov:1", "--alphabet-size", "0"], "'0'"),
+    (["--model", "markov:1", "--alphabet-size", "-3"], "'-3'"),
+    (["--model", "markov:1", "--alphabet-size", "x"], "'x'"),
+])
+def test_bad_flags_exit_2_naming_the_value(capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        extpred.serve(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_bad_model_exits_2_in_a_child():
+    proc = subprocess.run(
+        [sys.executable, "-m", "mobmeta.extpred", "--model", "markov:4",
+         "--alphabet-size", "4"],
+        input="", capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "bad model 'markov:4': markov order must be in 1..3" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("model,symbols,native,child", [
+    ("markov:2", [0, 1], "needs at least 3", "markov needs at least 3 "
+     "training symbols, got 2"),
+    ("top_frequency", [], "needs at least 1", "top_frequency needs at "
+     "least 1 training symbols, got 0"),
+    ("markov:1", [0, 4, 1], "outside alphabet", "training symbol outside "
+     "alphabet"),
+])
+def test_train_block_native_rejects_ends_the_child(capsys, model, symbols,
+                                                   native, child):
+    # a TRAIN block the native train() refuses ends the child with a data
+    # error, not a traceback
+    with pytest.raises(DataError, match=native):
+        train(parse_model(model), symbols, 4)
+    status, out = run_serve(["--model", model, "--alphabet-size", "4"],
+                            block("TRAIN", symbols) + block("PREDICT", [0]))
+    assert status == 1
+    assert out == ""
+    assert capsys.readouterr().err == f"data error: {child}\n"
+
+
+def test_random_uniform_needs_no_training_symbols():
+    status, out = run_serve(["--model", "random_uniform",
+                             "--alphabet-size", "4"],
+                            block("TRAIN", []) + block("PREDICT", [3]))
+    assert status == 0
+    assert out == "0 0.25 0.25 0.25 0.25\n"

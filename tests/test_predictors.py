@@ -376,13 +376,13 @@ def test_reference_predictor_memo_answers_like_native(rng, monkeypatch,
             lines += [f"{s} {t}" for t, s in enumerate(ctx)]
             pred, dist = native.predict(ctx)
             want.append(f"{pred} " + " ".join(repr(float(p)) for p in dist))
-    predict = predictors._CountModel.predict
+    predict = extpred.CountModel.predict
 
     def counted(self, context):
         calls.append(tuple(context))
         return predict(self, context)
 
-    monkeypatch.setattr(predictors._CountModel, "predict", counted)
+    monkeypatch.setattr(extpred.CountModel, "predict", counted)
     monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
     out = io.StringIO()
     monkeypatch.setattr(sys, "stdout", out)
