@@ -5,8 +5,11 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 infeasible plan.
 main() runs every command the same way: warnings raised during the
 command print to stderr as "warning: <message>" (also when it fails),
 and a command that succeeds gets exactly one run_manifest.json beside
-its outputs, recording the command line, config and dataset hashes (over
-canonical serializations), tool version, wall time, and output paths.
+its outputs, recording the command line, the config hash, the dataset
+hash, tool version, wall time, and output paths.  The dataset hash is the
+sha256 of the files the command read or wrote: alphabet.json then
+sequences.jsonl of a dataset directory, raw.jsonl of a raw one, or the
+report.json that recommend reads.
 Defaults for --seed and --out come from MOBMETA_SEED and MOBMETA_OUT.
 """
 
@@ -254,7 +257,6 @@ def cmd_ingest(args) -> Run:
     cfg = IngestConfig(
         format=args.format,
         column_map=parse_cols(args.cols),
-        timezone_policy=args.tz_policy,
         tz_offset_seconds=args.tz_offset,
         dedup_policy=args.dedup,
     )
@@ -266,7 +268,7 @@ def cmd_ingest(args) -> Run:
         print(
             f"ingested {ds.n_users} users, {ds.alphabet.size} POIs -> {out_dir}"
         )
-        return Run(out_dir, config, dataset_digest(ds),
+        return Run(out_dir, config, dataset_digest(out_dir),
                    [out_dir / f for f in DATASET_FILES])
     trajs, rep = parse_raw_with_report(args.input, cfg)
     save_raw(
@@ -312,7 +314,7 @@ def cmd_extract_poi(args) -> Run:
         f"extracted {ds.alphabet.size} POIs, {ds.n_users} users "
         f"({len(excluded)} excluded as too short) -> {out_dir}"
     )
-    return Run(out_dir, config, dataset_digest(ds),
+    return Run(out_dir, config, dataset_digest(out_dir),
                [out_dir / f for f in DATASET_FILES])
 
 
@@ -327,7 +329,7 @@ def cmd_synth(args) -> Run:
         f"alphabet {ds.alphabet.size} -> {out_dir}"
     )
     return Run(
-        out_dir, spec_to_dict(spec), dataset_digest(ds),
+        out_dir, spec_to_dict(spec), dataset_digest(out_dir),
         [out_dir / f for f in DATASET_FILES + ("ground_truth.json",)],
     )
 
@@ -376,7 +378,7 @@ def cmd_characterize(args) -> Run:
     )
     for note in report.warnings:
         print(f"note: {note}", file=sys.stderr)
-    return Run(out, asdict(params), dataset_digest(ds),
+    return Run(out, asdict(params), dataset_digest(args.dataset_dir),
                [out, mi_path, ms_path, corr_path])
 
 
@@ -409,7 +411,8 @@ def cmd_validate(args) -> Run:
         "seed": args.seed,
         "context_window": args.context_window,
     }
-    return Run(out, config, dataset_digest(ds), [out, results_path])
+    return Run(out, config, dataset_digest(args.dataset_dir),
+               [out, results_path])
 
 
 def cmd_sensitivity(args) -> Run:
@@ -446,7 +449,8 @@ def cmd_sensitivity(args) -> Run:
         )
     print(f"spread across schemes: {spread:.4f} -> {out}")
     config = {"model": args.model, "schemes": args.schemes, "seed": args.seed}
-    return Run(out, config, dataset_digest(ds), [out, rows_json])
+    return Run(out, config, dataset_digest(args.dataset_dir),
+               [out, rows_json])
 
 
 def cmd_recommend(args) -> Run:
@@ -492,7 +496,7 @@ def cmd_report(args) -> Run:
         "sensitivity": args.sensitivity,
     }
     outputs = [p for p in out_dir.iterdir() if p.name != "run_manifest.json"]
-    return Run(out_dir, config, dataset_digest(ds), outputs)
+    return Run(out_dir, config, dataset_digest(args.dataset_dir), outputs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -520,9 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="csv_gps",
                    choices=["csv_gps", "plt_geolife_like", "symbols_jsonl"])
     p.add_argument("--cols", default="user=0,lat=1,lon=2,t=3")
-    p.add_argument("--tz-policy", default="assume_utc",
-                   choices=["assume_utc", "offset_seconds"])
-    p.add_argument("--tz-offset", type=int, default=0)
+    p.add_argument("--tz-offset", type=int, default=0,
+                   help="seconds added to every timestamp (0: input is UTC)")
     p.add_argument("--dedup", default="drop_equal_timestamp",
                    choices=["drop_equal_timestamp", "error"])
     p.add_argument("--name", default=None)

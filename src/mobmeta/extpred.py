@@ -142,16 +142,31 @@ class CountModel:
                                     for s in range(self.n)]
 
 
-def _read_block(stdin, n: int) -> tuple[list[int], list[int]]:
-    symbols, ts = [], []
-    for _ in range(n):
+def _read_block(stdin, header: str) -> tuple[str, list[int]]:
+    """(op, symbols) of the block that `header` opens.
+
+    ValueError on an unknown op, a header without a count or a line that
+    is not two integers; EOFError when input closes mid-block.
+    """
+    header = header.rstrip("\n")
+    op, _, count = header.partition(" ")
+    if op not in ("TRAIN", "PREDICT"):
+        raise ValueError(f"unknown op {op!r}")
+    if not count.strip().isdigit():
+        raise ValueError(f"block header {header!r} has no count")
+    symbols = []
+    for _ in range(int(count)):
         line = stdin.readline()
         if not line:
             raise EOFError("input closed mid-block")
-        a, b = line.split()
-        symbols.append(int(a))
-        ts.append(int(b))
-    return symbols, ts
+        try:
+            symbol, t = line.split()
+            symbols.append(int(symbol))
+            int(t)  # checked, not used: the count model ignores time
+        except ValueError:
+            raise ValueError(
+                f"line {line.rstrip()!r} is not two integers") from None
+    return op, symbols
 
 
 def _response(model: CountModel, ctx: list[int], n_sym: int,
@@ -189,10 +204,12 @@ def serve(argv=None) -> int:
         line = stdin.readline()
         if not line:
             return 0
-        op, _, count = line.partition(" ")
-        n = int(count)
+        try:
+            op, symbols = _read_block(stdin, line)
+        except (EOFError, ValueError) as e:
+            print(f"protocol error: {e}", file=sys.stderr)
+            return 1
         if op == "TRAIN":
-            symbols, _ = _read_block(stdin, n)
             try:
                 model = CountModel(kind, arg, symbols, n_sym)
             except ValueError as e:
@@ -202,16 +219,12 @@ def serve(argv=None) -> int:
             # that share them share the response line
             memo: dict[tuple[int, ...], str] = {}
             continue
-        if op != "PREDICT":
-            print(f"protocol error: unknown op {op!r}", file=sys.stderr)
-            return 1
-        ctx, _ = _read_block(stdin, n)
         if model is None:
             print("protocol error: PREDICT before TRAIN", file=sys.stderr)
             return 1
-        key = tuple(ctx[-model.k:]) if model.k > 0 else ()
+        key = tuple(symbols[-model.k:]) if model.k > 0 else ()
         if key not in memo:
-            memo[key] = _response(model, ctx, n_sym, args)
+            memo[key] = _response(model, symbols, n_sym, args)
         if args.misbehave == "close":
             return 0
         stdout.write(memo[key])

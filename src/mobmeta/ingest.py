@@ -1,9 +1,21 @@
 """Readers for external trajectory formats and the canonical on-disk dataset.
 
+Raw GPS inputs hold one fix per line and are read by one loop
+(parse_raw_with_report):
+    csv_gps           user, lat, lon and t in the columns column_map names;
+                      t in unix seconds, truncated to an integer
+    plt_geolife_like  6 header lines, then lat,lon,_,alt,daynum,... rows;
+                      daynum is fractional days since 1899-12-30, rounded
+                      to the second, and the user id is the file stem
+Every timestamp is shifted by tz_offset_seconds (0 reads the input as
+UTC).  symbols_jsonl lines are already symbol streams (load_symbols_jsonl).
+
 Canonical dataset directory:
     alphabet.json   array of {poi_id, lat, lon, label}
     sequences.jsonl one object per user: {"user_id": ..., "symbols": [[poi_id, t], ...]}
     meta.json       {"schema_version", "name", "stage", "provenance"}
+Its digest (dataset_digest) is the sha256 of alphabet.json then
+sequences.jsonl, as bytes on disk.
 
 Raw (pre-extraction) directories carry raw.jsonl instead of
 alphabet/sequences; ``stage`` in meta.json distinguishes the two.
@@ -11,11 +23,11 @@ alphabet/sequences; ``stage`` in meta.json distinguishes the two.
 
 from __future__ import annotations
 
-import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -29,7 +41,7 @@ from .core import (
     RawTrajectory,
     check_poi_ids,
 )
-from .jsonutil import canonical_dumps, write_canonical_json
+from .jsonutil import sha256_file, write_canonical_json
 
 SCHEMA_VERSION = 1
 
@@ -43,23 +55,20 @@ class IngestConfig:
 
     ``column_map`` (csv_gps only) maps the logical names user/lat/lon/t to
     0-based column indices; extra columns in the file are ignored.
-    ``tz_offset_seconds`` is added to every timestamp when
-    ``timezone_policy`` is "offset_seconds".
+    ``tz_offset_seconds`` is added to every timestamp; 0 means the input
+    is UTC.
     """
 
     format: str = "csv_gps"
     column_map: dict = field(
         default_factory=lambda: {"user": 0, "lat": 1, "lon": 2, "t": 3}
     )
-    timezone_policy: str = "assume_utc"
     tz_offset_seconds: int = 0
     dedup_policy: str = "drop_equal_timestamp"
 
     def __post_init__(self):
         if self.format not in ("csv_gps", "plt_geolife_like", "symbols_jsonl"):
             raise DataError(f"unknown ingest format {self.format!r}")
-        if self.timezone_policy not in ("assume_utc", "offset_seconds"):
-            raise DataError(f"unknown timezone_policy {self.timezone_policy!r}")
         if self.dedup_policy not in ("drop_equal_timestamp", "error"):
             raise DataError(f"unknown dedup_policy {self.dedup_policy!r}")
         if self.format == "csv_gps":
@@ -77,27 +86,76 @@ class IngestReport:
     rejects: tuple[tuple[int, str], ...]
 
 
-def _timestamp(t: int, cfg: IngestConfig) -> int:
-    """t with the configured offset applied; ValueError outside int64."""
-    if cfg.timezone_policy == "offset_seconds":
-        t += cfg.tz_offset_seconds
-    if not -(2**63) <= t < 2**63:
-        raise ValueError(f"timestamp {t} outside the int64 range")
-    return t
+def _read_fixes(
+    path: Path, cfg: IngestConfig
+) -> tuple[dict[str, list], list[tuple[int, str]]]:
+    """({user: [(t, lat, lon, line), ...]}, rejects) of a raw GPS file.
+
+    The formats differ only in their header lines, the columns of the
+    fields and the unit of time, all chosen here once per file.  Fixes
+    keep file order and carry their 1-based source line.  Header and
+    blank lines are rejects; any other bad line is an IngestError naming
+    it.
+    """
+    if cfg.format == "csv_gps":
+        cm = cfg.column_map
+        header, user_col = 0, cm["user"]
+        lat_col, lon_col, t_col = cm["lat"], cm["lon"], cm["t"]
+
+        def seconds(text: str) -> int:
+            return int(float(text))
+    else:
+        header, user_col, lat_col, lon_col, t_col = 6, None, 0, 1, 4
+
+        def seconds(text: str) -> int:
+            return round((float(text) - _PLT_EPOCH_DAYS) * 86400.0)
+    need = max(lat_col, lon_col, t_col, user_col or 0) + 1
+    offset = cfg.tz_offset_seconds
+    user = path.stem
+    by_user: dict[str, list] = {}
+    with open(path, "r", encoding="utf-8") as f:
+        lines = enumerate(f, start=1)
+        rejects = [(line_no, "header")
+                   for line_no, _ in itertools.islice(lines, header)]
+        for line_no, line in lines:
+            line = line.strip()
+            if not line:
+                rejects.append((line_no, "blank line"))
+                continue
+            parts = line.split(",")
+            if len(parts) < need:
+                raise IngestError(
+                    f"{path.name} line {line_no}: expected ≥ {need} columns, "
+                    f"got {len(parts)}"
+                )
+            try:
+                lat = float(parts[lat_col])
+                lon = float(parts[lon_col])
+                t = seconds(parts[t_col]) + offset
+                if not -(2**63) <= t < 2**63:
+                    raise ValueError(f"timestamp {t} outside the int64 range")
+            except (OverflowError, ValueError) as e:
+                raise IngestError(f"{path.name} line {line_no}: {e}") from e
+            if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
+                raise IngestError(
+                    f"{path.name} line {line_no}: coordinates ({lat}, {lon}) "
+                    "out of range"
+                )
+            if user_col is not None:
+                user = parts[user_col].strip()
+            by_user.setdefault(user, []).append((t, lat, lon, line_no))
+    return by_user, rejects
 
 
 def _rows_to_trajectories(
-    rows: list[tuple[str, float, float, int]], cfg: IngestConfig
+    by_user: dict[str, list], cfg: IngestConfig
 ) -> tuple[list[RawTrajectory], list[tuple[int, str]]]:
-    """Group (user, lat, lon, t) rows into per-user time-sorted trajectories.
+    """Per-user time-sorted trajectories of _read_fixes' fixes.
 
-    Rows arrive tagged with their 1-based source line for dedup reporting;
-    here they come pre-validated, so the only rejects are duplicate
-    timestamps under drop_equal_timestamp.
+    The only rejects are duplicate timestamps under drop_equal_timestamp,
+    named by their source line: of the fixes sharing a timestamp, the
+    first in (lat, lon, line) order is kept.
     """
-    by_user: dict[str, list[tuple[int, float, float, int]]] = {}
-    for line_no, (user, lat, lon, t) in enumerate(rows, start=1):
-        by_user.setdefault(user, []).append((t, lat, lon, line_no))
     rejects: list[tuple[int, str]] = []
     trajs = []
     for user in sorted(by_user):
@@ -115,82 +173,8 @@ def _rows_to_trajectories(
             lats.append(lat)
             lons.append(lon)
             ts.append(t)
-        if ts:
-            trajs.append(RawTrajectory(user, lats, lons, ts))
+        trajs.append(RawTrajectory(user, lats, lons, ts))
     return trajs, rejects
-
-
-def _parse_csv_gps(path: Path, cfg: IngestConfig) -> tuple[list, list]:
-    cm = cfg.column_map
-    need = max(cm.values()) + 1
-    rows = []
-    rejects: list[tuple[int, str]] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                rejects.append((line_no, "blank line"))
-                continue
-            parts = line.split(",")
-            if len(parts) < need:
-                raise IngestError(
-                    f"{path.name} line {line_no}: expected ≥ {need} columns, "
-                    f"got {len(parts)}"
-                )
-            try:
-                user = parts[cm["user"]].strip()
-                lat = float(parts[cm["lat"]])
-                lon = float(parts[cm["lon"]])
-                t = _timestamp(int(float(parts[cm["t"]])), cfg)
-            except (OverflowError, ValueError) as e:
-                raise IngestError(f"{path.name} line {line_no}: {e}") from e
-            if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
-                raise IngestError(
-                    f"{path.name} line {line_no}: coordinates ({lat}, {lon}) "
-                    "out of range"
-                )
-            rows.append((user, lat, lon, t))
-    return rows, rejects
-
-
-def _parse_plt(path: Path, cfg: IngestConfig) -> tuple[list, list]:
-    """plt-style: 6 header lines, then lat,lon,_,alt,daynum,... rows.
-
-    daynum is fractional days since 1899-12-30; the user id is the file
-    stem.  Seconds are rounded to the nearest integer.
-    """
-    user = path.stem
-    rows = []
-    rejects: list[tuple[int, str]] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if line_no <= 6:
-                rejects.append((line_no, "header"))
-                continue
-            line = line.strip()
-            if not line:
-                rejects.append((line_no, "blank line"))
-                continue
-            parts = line.split(",")
-            if len(parts) < 5:
-                raise IngestError(
-                    f"{path.name} line {line_no}: expected ≥ 5 columns"
-                )
-            try:
-                lat = float(parts[0])
-                lon = float(parts[1])
-                t = _timestamp(
-                    round((float(parts[4]) - _PLT_EPOCH_DAYS) * 86400.0), cfg
-                )
-            except (OverflowError, ValueError) as e:
-                raise IngestError(f"{path.name} line {line_no}: {e}") from e
-            if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
-                raise IngestError(
-                    f"{path.name} line {line_no}: coordinates ({lat}, {lon}) "
-                    "out of range"
-                )
-            rows.append((user, lat, lon, t))
-    return rows, rejects
 
 
 def parse_raw_with_report(
@@ -205,19 +189,17 @@ def parse_raw_with_report(
             "symbols_jsonl carries no coordinates; use load_symbols_jsonl "
             "to build a Dataset directly"
         )
-    if cfg.format == "csv_gps":
-        rows, rejects = _parse_csv_gps(path, cfg)
-    else:
-        rows, rejects = _parse_plt(path, cfg)
-    n_input = len(rows) + len(rejects)
-    if n_input == 0:
+    by_user, rejects = _read_fixes(path, cfg)
+    rows_read = len(rejects) + sum(map(len, by_user.values()))
+    if rows_read == 0:
         raise IngestError(f"{path.name}: empty file")
-    trajs, dup_rejects = _rows_to_trajectories(rows, cfg)
-    rejects = sorted(rejects + dup_rejects)
-    kept = sum(len(t) for t in trajs)
-    if kept == 0:
+    trajs, dup_rejects = _rows_to_trajectories(by_user, cfg)
+    if not trajs:
         raise IngestError(f"{path.name}: no points survive parsing")
-    return trajs, IngestReport(n_input, kept, tuple(rejects))
+    return trajs, IngestReport(
+        rows_read, sum(len(t) for t in trajs),
+        tuple(sorted(rejects + dup_rejects)),
+    )
 
 
 def _rows(rows: list, width: int, dtype) -> np.ndarray:
@@ -286,57 +268,43 @@ def load_symbols_jsonl(path: str | Path, name: str) -> Dataset:
     )
 
 
-def _dataset_text(ds: Dataset) -> tuple[str, str]:
-    """The bytes save_dataset writes: alphabet.json and sequences.jsonl."""
-    alphabet = [
-        {"poi_id": e.poi_id, "lat": e.lat, "lon": e.lon, "label": e.label}
-        for e in ds.alphabet.entries
-    ]
-    lines = [
-        json.dumps(
-            {
-                "user_id": seq.user_id,
-                "symbols": np.column_stack(
-                    (seq.poi_ids, seq.timestamps)
-                ).tolist(),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        + "\n"
-        for seq in ds.sequences
-    ]
-    return canonical_dumps(alphabet), "".join(lines)
+def dataset_digest(dir_path: str | Path) -> str:
+    """sha256 of a dataset directory's alphabet.json then sequences.jsonl,
+    read as bytes.
 
-
-def dataset_digest(ds: Dataset) -> str:
-    """sha256 over the canonical alphabet + sequences serialization.
-
-    Matches the bytes save_dataset writes, so the digest of an in-memory
-    Dataset equals the digest of its on-disk form.
+    Every directory save_dataset writes is canonical, so its digest is a
+    function of the Dataset alone; a hand-edited directory hashes its own
+    bytes.
     """
-    h = hashlib.sha256()
-    for text in _dataset_text(ds):
-        h.update(text.encode("utf-8"))
-    return "sha256:" + h.hexdigest()
+    d = Path(dir_path)
+    return "sha256:" + sha256_file(d / "alphabet.json", d / "sequences.jsonl")
+
+
+def _save(d: Path, jsonl: str, objs: Iterable[dict], meta: dict) -> None:
+    """Write one compact key-sorted JSON object per line to d/jsonl, then
+    meta.json (schema_version added)."""
+    d.mkdir(parents=True, exist_ok=True)
+    with open(d / jsonl, "w", encoding="utf-8") as f:
+        for obj in objs:
+            f.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    write_canonical_json(d / "meta.json",
+                         {"schema_version": SCHEMA_VERSION, **meta})
 
 
 def save_dataset(ds: Dataset, dir_path: str | Path) -> None:
     """Write the canonical directory; idempotent and bit-stable."""
     d = Path(dir_path)
-    d.mkdir(parents=True, exist_ok=True)
-    alphabet, sequences = _dataset_text(ds)
-    (d / "alphabet.json").write_text(alphabet, encoding="utf-8")
-    (d / "sequences.jsonl").write_text(sequences, encoding="utf-8")
-    write_canonical_json(
-        d / "meta.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "name": ds.name,
-            "stage": "dataset",
-            "provenance": ds.provenance,
-        },
+    _save(
+        d, "sequences.jsonl",
+        ({"user_id": seq.user_id,
+          "symbols": np.column_stack((seq.poi_ids, seq.timestamps)).tolist()}
+         for seq in ds.sequences),
+        {"name": ds.name, "stage": "dataset", "provenance": ds.provenance},
     )
+    write_canonical_json(d / "alphabet.json", [
+        {"poi_id": e.poi_id, "lat": e.lat, "lon": e.lon, "label": e.label}
+        for e in ds.alphabet.entries
+    ])
 
 
 def _meta(d: Path) -> dict:
@@ -389,26 +357,14 @@ def save_raw(
     provenance: Optional[dict] = None,
 ) -> None:
     """Persist parsed trajectories (pre-extraction stage)."""
-    d = Path(dir_path)
-    d.mkdir(parents=True, exist_ok=True)
-    with open(d / "raw.jsonl", "w", encoding="utf-8") as f:
-        for traj in trajs:
-            obj = {
-                "user_id": traj.user_id,
-                # one column at a time: column_stack would make t a float
-                "points": list(zip(
-                    traj.lat.tolist(), traj.lon.tolist(), traj.t.tolist()
-                )),
-            }
-            f.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
-    write_canonical_json(
-        d / "meta.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "name": name,
-            "stage": "raw",
-            "provenance": provenance or {},
-        },
+    _save(
+        Path(dir_path), "raw.jsonl",
+        # one column at a time: column_stack would make t a float
+        ({"user_id": traj.user_id,
+          "points": list(zip(traj.lat.tolist(), traj.lon.tolist(),
+                             traj.t.tolist()))}
+         for traj in trajs),
+        {"name": name, "stage": "raw", "provenance": provenance or {}},
     )
 
 

@@ -23,34 +23,11 @@ def read_json(path: str | Path) -> Any:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def sha256_file(path: str | Path) -> str:
+def sha256_file(*paths: str | Path) -> str:
+    """Hex sha256 of the files' bytes, read one after another."""
     h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
+    for path in paths:
+        with open(path, "rb") as f:
+            for chunk in iter(lambda: f.read(1 << 20), b""):
+                h.update(chunk)
     return h.hexdigest()
-
-
-def jsonify(obj: Any) -> Any:
-    """Recursively convert numpy scalars/arrays and tuples to JSON types.
-
-    None passes through; non-finite floats are mapped to None so canonical
-    dumps (allow_nan=False) never fail on a missing metric.
-    """
-    import numpy as np
-
-    if obj is None or isinstance(obj, (str, bool, int)):
-        return obj
-    if isinstance(obj, float):
-        return obj if obj == obj and abs(obj) != float("inf") else None
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return jsonify(float(obj))
-    if isinstance(obj, np.ndarray):
-        return [jsonify(x) for x in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonify(x) for x in obj]
-    raise TypeError(f"cannot jsonify {type(obj).__name__}")

@@ -358,8 +358,7 @@ def train(
     return MarkovModel(spec, alphabet_size, tables, tail)
 
 
-def retrain(model, new_symbols: Sequence[int],
-            timestamps: Optional[Sequence[int]] = None):
+def retrain(model, new_symbols: Sequence[int]):
     """Extend a fitted model; equals train() on the concatenated stream."""
     if not isinstance(model, (MarkovModel, MmcModel)):
         raise TypeError(f"cannot retrain {type(model).__name__}")

@@ -34,31 +34,26 @@ def _fmt(v) -> str:
     return str(v)
 
 
-# Exact cell types whose whole column formats with one map call; a column
-# of any other type, or of mixed types, goes cell by cell through _fmt.
-_COLUMN_FMT = {float: repr, int: str, str: str}
-# Rows formatted per write: whole columns at a time, but never a second
-# copy of a long table in memory.
+def _fmt_row(row) -> str:
+    """One CSV line (no line ending) of _fmt'd cells."""
+    return ",".join(map(_fmt, row))
+
+
+# Lines joined per write: never a second copy of a long table in memory.
 _CSV_CHUNK_ROWS = 4096
 
 
-def _fmt_column(column: tuple) -> Iterable[str]:
-    kinds = set(map(type, column))
-    fmt = _COLUMN_FMT.get(kinds.pop()) if len(kinds) == 1 else None
-    return map(fmt or _fmt, column)
-
-
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    rows = iter(rows)
+def _write_csv(path: Path, header: Sequence[str], lines: Iterable[str]) -> None:
+    """The header, then each formatted line, each ending in a newline."""
+    lines = iter(lines)
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
-        while chunk := list(itertools.islice(rows, _CSV_CHUNK_ROWS)):
-            columns = [_fmt_column(c) for c in zip(*chunk)]
-            f.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        while chunk := list(itertools.islice(lines, _CSV_CHUNK_ROWS)):
+            f.write("\n".join(chunk) + "\n")
 
 
 def write_mi_curve_csv(path: Union[str, Path], mi_curve) -> None:
-    _write_csv(Path(path), ["d", "I_bits"], mi_curve)
+    _write_csv(Path(path), ["d", "I_bits"], map(_fmt_row, mi_curve))
 
 
 def write_match_structure_csv(
@@ -75,22 +70,22 @@ def write_match_structure_csv(
     text = dict(zip(distinct, (repr(math.log10(d)) for d in distinct)))
     chunks = (slice(lo, lo + _CSV_CHUNK_ROWS)
               for lo in range(0, delta.shape[0], _CSV_CHUNK_ROWS))
-    rows = itertools.chain.from_iterable(
-        zip(pos[s].tolist(), length[s].tolist(),
+    lines = itertools.chain.from_iterable(
+        map("{},{},{}".format, pos[s].tolist(), length[s].tolist(),
             map(text.__getitem__, delta[s].tolist()))
         for s in chunks
     )
-    _write_csv(Path(path), ["pos", "L", "log10_delta"], rows)
+    _write_csv(Path(path), ["pos", "L", "log10_delta"], lines)
 
 
 def write_corr_matrix_csv(
     path: Union[str, Path], names: Sequence[str], matrix
 ) -> None:
-    rows = (
-        [name] + [float(matrix[i][j]) for j in range(len(names))]
+    lines = (
+        _fmt_row([name] + [float(matrix[i][j]) for j in range(len(names))])
         for i, name in enumerate(names)
     )
-    _write_csv(Path(path), ["attribute"] + list(names), rows)
+    _write_csv(Path(path), ["attribute"] + list(names), lines)
 
 
 FOLDS_CSV_COLUMNS = (
@@ -101,15 +96,15 @@ FOLDS_CSV_COLUMNS = (
 
 def write_folds_csv(path: Union[str, Path], results) -> None:
     """One row per (user, fold) from EvaluationResult.fold_results."""
-    rows = (
-        (
+    lines = (
+        _fmt_row((
             r.user_id, r.fold_index, r.train_lo, r.train_hi, r.test_lo,
             r.test_hi, r.accuracy, r.bits_per_symbol, r.n_predictions,
             r.leaky,
-        )
+        ))
         for r in results
     )
-    _write_csv(Path(path), FOLDS_CSV_COLUMNS, rows)
+    _write_csv(Path(path), FOLDS_CSV_COLUMNS, lines)
 
 
 def write_fold_curve_csv(path: Union[str, Path], results) -> None:
@@ -117,25 +112,25 @@ def write_fold_curve_csv(path: Union[str, Path], results) -> None:
 
     results are results.json dicts (EvaluationResult.to_dict()).
     """
-    rows = (
-        (r["model"], r["plan"], f, acc)
+    lines = (
+        _fmt_row((r["model"], r["plan"], f, acc))
         for r in results
         for f, acc in r.get("fold_curve", [])
     )
-    _write_csv(Path(path), ["model", "plan", "fold", "accuracy"], rows)
+    _write_csv(Path(path), ["model", "plan", "fold", "accuracy"], lines)
 
 
 def write_compression_csv(path: Union[str, Path], results) -> None:
     """bits/symbol per results.json dict; argmax-only models print n/a."""
-    rows = (
-        (r["model"], r["plan"], r.get("bits_weighted"),
-         r.get("bits_user_mean"))
+    lines = (
+        _fmt_row((r["model"], r["plan"], r.get("bits_weighted"),
+                  r.get("bits_user_mean")))
         for r in results
     )
     _write_csv(
         Path(path),
         ["model", "plan", "bits_weighted", "bits_user_mean"],
-        rows,
+        lines,
     )
 
 
@@ -144,8 +139,8 @@ def write_sensitivity_csv(path: Union[str, Path], rows) -> None:
         Path(path),
         ["scheme", "params", "accuracy_user_mean", "accuracy_weighted",
          "leaky"],
-        ((r.scheme, r.params, r.accuracy_user_mean, r.accuracy_weighted,
-          r.leaky) for r in rows),
+        (_fmt_row((r.scheme, r.params, r.accuracy_user_mean,
+                   r.accuracy_weighted, r.leaky)) for r in rows),
     )
 
 

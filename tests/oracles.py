@@ -316,7 +316,7 @@ def evaluate_per_position(ds, spec, plan) -> dict:
 
 
 def write_csv_cell_by_cell(path, header, rows) -> None:
-    """report._write_csv's bytes, formatting one cell at a time."""
+    """The bytes of report's CSV writers, formatting one cell at a time."""
 
     def fmt(v) -> str:
         if v is None:

@@ -233,6 +233,60 @@ def test_characterize_bytes_pinned(tmp_path, capsys, case):
     assert got == pins
 
 
+# sha256 of validate's, sensitivity's and report's artifacts on a seeded
+# 3-user dataset, and the dataset_hash every manifest of the chain records:
+# a rewrite of the CSV writer or the digest must reproduce these exactly.
+WRITER_PINS = {
+    "val/folds.csv": "01da745c8a235c56165d726d95a37564"
+                     "629d1d389b6b44642c900e110975c2d9",
+    "val/results.json": "198314c7af8d2db6bdb7b0b4613dee0e"
+                        "c78a8070ff59b70cc11f24a05b5a6101",
+    "sens/table.csv": "5bc4b11cbfb2c254d398d9c1ae6c82db"
+                      "1c7a424393bcb2a0102e0e304dd16d5f",
+    "sens/sensitivity.json": "5382f9206a703652c9a47aefed1adb2f"
+                             "a23a1a8ef8e3f9f724a92a511f94e90b",
+    "bundle/fold_curve.csv": "77359fef1091b412cda1e46043dd70e3"
+                             "3b235d0d7dce560de7d9ace8c0f80fe6",
+    "bundle/compression.csv": "dde153bddd01c93beccc2f4ca477b58f"
+                              "697e738ab6e47d5fa9be1b1137538256",
+    "bundle/summary.json": "a71c2f43512e408000eaf4d7a0f6e334"
+                           "c3838afde6f09ff9c8efad359626e981",
+}
+WRITER_DATASET_HASH = ("sha256:99f773ebad947a9d0050d01f2a6d744a"
+                       "34c96f5606c83df2942440c6f6514cd7")
+
+
+def test_writer_bytes_pinned(tmp_path, capsys):
+    d = tmp_path / "d"
+    ok(["synth", "--kind", "copy_with_gap", "--k", 3, "--eps", 0.1,
+        "--alphabet-size", 4, "--n", 400, "--users", 3, "--seed", 11,
+        "--out", d], capsys)
+    ok(["characterize", d, "--dmax", 8,
+        "--out", tmp_path / "ch" / "report.json"], capsys)
+    ok(["validate", d, "--model", "markov:2",
+        "--scheme", "kfold:k=3,shuffled=true", "--seed", 4,
+        "--out", tmp_path / "val" / "folds.csv"], capsys)
+    ok(["validate", d, "--model", "top_frequency",
+        "--scheme", "holdout:split=0.7",
+        "--out", tmp_path / "top" / "folds.csv"], capsys)
+    ok(["sensitivity", d, "--model", "markov:1",
+        "--out", tmp_path / "sens" / "table.csv"], capsys)
+    ok(["report", d, "--characterization", tmp_path / "ch" / "report.json",
+        "--validation", tmp_path / "val" / "results.json",
+        tmp_path / "top" / "results.json",
+        "--sensitivity", tmp_path / "sens" / "sensitivity.json",
+        "--out", tmp_path / "bundle"], capsys)
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in WRITER_PINS
+    }
+    assert got == WRITER_PINS
+    for directory in (d, "ch", "val", "top", "sens", "bundle"):
+        assert read_manifest(tmp_path / directory)["dataset_hash"] == (
+            WRITER_DATASET_HASH
+        )
+
+
 def test_ingest_extract_poi_path(tmp_path, capsys):
     # three dwells (A, B, A) of 15 fixes at 120 s spacing; 5 km apart
     lat_b = 45.0 + 5000.0 / 111194.92664455873
@@ -268,6 +322,20 @@ def test_ingest_extract_poi_path(tmp_path, capsys):
     assert ds.sequences[0].poi_ids.tolist() == [0, 1, 0]
     m = read_manifest(tmp_path / "ds")
     assert m["command_line"][1] == "extract-poi"
+
+
+def test_ingest_tz_offset_shifts_timestamps(tmp_path, capsys):
+    # --tz-offset alone carries the offset; there is no policy flag
+    src = tmp_path / "x.csv"
+    src.write_text("u1,45.0,7.0,1000\n", encoding="utf-8")
+    ok(["ingest", src, "--tz-offset", 3600, "--out", tmp_path / "raw"],
+       capsys)
+    raw = json.loads((tmp_path / "raw" / "raw.jsonl").read_text())
+    assert raw["points"] == [[45.0, 7.0, 4600]]
+    with pytest.raises(SystemExit) as e:
+        main(["ingest", str(src), "--tz-policy", "offset_seconds",
+              "--out", str(tmp_path / "again")])
+    assert e.value.code == 2
 
 
 def test_ingest_symbols_jsonl(tmp_path, capsys):

@@ -120,3 +120,16 @@ def test_random_uniform_needs_no_training_symbols():
                             block("TRAIN", []) + block("PREDICT", [3]))
     assert status == 0
     assert out == "0 0.25 0.25 0.25 0.25\n"
+
+
+@pytest.mark.parametrize("text,cause", [
+    ("TRAIN 2\n0 0\n", "input closed mid-block"),
+    ("TRAIN 2\n0 x\n1 1\n", "line '0 x' is not two integers"),
+    ("FOO\n", "unknown op 'FOO'"),
+    ("TRAIN\n", "block header 'TRAIN' has no count"),
+])
+def test_malformed_input_is_a_protocol_error(capsys, text, cause):
+    status, out = run_serve(["--model", "markov:1", "--alphabet-size", "4"],
+                            text)
+    assert (status, out) == (1, "")
+    assert capsys.readouterr().err == f"protocol error: {cause}\n"

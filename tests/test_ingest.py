@@ -75,6 +75,36 @@ def test_dedup_error_policy(tmp_path):
         parse_raw_with_report(p, cfg)
 
 
+def test_csv_duplicate_reject_names_its_source_line(tmp_path):
+    # the leading blank line is line 1, so the duplicate sits on line 3
+    p = write(tmp_path, "in.csv",
+              "\nu1,45.0,7.0,1\nu1,45.1,7.1,1\nu1,45.2,7.2,2\n")
+    _, rep = parse_raw_with_report(p, CSV_CFG)
+    assert rep.rejects == (
+        (1, "blank line"), (3, "duplicate timestamp for user u1"),
+    )
+
+
+def test_plt_duplicate_reject_names_its_source_line(tmp_path):
+    lines = ["hdr"] * 6 + [
+        "39.9,116.3,0,120,25569.5,1970-01-01,12:00:00",
+        "39.91,116.31,0,120,25569.5,1970-01-01,12:00:00",
+    ]
+    p = write(tmp_path, "007.plt", "\n".join(lines) + "\n")
+    _, rep = parse_raw_with_report(p, IngestConfig(format="plt_geolife_like"))
+    assert rep.rejects == tuple((i, "header") for i in range(1, 7)) + (
+        (8, "duplicate timestamp for user 007"),
+    )
+
+
+def test_dedup_error_names_the_source_line(tmp_path):
+    p = write(tmp_path, "in.csv",
+              "\nu1,45.0,7.0,1\nu2,46.0,8.0,1\nu1,45.1,7.1,1\n")
+    cfg = IngestConfig(format="csv_gps", dedup_policy="error")
+    with pytest.raises(IngestError, match="^line 4: duplicate timestamp 1"):
+        parse_raw_with_report(p, cfg)
+
+
 def test_custom_column_map_ignores_extra_columns(tmp_path):
     p = write(tmp_path, "in.csv", "x,9,u1,45.0,7.0,100,extra\n")
     cfg = IngestConfig(
@@ -87,13 +117,14 @@ def test_custom_column_map_ignores_extra_columns(tmp_path):
 
 def test_tz_offset_applied(tmp_path):
     p = write(tmp_path, "in.csv", "u1,45.0,7.0,100\n")
-    cfg = IngestConfig(
-        format="csv_gps",
-        timezone_policy="offset_seconds",
-        tz_offset_seconds=-3600,
-    )
+    cfg = IngestConfig(format="csv_gps", tz_offset_seconds=-3600)
     trajs, _ = parse_raw_with_report(p, cfg)
     assert trajs[0].t[0] == 100 - 3600
+    lines = ["hdr"] * 6 + ["39.9,116.3,0,120,25569.5,1970-01-01,12:00:00"]
+    p = write(tmp_path, "007.plt", "\n".join(lines) + "\n")
+    cfg = IngestConfig(format="plt_geolife_like", tz_offset_seconds=7200)
+    trajs, _ = parse_raw_with_report(p, cfg)
+    assert trajs[0].t.tolist() == [43200 + 7200]
 
 
 def test_plt_header_and_epoch(tmp_path):
@@ -186,12 +217,27 @@ def test_save_load_raw_roundtrip(tmp_path):
 
 def test_dataset_digest_matches_disk_content(tmp_path):
     ds = make_dataset({"a": [0, 1, 2], "b": [1, 0]})
-    d1 = dataset_digest(ds)
     save_dataset(ds, tmp_path / "d")
-    assert d1 == dataset_digest(load_dataset(tmp_path / "d"))
-    assert d1.startswith("sha256:")
-    other = make_dataset({"a": [0, 1, 2], "b": [1, 2]})
-    assert dataset_digest(other) != d1
+    d1 = dataset_digest(tmp_path / "d")
+    files = [(tmp_path / "d" / f).read_bytes()
+             for f in ("alphabet.json", "sequences.jsonl")]
+    assert d1 == "sha256:" + hashlib.sha256(b"".join(files)).hexdigest()
+    # a saved reload writes the same bytes, so the digest is the dataset's
+    save_dataset(load_dataset(tmp_path / "d"), tmp_path / "again")
+    assert dataset_digest(tmp_path / "again") == d1
+    save_dataset(make_dataset({"a": [0, 1, 2], "b": [1, 2]}), tmp_path / "o")
+    assert dataset_digest(tmp_path / "o") != d1
+
+
+def test_hand_edited_directory_hashes_its_own_bytes(tmp_path):
+    # the same dataset with other whitespace loads equal but hashes apart
+    ds = make_dataset({"a": [0, 1, 2]})
+    save_dataset(ds, tmp_path / "d")
+    seq = tmp_path / "d" / "sequences.jsonl"
+    digest = dataset_digest(tmp_path / "d")
+    seq.write_text(seq.read_text() + "\n")
+    assert load_dataset(tmp_path / "d") == ds
+    assert dataset_digest(tmp_path / "d") != digest
 
 
 def test_digest_and_raw_bytes_pinned(tmp_path):
@@ -201,9 +247,10 @@ def test_digest_and_raw_bytes_pinned(tmp_path):
                                 n_symbols=500, n_users=3, seed=11))
     digest = ("sha256:90109278ba519f5fa8b7e89fc6e5d47a"
               "759c8976ac5ab04d968970d692070bd2")
-    assert dataset_digest(ds) == digest
     save_dataset(ds, tmp_path / "d")
-    assert dataset_digest(load_dataset(tmp_path / "d")) == digest
+    assert dataset_digest(tmp_path / "d") == digest
+    save_dataset(load_dataset(tmp_path / "d"), tmp_path / "again")
+    assert dataset_digest(tmp_path / "again") == digest
 
     rng = np.random.default_rng(5)
     lines = []

@@ -16,6 +16,7 @@ from mobmeta import report
 from mobmeta.predictors import PredictorSpec
 from mobmeta.report import (
     FOLDS_CSV_COLUMNS,
+    _fmt_row,
     _write_csv,
     build_summary,
     bundle_report,
@@ -73,6 +74,11 @@ def test_match_structure_csv_log_delta(tmp_path):
     with patch.object(report, "_CSV_CHUNK_ROWS", 2):
         write_match_structure_csv(chunked, pos, length, delta)
     assert chunked.read_bytes() == p.read_bytes()
+    write_csv_cell_by_cell(
+        tmp_path / "want.csv", ["pos", "L", "log10_delta"],
+        [(int(a), int(b), math.log10(c)) for a, b, c in zip(pos, length, delta)],
+    )
+    assert p.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_corr_matrix_csv(tmp_path):
@@ -140,8 +146,7 @@ CELLS = {
 
 @st.composite
 def csv_tables(draw):
-    # each column is one cell type (the whole-column path) or a mix of
-    # them (the cell-by-cell path)
+    # each column is one cell type or a mix of them
     kinds = [
         draw(st.sets(st.sampled_from(sorted(CELLS)), min_size=1, max_size=3))
         for _ in range(draw(st.integers(1, 5)))
@@ -159,18 +164,27 @@ def csv_tables(draw):
 @settings(max_examples=100, deadline=None)
 @given(csv_tables())
 def test_write_csv_equals_cell_by_cell(tmp_path_factory, table):
+    # the row formatter every small writer uses, written in chunks
     header, rows = table
     d = tmp_path_factory.mktemp("csv")
+    try:
+        write_csv_cell_by_cell(d / "want.csv", header, rows)
+    except UnicodeEncodeError:  # a lone surrogate has no UTF-8 bytes
+        with pytest.raises(UnicodeEncodeError):
+            _write_csv(d / "got.csv", header, map(_fmt_row, rows))
+        return
     with patch.object(report, "_CSV_CHUNK_ROWS", 3):
-        _write_csv(d / "got.csv", header, iter(rows))
-    write_csv_cell_by_cell(d / "want.csv", header, rows)
+        _write_csv(d / "got.csv", header, map(_fmt_row, rows))
     assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
 
 
 def test_write_csv_mixed_column_bytes(tmp_path):
     p = tmp_path / "m.csv"
-    _write_csv(p, ["a", "b"], [(1, None), (2.5, True), (False, 0.1)])
+    rows = [(1, None), (2.5, True), (False, 0.1)]
+    _write_csv(p, ["a", "b"], map(_fmt_row, rows))
     assert p.read_text() == "a,b\n1,n/a\n2.5,true\nfalse,0.1\n"
+    write_csv_cell_by_cell(tmp_path / "want.csv", ["a", "b"], rows)
+    assert p.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_granularity_medians():
