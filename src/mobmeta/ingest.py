@@ -3,7 +3,8 @@
 Raw GPS inputs hold one fix per line and are read by one loop
 (parse_raw_with_report):
     csv_gps           user, lat, lon and t in the columns column_map names;
-                      t in unix seconds, truncated to an integer
+                      t in unix seconds, read exactly when it is an
+                      integer and truncated to one otherwise
     plt_geolife_like  6 header lines, then lat,lon,_,alt,daynum,... rows;
                       daynum is fractional days since 1899-12-30, rounded
                       to the second, and the user id is the file stem
@@ -103,7 +104,11 @@ def _read_fixes(
         lat_col, lon_col, t_col = cm["lat"], cm["lon"], cm["t"]
 
         def seconds(text: str) -> int:
-            return int(float(text))
+            # int first: float would round integers beyond 2**53
+            try:
+                return int(text)
+            except ValueError:
+                return int(float(text))
     else:
         header, user_col, lat_col, lon_col, t_col = 6, None, 0, 1, 4
 
@@ -229,16 +234,27 @@ def _records(path: Path, label: str, build: Callable[[dict], Any]) -> list:
     return out
 
 
+def _user_id(obj: dict) -> str:
+    """obj's user_id as text; one that UTF-8 cannot encode, such as a lone
+    surrogate from a JSON escape, is a ValueError here rather than in
+    every later write of it."""
+    user_id = str(obj["user_id"])
+    try:
+        user_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"user_id {user_id!r} is not valid UTF-8") from None
+    return user_id
+
+
 def _sequence(obj: dict, build=PoiSequence) -> PoiSequence:
     symbols = _rows(obj["symbols"], 2, np.int64)
-    return build(str(obj["user_id"]), symbols[:, 0], symbols[:, 1])
+    return build(_user_id(obj), symbols[:, 0], symbols[:, 1])
 
 
 def _trajectory(obj: dict) -> RawTrajectory:
     points = _rows(obj["points"], 3, object)
-    return RawTrajectory(
-        str(obj["user_id"]), points[:, 0], points[:, 1], points[:, 2]
-    )
+    return RawTrajectory(_user_id(obj), points[:, 0], points[:, 1],
+                         points[:, 2])
 
 
 def load_symbols_jsonl(path: str | Path, name: str) -> Dataset:

@@ -12,8 +12,12 @@ returns a new model whose tables equal training on the concatenation.
 from __future__ import annotations
 
 import math
+import os
+import selectors
 import subprocess
+import sys
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
@@ -25,6 +29,15 @@ from .core import DataError
 # How long an external predictor may take to exit after its stdin closes
 # before it is killed.
 CLOSE_TIMEOUT_S = 10.0
+
+# How long an external predictor may go without progress, a byte written
+# to its stdin or read from its stdout, before it is killed.  A child fits
+# its model between its TRAIN block and its first response, so this is
+# the longest a fold's training may take: five minutes.
+REQUEST_TIMEOUT_S = 300.0
+
+_STDERR_LINES = 5  # the last lines of a child's stderr kept for its errors
+_READ_SIZE = 1 << 16
 
 
 class ProtocolError(DataError):
@@ -389,6 +402,25 @@ def transition_counts(model) -> dict[tuple[int, ...], dict[int, int]]:
     return out
 
 
+def _read(pipe) -> Optional[bytes]:
+    """What a non-blocking pipe holds, b"" at its end, None when empty."""
+    try:
+        return os.read(pipe.fileno(), _READ_SIZE)
+    except BlockingIOError:
+        return None
+
+
+def request_lines(symbols: Sequence[int],
+                  timestamps: Sequence[int]) -> list[bytes]:
+    """The "poi_id t" line of each position, as the protocol sends it."""
+    return [b"%d %d\n" % st for st in zip(symbols, timestamps)]
+
+
+def request_block(verb: bytes, lines: list[bytes]) -> bytes:
+    """A request block: "<verb> <n>" and its n lines (request_lines)."""
+    return b"%s %d\n" % (verb, len(lines)) + b"".join(lines)
+
+
 class ExternalModel:
     """Adapter around a subprocess speaking the line protocol.
 
@@ -404,137 +436,167 @@ class ExternalModel:
     fold with the offending line number.
 
     One instance serves one fold: it reads that fold's TRAIN block and
-    PREDICT requests, then end of input.  Its life is split so that
-    start-up and exit can overlap other work: `start` spawns the child,
-    `send_train` sends the TRAIN block, `predict` is one round trip, `end`
-    closes the child's stdin and `close` reaps it.  `validation.evaluate`
-    spawns the instance of a fold two folds ahead, sends its TRAIN block
-    when its fold begins and reaps it after the next fold, so a predictor
-    may have up to four instances alive at once.
+    PREDICT requests, then end of input.  `start` spawns the child,
+    `send_train` sends the TRAIN block, `predict` is one round trip and
+    `close` ends the input and reaps the child.  The child's three pipes
+    are non-blocking and served by one selectors loop (Pipes): `predict`
+    is its one-request case, and `validation.evaluate` holds the children
+    of several folds in it at once.  A child's stderr is forwarded to ours
+    line by line, and its last lines end every ProtocolError of the
+    instance.  A child that makes no progress for REQUEST_TIMEOUT_S, or
+    has not exited CLOSE_TIMEOUT_S after its end of input, is killed.
     """
 
     def __init__(self, spec: PredictorSpec, proc: subprocess.Popen,
                  alphabet_size: int):
         self.spec = spec
         self.alphabet_size = alphabet_size
+        self.label = ""  # names the instance in its errors, e.g. its fold
         self._proc = proc
+        self._unsent = memoryview(b"")
+        self._out = bytearray()  # stdout not yet taken as a response
+        self._err = bytearray()  # stderr of a line not yet ended
+        self._err_tail: deque[bytes] = deque(maxlen=_STDERR_LINES)
+        self._out_eof = self._err_eof = False
         self._lines_read = 0
+        self._last_progress = time.monotonic()
         # monotonic time by which the child must exit, set by end()
-        self._deadline: Optional[float] = None
+        self._exit_by: Optional[float] = None
 
     @classmethod
     def start(cls, spec: PredictorSpec,
               alphabet_size: int) -> "ExternalModel":
-        """Spawn the child; it reads nothing until `send_train`."""
+        """Spawn the child; it reads nothing until a block is sent."""
         try:
             proc = subprocess.Popen(
                 list(spec.command),
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                text=True,
+                stderr=subprocess.PIPE,
+                bufsize=0,
             )
         except OSError as e:
             raise ProtocolError(f"cannot start {spec.command}: {e}") from e
+        for pipe in (proc.stdin, proc.stdout, proc.stderr):
+            os.set_blocking(pipe.fileno(), False)
         return cls(spec, proc, alphabet_size)
+
+    def send(self, block: bytes) -> None:
+        """Queue a request block and write what the pipe takes now; the
+        rest goes out as the child reads (Pipes.wait)."""
+        self._unsent = memoryview(bytes(self._unsent) + block
+                                  if self._unsent else block)
+        self._write()
 
     def send_train(self, symbols: Sequence[int],
                    timestamps: Sequence[int]) -> None:
-        """Send the TRAIN block; a child that cannot take it is killed."""
+        """Send the TRAIN block and wait until the child has taken it all;
+        a child that cannot take it is killed."""
         try:
-            self._send("TRAIN", symbols, timestamps)
+            self.send(request_block(b"TRAIN", request_lines(
+                [int(s) for s in symbols], [int(t) for t in timestamps])))
+            with Pipes((self,)) as pipes:
+                while self._unsent:
+                    pipes.wait((self,))
         except ProtocolError:
             self.kill()
             raise
 
-    def _send(self, verb: str, symbols: Sequence[int],
-              timestamps: Sequence[int]) -> None:
-        """One request block: "<verb> <n>" and n "poi_id t" lines, sent
-        with one write and one flush."""
-        lines = [f"{verb} {len(symbols)}"]
-        lines += [f"{int(s)} {int(t)}" for s, t in zip(symbols, timestamps)]
-        try:
-            self._proc.stdin.write("\n".join(lines) + "\n")
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as e:
-            raise ProtocolError(
-                f"external predictor pipe closed before response line "
-                f"{self._lines_read + 1}: {e}"
-            ) from e
-
     def predict(self, context: Sequence[int],
                 context_timestamps: Optional[Sequence[int]] = None
-                ) -> tuple[int, Optional[np.ndarray]]:
+                ) -> tuple[int, Optional[list[float]]]:
+        """(argmax, distribution or None) after one PREDICT round trip."""
         if context_timestamps is None:
             context_timestamps = range(len(context))
-        self._send("PREDICT", context, context_timestamps)
-        line = self._proc.stdout.readline()
+        self.send(request_block(b"PREDICT", request_lines(
+            [int(s) for s in context], [int(t) for t in context_timestamps])))
+        with Pipes((self,)) as pipes:
+            while (answer := self.response()) is None:
+                pipes.wait((self,))
+        return answer
+
+    def response(self) -> Optional[tuple[int, Optional[list[float]]]]:
+        """The next response line, parsed and checked, or None while it
+        has not arrived whole."""
+        end = self._out.find(b"\n")
+        if end < 0:
+            if self._out_eof:
+                raise self._error(
+                    f"external predictor closed stdout at response line "
+                    f"{self._lines_read + 1}"
+                )
+            return None
+        line = bytes(self._out[:end])
+        del self._out[: end + 1]
         self._lines_read += 1
-        if not line:
-            raise ProtocolError(
-                f"external predictor closed stdout at response line "
-                f"{self._lines_read}"
-            )
         parts = line.split()
         try:
             poi = int(parts[0])
         except (IndexError, ValueError):
-            raise ProtocolError(
+            raise self._error(
                 f"response line {self._lines_read}: expected integer poi_id, "
-                f"got {line.rstrip()!r}"
+                f"got {line.decode(errors='replace').rstrip()!r}"
             ) from None
         if not 0 <= poi < self.alphabet_size:
-            raise ProtocolError(
+            raise self._error(
                 f"response line {self._lines_read}: poi_id {poi} outside "
                 f"alphabet of size {self.alphabet_size}"
             )
         if len(parts) == 1:
             return poi, None
         if len(parts) != 1 + self.alphabet_size:
-            raise ProtocolError(
+            raise self._error(
                 f"response line {self._lines_read}: expected "
                 f"{self.alphabet_size} probabilities, got {len(parts) - 1}"
             )
         try:
-            dist = np.asarray([float(x) for x in parts[1:]], dtype=np.float64)
+            dist = [float(x) for x in parts[1:]]
         except ValueError:
-            raise ProtocolError(
+            raise self._error(
                 f"response line {self._lines_read}: non-numeric probability"
             ) from None
-        if np.any(dist < 0) or not math.isclose(float(dist.sum()), 1.0,
-                                                abs_tol=1e-6):
-            raise ProtocolError(
+        if min(dist) < 0 or not math.isclose(sum(dist), 1.0, abs_tol=1e-6):
+            raise self._error(
                 f"response line {self._lines_read}: probabilities must be "
                 "nonnegative and sum to 1"
             )
         return poi, dist
 
     def end(self) -> None:
-        """Close the child's stdin, its end of input; the child then has
-        CLOSE_TIMEOUT_S to exit."""
-        if self._deadline is not None:
-            return
-        self._deadline = time.monotonic() + CLOSE_TIMEOUT_S
-        try:
+        """Close the child's stdin, its end of input, once all is sent; the
+        child then has CLOSE_TIMEOUT_S to exit."""
+        if self._exit_by is None:
+            self._exit_by = time.monotonic() + CLOSE_TIMEOUT_S
             self._proc.stdin.close()
-        except OSError:
-            pass
+
+    def exited(self) -> bool:
+        """Whether the child, its input ended, has closed stdout and
+        stderr.  Output past its last response is a ProtocolError."""
+        if self._out:
+            raise self._error(
+                f"external predictor wrote past its last response line "
+                f"{self._lines_read}: {bytes(self._out[:80])!r}"
+            )
+        return self._out_eof and self._err_eof
 
     def close(self) -> None:
-        """End input if `end` has not, wait out what is left of the
-        child's CLOSE_TIMEOUT_S, and kill it if it is still running."""
-        self.end()
+        """End input if `end` has not, read the child's output to its end
+        and reap it within what is left of its CLOSE_TIMEOUT_S; a child
+        that overruns it or writes past its last response is killed."""
         try:
-            self._proc.wait(timeout=max(0.0, self._deadline - time.monotonic()))
-        except subprocess.TimeoutExpired:
-            self._proc.kill()
-            self._proc.wait()
-            raise ProtocolError(
-                f"external predictor {' '.join(self.spec.command)} did not "
-                f"exit within {CLOSE_TIMEOUT_S:g} s of end of input; killed"
-            ) from None
-        finally:
-            if self._proc.stdout:
-                self._proc.stdout.close()
+            self.end()
+            with Pipes((self,)) as pipes:
+                while not self.exited():
+                    pipes.wait((self,))
+            try:
+                self._proc.wait(timeout=max(0.0,
+                                            self._exit_by - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                raise self._timeout() from None
+        except BaseException:
+            self.kill()
+            raise
+        self._close_pipes()
 
     def kill(self) -> None:
         """Kill and reap the child without the grace period of `close`,
@@ -542,12 +604,96 @@ class ExternalModel:
         to report."""
         self._proc.kill()
         self._proc.wait()
-        for pipe in (self._proc.stdin, self._proc.stdout):
-            if pipe:
-                try:
-                    pipe.close()
-                except OSError:
-                    pass
+        self._close_pipes()
+
+    def _close_pipes(self) -> None:
+        for pipe in (self._proc.stdin, self._proc.stdout, self._proc.stderr):
+            try:
+                pipe.close()
+            except OSError:
+                pass
+
+    def _deadline(self) -> float:
+        if self._exit_by is not None:
+            return self._exit_by
+        return self._last_progress + REQUEST_TIMEOUT_S
+
+    def _timeout(self) -> ProtocolError:
+        command = " ".join(self.spec.command)
+        if self._exit_by is not None:
+            return self._error(
+                f"external predictor {command} did not exit within "
+                f"{CLOSE_TIMEOUT_S:g} s of end of input; killed"
+            )
+        unread = (f", {len(self._unsent)} bytes of its input unread"
+                  if self._unsent else "")
+        return self._error(
+            f"external predictor {command} made no progress for "
+            f"{REQUEST_TIMEOUT_S:g} s waiting for response line "
+            f"{self._lines_read + 1}{unread}; killed"
+        )
+
+    def _error(self, message: str) -> ProtocolError:
+        """ProtocolError(message) after the instance's label and before
+        the child's last stderr lines."""
+        # what a failing child wrote to stderr before it failed is in the
+        # pipe by now; a child that floods it is not read to its end
+        for _ in range(16):
+            data = None if self._err_eof else _read(self._proc.stderr)
+            if data is None:
+                break
+            self._forward_stderr(data)
+        tail = [*self._err_tail, *([bytes(self._err)] if self._err else [])]
+        return ProtocolError(
+            (f"{self.label}: {message}" if self.label else message)
+            + "".join(f"\n  stderr: {line.decode(errors='replace')}"
+                      for line in tail[-_STDERR_LINES:])
+        )
+
+    def _write(self) -> None:
+        """Write what the child's stdin takes of the unsent bytes."""
+        if not self._unsent:
+            return
+        try:
+            n = os.write(self._proc.stdin.fileno(), self._unsent)
+        except BlockingIOError:
+            return
+        except OSError as e:
+            raise self._error(
+                f"external predictor pipe closed before response line "
+                f"{self._lines_read + 1}: {e}"
+            ) from e
+        self._unsent = self._unsent[n:]
+        self._last_progress = time.monotonic()
+
+    def _read_stdout(self) -> bool:
+        """Read what stdout holds; False at its end."""
+        data = _read(self._proc.stdout)
+        if data is not None:
+            self._out += data
+            self._out_eof = not data
+            self._last_progress = time.monotonic()
+        return not self._out_eof
+
+    def _read_stderr(self) -> bool:
+        """Read what stderr holds; False at its end."""
+        data = _read(self._proc.stderr)
+        if data is not None:
+            self._forward_stderr(data)
+        return not self._err_eof
+
+    def _forward_stderr(self, data: bytes) -> None:
+        """Forward the lines `data` ends to our stderr and keep the last
+        ones; b"" ends the last line."""
+        self._err += data
+        self._err_eof = not data
+        cut = len(self._err) if self._err_eof else self._err.rfind(b"\n") + 1
+        if cut:
+            lines = bytes(self._err[:cut])
+            del self._err[:cut]
+            sys.stderr.write(lines.decode(errors="replace"))
+            sys.stderr.flush()
+            self._err_tail.extend(lines.splitlines()[-_STDERR_LINES:])
 
     def __enter__(self):
         return self
@@ -557,3 +703,62 @@ class ExternalModel:
             self.close()
         else:
             self.kill()
+
+
+class Pipes:
+    """One selectors loop over the pipes of external predictor children.
+
+    `add` registers a child's stdout and stderr until each reaches its
+    end; each `wait` writes what the children's stdins take, reads their
+    stdout and stderr, and raises the ProtocolError of the first child
+    whose deadline has passed.
+    """
+
+    def __init__(self, models=()):
+        self._sel = selectors.DefaultSelector()
+        for model in models:
+            self.add(model)
+
+    def add(self, model: ExternalModel) -> None:
+        for pipe, read, eof in (
+            (model._proc.stdout, model._read_stdout, model._out_eof),
+            (model._proc.stderr, model._read_stderr, model._err_eof),
+        ):
+            if not eof:
+                self._sel.register(pipe, selectors.EVENT_READ, (model, read))
+
+    def wait(self, models) -> set[ExternalModel]:
+        """Wait, at most until the earliest deadline of `models`, for their
+        pipes to be ready and serve them; the models served."""
+        first = min(models, key=ExternalModel._deadline)
+        timeout = first._deadline() - time.monotonic()
+        if timeout <= 0:
+            raise first._timeout()
+        # a stdin is watched only while it has bytes to take
+        writing = [model for model in models if model._unsent]
+        for model in writing:
+            self._sel.register(model._proc.stdin, selectors.EVENT_WRITE,
+                               (model, None))
+        try:
+            events = self._sel.select(timeout)
+        finally:
+            for model in writing:
+                self._sel.unregister(model._proc.stdin)
+        served = set()
+        for key, _ in events:
+            model, read = key.data
+            if read is None:
+                model._write()
+            elif not read():
+                self._sel.unregister(key.fileobj)
+            served.add(model)
+        return served
+
+    def close(self) -> None:
+        self._sel.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()

@@ -18,17 +18,17 @@ equals training on the whole prefix.  A native model scores all test
 positions of a fold in one `score` call, which returns each position's
 argmax and the probability of its true symbol.  An external predictor
 gets a child of its own per fold and one PREDICT request per test
-position.  Each child sees one fold only, but its start-up and exit
-overlap the scoring of other folds: it is spawned two folds ahead, sent
-its TRAIN block when its fold begins and reaped after the next fold, so
-up to four children may be alive at once.
+position.  Each child sees one fold only, and strictly alternates: its
+next request goes out only once its last response has been read.  But
+the folds of every user are queued together and up to MAX_CHILDREN of
+them are in conversation at once, in one selectors loop, so one child's
+start-up, round trips and exit overlap the others'.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -36,7 +36,8 @@ import numpy as np
 
 from .core import DataError, Dataset, InfeasiblePlanError
 from .predictors import (
-    ExternalModel, PredictorSpec, ProtocolError, retrain, train,
+    ExternalModel, Pipes, PredictorSpec, request_block, request_lines,
+    retrain, train,
 )
 from .rng import SplitMix64
 
@@ -45,6 +46,9 @@ TIME_ORDERED_SCHEMES = frozenset(
     {"rolling", "block_rolling", "window10_cumulative"}
 )
 _ALL_SCHEMES = LEAKY_SCHEMES | TIME_ORDERED_SCHEMES
+
+# At most this many children of an external predictor are alive at once.
+MAX_CHILDREN = 4
 
 
 @dataclass(frozen=True)
@@ -291,13 +295,16 @@ def _window(fold: Fold, n: int, need: int) -> tuple[np.ndarray, np.ndarray]:
 def _test_contexts(
     fold: Fold, symbols: np.ndarray, timestamps: np.ndarray, need: int
 ):
-    """(truth, context, context timestamps) per test position, in order."""
+    """(truth, PREDICT block) per test position, in order.
+
+    Each known position's "poi_id t" line is formatted once per fold, and
+    a block joins the lines of its context.
+    """
     known, ends = _window(fold, symbols.shape[0], need)
     syms = symbols[known].tolist()
-    ts = timestamps[known].tolist()
+    lines = request_lines(syms, timestamps[known].tolist())
     for e in ends.tolist():
-        lo = max(0, e - need)
-        yield syms[e], syms[lo:e], ts[lo:e]
+        yield syms[e], request_block(b"PREDICT", lines[max(0, e - need) : e])
 
 
 def _train_positions(fold: Fold, n: int) -> np.ndarray:
@@ -308,30 +315,10 @@ def _train_positions(fold: Fold, n: int) -> np.ndarray:
     return in_train.nonzero()[0]
 
 
-def _score_fold(
-    user_id: str,
-    fold: Fold,
-    pos: np.ndarray,
-    model,
-    symbols: np.ndarray,
-    timestamps: np.ndarray,
-    need: int,
-) -> FoldResult:
-    if isinstance(model, ExternalModel):
-        n_correct, probs = 0, []
-        for truth, ctx, ctx_ts in _test_contexts(fold, symbols, timestamps,
-                                                 need):
-            pred, dist = model.predict(ctx, ctx_ts)
-            n_correct += pred == truth
-            probs.append(None if dist is None else float(dist[truth]))
-    else:
-        # a native model scores every test position of the fold at once
-        known, ends = _window(fold, symbols.shape[0], need)
-        seq = symbols[known]
-        truth = seq[ends]
-        pred, p = model.score(seq, ends, truth)
-        n_correct = int(np.count_nonzero(pred == truth))
-        probs = p.tolist()
+def _fold_result(user_id: str, fold: Fold, pos: np.ndarray, n_correct: int,
+                 probs: list) -> FoldResult:
+    """A fold's row from its hits and the probability of each true symbol
+    (None from an argmax-only predictor)."""
     has_bits = None not in probs
     bits_terms = [-math.log2(p) if p > 0.0 else math.inf
                   for p in probs] if has_bits else []
@@ -351,7 +338,97 @@ def _score_fold(
     )
 
 
+class _Conversation:
+    """One fold's exchange with its child: its TRAIN block and first
+    request, then one request per response until the last."""
+
+    def __init__(self, user_id: str, fold: Fold, symbols: np.ndarray,
+                 timestamps: np.ndarray, need: int):
+        self.user_id, self.fold = user_id, fold
+        self.pos = _train_positions(fold, symbols.shape[0])
+        self.n_correct, self.probs = 0, []
+        self.done = False
+        self._requests = _test_contexts(fold, symbols, timestamps, need)
+        self._truth, request = next(self._requests)
+        self.opening = request_block(b"TRAIN", request_lines(
+            symbols[self.pos].tolist(), timestamps[self.pos].tolist()
+        )) + request
+
+    def answer(self, pred: int, dist: Optional[list]) -> Optional[bytes]:
+        """Score the response to the last request; the next request, or
+        None after the last."""
+        self.n_correct += pred == self._truth
+        self.probs.append(None if dist is None else dist[self._truth])
+        nxt = next(self._requests, None)
+        if nxt is None:
+            self.done = True
+            return None
+        self._truth, request = nxt
+        return request
+
+    def result(self) -> FoldResult:
+        return _fold_result(self.user_id, self.fold, self.pos, self.n_correct,
+                            self.probs)
+
+
 def _eval_external(
+    jobs: list[tuple[str, np.ndarray, np.ndarray, Fold]],
+    spec: PredictorSpec,
+    alphabet_size: int,
+    need: int,
+) -> list[FoldResult]:
+    """Score each (user, symbols, timestamps, fold) job with a fresh child
+    of the external predictor; the results in job order.
+
+    One selectors loop (predictors.Pipes) holds up to MAX_CHILDREN folds
+    in conversation, so the children's start-ups, round trips and exits
+    overlap.  A child gets its TRAIN block and first PREDICT when it is
+    spawned, and each later PREDICT only once its previous response has
+    been read, so it never holds a test symbol before it has answered
+    for it.  After its last response a child's stdin is closed, and once
+    it has closed its stdout it is reaped; only then does the next job's
+    child start.  On any error every child still alive is killed.
+    """
+    results: list[Optional[FoldResult]] = [None] * len(jobs)
+    waiting = iter(enumerate(jobs))
+    talks: dict[ExternalModel, tuple[int, _Conversation]] = {}
+    pipes = Pipes()
+    try:
+        while True:
+            while len(talks) < MAX_CHILDREN and (
+                    job := next(waiting, None)) is not None:
+                i, (user_id, symbols, timestamps, fold) = job
+                talk = _Conversation(user_id, fold, symbols, timestamps, need)
+                model = ExternalModel.start(spec, alphabet_size)
+                model.label = f"user {user_id!r} fold {fold.index}"
+                talks[model] = i, talk
+                pipes.add(model)
+                model.send(talk.opening)
+            if not talks:
+                return results
+            for model in pipes.wait(talks):
+                i, talk = talks[model]
+                while not talk.done and (answer := model.response()):
+                    request = talk.answer(*answer)
+                    if request is None:
+                        model.end()
+                    else:
+                        model.send(request)
+                if talk.done and model.exited():
+                    model.close()
+                    del talks[model]
+                    results[i] = talk.result()
+    except BaseException:
+        # kill rather than close: a close that waits could raise an error
+        # of its own and hide this one
+        for model in talks:
+            model.kill()
+        raise
+    finally:
+        pipes.close()
+
+
+def _eval_native(
     user_id: str,
     symbols: np.ndarray,
     timestamps: np.ndarray,
@@ -360,57 +437,6 @@ def _eval_external(
     alphabet_size: int,
     need: int,
 ) -> list[FoldResult]:
-    """Score each fold with a fresh child of the external predictor.
-
-    A fold's child is spawned two folds ahead, so its start-up runs while
-    earlier folds are scored, and gets its TRAIN block only when its fold
-    begins, so no spawn waits on a pipe.  After fold i is scored, child i
-    gets end of input and child i-1, which has had a fold's time to exit,
-    is reaped.  At most four children are alive: the one scored, two
-    spares and one exiting.
-    """
-    n = symbols.shape[0]
-    results = []
-    spares: deque[ExternalModel] = deque()
-    child = exiting = None
-    try:
-        for i, fold in enumerate(folds):
-            child = (spares.popleft() if spares
-                     else ExternalModel.start(spec, alphabet_size))
-            while len(spares) < min(2, len(folds) - i - 1):
-                spares.append(ExternalModel.start(spec, alphabet_size))
-            pos = _train_positions(fold, n)
-            child.send_train(symbols[pos], timestamps[pos])
-            results.append(_score_fold(user_id, fold, pos, child, symbols,
-                                       timestamps, need))
-            child.end()
-            if exiting is not None:
-                exiting.close()
-            exiting, child = child, None
-        exiting.close()
-    except BaseException:
-        # kill rather than close: a close that waits could raise an error
-        # of its own and hide this one
-        for model in (child, exiting, *spares):
-            if model is not None:
-                model.kill()
-        raise
-    return results
-
-
-def _eval_stream(
-    user_id: str,
-    symbols: np.ndarray,
-    timestamps: np.ndarray,
-    spec: PredictorSpec,
-    plan: ValidationPlan,
-    folds: list[Fold],
-    alphabet_size: int,
-) -> list[FoldResult]:
-    need = _context_need(spec, plan)
-    if spec.kind == "external":
-        return _eval_external(user_id, symbols, timestamps, spec, folds,
-                              alphabet_size, need)
     n = symbols.shape[0]
     results = []
     # the last model and its training positions, extended with retrain
@@ -425,8 +451,15 @@ def _eval_stream(
         else:
             model = train(spec, symbols[pos], alphabet_size, timestamps[pos])
         prev_pos = pos
-        results.append(_score_fold(user_id, fold, pos, model, symbols,
-                                   timestamps, need))
+        # a native model scores every test position of the fold at once
+        known, ends = _window(fold, n, need)
+        seq = symbols[known]
+        truth = seq[ends]
+        pred, p = model.score(seq, ends, truth)
+        results.append(_fold_result(
+            user_id, fold, pos, int(np.count_nonzero(pred == truth)),
+            p.tolist(),
+        ))
     return results
 
 
@@ -444,25 +477,34 @@ def evaluate(
     if not plan.per_user:
         streams = [("__all__", np.concatenate([s[1] for s in streams]),
                     np.concatenate([s[2] for s in streams]))]
-    all_results: list[FoldResult] = []
-    per_user_acc: list[float] = []
-    per_user_bits: list[float] = []
+    need = _context_need(spec, plan)
+    # per kept stream, its folds' results (external: its folds' jobs)
+    kept: list[list] = []
     excluded: list[str] = []
     n_infeasible = 0
     for user_id, symbols, timestamps in streams:
         try:
             folds = make_folds(plan, symbols.shape[0])
-            results = _eval_stream(
-                user_id, symbols, timestamps, spec, plan, folds,
-                ds.alphabet.size,
-            )
-        except ProtocolError:
-            raise
+            if spec.kind == "external":
+                kept.append([(user_id, symbols, timestamps, fold)
+                             for fold in folds])
+            else:
+                kept.append(_eval_native(user_id, symbols, timestamps, spec,
+                                         folds, ds.alphabet.size, need))
         except (InfeasiblePlanError, DataError) as e:
             warnings.warn(f"excluding user {user_id!r}: {e}", stacklevel=2)
             excluded.append(user_id)
             n_infeasible += isinstance(e, InfeasiblePlanError)
-            continue
+    if spec.kind == "external":
+        # one queue across streams: the next user's children start while
+        # this user's last folds are scored
+        scored = iter(_eval_external([job for jobs in kept for job in jobs],
+                                     spec, ds.alphabet.size, need))
+        kept = [[next(scored) for _ in jobs] for jobs in kept]
+    all_results: list[FoldResult] = []
+    per_user_acc: list[float] = []
+    per_user_bits: list[float] = []
+    for results in kept:
         all_results.extend(results)
         per_user_acc.append(float(np.mean([r.accuracy for r in results])))
         fold_bits = [r.bits_per_symbol for r in results]

@@ -8,6 +8,7 @@ asserts on exit codes, produced files, and printed lines.  Exit codes:
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -370,6 +371,60 @@ def test_negative_poi_id_in_symbols_jsonl_names_line(tmp_path, capsys):
     assert "neg.jsonl line 2: user 'b': poi_id -1 not in alphabet" in err
 
 
+# a JSON escape of a lone surrogate decodes to text that UTF-8 cannot
+# encode: every loader rejects it at its line, before anything is written
+LONE_SURROGATE = "\ud800"
+
+
+def test_symbols_jsonl_user_id_not_utf8_names_line(tmp_path, capsys):
+    src = tmp_path / "sym.jsonl"
+    src.write_text(
+        json.dumps({"user_id": "a", "symbols": [[0, 1], [1, 2]]}) + "\n"
+        + json.dumps({"user_id": LONE_SURROGATE, "symbols": [[1, 1], [0, 2]]})
+        + "\n",
+        encoding="utf-8",
+    )
+    rc = main(["ingest", str(src), "--format", "symbols_jsonl",
+               "--out", str(tmp_path / "ds")])
+    _, err = capsys.readouterr()
+    assert rc == 3
+    assert "sym.jsonl line 2: user_id '\\ud800' is not valid UTF-8" in err
+    assert not (tmp_path / "ds").exists()
+
+
+def test_sequences_jsonl_user_id_not_utf8_names_line(tmp_path, capsys):
+    d = synth_periodic(tmp_path, capsys, users=2)
+    path = d / "sequences.jsonl"
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[1])
+    obj["user_id"] = LONE_SURROGATE
+    lines[1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(["validate", str(d), "--model", "markov:1",
+               "--scheme", "holdout:split=0.8",
+               "--out", str(tmp_path / "f.csv")])
+    _, err = capsys.readouterr()
+    assert rc == 3
+    assert "sequences.jsonl line 2: user_id '\\ud800' is not valid UTF-8" in err
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_raw_jsonl_user_id_not_utf8_names_line(tmp_path, capsys):
+    src = tmp_path / "x.csv"
+    src.write_text("u1,45.0,7.0,1000\nu1,45.0,7.0,1030\n", encoding="utf-8")
+    ok(["ingest", src, "--out", tmp_path / "raw"], capsys)
+    path = tmp_path / "raw" / "raw.jsonl"
+    obj = json.loads(path.read_text())
+    obj["user_id"] = LONE_SURROGATE
+    path.write_text(json.dumps(obj) + "\n")
+    rc = main(["extract-poi", str(tmp_path / "raw"),
+               "--out", str(tmp_path / "pois")])
+    _, err = capsys.readouterr()
+    assert rc == 3
+    assert "raw.jsonl line 1: user_id '\\ud800' is not valid UTF-8" in err
+    assert not (tmp_path / "pois").exists()
+
+
 @pytest.mark.parametrize("bad", [-1, 7])
 def test_poi_id_outside_alphabet_on_disk_names_line(tmp_path, capsys, bad):
     d = synth_periodic(tmp_path, capsys, users=2)
@@ -463,10 +518,10 @@ LINGERING_PREDICTOR = textwrap.dedent("""\
 """)
 
 
-def run_external(tmp_path, capsys, script_text, scheme):
+def run_external(tmp_path, capsys, script_text, scheme, n=120):
     script = tmp_path / "predictor.py"
     script.write_text(script_text, encoding="utf-8")
-    d = synth_periodic(tmp_path, capsys, users=1)
+    d = synth_periodic(tmp_path, capsys, users=1, n=n)
     cmd = shlex.join([sys.executable, str(script)])
     t0 = time.perf_counter()
     rc = main(["validate", str(d), "--model", "external",
@@ -527,6 +582,104 @@ def test_spare_that_dies_reading_train_exits_3(tmp_path, capsys, spawned):
     assert "response line 1" in err
     assert len(spawned) == 3
     assert all(p.returncode is not None for p in spawned)
+
+
+# Children that break the protocol in one way each, with a pattern of the
+# error it must cause.  Every one reads its input line by line and answers
+# a PREDICT with POI 0 unless it breaks.
+MISBEHAVING = {
+    # reads its TRAIN block and first PREDICT, then never answers
+    "sleeps_forever": ("""\
+        import sys, time
+        for _ in range(2):
+            word, count = sys.stdin.readline().split()
+            for _ in range(int(count)):
+                sys.stdin.readline()
+        time.sleep(60)
+    """, r"predictor\.py made no progress for 0\.3 s waiting for response "
+         r"line 1; killed"),
+    # the TRAIN block of 16,000 symbols is about 150 kB, more than the
+    # pipe buffer takes
+    "stops_reading_mid_train": ("""\
+        import sys, time
+        sys.stdin.buffer.raw.read(1000)
+        time.sleep(60)
+    """, r"predictor\.py made no progress for 0\.3 s waiting for response "
+         r"line 1, \d+ bytes of its input unread; killed"),
+    "dies_mid_response": ("""\
+        import sys
+        for line in sys.stdin:
+            word, count = line.split()
+            for _ in range(int(count)):
+                sys.stdin.readline()
+            if word == "PREDICT":
+                print("boom", file=sys.stderr, flush=True)
+                sys.stdout.write("0 0.2")
+                sys.exit(1)
+    """, r"closed stdout at response line 1\n  stderr: boom"),
+    "partial_line_then_silent": ("""\
+        import sys, time
+        for line in sys.stdin:
+            word, count = line.split()
+            for _ in range(int(count)):
+                sys.stdin.readline()
+            if word == "PREDICT":
+                sys.stdout.write("0")
+                sys.stdout.flush()
+                time.sleep(60)
+    """, r"predictor\.py made no progress for 0\.3 s waiting for response "
+         r"line 1; killed"),
+    "extra_line_after_last_response": ("""\
+        import sys
+        for line in sys.stdin:
+            word, count = line.split()
+            for _ in range(int(count)):
+                sys.stdin.readline()
+            if word == "PREDICT":
+                print(0, flush=True)
+        print(0, flush=True)
+    """, r"wrote past its last response line 4000: b'0\\n'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISBEHAVING))
+def test_misbehaving_child_exits_3_within_its_deadline(
+    tmp_path, capsys, monkeypatch, spawned, case
+):
+    script_text, cause = MISBEHAVING[case]
+    monkeypatch.setattr(predictors, "REQUEST_TIMEOUT_S", 0.3)
+    rc, err, script, elapsed = run_external(
+        tmp_path, capsys, textwrap.dedent(script_text), "holdout:split=0.8",
+        n=20_000,
+    )
+    assert rc == 3
+    assert "data error: user 'u0000' fold 0: " in err
+    assert re.search(cause, err), err
+    assert elapsed < 0.3 + 1.5
+    assert len(spawned) == 1
+    assert all(p.returncode is not None for p in spawned)
+
+
+def test_child_flooding_stderr_completes(tmp_path, capsys, spawned):
+    # 1 MiB on stderr before the first read: an undrained stderr pipe
+    # would block the child and hang the fold
+    script_text = textwrap.dedent("""\
+        import sys
+        sys.stderr.write(("x" * 1023 + "\\n") * 1024)
+        sys.stderr.flush()
+        for line in sys.stdin:
+            word, count = line.split()
+            for _ in range(int(count)):
+                sys.stdin.readline()
+            if word == "PREDICT":
+                print(0, flush=True)
+    """)
+    rc, err, _, _ = run_external(tmp_path, capsys, script_text,
+                                 "block_rolling:k=4,p=1")
+    assert rc == 0, err[-500:]
+    # each child's stderr reaches ours line by line
+    assert err.count("x" * 1023 + "\n") == 3 * 1024
+    assert all(p.returncode == 0 for p in spawned)
 
 
 def test_missing_dataset_exits_3(tmp_path, capsys):

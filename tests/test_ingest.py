@@ -127,6 +127,17 @@ def test_tz_offset_applied(tmp_path):
     assert trajs[0].t.tolist() == [43200 + 7200]
 
 
+def test_csv_integer_timestamps_read_exactly(tmp_path):
+    # nanosecond epochs lie beyond 2**53, where a float would round them
+    # together; a fractional t is still truncated
+    t = 1262304000123456789
+    p = write(tmp_path, "in.csv", f"u1,45.0,7.0,{t}\nu1,45.0,7.0,{t + 1}\n"
+              f"u1,45.0,7.0,{t + 210}\nu1,45.0,7.0,99.9\n")
+    trajs, rep = parse_raw_with_report(p, CSV_CFG)
+    assert trajs[0].t.tolist() == [99, t, t + 1, t + 210]
+    assert rep.rejects == ()
+
+
 def test_plt_header_and_epoch(tmp_path):
     # 6 header lines, then daynum 25569.5 = 1970-01-01 12:00:00 UTC
     lines = ["hdr"] * 6 + [

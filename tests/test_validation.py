@@ -1,6 +1,7 @@
 import math
 import sys
 import textwrap
+import threading
 import time
 import warnings
 
@@ -410,12 +411,18 @@ def test_test_contexts_match_backward_walk(rng, plan):
     for fold in make_folds(plan, n):
         assert np.all(np.diff(fold.test_idx) > 0)
         for need in (0, 1, 2, 3, 64):
+            # the PREDICT block of each test position holds the walk's
+            # context, one "poi_id t" line per position
             assert list(
                 _test_contexts(fold, symbols, timestamps, need)
-            ) == contexts_by_walk(
-                fold.train_idx.tolist(), fold.test_idx.tolist(),
-                symbols.tolist(), timestamps.tolist(), need,
-            )
+            ) == [
+                (truth, f"PREDICT {len(ctx)}\n".encode() + "".join(
+                    f"{s} {t}\n" for s, t in zip(ctx, ctx_ts)).encode())
+                for truth, ctx, ctx_ts in contexts_by_walk(
+                    fold.train_idx.tolist(), fold.test_idx.tolist(),
+                    symbols.tolist(), timestamps.tolist(), need,
+                )
+            ]
 
 
 def test_bootstrap_trains_on_distinct_positions():
@@ -640,8 +647,9 @@ def test_each_external_instance_reads_one_fold(rng, logging_predictor, plan):
 def test_one_start_per_fold_and_at_most_four_alive(
     rng, logging_predictor, monkeypatch, plan
 ):
-    # spawned two folds ahead and reaped one fold later, so the peak is
-    # min(folds, 4): the child scored, two spares and one exiting
+    # one queue of folds across both users, four in conversation at once
+    # and the next started only once a child is reaped: the peak is
+    # min(folds of all users, 4)
     spec, _ = logging_predictor
     start, close = ExternalModel.start, ExternalModel.close
     live = {"now": 0, "peak": 0, "starts": 0}
@@ -664,13 +672,60 @@ def test_one_start_per_fold_and_at_most_four_alive(
     n_folds = [len(make_folds(plan, len(s))) for s in ds.sequences]
     assert live["starts"] == sum(n_folds)
     assert live["now"] == 0
-    assert live["peak"] == min(max(n_folds), 4)
+    assert live["peak"] == min(sum(n_folds), 4)
+
+
+# reads its stdin unbuffered, and after each PREDICT block fails if more
+# input is already waiting, in its own buffer or in the pipe
+NO_READ_AHEAD_PREDICTOR = textwrap.dedent("""\
+    import os, select, sys
+    buf = b""
+
+    def line():
+        global buf
+        while b"\\n" not in buf:
+            data = os.read(0, 65536)
+            if not data:
+                return None
+            buf += data
+        head, _, buf = buf.partition(b"\\n")
+        return head
+
+    while (header := line()) is not None:
+        word, count = header.split()
+        for _ in range(int(count)):
+            line()
+        if word == b"PREDICT":
+            if buf or select.select([0], [], [], 0)[0]:
+                sys.exit("input beyond the PREDICT block")
+            os.write(1, b"0\\n")
+""")
+
+
+@pytest.mark.parametrize("plan", LOOKAHEAD_PLANS, ids=lambda p: p.label)
+def test_no_child_gets_a_request_before_its_last_response(rng, tmp_path,
+                                                          monkeypatch, plan):
+    # PREDICT i+1 carries the true symbol of position i, so it may only go
+    # out once response i has been read; the loop also starts no thread
+    script = tmp_path / "no_read_ahead.py"
+    script.write_text(NO_READ_AHEAD_PREDICTOR, encoding="utf-8")
+    spec = PredictorSpec(kind="external", command=(sys.executable, str(script)))
+
+    def no_thread(self):
+        raise AssertionError("the external loop started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    ds = two_user_dataset(rng)
+    res = evaluate(ds, spec, plan)
+    want = sum(fold.test_idx.size for seq in ds.sequences
+               for fold in make_folds(plan, len(seq.poi_ids)))
+    assert res.n_predictions == want
 
 
 def test_train_block_beyond_pipe_buffer_keeps_the_lookahead(tmp_path):
     # each child sleeps 1 s before it reads, and each TRAIN block (19,700
-    # symbols, about 150 kB) exceeds the pipe buffer; spares get their TRAIN
-    # block only at take-over, so the three sleeps overlap instead of
+    # symbols, about 150 kB) exceeds the pipe buffer; TRAIN blocks are
+    # written without blocking, so the three sleeps overlap instead of
     # adding up to about 3 s
     script = tmp_path / "slow_start.py"
     script.write_text(textwrap.dedent("""\
