@@ -13,7 +13,8 @@ UTC).  symbols_jsonl lines are already symbol streams (load_symbols_jsonl).
 
 Canonical dataset directory:
     alphabet.json   array of {poi_id, lat, lon, label}
-    sequences.jsonl one object per user: {"user_id": ..., "symbols": [[poi_id, t], ...]}
+    sequences.jsonl one object per user: {"user_id": ..., "symbols": [[poi_id, t], ...]},
+                    poi_id and t whole numbers (3 or 3.0; not true, "3" or 3.5)
     meta.json       {"schema_version", "name", "stage", "provenance"}
 Its digest (dataset_digest) is the sha256 of alphabet.json then
 sequences.jsonl, as bytes on disk.
@@ -24,6 +25,7 @@ alphabet/sequences; ``stage`` in meta.json distinguishes the two.
 
 from __future__ import annotations
 
+import array
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -215,8 +217,36 @@ def _rows(rows: list, width: int, dtype) -> np.ndarray:
     return table.reshape(-1, width)
 
 
-def _records(path: Path, label: str, build: Callable[[dict], Any]) -> list:
-    """``build(obj)`` for each nonblank JSON line of ``path``.
+def _symbol_rows(rows: list, line: str) -> np.ndarray:
+    """The [poi_id, t] rows of one sequences line as an (n, 2) int64 array.
+
+    A value that is not a whole number is a ValueError naming it, where an
+    int64 conversion would coerce it (true to 1, "2" to 2, 1.5 to 1); a
+    whole float such as 3.0 loads.  The common line, rows of two ints, is
+    packed as C longs, which refuse every other type but bool; a line
+    that does not pack, or whose text holds a boolean, is checked value
+    by value.
+    """
+    try:
+        flat = array.array("q", itertools.chain.from_iterable(rows))
+    except (TypeError, OverflowError):
+        flat = None
+    if (flat is not None and len(flat) == 2 * len(rows)
+            and set(map(len, rows)) == {2}
+            and "true" not in line and "false" not in line):
+        return np.frombuffer(flat, dtype=np.int64).reshape(-1, 2)
+    table = _rows(rows, 2, object)
+    for i, v in enumerate(table.ravel().tolist()):
+        if not (type(v) is int or (type(v) is float and v.is_integer())):
+            raise ValueError(
+                f"{('poi_id', 't')[i % 2]} {json.dumps(v)} is not an integer"
+            )
+    return table.astype(np.int64)
+
+
+def _records(path: Path, label: str,
+             build: Callable[[dict, str], Any]) -> list:
+    """``build(obj, line)`` for each nonblank JSON line of ``path``.
 
     Any parse or data error, values beyond int64 included, becomes an
     IngestError naming ``label`` and the line.
@@ -227,7 +257,7 @@ def _records(path: Path, label: str, build: Callable[[dict], Any]) -> list:
             if not line.strip():
                 continue
             try:
-                out.append(build(json.loads(line)))
+                out.append(build(json.loads(line), line))
             except (KeyError, TypeError, ValueError, OverflowError,
                     DataError) as e:
                 raise IngestError(f"{label} line {line_no}: {e}") from e
@@ -246,8 +276,8 @@ def _user_id(obj: dict) -> str:
     return user_id
 
 
-def _sequence(obj: dict, build=PoiSequence) -> PoiSequence:
-    symbols = _rows(obj["symbols"], 2, np.int64)
+def _sequence(obj: dict, line: str, build=PoiSequence) -> PoiSequence:
+    symbols = _symbol_rows(obj["symbols"], line)
     return build(_user_id(obj), symbols[:, 0], symbols[:, 1])
 
 
@@ -270,7 +300,8 @@ def load_symbols_jsonl(path: str | Path, name: str) -> Dataset:
         raise IngestError(f"no such file: {path}")
     seqs = _records(
         path, path.name,
-        lambda obj: check_poi_ids(_sequence(obj, PoiSequence.from_visits), None),
+        lambda obj, line: check_poi_ids(
+            _sequence(obj, line, PoiSequence.from_visits), None),
     )
     if not seqs:
         raise IngestError(f"{path.name}: empty file")
@@ -361,7 +392,7 @@ def load_dataset(dir_path: str | Path) -> Dataset:
         raise IngestError(f"{alpha_path}: {e}") from e
     seqs = _records(
         seq_path, "sequences.jsonl",
-        lambda obj: check_poi_ids(_sequence(obj), alphabet.size),
+        lambda obj, line: check_poi_ids(_sequence(obj, line), alphabet.size),
     )
     return Dataset(name=meta.get("name", d.name), alphabet=alphabet,
                    sequences=tuple(seqs),
@@ -390,4 +421,4 @@ def load_raw(dir_path: str | Path) -> list[RawTrajectory]:
     if not raw_path.is_file():
         raise IngestError(f"{d}: missing raw.jsonl")
     _meta(d)
-    return _records(raw_path, "raw.jsonl", _trajectory)
+    return _records(raw_path, "raw.jsonl", lambda obj, _: _trajectory(obj))

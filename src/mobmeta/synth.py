@@ -13,6 +13,7 @@ raw-source statistics use :func:`raw_stream` directly.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -21,7 +22,7 @@ import numpy as np
 
 from .core import DataError, Dataset, PoiAlphabet, PoiSequence
 from .entropy import binary_entropy
-from .rng import SplitMix64
+from .rng import SplitMix64, below
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ class SourceSpec:
 
 
 def _iid_stream(spec: SourceSpec, rng: SplitMix64, n: int) -> list[int]:
-    return [rng.choice(spec.dist) for _ in range(n)]
+    return rng.choice(spec.dist, n).tolist()
 
 
 def _periodic_stream(spec: SourceSpec, n: int) -> list[int]:
@@ -117,13 +118,22 @@ def _periodic_stream(spec: SourceSpec, n: int) -> list[int]:
 
 
 def _markov_stream(spec: SourceSpec, rng: SplitMix64, n: int) -> list[int]:
+    """k uniform draws open the stream; each later symbol bisects the CDF
+    row of its context with one uniform, as rng.choice would."""
     t = spec.transition
     k = t.ndim - 1
     n_sym = t.shape[-1]
-    out = [rng.randint(n_sym) for _ in range(min(k, n))]
-    while len(out) < n:
-        ctx = tuple(out[-k:])
-        out.append(rng.choice(t[ctx]))
+    out = rng.randint(n_sym, min(k, n)).tolist()
+    cdf = np.cumsum(t, axis=-1).reshape(-1, n_sym).tolist()
+    # the row of the last k symbols, read as base-n_sym digits
+    n_rows = len(cdf)
+    row = 0
+    for s in out:
+        row = row * n_sym + s
+    for u in rng.uniform(n - len(out)).tolist():
+        s = min(bisect.bisect_right(cdf[row], u), n_sym - 1)
+        out.append(s)
+        row = (row * n_sym + s) % n_rows
     return out
 
 
@@ -137,13 +147,23 @@ def _copy_with_gap(spec: SourceSpec, rng: SplitMix64, n: int) -> list[int]:
     survives; the bit channel alone carries 1 - H_b(eps/2) bits at
     distance gap, on top of the deterministic 1 phase bit present at
     every distance.
+
+    A symbol past the gap draws one uniform, and a fresh bit one more;
+    the draws are taken in one block ahead and the RNG skips what was used.
     """
-    bits: list[int] = []
-    for i in range(n):
-        if i >= spec.gap and rng.uniform() >= spec.eps:
+    bits = rng.randint(2, min(spec.gap, n)).tolist()
+    u = rng.peek(2 * (n - len(bits)))
+    fresh = below(u, 2).tolist()
+    u = u.tolist()
+    j = 0
+    for i in range(len(bits), n):
+        if u[j] >= spec.eps:
             bits.append(bits[i - spec.gap])
+            j += 1
         else:
-            bits.append(rng.randint(2))
+            bits.append(fresh[j + 1])
+            j += 2
+    rng.skip(j)
     return [2 * b + (i % 2) for i, b in enumerate(bits)]
 
 

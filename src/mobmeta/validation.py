@@ -108,10 +108,27 @@ class ValidationPlan:
 
 @dataclass(frozen=True)
 class Fold:
+    """One split of the positions [0, n).
+
+    `train` is None for the schemes that train on every position outside
+    the test set (kfold, leave_one_out): `train_idx` then builds those
+    positions on each read, so the n folds of leave_one_out take O(n)
+    memory rather than O(n^2).
+    """
+
     index: int
-    train_idx: np.ndarray
     test_idx: np.ndarray
     leaky: bool
+    n: int
+    train: Optional[np.ndarray] = None
+
+    @property
+    def train_idx(self) -> np.ndarray:
+        if self.train is not None:
+            return self.train
+        mask = np.ones(self.n, dtype=bool)
+        mask[self.test_idx] = False
+        return np.flatnonzero(mask)
 
 
 def _block_bounds(n: int, k: int) -> list[tuple[int, int]]:
@@ -139,7 +156,7 @@ def make_folds(plan: ValidationPlan, n: int) -> list[Fold]:
             raise InfeasiblePlanError(
                 f"holdout split {plan.split} leaves no train or no test at n={n}"
             )
-        folds.append(Fold(0, np.arange(m), np.arange(m, n), True))
+        folds.append(Fold(0, np.arange(m, n), True, n, np.arange(m)))
     elif scheme == "kfold":
         if plan.k > n:
             raise InfeasiblePlanError(f"kfold k={plan.k} exceeds n={n}")
@@ -149,26 +166,19 @@ def make_folds(plan: ValidationPlan, n: int) -> list[Fold]:
         order = np.asarray(order, dtype=np.int64)
         for f in range(plan.k):
             lo, hi = f * n // plan.k, (f + 1) * n // plan.k
-            test = np.sort(order[lo:hi])
-            mask = np.ones(n, dtype=bool)
-            mask[test] = False
-            folds.append(Fold(f, np.flatnonzero(mask), test, True))
+            folds.append(Fold(f, np.sort(order[lo:hi]), True, n))
     elif scheme == "leave_one_out":
-        for i in range(n):
-            train_idx = np.concatenate([np.arange(i), np.arange(i + 1, n)])
-            folds.append(Fold(i, train_idx, np.asarray([i]), True))
+        folds = [Fold(i, np.asarray([i]), True, n) for i in range(n)]
     elif scheme == "bootstrap":
         rng = SplitMix64(plan.seed)
         for it in range(plan.iterations):
-            draws = np.sort(
-                np.asarray([rng.randint(n) for _ in range(n)], dtype=np.int64)
-            )
+            draws = np.sort(rng.randint(n, n))
             mask = np.ones(n, dtype=bool)
             mask[draws] = False
             oob = np.flatnonzero(mask)
             if oob.size == 0:
                 continue
-            folds.append(Fold(it, draws, oob, True))
+            folds.append(Fold(it, oob, True, n, draws))
         if not folds:
             raise InfeasiblePlanError(
                 "bootstrap produced no out-of-bag test symbols"
@@ -179,21 +189,15 @@ def make_folds(plan: ValidationPlan, n: int) -> list[Fold]:
         if scheme == "block_rolling":
             for i in range(k - plan.p):
                 t_lo, t_hi = blocks[i + plan.p]
-                folds.append(
-                    Fold(
-                        i,
-                        np.arange(blocks[i][0], blocks[i + plan.p - 1][1]),
-                        np.arange(t_lo, t_hi),
-                        False,
-                    )
-                )
+                folds.append(Fold(
+                    i, np.arange(t_lo, t_hi), False, n,
+                    np.arange(blocks[i][0], blocks[i + plan.p - 1][1]),
+                ))
         else:  # rolling / window10_cumulative: expanding train
             for i in range(k - 1):
                 t_lo, t_hi = blocks[i + 1]
-                folds.append(
-                    Fold(i, np.arange(0, blocks[i][1]), np.arange(t_lo, t_hi),
-                         False)
-                )
+                folds.append(Fold(i, np.arange(t_lo, t_hi), False, n,
+                                  np.arange(0, blocks[i][1])))
     for fold in folds:
         if not fold.leaky:
             assert int(fold.train_idx.max()) < int(fold.test_idx.min())

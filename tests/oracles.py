@@ -20,6 +20,78 @@ from mobmeta.predictors import ExternalModel, ProtocolError, train
 from mobmeta.validation import make_folds
 
 
+class ScalarSplitMix64:
+    """SplitMix64 one output at a time, in Python integers, exactly as the
+    published recurrence reads; mobmeta.rng draws in uint64 blocks and
+    must agree with every draw here, and leave the same state."""
+
+    MASK = (1 << 64) - 1
+
+    def __init__(self, seed: int):
+        self.state = seed & self.MASK
+
+    def next_u64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & self.MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
+        return z ^ (z >> 31)
+
+    def uniform(self) -> float:
+        return (self.next_u64() >> 11) / 9007199254740992.0  # 2^53
+
+    def randint(self, n: int) -> int:
+        """Integer in [0, n)."""
+        return min(int(self.uniform() * n), n - 1)
+
+    def choice(self, probs) -> int:
+        """Index drawn by a linear scan of the running sum."""
+        u = self.uniform()
+        acc = 0.0
+        for i, p in enumerate(probs):
+            acc += p
+            if u < acc:
+                return i
+        return len(probs) - 1
+
+    def shuffle(self, items: list) -> None:
+        """In-place Fisher-Yates, descending."""
+        for i in range(len(items) - 1, 0, -1):
+            j = self.randint(i + 1)
+            items[i], items[j] = items[j], items[i]
+
+
+def scalar_raw_stream(spec, rng: ScalarSplitMix64) -> list[int]:
+    """synth.raw_stream drawn one scalar at a time, as each source's
+    definition reads."""
+
+    def stream(spec, n):
+        if spec.kind == "iid":
+            return [rng.choice(spec.dist) for _ in range(n)]
+        if spec.kind == "periodic":
+            return [spec.pattern[i % len(spec.pattern)] for i in range(n)]
+        if spec.kind == "markov_order_k":
+            t = spec.transition
+            k = t.ndim - 1
+            out = [rng.randint(t.shape[-1]) for _ in range(min(k, n))]
+            while len(out) < n:
+                out.append(rng.choice(t[tuple(out[-k:])]))
+            return out
+        bits = []
+        for i in range(n):
+            if i >= spec.gap and rng.uniform() >= spec.eps:
+                bits.append(bits[i - spec.gap])
+            else:
+                bits.append(rng.randint(2))
+        return [2 * b + (i % 2) for i, b in enumerate(bits)]
+
+    if spec.kind != "regime_switch":
+        return stream(spec, spec.n_symbols)
+    n_a = int(spec.switch_fraction * spec.n_symbols)
+    return (stream(spec.spec_a, n_a)
+            + stream(spec.spec_b, spec.n_symbols - n_a))
+
+
 def pairs_at_distance(seq, d, separator=None):
     """All (x, y) position pairs with y exactly d after x, skipping any
     pair whose window touches the separator."""

@@ -371,6 +371,70 @@ def test_negative_poi_id_in_symbols_jsonl_names_line(tmp_path, capsys):
     assert "neg.jsonl line 2: user 'b': poi_id -1 not in alphabet" in err
 
 
+# values a plain int64 conversion would coerce (true to 1, "2" to 2, 1.5 to
+# 1, 0.5 to 0): each is named with its line, and the command exits 3
+NOT_INTEGERS = {
+    "boolean": ([[0, 1], [True, 2]], "poi_id true"),
+    "string": ([[0, 1], ["2", 2]], 'poi_id "2"'),
+    "fractional poi_id": ([[0, 1], [1.5, 2]], "poi_id 1.5"),
+    "fractional t": ([[0, 0.5], [1, 2]], "t 0.5"),
+}
+
+
+@pytest.mark.parametrize("symbols, named", NOT_INTEGERS.values(),
+                         ids=NOT_INTEGERS)
+def test_symbols_jsonl_not_integer_names_line(tmp_path, capsys, symbols,
+                                              named):
+    src = tmp_path / "sym.jsonl"
+    src.write_text(
+        json.dumps({"user_id": "a", "symbols": [[0, 1], [1, 2]]}) + "\n"
+        + json.dumps({"user_id": "b", "symbols": symbols}) + "\n",
+        encoding="utf-8",
+    )
+    rc = main(["ingest", str(src), "--format", "symbols_jsonl",
+               "--out", str(tmp_path / "ds")])
+    _, err = capsys.readouterr()
+    assert rc == 3
+    assert f"sym.jsonl line 2: {named} is not an integer" in err
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("symbols, named", NOT_INTEGERS.values(),
+                         ids=NOT_INTEGERS)
+def test_sequences_jsonl_not_integer_names_line(tmp_path, capsys, symbols,
+                                                named):
+    d = synth_periodic(tmp_path, capsys, users=2)
+    path = d / "sequences.jsonl"
+    first = path.read_text().splitlines()[0]
+    path.write_text(first + "\n" + json.dumps(
+        {"user_id": "b", "symbols": symbols}) + "\n")
+    rc = main(["characterize", str(d), "--out", str(tmp_path / "r.json")])
+    _, err = capsys.readouterr()
+    assert rc == 3
+    assert f"sequences.jsonl line 2: {named} is not an integer" in err
+
+
+def test_whole_floats_load_as_integers(tmp_path, capsys):
+    # a user_id that holds "true" sends the line through the value-by-value
+    # check, which passes integers and whole floats
+    src = tmp_path / "sym.jsonl"
+    src.write_text(
+        json.dumps({"user_id": "true_false", "symbols":
+                    [[0, 1.0], [1.0, 2], [2, 3.0e0]]}) + "\n"
+        + json.dumps({"user_id": "b", "symbols": [[1.0, 1.0], [0.0, 2.0]]})
+        + "\n",
+        encoding="utf-8",
+    )
+    ok(["ingest", src, "--format", "symbols_jsonl", "--out", tmp_path / "ds"],
+       capsys)
+    ds = load_dataset(tmp_path / "ds")
+    assert [s.poi_ids.tolist() for s in ds.sequences] == [[0, 1, 2], [1, 0]]
+    assert [s.timestamps.tolist() for s in ds.sequences] == [[1, 2, 3],
+                                                             [1, 2]]
+    assert all(s.poi_ids.dtype == s.timestamps.dtype == "int64"
+               for s in ds.sequences)
+
+
 # a JSON escape of a lone surrogate decodes to text that UTF-8 cannot
 # encode: every loader rejects it at its line, before anything is written
 LONE_SURROGATE = "\ud800"

@@ -1,8 +1,10 @@
+import hashlib
 import math
 import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +15,6 @@ from hypothesis import strategies as st
 from mobmeta import validation
 from mobmeta.core import DataError, InfeasiblePlanError
 from mobmeta.predictors import ExternalModel, PredictorSpec, retrain, train
-from mobmeta.rng import SplitMix64
 from mobmeta.synth import SourceSpec, generate
 from mobmeta.validation import (
     LEAKY_SCHEMES,
@@ -26,7 +27,9 @@ from mobmeta.validation import (
     validation_sensitivity,
 )
 from conftest import make_dataset, random_collapsed
-from oracles import contexts_by_walk, evaluate_per_position
+from oracles import (
+    ScalarSplitMix64, contexts_by_walk, evaluate_per_position,
+)
 
 M1 = PredictorSpec(kind="markov_k", k=1)
 
@@ -109,6 +112,54 @@ def test_leave_one_out_shape():
     assert all(f.train_idx.shape[0] == 6 for f in folds)
 
 
+def test_complement_folds_hold_no_train_arrays():
+    # kfold and leave_one_out folds build their train positions when read,
+    # so the n folds of leave_one_out hold O(n) memory, not O(n^2)
+    n = 3000
+    tracemalloc.start()
+    try:
+        folds = make_folds(ValidationPlan("leave_one_out"), n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n // 20  # a twentieth of the n^2 int64 positions
+    assert all(f.train is None for f in folds)
+    for f in (folds[0], folds[1234], folds[-1]):
+        np.testing.assert_array_equal(
+            f.train_idx, np.setdiff1d(np.arange(n), f.test_idx))
+    for f in make_folds(ValidationPlan("kfold", k=3, seed=1), 100):
+        assert f.train is None
+        np.testing.assert_array_equal(
+            f.train_idx, np.setdiff1d(np.arange(100), f.test_idx))
+
+
+# sha256 of every fold's train then test positions as little-endian int64,
+# captured while every draw was one scalar SplitMix64 step
+PINNED_FOLDS = [
+    ("kfold", dict(k=3), 257, 3,
+     "5d7134e6bfb113ac84d47d91a26adf3560607c253985a0813ecad6df69d49c34"),
+    ("kfold", dict(k=10), 257, 3,
+     "ac1ee35935a8423b7207dd426c0e080023ca54ac4361d65267dd4f8b618aa7b3"),
+    ("bootstrap", dict(iterations=20), 257, 3,
+     "7ef0de591523371cd0a7d7e7ea258f14428c80a3a2c2d57b59205c6677600ad9"),
+    ("kfold", dict(k=3), 4000, 11,
+     "458d68a379b08cb658a1dba6baa7f77bf94dd3a807bea9f410dfa9b3f9d40c7e"),
+    ("kfold", dict(k=10), 4000, 11,
+     "ce1ed2f2e14431aff5cff7d51dd44bc227ab5702ceeaebdfefd75de4a168be2a"),
+    ("bootstrap", dict(iterations=20), 4000, 11,
+     "0da03929f74bb9bc2cc8403e0abe589323f97e89145548059c4a7fcea35f755a"),
+]
+
+
+@pytest.mark.parametrize("scheme, kw, n, seed, digest", PINNED_FOLDS)
+def test_shuffled_fold_bytes_pinned(scheme, kw, n, seed, digest):
+    h = hashlib.sha256()
+    for f in make_folds(ValidationPlan(scheme, seed=seed, **kw), n):
+        h.update(np.asarray(f.train_idx, dtype="<i8").tobytes())
+        h.update(np.asarray(f.test_idx, dtype="<i8").tobytes())
+    assert h.hexdigest() == digest
+
+
 def test_holdout_shape():
     folds = make_folds(ValidationPlan("holdout", split=0.8), 10)
     assert len(folds) == 1
@@ -127,7 +178,7 @@ def test_bootstrap_oob_disjoint():
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_bootstrap_folds_equal_setdiff(n, seed):
     plan = ValidationPlan("bootstrap", iterations=8, seed=seed)
-    rng = SplitMix64(seed)
+    rng = ScalarSplitMix64(seed)
     expected = []
     for it in range(plan.iterations):
         draws = np.sort(
