@@ -36,6 +36,12 @@ class CharacterizeParams:
     def __post_init__(self):
         if self.d_max < 1:
             raise ValueError("d_max must be >= 1")
+        if self.pmi_top_k < 0:
+            raise ValueError(f"pmi_top_k must be >= 0, got {self.pmi_top_k}")
+        for name in ("eps_fit", "eps_depth"):
+            eps = getattr(self, name)
+            if not (math.isfinite(eps) and eps >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {eps}")
         if self.entropy_scope not in ("per_user", "dataset"):
             raise ValueError(f"unknown entropy_scope {self.entropy_scope!r}")
         if self.mi_scope not in ("dataset", "per_user"):

@@ -11,6 +11,14 @@ sha256 of the files the command read or wrote: alphabet.json then
 sequences.jsonl of a dataset directory, raw.jsonl of a raw one, or the
 report.json that recommend reads.
 Defaults for --seed and --out come from MOBMETA_SEED and MOBMETA_OUT.
+
+Each command is defined once, in COMMANDS: its name, help line, handler
+and the function that adds its arguments.  A command line that starts
+with a command name is parsed by that command's own parser (prog
+"mobmeta <command>"), so a command builds only its own arguments.  The
+full parser, every command as a subparser of "mobmeta", is built from
+the same definitions only for the top-level help, --version, and a
+missing or unknown command.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import time
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .characterize import (
@@ -252,6 +261,18 @@ def _out_file(args, default: str) -> Path:
 DATASET_FILES = ("alphabet.json", "sequences.jsonl", "meta.json")
 
 
+def ingest_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input")
+    p.add_argument("--format", default="csv_gps",
+                   choices=["csv_gps", "plt_geolife_like", "symbols_jsonl"])
+    p.add_argument("--cols", default="user=0,lat=1,lon=2,t=3")
+    p.add_argument("--tz-offset", type=int, default=0,
+                   help="seconds added to every timestamp (0: input is UTC)")
+    p.add_argument("--dedup", default="drop_equal_timestamp",
+                   choices=["drop_equal_timestamp", "error"])
+    p.add_argument("--name", default=None)
+
+
 def cmd_ingest(args) -> Run:
     out_dir = _require_out(args, "dataset directory")
     cfg = IngestConfig(
@@ -293,6 +314,15 @@ def cmd_ingest(args) -> Run:
     )
 
 
+def extract_poi_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("raw_dir")
+    p.add_argument("--stay-radius", type=float, default=200.0)
+    p.add_argument("--stay-min", type=float, default=1200.0)
+    p.add_argument("--merge-radius", type=float, default=250.0)
+    p.add_argument("--min-visits", type=int, default=2)
+    p.add_argument("--name", default=None)
+
+
 def cmd_extract_poi(args) -> Run:
     out_dir = _require_out(args, "dataset directory")
     trajs = load_raw(args.raw_dir)
@@ -318,6 +348,27 @@ def cmd_extract_poi(args) -> Run:
                [out_dir / f for f in DATASET_FILES])
 
 
+def synth_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", default="iid",
+                   choices=["iid", "periodic", "markov_order_k",
+                            "copy_with_gap", "regime_switch"])
+    p.add_argument("--n", type=int, default=10000,
+                   help="symbols per user before collapse")
+    p.add_argument("--users", type=int, default=1)
+    p.add_argument("--alphabet-size", type=int, default=4)
+    p.add_argument("--dist", default=None, help="iid probabilities, comma-separated")
+    p.add_argument("--pattern", default=None, help="periodic symbols, comma-separated")
+    p.add_argument("--transition", default=None,
+                   help="JSON file with the transition table")
+    p.add_argument("--k", type=int, default=1, help="copy_with_gap gap")
+    p.add_argument("--eps", type=float, default=0.0, help="copy noise")
+    p.add_argument("--spec-a", default=None, help="regime A spec JSON file")
+    p.add_argument("--spec-b", default=None, help="regime B spec JSON file")
+    p.add_argument("--switch-fraction", type=float, default=0.5)
+    p.add_argument("--spec", default=None,
+                   help="full source spec JSON file (overrides other flags)")
+
+
 def cmd_synth(args) -> Run:
     out_dir = _require_out(args, "dataset directory")
     spec = _spec_from_args(args)
@@ -332,6 +383,19 @@ def cmd_synth(args) -> Run:
         out_dir, spec_to_dict(spec), dataset_digest(out_dir),
         [out_dir / f for f in DATASET_FILES + ("ground_truth.json",)],
     )
+
+
+def characterize_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("dataset_dir")
+    p.add_argument("--dmax", type=int, default=100)
+    p.add_argument("--eps-fit", type=float, default=1e-3)
+    p.add_argument("--eps-depth", type=float, default=0.1)
+    p.add_argument("--pmi-top-k", type=int, default=10)
+    p.add_argument("--fano-global-n", action="store_true")
+    p.add_argument("--entropy-scope", default="per_user",
+                   choices=["per_user", "dataset"])
+    p.add_argument("--mi-scope", default="dataset",
+                   choices=["dataset", "per_user"])
 
 
 def cmd_characterize(args) -> Run:
@@ -382,6 +446,34 @@ def cmd_characterize(args) -> Run:
                [out, mi_path, ms_path, corr_path])
 
 
+def positive_int(text: str) -> int:
+    """argparse type of an integer >= 1 (--context-window)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}"
+        )
+    return value
+
+
+def validate_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("dataset_dir")
+    p.add_argument("--model", required=True,
+                   help="markov:K | mmc[:M] | top_frequency | "
+                        "random_uniform | external")
+    p.add_argument("--scheme", required=True,
+                   help="e.g. block_rolling:k=10,p=1 or holdout:split=0.8")
+    p.add_argument("--external-cmd", default=None,
+                   help="command line for --model external")
+    p.add_argument("--concat-users", action="store_true",
+                   help="evaluate one abutted stream instead of per user")
+    p.add_argument("--context-window", type=positive_int, default=64,
+                   help="history cap shipped to external predictors")
+
+
 def cmd_validate(args) -> Run:
     ds = load_dataset(args.dataset_dir)
     spec = parse_model_arg(args.model, args.external_cmd)
@@ -415,6 +507,17 @@ def cmd_validate(args) -> Run:
                [out, results_path])
 
 
+def sensitivity_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("dataset_dir")
+    p.add_argument("--model", required=True)
+    p.add_argument("--schemes", default=None,
+                   help="semicolon-separated scheme specs; default grid "
+                        "holdout .8/.7/.6 + kfold 3/5/10")
+    p.add_argument("--external-cmd", default=None)
+    p.add_argument("--concat-users", action="store_true")
+    p.add_argument("--context-window", type=positive_int, default=64)
+
+
 def cmd_sensitivity(args) -> Run:
     ds = load_dataset(args.dataset_dir)
     spec = parse_model_arg(args.model, args.external_cmd)
@@ -426,9 +529,15 @@ def cmd_sensitivity(args) -> Run:
             )
             for s in args.schemes.split(";")
         ]
+        if len(plans) < 2:
+            raise UsageError(
+                f"--schemes needs at least 2 schemes to compare, "
+                f"got {len(plans)}"
+            )
     else:
         plans = default_sensitivity_plans(
-            per_user=not args.concat_users, seed=args.seed
+            per_user=not args.concat_users, seed=args.seed,
+            context_window=args.context_window,
         )
     rows = validation_sensitivity(ds, spec, plans)
     out = _out_file(args, "table.csv")
@@ -451,6 +560,11 @@ def cmd_sensitivity(args) -> Run:
     config = {"model": args.model, "schemes": args.schemes, "seed": args.seed}
     return Run(out, config, dataset_digest(args.dataset_dir),
                [out, rows_json])
+
+
+def recommend_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("report", help="characterization report.json")
+    p.add_argument("--rules", default=None, help="rules JSON file")
 
 
 def cmd_recommend(args) -> Run:
@@ -476,6 +590,16 @@ def cmd_recommend(args) -> Run:
     return Run(out, config, "sha256:" + sha256_file(args.report), [out])
 
 
+def report_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("dataset_dir")
+    p.add_argument("--characterization", required=True)
+    p.add_argument("--validation", nargs="*", default=None,
+                   help="results.json files from validate runs")
+    p.add_argument("--recommendation", default=None)
+    p.add_argument("--sensitivity", default=None,
+                   help="sensitivity.json from a sensitivity run")
+
+
 def cmd_report(args) -> Run:
     out_dir = _require_out(args, "report directory")
     ds = load_dataset(args.dataset_dir)
@@ -499,7 +623,51 @@ def cmd_report(args) -> Run:
     return Run(out_dir, config, dataset_digest(args.dataset_dir), outputs)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its name, help line, handler and arguments."""
+
+    name: str
+    help: str
+    func: Callable[[argparse.Namespace], Run]
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+
+    def define(self, p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        """p with this command's arguments and defaults (func, command)."""
+        self.add_arguments(p)
+        p.set_defaults(func=self.func, command=self.name)
+        return p
+
+
+COMMANDS = {c.name: c for c in (
+    Command("ingest", "parse raw trajectories or symbol streams",
+            cmd_ingest, ingest_arguments),
+    Command("extract-poi", "staypoints -> POI alphabet -> sequences",
+            cmd_extract_poi, extract_poi_arguments),
+    Command("synth", "generate a synthetic dataset with ground truth",
+            cmd_synth, synth_arguments),
+    Command("characterize", "meta-attribute report plus plot CSVs",
+            cmd_characterize, characterize_arguments),
+    Command("validate", "evaluate one predictor under one split scheme",
+            cmd_validate, validate_arguments),
+    Command("sensitivity", "accuracy instability across split schemes",
+            cmd_sensitivity, sensitivity_arguments),
+    Command("recommend", "threshold rules -> model-class verdict",
+            cmd_recommend, recommend_arguments),
+    Command("report", "bundle component outputs into one directory",
+            cmd_report, report_arguments),
+)}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one command, or with no command the full parser.
+
+    A command's parser (prog "mobmeta <command>") holds that command's
+    arguments alone.  The full parser ("mobmeta") holds --version and
+    every command as a subparser built from the same definitions; only
+    the top-level help and the errors of a missing or unknown command
+    need it.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--seed", type=int, default=_env_int("MOBMETA_SEED", 0),
@@ -509,6 +677,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=_default_out(None),
         help="output file or directory (MOBMETA_OUT)",
     )
+    if command is not None:
+        return COMMANDS[command].define(
+            argparse.ArgumentParser(prog=f"mobmeta {command}",
+                                    parents=[common])
+        )
 
     ap = argparse.ArgumentParser(
         prog="mobmeta",
@@ -517,111 +690,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", parents=[common],
-                       help="parse raw trajectories or symbol streams")
-    p.add_argument("input")
-    p.add_argument("--format", default="csv_gps",
-                   choices=["csv_gps", "plt_geolife_like", "symbols_jsonl"])
-    p.add_argument("--cols", default="user=0,lat=1,lon=2,t=3")
-    p.add_argument("--tz-offset", type=int, default=0,
-                   help="seconds added to every timestamp (0: input is UTC)")
-    p.add_argument("--dedup", default="drop_equal_timestamp",
-                   choices=["drop_equal_timestamp", "error"])
-    p.add_argument("--name", default=None)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("extract-poi", parents=[common],
-                       help="staypoints -> POI alphabet -> sequences")
-    p.add_argument("raw_dir")
-    p.add_argument("--stay-radius", type=float, default=200.0)
-    p.add_argument("--stay-min", type=float, default=1200.0)
-    p.add_argument("--merge-radius", type=float, default=250.0)
-    p.add_argument("--min-visits", type=int, default=2)
-    p.add_argument("--name", default=None)
-    p.set_defaults(func=cmd_extract_poi)
-
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate a synthetic dataset with ground truth")
-    p.add_argument("--kind", default="iid",
-                   choices=["iid", "periodic", "markov_order_k",
-                            "copy_with_gap", "regime_switch"])
-    p.add_argument("--n", type=int, default=10000,
-                   help="symbols per user before collapse")
-    p.add_argument("--users", type=int, default=1)
-    p.add_argument("--alphabet-size", type=int, default=4)
-    p.add_argument("--dist", default=None, help="iid probabilities, comma-separated")
-    p.add_argument("--pattern", default=None, help="periodic symbols, comma-separated")
-    p.add_argument("--transition", default=None,
-                   help="JSON file with the transition table")
-    p.add_argument("--k", type=int, default=1, help="copy_with_gap gap")
-    p.add_argument("--eps", type=float, default=0.0, help="copy noise")
-    p.add_argument("--spec-a", default=None, help="regime A spec JSON file")
-    p.add_argument("--spec-b", default=None, help="regime B spec JSON file")
-    p.add_argument("--switch-fraction", type=float, default=0.5)
-    p.add_argument("--spec", default=None,
-                   help="full source spec JSON file (overrides other flags)")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("characterize", parents=[common],
-                       help="meta-attribute report plus plot CSVs")
-    p.add_argument("dataset_dir")
-    p.add_argument("--dmax", type=int, default=100)
-    p.add_argument("--eps-fit", type=float, default=1e-3)
-    p.add_argument("--eps-depth", type=float, default=0.1)
-    p.add_argument("--pmi-top-k", type=int, default=10)
-    p.add_argument("--fano-global-n", action="store_true")
-    p.add_argument("--entropy-scope", default="per_user",
-                   choices=["per_user", "dataset"])
-    p.add_argument("--mi-scope", default="dataset",
-                   choices=["dataset", "per_user"])
-    p.set_defaults(func=cmd_characterize)
-
-    p = sub.add_parser("validate", parents=[common],
-                       help="evaluate one predictor under one split scheme")
-    p.add_argument("dataset_dir")
-    p.add_argument("--model", required=True,
-                   help="markov:K | mmc[:M] | top_frequency | "
-                        "random_uniform | external")
-    p.add_argument("--scheme", required=True,
-                   help="e.g. block_rolling:k=10,p=1 or holdout:split=0.8")
-    p.add_argument("--external-cmd", default=None,
-                   help="command line for --model external")
-    p.add_argument("--concat-users", action="store_true",
-                   help="evaluate one abutted stream instead of per user")
-    p.add_argument("--context-window", type=int, default=64,
-                   help="history cap shipped to external predictors")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("sensitivity", parents=[common],
-                       help="accuracy instability across split schemes")
-    p.add_argument("dataset_dir")
-    p.add_argument("--model", required=True)
-    p.add_argument("--schemes", default=None,
-                   help="semicolon-separated scheme specs; default grid "
-                        "holdout .8/.7/.6 + kfold 3/5/10")
-    p.add_argument("--external-cmd", default=None)
-    p.add_argument("--concat-users", action="store_true")
-    p.add_argument("--context-window", type=int, default=64)
-    p.set_defaults(func=cmd_sensitivity)
-
-    p = sub.add_parser("recommend", parents=[common],
-                       help="threshold rules -> model-class verdict")
-    p.add_argument("report", help="characterization report.json")
-    p.add_argument("--rules", default=None, help="rules JSON file")
-    p.set_defaults(func=cmd_recommend)
-
-    p = sub.add_parser("report", parents=[common],
-                       help="bundle component outputs into one directory")
-    p.add_argument("dataset_dir")
-    p.add_argument("--characterization", required=True)
-    p.add_argument("--validation", nargs="*", default=None,
-                   help="results.json files from validate runs")
-    p.add_argument("--recommendation", default=None)
-    p.add_argument("--sensitivity", default=None,
-                   help="sensitivity.json from a sensitivity run")
-    p.set_defaults(func=cmd_report)
+    for c in COMMANDS.values():
+        c.define(sub.add_parser(c.name, parents=[common], help=c.help))
     return ap
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by the parser of the command argv[0] names, else by
+    the full parser (help, --version, a missing or unknown command)."""
+    if argv and argv[0] in COMMANDS:
+        return build_parser(argv[0]).parse_args(argv[1:])
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -629,7 +708,7 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(argv)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:

@@ -20,7 +20,10 @@ Its digest (dataset_digest) is the sha256 of alphabet.json then
 sequences.jsonl, as bytes on disk.
 
 Raw (pre-extraction) directories carry raw.jsonl instead of
-alphabet/sequences; ``stage`` in meta.json distinguishes the two.
+alphabet/sequences; ``stage`` in meta.json distinguishes the two:
+    raw.jsonl       one object per user: {"user_id": ..., "points": [[lat, lon, t], ...]},
+                    lat and lon JSON numbers (not true or "45"), t a
+                    whole number as in sequences.jsonl
 """
 
 from __future__ import annotations
@@ -217,6 +220,43 @@ def _rows(rows: list, width: int, dtype) -> np.ndarray:
     return table.reshape(-1, width)
 
 
+def _is_number(v) -> bool:
+    return type(v) is int or type(v) is float
+
+
+def _is_whole(v) -> bool:
+    return type(v) is int or (type(v) is float and v.is_integer())
+
+
+_SYMBOL_FIELDS = (("poi_id", _is_whole, "an integer"),
+                  ("t", _is_whole, "an integer"))
+_POINT_FIELDS = (("lat", _is_number, "a number"),
+                 ("lon", _is_number, "a number"),
+                 ("t", _is_whole, "an integer"))
+
+
+def _checked_rows(rows: list, fields: tuple) -> np.ndarray:
+    """``rows`` as an (n, len(fields)) object array, every value passed
+    by its field's test; the first that fails is a ValueError naming it."""
+    table = _rows(rows, len(fields), object)
+    for i, v in enumerate(table.ravel().tolist()):
+        name, test, kind = fields[i % len(fields)]
+        if not test(v):
+            raise ValueError(f"{name} {json.dumps(v)} is not {kind}")
+    return table
+
+
+def _packs(rows: list, width: int, line: str) -> bool:
+    """Whether ``rows`` may take the packed path: rows of ``width`` values
+    on a line whose text holds no boolean, which a packing would read as
+    0 or 1."""
+    try:
+        widths = set(map(len, rows))
+    except TypeError:
+        return False
+    return widths == {width} and "true" not in line and "false" not in line
+
+
 def _symbol_rows(rows: list, line: str) -> np.ndarray:
     """The [poi_id, t] rows of one sequences line as an (n, 2) int64 array.
 
@@ -227,21 +267,35 @@ def _symbol_rows(rows: list, line: str) -> np.ndarray:
     that does not pack, or whose text holds a boolean, is checked value
     by value.
     """
-    try:
-        flat = array.array("q", itertools.chain.from_iterable(rows))
-    except (TypeError, OverflowError):
-        flat = None
-    if (flat is not None and len(flat) == 2 * len(rows)
-            and set(map(len, rows)) == {2}
-            and "true" not in line and "false" not in line):
-        return np.frombuffer(flat, dtype=np.int64).reshape(-1, 2)
-    table = _rows(rows, 2, object)
-    for i, v in enumerate(table.ravel().tolist()):
-        if not (type(v) is int or (type(v) is float and v.is_integer())):
-            raise ValueError(
-                f"{('poi_id', 't')[i % 2]} {json.dumps(v)} is not an integer"
-            )
-    return table.astype(np.int64)
+    if _packs(rows, 2, line):
+        try:
+            flat = array.array("q", itertools.chain.from_iterable(rows))
+        except (TypeError, OverflowError):
+            pass
+        else:
+            return np.frombuffer(flat, dtype=np.int64).reshape(-1, 2)
+    return _checked_rows(rows, _SYMBOL_FIELDS).astype(np.int64)
+
+
+def _point_columns(rows: list, line: str) -> tuple:
+    """The lat, lon and t columns of one raw.jsonl line's points.
+
+    lat and lon must be JSON numbers and t a whole number (3 or 3.0); any
+    other value is a ValueError naming it.  The common line packs lat and
+    lon as C doubles, which refuse strings, and t as C longs, which also
+    refuse floats; a line that does not pack, or whose text holds a
+    boolean, is checked value by value as in _symbol_rows.
+    """
+    if _packs(rows, 3, line):
+        lat, lon, t = zip(*rows)
+        try:
+            return (np.frombuffer(array.array("d", lat)),
+                    np.frombuffer(array.array("d", lon)),
+                    np.frombuffer(array.array("q", t), dtype=np.int64))
+        except (TypeError, OverflowError):
+            pass
+    table = _checked_rows(rows, _POINT_FIELDS)
+    return table[:, 0], table[:, 1], table[:, 2]
 
 
 def _records(path: Path, label: str,
@@ -281,10 +335,8 @@ def _sequence(obj: dict, line: str, build=PoiSequence) -> PoiSequence:
     return build(_user_id(obj), symbols[:, 0], symbols[:, 1])
 
 
-def _trajectory(obj: dict) -> RawTrajectory:
-    points = _rows(obj["points"], 3, object)
-    return RawTrajectory(_user_id(obj), points[:, 0], points[:, 1],
-                         points[:, 2])
+def _trajectory(obj: dict, line: str) -> RawTrajectory:
+    return RawTrajectory(_user_id(obj), *_point_columns(obj["points"], line))
 
 
 def load_symbols_jsonl(path: str | Path, name: str) -> Dataset:
@@ -421,4 +473,4 @@ def load_raw(dir_path: str | Path) -> list[RawTrajectory]:
     if not raw_path.is_file():
         raise IngestError(f"{d}: missing raw.jsonl")
     _meta(d)
-    return _records(raw_path, "raw.jsonl", lambda obj, _: _trajectory(obj))
+    return _records(raw_path, "raw.jsonl", _trajectory)

@@ -574,16 +574,13 @@ def validation_sensitivity(
 
 
 def default_sensitivity_plans(
-    per_user: bool = True, seed: int = 0
+    per_user: bool = True, seed: int = 0, context_window: int = 64
 ) -> list[ValidationPlan]:
     """The conventional grid: holdout 80/70/60 and k-fold 3/5/10."""
-    plans = [
-        ValidationPlan("holdout", split=s, per_user=per_user, seed=seed)
-        for s in (0.8, 0.7, 0.6)
-    ]
-    plans += [
-        ValidationPlan("kfold", k=k, shuffled=True, per_user=per_user,
-                       seed=seed)
-        for k in (3, 5, 10)
-    ]
+    common = {"per_user": per_user, "seed": seed,
+              "external_context_window": context_window}
+    plans = [ValidationPlan("holdout", split=s, **common)
+             for s in (0.8, 0.7, 0.6)]
+    plans += [ValidationPlan("kfold", k=k, shuffled=True, **common)
+              for k in (3, 5, 10)]
     return plans

@@ -193,3 +193,17 @@ def test_params_validation():
         CharacterizeParams(entropy_scope="global")
     with pytest.raises(ValueError):
         CharacterizeParams(mi_scope="both")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("pmi_top_k", -1), ("eps_fit", -1e-3), ("eps_fit", math.nan),
+    ("eps_fit", math.inf), ("eps_depth", -0.1), ("eps_depth", math.nan),
+])
+def test_params_refuse_nonsense(field, value):
+    with pytest.raises(ValueError, match=field):
+        CharacterizeParams(**{field: value})
+
+
+def test_params_allow_zero():
+    params = CharacterizeParams(pmi_top_k=0, eps_fit=0.0, eps_depth=0.0)
+    assert (params.pmi_top_k, params.eps_fit, params.eps_depth) == (0, 0, 0)

@@ -5,6 +5,7 @@ asserts on exit codes, produced files, and printed lines.  Exit codes:
 0 success, 2 usage, 3 data error, 4 infeasible plan.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -19,8 +20,8 @@ from pathlib import Path
 import pytest
 
 import mobmeta
-from mobmeta import __version__, predictors
-from mobmeta.cli import main
+from mobmeta import __version__, cli, predictors
+from mobmeta.cli import COMMANDS, build_parser, main
 from mobmeta.ingest import load_dataset
 from mobmeta.report import FOLDS_CSV_COLUMNS
 
@@ -526,6 +527,173 @@ def test_version_flag(capsys):
         main(["--version"])
     assert e.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+# sha256 of stdout (help) or stderr (errors) at COLUMNS=80, recorded
+# before each command got a parser of its own: building one command's
+# parser must print exactly what its subparser of the full parser did
+PARSER_OUTPUT_SHA256 = {
+    ("-h",): "7bce9b06ecae00584fc75514dc7ed69cdb5ea59840eb5e79732c799b3402b91a",
+    ("ingest", "-h"):
+        "daba428af4e613e2c196b650b00d3de01292e662d1072b3191defc50cc155ac5",
+    ("extract-poi", "-h"):
+        "0e2c12651a9e9c5576e345c518653df312948220f43486aea607080dc775d25b",
+    ("synth", "-h"):
+        "78bf7209361f9486b6556fa34a844ce0b8cabc5f928ebf5f7af086629744dc35",
+    ("characterize", "-h"):
+        "bff14134d4d99e1183a64868f87229ed6a4a8da33249e471b3e2b5caf58f1a66",
+    ("validate", "-h"):
+        "aef73383cba587cb38751b275d25eb7eeebf72be78823be232b47639c0d7fa14",
+    ("sensitivity", "-h"):
+        "c51517a6c45eb3184b048f7e3cedf4f81b6fef4d60699f7fa641f9dab2a2912d",
+    ("recommend", "-h"):
+        "7691d2263f0b210494775d518236f1b13a130082647d3360a7005cf1ec240282",
+    ("report", "-h"):
+        "dc98db019f0df834ad086a36d7d52dde68105d67197904cc10c92080d4bfcdb8",
+    (): "32c64bc09a83846c8e04729b634d4704777296a8c7bc3c519f838a65f1d8cc56",
+    ("bogus",):
+        "30a382a9159badec07ec8e4c7242ecf49ff6651dfcbc382b4f6e9b12e6ab6b60",
+    ("validate", "ds"):
+        "22f2fc829c8483afc8cd5f9d8fb5915c459e688748c60c80e7d2528ac79a4915",
+    ("characterize",):
+        "048def78b02043502a660527a0fffabe3b19f8dd9b5ff7e346ca5586d1e11dbe",
+    ("ingest", "x", "--format", "nope"):
+        "64f898e4bcf95bcc694ad92aafb64c684a7a6ac9180722d2526f25b6d9eebe7f",
+    ("synth", "--n", "x"):
+        "a1bc87fad05b5ce170934969c5eb16c5943368cfc5859d2f23286ce6fd146982",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="pins hold Python 3.11's argparse formatting")
+@pytest.mark.parametrize("argv", PARSER_OUTPUT_SHA256,
+                         ids=[" ".join(a) or "none" for a in PARSER_OUTPUT_SHA256])
+def test_help_and_usage_errors_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as e:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert e.value.code == (0 if "-h" in argv else 2)
+    assert hashlib.sha256((out + err).encode()).hexdigest() == (
+        PARSER_OUTPUT_SHA256[argv]
+    )
+
+
+def _action_fields(parser):
+    return [(a.option_strings, a.dest, a.default, a.type, a.choices,
+             a.required, a.nargs, a.help) for a in parser._actions]
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_command_parser_equals_full_subparser(name):
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    full = sub.choices[name]
+    own = build_parser(name)
+    assert own.prog == full.prog == f"mobmeta {name}"
+    assert _action_fields(own) == _action_fields(full)
+    assert own._defaults == full._defaults == {
+        "func": COMMANDS[name].func, "command": name,
+    }
+
+
+def test_command_builds_only_its_own_arguments(tmp_path, capsys,
+                                               monkeypatch):
+    d = synth_periodic(tmp_path, capsys)
+    report = tmp_path / "report.json"
+    ok(["characterize", d, "--dmax", 5, "--out", report], capsys)
+    added = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def spy(self, *args, **kwargs):
+        action = add_argument(self, *args, **kwargs)
+        added.append(action.dest)
+        return action
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", spy)
+    ok(["recommend", report, "--out", tmp_path / "rec.json"], capsys)
+    assert sorted(added) == ["help", "out", "report", "rules", "seed"]
+
+
+def test_unknown_option_is_reported_by_its_command(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["synth", "--bogus"])
+    err = capsys.readouterr().err
+    assert e.value.code == 2
+    assert err.startswith("usage: mobmeta synth ")
+    assert err.endswith(
+        "\nmobmeta synth: error: unrecognized arguments: --bogus\n"
+    )
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--pmi-top-k", "-1"), ("--eps-fit", "-0.5"), ("--eps-fit", "nan"),
+    ("--eps-depth", "-1"), ("--eps-depth", "inf"),
+])
+def test_characterize_refuses_nonsense_parameters(tmp_path, capsys, flag,
+                                                  value):
+    d = synth_periodic(tmp_path, capsys)
+    rc = main(["characterize", str(d), flag, value,
+               "--out", str(tmp_path / "c" / "report.json")])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert f"usage error: {flag[2:].replace('-', '_')} must be" in err
+    assert not (tmp_path / "c").exists()
+
+
+def test_sensitivity_needs_two_schemes(tmp_path, capsys):
+    d = synth_periodic(tmp_path, capsys)
+    rc = main(["sensitivity", str(d), "--model", "markov:1",
+               "--schemes", "holdout:split=0.8",
+               "--out", str(tmp_path / "t.csv")])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert "usage error: --schemes needs at least 2 schemes" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "ds", "--model", "markov:1", "--scheme", "rolling:k=3"],
+    ["sensitivity", "ds", "--model", "markov:1"],
+])
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+def test_context_window_must_be_positive(capsys, command, value):
+    with pytest.raises(SystemExit) as e:
+        main(command + ["--context-window", value])
+    err = capsys.readouterr().err
+    assert e.value.code == 2
+    assert (f"error: argument --context-window: must be an integer >= 1, "
+            f"got {value!r}") in err
+
+
+def test_sensitivity_default_grid_takes_context_window(tmp_path, capsys,
+                                                      monkeypatch):
+    d = synth_periodic(tmp_path, capsys)
+    seen = []
+    sensitivity = cli.validation_sensitivity
+
+    def spy(ds, spec, plans):
+        seen.extend(plans)
+        return sensitivity(ds, spec, plans)
+
+    monkeypatch.setattr(cli, "validation_sensitivity", spy)
+    ok(["sensitivity", d, "--model", "markov:1", "--context-window", 5,
+        "--out", tmp_path / "t.csv"], capsys)
+    assert len(seen) == 6
+    assert {plan.external_context_window for plan in seen} == {5}
+
+
+def test_raw_value_of_wrong_type_exits_3(tmp_path, capsys):
+    src = tmp_path / "x.csv"
+    src.write_text("u1,45.0,7.0,1000\nu1,45.0,7.0,1030\n", encoding="utf-8")
+    ok(["ingest", src, "--out", tmp_path / "raw"], capsys)
+    path = tmp_path / "raw" / "raw.jsonl"
+    path.write_text(path.read_text().replace("1030]", "1030.5]"))
+    rc = main(["extract-poi", str(tmp_path / "raw"),
+               "--out", str(tmp_path / "pois")])
+    _, err = capsys.readouterr()
+    assert rc == 3
+    assert "raw.jsonl line 1: t 1030.5 is not an integer" in err
+    assert not (tmp_path / "pois").exists()
 
 
 def test_bad_model_order_is_usage_error(tmp_path, capsys):

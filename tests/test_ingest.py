@@ -334,6 +334,47 @@ def test_bad_raw_line_is_named(tmp_path, point):
         load_raw(tmp_path / "raw")
 
 
+RAW_NOT_NUMBERS = {
+    "fractional t": ([45.0, 7.0, 2.5], "t 2.5 is not an integer"),
+    "string t": ([45.0, 7.0, "3"], 't "3" is not an integer'),
+    "boolean lat": ([True, 7.0, 3], "lat true is not a number"),
+    "string lat": (["45", 7.0, 3], 'lat "45" is not a number'),
+    "boolean lon": ([45.0, False, 3], "lon false is not a number"),
+    "boolean t": ([45.0, 7.0, True], "t true is not an integer"),
+    "null t": ([45.0, 7.0, None], "t null is not an integer"),
+}
+
+
+@pytest.mark.parametrize("point, named", RAW_NOT_NUMBERS.values(),
+                         ids=RAW_NOT_NUMBERS)
+def test_raw_value_of_wrong_type_is_named(tmp_path, point, named):
+    # each of these once loaded coerced: t 2.5 as 2, "3" as 3, true as 1.0
+    p = write(tmp_path, "in.csv", "u1,45.0,7.0,1\nu1,45.1,7.1,2\n")
+    save_raw(parse_raw_with_report(p, CSV_CFG)[0], tmp_path / "raw", "test")
+    path = tmp_path / "raw" / "raw.jsonl"
+    bad = json.dumps({"user_id": "u2", "points": [[45.0, 7.0, 1], point]})
+    path.write_text(path.read_text() + bad + "\n")
+    with pytest.raises(IngestError, match=f"raw.jsonl line 2: {named}"):
+        load_raw(tmp_path / "raw")
+
+
+def test_raw_whole_numbers_load_in_either_form(tmp_path):
+    # integer lat/lon and whole-float t load; a user_id holding "true"
+    # sends the line through the value-by-value check, which agrees
+    save_raw([], tmp_path / "raw", "test")
+    path = tmp_path / "raw" / "raw.jsonl"
+    points = [[45, 7, 1.0], [45.5, 7.25, 2], [46, 8.0, 3.0e0]]
+    path.write_text("".join(
+        json.dumps({"user_id": user, "points": points}) + "\n"
+        for user in ("packed", "true")
+    ))
+    for traj in load_raw(tmp_path / "raw"):
+        assert traj.lat.tolist() == [45.0, 45.5, 46.0]
+        assert traj.lon.tolist() == [7.0, 7.25, 8.0]
+        assert traj.t.tolist() == [1, 2, 3]
+        assert traj.lat.dtype == "float64" and traj.t.dtype == "int64"
+
+
 @pytest.mark.parametrize("t", ["1e30", "inf", "nan", str(BIG)])
 def test_csv_timestamp_beyond_int64_names_line(tmp_path, t):
     p = write(tmp_path, "in.csv", f"u1,45.0,7.0,1\nu1,45.0,7.0,{t}\n")
