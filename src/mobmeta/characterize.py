@@ -1,11 +1,12 @@
 """Dataset characterization: per-user entropy/predictability plus
 dataset-level dependence structure folded into one report object.
 
-Scope conventions: entropy and predictability are computed per user and
-averaged; the MI decay curve runs over the separator-joined dataset
-stream so cross-user n-grams never form.  Both scopes can be flipped via
-CharacterizeParams for diagnostics.  Every MI and PMI figure comes from
-metrics; this module only chooses the streams and scopes.
+Each statistic has one scope.  Entropy and predictability are computed
+per user, with the Fano bound over that user's own distinct POIs, and
+reported with their means over users.  The MI decay curve and PMI run
+over the separator-joined dataset stream, so cross-user n-grams never
+form.  Every MI and PMI figure comes from metrics; this module only
+builds the streams.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .core import DataError, Dataset, concat_user_streams
 from .entropy import CLAMP_SLACK_BITS, fano_predictability, lz_entropy_rate
-from .metrics import MiDecay, mi_decay_curve, per_user_mi_decay, top_pmi
+from .metrics import MiDecay, mi_decay_curve, top_pmi
 
 SECONDS_PER_MONTH = 2629800  # Julian year / 12
 
@@ -29,9 +30,6 @@ class CharacterizeParams:
     eps_fit: float = 1e-3
     eps_depth: float = 0.1
     pmi_top_k: int = 10
-    fano_global_n: bool = False  # per-user distinct POIs by default
-    entropy_scope: str = "per_user"  # or "dataset"
-    mi_scope: str = "dataset"  # or "per_user"
 
     def __post_init__(self):
         if self.d_max < 1:
@@ -42,10 +40,6 @@ class CharacterizeParams:
             eps = getattr(self, name)
             if not (math.isfinite(eps) and eps >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {eps}")
-        if self.entropy_scope not in ("per_user", "dataset"):
-            raise ValueError(f"unknown entropy_scope {self.entropy_scope!r}")
-        if self.mi_scope not in ("dataset", "per_user"):
-            raise ValueError(f"unknown mi_scope {self.mi_scope!r}")
 
 
 @dataclass(frozen=True)
@@ -146,25 +140,23 @@ def report_from_dict(obj: dict) -> MetaAttributeReport:
         raise DataError(f"malformed characterization report: {e}") from e
 
 
-def _user_stats(
-    seq, fano_n_global: Optional[int]
-) -> UserStats:
-    """Entropy and predictability of one user; DataError when the LZ
-    estimate is too far above log2(N) to be more than small-sample noise
-    (a handful of symbols alternating between two POIs reads ~1.19 bits)."""
+def _user_stats(seq) -> UserStats:
+    """Entropy and predictability of one user, with N its distinct POIs;
+    DataError when the LZ estimate is too far above log2(N) to be more
+    than small-sample noise (a handful of symbols alternating between two
+    POIs reads ~1.19 bits)."""
     ids = seq.poi_ids
     distinct = int(np.count_nonzero(np.bincount(ids)))
     s = lz_entropy_rate(ids)
-    n_for_fano = fano_n_global if fano_n_global is not None else distinct
-    if n_for_fano < 2:
+    if distinct < 2:
         pi = 1.0
-    elif s > math.log2(n_for_fano) + CLAMP_SLACK_BITS:
+    elif s > math.log2(distinct) + CLAMP_SLACK_BITS:
         raise DataError(
-            f"entropy estimate {s} bits exceeds log2({n_for_fano}) by more "
+            f"entropy estimate {s} bits exceeds log2({distinct}) by more "
             f"than {CLAMP_SLACK_BITS} bits over {ids.shape[0]} symbols"
         )
     else:
-        pi = fano_predictability(s, n_for_fano)
+        pi = fano_predictability(s, distinct)
     return UserStats(seq.user_id, int(ids.shape[0]), distinct, s, pi)
 
 
@@ -184,13 +176,12 @@ def characterize(
     if skipped:
         notes.append(f"skipped short sequences: {', '.join(skipped)}")
 
-    fano_n = ds.alphabet.size if params.fano_global_n else None
     usable, stats = [], []
     for seq in ds.sequences:
         if len(seq) < 2:
             continue
         try:
-            stats.append(_user_stats(seq, fano_n))
+            stats.append(_user_stats(seq))
         except DataError as e:
             notes.append(f"skipped user {seq.user_id}: {e}")
             continue
@@ -201,35 +192,15 @@ def characterize(
             "estimate needed" + "".join(f"; {n}" for n in notes)
         )
 
-    if params.entropy_scope == "dataset":
-        joined = concat_user_streams(usable, ds.alphabet.separator_id)
-        entropy_mean = lz_entropy_rate(joined)
-        # the joined stream's effective alphabet includes the separator
-        n_eff = ds.alphabet.size + (1 if len(usable) > 1 else 0)
-        predictability_mean = (
-            fano_predictability(entropy_mean, n_eff) if n_eff >= 2 else 1.0
-        )
-        notes.append("entropy_scope=dataset: separator-joined stream estimate")
-    else:
-        entropy_mean = float(np.mean([u.entropy_bits for u in stats]))
-        predictability_mean = float(np.mean([u.predictability for u in stats]))
-
     sep = ds.alphabet.separator_id
     stream = concat_user_streams(usable, sep)
     d_cap = (stream.shape[0] - 1) // 10
     d_max = min(params.d_max, d_cap)
     decay: Optional[MiDecay] = None
     if d_max >= 1:
-        if params.mi_scope == "per_user":
-            decay = per_user_mi_decay(
-                [seq.poi_ids for seq in usable], d_max,
-                params.eps_fit, params.eps_depth,
-            )
-            notes.append("mi_scope=per_user: averaged per-user curves")
-        else:
-            decay = mi_decay_curve(
-                stream, d_max, params.eps_fit, params.eps_depth, sep
-            )
+        decay = mi_decay_curve(
+            stream, d_max, params.eps_fit, params.eps_depth, sep
+        )
         if d_max < params.d_max:
             notes.append(
                 f"d_max capped to {d_max} (stream length {stream.shape[0]})"
@@ -263,8 +234,8 @@ def characterize(
         symbol_count_avg=float(np.mean(n_symbols)),
         n_pois=ds.alphabet.size,
         pois_per_user_mean=float(np.mean([u.n_pois for u in stats])),
-        entropy_bits_mean=float(entropy_mean),
-        predictability_mean=float(predictability_mean),
+        entropy_bits_mean=float(np.mean([u.entropy_bits for u in stats])),
+        predictability_mean=float(np.mean([u.predictability for u in stats])),
         per_user=tuple(stats),
         mi_curve=curve,
         ldd_exponent_alpha=decay.alpha if decay else None,

@@ -155,12 +155,23 @@ def parse_model_arg(
         raise UsageError(str(e)) from None
 
 
+def _yes_no(text: str) -> bool:
+    """true/false, 1/0 or yes/no in any case; ValueError otherwise, so a
+    typo such as shuffled=ture is refused rather than read as false."""
+    value = text.lower()
+    if value in ("true", "1", "yes"):
+        return True
+    if value in ("false", "0", "no"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
 _SCHEME_KEYS = {
     "split": float,
     "k": int,
     "p": int,
     "iterations": int,
-    "shuffled": lambda v: v.lower() in ("1", "true", "yes"),
+    "shuffled": _yes_no,
 }
 
 
@@ -387,15 +398,15 @@ def cmd_synth(args) -> Run:
 
 def characterize_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("dataset_dir")
-    p.add_argument("--dmax", type=int, default=100)
-    p.add_argument("--eps-fit", type=float, default=1e-3)
-    p.add_argument("--eps-depth", type=float, default=0.1)
-    p.add_argument("--pmi-top-k", type=int, default=10)
-    p.add_argument("--fano-global-n", action="store_true")
-    p.add_argument("--entropy-scope", default="per_user",
-                   choices=["per_user", "dataset"])
-    p.add_argument("--mi-scope", default="dataset",
-                   choices=["dataset", "per_user"])
+    p.add_argument("--dmax", type=int, default=100,
+                   help="largest MI distance d, capped below stream length/10")
+    p.add_argument("--eps-fit", type=float, default=1e-3,
+                   help="bits an I(d) must exceed to enter the power-law fit")
+    p.add_argument("--eps-depth", type=float, default=0.1,
+                   help="bits an I(d) must reach to count toward the LDD "
+                   "depth (the largest such d)")
+    p.add_argument("--pmi-top-k", type=int, default=10,
+                   help="how many highest-PMI POI pairs at d=1 to report")
 
 
 def cmd_characterize(args) -> Run:
@@ -406,9 +417,6 @@ def cmd_characterize(args) -> Run:
             eps_fit=args.eps_fit,
             eps_depth=args.eps_depth,
             pmi_top_k=args.pmi_top_k,
-            fano_global_n=args.fano_global_n,
-            entropy_scope=args.entropy_scope,
-            mi_scope=args.mi_scope,
         )
     except ValueError as e:
         raise UsageError(str(e)) from None
@@ -557,7 +565,13 @@ def cmd_sensitivity(args) -> Run:
             f"acc {r.accuracy_user_mean:.4f} ({tag})"
         )
     print(f"spread across schemes: {spread:.4f} -> {out}")
-    config = {"model": args.model, "schemes": args.schemes, "seed": args.seed}
+    config = {
+        "model": args.model,
+        "schemes": args.schemes,
+        "per_user": not args.concat_users,
+        "seed": args.seed,
+        "context_window": args.context_window,
+    }
     return Run(out, config, dataset_digest(args.dataset_dir),
                [out, rows_json])
 

@@ -1,7 +1,8 @@
 """Dependence metrics over symbol streams: mutual information at a
-distance, its decay curve (over one stream or averaged over users) with
-a power-law fit, pointwise MI and its top pairs, repeat (match)
-structure, and per-user attribute correlations.
+distance, its decay curve over one stream with a power-law fit,
+pointwise MI and its top pairs, repeat (match) structure, and per-user
+attribute correlations.  A dataset's users are joined into that one
+stream with separators, and no pair or gram spans a separator.
 
 All estimates are plug-in (empirical counts, no bias correction).  MI,
 PMI and top-PMI read one pair-count table, `_pair_counts`, held in
@@ -204,6 +205,9 @@ def mi_decay_curve(
     eps_depth: float = 0.1,
     separator_id: Optional[int] = None,
 ) -> MiDecay:
+    """I(d) for d = 1..d_max with a power-law fit over the points above
+    eps_fit; the LDD depth is the largest distance whose I(d) reaches
+    eps_depth."""
     stream = np.asarray(seq, dtype=np.int64)
     n = stream.shape[0]
     if d_max < 1:
@@ -215,36 +219,6 @@ def mi_decay_curve(
         )
     hits = _separator_hits(stream, separator_id)
     curve = [(d, _mi_bits(stream, d, hits)) for d in range(1, d_max + 1)]
-    return _decay_from_curve(curve, eps_fit, eps_depth)
-
-
-def per_user_mi_decay(
-    streams: Sequence[Sequence[int]],
-    d_max: int,
-    eps_fit: float = 1e-3,
-    eps_depth: float = 0.1,
-) -> MiDecay:
-    """mi_decay_curve over the mean of per-user I(d), d = 1..d_max.
-
-    A user too short for a distance (< 2 pairs) drops out of its mean;
-    the curve stops at the first distance no user reaches.
-    """
-    arrays = [np.asarray(s, dtype=np.int64) for s in streams]
-    curve = []
-    for d in range(1, d_max + 1):
-        vals = [_mi_bits(ids, d, None)
-                for ids in arrays if ids.shape[0] > d + 1]
-        if not vals:
-            break
-        curve.append((d, float(np.mean(vals))))
-    return _decay_from_curve(curve, eps_fit, eps_depth)
-
-
-def _decay_from_curve(
-    curve: Sequence[tuple[int, float]], eps_fit: float, eps_depth: float
-) -> MiDecay:
-    """Power-law fit over the points above eps_fit; the LDD depth is the
-    largest distance whose I(d) reaches eps_depth."""
     fit_pts = [(d, i) for d, i in curve if i > eps_fit]
     alpha = rmse = None
     if len(fit_pts) >= 2:
@@ -253,7 +227,7 @@ def _decay_from_curve(
     elif fit_pts:
         warnings.warn(
             "only one MI point above eps_fit; exponent left undefined",
-            stacklevel=3,
+            stacklevel=2,
         )
     depths = [d for d, i in curve if i >= eps_depth]
     return MiDecay(

@@ -85,6 +85,18 @@ class PredictorSpec:
             return f"mmc_{self.top_m}"
         return self.kind
 
+    @property
+    def order(self) -> int:
+        """The highest context order a native model counts: -1 for
+        random_uniform (no counts), 0 for top_frequency, 1 for mmc and k
+        for markov_k.  Counting it takes order+1 training symbols, and a
+        prediction reads at most `order` symbols of context."""
+        if self.kind == "external":
+            raise ValueError("an external predictor has no model order")
+        return {"random_uniform": -1, "top_frequency": 0, "mmc": 1}.get(
+            self.kind, self.k
+        )
+
 
 def parse_model(text: str, command: Sequence[str] = ()) -> PredictorSpec:
     """markov:K | mmc[:M] | top_frequency | random_uniform | external.
@@ -357,9 +369,7 @@ def train(
         model = ExternalModel.start(spec, alphabet_size)
         model.send_train(symbols, timestamps)
         return model
-    # the highest order counted; counting it takes k+1 symbols
-    k = {"random_uniform": -1, "top_frequency": 0, "mmc": 1}.get(spec.kind,
-                                                                 spec.k)
+    k = spec.order
     if symbols.size < k + 1:
         raise DataError(
             f"{spec.label} needs at least {k + 1} training "

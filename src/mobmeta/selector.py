@@ -10,6 +10,7 @@ attained it, plus every rule's boolean outcome.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -114,21 +115,33 @@ def load_rules(path: Union[str, Path]) -> tuple[SelectionRule, ...]:
         raise DataError(f"no such rules file: {path}")
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-        rules = tuple(
-            SelectionRule(
-                str(r.get("name", f"rule{i}")),
-                tuple(sorted(
-                    (str(k), float(v)) for k, v in (r.get("when") or {}).items()
-                )),
-                str(r["verdict"]),
-                str(r.get("rationale", "")),
+        rules = []
+        for i, r in enumerate(obj["rules"]):
+            name = str(r.get("name", f"rule{i}"))
+            when = sorted(
+                (str(k), _threshold(name, k, v))
+                for k, v in (r.get("when") or {}).items()
             )
-            for i, r in enumerate(obj["rules"])
-        )
+            rules.append(SelectionRule(
+                name, tuple(when), str(r["verdict"]),
+                str(r.get("rationale", "")),
+            ))
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: malformed rules file: {e}") from e
     validate_rules(rules)
-    return rules
+    return tuple(rules)
+
+
+def _threshold(rule: str, key: str, value) -> float:
+    """A condition's threshold as a float.  Booleans (float(True) is 1.0)
+    and NaN or infinities (a NaN condition never holds) are refused."""
+    t = math.nan if isinstance(value, bool) else float(value)
+    if not math.isfinite(t):
+        raise DataError(
+            f"rule {rule!r}: threshold of {key!r} must be a finite number, "
+            f"got {value!r}"
+        )
+    return t
 
 
 def derive_attributes(report: MetaAttributeReport) -> dict:

@@ -275,7 +275,7 @@ class EvaluationResult:
 def _context_need(spec: PredictorSpec, plan: ValidationPlan) -> int:
     if spec.kind == "external":
         return plan.external_context_window
-    return {"markov_k": spec.k, "mmc": 1}.get(spec.kind, 0)
+    return max(spec.order, 0)
 
 
 def _window(fold: Fold, n: int, need: int) -> tuple[np.ndarray, np.ndarray]:

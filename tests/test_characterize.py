@@ -14,8 +14,7 @@ from mobmeta.characterize import (
 )
 from mobmeta.core import DataError
 from mobmeta.synth import SourceSpec, generate
-from conftest import make_dataset, random_collapsed
-from oracles import mi_by_cell_sum
+from conftest import make_dataset
 
 SCHEMA = json.loads(
     (
@@ -92,42 +91,6 @@ def test_characterize_deterministic(markov_report):
     assert again == rep
 
 
-def test_dataset_entropy_scope(markov_report):
-    ds, _, _ = markov_report
-    rep = characterize(
-        ds, CharacterizeParams(d_max=3, entropy_scope="dataset")
-    )
-    # one long stream, same dynamics: still near the analytic rate
-    assert rep.entropy_bits_mean == pytest.approx(math.log2(7), rel=0.05)
-    assert any("entropy_scope=dataset" in w for w in rep.warnings)
-
-
-def test_per_user_mi_scope(markov_report):
-    ds, _, _ = markov_report
-    rep = characterize(ds, CharacterizeParams(d_max=3, mi_scope="per_user"))
-    assert rep.mi_curve[0][1] == pytest.approx(3.0 - math.log2(7), abs=0.01)
-    assert any("mi_scope=per_user" in w for w in rep.warnings)
-
-
-def test_per_user_mi_scope_is_mean_of_user_curves(rng):
-    # the 18-symbol user drops out of the mean from d = 17 on
-    users = {
-        "a": random_collapsed(rng, 400, 6),
-        "b": random_collapsed(rng, 250, 6),
-        "c": [0, 1, 2] * 6,
-    }
-    rep = characterize(
-        make_dataset(users), CharacterizeParams(d_max=20, mi_scope="per_user")
-    )
-    assert not any("skipped" in w for w in rep.warnings)
-    expected = tuple(
-        (d, max(float(np.mean([mi_by_cell_sum(u, d) for u in users.values()
-                               if len(u) > d + 1])), 0.0))
-        for d in range(1, 21)
-    )
-    assert rep.mi_curve == expected
-
-
 def test_short_sequences_skipped():
     ds = make_dataset(
         {"a": [0, 1, 2, 0, 1, 2, 0, 1], "b": [3]}, n_pois=4
@@ -189,10 +152,6 @@ def test_attribute_matrix_shape(markov_report):
 def test_params_validation():
     with pytest.raises(ValueError):
         CharacterizeParams(d_max=0)
-    with pytest.raises(ValueError):
-        CharacterizeParams(entropy_scope="global")
-    with pytest.raises(ValueError):
-        CharacterizeParams(mi_scope="both")
 
 
 @pytest.mark.parametrize("field, value", [

@@ -531,7 +531,9 @@ def test_version_flag(capsys):
 
 # sha256 of stdout (help) or stderr (errors) at COLUMNS=80, recorded
 # before each command got a parser of its own: building one command's
-# parser must print exactly what its subparser of the full parser did
+# parser must print exactly what its subparser of the full parser did.
+# The two characterize pins were recorded again when its scope flags
+# were removed and its other options got help lines.
 PARSER_OUTPUT_SHA256 = {
     ("-h",): "7bce9b06ecae00584fc75514dc7ed69cdb5ea59840eb5e79732c799b3402b91a",
     ("ingest", "-h"):
@@ -541,7 +543,7 @@ PARSER_OUTPUT_SHA256 = {
     ("synth", "-h"):
         "78bf7209361f9486b6556fa34a844ce0b8cabc5f928ebf5f7af086629744dc35",
     ("characterize", "-h"):
-        "bff14134d4d99e1183a64868f87229ed6a4a8da33249e471b3e2b5caf58f1a66",
+        "6b585c8eaf779e6792eabab83ecf45c6491bddd2df03b38955b91e7b768628ed",
     ("validate", "-h"):
         "aef73383cba587cb38751b275d25eb7eeebf72be78823be232b47639c0d7fa14",
     ("sensitivity", "-h"):
@@ -556,7 +558,7 @@ PARSER_OUTPUT_SHA256 = {
     ("validate", "ds"):
         "22f2fc829c8483afc8cd5f9d8fb5915c459e688748c60c80e7d2528ac79a4915",
     ("characterize",):
-        "048def78b02043502a660527a0fffabe3b19f8dd9b5ff7e346ca5586d1e11dbe",
+        "1b567d27a8e3fd45229bc1994c450b0cf407dea0daf3983d981b2ecada7a7eeb",
     ("ingest", "x", "--format", "nope"):
         "64f898e4bcf95bcc694ad92aafb64c684a7a6ac9180722d2526f25b6d9eebe7f",
     ("synth", "--n", "x"):
@@ -682,6 +684,67 @@ def test_sensitivity_default_grid_takes_context_window(tmp_path, capsys,
     assert {plan.external_context_window for plan in seen} == {5}
 
 
+def test_sensitivity_config_hash_records_per_user_and_context_window(
+        tmp_path, capsys):
+    d = synth_periodic(tmp_path, capsys)
+    base = ["sensitivity", d, "--model", "markov:1",
+            "--schemes", "holdout:split=0.8;kfold:k=3"]
+    hashes = []
+    for i, extra in enumerate(([], ["--concat-users"],
+                               ["--context-window", 5])):
+        ok(base + extra + ["--out", tmp_path / f"s{i}" / "t.csv"], capsys)
+        hashes.append(read_manifest(tmp_path / f"s{i}")["config_hash"])
+    assert len(set(hashes)) == 3
+
+
+@pytest.mark.parametrize("text, shuffled", [
+    ("true", True), ("TRUE", True), ("1", True), ("Yes", True),
+    ("false", False), ("False", False), ("0", False), ("NO", False),
+])
+def test_scheme_shuffled_spellings(text, shuffled):
+    plan = cli.parse_scheme_arg(f"kfold:k=5,shuffled={text}", 0, True, 64)
+    assert plan.shuffled is shuffled
+
+
+@pytest.mark.parametrize("text", ["ture", "", "2", "on"])
+def test_scheme_shuffled_typo_is_usage_error(tmp_path, capsys, text):
+    d = synth_periodic(tmp_path, capsys)
+    rc = main(["validate", str(d), "--model", "markov:1",
+               "--scheme", f"kfold:k=5,shuffled={text}",
+               "--out", str(tmp_path / "f.csv")])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert "bad value for 'shuffled'" in err
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_characterize_options(capsys):
+    # one scope per statistic: no option switches scopes, and an option
+    # the parser does not know is a usage error
+    assert [a.dest for a in build_parser("characterize")._actions] == [
+        "help", "seed", "out", "dataset_dir", "dmax", "eps_fit", "eps_depth",
+        "pmi_top_k",
+    ]
+    with pytest.raises(SystemExit) as e:
+        main(["characterize", "d", "--scope", "per_user"])
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_non_finite_rule_threshold_exits_3(tmp_path, capsys):
+    d = synth_periodic(tmp_path, capsys)
+    ok(["characterize", d, "--out", tmp_path / "c" / "report.json"], capsys)
+    rules = tmp_path / "rules.json"
+    rules.write_text('{"rules": [{"name": "R1", "when": {"mi_lt": NaN}, '
+                     '"verdict": "markov_class"}, '
+                     '{"verdict": "hm_rnn_class"}]}')
+    rc = main(["recommend", str(tmp_path / "c" / "report.json"),
+               "--rules", str(rules), "--out", str(tmp_path / "r")])
+    _, err = capsys.readouterr()
+    assert rc == 3
+    assert "rule 'R1': threshold of 'mi_lt' must be a finite number" in err
+
+
 def test_raw_value_of_wrong_type_exits_3(tmp_path, capsys):
     src = tmp_path / "x.csv"
     src.write_text("u1,45.0,7.0,1000\nu1,45.0,7.0,1030\n", encoding="utf-8")
@@ -722,7 +785,7 @@ def test_characterize_default_config_hash(tmp_path, capsys):
     d = synth_periodic(tmp_path, capsys)
     ok(["characterize", d, "--out", tmp_path / "c" / "report.json"], capsys)
     assert read_manifest(tmp_path / "c")["config_hash"] == (
-        "sha256:17c8af796186aa3e7bb357729899480ab46125dc13d41309dc4951db07c46729"
+        "sha256:16614944476ba4f53a2935f0a1782f7f65f6aa43f19d8ba4ac132bb94a822b1b"
     )
 
 

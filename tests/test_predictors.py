@@ -40,6 +40,24 @@ def test_spec_validation_and_labels():
         PredictorSpec(kind="markov_k", fallback="zeros")
 
 
+@pytest.mark.parametrize("spec, order", [
+    (PredictorSpec(kind="random_uniform"), -1),
+    (PredictorSpec(kind="top_frequency"), 0),
+    (PredictorSpec(kind="mmc", top_m=3), 1),
+    (PredictorSpec(kind="markov_k", k=1), 1),
+    (PredictorSpec(kind="markov_k", k=3), 3),
+])
+def test_spec_order_is_the_highest_order_trained(spec, order):
+    assert spec.order == order
+    model = train(spec, [0, 1, 2, 0, 1, 2, 0], 3)
+    assert len(model.tables) == order + 1
+
+
+def test_external_spec_has_no_order():
+    with pytest.raises(ValueError, match="no model order"):
+        PredictorSpec(kind="external", command=("x",)).order
+
+
 def test_parse_model():
     assert parse_model("markov:2") == PredictorSpec(kind="markov_k", k=2)
     assert parse_model("markov") == PredictorSpec(kind="markov_k", k=1)

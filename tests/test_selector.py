@@ -175,6 +175,22 @@ def test_load_rules_errors(tmp_path):
         load_rules(no_default)
 
 
+@pytest.mark.parametrize("threshold", ["NaN", "Infinity", "-Infinity",
+                                       "true", "false"])
+def test_load_rules_refuses_non_finite_and_boolean_thresholds(tmp_path,
+                                                             threshold):
+    path = tmp_path / "rules.json"
+    path.write_text(
+        '{"rules": [{"name": "R1", "when": {"mi_lt": %s}, '
+        '"verdict": "markov_class"}, {"verdict": "hm_rnn_class"}]}'
+        % threshold
+    )
+    with pytest.raises(DataError, match=(
+        "rule 'R1': threshold of 'mi_lt' must be a finite number, got"
+    )):
+        load_rules(path)
+
+
 def test_rule_order_changes_boundary_outcome():
     reordered = (DEFAULT_RULES[-1],) + DEFAULT_RULES[:-1]
     rep = report_for(pois=80.0, mi_curve=((1, 3.0), (2, 1.5)))
