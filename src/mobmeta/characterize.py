@@ -169,7 +169,8 @@ def characterize(
     those whose estimate exceeds log2(N) by more than CLAMP_SLACK_BITS,
     are skipped with a warning and left out of every statistic; at least
     one usable sequence is required.  MI distances are capped to enforce
-    d_max < stream_length / 10.
+    d_max < stream_length / 10, and to the largest distance at which the
+    usable sequences still hold 2 pairs.
     """
     notes: list[str] = []
     skipped = [s.user_id for s in ds.sequences if len(s) < 2]
@@ -195,15 +196,24 @@ def characterize(
     sep = ds.alphabet.separator_id
     stream = concat_user_streams(usable, sep)
     d_cap = (stream.shape[0] - 1) // 10
-    d_max = min(params.d_max, d_cap)
+    # MI at d needs 2 pairs, and a user of L symbols has max(0, L - d) of
+    # them, so the two longest users bound d however long the stream is
+    *_, second, first = sorted([0] + [len(s) for s in usable])
+    pair_cap = max(first - 2, second - 1)
+    d_max = min(params.d_max, d_cap, pair_cap)
     decay: Optional[MiDecay] = None
     if d_max >= 1:
         decay = mi_decay_curve(
             stream, d_max, params.eps_fit, params.eps_depth, sep
         )
-        if d_max < params.d_max:
+        if d_max == d_cap < params.d_max:
             notes.append(
                 f"d_max capped to {d_max} (stream length {stream.shape[0]})"
+            )
+        elif d_max < params.d_max:
+            notes.append(
+                f"d_max capped to {d_max} (fewer than 2 pairs beyond it: "
+                f"the longest users have {first} and {second} symbols)"
             )
     else:
         notes.append("dataset too short for any MI distance")

@@ -6,12 +6,15 @@ stream with separators, and no pair or gram spans a separator.
 
 All estimates are plug-in (empirical counts, no bias correction).  MI,
 PMI and top-PMI read one pair-count table, `_pair_counts`, held in
-arrays with one entry per occupied cell: the runs of one sorted array of
-joint codes per distance, with bincount marginals.  A decay curve finds
-the separator positions once for all its distances.  The per-cell MI
-terms are summed with math.fsum, so results are exactly reproducible
-regardless of summation order.  Match structure is array code too: exact
-gram ranks by prefix doubling, one stable argsort per match length.
+arrays with one entry per occupied cell.  Per distance it is a dense
+bincount of the joint codes when the alphabet is narrow enough that the
+square table holds no more entries than there are pairs, and the runs of
+one sorted array of those codes otherwise.  A decay curve finds the
+separator positions once for all its distances, and skips the separator
+mask when the stream holds none.  The per-cell MI terms are summed with
+math.fsum, so results are exactly reproducible regardless of summation
+order.  Match structure is array code too: exact gram ranks by prefix
+doubling, one stable argsort per match length.
 """
 
 from __future__ import annotations
@@ -41,11 +44,14 @@ def _separator_hits(
     stream: np.ndarray, separator_id: Optional[int]
 ) -> Optional[np.ndarray]:
     """Prefix counts of the separator (hits[j] = separators in stream[:j]),
-    or None when there is no separator."""
+    or None when the stream holds no separator, so that no pair needs
+    masking."""
     if separator_id is None:
         return None
-    return np.concatenate(([0], np.cumsum(stream == separator_id,
-                                          dtype=np.int64)))
+    at = stream == separator_id
+    if not at.any():
+        return None
+    return np.concatenate(([0], np.cumsum(at, dtype=np.int64)))
 
 
 def _pair_counts(
@@ -60,9 +66,14 @@ def _pair_counts(
     taken from the paired positions only, so the three entropy forms of
     the MI identity share one empirical table.  A pair is dropped when the
     separator appears anywhere in its window [i, i+d], not just at the
-    endpoints, so no pair straddles a stream boundary.  The cells are the
-    runs of one sorted array of joint codes; the marginals are bincounts,
-    so the cost grows with the largest symbol as well as with the pairs.
+    endpoints, so no pair straddles a stream boundary.
+
+    With span = largest paired symbol + 1, the cells come from a dense
+    span x span bincount of the joint codes, and the marginals from its
+    row and column sums, when that table has no more entries than there
+    are pairs: linear in the pairs.  Otherwise they are the runs of the
+    sorted codes with bincount marginals, so the cost is a sort of the
+    pairs and grows with the largest symbol as well.
     """
     if d < 1:
         raise ValueError(f"distance must be >= 1, got {d}")
@@ -78,6 +89,13 @@ def _pair_counts(
     if n_pairs < 2:
         raise DataError(f"fewer than 2 pairs at distance {d}")
     span = int(max(left.max(), right.max())) + 1
+    if span * span <= n_pairs:
+        table = np.bincount(left * span + right, minlength=span * span)
+        cells = np.flatnonzero(table)  # ascending codes: (x, y) order
+        x, y = np.divmod(cells, span)
+        square = table.reshape(span, span)
+        return (x, y, table[cells], n_pairs,
+                square.sum(axis=1)[x], square.sum(axis=0)[y])
     codes = np.sort(left * span + right)
     starts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
     c_xy = np.diff(np.concatenate(([0], starts, [n_pairs])))

@@ -443,7 +443,8 @@ class ExternalModel:
 
     The alphabet size is the predictor's own business (argv, config); the
     adapter only validates what comes back.  Malformed output aborts the
-    fold with the offending line number.
+    fold with the offending line number, and so does a distribution that
+    gives the observed symbol probability 0 (see `response`).
 
     One instance serves one fold: it reads that fold's TRAIN block and
     PREDICT requests, then end of input.  `start` spawns the child,
@@ -525,9 +526,12 @@ class ExternalModel:
                 pipes.wait((self,))
         return answer
 
-    def response(self) -> Optional[tuple[int, Optional[list[float]]]]:
+    def response(self, truth: Optional[int] = None
+                 ) -> Optional[tuple[int, Optional[list[float]]]]:
         """The next response line, parsed and checked, or None while it
-        has not arrived whole."""
+        has not arrived whole.  truth is the symbol observed after the
+        request's context, when the caller knows it: a distribution that
+        gives it probability 0 would make bits/symbol infinite."""
         end = self._out.find(b"\n")
         if end < 0:
             if self._out_eof:
@@ -569,6 +573,12 @@ class ExternalModel:
             raise self._error(
                 f"response line {self._lines_read}: probabilities must be "
                 "nonnegative and sum to 1"
+            )
+        if truth is not None and dist[truth] == 0.0:
+            raise self._error(
+                f"response line {self._lines_read}: probability 0 for the "
+                f"observed poi_id {truth}, so bits/symbol would be infinite; "
+                "an argmax-only answer (the poi_id alone) avoids it"
             )
         return poi, dist
 

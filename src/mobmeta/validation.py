@@ -412,7 +412,8 @@ def _eval_external(
                 return results
             for model in pipes.wait(talks):
                 i, talk = talks[model]
-                while not talk.done and (answer := model.response()):
+                while not talk.done and (
+                        answer := model.response(talk._truth)):
                     request = talk.answer(*answer)
                     if request is None:
                         model.end()

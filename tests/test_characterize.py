@@ -12,7 +12,8 @@ from mobmeta.characterize import (
     per_user_attribute_matrix,
     report_from_dict,
 )
-from mobmeta.core import DataError
+from mobmeta.core import DataError, concat_user_streams
+from mobmeta.metrics import mutual_information_at_distance
 from mobmeta.synth import SourceSpec, generate
 from conftest import make_dataset
 
@@ -123,6 +124,25 @@ def test_dmax_capped_for_short_streams():
     rep = characterize(ds, CharacterizeParams(d_max=100))
     assert max(d for d, _ in rep.mi_curve) == 5  # (60-1)//10
     assert any("capped" in w for w in rep.warnings)
+
+
+@pytest.mark.parametrize("streams, cap", [
+    # 100 x 6 symbols join to 699, which allows d = 69 by length
+    ({f"u{i:03d}": [0, 1, 2] * 2 for i in range(100)}, 5),
+    # 12 symbols then 50 x 4: d = 10 is the last with 2 pairs in one user
+    ({"a": [0, 1, 2, 3] * 3, **{f"u{i:02d}": [0, 1, 2, 3] for i in range(50)}},
+     10),
+])
+def test_dmax_capped_to_distances_with_two_pairs(streams, cap):
+    ds = make_dataset(streams)
+    rep = characterize(ds, CharacterizeParams(d_max=100))
+    assert [d for d, _ in rep.mi_curve] == list(range(1, cap + 1))
+    assert any(f"d_max capped to {cap} (fewer than 2 pairs" in w
+               for w in rep.warnings)
+    stream = concat_user_streams(ds.sequences, ds.alphabet.separator_id)
+    with pytest.raises(DataError, match="fewer than 2 pairs"):
+        mutual_information_at_distance(stream, cap + 1,
+                                       ds.alphabet.separator_id)
 
 
 def test_mi_curve_clamped_nonnegative(markov_report):

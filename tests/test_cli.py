@@ -827,6 +827,39 @@ def run_external(tmp_path, capsys, script_text, scheme, n=120):
     return rc, err, str(script), elapsed
 
 
+# puts all its probability on POI 0, so a true POI 1 or 2 gets 0
+CERTAIN_PREDICTOR = textwrap.dedent("""\
+    import sys
+    for line in sys.stdin:
+        word, count = line.split()
+        for _ in range(int(count)):
+            sys.stdin.readline()
+        if word == "PREDICT":
+            print("0 1.0 0.0 0.0", flush=True)
+""")
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "--scheme", "holdout:split=0.8"], ["sensitivity"],
+], ids=["validate", "sensitivity"])
+def test_zero_probability_of_the_truth_is_a_protocol_error(
+    tmp_path, capsys, command
+):
+    script = tmp_path / "predictor.py"
+    script.write_text(CERTAIN_PREDICTOR, encoding="utf-8")
+    d = synth_periodic(tmp_path, capsys, users=1)
+    rc = main([*command, str(d), "--model", "external",
+               "--external-cmd", shlex.join([sys.executable, str(script)]),
+               "--out", str(tmp_path / "out" / "f.csv")])
+    _, err = capsys.readouterr()
+    assert rc == 3
+    assert re.search(
+        r"data error: user 'u0000' fold \d+: response line \d+: probability "
+        r"0 for the observed poi_id [12], so bits/symbol would be infinite; "
+        r"an argmax-only answer \(the poi_id alone\) avoids it", err), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_external_predictor_that_outlives_eof_exits_3(
     tmp_path, capsys, monkeypatch
 ):

@@ -47,7 +47,7 @@ def test_mi_matches_both_oracle_forms(rng):
         seq = rng.integers(0, 5, size=800).tolist()
         got = mutual_information_at_distance(seq, d)
         assert got == pytest.approx(mi_by_pair_enumeration(seq, d), abs=1e-12)
-        assert got == pytest.approx(mi_by_cell_sum(seq, d), abs=1e-12)
+        assert got == mi_by_cell_sum(seq, d)
 
 
 def test_mi_separator_windows_excluded(rng):
@@ -304,6 +304,52 @@ def test_pair_counts_with_a_large_span(rng):
         ) == mi_by_cell_sum(seq, d, separator=sep)
         assert top_pmi(seq, d, 25, separator_id=sep) == top_pmi_by_counting(
             seq, d, 25, separator=sep
+        )
+
+
+@st.composite
+def pair_count_cases(draw):
+    """(stream, separator) over 1-12 symbols and up to 160 positions, so
+    the span x span table is on either side of the pair count: without a
+    separator, with one that never occurs, or with some inside."""
+    k = draw(st.integers(1, 12))
+    seq = draw(st.lists(st.integers(0, k - 1), min_size=3, max_size=160))
+    kind = draw(st.sampled_from(["none", "absent", "inside"]))
+    if kind == "none":
+        return seq, None
+    if kind == "inside":
+        for i in draw(st.lists(st.integers(1, len(seq) - 1), min_size=1,
+                               max_size=4)):
+            seq.insert(i, k)
+    return seq, k
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(pair_count_cases(), st.integers(1, 12), st.integers(0, 20))
+@example(([0, 1, 2, 3] * 4 + [0], None), 1, 5)  # 16 cells, 16 pairs
+@example(([0, 1, 2, 3] * 4, None), 1, 5)  # 16 cells, 15 pairs
+@example(([0, 1, 2, 3] * 4 + [0, 4, 0], 4), 1, 5)  # one past the separator
+@pytest.mark.filterwarnings("ignore:only one MI point")
+def test_both_table_builds_equal_the_oracles(case, d, top_k):
+    # exact equality: the dense and the sorted table give the same cells,
+    # counts and marginals, so every figure keeps its last bit
+    seq, sep = case
+    if len(pairs_at_distance(seq, d, sep)) >= 2:
+        assert mutual_information_at_distance(
+            seq, d, separator_id=sep
+        ) == mi_by_cell_sum(seq, d, separator=sep)
+        assert top_pmi(seq, d, top_k, separator_id=sep) == (
+            top_pmi_by_counting(seq, d, top_k, separator=sep)
+        )
+    # pairs only fall as d grows, so the curve runs to the last d with 2
+    d_max = (len(seq) - 1) // 10
+    while d_max and len(pairs_at_distance(seq, d_max, sep)) < 2:
+        d_max -= 1
+    if d_max:
+        assert mi_decay_curve(seq, d_max, separator_id=sep).curve == tuple(
+            (e, mi_by_cell_sum(seq, e, separator=sep))
+            for e in range(1, d_max + 1)
         )
 
 

@@ -10,9 +10,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mobmeta
+from mobmeta import metrics
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -39,3 +41,23 @@ def test_seam_resolves_in_mobmeta(seam):
     assert found is not None, f"{seam.label} no longer exists"
     owner, attr, _ = found
     assert callable(getattr(owner, attr))
+
+
+PAIR_COUNTS_SEAM = next(s for s in tracer.COUNTED_SEAMS
+                        if s.label == "mobmeta.metrics._pair_counts")
+
+
+@pytest.mark.parametrize("seq", [
+    [0, 1, 2, 3] * 50,  # 4 x 4 table, 199 pairs: the dense table
+    list(range(50)) * 2,  # 50 x 50 table, 99 pairs: the sorted codes
+], ids=["dense", "sorted"])
+def test_pair_counts_seam_counts_a_real_call(seq):
+    # the seam reads the pair count and the cells from the return tuple;
+    # a change to its shape must fail here, not drop three metrics
+    args = (np.asarray(seq, dtype=np.int64), 1, None)
+    result = metrics._pair_counts(*args)
+    assert PAIR_COUNTS_SEAM.count(args, {}, result) == {
+        "metrics.mi_distances": 1,
+        "metrics.mi_pairs": len(seq) - 1,
+        "metrics.mi_cells": len(set(zip(seq, seq[1:]))),
+    }
