@@ -1,12 +1,17 @@
 """Show how the validation scheme changes the measured accuracy.
 
 A source that switches behavior three quarters of the way through the
-observation window is evaluated with the same markov_1 model under
-shuffling schemes (holdout at three split points, k-fold) and under
-time-ordered block rolling.  The shuffling schemes disagree with each
-other by a wide margin because each one mixes a different amount of
-future regime into the training side; block rolling pins the regime
-change to a single fold instead.
+observation window is evaluated with the same markov_1 model under the
+conventional schemes (holdout at three split points, shuffled k-fold)
+and under time-ordered block rolling.  The conventional schemes disagree
+by a wide margin because each one tests a different share of the two
+regimes: holdout tests only the tail after its split point, most or all
+of it in the second regime, while k-fold tests every position.  Training
+on the future is not what separates them.  Holdout never does: its one
+fold trains on [0, m) and tests [m, n).  k-fold does, but predicting
+each of its test positions only from the training windows that end
+before it scored 0.833 on this source, against its 0.834.  Block rolling
+pins the regime change to a single fold, where the fold curve shows it.
 """
 
 import numpy as np

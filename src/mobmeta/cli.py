@@ -43,6 +43,7 @@ from .characterize import (
 )
 from .core import DataError, Dataset, InfeasiblePlanError, concat_user_streams
 from .ingest import (
+    CSV_COLUMNS,
     IngestConfig,
     dataset_digest,
     load_dataset,
@@ -62,6 +63,7 @@ from .metrics import attribute_correlations, match_structure
 from .poi import ExtractionParams, extract_dataset
 from .predictors import PredictorSpec, parse_model
 from .report import (
+    bundle_files,
     bundle_report,
     stats_table,
     write_corr_matrix_csv,
@@ -73,6 +75,7 @@ from .report import (
 from .selector import load_rules, recommend
 from .synth import generate, spec_from_dict, spec_to_dict, SourceSpec
 from .validation import (
+    SCHEME_PARAMS,
     ValidationPlan,
     default_sensitivity_plans,
     evaluate,
@@ -132,14 +135,27 @@ def write_manifest(run: Run, argv: list[str], t0: float) -> Path:
 
 
 def parse_cols(text: str) -> dict:
-    """"user=0,lat=1,lon=2,t=3" -> column_map dict."""
+    """"user=0,lat=1,lon=2,t=3" -> column_map dict.  An entry whose name
+    is not one of CSV_COLUMNS, or whose index is not an integer >= 0,
+    is a usage error naming it."""
     out = {}
-    try:
-        for part in text.split(","):
-            key, _, idx = part.partition("=")
-            out[key.strip()] = int(idx)
-    except ValueError:
-        raise UsageError(f"bad --cols value {text!r}") from None
+    for part in text.split(","):
+        key, _, idx = part.partition("=")
+        key = key.strip()
+        try:
+            index = int(idx)
+        except ValueError:
+            raise UsageError(f"bad --cols value {text!r}") from None
+        if key not in CSV_COLUMNS:
+            raise UsageError(
+                f"--cols entry {part!r}: unknown column {key!r}, "
+                f"expected one of {', '.join(CSV_COLUMNS)}"
+            )
+        if index < 0:
+            raise UsageError(
+                f"--cols entry {part!r}: column index must be >= 0"
+            )
+        out[key] = index
     return out
 
 
@@ -178,7 +194,8 @@ _SCHEME_KEYS = {
 def parse_scheme_arg(
     text: str, seed: int, per_user: bool, context_window: int
 ) -> ValidationPlan:
-    """"block_rolling:k=10,p=1" -> ValidationPlan."""
+    """"block_rolling:k=10,p=1" -> ValidationPlan.  A parameter that the
+    scheme does not read (validation.SCHEME_PARAMS) is a usage error."""
     name, _, params = text.partition(":")
     kwargs: dict = {}
     if params:
@@ -186,6 +203,12 @@ def parse_scheme_arg(
             key, eq, value = part.partition("=")
             if not eq or key not in _SCHEME_KEYS:
                 raise UsageError(f"bad scheme parameter {part!r} in {text!r}")
+            if name in SCHEME_PARAMS and key not in SCHEME_PARAMS[name]:
+                raise UsageError(
+                    f"scheme {name} does not read parameter {key!r} "
+                    f"(in {text!r}); it reads: "
+                    f"{', '.join(SCHEME_PARAMS[name]) or 'none'}"
+                )
             try:
                 kwargs[key] = _SCHEME_KEYS[key](value)
             except ValueError:
@@ -633,7 +656,7 @@ def cmd_report(args) -> Run:
         "recommendation": args.recommendation,
         "sensitivity": args.sensitivity,
     }
-    outputs = [p for p in out_dir.iterdir() if p.name != "run_manifest.json"]
+    outputs = bundle_files(out_dir, summary["validation"]["present"])
     return Run(out_dir, config, dataset_digest(args.dataset_dir), outputs)
 
 

@@ -7,11 +7,11 @@ blocks from stdin and answer each PREDICT with one line (the protocol is
 described in `predictors.ExternalModel`).
 
 Its count model is a dict version of the native markov_k, mmc,
-top_frequency and random_uniform at their defaults (smoothing alpha 0.01,
-backoff to lower orders) that does the same floating-point operations in
-the same order, and it prints probabilities with repr(), which
+top_frequency and random_uniform, which all smooth by alpha 0.01 and
+back off to lower orders, and it does the same floating-point operations
+in the same order.  It prints probabilities with repr(), which
 round-trips doubles exactly.  So a correctly wired adapter reproduces
-in-process results bit for bit.
+every native model's in-process results bit for bit.
 
 ``--misbehave`` deliberately violates the protocol in one chosen way;
 the harness's error paths are tested against it.
@@ -24,7 +24,7 @@ import sys
 from collections import Counter
 
 MISBEHAVIORS = ("none", "bad_sum", "wrong_len", "oob_id", "garbage", "close")
-ALPHA = 0.01  # the native default smoothing_alpha
+ALPHA = 0.01  # predictors.SMOOTHING_ALPHA, without importing numpy
 
 
 def _model_arg(text: str) -> tuple[str, int]:

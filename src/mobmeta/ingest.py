@@ -55,6 +55,11 @@ SCHEMA_VERSION = 1
 _PLT_EPOCH_DAYS = 25569
 
 
+# The logical columns of a csv_gps row, which IngestConfig.column_map
+# maps to 0-based indices.
+CSV_COLUMNS = ("user", "lat", "lon", "t")
+
+
 @dataclass(frozen=True)
 class IngestConfig:
     """How to read one raw input file.
@@ -78,7 +83,7 @@ class IngestConfig:
         if self.dedup_policy not in ("drop_equal_timestamp", "error"):
             raise DataError(f"unknown dedup_policy {self.dedup_policy!r}")
         if self.format == "csv_gps":
-            missing = {"user", "lat", "lon", "t"} - set(self.column_map)
+            missing = set(CSV_COLUMNS) - set(self.column_map)
             if missing:
                 raise DataError(f"column_map missing {sorted(missing)}")
 

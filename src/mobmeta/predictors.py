@@ -3,10 +3,11 @@ Markov with backoff, mobility Markov chain with a collapsed state space,
 and an adapter for external predictors speaking a line protocol.
 
 Native models keep one array count table per order (see _Table), and mmc
-sums the markov_1 tables through its state map.  `score` serves many
-positions of a stream at once; `predict` and `distribution` are the same
-computation for one context.  Fitted models are immutable; retrain
-returns a new model whose tables equal training on the concatenation.
+sums the markov_1 tables through its state map; all smooth by
+SMOOTHING_ALPHA and back off to lower orders.  `score` serves many
+positions of a stream at once; `predict` is the same computation for one
+context.  Fitted models are immutable; retrain returns a new model whose
+tables equal training on the concatenation.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ CLOSE_TIMEOUT_S = 10.0
 # the longest a fold's training may take: five minutes.
 REQUEST_TIMEOUT_S = 300.0
 
+# Every native model's additive smoothing: (alpha + count) / (total +
+# alpha * n) over an alphabet of n, so no symbol scores 0.
+SMOOTHING_ALPHA = 0.01
+
 _STDERR_LINES = 5  # the last lines of a child's stderr kept for its errors
 _READ_SIZE = 1 << 16
 
@@ -46,19 +51,16 @@ class ProtocolError(DataError):
 
 @dataclass(frozen=True)
 class PredictorSpec:
-    """Which model to build and how to smooth it.
+    """Which model to build.
 
     kind: random_uniform | top_frequency | markov_k | mmc | external.
     k applies to markov_k (1..3); top_m to mmc; command to external.
-    fallback governs unseen contexts: backoff_to_lower_order walks down
-    through the stored lower-order tables, uniform jumps straight to the
-    uniform distribution.
+    Native models all smooth by SMOOTHING_ALPHA and back off to lower
+    orders (see MarkovModel.score).
     """
 
     kind: str
     k: int = 1
-    smoothing_alpha: float = 0.01
-    fallback: str = "backoff_to_lower_order"
     top_m: int = 10
     command: Optional[tuple[str, ...]] = None
 
@@ -68,10 +70,6 @@ class PredictorSpec:
             raise ValueError(f"unknown predictor kind {self.kind!r}")
         if self.kind == "markov_k" and not 1 <= self.k <= 3:
             raise ValueError(f"markov_k order must be in 1..3, got {self.k}")
-        if self.smoothing_alpha < 0:
-            raise ValueError("smoothing_alpha must be >= 0")
-        if self.fallback not in ("backoff_to_lower_order", "uniform"):
-            raise ValueError(f"unknown fallback {self.fallback!r}")
         if self.kind == "mmc" and self.top_m < 1:
             raise ValueError("top_m must be >= 1")
         if self.kind == "external" and not self.command:
@@ -205,7 +203,7 @@ def _count(tables: tuple[_Table, ...], tail: tuple[int, ...],
 
 
 class _CountModel:
-    """predict and distribution: score every symbol after one context."""
+    """predict: score every symbol after one context."""
 
     def predict(self, context: Sequence[int]) -> tuple[int, np.ndarray]:
         seq = np.asarray(context, dtype=np.int64)
@@ -213,9 +211,6 @@ class _CountModel:
         n = self.alphabet_size
         best, dist = self.score(seq, np.full(n, seq.size), np.arange(n))
         return int(best[0]), dist
-
-    def distribution(self, context: Sequence[int]) -> np.ndarray:
-        return self.predict(context)[1]
 
 
 @dataclass(frozen=True)
@@ -236,10 +231,10 @@ class MarkovModel(_CountModel):
     def score(self, seq: np.ndarray, ends: np.ndarray, truth: np.ndarray):
         """(argmax, probability of truth[i]) after the context seq[:e] of
         each end e = ends[i].  The highest order whose context was seen
-        serves it under backoff, order k alone under `uniform`; an end
-        that no order serves gets the uniform distribution."""
+        serves it, smoothed by SMOOTHING_ALPHA; an end that no order
+        serves gets the uniform distribution."""
         n, k = self.alphabet_size, len(self.tables) - 1
-        alpha = self.spec.smoothing_alpha
+        alpha = SMOOTHING_ALPHA
         pred = np.zeros(ends.size, dtype=np.int64)
         p = np.full(ends.size, 1.0 / n)
         # no window through a symbol outside the alphabet was seen
@@ -248,13 +243,12 @@ class MarkovModel(_CountModel):
         for j, table in enumerate(self.tables):
             code = context[ends]
             seen = table.totals[code] > 0
-            if j == k or self.spec.fallback == "backoff_to_lower_order":
-                code = code[seen]
-                cell = _find(table.keys, code * n + truth[seen])
-                count = table.counts[cell]
-                count[cell < 0] = 0
-                pred[seen] = table.best[code]
-                p[seen] = (alpha + count) / (table.totals[code] + alpha * n)
+            code = code[seen]
+            cell = _find(table.keys, code * n + truth[seen])
+            count = table.counts[cell]
+            count[cell < 0] = 0
+            pred[seen] = table.best[code]
+            p[seen] = (alpha + count) / (table.totals[code] + alpha * n)
             if j < k:
                 # order j+1 contexts: the order-j windows ending one earlier
                 cell = _find(table.keys, context[:-1] * n + seq)
@@ -278,9 +272,10 @@ class MmcModel(_CountModel):
     cover the alphabet; without it the model coincides with markov_1
     exactly, smoothing included.  Back in poi space, "other" probability
     mass is spread uniformly over the non-top symbols and an "other"
-    argmax resolves to the most frequent non-top training POI.  tables
-    and tail are the markov_1 counts of the training stream, from which
-    _mmc derives the top set, other_resolution and the state chain inner.
+    argmax resolves to other_resolution, the most frequent non-top
+    training POI (None without an "other" state).  tables and tail are
+    the markov_1 counts of the training stream, from which _mmc derives
+    the top set, other_resolution and the state chain inner.
     """
 
     spec: PredictorSpec
@@ -289,17 +284,16 @@ class MmcModel(_CountModel):
     tail: tuple[int, ...]
     inner: MarkovModel
     top_states: tuple[int, ...]
-    has_other: bool
     other_resolution: Optional[int]
 
     def score(self, seq: np.ndarray, ends: np.ndarray, truth: np.ndarray):
         truth = _states(self.top_states, truth)
         best, p = self.inner.score(_states(self.top_states, seq), ends, truth)
-        n_top = len(self.top_states)
-        if self.has_other:
+        resolve = self.top_states
+        if self.other_resolution is not None:
+            n_top = len(resolve)
             p[truth == n_top] /= self.alphabet_size - n_top
-        resolve = self.top_states + ((self.other_resolution,)
-                                     if self.has_other else ())
+            resolve += (self.other_resolution,)
         return np.asarray(resolve)[best], p
 
 
@@ -336,8 +330,7 @@ def _mmc(spec: PredictorSpec, n: int, tables: tuple[_Table, ...],
          _table(keys1, counts1, n_states, keys0.size)),
         tuple(_states(top, tail).tolist()),
     )
-    return MmcModel(spec, n, tables, tail, inner, top, other is not None,
-                    other)
+    return MmcModel(spec, n, tables, tail, inner, top, other)
 
 
 def _in_alphabet(symbols: Sequence[int], n: int) -> np.ndarray:

@@ -249,6 +249,17 @@ def build_summary(
     }
 
 
+def bundle_files(out_dir: Union[str, Path],
+                 with_validation: bool) -> list[Path]:
+    """The files bundle_report writes into out_dir, in the order it writes
+    them: fold_curve.csv and compression.csv only with validation results.
+    Other files already in out_dir are not the bundle's."""
+    names = ["summary.json", "table.txt", "mi_curve.csv"]
+    if with_validation:
+        names += ["fold_curve.csv", "compression.csv"]
+    return [Path(out_dir) / name for name in names]
+
+
 def bundle_report(
     ds: Dataset,
     out_dir: Union[str, Path],
@@ -259,9 +270,10 @@ def bundle_report(
 ) -> dict:
     """Assemble the report directory from component outputs.
 
-    Writes summary.json, table.txt, mi_curve.csv, and (when validation
-    results are given) fold_curve.csv and compression.csv.  Missing
-    input files are collected and reported in one error.
+    Writes the files bundle_files names: summary.json, table.txt,
+    mi_curve.csv, and (when validation results are given) fold_curve.csv
+    and compression.csv.  Missing input files are collected and reported
+    in one error.
     """
     paths = {"characterization": Path(characterization_path)}
     for i, p in enumerate(validation_paths):
@@ -291,10 +303,12 @@ def bundle_report(
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    summary_path, table_path, mi_path, *validation_files = bundle_files(
+        out, validation is not None)
     summary = build_summary(
         ds, characterization, validation, recommendation, sensitivity
     )
-    write_canonical_json(out / "summary.json", summary)
+    write_canonical_json(summary_path, summary)
 
     table = stats_table([summary["dataset"]])
     if validation is None:
@@ -310,10 +324,11 @@ def bundle_report(
                 f"weighted {v['accuracy_weighted']:.4f}, "
                 f"bits/symbol {bits}\n"
             )
-    (out / "table.txt").write_text(table, encoding="utf-8")
+    table_path.write_text(table, encoding="utf-8")
 
-    write_mi_curve_csv(out / "mi_curve.csv", characterization["mi_curve"])
+    write_mi_curve_csv(mi_path, characterization["mi_curve"])
     if validation is not None:
-        write_fold_curve_csv(out / "fold_curve.csv", validation)
-        write_compression_csv(out / "compression.csv", validation)
+        fold_curve_path, compression_path = validation_files
+        write_fold_curve_csv(fold_curve_path, validation)
+        write_compression_csv(compression_path, validation)
     return summary

@@ -7,7 +7,10 @@ min(test index), asserted at construction.  The conventional schemes
 (holdout, kfold, leave_one_out, bootstrap) are retained on purpose for
 the sensitivity demonstration and always tagged leaky=True in outputs;
 the tag marks them as outside the certified time-ordered family, not a
-claim that each individual fold mixes time.
+claim that each individual fold mixes time.  holdout is the plain case:
+its one fold trains on [0, m) and tests [m, n), so per user it never
+trains on the future.  Its fault is the single split: one split point
+decides the whole score, and no second fold shows how much it moved it.
 
 Each fold trains on its distinct train positions in time order (a
 bootstrap fold's repeated draws count once).  When the previous fold's
@@ -45,7 +48,19 @@ LEAKY_SCHEMES = frozenset({"holdout", "kfold", "leave_one_out", "bootstrap"})
 TIME_ORDERED_SCHEMES = frozenset(
     {"rolling", "block_rolling", "window10_cumulative"}
 )
-_ALL_SCHEMES = LEAKY_SCHEMES | TIME_ORDERED_SCHEMES
+
+# The ValidationPlan parameters each scheme reads, in the order its label
+# shows them.  A scheme ignores every other parameter, so the command
+# line refuses them.
+SCHEME_PARAMS = {
+    "holdout": ("split",),
+    "kfold": ("k", "shuffled"),
+    "leave_one_out": (),
+    "bootstrap": ("iterations",),
+    "rolling": ("k",),
+    "block_rolling": ("k", "p"),
+    "window10_cumulative": (),
+}
 
 # At most this many children of an external predictor are alive at once.
 MAX_CHILDREN = 4
@@ -55,9 +70,10 @@ MAX_CHILDREN = 4
 class ValidationPlan:
     """One split scheme with its parameters.
 
-    k and p configure the block schemes (rolling ignores p and expands);
-    split is the holdout train fraction; iterations drives bootstrap;
-    shuffled applies to kfold.  per_user=False evaluates one stream made
+    split is the holdout train fraction; k the number of kfold folds or
+    of rolling and block_rolling blocks; p the train blocks of
+    block_rolling; iterations drives bootstrap; shuffled applies to
+    kfold (SCHEME_PARAMS).  per_user=False evaluates one stream made
     by abutting all users (cross-user transitions become artifacts, which
     is occasionally the point).  external_context_window caps how much
     revealed history is shipped to external predictors per prediction.
@@ -74,7 +90,7 @@ class ValidationPlan:
     external_context_window: int = 64
 
     def __post_init__(self):
-        if self.scheme not in _ALL_SCHEMES:
+        if self.scheme not in SCHEME_PARAMS:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not 0.0 < self.split < 1.0:
             raise ValueError(f"split must be in (0,1), got {self.split}")
@@ -93,17 +109,19 @@ class ValidationPlan:
 
     @property
     def label(self) -> str:
-        if self.scheme == "holdout":
-            return f"holdout:split={self.split:g}"
-        if self.scheme == "kfold":
-            return f"kfold:k={self.k},shuffled={str(self.shuffled).lower()}"
-        if self.scheme == "bootstrap":
-            return f"bootstrap:iterations={self.iterations}"
-        if self.scheme == "rolling":
-            return f"rolling:k={self.k}"
-        if self.scheme == "block_rolling":
-            return f"block_rolling:k={self.k},p={self.p}"
-        return self.scheme
+        """The scheme and the parameters it reads (SCHEME_PARAMS), as
+        "block_rolling:k=10,p=1"; a scheme that reads none is its name."""
+        params = ",".join(f"{name}={_label_value(getattr(self, name))}"
+                          for name in SCHEME_PARAMS[self.scheme])
+        return f"{self.scheme}:{params}" if params else self.scheme
+
+
+def _label_value(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:g}"
+    return str(value)
 
 
 @dataclass(frozen=True)
@@ -324,8 +342,7 @@ def _fold_result(user_id: str, fold: Fold, pos: np.ndarray, n_correct: int,
     """A fold's row from its hits and the probability of each true symbol
     (None from an argmax-only predictor)."""
     has_bits = None not in probs
-    bits_terms = [-math.log2(p) if p > 0.0 else math.inf
-                  for p in probs] if has_bits else []
+    bits_terms = [-math.log2(p) for p in probs] if has_bits else []
     n_pred = int(fold.test_idx.shape[0])
     return FoldResult(
         user_id=user_id,
@@ -436,7 +453,6 @@ def _eval_external(
 def _eval_native(
     user_id: str,
     symbols: np.ndarray,
-    timestamps: np.ndarray,
     spec: PredictorSpec,
     folds: list[Fold],
     alphabet_size: int,
@@ -454,7 +470,7 @@ def _eval_native(
                 and np.array_equal(pos[: prev_pos.size], prev_pos)):
             model = retrain(model, symbols[pos[prev_pos.size :]])
         else:
-            model = train(spec, symbols[pos], alphabet_size, timestamps[pos])
+            model = train(spec, symbols[pos], alphabet_size)
         prev_pos = pos
         # a native model scores every test position of the fold at once
         known, ends = _window(fold, n, need)
@@ -494,8 +510,8 @@ def evaluate(
                 kept.append([(user_id, symbols, timestamps, fold)
                              for fold in folds])
             else:
-                kept.append(_eval_native(user_id, symbols, timestamps, spec,
-                                         folds, ds.alphabet.size, need))
+                kept.append(_eval_native(user_id, symbols, spec, folds,
+                                         ds.alphabet.size, need))
         except (InfeasiblePlanError, DataError) as e:
             warnings.warn(f"excluding user {user_id!r}: {e}", stacklevel=2)
             excluded.append(user_id)

@@ -16,7 +16,9 @@ import numpy as np
 
 from mobmeta.core import DataError, InfeasiblePlanError
 from mobmeta.poi import Staypoint, haversine_m
-from mobmeta.predictors import ExternalModel, ProtocolError, train
+from mobmeta.predictors import (
+    SMOOTHING_ALPHA, ExternalModel, ProtocolError, train,
+)
 from mobmeta.validation import make_folds
 
 
@@ -222,11 +224,6 @@ class DictModel:
 
     def _lookup(self, ctx):
         ctx = tuple(int(c) for c in ctx[-self.k:]) if self.k else ()
-        if self.spec.fallback == "uniform":
-            hit = self.tables[len(ctx)].get(ctx) if len(ctx) == self.k else None
-            if hit is not None and hit[1] > 0:
-                return hit
-            return {}, 0
         for j in range(len(ctx), -1, -1):
             hit = self.tables[j].get(ctx[len(ctx) - j:])
             if hit is not None and hit[1] > 0:
@@ -241,8 +238,7 @@ class DictModel:
         if total == 0:
             dist = np.full(self.n_states, 1.0 / self.n_states)
         else:
-            dist = _smoothed(counts, total, self.n_states,
-                             self.spec.smoothing_alpha)
+            dist = _smoothed(counts, total, self.n_states, SMOOTHING_ALPHA)
         best = int(np.argmax(dist))
         if self.spec.kind != "mmc":
             return best, dist

@@ -187,14 +187,10 @@ def test_criterion_07_predictor_exactness(rng):
     checked = 0
     for i in range(100):
         n_sym = int(rng.integers(2, 7))
-        alpha = (0.0, 0.01, 1.0)[i % 3]
-        fallback = ("backoff_to_lower_order", "uniform")[i % 2]
         spec = (
-            PredictorSpec(kind="markov_k", k=1 + i % 3,
-                          smoothing_alpha=alpha, fallback=fallback),
-            PredictorSpec(kind="mmc", top_m=int(rng.integers(1, 5)),
-                          smoothing_alpha=alpha, fallback=fallback),
-            PredictorSpec(kind="top_frequency", smoothing_alpha=alpha),
+            PredictorSpec(kind="markov_k", k=1 + i % 3),
+            PredictorSpec(kind="mmc", top_m=int(rng.integers(1, 5))),
+            PredictorSpec(kind="top_frequency"),
             PredictorSpec(kind="random_uniform"),
         )[i % 4]
         model = train(spec, rng.integers(0, n_sym, size=60).tolist(), n_sym)
@@ -204,7 +200,7 @@ def test_criterion_07_predictor_exactness(rng):
             pred, dist = model.predict(ctx)
             assert 0 <= pred < n_sym
             assert dist.shape == (n_sym,)
-            assert (dist >= 0.0).all()
+            assert (dist > 0.0).all()
             assert abs(float(dist.sum()) - 1.0) <= 1e-9
             checked += 1
     assert checked >= 10_000

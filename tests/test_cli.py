@@ -779,6 +779,79 @@ def test_bad_scheme_parameter_is_usage_error(tmp_path, capsys):
     assert "bad scheme parameter" in err
 
 
+@pytest.mark.parametrize("scheme, unread, reads", [
+    ("holdout:split=0.7,k=3,iterations=5", "k", "split"),
+    ("kfold:k=3,p=1", "p", "k, shuffled"),
+    ("leave_one_out:k=3", "k", "none"),
+    ("bootstrap:iterations=5,split=0.5", "split", "iterations"),
+    ("rolling:k=3,p=1", "p", "k"),
+    ("block_rolling:k=5,p=1,shuffled=true", "shuffled", "k, p"),
+    ("window10_cumulative:k=3", "k", "none"),
+])
+def test_scheme_parameter_the_scheme_does_not_read_is_usage_error(
+        tmp_path, capsys, scheme, unread, reads):
+    d = synth_periodic(tmp_path, capsys)
+    rc = main(["validate", str(d), "--model", "markov:1",
+               "--scheme", scheme, "--out", str(tmp_path / "f.csv")])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    name = scheme.partition(":")[0]
+    assert (f"usage error: scheme {name} does not read parameter "
+            f"{unread!r} (in {scheme!r}); it reads: {reads}") in err
+    assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("scheme", [
+    "holdout:split=0.7", "kfold:k=5,shuffled=false", "leave_one_out",
+    "bootstrap:iterations=7", "rolling:k=4", "block_rolling:k=5,p=2",
+    "window10_cumulative",
+])
+def test_scheme_label_shows_every_parameter_it_reads(scheme):
+    assert cli.parse_scheme_arg(scheme, 0, True, 64).label == scheme
+
+
+@pytest.mark.parametrize("cols, entry", [
+    ("user=0,lat=1,lon=2,t=-1,foo=7", "'t=-1'"),
+    ("user=0,lat=1,lon=2,t=3,foo=7", "'foo=7'"),
+    ("user=0,lat=-2,lon=2,t=3", "'lat=-2'"),
+])
+def test_cols_refuses_negative_index_and_unknown_name(tmp_path, capsys,
+                                                      cols, entry):
+    with pytest.raises(cli.UsageError, match=f"--cols entry {entry}"):
+        cli.parse_cols(cols)
+    src = tmp_path / "x.csv"
+    src.write_text("u1,45.0,7.0,1000\n", encoding="utf-8")
+    rc = main(["ingest", str(src), "--cols", cols,
+               "--out", str(tmp_path / "raw")])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert f"usage error: --cols entry {entry}" in err
+    assert not (tmp_path / "raw").exists()
+
+
+def test_report_manifest_lists_only_the_files_of_its_run(tmp_path, capsys):
+    d = synth_periodic(tmp_path, capsys)
+    ok(["characterize", d, "--out", tmp_path / "c" / "report.json"], capsys)
+    ok(["validate", d, "--model", "markov:1", "--scheme", "rolling:k=4",
+        "--out", tmp_path / "v" / "folds.csv"], capsys)
+    b = tmp_path / "b"
+    report = ["report", d, "--characterization", tmp_path / "c" / "report.json",
+              "--out", b]
+    ok(report + ["--validation", tmp_path / "v" / "results.json"], capsys)
+    with_validation = {"summary.json", "table.txt", "mi_curve.csv",
+                       "fold_curve.csv", "compression.csv"}
+    assert {Path(p).name for p in read_manifest(b)["outputs"]} == (
+        with_validation)
+    ok(report, capsys)
+    assert {Path(p).name for p in read_manifest(b)["outputs"]} == {
+        "summary.json", "table.txt", "mi_curve.csv"}
+    summary = json.loads((b / "summary.json").read_text())
+    assert summary["validation"]["present"] is False
+    # the first run's files are the user's: nothing is deleted
+    assert {p.name for p in b.iterdir()} == with_validation | {
+        "run_manifest.json"}
+
+
 def test_characterize_default_config_hash(tmp_path, capsys):
     # the hash of the default CharacterizeParams config; renaming a field
     # or changing how the config is serialized shows here

@@ -36,8 +36,6 @@ def test_spec_validation_and_labels():
         PredictorSpec(kind="lstm")
     with pytest.raises(ValueError, match="command"):
         PredictorSpec(kind="external")
-    with pytest.raises(ValueError, match="fallback"):
-        PredictorSpec(kind="markov_k", fallback="zeros")
 
 
 @pytest.mark.parametrize("spec, order", [
@@ -79,8 +77,8 @@ def test_parse_model():
 def test_markov1_counts_and_smoothing():
     model = train(M1, [0, 1, 0, 1, 0], alphabet_size=2)
     assert transition_counts(model) == {(0,): {1: 2}, (1,): {0: 2}}
-    dist = model.distribution([0])
-    a = M1.smoothing_alpha
+    dist = model.predict([0])[1]
+    a = predictors.SMOOTHING_ALPHA
     np.testing.assert_allclose(
         dist, [a / (2 + 2 * a), (2 + a) / (2 + 2 * a)]
     )
@@ -100,25 +98,11 @@ def test_backoff_walks_down_orders():
     model = train(PredictorSpec(kind="markov_k", k=2), seq, alphabet_size=3)
     # context (2,2) unseen at order 2; (2,) unseen at order 1 (2 is the
     # last symbol, it never precedes anything); order 0 counts win
-    d = model.distribution([2, 2])
+    d = model.predict([2, 2])[1]
     order0 = train(
         PredictorSpec(kind="top_frequency"), seq, alphabet_size=3
-    ).distribution([])
+    ).predict([])[1]
     np.testing.assert_array_equal(d, order0)
-
-
-def test_uniform_fallback_skips_backoff():
-    seq = [0, 1, 0, 1, 0]
-    model = train(
-        PredictorSpec(kind="markov_k", k=2, fallback="uniform"),
-        seq,
-        alphabet_size=4,
-    )
-    np.testing.assert_array_equal(
-        model.distribution([3, 3]), np.full(4, 0.25)
-    )
-    # seen max-order context still uses its table
-    assert model.predict([0, 1])[0] == 0
 
 
 def test_tie_break_prefers_smallest_id():
@@ -149,10 +133,10 @@ def test_mmc_equals_markov1_when_top_covers_alphabet(rng):
     seq = random_collapsed(rng, 200, 4)
     mmc = train(PredictorSpec(kind="mmc", top_m=10), seq, alphabet_size=4)
     m1 = train(M1, seq, alphabet_size=4)
-    assert not mmc.has_other
+    assert mmc.other_resolution is None
     for ctx in ([0], [1], [2], [3], [2, 3]):
         np.testing.assert_array_equal(
-            mmc.distribution(ctx), m1.distribution(ctx)
+            mmc.predict(ctx)[1], m1.predict(ctx)[1]
         )
         assert mmc.predict(ctx)[0] == m1.predict(ctx)[0]
 
@@ -162,10 +146,9 @@ def test_mmc_other_state_mass_spread(rng):
     seq = [0, 1] * 40 + [3, 4, 3, 0] + [0, 1] * 10
     mmc = train(PredictorSpec(kind="mmc", top_m=2), seq, alphabet_size=5)
     assert mmc.top_states == (0, 1)
-    assert mmc.has_other
     # most frequent non-top symbol is 3 (seen twice vs once for 4)
     assert mmc.other_resolution == 3
-    dist = mmc.distribution([0])
+    dist = mmc.predict([0])[1]
     assert dist.shape == (5,)
     assert dist.sum() == pytest.approx(1.0)
     # the three non-top symbols share the other mass equally
@@ -175,7 +158,7 @@ def test_mmc_other_state_mass_spread(rng):
 def test_mmc_other_resolution_when_all_training_in_top():
     seq = [0, 1] * 10
     mmc = train(PredictorSpec(kind="mmc", top_m=2), seq, alphabet_size=4)
-    assert mmc.has_other and mmc.other_resolution == 2
+    assert mmc.other_resolution == 2
 
 
 def test_retrain_equals_concatenation(rng):
@@ -193,7 +176,7 @@ def test_retrain_equals_concatenation(rng):
         for _ in range(20):
             ctx = random_collapsed(rng, int(rng.integers(1, 5)), 5)
             np.testing.assert_array_equal(
-                stepped.distribution(ctx), direct.distribution(ctx)
+                stepped.predict(ctx)[1], direct.predict(ctx)[1]
             )
         if spec.kind in ("markov_k", "mmc"):
             assert transition_counts(stepped) == transition_counts(direct)
@@ -216,7 +199,7 @@ def test_mmc_retrain_moves_top_set_and_other_resolution():
     for ctx in ([], [0], [1], [2], [3], [4]):
         pred, dist = stepped.predict(ctx)
         assert pred == direct.predict(ctx)[0]
-        np.testing.assert_array_equal(dist, direct.distribution(ctx))
+        np.testing.assert_array_equal(dist, direct.predict(ctx)[1])
 
 
 @pytest.mark.parametrize("kind", ["random_uniform", "top_frequency",
@@ -235,7 +218,6 @@ def assert_same_as_dict(model, ref, contexts):
         want_pred, want_dist = ref.predict(ctx)
         assert pred == want_pred
         np.testing.assert_array_equal(dist, want_dist)
-        np.testing.assert_array_equal(model.distribution(ctx), want_dist)
     if model.spec.kind != "top_frequency":
         assert transition_counts(model) == ref.transition_counts()
 
@@ -246,14 +228,10 @@ def assert_same_as_dict(model, ref, contexts):
     n_sym=st.integers(1, 6),
     kind=st.sampled_from(["markov_k", "mmc", "top_frequency"]),
     k=st.integers(1, 3),
-    alpha=st.sampled_from([0.0, 0.01, 1.0]),
-    fallback=st.sampled_from(["backoff_to_lower_order", "uniform"]),
 )
-def test_count_tables_equal_dict_reference(data, n_sym, kind, k, alpha,
-                                           fallback):
+def test_count_tables_equal_dict_reference(data, n_sym, kind, k):
     top_m = data.draw(st.integers(1, 7))
-    spec = PredictorSpec(kind=kind, k=k, smoothing_alpha=alpha,
-                         fallback=fallback, top_m=top_m)
+    spec = PredictorSpec(kind=kind, k=k, top_m=top_m)
     stream = data.draw(
         st.lists(st.integers(0, n_sym - 1), min_size=4, max_size=30)
     )
@@ -305,15 +283,11 @@ def test_transition_counts_type_guard():
     data=st.data(),
     n_sym=st.integers(2, 6),
     kind=st.sampled_from(["markov_k", "mmc", "top_frequency", "random_uniform"]),
-    alpha=st.sampled_from([0.0, 0.01, 1.0]),
-    fallback=st.sampled_from(["backoff_to_lower_order", "uniform"]),
 )
-def test_distribution_is_normalized(data, n_sym, kind, alpha, fallback):
+def test_distribution_is_normalized(data, n_sym, kind):
     k = data.draw(st.integers(1, 3)) if kind == "markov_k" else 1
     top_m = data.draw(st.integers(1, 8)) if kind == "mmc" else 10
-    spec = PredictorSpec(
-        kind=kind, k=k, smoothing_alpha=alpha, fallback=fallback, top_m=top_m
-    )
+    spec = PredictorSpec(kind=kind, k=k, top_m=top_m)
     stream = data.draw(
         st.lists(st.integers(0, n_sym - 1), min_size=4, max_size=50)
     )
@@ -322,8 +296,12 @@ def test_distribution_is_normalized(data, n_sym, kind, alpha, fallback):
     pred, dist = model.predict(ctx)
     assert 0 <= pred < n_sym
     assert dist.shape == (n_sym,)
-    assert np.all(dist >= 0.0)
+    assert np.all(dist > 0.0)
     assert math.isclose(float(dist.sum()), 1.0, abs_tol=1e-9)
+
+
+def test_reference_child_smooths_as_the_native_models():
+    assert extpred.ALPHA == predictors.SMOOTHING_ALPHA
 
 
 def ext_spec(*extra):

@@ -508,8 +508,6 @@ def scoring_cases(draw):
         )),
         k=draw(st.integers(1, 3)),
         top_m=draw(st.integers(1, n_pois + 1)),
-        fallback=draw(st.sampled_from(["backoff_to_lower_order", "uniform"])),
-        smoothing_alpha=draw(st.sampled_from([0.0, 0.01, 1.0])),
     )
     k = draw(st.integers(2, 10))
     plan = ValidationPlan(
