@@ -45,7 +45,7 @@ def main():
     model = PredictorSpec(kind="markov_k", k=1)
 
     rows = validation_sensitivity(
-        ds, model, default_sensitivity_plans(per_user=True, seed=0)
+        ds, model, default_sensitivity_plans(seed=0)
     )
     print("scheme sensitivity on the regime-switching source (markov_1):")
     for r in rows:

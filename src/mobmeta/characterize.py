@@ -6,7 +6,9 @@ per user, with the Fano bound over that user's own distinct POIs, and
 reported with their means over users.  The MI decay curve and PMI run
 over the separator-joined dataset stream, so cross-user n-grams never
 form.  Every MI and PMI figure comes from metrics; this module only
-builds the streams.
+builds the streams.  The joined stream of the users a report kept rides
+on the report (MetaAttributeReport.stream), so the match structure
+reads the same users as every other statistic.
 """
 
 from __future__ import annotations
@@ -70,6 +72,10 @@ class MetaAttributeReport:
     ldd_depth: Optional[int]
     pmi_top: tuple[tuple[tuple[int, int, int], float], ...]
     warnings: tuple[str, ...] = field(default_factory=tuple)
+    # the separator-joined stream of the kept users, which the MI curve
+    # and PMI read; in memory only, so not in to_dict
+    stream: Optional[np.ndarray] = field(default=None, compare=False,
+                                         repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -253,6 +259,7 @@ def characterize(
         ldd_depth=decay.ldd_depth if decay else None,
         pmi_top=tuple(pmi_top),
         warnings=tuple(notes),
+        stream=stream,
     )
 
 

@@ -41,7 +41,7 @@ from .characterize import (
     per_user_attribute_matrix,
     report_from_dict,
 )
-from .core import DataError, Dataset, InfeasiblePlanError, concat_user_streams
+from .core import DataError, InfeasiblePlanError
 from .ingest import (
     CSV_COLUMNS,
     IngestConfig,
@@ -192,10 +192,11 @@ _SCHEME_KEYS = {
 
 
 def parse_scheme_arg(
-    text: str, seed: int, per_user: bool, context_window: int
+    text: str, seed: int, context_window: int
 ) -> ValidationPlan:
     """"block_rolling:k=10,p=1" -> ValidationPlan.  A parameter that the
-    scheme does not read (validation.SCHEME_PARAMS) is a usage error."""
+    scheme does not read (validation.SCHEME_PARAMS), or one given twice,
+    is a usage error."""
     name, _, params = text.partition(":")
     kwargs: dict = {}
     if params:
@@ -209,6 +210,10 @@ def parse_scheme_arg(
                     f"(in {text!r}); it reads: "
                     f"{', '.join(SCHEME_PARAMS[name]) or 'none'}"
                 )
+            if key in kwargs:
+                raise UsageError(
+                    f"scheme parameter {key!r} given twice in {text!r}"
+                )
             try:
                 kwargs[key] = _SCHEME_KEYS[key](value)
             except ValueError:
@@ -217,10 +222,7 @@ def parse_scheme_arg(
                 ) from None
     try:
         return ValidationPlan(
-            scheme=name,
-            per_user=per_user,
-            seed=seed,
-            external_context_window=context_window,
+            scheme=name, seed=seed, external_context_window=context_window,
             **kwargs,
         )
     except (TypeError, ValueError) as e:
@@ -449,9 +451,9 @@ def cmd_characterize(args) -> Run:
     mi_path = out.parent / "mi_curve.csv"
     write_mi_curve_csv(mi_path, report.mi_curve)
 
-    stream = concat_user_streams(ds.sequences, ds.alphabet.separator_id)
+    # over the users the report kept, as its MI curve and PMI
     triples = match_structure(
-        stream, separator_id=ds.alphabet.separator_id
+        report.stream, separator_id=ds.alphabet.separator_id
     )
     ms_path = out.parent / "match_structure.csv"
     write_match_structure_csv(ms_path, *triples.T)
@@ -490,27 +492,35 @@ def positive_int(text: str) -> int:
     return value
 
 
-def validate_arguments(p: argparse.ArgumentParser) -> None:
+def _predictor_arguments(p: argparse.ArgumentParser) -> None:
+    """The arguments validate and sensitivity share: the dataset and the
+    predictor with its external settings."""
     p.add_argument("dataset_dir")
     p.add_argument("--model", required=True,
                    help="markov:K | mmc[:M] | top_frequency | "
                         "random_uniform | external")
-    p.add_argument("--scheme", required=True,
-                   help="e.g. block_rolling:k=10,p=1 or holdout:split=0.8")
     p.add_argument("--external-cmd", default=None,
                    help="command line for --model external")
-    p.add_argument("--concat-users", action="store_true",
-                   help="evaluate one abutted stream instead of per user")
     p.add_argument("--context-window", type=positive_int, default=64,
                    help="history cap shipped to external predictors")
+
+
+def _predictor_config(args, **schemes) -> dict:
+    """The manifest config of validate (scheme) or sensitivity (schemes)."""
+    return {"model": args.model, **schemes, "seed": args.seed,
+            "context_window": args.context_window}
+
+
+def validate_arguments(p: argparse.ArgumentParser) -> None:
+    _predictor_arguments(p)
+    p.add_argument("--scheme", required=True,
+                   help="e.g. block_rolling:k=10,p=1 or holdout:split=0.8")
 
 
 def cmd_validate(args) -> Run:
     ds = load_dataset(args.dataset_dir)
     spec = parse_model_arg(args.model, args.external_cmd)
-    plan = parse_scheme_arg(
-        args.scheme, args.seed, not args.concat_users, args.context_window
-    )
+    plan = parse_scheme_arg(args.scheme, args.seed, args.context_window)
     result = evaluate(ds, spec, plan)
     out = _out_file(args, "folds.csv")
     write_folds_csv(out, result.fold_results)
@@ -527,49 +537,30 @@ def cmd_validate(args) -> Run:
         f"weighted {result.accuracy_weighted:.4f}, bits/symbol {bits}, "
         f"{result.n_predictions} predictions -> {out}"
     )
-    config = {
-        "model": args.model,
-        "scheme": args.scheme,
-        "per_user": plan.per_user,
-        "seed": args.seed,
-        "context_window": args.context_window,
-    }
-    return Run(out, config, dataset_digest(args.dataset_dir),
-               [out, results_path])
+    return Run(out, _predictor_config(args, scheme=args.scheme),
+               dataset_digest(args.dataset_dir), [out, results_path])
 
 
 def sensitivity_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("dataset_dir")
-    p.add_argument("--model", required=True)
+    _predictor_arguments(p)
     p.add_argument("--schemes", default=None,
                    help="semicolon-separated scheme specs; default grid "
                         "holdout .8/.7/.6 + kfold 3/5/10")
-    p.add_argument("--external-cmd", default=None)
-    p.add_argument("--concat-users", action="store_true")
-    p.add_argument("--context-window", type=positive_int, default=64)
 
 
 def cmd_sensitivity(args) -> Run:
     ds = load_dataset(args.dataset_dir)
     spec = parse_model_arg(args.model, args.external_cmd)
     if args.schemes:
-        plans = [
-            parse_scheme_arg(
-                s.strip(), args.seed, not args.concat_users,
-                args.context_window,
-            )
-            for s in args.schemes.split(";")
-        ]
+        plans = [parse_scheme_arg(s.strip(), args.seed, args.context_window)
+                 for s in args.schemes.split(";")]
         if len(plans) < 2:
             raise UsageError(
                 f"--schemes needs at least 2 schemes to compare, "
                 f"got {len(plans)}"
             )
     else:
-        plans = default_sensitivity_plans(
-            per_user=not args.concat_users, seed=args.seed,
-            context_window=args.context_window,
-        )
+        plans = default_sensitivity_plans(args.seed, args.context_window)
     rows = validation_sensitivity(ds, spec, plans)
     out = _out_file(args, "table.csv")
     write_sensitivity_csv(out, rows)
@@ -588,15 +579,8 @@ def cmd_sensitivity(args) -> Run:
             f"acc {r.accuracy_user_mean:.4f} ({tag})"
         )
     print(f"spread across schemes: {spread:.4f} -> {out}")
-    config = {
-        "model": args.model,
-        "schemes": args.schemes,
-        "per_user": not args.concat_users,
-        "seed": args.seed,
-        "context_window": args.context_window,
-    }
-    return Run(out, config, dataset_digest(args.dataset_dir),
-               [out, rows_json])
+    return Run(out, _predictor_config(args, schemes=args.schemes),
+               dataset_digest(args.dataset_dir), [out, rows_json])
 
 
 def recommend_arguments(p: argparse.ArgumentParser) -> None:
@@ -656,8 +640,8 @@ def cmd_report(args) -> Run:
         "recommendation": args.recommendation,
         "sensitivity": args.sensitivity,
     }
-    outputs = bundle_files(out_dir, summary["validation"]["present"])
-    return Run(out_dir, config, dataset_digest(args.dataset_dir), outputs)
+    return Run(out_dir, config, dataset_digest(args.dataset_dir),
+               bundle_files(out_dir))
 
 
 @dataclass(frozen=True)

@@ -19,27 +19,41 @@ from typing import Sequence
 import numpy as np
 
 
-class _SuffixAutomaton:
-    """Online suffix automaton over integer symbols.
+def lz_match_lengths(seq: Sequence[int]) -> np.ndarray:
+    """Lambda_i for every position: shortest-novel-substring lengths.
 
-    States are parallel arrays; state 0 is the root (empty string).
-    link[0] = -1 acts as a sentinel with length -1, which makes
-    minlen(v) = len(link(v)) + 1 uniform across all states.
+    Lambda_i = (longest L such that seq[i:i+L] occurs inside seq[:i]) + 1.
+    The prefix seq[:i] is held in an online suffix automaton whose states
+    are parallel lists: state 0 is the root (empty string), and link[0] =
+    -1 acts as a sentinel with length -1, which makes minlen(v) =
+    len(link(v)) + 1 uniform across all states.  The walk keeps a
+    (state, l) pair for the current match; moving to the next position
+    drops the front symbol, which is a suffix-link ascent, and every
+    automaton extension is followed by the same ascent because clone
+    splits can re-home strings of length <= len(clone).
     """
-
-    def __init__(self):
-        self.length = [0]
-        self.link = [-1]
-        self.trans: list[dict[int, int]] = [{}]
-        self.last = 0
-
-    def extend(self, c: int) -> None:
-        length, link, trans = self.length, self.link, self.trans
+    seq = [int(x) for x in seq]
+    n = len(seq)
+    length, link = [0], [-1]
+    trans: list[dict[int, int]] = [{}]
+    last = 0  # the state of the whole prefix
+    lambdas = np.empty(n, dtype=np.int64)
+    state, l = 0, 0
+    for i in range(n):
+        while i + l < n:
+            nxt = trans[state].get(seq[i + l])
+            if nxt is None:
+                break
+            state = nxt
+            l += 1
+        lambdas[i] = l + 1
+        # extend the automaton by c = seq[i]
+        c = seq[i]
         cur = len(length)
-        length.append(length[self.last] + 1)
+        length.append(length[last] + 1)
         link.append(0)
         trans.append({})
-        p = self.last
+        p = last
         while p != -1 and c not in trans[p]:
             trans[p][c] = cur
             p = link[p]
@@ -57,33 +71,7 @@ class _SuffixAutomaton:
                     p = link[p]
                 link[q] = clone
                 link[cur] = clone
-        self.last = cur
-
-
-def lz_match_lengths(seq: Sequence[int]) -> np.ndarray:
-    """Lambda_i for every position: shortest-novel-substring lengths.
-
-    Lambda_i = (longest L such that seq[i:i+L] occurs inside seq[:i]) + 1.
-    The walk keeps a (state, l) pair for the current match; moving to the
-    next position drops the front symbol, which is a suffix-link ascent,
-    and every automaton extension is followed by the same ascent because
-    clone splits can re-home strings of length <= len(clone).
-    """
-    seq = [int(x) for x in seq]
-    n = len(seq)
-    sa = _SuffixAutomaton()
-    length, link, trans = sa.length, sa.link, sa.trans
-    lambdas = np.empty(n, dtype=np.int64)
-    state, l = 0, 0
-    for i in range(n):
-        while i + l < n:
-            nxt = trans[state].get(seq[i + l])
-            if nxt is None:
-                break
-            state = nxt
-            l += 1
-        lambdas[i] = l + 1
-        sa.extend(seq[i])
+        last = cur
         if l > 0:
             l -= 1
         while link[state] != -1 and l <= length[link[state]]:

@@ -249,14 +249,11 @@ def build_summary(
     }
 
 
-def bundle_files(out_dir: Union[str, Path],
-                 with_validation: bool) -> list[Path]:
+def bundle_files(out_dir: Union[str, Path]) -> list[Path]:
     """The files bundle_report writes into out_dir, in the order it writes
-    them: fold_curve.csv and compression.csv only with validation results.
-    Other files already in out_dir are not the bundle's."""
-    names = ["summary.json", "table.txt", "mi_curve.csv"]
-    if with_validation:
-        names += ["fold_curve.csv", "compression.csv"]
+    them.  Other files already in out_dir are not the bundle's."""
+    names = ["summary.json", "table.txt", "mi_curve.csv", "fold_curve.csv",
+             "compression.csv"]
     return [Path(out_dir) / name for name in names]
 
 
@@ -271,9 +268,10 @@ def bundle_report(
     """Assemble the report directory from component outputs.
 
     Writes the files bundle_files names: summary.json, table.txt,
-    mi_curve.csv, and (when validation results are given) fold_curve.csv
-    and compression.csv.  Missing input files are collected and reported
-    in one error.
+    mi_curve.csv, fold_curve.csv and compression.csv.  Without validation
+    results the two CSVs hold their header only, so no earlier run's rows
+    are left beside a summary whose validation is absent.  Missing input
+    files are collected and reported in one error.
     """
     paths = {"characterization": Path(characterization_path)}
     for i, p in enumerate(validation_paths):
@@ -303,8 +301,8 @@ def bundle_report(
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary_path, table_path, mi_path, *validation_files = bundle_files(
-        out, validation is not None)
+    summary_path, table_path, mi_path, fold_curve_path, compression_path = (
+        bundle_files(out))
     summary = build_summary(
         ds, characterization, validation, recommendation, sensitivity
     )
@@ -327,8 +325,6 @@ def bundle_report(
     table_path.write_text(table, encoding="utf-8")
 
     write_mi_curve_csv(mi_path, characterization["mi_curve"])
-    if validation is not None:
-        fold_curve_path, compression_path = validation_files
-        write_fold_curve_csv(fold_curve_path, validation)
-        write_compression_csv(compression_path, validation)
+    write_fold_curve_csv(fold_curve_path, validation or [])
+    write_compression_csv(compression_path, validation or [])
     return summary

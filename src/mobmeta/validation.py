@@ -12,6 +12,11 @@ its one fold trains on [0, m) and tests [m, n), so per user it never
 trains on the future.  Its fault is the single split: one split point
 decides the whole score, and no second fold shows how much it moved it.
 
+Every user is split and scored on their own stream.  max(train) <
+min(test) orders positions, and positions follow time only within one
+user: in a stream of users joined end to end, a fold could train on one
+user's late visits and test another's earlier ones.
+
 Each fold trains on its distinct train positions in time order (a
 bootstrap fold's repeated draws count once).  When the previous fold's
 positions are a prefix of this fold's, as in the expanding windows of
@@ -73,9 +78,7 @@ class ValidationPlan:
     split is the holdout train fraction; k the number of kfold folds or
     of rolling and block_rolling blocks; p the train blocks of
     block_rolling; iterations drives bootstrap; shuffled applies to
-    kfold (SCHEME_PARAMS).  per_user=False evaluates one stream made
-    by abutting all users (cross-user transitions become artifacts, which
-    is occasionally the point).  external_context_window caps how much
+    kfold (SCHEME_PARAMS).  external_context_window caps how much
     revealed history is shipped to external predictors per prediction.
     """
 
@@ -85,7 +88,6 @@ class ValidationPlan:
     p: int = 1
     iterations: int = 20
     shuffled: bool = True
-    per_user: bool = True
     seed: int = 0
     external_context_window: int = 64
 
@@ -494,30 +496,27 @@ def evaluate(
     time-ordered schemes that is exactly the window [train_lo, t).  Users
     the plan cannot split are excluded with a warning.
     """
-    streams = [(s.user_id, s.poi_ids, s.timestamps) for s in ds.sequences]
-    if not plan.per_user:
-        streams = [("__all__", np.concatenate([s[1] for s in streams]),
-                    np.concatenate([s[2] for s in streams]))]
     need = _context_need(spec, plan)
-    # per kept stream, its folds' results (external: its folds' jobs)
+    # per kept user, their folds' results (external: their folds' jobs)
     kept: list[list] = []
     excluded: list[str] = []
     n_infeasible = 0
-    for user_id, symbols, timestamps in streams:
+    for seq in ds.sequences:
         try:
-            folds = make_folds(plan, symbols.shape[0])
+            folds = make_folds(plan, len(seq))
             if spec.kind == "external":
-                kept.append([(user_id, symbols, timestamps, fold)
+                kept.append([(seq.user_id, seq.poi_ids, seq.timestamps, fold)
                              for fold in folds])
             else:
-                kept.append(_eval_native(user_id, symbols, spec, folds,
-                                         ds.alphabet.size, need))
+                kept.append(_eval_native(seq.user_id, seq.poi_ids, spec,
+                                         folds, ds.alphabet.size, need))
         except (InfeasiblePlanError, DataError) as e:
-            warnings.warn(f"excluding user {user_id!r}: {e}", stacklevel=2)
-            excluded.append(user_id)
+            warnings.warn(f"excluding user {seq.user_id!r}: {e}",
+                          stacklevel=2)
+            excluded.append(seq.user_id)
             n_infeasible += isinstance(e, InfeasiblePlanError)
     if spec.kind == "external":
-        # one queue across streams: the next user's children start while
+        # one queue across users: the next user's children start while
         # this user's last folds are scored
         scored = iter(_eval_external([job for jobs in kept for job in jobs],
                                      spec, ds.alphabet.size, need))
@@ -533,7 +532,7 @@ def evaluate(
             per_user_bits.append(float(np.mean(fold_bits)))
     total_pred = sum(r.n_predictions for r in all_results)
     if total_pred == 0:
-        if n_infeasible == len(streams):
+        if n_infeasible == len(ds.sequences):
             raise InfeasiblePlanError(
                 f"plan {plan.label} is infeasible for every stream "
                 f"({', '.join(excluded)})"
@@ -591,11 +590,10 @@ def validation_sensitivity(
 
 
 def default_sensitivity_plans(
-    per_user: bool = True, seed: int = 0, context_window: int = 64
+    seed: int = 0, context_window: int = 64
 ) -> list[ValidationPlan]:
     """The conventional grid: holdout 80/70/60 and k-fold 3/5/10."""
-    common = {"per_user": per_user, "seed": seed,
-              "external_context_window": context_window}
+    common = {"seed": seed, "external_context_window": context_window}
     plans = [ValidationPlan("holdout", split=s, **common)
              for s in (0.8, 0.7, 0.6)]
     plans += [ValidationPlan("kfold", k=k, shuffled=True, **common)

@@ -284,9 +284,6 @@ def evaluate_per_position(ds, spec, plan) -> dict:
         (s.user_id, s.poi_ids.tolist(), s.timestamps.tolist())
         for s in ds.sequences
     ]
-    if not plan.per_user:
-        streams = [("__all__", [x for s in streams for x in s[1]],
-                    [x for s in streams for x in s[2]])]
     rows, per_user_acc, per_user_bits, excluded = [], [], [], []
     n_infeasible = 0
     for user_id, symbols, timestamps in streams:

@@ -533,7 +533,9 @@ def test_version_flag(capsys):
 # before each command got a parser of its own: building one command's
 # parser must print exactly what its subparser of the full parser did.
 # The two characterize pins were recorded again when its scope flags
-# were removed and its other options got help lines.
+# were removed and its other options got help lines; validate -h,
+# sensitivity -h and "validate ds" when --concat-users was removed and
+# the two commands came to share their predictor arguments.
 PARSER_OUTPUT_SHA256 = {
     ("-h",): "7bce9b06ecae00584fc75514dc7ed69cdb5ea59840eb5e79732c799b3402b91a",
     ("ingest", "-h"):
@@ -545,9 +547,9 @@ PARSER_OUTPUT_SHA256 = {
     ("characterize", "-h"):
         "6b585c8eaf779e6792eabab83ecf45c6491bddd2df03b38955b91e7b768628ed",
     ("validate", "-h"):
-        "aef73383cba587cb38751b275d25eb7eeebf72be78823be232b47639c0d7fa14",
+        "ae26b49bc8edd5c836b7420bcd54a486f237e78164cd8688bcbe39e3789ece92",
     ("sensitivity", "-h"):
-        "c51517a6c45eb3184b048f7e3cedf4f81b6fef4d60699f7fa641f9dab2a2912d",
+        "08013e8b302d08ff94d941ab26c301eedfa14955d10b16731b4ae288c0d6595a",
     ("recommend", "-h"):
         "7691d2263f0b210494775d518236f1b13a130082647d3360a7005cf1ec240282",
     ("report", "-h"):
@@ -556,7 +558,7 @@ PARSER_OUTPUT_SHA256 = {
     ("bogus",):
         "30a382a9159badec07ec8e4c7242ecf49ff6651dfcbc382b4f6e9b12e6ab6b60",
     ("validate", "ds"):
-        "22f2fc829c8483afc8cd5f9d8fb5915c459e688748c60c80e7d2528ac79a4915",
+        "1f4371261956c9e6d0ee17baef1605e4a0f7106d9eafed634b83936baa6156f0",
     ("characterize",):
         "1b567d27a8e3fd45229bc1994c450b0cf407dea0daf3983d981b2ecada7a7eeb",
     ("ingest", "x", "--format", "nope"):
@@ -684,17 +686,34 @@ def test_sensitivity_default_grid_takes_context_window(tmp_path, capsys,
     assert {plan.external_context_window for plan in seen} == {5}
 
 
-def test_sensitivity_config_hash_records_per_user_and_context_window(
-        tmp_path, capsys):
+def test_sensitivity_config_hash_records_context_window(tmp_path, capsys):
     d = synth_periodic(tmp_path, capsys)
     base = ["sensitivity", d, "--model", "markov:1",
             "--schemes", "holdout:split=0.8;kfold:k=3"]
     hashes = []
-    for i, extra in enumerate(([], ["--concat-users"],
-                               ["--context-window", 5])):
+    for i, extra in enumerate(([], ["--context-window", 5])):
         ok(base + extra + ["--out", tmp_path / f"s{i}" / "t.csv"], capsys)
         hashes.append(read_manifest(tmp_path / f"s{i}")["config_hash"])
-    assert len(set(hashes)) == 3
+    assert len(set(hashes)) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "--scheme", "rolling:k=3"],
+    ["sensitivity"],
+])
+def test_concat_users_is_gone(tmp_path, capsys, command):
+    # each user is split on their own stream: joined end to end, a
+    # time-ordered fold could train on one user's later visits and test
+    # another's earlier ones
+    d = synth_periodic(tmp_path, capsys)
+    out = tmp_path / "v"
+    with pytest.raises(SystemExit) as e:
+        main([command[0], str(d), "--model", "markov:1", *command[1:],
+              "--concat-users", "--out", str(out / "f.csv")])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --concat-users" in (
+        capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, shuffled", [
@@ -702,7 +721,7 @@ def test_sensitivity_config_hash_records_per_user_and_context_window(
     ("false", False), ("False", False), ("0", False), ("NO", False),
 ])
 def test_scheme_shuffled_spellings(text, shuffled):
-    plan = cli.parse_scheme_arg(f"kfold:k=5,shuffled={text}", 0, True, 64)
+    plan = cli.parse_scheme_arg(f"kfold:k=5,shuffled={text}", 0, 64)
     assert plan.shuffled is shuffled
 
 
@@ -777,6 +796,15 @@ def test_bad_scheme_parameter_is_usage_error(tmp_path, capsys):
     _, err = capsys.readouterr()
     assert rc == 2
     assert "bad scheme parameter" in err
+    # a repeat would silently override the first value
+    rc = main(["validate", str(d), "--model", "markov:1",
+               "--scheme", "block_rolling:p=1,k=4,p=2",
+               "--out", str(tmp_path / "f.csv")])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert ("usage error: scheme parameter 'p' given twice in "
+            "'block_rolling:p=1,k=4,p=2'") in err
+    assert not (tmp_path / "f.csv").exists()
 
 
 @pytest.mark.parametrize("scheme, unread, reads", [
@@ -807,7 +835,7 @@ def test_scheme_parameter_the_scheme_does_not_read_is_usage_error(
     "window10_cumulative",
 ])
 def test_scheme_label_shows_every_parameter_it_reads(scheme):
-    assert cli.parse_scheme_arg(scheme, 0, True, 64).label == scheme
+    assert cli.parse_scheme_arg(scheme, 0, 64).label == scheme
 
 
 @pytest.mark.parametrize("cols, entry", [
@@ -838,18 +866,19 @@ def test_report_manifest_lists_only_the_files_of_its_run(tmp_path, capsys):
     report = ["report", d, "--characterization", tmp_path / "c" / "report.json",
               "--out", b]
     ok(report + ["--validation", tmp_path / "v" / "results.json"], capsys)
-    with_validation = {"summary.json", "table.txt", "mi_curve.csv",
-                       "fold_curve.csv", "compression.csv"}
-    assert {Path(p).name for p in read_manifest(b)["outputs"]} == (
-        with_validation)
+    bundle = {"summary.json", "table.txt", "mi_curve.csv",
+              "fold_curve.csv", "compression.csv"}
+    assert {Path(p).name for p in read_manifest(b)["outputs"]} == bundle
     ok(report, capsys)
-    assert {Path(p).name for p in read_manifest(b)["outputs"]} == {
-        "summary.json", "table.txt", "mi_curve.csv"}
+    assert {Path(p).name for p in read_manifest(b)["outputs"]} == bundle
     summary = json.loads((b / "summary.json").read_text())
     assert summary["validation"]["present"] is False
-    # the first run's files are the user's: nothing is deleted
-    assert {p.name for p in b.iterdir()} == with_validation | {
-        "run_manifest.json"}
+    # without validation both CSVs are rewritten with their header only,
+    # so none of the first run's rows are left beside the new summary
+    assert (b / "fold_curve.csv").read_text() == "model,plan,fold,accuracy\n"
+    assert (b / "compression.csv").read_text() == (
+        "model,plan,bits_weighted,bits_user_mean\n")
+    assert {p.name for p in b.iterdir()} == bundle | {"run_manifest.json"}
 
 
 def test_characterize_default_config_hash(tmp_path, capsys):
@@ -1171,6 +1200,27 @@ def test_characterize_prints_caught_warnings(tmp_path, capsys):
     _, err = ok(["characterize", tmp_path / "ds", "--dmax", 5,
                  "--out", tmp_path / "ch" / "report.json"], capsys)
     assert "warning: clamping entropy rate" in err
+
+
+def test_match_structure_reads_only_the_kept_users(tmp_path, capsys):
+    # a 1-symbol user is skipped by every statistic, match structure too
+    def match_csv(name, users):
+        src = tmp_path / f"{name}.jsonl"
+        src.write_text("".join(
+            json.dumps({"user_id": u, "symbols": [[s, t] for t, s in
+                                                  enumerate(syms)]}) + "\n"
+            for u, syms in users.items()
+        ), encoding="utf-8")
+        ok(["ingest", src, "--format", "symbols_jsonl",
+            "--out", tmp_path / name], capsys)
+        ok(["characterize", tmp_path / name, "--dmax", 5,
+            "--out", tmp_path / f"{name}-ch" / "report.json"], capsys)
+        return (tmp_path / f"{name}-ch" / "match_structure.csv").read_bytes()
+
+    a = [0, 1, 2, 0, 1, 2, 3, 0, 1, 2] * 6
+    c = [2, 1, 0, 3, 2, 1, 0, 2, 1, 3] * 6
+    assert match_csv("with_b", {"a": a, "b": [0], "c": c}) == (
+        match_csv("without_b", {"a": a, "c": c}))
 
 
 def test_characterize_few_users_skips_correlations(tmp_path, capsys):

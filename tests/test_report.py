@@ -300,7 +300,7 @@ def test_bundle_report_no_validation(bundle_inputs):
     bundle_report(ds, out, tp / "report.json")
     table = (out / "table.txt").read_text()
     assert "accuracy: absent (no validation results)" in table
-    assert not (out / "fold_curve.csv").exists()
+    assert (out / "fold_curve.csv").read_text() == "model,plan,fold,accuracy\n"
 
 
 def test_bundle_report_missing_inputs_named(bundle_inputs):

@@ -394,17 +394,6 @@ def test_infeasible_for_every_stream_raises_plan_error():
             evaluate(ds, M1, ValidationPlan("block_rolling", k=10, p=1))
 
 
-def test_concatenated_evaluation():
-    ds = make_dataset(
-        {"a": [0, 1, 2] * 40, "b": [2, 1, 0] * 40}, n_pois=3
-    )
-    res = evaluate(
-        ds, M1, ValidationPlan("holdout", per_user=False)
-    )
-    assert [r.user_id for r in res.fold_results] == ["__all__"]
-    assert res.n_predictions == 48  # 20% of 240
-
-
 def test_argmax_only_external_has_no_bits():
     cmd = (
         sys.executable, "-m", "mobmeta.extpred",
@@ -517,7 +506,6 @@ def scoring_cases(draw):
         p=draw(st.integers(1, k - 1)),
         iterations=draw(st.integers(1, 5)),
         shuffled=draw(st.booleans()),
-        per_user=draw(st.booleans()),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
     return make_dataset(streams, n_pois=n_pois), spec, plan
