@@ -192,11 +192,21 @@ _SCHEME_KEYS = {
 
 
 def parse_scheme_arg(
-    text: str, seed: int, context_window: int
+    text: str, seed: int, per_user: bool, context_window: int
 ) -> ValidationPlan:
     """"block_rolling:k=10,p=1" -> ValidationPlan.  A parameter that the
     scheme does not read (validation.SCHEME_PARAMS), or one given twice,
-    is a usage error."""
+    is a usage error.
+
+    ``per_user`` must be True: every user is validated on their own
+    stream, and the joined-users validation that False named is gone.
+    The argument stays while perfbench/test_smoke.py passes it.
+    """
+    if per_user is not True:
+        raise UsageError(
+            "validation joining every user into one stream is gone; "
+            "each user is validated on their own stream"
+        )
     name, _, params = text.partition(":")
     kwargs: dict = {}
     if params:
@@ -520,7 +530,8 @@ def validate_arguments(p: argparse.ArgumentParser) -> None:
 def cmd_validate(args) -> Run:
     ds = load_dataset(args.dataset_dir)
     spec = parse_model_arg(args.model, args.external_cmd)
-    plan = parse_scheme_arg(args.scheme, args.seed, args.context_window)
+    plan = parse_scheme_arg(args.scheme, args.seed, True,
+                            args.context_window)
     result = evaluate(ds, spec, plan)
     out = _out_file(args, "folds.csv")
     write_folds_csv(out, result.fold_results)
@@ -552,8 +563,10 @@ def cmd_sensitivity(args) -> Run:
     ds = load_dataset(args.dataset_dir)
     spec = parse_model_arg(args.model, args.external_cmd)
     if args.schemes:
-        plans = [parse_scheme_arg(s.strip(), args.seed, args.context_window)
-                 for s in args.schemes.split(";")]
+        plans = [
+            parse_scheme_arg(s.strip(), args.seed, True, args.context_window)
+            for s in args.schemes.split(";")
+        ]
         if len(plans) < 2:
             raise UsageError(
                 f"--schemes needs at least 2 schemes to compare, "

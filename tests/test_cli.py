@@ -714,6 +714,8 @@ def test_concat_users_is_gone(tmp_path, capsys, command):
     assert "unrecognized arguments: --concat-users" in (
         capsys.readouterr().err)
     assert not out.exists()
+    with pytest.raises(cli.UsageError, match="own stream"):
+        cli.parse_scheme_arg("rolling:k=4", 0, False, 64)
 
 
 @pytest.mark.parametrize("text, shuffled", [
@@ -721,7 +723,7 @@ def test_concat_users_is_gone(tmp_path, capsys, command):
     ("false", False), ("False", False), ("0", False), ("NO", False),
 ])
 def test_scheme_shuffled_spellings(text, shuffled):
-    plan = cli.parse_scheme_arg(f"kfold:k=5,shuffled={text}", 0, 64)
+    plan = cli.parse_scheme_arg(f"kfold:k=5,shuffled={text}", 0, True, 64)
     assert plan.shuffled is shuffled
 
 
@@ -835,7 +837,7 @@ def test_scheme_parameter_the_scheme_does_not_read_is_usage_error(
     "window10_cumulative",
 ])
 def test_scheme_label_shows_every_parameter_it_reads(scheme):
-    assert cli.parse_scheme_arg(scheme, 0, 64).label == scheme
+    assert cli.parse_scheme_arg(scheme, 0, True, 64).label == scheme
 
 
 @pytest.mark.parametrize("cols, entry", [
