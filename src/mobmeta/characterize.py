@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import DataError, Dataset, concat_user_streams
 from .entropy import CLAMP_SLACK_BITS, fano_predictability, lz_entropy_rate
+from .jsonutil import is_number
 from .metrics import MiDecay, mi_decay_curve, top_pmi
 
 SECONDS_PER_MONTH = 2629800  # Julian year / 12
@@ -110,8 +111,21 @@ class MetaAttributeReport:
         }
 
 
+def _number(obj: dict, *keys: str, optional: bool = False):
+    """The number at obj[keys[0]][keys[1]]...; null (or, when optional,
+    absent) only where optional."""
+    for key in keys[:-1]:
+        obj = obj[key]
+    value = obj.get(keys[-1]) if optional else obj[keys[-1]]
+    if is_number(value) or (optional and value is None):
+        return value
+    raise ValueError(f"{'.'.join(keys)} must be a number, got {value!r}")
+
+
 def report_from_dict(obj: dict) -> MetaAttributeReport:
-    """Inverse of MetaAttributeReport.to_dict, for CLI round trips."""
+    """Inverse of MetaAttributeReport.to_dict, for CLI round trips.  The
+    scalars that the selection rules compare or the stats table formats
+    must be numbers."""
     try:
         per_user = tuple(
             UserStats(
@@ -123,26 +137,26 @@ def report_from_dict(obj: dict) -> MetaAttributeReport:
         return MetaAttributeReport(
             dataset_name=obj["dataset_name"],
             n_users=obj["n_users"],
-            span_months=obj["span_months"],
+            span_months=_number(obj, "span_months"),
             raw_fix_count=obj.get("raw_fix_count"),
             symbol_count_total=obj["symbol_count"]["total"],
-            symbol_count_avg=obj["symbol_count"]["avg_per_user"],
+            symbol_count_avg=_number(obj, "symbol_count", "avg_per_user"),
             n_pois=obj["n_pois"],
-            pois_per_user_mean=obj["pois_per_user_mean"],
-            entropy_bits_mean=obj["entropy_bits"]["mean"],
-            predictability_mean=obj["predictability"]["mean"],
+            pois_per_user_mean=_number(obj, "pois_per_user_mean"),
+            entropy_bits_mean=_number(obj, "entropy_bits", "mean"),
+            predictability_mean=_number(obj, "predictability", "mean"),
             per_user=per_user,
             mi_curve=tuple((int(d), float(i)) for d, i in obj["mi_curve"]),
             ldd_exponent_alpha=obj.get("ldd_exponent_alpha"),
             ldd_fit_rmse=obj.get("ldd_fit_rmse"),
-            ldd_depth=obj.get("ldd_depth"),
+            ldd_depth=_number(obj, "ldd_depth", optional=True),
             pmi_top=tuple(
                 ((e["poi_a"], e["poi_b"], e["d"]), e["pmi_bits"])
                 for e in obj.get("pmi_top", [])
             ),
             warnings=tuple(obj.get("warnings", [])),
         )
-    except (KeyError, TypeError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise DataError(f"malformed characterization report: {e}") from e
 
 

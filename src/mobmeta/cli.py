@@ -136,8 +136,9 @@ def write_manifest(run: Run, argv: list[str], t0: float) -> Path:
 
 def parse_cols(text: str) -> dict:
     """"user=0,lat=1,lon=2,t=3" -> column_map dict.  An entry whose name
-    is not one of CSV_COLUMNS, or whose index is not an integer >= 0,
-    is a usage error naming it."""
+    is not one of CSV_COLUMNS or comes twice, or whose index is not an
+    integer >= 0, is a usage error naming it; so is a column of
+    CSV_COLUMNS that no entry names."""
     out = {}
     for part in text.split(","):
         key, _, idx = part.partition("=")
@@ -155,7 +156,14 @@ def parse_cols(text: str) -> dict:
             raise UsageError(
                 f"--cols entry {part!r}: column index must be >= 0"
             )
+        if key in out:
+            raise UsageError(f"--cols entry {part!r}: column {key!r} given "
+                             f"twice in {text!r}")
         out[key] = index
+    missing = [key for key in CSV_COLUMNS if key not in out]
+    if missing:
+        raise UsageError(f"--cols {text!r} has no index for column "
+                         f"{', '.join(missing)}")
     return out
 
 
@@ -602,7 +610,10 @@ def recommend_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_recommend(args) -> Run:
-    report = report_from_dict(read_json(args.report))
+    try:
+        report = report_from_dict(read_json(args.report))
+    except DataError as e:
+        raise DataError(f"{args.report}: {e}") from None
     rules = load_rules(args.rules) if args.rules else None
     rec = recommend(report, rules)
     out = _out_file(args, "recommendation.json")

@@ -23,6 +23,12 @@ def read_json(path: str | Path) -> Any:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
+def is_number(value: Any) -> bool:
+    """Whether a value read from JSON is a number; true and false are
+    not, though Python counts bool as int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def sha256_file(*paths: str | Path) -> str:
     """Hex sha256 of the files' bytes, read one after another."""
     h = hashlib.sha256()

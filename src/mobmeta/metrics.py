@@ -212,8 +212,6 @@ class MiDecay:
     alpha: Optional[float]
     fit_rmse: Optional[float]
     ldd_depth: Optional[int]
-    eps_fit: float
-    eps_depth: float
 
 
 def mi_decay_curve(
@@ -253,8 +251,6 @@ def mi_decay_curve(
         alpha=alpha,
         fit_rmse=rmse,
         ldd_depth=max(depths) if depths else None,
-        eps_fit=eps_fit,
-        eps_depth=eps_depth,
     )
 
 

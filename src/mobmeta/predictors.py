@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import os
 import selectors
+import shlex
 import subprocess
 import sys
 import time
@@ -340,29 +341,15 @@ def _in_alphabet(symbols: Sequence[int], n: int) -> np.ndarray:
     return symbols.astype(np.int64, copy=False)
 
 
-def train(
-    spec: PredictorSpec,
-    symbols: Sequence[int],
-    alphabet_size: int,
-    timestamps: Optional[Sequence[int]] = None,
-):
-    """Fit a predictor on a training symbol stream.
-
-    timestamps are accepted for interface symmetry (the external protocol
-    transmits them); native models ignore them.
-    """
+def train(spec: PredictorSpec, symbols: Sequence[int], alphabet_size: int):
+    """Fit a native model on a training symbol stream.  An external
+    predictor is a child process, started and sent its TRAIN block
+    through ExternalModel; its spec has no order, so train refuses it
+    with ValueError."""
     if alphabet_size < 1:
         raise ValueError("alphabet_size must be >= 1")
-    symbols = _in_alphabet(symbols, alphabet_size)
-    if spec.kind == "external":
-        if timestamps is None:
-            timestamps = range(len(symbols))
-        if len(timestamps) != len(symbols):
-            raise ValueError("timestamps must align with symbols")
-        model = ExternalModel.start(spec, alphabet_size)
-        model.send_train(symbols, timestamps)
-        return model
     k = spec.order
+    symbols = _in_alphabet(symbols, alphabet_size)
     if symbols.size < k + 1:
         raise DataError(
             f"{spec.label} needs at least {k + 1} training "
@@ -441,21 +428,23 @@ class ExternalModel:
 
     One instance serves one fold: it reads that fold's TRAIN block and
     PREDICT requests, then end of input.  `start` spawns the child,
-    `send_train` sends the TRAIN block, `predict` is one round trip and
-    `close` ends the input and reaps the child.  The child's three pipes
-    are non-blocking and served by one selectors loop (Pipes): `predict`
-    is its one-request case, and `validation.evaluate` holds the children
-    of several folds in it at once.  A child's stderr is forwarded to ours
-    line by line, and its last lines end every ProtocolError of the
-    instance.  A child that makes no progress for REQUEST_TIMEOUT_S, or
-    has not exited CLOSE_TIMEOUT_S after its end of input, is killed.
+    `send` queues its TRAIN block, `predict` is one round trip and
+    `close` ends the input and reaps the child; that is the one way to
+    use a single child.  The child's three pipes are non-blocking and
+    served by one selectors loop (Pipes): `predict` is its one-request
+    case, and `validation.evaluate` holds the children of several folds
+    in it at once, reading their answers with `response`.  A child's
+    stderr is forwarded to ours line by line, and its last lines end
+    every ProtocolError of the instance.  A child that makes no progress
+    for REQUEST_TIMEOUT_S, or has not exited CLOSE_TIMEOUT_S after its
+    end of input, is killed.
     """
 
     def __init__(self, spec: PredictorSpec, proc: subprocess.Popen,
-                 alphabet_size: int):
+                 alphabet_size: int, label: str = ""):
         self.spec = spec
         self.alphabet_size = alphabet_size
-        self.label = ""  # names the instance in its errors, e.g. its fold
+        self.label = label  # names the instance in its errors, e.g. its fold
         self._proc = proc
         self._unsent = memoryview(b"")
         self._out = bytearray()  # stdout not yet taken as a response
@@ -468,9 +457,10 @@ class ExternalModel:
         self._exit_by: Optional[float] = None
 
     @classmethod
-    def start(cls, spec: PredictorSpec,
-              alphabet_size: int) -> "ExternalModel":
-        """Spawn the child; it reads nothing until a block is sent."""
+    def start(cls, spec: PredictorSpec, alphabet_size: int,
+              label: str = "") -> "ExternalModel":
+        """Spawn the child, named `label` in its errors; it reads nothing
+        until a block is sent."""
         try:
             proc = subprocess.Popen(
                 list(spec.command),
@@ -480,10 +470,12 @@ class ExternalModel:
                 bufsize=0,
             )
         except OSError as e:
-            raise ProtocolError(f"cannot start {spec.command}: {e}") from e
+            message = f"cannot start {shlex.join(spec.command)}: {e}"
+            raise ProtocolError(
+                f"{label}: {message}" if label else message) from e
         for pipe in (proc.stdin, proc.stdout, proc.stderr):
             os.set_blocking(pipe.fileno(), False)
-        return cls(spec, proc, alphabet_size)
+        return cls(spec, proc, alphabet_size, label)
 
     def send(self, block: bytes) -> None:
         """Queue a request block and write what the pipe takes now; the
@@ -491,20 +483,6 @@ class ExternalModel:
         self._unsent = memoryview(bytes(self._unsent) + block
                                   if self._unsent else block)
         self._write()
-
-    def send_train(self, symbols: Sequence[int],
-                   timestamps: Sequence[int]) -> None:
-        """Send the TRAIN block and wait until the child has taken it all;
-        a child that cannot take it is killed."""
-        try:
-            self.send(request_block(b"TRAIN", request_lines(
-                [int(s) for s in symbols], [int(t) for t in timestamps])))
-            with Pipes((self,)) as pipes:
-                while self._unsent:
-                    pipes.wait((self,))
-        except ProtocolError:
-            self.kill()
-            raise
 
     def predict(self, context: Sequence[int],
                 context_timestamps: Optional[Sequence[int]] = None
@@ -632,7 +610,7 @@ class ExternalModel:
         return self._last_progress + REQUEST_TIMEOUT_S
 
     def _timeout(self) -> ProtocolError:
-        command = " ".join(self.spec.command)
+        command = shlex.join(self.spec.command)
         if self._exit_by is not None:
             return self._error(
                 f"external predictor {command} did not exit within "

@@ -16,8 +16,9 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from .characterize import report_from_dict
 from .core import DataError, Dataset
-from .jsonutil import read_json, write_canonical_json
+from .jsonutil import is_number, read_json, write_canonical_json
 from .poi import haversine_m
 
 SUMMARY_SCHEMA_ID = "mobmeta.summary.v1"
@@ -257,6 +258,30 @@ def bundle_files(out_dir: Union[str, Path]) -> list[Path]:
     return [Path(out_dir) / name for name in names]
 
 
+# The keys of a results.json that the bundle reads without a default.
+_RESULTS_KEYS = ("model", "plan", "accuracy_user_mean", "accuracy_weighted")
+
+
+def _read_results(path: Path) -> dict:
+    """A validate results.json, refused unless it has _RESULTS_KEYS, the
+    numbers the table prints (bits_weighted null when argmax-only) and,
+    if any, a fold_curve of [fold, accuracy] pairs."""
+    obj = read_json(path)
+    if not (isinstance(obj, dict) and all(k in obj for k in _RESULTS_KEYS)):
+        raise DataError(f"{path}: not a validation results.json, which "
+                        f"has the keys {', '.join(_RESULTS_KEYS)}")
+    for key in ("accuracy_user_mean", "accuracy_weighted", "bits_weighted"):
+        value = obj.get(key)
+        if not (is_number(value) or (key == "bits_weighted" and value is None)):
+            raise DataError(f"{path}: {key} must be a number, got {value!r}")
+    curve = obj.get("fold_curve", [])
+    if not (isinstance(curve, list)
+            and all(isinstance(p, list) and len(p) == 2 for p in curve)):
+        raise DataError(f"{path}: fold_curve must be a list of "
+                        "[fold, accuracy] pairs")
+    return obj
+
+
 def bundle_report(
     ds: Dataset,
     out_dir: Union[str, Path],
@@ -271,7 +296,8 @@ def bundle_report(
     mi_curve.csv, fold_curve.csv and compression.csv.  Without validation
     results the two CSVs hold their header only, so no earlier run's rows
     are left beside a summary whose validation is absent.  Missing input
-    files are collected and reported in one error.
+    files are collected and reported in one error, and every input is
+    read and checked before the first file is written.
     """
     paths = {"characterization": Path(characterization_path)}
     for i, p in enumerate(validation_paths):
@@ -285,8 +311,12 @@ def bundle_report(
         raise DataError(f"missing report inputs: {', '.join(missing)}")
 
     characterization = read_json(paths["characterization"])
+    try:
+        report_from_dict(characterization)
+    except DataError as e:
+        raise DataError(f"{paths['characterization']}: {e}") from None
     validation = (
-        [read_json(paths[f"validation[{i}]"])
+        [_read_results(paths[f"validation[{i}]"])
          for i in range(len(validation_paths))]
         if validation_paths else None
     )
@@ -294,20 +324,17 @@ def bundle_report(
         read_json(paths["recommendation"])
         if recommendation_path is not None else None
     )
-    sensitivity = (
-        read_json(paths["sensitivity"])["rows"]
-        if sensitivity_path is not None else None
-    )
+    sensitivity = None
+    if sensitivity_path is not None:
+        obj = read_json(paths["sensitivity"])
+        sensitivity = obj.get("rows") if isinstance(obj, dict) else None
+        if not isinstance(sensitivity, list):
+            raise DataError(f"{paths['sensitivity']}: not a sensitivity.json, "
+                            f"which has a list of rows")
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    summary_path, table_path, mi_path, fold_curve_path, compression_path = (
-        bundle_files(out))
     summary = build_summary(
         ds, characterization, validation, recommendation, sensitivity
     )
-    write_canonical_json(summary_path, summary)
-
     table = stats_table([summary["dataset"]])
     if validation is None:
         table += "\naccuracy: absent (no validation results)\n"
@@ -322,6 +349,12 @@ def bundle_report(
                 f"weighted {v['accuracy_weighted']:.4f}, "
                 f"bits/symbol {bits}\n"
             )
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    summary_path, table_path, mi_path, fold_curve_path, compression_path = (
+        bundle_files(out))
+    write_canonical_json(summary_path, summary)
     table_path.write_text(table, encoding="utf-8")
 
     write_mi_curve_csv(mi_path, characterization["mi_curve"])

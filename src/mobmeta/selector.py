@@ -117,10 +117,17 @@ def load_rules(path: Union[str, Path]) -> tuple[SelectionRule, ...]:
         obj = json.loads(path.read_text(encoding="utf-8"))
         rules = []
         for i, r in enumerate(obj["rules"]):
+            if not isinstance(r, dict):
+                raise DataError(f"{path}: rule {i} must be a JSON object, "
+                                f"got {r!r}")
             name = str(r.get("name", f"rule{i}"))
+            conditions = r.get("when") or {}
+            if not isinstance(conditions, dict):
+                raise DataError(f"{path}: rule {name!r}: \"when\" must be a "
+                                f"JSON object, got {conditions!r}")
             when = sorted(
                 (str(k), _threshold(name, k, v))
-                for k, v in (r.get("when") or {}).items()
+                for k, v in conditions.items()
             )
             rules.append(SelectionRule(
                 name, tuple(when), str(r["verdict"]),

@@ -422,8 +422,8 @@ def _eval_external(
                     job := next(waiting, None)) is not None:
                 i, (user_id, symbols, timestamps, fold) = job
                 talk = _Conversation(user_id, fold, symbols, timestamps, need)
-                model = ExternalModel.start(spec, alphabet_size)
-                model.label = f"user {user_id!r} fold {fold.index}"
+                model = ExternalModel.start(
+                    spec, alphabet_size, f"user {user_id!r} fold {fold.index}")
                 talks[model] = i, talk
                 pipes.add(model)
                 model.send(talk.opening)

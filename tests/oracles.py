@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import math
+import subprocess
 from collections import Counter
 from typing import Optional, Sequence
 
@@ -16,9 +17,7 @@ import numpy as np
 
 from mobmeta.core import DataError, InfeasiblePlanError
 from mobmeta.poi import Staypoint, haversine_m
-from mobmeta.predictors import (
-    SMOOTHING_ALPHA, ExternalModel, ProtocolError, train,
-)
+from mobmeta.predictors import SMOOTHING_ALPHA, train
 from mobmeta.validation import make_folds
 
 
@@ -273,11 +272,36 @@ def contexts_by_walk(train_idx, test_idx, symbols, timestamps, need):
     return out
 
 
+def _block(verb: str, symbols, timestamps) -> str:
+    return f"{verb} {len(symbols)}\n" + "".join(
+        f"{s} {t}\n" for s, t in zip(symbols, timestamps)
+    )
+
+
+def external_answers(command, train_symbols, train_timestamps, walk):
+    """(argmax, distribution or None) per (truth, context, context
+    timestamps) of `walk`, from one run of the external predictor
+    `command` given its TRAIN block and every PREDICT block at once."""
+    text = _block("TRAIN", train_symbols, train_timestamps) + "".join(
+        _block("PREDICT", ctx, ctx_ts) for _, ctx, ctx_ts in walk
+    )
+    out = subprocess.run(command, input=text.encode(), capture_output=True,
+                         check=True, timeout=60).stdout
+    answers = []
+    for line in out.decode().splitlines():
+        poi, *probs = line.split()
+        answers.append((int(poi), [float(p) for p in probs] or None))
+    assert len(answers) == len(walk)
+    return answers
+
+
 def evaluate_per_position(ds, spec, plan) -> dict:
     """evaluate(ds, spec, plan).to_dict() by the per-position loop: every
     fold trains a fresh model on its distinct train positions in time
-    order, and every test position calls predict on its own context, as
-    found by contexts_by_walk.  Raises what evaluate raises."""
+    order, and every test position is predicted from its own context, as
+    found by contexts_by_walk.  A native model calls predict per context;
+    an external predictor runs once per fold on its whole input
+    (external_answers).  Raises what evaluate raises."""
     need = {"markov_k": spec.k, "mmc": 1,
             "external": plan.external_context_window}.get(spec.kind, 0)
     streams = [
@@ -291,19 +315,20 @@ def evaluate_per_position(ds, spec, plan) -> dict:
         try:
             for fold in make_folds(plan, len(symbols)):
                 train_pos = sorted(set(fold.train_idx.tolist()))
-                model = train(
-                    spec, [symbols[i] for i in train_pos], ds.alphabet.size,
-                    [timestamps[i] for i in train_pos],
-                )
+                train_syms = [symbols[i] for i in train_pos]
                 test_idx = fold.test_idx.tolist()
+                walk = contexts_by_walk(train_pos, test_idx, symbols,
+                                        timestamps, need)
+                if spec.kind == "external":
+                    answers = external_answers(
+                        spec.command, train_syms,
+                        [timestamps[i] for i in train_pos], walk,
+                    )
+                else:
+                    model = train(spec, train_syms, ds.alphabet.size)
+                    answers = [model.predict(ctx) for _, ctx, _ in walk]
                 n_correct, bits_terms, has_bits = 0, [], True
-                for truth, ctx, ctx_ts in contexts_by_walk(
-                    train_pos, test_idx, symbols, timestamps, need
-                ):
-                    if isinstance(model, ExternalModel):
-                        pred, dist = model.predict(ctx, ctx_ts)
-                    else:
-                        pred, dist = model.predict(ctx)
+                for (truth, _, _), (pred, dist) in zip(walk, answers):
                     n_correct += pred == truth
                     if dist is None:
                         has_bits = False
@@ -312,8 +337,6 @@ def evaluate_per_position(ds, spec, plan) -> dict:
                         bits_terms.append(
                             -math.log2(p) if p > 0.0 else math.inf
                         )
-                if isinstance(model, ExternalModel):
-                    model.close()
                 n_pred = len(test_idx)
                 user_rows.append({
                     "user_id": user_id,
@@ -330,8 +353,6 @@ def evaluate_per_position(ds, spec, plan) -> dict:
                     ),
                     "leaky": fold.leaky,
                 })
-        except ProtocolError:
-            raise
         except (InfeasiblePlanError, DataError) as e:
             excluded.append(user_id)
             n_infeasible += isinstance(e, InfeasiblePlanError)

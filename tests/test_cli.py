@@ -766,6 +766,44 @@ def test_non_finite_rule_threshold_exits_3(tmp_path, capsys):
     assert "rule 'R1': threshold of 'mi_lt' must be a finite number" in err
 
 
+@pytest.mark.parametrize("rules, named", [
+    ('{"rules": [5]}', "rule 0 must be a JSON object, got 5"),
+    ('{"rules": [{"name": "R1", "when": [1, 2], "verdict": "markov_class"}, '
+     '{"verdict": "hm_rnn_class"}]}',
+     "rule 'R1': \"when\" must be a JSON object, got [1, 2]"),
+], ids=["rule", "when"])
+def test_rule_that_is_not_an_object_exits_3(tmp_path, capsys, rules, named):
+    d = synth_periodic(tmp_path, capsys)
+    ok(["characterize", d, "--out", tmp_path / "c" / "report.json"], capsys)
+    path = tmp_path / "rules.json"
+    path.write_text(rules)
+    rc = main(["recommend", str(tmp_path / "c" / "report.json"),
+               "--rules", str(path), "--out", str(tmp_path / "r")])
+    _, err = capsys.readouterr()
+    assert rc == 3
+    assert f"data error: {path}: {named}" in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("ldd_depth", "x"), ("pois_per_user_mean", True),
+])
+def test_report_attribute_that_is_not_a_number_exits_3(tmp_path, capsys,
+                                                       field, value):
+    d = synth_periodic(tmp_path, capsys)
+    path = tmp_path / "c" / "report.json"
+    ok(["characterize", d, "--out", path], capsys)
+    report = json.loads(path.read_text())
+    report[field] = value
+    path.write_text(json.dumps(report))
+    rc = main(["recommend", str(path), "--out", str(tmp_path / "r")])
+    _, err = capsys.readouterr()
+    assert rc == 3
+    assert (f"data error: {path}: malformed characterization report: "
+            f"{field} must be a number, got {value!r}") in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_raw_value_of_wrong_type_exits_3(tmp_path, capsys):
     src = tmp_path / "x.csv"
     src.write_text("u1,45.0,7.0,1000\nu1,45.0,7.0,1030\n", encoding="utf-8")
@@ -840,14 +878,8 @@ def test_scheme_label_shows_every_parameter_it_reads(scheme):
     assert cli.parse_scheme_arg(scheme, 0, True, 64).label == scheme
 
 
-@pytest.mark.parametrize("cols, entry", [
-    ("user=0,lat=1,lon=2,t=-1,foo=7", "'t=-1'"),
-    ("user=0,lat=1,lon=2,t=3,foo=7", "'foo=7'"),
-    ("user=0,lat=-2,lon=2,t=3", "'lat=-2'"),
-])
-def test_cols_refuses_negative_index_and_unknown_name(tmp_path, capsys,
-                                                      cols, entry):
-    with pytest.raises(cli.UsageError, match=f"--cols entry {entry}"):
+def assert_cols_refused(tmp_path, capsys, cols, message):
+    with pytest.raises(cli.UsageError, match=message):
         cli.parse_cols(cols)
     src = tmp_path / "x.csv"
     src.write_text("u1,45.0,7.0,1000\n", encoding="utf-8")
@@ -855,8 +887,25 @@ def test_cols_refuses_negative_index_and_unknown_name(tmp_path, capsys,
                "--out", str(tmp_path / "raw")])
     _, err = capsys.readouterr()
     assert rc == 2
-    assert f"usage error: --cols entry {entry}" in err
+    assert f"usage error: {message}" in err
     assert not (tmp_path / "raw").exists()
+
+
+@pytest.mark.parametrize("cols, entry", [
+    ("user=0,lat=1,lon=2,t=-1,foo=7", "'t=-1'"),
+    ("user=0,lat=1,lon=2,t=3,foo=7", "'foo=7'"),
+    ("user=0,lat=-2,lon=2,t=3", "'lat=-2'"),
+    ("user=0,user=5,lat=1,lon=2,t=3", "'user=5': column 'user' given twice"),
+])
+def test_cols_refuses_negative_index_and_unknown_name(tmp_path, capsys,
+                                                      cols, entry):
+    assert_cols_refused(tmp_path, capsys, cols, f"--cols entry {entry}")
+
+
+def test_cols_refuses_a_missing_column(tmp_path, capsys):
+    # a usage error (exit 2), not the data error of IngestConfig (exit 3)
+    assert_cols_refused(tmp_path, capsys, "user=0,lat=1",
+                        "--cols 'user=0,lat=1' has no index for column lon, t")
 
 
 def test_report_manifest_lists_only_the_files_of_its_run(tmp_path, capsys):
@@ -881,6 +930,39 @@ def test_report_manifest_lists_only_the_files_of_its_run(tmp_path, capsys):
     assert (b / "compression.csv").read_text() == (
         "model,plan,bits_weighted,bits_user_mean\n")
     assert {p.name for p in b.iterdir()} == bundle | {"run_manifest.json"}
+
+
+@pytest.mark.parametrize("args, files, named", [
+    (["--validation", "c/report.json"], {},
+     "c/report.json: not a validation results.json"),
+    (["--characterization", "d/meta.json"], {},
+     "d/meta.json: malformed characterization report: 'per_user'"),
+    (["--validation", "r.json"],
+     {"r.json": '{"model": "m", "plan": "p", "accuracy_user_mean": 0.5, '
+                '"accuracy_weighted": 0.5, "fold_curve": 5}'},
+     "r.json: fold_curve must be a list of [fold, accuracy] pairs"),
+    (["--sensitivity", "s.json"], {"s.json": '{"schemes": []}'},
+     "s.json: not a sensitivity.json"),
+    (["--sensitivity", "s.json"], {"s.json": '{"rows": 5}'},
+     "s.json: not a sensitivity.json"),
+], ids=["validation-is-a-report", "characterization-is-meta",
+        "fold-curve-not-pairs", "sensitivity-without-rows",
+        "rows-not-a-list"])
+def test_report_refuses_a_malformed_input_and_writes_nothing(
+    tmp_path, capsys, args, files, named
+):
+    d = synth_periodic(tmp_path, capsys)
+    ok(["characterize", d, "--out", tmp_path / "c" / "report.json"], capsys)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    rc = main(["report", str(d),
+               "--characterization", str(tmp_path / "c" / "report.json"),
+               args[0], str(tmp_path / args[1]),
+               "--out", str(tmp_path / "b")])
+    _, err = capsys.readouterr()
+    assert rc == 3
+    assert f"data error: {tmp_path}/{named}" in err
+    assert not (tmp_path / "b").exists()
 
 
 def test_characterize_default_config_hash(tmp_path, capsys):
@@ -961,6 +1043,19 @@ def test_zero_probability_of_the_truth_is_a_protocol_error(
         r"data error: user 'u0000' fold \d+: response line \d+: probability "
         r"0 for the observed poi_id [12], so bits/symbol would be infinite; "
         r"an argmax-only answer \(the poi_id alone\) avoids it", err), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_external_command_that_cannot_start_exits_3(tmp_path, capsys):
+    d = synth_periodic(tmp_path, capsys, users=1)
+    rc = main(["validate", str(d), "--model", "external",
+               "--external-cmd", "/nonexistent/pred --x",
+               "--scheme", "holdout:split=0.8",
+               "--out", str(tmp_path / "out" / "f.csv")])
+    _, err = capsys.readouterr()
+    assert rc == 3
+    assert ("data error: user 'u0000' fold 0: cannot start "
+            "/nonexistent/pred --x: ") in err
     assert not (tmp_path / "out").exists()
 
 

@@ -16,6 +16,8 @@ from mobmeta.predictors import (
     PredictorSpec,
     ProtocolError,
     parse_model,
+    request_block,
+    request_lines,
     train,
     retrain,
     transition_counts,
@@ -54,6 +56,14 @@ def test_spec_order_is_the_highest_order_trained(spec, order):
 def test_external_spec_has_no_order():
     with pytest.raises(ValueError, match="no model order"):
         PredictorSpec(kind="external", command=("x",)).order
+
+
+def test_train_refuses_an_external_spec(spawned):
+    # an external predictor is started and trained through ExternalModel
+    spec = PredictorSpec(kind="external", command=(sys.executable, "-c", ""))
+    with pytest.raises(ValueError, match="no model order"):
+        train(spec, [0, 1, 0], alphabet_size=2)
+    assert spawned == []
 
 
 def test_parse_model():
@@ -312,10 +322,17 @@ def ext_spec(*extra):
     return PredictorSpec(kind="external", command=cmd)
 
 
+def train_block(symbols) -> bytes:
+    """The TRAIN block of `symbols` at index timestamps."""
+    return request_block(b"TRAIN",
+                         request_lines(symbols, range(len(symbols))))
+
+
 def test_external_matches_native_bitwise(rng):
     seq = random_collapsed(rng, 300, 4)
     native = train(M1, seq, alphabet_size=4)
-    with train(ext_spec(), seq, alphabet_size=4) as ext:
+    with ExternalModel.start(ext_spec(), 4) as ext:
+        ext.send(train_block(seq))
         for ctx in ([0], [1], [2], [3], [1, 2], [3, 0, 1]):
             poi, dist = ext.predict(ctx)
             n_poi, n_dist = native.predict(ctx)
@@ -325,7 +342,8 @@ def test_external_matches_native_bitwise(rng):
 
 def test_external_argmax_only(rng):
     seq = random_collapsed(rng, 100, 4)
-    with train(ext_spec("--argmax-only"), seq, alphabet_size=4) as ext:
+    with ExternalModel.start(ext_spec("--argmax-only"), 4) as ext:
+        ext.send(train_block(seq))
         poi, dist = ext.predict([2])
         assert dist is None
         assert poi == train(M1, seq, alphabet_size=4).predict([2])[0]
@@ -343,7 +361,8 @@ def test_external_argmax_only(rng):
 )
 def test_external_protocol_violations(rng, mode, msg):
     seq = random_collapsed(rng, 50, 4)
-    with train(ext_spec("--misbehave", mode), seq, alphabet_size=4) as ext:
+    with ExternalModel.start(ext_spec("--misbehave", mode), 4) as ext:
+        ext.send(train_block(seq))
         with pytest.raises(ProtocolError, match=msg) as exc:
             ext.predict([1])
         assert "line 1" in str(exc.value)
@@ -389,20 +408,16 @@ def test_reference_predictor_memo_answers_like_native(rng, monkeypatch,
     assert len(calls) == distinct
 
 
-def test_external_bad_command():
-    spec = PredictorSpec(
-        kind="external", command=("/nonexistent/predictor",)
-    )
-    with pytest.raises(ProtocolError, match="cannot start"):
-        train(spec, [0, 1], alphabet_size=2)
-
-
 def test_child_that_exits_before_reading_train_is_reaped(spawned):
     # a TRAIN block larger than the pipe buffer makes the write fail once
-    # the child is gone; the child must not be left unreaped
+    # the child is gone, unless its closed stdout is seen first; either
+    # way the child must not be left unreaped
     spec = PredictorSpec(kind="external", command=(sys.executable, "-c", ""))
-    with pytest.raises(ProtocolError, match="pipe closed before response"):
-        train(spec, [0, 1] * 20_000, alphabet_size=2)
+    with pytest.raises(ProtocolError,
+                       match="pipe closed before response|closed stdout"):
+        with ExternalModel.start(spec, 2) as ext:
+            ext.send(train_block([0, 1] * 20_000))
+            ext.predict([0])
     assert len(spawned) == 1
     assert spawned[0].returncode is not None
 
@@ -425,7 +440,8 @@ def test_error_inside_with_is_not_masked_by_close(tmp_path, monkeypatch,
     monkeypatch.setattr(predictors, "CLOSE_TIMEOUT_S", 0.3)
     spec = PredictorSpec(kind="external", command=(sys.executable, str(script)))
     with pytest.raises(ProtocolError, match="integer poi_id"):
-        with train(spec, [0, 1, 2, 3], alphabet_size=4) as ext:
+        with ExternalModel.start(spec, 4) as ext:
+            ext.send(train_block([0, 1, 2, 3]))
             ext.predict([1])
     assert spawned[0].returncode is not None
 
@@ -439,7 +455,8 @@ def test_external_sends_one_write_and_flush_per_request(rng, monkeypatch):
     # which is the flush: the pipes are unbuffered
     seq = random_collapsed(rng, 100, 4)
     native = train(M1, seq, alphabet_size=4)
-    with train(ext_spec(), seq, alphabet_size=4) as ext:
+    with ExternalModel.start(ext_spec(), 4) as ext:
+        ext.send(train_block(seq))
         stdin = ext._proc.stdin.fileno()
         write, writes = os.write, []
 
