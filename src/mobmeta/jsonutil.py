@@ -20,7 +20,12 @@ def write_canonical_json(path: str | Path, obj: Any) -> None:
 
 
 def read_json(path: str | Path) -> Any:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """The JSON value in a UTF-8 file; a file that is not one raises
+    ValueError naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{path}: {e}") from None
 
 
 def is_number(value: Any) -> bool:

@@ -6,8 +6,7 @@ Native models keep one array count table per order (see _Table), and mmc
 sums the markov_1 tables through its state map; all smooth by
 SMOOTHING_ALPHA and back off to lower orders.  `score` serves many
 positions of a stream at once; `predict` is the same computation for one
-context.  Fitted models are immutable; retrain returns a new model whose
-tables equal training on the concatenation.
+context.  Fitted models are immutable.
 """
 
 from __future__ import annotations
@@ -175,32 +174,17 @@ def _table(keys: np.ndarray, counts: np.ndarray, n: int,
     return _Table(keys, counts, totals, best)
 
 
-def _count(tables: tuple[_Table, ...], tail: tuple[int, ...],
-           new: np.ndarray, n: int, k: int):
-    """(tables of orders 0..k, last k symbols) once `new` follows a stream
-    with `tables` (() when empty) that ends in `tail`.
-
-    Only the windows that end in `new` are counted, those that start in
-    the tail included; the old cells are renumbered, never recounted.
-    """
-    buf = np.concatenate((np.asarray(tail, dtype=np.int64), new))
-    is_new = np.arange(buf.size) >= len(tail)
-    context = np.zeros(buf.size, dtype=np.int64)  # order-j code per position
+def _count(symbols: np.ndarray, n: int, k: int) -> tuple[_Table, ...]:
+    """The count tables of orders 0..k of a stream over n symbols."""
+    # the order-j context code of each position
+    context = np.zeros(symbols.size, dtype=np.int64)
     out: list[_Table] = []
     for j in range(k + 1):
-        keys, weights, m = context[j:] * n + buf[j:], None, 0
-        if tables:
-            old_keys, old_counts = tables[j].keys, tables[j].counts
-            m = old_keys.size
-            if j:  # the merge below renumbered the order-j contexts
-                old_keys = remap[old_keys // n] * n + old_keys % n
-            keys = np.concatenate((old_keys, keys))
-            weights = np.concatenate((old_counts, is_new[j:]))
-        keys, counts, where = _summed(keys, weights)
+        keys, counts, where = _summed(context[j:] * n + symbols[j:], None)
         # the window ending at position i is the order j+1 context of i+1
-        remap, context[j + 1 :] = where[:m], where[m:-1]
+        context[j + 1 :] = where[:-1]
         out.append(_table(keys, counts, n, out[-1].keys.size if out else 1))
-    return tuple(out), tuple(buf[max(buf.size - k, 0) :].tolist())
+    return tuple(out)
 
 
 class _CountModel:
@@ -208,7 +192,7 @@ class _CountModel:
 
     def predict(self, context: Sequence[int]) -> tuple[int, np.ndarray]:
         seq = np.asarray(context, dtype=np.int64)
-        seq = seq[max(seq.size - len(self.tables) + 1, 0) :]  # last k
+        seq = seq[max(seq.size - self.spec.order, 0) :]  # last k
         n = self.alphabet_size
         best, dist = self.score(seq, np.full(n, seq.size), np.arange(n))
         return int(best[0]), dist
@@ -219,15 +203,12 @@ class MarkovModel(_CountModel):
     """Counts of orders 0..k with backoff: markov_k, top_frequency (order 0
     alone) and random_uniform (no order, so every prediction is uniform).
 
-    tables[j] holds the order-j counts (see _Table); tail keeps the last k
-    training symbols so that retrain can count the windows that cross
-    the boundary.
+    tables[j] holds the order-j counts (see _Table).
     """
 
     spec: PredictorSpec
     alphabet_size: int
     tables: tuple[_Table, ...]
-    tail: tuple[int, ...]
 
     def score(self, seq: np.ndarray, ends: np.ndarray, truth: np.ndarray):
         """(argmax, probability of truth[i]) after the context seq[:e] of
@@ -274,15 +255,13 @@ class MmcModel(_CountModel):
     exactly, smoothing included.  Back in poi space, "other" probability
     mass is spread uniformly over the non-top symbols and an "other"
     argmax resolves to other_resolution, the most frequent non-top
-    training POI (None without an "other" state).  tables and tail are
-    the markov_1 counts of the training stream, from which _mmc derives
-    the top set, other_resolution and the state chain inner.
+    training POI (None without an "other" state).  _mmc derives the top
+    set, other_resolution and the state chain inner from the markov_1
+    counts of the training stream.
     """
 
     spec: PredictorSpec
     alphabet_size: int
-    tables: tuple[_Table, ...]
-    tail: tuple[int, ...]
     inner: MarkovModel
     top_states: tuple[int, ...]
     other_resolution: Optional[int]
@@ -298,8 +277,7 @@ class MmcModel(_CountModel):
         return np.asarray(resolve)[best], p
 
 
-def _mmc(spec: PredictorSpec, n: int, tables: tuple[_Table, ...],
-         tail: tuple[int, ...]) -> MmcModel:
+def _mmc(spec: PredictorSpec, n: int, tables: tuple[_Table, ...]) -> MmcModel:
     """The mmc of a training stream whose markov_1 counts are `tables`:
     its top set, "other" resolution and state chain all sum those counts
     through the state map."""
@@ -329,9 +307,8 @@ def _mmc(spec: PredictorSpec, n: int, tables: tuple[_Table, ...],
         replace(spec, kind="markov_k", k=1), n_states,
         (_table(keys0, counts0, n_states, 1),
          _table(keys1, counts1, n_states, keys0.size)),
-        tuple(_states(top, tail).tolist()),
     )
-    return MmcModel(spec, n, tables, tail, inner, top, other)
+    return MmcModel(spec, n, inner, top, other)
 
 
 def _in_alphabet(symbols: Sequence[int], n: int) -> np.ndarray:
@@ -355,41 +332,10 @@ def train(spec: PredictorSpec, symbols: Sequence[int], alphabet_size: int):
             f"{spec.label} needs at least {k + 1} training "
             f"symbol{'s' if k else ''}, got {symbols.size}"
         )
-    tables, tail = _count((), (), symbols, alphabet_size, k)
+    tables = _count(symbols, alphabet_size, k)
     if spec.kind == "mmc":
-        return _mmc(spec, alphabet_size, tables, tail)
-    return MarkovModel(spec, alphabet_size, tables, tail)
-
-
-def retrain(model, new_symbols: Sequence[int]):
-    """Extend a fitted model; equals train() on the concatenated stream."""
-    if not isinstance(model, (MarkovModel, MmcModel)):
-        raise TypeError(f"cannot retrain {type(model).__name__}")
-    n = model.alphabet_size
-    new_symbols = _in_alphabet(new_symbols, n)
-    tables, tail = _count(model.tables, model.tail, new_symbols, n,
-                          len(model.tables) - 1)
-    if isinstance(model, MmcModel):
-        return _mmc(model.spec, n, tables, tail)
-    return MarkovModel(model.spec, n, tables, tail)
-
-
-def transition_counts(model) -> dict[tuple[int, ...], dict[int, int]]:
-    """Raw highest-order context counts, for inspection and tests."""
-    if isinstance(model, MmcModel):
-        model = model.inner
-    if not isinstance(model, MarkovModel) or len(model.tables) < 2:
-        raise TypeError(f"{model.spec.label} has no transition table")
-    # the order j+1 contexts by code are the order-j cells, so the cells
-    # of the top order come out as whole windows
-    cells = [()]
-    for table in model.tables:
-        code, sym = np.divmod(table.keys, model.alphabet_size)
-        cells = [cells[c] + (s,) for c, s in zip(code.tolist(), sym.tolist())]
-    out: dict[tuple[int, ...], dict[int, int]] = {}
-    for cell, count in zip(cells, model.tables[-1].counts.tolist()):
-        out.setdefault(cell[:-1], {})[cell[-1]] = count
-    return out
+        return _mmc(spec, alphabet_size, tables)
+    return MarkovModel(spec, alphabet_size, tables)
 
 
 def _read(pipe) -> Optional[bytes]:

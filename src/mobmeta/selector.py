@@ -226,16 +226,3 @@ def recommend(
         trace=tuple(trace),
     )
 
-
-def default_rules_as_json() -> dict:
-    return {
-        "rules": [
-            {
-                "name": r.name,
-                "when": {k: v for k, v in r.when},
-                "verdict": r.verdict,
-                "rationale": r.rationale,
-            }
-            for r in DEFAULT_RULES
-        ]
-    }

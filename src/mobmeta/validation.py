@@ -17,20 +17,17 @@ min(test) orders positions, and positions follow time only within one
 user: in a stream of users joined end to end, a fold could train on one
 user's late visits and test another's earlier ones.
 
-Each fold trains on its distinct train positions in time order (a
-bootstrap fold's repeated draws count once).  When the previous fold's
-positions are a prefix of this fold's, as in the expanding windows of
-rolling and window10_cumulative, the previous native model is extended
-with `predictors.retrain` on the remainder instead of refitting; that
-equals training on the whole prefix.  A native model scores all test
-positions of a fold in one `score` call, which returns each position's
-argmax and the probability of its true symbol.  An external predictor
-gets a child of its own per fold and one PREDICT request per test
-position.  Each child sees one fold only, and strictly alternates: its
-next request goes out only once its last response has been read.  But
-the folds of every user are queued together and up to MAX_CHILDREN of
-them are in conversation at once, in one selectors loop, so one child's
-start-up, round trips and exit overlap the others'.
+Each fold trains a fresh model on its distinct train positions in time
+order (a bootstrap fold's repeated draws count once).  A native model
+scores all test positions of a fold in one `score` call, which returns
+each position's argmax and the probability of its true symbol.  An
+external predictor gets a child of its own per fold and one PREDICT
+request per test position.  Each child sees one fold only, and strictly
+alternates: its next request goes out only once its last response has
+been read.  But the folds of every user are queued together and up to
+MAX_CHILDREN of them are in conversation at once, in one selectors
+loop, so one child's start-up, round trips and exit overlap the
+others'.
 """
 
 from __future__ import annotations
@@ -44,8 +41,7 @@ import numpy as np
 
 from .core import DataError, Dataset, InfeasiblePlanError
 from .predictors import (
-    ExternalModel, Pipes, PredictorSpec, request_block, request_lines,
-    retrain, train,
+    ExternalModel, Pipes, PredictorSpec, request_block, request_lines, train,
 )
 from .rng import SplitMix64
 
@@ -462,18 +458,9 @@ def _eval_native(
 ) -> list[FoldResult]:
     n = symbols.shape[0]
     results = []
-    # the last model and its training positions, extended with retrain
-    # when they prefix the next fold's (expanding windows)
-    prev_pos: Optional[np.ndarray] = None
-    model = None
     for fold in folds:
         pos = _train_positions(fold, n)
-        if (prev_pos is not None and prev_pos.size <= pos.size
-                and np.array_equal(pos[: prev_pos.size], prev_pos)):
-            model = retrain(model, symbols[pos[prev_pos.size :]])
-        else:
-            model = train(spec, symbols[pos], alphabet_size)
-        prev_pos = pos
+        model = train(spec, symbols[pos], alphabet_size)
         # a native model scores every test position of the fold at once
         known, ends = _window(fold, n, need)
         seq = symbols[known]

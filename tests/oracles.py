@@ -11,13 +11,14 @@ import io
 import math
 import subprocess
 from collections import Counter
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from mobmeta.core import DataError, InfeasiblePlanError
 from mobmeta.poi import Staypoint, haversine_m
-from mobmeta.predictors import SMOOTHING_ALPHA, train
+from mobmeta.predictors import SMOOTHING_ALPHA, MarkovModel, MmcModel, train
+from mobmeta.selector import DEFAULT_RULES
 from mobmeta.validation import make_folds
 
 
@@ -163,32 +164,18 @@ def _smoothed(counts: dict[int, int], total: int, n: int, alpha: float) -> np.nd
     return dist / (total + alpha * n)
 
 
-def _build_tables(
-    prev: Optional[tuple[dict, ...]],
-    tail: tuple[int, ...],
-    new_symbols: Sequence[int],
-    max_order: int,
-) -> tuple[tuple[dict, ...], tuple[int, ...]]:
-    tables: list[dict] = (
-        [dict((k, (dict(c), t)) for k, (c, t) in tbl.items()) for tbl in prev]
-        if prev is not None
-        else [{} for _ in range(max_order + 1)]
-    )
-    buf = list(tail) + [int(s) for s in new_symbols]
-    off = len(tail)
-    for idx in range(len(new_symbols)):
-        pos = off + idx
-        sym = buf[pos]
+def _build_tables(symbols: Sequence[int], max_order: int) -> tuple[dict, ...]:
+    tables: list[dict] = [{} for _ in range(max_order + 1)]
+    for pos, sym in enumerate(symbols):
         for j in range(min(max_order, pos) + 1):
-            ctx = tuple(buf[pos - j : pos])
+            ctx = tuple(symbols[pos - j : pos])
             counts, total = tables[j].get(ctx, (None, 0))
             if counts is None:
                 counts = {}
                 tables[j][ctx] = (counts, 0)
             counts[sym] = counts.get(sym, 0) + 1
             tables[j][ctx] = (counts, total + 1)
-    new_tail = tuple(buf[len(buf) - max_order :]) if max_order else ()
-    return tuple(tables), new_tail
+    return tuple(tables)
 
 
 class DictModel:
@@ -216,7 +203,7 @@ class DictModel:
             n_states = len(self.top) + (self.other is not None)
             symbols = [self._state(s) for s in symbols]
         self.n_states = n_states
-        self.tables, _ = _build_tables(None, (), symbols, self.k)
+        self.tables = _build_tables(symbols, self.k)
 
     def _state(self, sym):
         return self.top.index(sym) if sym in self.top else len(self.top)
@@ -251,6 +238,41 @@ class DictModel:
 
     def transition_counts(self):
         return {ctx: dict(c) for ctx, (c, _) in self.tables[self.k].items()}
+
+
+def transition_counts(model) -> dict[tuple[int, ...], dict[int, int]]:
+    """A native model's highest-order counts as {context: {next: count}},
+    rebuilt from its array tables (mmc: its state chain's) to compare with
+    DictModel.transition_counts."""
+    if isinstance(model, MmcModel):
+        model = model.inner
+    if not isinstance(model, MarkovModel) or len(model.tables) < 2:
+        raise TypeError(f"{model.spec.label} has no transition table")
+    # the order j+1 contexts by code are the order-j cells, so the cells
+    # of the top order come out as whole windows
+    cells = [()]
+    for table in model.tables:
+        code, sym = np.divmod(table.keys, model.alphabet_size)
+        cells = [cells[c] + (s,) for c, s in zip(code.tolist(), sym.tolist())]
+    out: dict[tuple[int, ...], dict[int, int]] = {}
+    for cell, count in zip(cells, model.tables[-1].counts.tolist()):
+        out.setdefault(cell[:-1], {})[cell[-1]] = count
+    return out
+
+
+def default_rules_as_json() -> dict:
+    """selector.DEFAULT_RULES in the rules-file form load_rules reads."""
+    return {
+        "rules": [
+            {
+                "name": r.name,
+                "when": {k: v for k, v in r.when},
+                "verdict": r.verdict,
+                "rationale": r.rationale,
+            }
+            for r in DEFAULT_RULES
+        ]
+    }
 
 
 def contexts_by_walk(train_idx, test_idx, symbols, timestamps, need):

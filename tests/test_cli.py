@@ -945,15 +945,18 @@ def test_report_manifest_lists_only_the_files_of_its_run(tmp_path, capsys):
      "s.json: not a sensitivity.json"),
     (["--sensitivity", "s.json"], {"s.json": '{"rows": 5}'},
      "s.json: not a sensitivity.json"),
+    (["--validation", "v/broken.json"], {"v/broken.json": "{"},
+     "v/broken.json: Expecting property name enclosed in double quotes"),
 ], ids=["validation-is-a-report", "characterization-is-meta",
         "fold-curve-not-pairs", "sensitivity-without-rows",
-        "rows-not-a-list"])
+        "rows-not-a-list", "validation-not-json"])
 def test_report_refuses_a_malformed_input_and_writes_nothing(
     tmp_path, capsys, args, files, named
 ):
     d = synth_periodic(tmp_path, capsys)
     ok(["characterize", d, "--out", tmp_path / "c" / "report.json"], capsys)
     for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_text(text)
     rc = main(["report", str(d),
                "--characterization", str(tmp_path / "c" / "report.json"),
@@ -962,7 +965,24 @@ def test_report_refuses_a_malformed_input_and_writes_nothing(
     _, err = capsys.readouterr()
     assert rc == 3
     assert f"data error: {tmp_path}/{named}" in err
+    assert err.count(str(tmp_path / args[1])) == 1
     assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("data, named", [
+    (b"{", "Expecting property name enclosed in double quotes"),
+    (b'{"x": "\xff"}', "can't decode byte 0xff"),
+], ids=["not-json", "not-utf8"])
+def test_recommend_input_that_is_not_json_exits_3(tmp_path, capsys, data,
+                                                  named):
+    path = tmp_path / "broken.json"
+    path.write_bytes(data)
+    rc = main(["recommend", str(path), "--out", str(tmp_path / "r")])
+    _, err = capsys.readouterr()
+    assert rc == 3
+    assert f"data error: {path}: " in err and named in err
+    assert err.count(str(path)) == 1
+    assert not (tmp_path / "r").exists()
 
 
 def test_characterize_default_config_hash(tmp_path, capsys):

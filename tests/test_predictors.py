@@ -19,11 +19,9 @@ from mobmeta.predictors import (
     request_block,
     request_lines,
     train,
-    retrain,
-    transition_counts,
 )
 from conftest import random_collapsed
-from oracles import DictModel
+from oracles import DictModel, transition_counts
 
 M1 = PredictorSpec(kind="markov_k", k=1)
 
@@ -50,7 +48,8 @@ def test_spec_validation_and_labels():
 def test_spec_order_is_the_highest_order_trained(spec, order):
     assert spec.order == order
     model = train(spec, [0, 1, 2, 0, 1, 2, 0], 3)
-    assert len(model.tables) == order + 1
+    tables = model.inner.tables if spec.kind == "mmc" else model.tables
+    assert len(tables) == order + 1
 
 
 def test_external_spec_has_no_order():
@@ -171,55 +170,12 @@ def test_mmc_other_resolution_when_all_training_in_top():
     assert mmc.other_resolution == 2
 
 
-def test_retrain_equals_concatenation(rng):
-    for spec in (
-        M1,
-        PredictorSpec(kind="markov_k", k=2),
-        PredictorSpec(kind="markov_k", k=3),
-        PredictorSpec(kind="top_frequency"),
-        PredictorSpec(kind="mmc", top_m=3),
-    ):
-        a = random_collapsed(rng, 80, 5)
-        b = random_collapsed(rng, 60, 5)
-        stepped = retrain(train(spec, a, alphabet_size=5), b)
-        direct = train(spec, a + b, alphabet_size=5)
-        for _ in range(20):
-            ctx = random_collapsed(rng, int(rng.integers(1, 5)), 5)
-            np.testing.assert_array_equal(
-                stepped.predict(ctx)[1], direct.predict(ctx)[1]
-            )
-        if spec.kind in ("markov_k", "mmc"):
-            assert transition_counts(stepped) == transition_counts(direct)
-
-
-def test_mmc_retrain_moves_top_set_and_other_resolution():
-    # before the boundary 0 and 1 lead and 2 resolves "other"; after it 2
-    # and 3 lead and 0 does
-    a = [0, 1] * 20 + [2, 0, 3]
-    b = [2, 3] * 30
-    spec = PredictorSpec(kind="mmc", top_m=2)
-    first = train(spec, a, alphabet_size=5)
-    stepped = retrain(first, b)
-    direct = train(spec, a + b, alphabet_size=5)
-    assert (first.top_states, first.other_resolution) == ((0, 1), 2)
-    assert (direct.top_states, direct.other_resolution) == ((2, 3), 0)
-    assert (stepped.top_states, stepped.other_resolution) == (
-        direct.top_states, direct.other_resolution)
-    assert transition_counts(stepped) == transition_counts(direct)
-    for ctx in ([], [0], [1], [2], [3], [4]):
-        pred, dist = stepped.predict(ctx)
-        assert pred == direct.predict(ctx)[0]
-        np.testing.assert_array_equal(dist, direct.predict(ctx)[1])
-
-
 @pytest.mark.parametrize("kind", ["random_uniform", "top_frequency",
                                   "markov_k", "mmc"])
-def test_retrain_rejects_symbols_outside_alphabet(kind):
-    model = train(PredictorSpec(kind=kind), [0, 1, 2, 3, 4, 0],
-                  alphabet_size=5)
+def test_train_rejects_symbols_outside_alphabet(kind):
     for bad in ([7, 1, 2, 3], [9], [-1], [2**70]):
         with pytest.raises(DataError, match="outside alphabet"):
-            retrain(model, bad)
+            train(PredictorSpec(kind=kind), bad, alphabet_size=5)
 
 
 def assert_same_as_dict(model, ref, contexts):
@@ -254,12 +210,6 @@ def test_count_tables_equal_dict_reference(data, n_sym, kind, k):
         st.lists(st.integers(0, n_sym - 1), max_size=k + 1), max_size=4))}
     contexts = sorted(contexts)
     assert_same_as_dict(train(spec, stream, n_sym), ref, contexts)
-    for split in range(1, len(stream)):
-        try:
-            first = train(spec, stream[:split], n_sym)
-        except DataError:  # too short for this order
-            continue
-        assert_same_as_dict(retrain(first, stream[split:]), ref, contexts)
 
 
 def test_markov3_keys_do_not_overflow_at_a_wide_alphabet():
@@ -272,14 +222,6 @@ def test_markov3_keys_do_not_overflow_at_a_wide_alphabet():
     contexts = [stream[i - 3 : i] for i in range(3, 300, 37)]
     contexts += [[K - 1, K - 2, K - 3], [0, K - 1], []]
     assert_same_as_dict(train(spec, stream, K), ref, contexts)
-    stepped = retrain(train(spec, stream[:150], K), stream[150:])
-    assert_same_as_dict(stepped, ref, contexts)
-
-
-def test_retrain_counts_cross_boundary():
-    # the transition (last of a -> first of b) must be counted
-    stepped = retrain(train(M1, [0, 1, 0], alphabet_size=2), [1, 0])
-    assert transition_counts(stepped) == {(0,): {1: 2}, (1,): {0: 2}}
 
 
 def test_transition_counts_type_guard():
@@ -383,7 +325,7 @@ def test_reference_predictor_memo_answers_like_native(rng, monkeypatch,
     for symbols in (random_collapsed(rng, 60, n_sym - 1),
                     random_collapsed(rng, 40, n_sym)):
         native = train(spec, symbols, n_sym)
-        k = len(native.tables) - 1
+        k = spec.order
         distinct += len({tuple(c[max(len(c) - k, 0):]) for c in contexts})
         lines.append(f"TRAIN {len(symbols)}")
         lines += [f"{s} {t}" for t, s in enumerate(symbols)]

@@ -8,12 +8,12 @@ from mobmeta.selector import (
     DEFAULT_RULES,
     SelectionRule,
     VERDICTS,
-    default_rules_as_json,
     derive_attributes,
     load_rules,
     recommend,
     validate_rules,
 )
+from oracles import default_rules_as_json
 
 
 def report_for(

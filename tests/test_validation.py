@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from mobmeta import validation
 from mobmeta.core import DataError, InfeasiblePlanError
-from mobmeta.predictors import ExternalModel, PredictorSpec, retrain, train
+from mobmeta.predictors import ExternalModel, PredictorSpec, train
 from mobmeta.synth import SourceSpec, generate
 from mobmeta.validation import (
     LEAKY_SCHEMES,
@@ -550,21 +550,15 @@ class CountingModel:
 
 @pytest.fixture
 def counted(monkeypatch):
-    calls = {"train": 0, "retrain": 0, "models": []}
+    calls = {"symbols": [], "models": []}
 
-    def counting_train(*args, **kwargs):
-        calls["train"] += 1
-        calls["models"].append(CountingModel(train(*args, **kwargs)))
-        return calls["models"][-1]
-
-    def counting_retrain(model, *args, **kwargs):
-        calls["retrain"] += 1
-        calls["models"].append(CountingModel(retrain(model.inner, *args,
-                                                     **kwargs)))
+    def counting_train(spec, symbols, *args, **kwargs):
+        calls["symbols"].append(np.asarray(symbols).tolist())
+        calls["models"].append(CountingModel(train(spec, symbols, *args,
+                                                   **kwargs)))
         return calls["models"][-1]
 
     monkeypatch.setattr(validation, "train", counting_train)
-    monkeypatch.setattr(validation, "retrain", counting_retrain)
     return calls
 
 
@@ -596,13 +590,19 @@ def test_each_native_fold_is_one_batch(rng, counted, plan):
         ]
 
 
-def test_rolling_trains_once_and_retrains_the_rest(rng, counted):
-    ds = make_dataset(
-        {u: random_collapsed(rng, 300, 5) for u in ("a", "b")}, n_pois=5
-    )
-    evaluate(ds, PredictorSpec(kind="markov_k", k=2),
-             ValidationPlan("rolling", k=10))
-    assert (counted["train"], counted["retrain"]) == (2, 16)
+@pytest.mark.parametrize("plan", [
+    ValidationPlan("rolling", k=10),
+    ValidationPlan("window10_cumulative"),
+], ids=lambda plan: plan.label)
+def test_expanding_windows_train_each_fold_on_its_prefix(rng, counted, plan):
+    streams = {"a": random_collapsed(rng, 300, 5),
+               "b": random_collapsed(rng, 240, 5)}
+    ds = make_dataset(streams, n_pois=5)
+    result = evaluate(ds, PredictorSpec(kind="markov_k", k=2), plan)
+    assert len(result.fold_results) == 2 * 9
+    assert counted["symbols"] == [
+        streams[r.user_id][: r.train_hi] for r in result.fold_results
+    ]
 
 
 # answers every PREDICT with POI 0 and appends everything it reads to
