@@ -315,25 +315,50 @@ def _out_file(args, default: str) -> Path:
 DATASET_FILES = ("alphabet.json", "sequences.jsonl", "meta.json")
 
 
+# ingest's format-specific options with their defaults, and the ones
+# each --format reads; giving one that it does not read exits 2
+_INGEST_DEFAULTS = {"--cols": "user=0,lat=1,lon=2,t=3", "--tz-offset": 0,
+                    "--dedup": "drop_equal_timestamp"}
+_FORMAT_OPTIONS = {"csv_gps": ("--cols", "--tz-offset", "--dedup"),
+                   "plt_geolife_like": ("--tz-offset", "--dedup"),
+                   "symbols_jsonl": ()}
+
+
 def ingest_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("input")
     p.add_argument("--format", default="csv_gps",
-                   choices=["csv_gps", "plt_geolife_like", "symbols_jsonl"])
-    p.add_argument("--cols", default="user=0,lat=1,lon=2,t=3")
-    p.add_argument("--tz-offset", type=int, default=0,
+                   choices=list(_FORMAT_OPTIONS))
+    p.add_argument("--cols")
+    p.add_argument("--tz-offset", type=int,
                    help="seconds added to every timestamp (0: input is UTC)")
-    p.add_argument("--dedup", default="drop_equal_timestamp",
-                   choices=["drop_equal_timestamp", "error"])
+    p.add_argument("--dedup", choices=["drop_equal_timestamp", "error"])
     p.add_argument("--name", default=None)
+
+
+def _ingest_options(args) -> dict:
+    """--cols, --tz-offset and --dedup by flag, each its default when not
+    given; one given that --format does not read is a usage error."""
+    reads = _FORMAT_OPTIONS[args.format]
+    out = {}
+    for flag, default in _INGEST_DEFAULTS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and flag not in reads:
+            raise UsageError(
+                f"--format {args.format} does not read {flag}; it reads: "
+                f"{', '.join(reads) or 'none'}"
+            )
+        out[flag] = default if value is None else value
+    return out
 
 
 def cmd_ingest(args) -> Run:
     out_dir = _require_out(args, "dataset directory")
+    opts = _ingest_options(args)
     cfg = IngestConfig(
         format=args.format,
-        column_map=parse_cols(args.cols),
-        tz_offset_seconds=args.tz_offset,
-        dedup_policy=args.dedup,
+        column_map=parse_cols(opts["--cols"]),
+        tz_offset_seconds=opts["--tz-offset"],
+        dedup_policy=opts["--dedup"],
     )
     name = args.name or Path(args.input).stem
     config = {**asdict(cfg), "name": name}

@@ -47,7 +47,7 @@ from .core import (
     RawTrajectory,
     check_poi_ids,
 )
-from .jsonutil import sha256_file, write_canonical_json
+from .jsonutil import is_number, sha256_file, write_canonical_json
 
 SCHEMA_VERSION = 1
 
@@ -225,18 +225,14 @@ def _rows(rows: list, width: int, dtype) -> np.ndarray:
     return table.reshape(-1, width)
 
 
-def _is_number(v) -> bool:
-    return type(v) is int or type(v) is float
-
-
 def _is_whole(v) -> bool:
     return type(v) is int or (type(v) is float and v.is_integer())
 
 
 _SYMBOL_FIELDS = (("poi_id", _is_whole, "an integer"),
                   ("t", _is_whole, "an integer"))
-_POINT_FIELDS = (("lat", _is_number, "a number"),
-                 ("lon", _is_number, "a number"),
+_POINT_FIELDS = (("lat", is_number, "a number"),
+                 ("lon", is_number, "a number"),
                  ("t", _is_whole, "an integer"))
 
 

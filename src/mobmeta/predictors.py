@@ -2,11 +2,11 @@
 Markov with backoff, mobility Markov chain with a collapsed state space,
 and an adapter for external predictors speaking a line protocol.
 
-Native models keep one array count table per order (see _Table), and mmc
-sums the markov_1 tables through its state map; all smooth by
-SMOOTHING_ALPHA and back off to lower orders.  `score` serves many
-positions of a stream at once; `predict` is the same computation for one
-context.  Fitted models are immutable.
+Native models keep one array count table per order (see _Table), all
+counted by _count from the stream the model reads: mmc's is its training
+stream mapped to states.  All smooth by SMOOTHING_ALPHA and back off to
+lower orders; `score` serves many positions of a stream at once.  Fitted
+models are immutable.
 """
 
 from __future__ import annotations
@@ -134,16 +134,6 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     return start
 
 
-def _summed(keys: np.ndarray, weights: Optional[np.ndarray]):
-    """The distinct keys in ascending order, the summed weight of each (1
-    without weights), and the index of every input key among them."""
-    ordered = np.sort(keys)
-    distinct = ordered[_run_starts(ordered)]
-    where = distinct.searchsorted(keys)
-    sums = np.bincount(where, weights, distinct.size)
-    return distinct, sums.astype(np.int64), where
-
-
 class _Table(NamedTuple):
     """The order-j counts of a stream over n symbols.
 
@@ -180,26 +170,19 @@ def _count(symbols: np.ndarray, n: int, k: int) -> tuple[_Table, ...]:
     context = np.zeros(symbols.size, dtype=np.int64)
     out: list[_Table] = []
     for j in range(k + 1):
-        keys, counts, where = _summed(context[j:] * n + symbols[j:], None)
+        codes = context[j:] * n + symbols[j:]
+        ordered = np.sort(codes)
+        keys = ordered[_run_starts(ordered)]
+        where = keys.searchsorted(codes)
+        counts = np.bincount(where, None, keys.size)
         # the window ending at position i is the order j+1 context of i+1
         context[j + 1 :] = where[:-1]
         out.append(_table(keys, counts, n, out[-1].keys.size if out else 1))
     return tuple(out)
 
 
-class _CountModel:
-    """predict: score every symbol after one context."""
-
-    def predict(self, context: Sequence[int]) -> tuple[int, np.ndarray]:
-        seq = np.asarray(context, dtype=np.int64)
-        seq = seq[max(seq.size - self.spec.order, 0) :]  # last k
-        n = self.alphabet_size
-        best, dist = self.score(seq, np.full(n, seq.size), np.arange(n))
-        return int(best[0]), dist
-
-
 @dataclass(frozen=True)
-class MarkovModel(_CountModel):
+class MarkovModel:
     """Counts of orders 0..k with backoff: markov_k, top_frequency (order 0
     alone) and random_uniform (no order, so every prediction is uniform).
 
@@ -246,7 +229,7 @@ def _states(top: tuple[int, ...], symbols) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MmcModel(_CountModel):
+class MmcModel:
     """First-order chain over the top-M training POIs plus an "other" state.
 
     States are dense: state i is top_states[i] (sorted poi ids) and the
@@ -255,9 +238,9 @@ class MmcModel(_CountModel):
     exactly, smoothing included.  Back in poi space, "other" probability
     mass is spread uniformly over the non-top symbols and an "other"
     argmax resolves to other_resolution, the most frequent non-top
-    training POI (None without an "other" state).  _mmc derives the top
-    set, other_resolution and the state chain inner from the markov_1
-    counts of the training stream.
+    training POI (None without an "other" state).  _mmc takes the top
+    set and other_resolution from the training stream's POI counts, and
+    inner counts that stream mapped to states.
     """
 
     spec: PredictorSpec
@@ -277,17 +260,17 @@ class MmcModel(_CountModel):
         return np.asarray(resolve)[best], p
 
 
-def _mmc(spec: PredictorSpec, n: int, tables: tuple[_Table, ...]) -> MmcModel:
-    """The mmc of a training stream whose markov_1 counts are `tables`:
-    its top set, "other" resolution and state chain all sum those counts
-    through the state map."""
-    unigram, bigram = tables
-    # seen POIs by descending count, then ascending id
-    by_freq = unigram.keys[np.argsort(-unigram.counts, kind="stable")]
+def _mmc(spec: PredictorSpec, symbols: np.ndarray, n: int) -> MmcModel:
+    """The mmc of a training stream over n symbols: its top set and
+    "other" resolution by POI frequency, and its state chain counted on
+    the stream mapped to states."""
     other = None
     if spec.top_m >= n:
         top = tuple(range(n))
     else:
+        seen, counts = np.unique(symbols, return_counts=True)
+        # seen POIs by descending count, then ascending id
+        by_freq = seen[np.argsort(-counts, kind="stable")]
         top = tuple(sorted(by_freq[: spec.top_m].tolist()))
         if by_freq.size > spec.top_m:
             other = int(by_freq[spec.top_m])
@@ -295,19 +278,8 @@ def _mmc(spec: PredictorSpec, n: int, tables: tuple[_Table, ...]) -> MmcModel:
             # the smallest id missing from the sorted top set
             other = next(i for i, s in enumerate(top + (n,)) if s != i)
     n_states = len(top) + (other is not None)
-    state = _states(top, unigram.keys)
-    keys0, counts0, _ = _summed(state, unigram.counts)
-    # an order-1 context code is the index of its symbol in unigram.keys
-    before, after = np.divmod(bigram.keys, n)
-    keys1, counts1, _ = _summed(
-        np.searchsorted(keys0, state[before]) * n_states + _states(top, after),
-        bigram.counts,
-    )
-    inner = MarkovModel(
-        replace(spec, kind="markov_k", k=1), n_states,
-        (_table(keys0, counts0, n_states, 1),
-         _table(keys1, counts1, n_states, keys0.size)),
-    )
+    inner = MarkovModel(replace(spec, kind="markov_k", k=1), n_states,
+                        _count(_states(top, symbols), n_states, 1))
     return MmcModel(spec, n, inner, top, other)
 
 
@@ -332,10 +304,9 @@ def train(spec: PredictorSpec, symbols: Sequence[int], alphabet_size: int):
             f"{spec.label} needs at least {k + 1} training "
             f"symbol{'s' if k else ''}, got {symbols.size}"
         )
-    tables = _count(symbols, alphabet_size, k)
     if spec.kind == "mmc":
-        return _mmc(spec, alphabet_size, tables)
-    return MarkovModel(spec, alphabet_size, tables)
+        return _mmc(spec, symbols, alphabet_size)
+    return MarkovModel(spec, alphabet_size, _count(symbols, alphabet_size, k))
 
 
 def _read(pipe) -> Optional[bytes]:

@@ -240,6 +240,16 @@ class DictModel:
         return {ctx: dict(c) for ctx, (c, _) in self.tables[self.k].items()}
 
 
+def native_predict(model, context) -> tuple[int, np.ndarray]:
+    """(argmax, distribution) of a native model after one context: its
+    score of every symbol after the last spec.order symbols."""
+    seq = np.asarray(context, dtype=np.int64)
+    seq = seq[max(seq.size - model.spec.order, 0) :]  # last k
+    n = model.alphabet_size
+    best, dist = model.score(seq, np.full(n, seq.size), np.arange(n))
+    return int(best[0]), dist
+
+
 def transition_counts(model) -> dict[tuple[int, ...], dict[int, int]]:
     """A native model's highest-order counts as {context: {next: count}},
     rebuilt from its array tables (mmc: its state chain's) to compare with
@@ -321,9 +331,9 @@ def evaluate_per_position(ds, spec, plan) -> dict:
     """evaluate(ds, spec, plan).to_dict() by the per-position loop: every
     fold trains a fresh model on its distinct train positions in time
     order, and every test position is predicted from its own context, as
-    found by contexts_by_walk.  A native model calls predict per context;
-    an external predictor runs once per fold on its whole input
-    (external_answers).  Raises what evaluate raises."""
+    found by contexts_by_walk.  A native model answers each context by
+    native_predict; an external predictor runs once per fold on its
+    whole input (external_answers).  Raises what evaluate raises."""
     need = {"markov_k": spec.k, "mmc": 1,
             "external": plan.external_context_window}.get(spec.kind, 0)
     streams = [
@@ -348,7 +358,8 @@ def evaluate_per_position(ds, spec, plan) -> dict:
                     )
                 else:
                     model = train(spec, train_syms, ds.alphabet.size)
-                    answers = [model.predict(ctx) for _, ctx, _ in walk]
+                    answers = [native_predict(model, ctx)
+                               for _, ctx, _ in walk]
                 n_correct, bits_terms, has_bits = 0, [], True
                 for (truth, _, _), (pred, dist) in zip(walk, answers):
                     n_correct += pred == truth

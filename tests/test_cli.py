@@ -340,6 +340,74 @@ def test_ingest_tz_offset_shifts_timestamps(tmp_path, capsys):
     assert e.value.code == 2
 
 
+# an input of each ingest format, named x so the dataset name is "x"
+INGEST_INPUTS = {
+    "csv_gps": "u1,45.0,7.0,1000\n",
+    "plt_geolife_like": "h\n" * 6 + "45.0,7.0,0,10,40000.5,d,t\n",
+    "symbols_jsonl": '{"user_id": "a", "symbols": [[0, 1], [1, 2]]}\n',
+}
+
+
+@pytest.mark.parametrize("fmt, given, reads", [
+    ("symbols_jsonl", ["--cols", "user=3,lat=2,lon=1,t=0", "--tz-offset",
+                       "3600", "--dedup", "error"], "none"),
+    ("symbols_jsonl", ["--tz-offset", "3600"], "none"),
+    ("symbols_jsonl", ["--dedup", "drop_equal_timestamp"], "none"),
+    ("plt_geolife_like", ["--cols", "user=0,lat=1,lon=2,t=3"],
+     "--tz-offset, --dedup"),
+], ids=["symbols_jsonl-all", "symbols_jsonl-tz-offset",
+        "symbols_jsonl-dedup", "plt_geolife_like-cols"])
+def test_ingest_refuses_an_option_its_format_does_not_read(
+        tmp_path, capsys, fmt, given, reads):
+    # given with its default value too: the format would ignore it
+    src = tmp_path / "x.in"
+    src.write_text(INGEST_INPUTS[fmt], encoding="utf-8")
+    rc = main(["ingest", str(src), "--format", fmt, *given,
+               "--out", str(tmp_path / "out")])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert (f"usage error: --format {fmt} does not read {given[0]}; "
+            f"it reads: {reads}") in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fmt, given, config_hash", [
+    ("csv_gps", [],
+     "03cea089c5d0d709564354084111326dd2a7b12c2a002ef94bbef56128cf3981"),
+    ("csv_gps", ["--cols", "user=0,lat=1,lon=2,t=3", "--tz-offset", "0",
+                 "--dedup", "drop_equal_timestamp"],
+     "03cea089c5d0d709564354084111326dd2a7b12c2a002ef94bbef56128cf3981"),
+    ("plt_geolife_like", [],
+     "f58ef47b0d2917dd4baa9852576d827d77160980819ec4b3a7c31d9b9e2e0d43"),
+    ("plt_geolife_like", ["--tz-offset", "0"],
+     "f58ef47b0d2917dd4baa9852576d827d77160980819ec4b3a7c31d9b9e2e0d43"),
+    ("symbols_jsonl", [],
+     "d04b8cd7c75f52dd7191ec3068fb3bab1a4bd872ffced762c5a07aa278e9623a"),
+], ids=["csv_gps", "csv_gps-defaults-given", "plt_geolife_like",
+        "plt_geolife_like-default-given", "symbols_jsonl"])
+def test_ingest_default_config_hash(tmp_path, capsys, fmt, given,
+                                    config_hash):
+    # the pinned hashes of the default configs: an option left out and one
+    # given at its default value configure the same run
+    src = tmp_path / "x.in"
+    src.write_text(INGEST_INPUTS[fmt], encoding="utf-8")
+    ok(["ingest", src, "--format", fmt, *given, "--out", tmp_path / "out"],
+       capsys)
+    assert read_manifest(tmp_path / "out")["config_hash"] == (
+        "sha256:" + config_hash)
+
+
+def test_ingest_plt_tz_offset_shifts_timestamps(tmp_path, capsys):
+    src = tmp_path / "x.plt"
+    src.write_text(INGEST_INPUTS["plt_geolife_like"], encoding="utf-8")
+    for offset in (0, -3600):
+        ok(["ingest", src, "--format", "plt_geolife_like", "--tz-offset",
+            offset, "--out", tmp_path / str(offset)], capsys)
+    t = [json.loads((tmp_path / d / "raw.jsonl").read_text())["points"][0][2]
+         for d in ("0", "-3600")]
+    assert t[1] == t[0] - 3600
+
+
 def test_ingest_symbols_jsonl(tmp_path, capsys):
     src = tmp_path / "sym.jsonl"
     src.write_text(

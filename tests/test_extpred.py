@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from mobmeta import extpred
 from mobmeta.core import DataError
 from mobmeta.predictors import parse_model, train
+from oracles import native_predict
 
 
 def run_serve(argv: list[str], text: str) -> tuple[int, str]:
@@ -54,7 +55,7 @@ def test_serve_lines_equal_native_predict(data, n_sym, model):
             st.lists(st.integers(-2, n_sym + 2), max_size=5), max_size=12))
         for ctx in contexts:
             text += block("PREDICT", ctx)
-            pred, dist = native.predict(ctx)
+            pred, dist = native_predict(native, ctx)
             want.append(f"{pred} " + " ".join(repr(float(p)) for p in dist))
     status, out = run_serve(["--model", model, "--alphabet-size", str(n_sym)],
                             text)

@@ -21,7 +21,7 @@ from mobmeta.predictors import (
     train,
 )
 from conftest import random_collapsed
-from oracles import DictModel, transition_counts
+from oracles import DictModel, native_predict, transition_counts
 
 M1 = PredictorSpec(kind="markov_k", k=1)
 
@@ -86,19 +86,19 @@ def test_parse_model():
 def test_markov1_counts_and_smoothing():
     model = train(M1, [0, 1, 0, 1, 0], alphabet_size=2)
     assert transition_counts(model) == {(0,): {1: 2}, (1,): {0: 2}}
-    dist = model.predict([0])[1]
+    dist = native_predict(model, [0])[1]
     a = predictors.SMOOTHING_ALPHA
     np.testing.assert_allclose(
         dist, [a / (2 + 2 * a), (2 + a) / (2 + 2 * a)]
     )
-    assert model.predict([0]) == (1, pytest.approx(dist.tolist()))
+    assert native_predict(model, [0]) == (1, pytest.approx(dist.tolist()))
 
 
 def test_markov2_uses_two_symbol_context():
     # after (0,1) always 2; after (1,1) never seen
     seq = [0, 1, 2, 0, 1, 2, 1, 0, 1, 2]
     model = train(PredictorSpec(kind="markov_k", k=2), seq, alphabet_size=3)
-    assert model.predict([0, 1])[0] == 2
+    assert native_predict(model, [0, 1])[0] == 2
     assert transition_counts(model)[(0, 1)] == {2: 3}
 
 
@@ -107,22 +107,22 @@ def test_backoff_walks_down_orders():
     model = train(PredictorSpec(kind="markov_k", k=2), seq, alphabet_size=3)
     # context (2,2) unseen at order 2; (2,) unseen at order 1 (2 is the
     # last symbol, it never precedes anything); order 0 counts win
-    d = model.predict([2, 2])[1]
-    order0 = train(
+    d = native_predict(model, [2, 2])[1]
+    order0 = native_predict(train(
         PredictorSpec(kind="top_frequency"), seq, alphabet_size=3
-    ).predict([])[1]
+    ), [])[1]
     np.testing.assert_array_equal(d, order0)
 
 
 def test_tie_break_prefers_smallest_id():
     model = train(PredictorSpec(kind="top_frequency"), [1, 0, 0, 1],
                   alphabet_size=3)
-    assert model.predict([])[0] == 0
+    assert native_predict(model, [])[0] == 0
 
 
 def test_random_uniform_model():
     model = train(PredictorSpec(kind="random_uniform"), [], alphabet_size=5)
-    pred, dist = model.predict([3])
+    pred, dist = native_predict(model, [3])
     assert pred == 0
     np.testing.assert_array_equal(dist, np.full(5, 0.2))
 
@@ -145,9 +145,9 @@ def test_mmc_equals_markov1_when_top_covers_alphabet(rng):
     assert mmc.other_resolution is None
     for ctx in ([0], [1], [2], [3], [2, 3]):
         np.testing.assert_array_equal(
-            mmc.predict(ctx)[1], m1.predict(ctx)[1]
+            native_predict(mmc, ctx)[1], native_predict(m1, ctx)[1]
         )
-        assert mmc.predict(ctx)[0] == m1.predict(ctx)[0]
+        assert native_predict(mmc, ctx)[0] == native_predict(m1, ctx)[0]
 
 
 def test_mmc_other_state_mass_spread(rng):
@@ -157,7 +157,7 @@ def test_mmc_other_state_mass_spread(rng):
     assert mmc.top_states == (0, 1)
     # most frequent non-top symbol is 3 (seen twice vs once for 4)
     assert mmc.other_resolution == 3
-    dist = mmc.predict([0])[1]
+    dist = native_predict(mmc, [0])[1]
     assert dist.shape == (5,)
     assert dist.sum() == pytest.approx(1.0)
     # the three non-top symbols share the other mass equally
@@ -180,7 +180,7 @@ def test_train_rejects_symbols_outside_alphabet(kind):
 
 def assert_same_as_dict(model, ref, contexts):
     for ctx in contexts:
-        pred, dist = model.predict(ctx)
+        pred, dist = native_predict(model, ctx)
         want_pred, want_dist = ref.predict(ctx)
         assert pred == want_pred
         np.testing.assert_array_equal(dist, want_dist)
@@ -224,6 +224,30 @@ def test_markov3_keys_do_not_overflow_at_a_wide_alphabet():
     assert_same_as_dict(train(spec, stream, K), ref, contexts)
 
 
+@pytest.mark.parametrize("top_m", ["1", "10", "100", "seen", "K-1", "K",
+                                   "K+1"])
+def test_mmc_at_a_wide_alphabet_equals_dict_reference(top_m):
+    # Zipf visits over 300 POIs leave some never seen, so a top set of
+    # every seen POI resolves "other" to the smallest unseen id; the
+    # 100th most frequent POI ties with its neighbours
+    K = 300
+    rng = np.random.default_rng(7)
+    weights = 1.0 / np.arange(1, K + 1)
+    stream = rng.choice(K, size=2500, p=weights / weights.sum()).tolist()
+    seen = len(set(stream))
+    assert seen < K - 1
+    m = {"seen": seen, "K-1": K - 1, "K": K, "K+1": K + 1}.get(top_m)
+    spec = PredictorSpec(kind="mmc", top_m=m or int(top_m))
+    ref = DictModel(spec, stream, K)
+    unseen = sorted(set(range(K)) - set(stream))
+    contexts = [stream[i - 1 : i] for i in range(1, 2500, 23)]
+    contexts += [[], [unseen[0]], [unseen[-1]], [stream[-1], unseen[0]]]
+    model = train(spec, stream, K)
+    assert_same_as_dict(model, ref, contexts)
+    if top_m == "seen":
+        assert model.other_resolution == unseen[0]
+
+
 def test_transition_counts_type_guard():
     model = train(PredictorSpec(kind="top_frequency"), [0, 1], alphabet_size=2)
     with pytest.raises(TypeError, match="transition table"):
@@ -245,7 +269,7 @@ def test_distribution_is_normalized(data, n_sym, kind):
     )
     model = train(spec, stream, alphabet_size=n_sym)
     ctx = data.draw(st.lists(st.integers(0, n_sym - 1), min_size=0, max_size=5))
-    pred, dist = model.predict(ctx)
+    pred, dist = native_predict(model, ctx)
     assert 0 <= pred < n_sym
     assert dist.shape == (n_sym,)
     assert np.all(dist > 0.0)
@@ -277,7 +301,7 @@ def test_external_matches_native_bitwise(rng):
         ext.send(train_block(seq))
         for ctx in ([0], [1], [2], [3], [1, 2], [3, 0, 1]):
             poi, dist = ext.predict(ctx)
-            n_poi, n_dist = native.predict(ctx)
+            n_poi, n_dist = native_predict(native, ctx)
             assert poi == n_poi
             np.testing.assert_array_equal(dist, n_dist)
 
@@ -288,7 +312,7 @@ def test_external_argmax_only(rng):
         ext.send(train_block(seq))
         poi, dist = ext.predict([2])
         assert dist is None
-        assert poi == train(M1, seq, alphabet_size=4).predict([2])[0]
+        assert poi == native_predict(train(M1, seq, alphabet_size=4), [2])[0]
 
 
 @pytest.mark.parametrize(
@@ -332,7 +356,7 @@ def test_reference_predictor_memo_answers_like_native(rng, monkeypatch,
         for ctx in contexts:
             lines.append(f"PREDICT {len(ctx)}")
             lines += [f"{s} {t}" for t, s in enumerate(ctx)]
-            pred, dist = native.predict(ctx)
+            pred, dist = native_predict(native, ctx)
             want.append(f"{pred} " + " ".join(repr(float(p)) for p in dist))
     predict = extpred.CountModel.predict
 
@@ -411,5 +435,5 @@ def test_external_sends_one_write_and_flush_per_request(rng, monkeypatch):
         for i in range(1, 4):
             poi, dist = ext.predict(ctx, list(range(64)))
             assert writes.count(stdin) == i
-            assert poi == native.predict(ctx)[0]
-            np.testing.assert_array_equal(dist, native.predict(ctx)[1])
+            assert poi == native_predict(native, ctx)[0]
+            np.testing.assert_array_equal(dist, native_predict(native, ctx)[1])

@@ -531,17 +531,11 @@ def test_evaluate_equals_per_position_oracle(case):
 
 
 class CountingModel:
-    """A native model that records every single-context predict and every
-    batch it is asked to score."""
+    """A native model that records every batch it is asked to score."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.contexts = []
         self.batches = []
-
-    def predict(self, context):
-        self.contexts.append(tuple(context))
-        return self.inner.predict(context)
 
     def score(self, seq, ends, truth):
         self.batches.append((seq.tolist(), ends.tolist(), truth.tolist()))
@@ -570,15 +564,15 @@ def counted(monkeypatch):
     ValidationPlan("block_rolling", k=5, p=2),
 ], ids=lambda plan: plan.label)
 def test_each_native_fold_is_one_batch(rng, counted, plan):
-    # one score call per fold, no single-context predict, and the batch
-    # ends read exactly the contexts and truths of the backward walk
+    # one score call per fold (native models and CountingModel have no
+    # single-context predict), and the batch ends read exactly the
+    # contexts and truths of the backward walk
     symbols = random_collapsed(rng, 400, 4)
     ds = make_dataset({"u": symbols}, n_pois=4)
     evaluate(ds, PredictorSpec(kind="markov_k", k=2), plan)
     folds = make_folds(plan, len(symbols))
     assert len(counted["models"]) == len(folds)
     for model, fold in zip(counted["models"], folds):
-        assert model.contexts == []
         (seq, ends, truth), = model.batches
         assert truth == [seq[e] for e in ends]
         want = contexts_by_walk(
