@@ -56,6 +56,7 @@ from .ingest import (
 from .jsonutil import (
     canonical_dumps,
     read_json,
+    record_dict,
     sha256_file,
     write_canonical_json,
 )
@@ -248,8 +249,7 @@ def parse_scheme_arg(
 
 
 def _spec_from_args(args) -> SourceSpec:
-    if args.spec:
-        return spec_from_dict(read_json(args.spec))
+    _read_options(args, "--kind", _KIND_OPTIONS[args.kind], _SYNTH_DEFAULTS)
     common = {
         "n_symbols": args.n,
         "n_users": args.users,
@@ -335,30 +335,30 @@ def ingest_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--name", default=None)
 
 
-def _ingest_options(args) -> dict:
-    """--cols, --tz-offset and --dedup by flag, each its default when not
-    given; one given that --format does not read is a usage error."""
-    reads = _FORMAT_OPTIONS[args.format]
-    out = {}
-    for flag, default in _INGEST_DEFAULTS.items():
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None and flag not in reads:
+def _read_options(args, flag: str, reads: tuple, defaults: dict) -> None:
+    """Set each option of `defaults` that was not given to its default;
+    one given that the chosen `flag` (--format, --kind) does not read is
+    a usage error."""
+    for option, default in defaults.items():
+        dest = option[2:].replace("-", "_")
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif option not in reads:
             raise UsageError(
-                f"--format {args.format} does not read {flag}; it reads: "
-                f"{', '.join(reads) or 'none'}"
+                f"{flag} {getattr(args, flag[2:])} does not read {option}; "
+                f"it reads: {', '.join(reads) or 'none'}"
             )
-        out[flag] = default if value is None else value
-    return out
 
 
 def cmd_ingest(args) -> Run:
     out_dir = _require_out(args, "dataset directory")
-    opts = _ingest_options(args)
+    _read_options(args, "--format", _FORMAT_OPTIONS[args.format],
+                  _INGEST_DEFAULTS)
     cfg = IngestConfig(
         format=args.format,
-        column_map=parse_cols(opts["--cols"]),
-        tz_offset_seconds=opts["--tz-offset"],
-        dedup_policy=opts["--dedup"],
+        column_map=parse_cols(args.cols),
+        tz_offset_seconds=args.tz_offset,
+        dedup_policy=args.dedup,
     )
     name = args.name or Path(args.input).stem
     config = {**asdict(cfg), "name": name}
@@ -375,14 +375,7 @@ def cmd_ingest(args) -> Run:
         trajs, out_dir, name,
         provenance={"format": cfg.format, "source_path": Path(args.input).name},
     )
-    write_canonical_json(
-        out_dir / "ingest_report.json",
-        {
-            "rows_read": rep.rows_read,
-            "points_kept": rep.points_kept,
-            "rejects": [[line, reason] for line, reason in rep.rejects],
-        },
-    )
+    write_canonical_json(out_dir / "ingest_report.json", record_dict(rep))
     print(
         f"ingested {rep.points_kept} points from {rep.rows_read} rows "
         f"({len(rep.rejects)} rejected) for {len(trajs)} users -> {out_dir}"
@@ -427,30 +420,47 @@ def cmd_extract_poi(args) -> Run:
                [out_dir / f for f in DATASET_FILES])
 
 
+# synth's kind-specific options with their defaults, and the ones each
+# --kind reads; giving one that it does not read exits 2.  copy_with_gap
+# has 4 POIs, so it reads --alphabet-size only to check that it is 4.
+_SYNTH_DEFAULTS = {"--alphabet-size": 4, "--dist": None, "--pattern": None,
+                   "--transition": None, "--k": 1, "--eps": 0.0,
+                   "--spec-a": None, "--spec-b": None,
+                   "--switch-fraction": 0.5}
+_KIND_OPTIONS = {
+    "iid": ("--alphabet-size", "--dist"),
+    "periodic": ("--pattern",),
+    "markov_order_k": ("--transition",),
+    "copy_with_gap": ("--k", "--eps", "--alphabet-size"),
+    "regime_switch": ("--spec-a", "--spec-b", "--switch-fraction"),
+}
+
+
 def synth_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", default="iid",
-                   choices=["iid", "periodic", "markov_order_k",
-                            "copy_with_gap", "regime_switch"])
+    p.add_argument("--kind", default="iid", choices=list(_KIND_OPTIONS))
     p.add_argument("--n", type=int, default=10000,
                    help="symbols per user before collapse")
     p.add_argument("--users", type=int, default=1)
-    p.add_argument("--alphabet-size", type=int, default=4)
+    p.add_argument("--alphabet-size", type=int)
     p.add_argument("--dist", default=None, help="iid probabilities, comma-separated")
     p.add_argument("--pattern", default=None, help="periodic symbols, comma-separated")
     p.add_argument("--transition", default=None,
                    help="JSON file with the transition table")
-    p.add_argument("--k", type=int, default=1, help="copy_with_gap gap")
-    p.add_argument("--eps", type=float, default=0.0, help="copy noise")
+    p.add_argument("--k", type=int, help="copy_with_gap gap")
+    p.add_argument("--eps", type=float, help="copy noise")
     p.add_argument("--spec-a", default=None, help="regime A spec JSON file")
     p.add_argument("--spec-b", default=None, help="regime B spec JSON file")
-    p.add_argument("--switch-fraction", type=float, default=0.5)
-    p.add_argument("--spec", default=None,
-                   help="full source spec JSON file (overrides other flags)")
+    p.add_argument("--switch-fraction", type=float)
 
 
 def cmd_synth(args) -> Run:
     out_dir = _require_out(args, "dataset directory")
+    given_size = args.alphabet_size  # before _spec_from_args defaults it
     spec = _spec_from_args(args)
+    if given_size not in (None, spec.alphabet_size):
+        raise UsageError(f"--kind {args.kind} with these options has "
+                         f"{spec.alphabet_size} POIs, not --alphabet-size "
+                         f"{given_size}")
     ds, ground_truth = generate(spec)
     save_dataset(ds, out_dir)
     write_canonical_json(out_dir / "ground_truth.json", ground_truth)
@@ -567,7 +577,7 @@ def cmd_validate(args) -> Run:
                             args.context_window)
     result = evaluate(ds, spec, plan)
     out = _out_file(args, "folds.csv")
-    write_folds_csv(out, result.fold_results)
+    write_folds_csv(out, result.folds)
     results_path = out.parent / "results.json"
     write_canonical_json(results_path, result.to_dict())
     bits = (
@@ -575,7 +585,7 @@ def cmd_validate(args) -> Run:
         if result.bits_weighted is not None else "n/a"
     )
     print(
-        f"{result.model_label} under {result.plan_label} "
+        f"{result.model} under {result.plan} "
         f"({'leaky' if result.leaky else 'leakage-free'}): "
         f"accuracy user-mean {result.accuracy_user_mean:.4f}, "
         f"weighted {result.accuracy_weighted:.4f}, bits/symbol {bits}, "
@@ -613,7 +623,7 @@ def cmd_sensitivity(args) -> Run:
     rows_json = out.parent / "sensitivity.json"
     write_canonical_json(
         rows_json,
-        {"model": spec.label, "rows": [asdict(r) for r in rows]},
+        {"model": spec.label, "rows": [record_dict(r) for r in rows]},
     )
     spread = max(r.accuracy_user_mean for r in rows) - min(
         r.accuracy_user_mean for r in rows

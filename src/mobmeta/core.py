@@ -150,12 +150,6 @@ class PoiAlphabet:
     def separator_id(self) -> int:
         return len(self.entries)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, poi_id: int) -> bool:
-        return 0 <= poi_id < len(self.entries)
-
     @classmethod
     def synthetic(cls, size: int) -> "PoiAlphabet":
         """``size`` POIs without geography: centroids at lat 0 on a

@@ -96,14 +96,14 @@ class CountModel:
     """One TRAIN block's model.
 
     markov:k counts orders 0..k, top_frequency order 0 alone and
-    random_uniform nothing.  mmc:M counts orders 0..1 of the stream of
-    states: state i is the i-th smallest id of the top set (the M most
-    frequent training POIs, ties to the smaller id, or the whole alphabet
-    when M covers it), and a last "other" state, present when the top
-    set does not cover the alphabet, stands for every other POI.  Its
-    probability is split evenly over them, and it resolves to the most
-    frequent POI outside the top set (the smallest unseen id when none
-    was seen).
+    random_uniform nothing.  mmc:M with M below the alphabet size counts
+    orders 0..1 of the stream of states: state i is the i-th smallest id
+    of the top set (the M most frequent training POIs, ties to the
+    smaller id), and a last "other" state stands for every other POI.
+    Its probability is split evenly over them, and it resolves to the
+    most frequent POI outside the top set (the smallest unseen id when
+    none was seen).  A larger M leaves no other POI: that mmc is
+    markov:1.
     """
 
     def __init__(self, kind: str, arg: int, symbols: list[int], n: int):
@@ -117,16 +117,14 @@ class CountModel:
             raise ValueError("training symbol outside alphabet")
         self.n = n
         self.state: dict[int, int] | None = None  # mmc: top POI -> state
-        if kind == "mmc":
+        if kind == "mmc" and arg < n:
             freq = Counter(symbols)
             by_freq = sorted(freq, key=lambda s: (-freq[s], s))
-            top, other = list(range(n)), []
-            if arg < n:
-                top = sorted(by_freq[:arg])
-                other = ([by_freq[arg]] if len(by_freq) > arg else
-                         [next(i for i, s in enumerate(top + [n]) if s != i)])
+            top = sorted(by_freq[:arg])
+            other = (by_freq[arg] if len(by_freq) > arg else
+                     next(i for i, s in enumerate(top + [n]) if s != i))
             self.state = {s: i for i, s in enumerate(top)}
-            self.resolve = top + other
+            self.resolve = top + [other]
             symbols = [self.state.get(s, len(top)) for s in symbols]
         self.orders = _windows(symbols, self.k)
 

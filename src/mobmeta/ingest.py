@@ -47,7 +47,7 @@ from .core import (
     RawTrajectory,
     check_poi_ids,
 )
-from .jsonutil import is_number, sha256_file, write_canonical_json
+from .jsonutil import is_number, record_dict, sha256_file, write_canonical_json
 
 SCHEMA_VERSION = 1
 
@@ -401,10 +401,8 @@ def save_dataset(ds: Dataset, dir_path: str | Path) -> None:
          for seq in ds.sequences),
         {"name": ds.name, "stage": "dataset", "provenance": ds.provenance},
     )
-    write_canonical_json(d / "alphabet.json", [
-        {"poi_id": e.poi_id, "lat": e.lat, "lon": e.lon, "label": e.label}
-        for e in ds.alphabet.entries
-    ])
+    write_canonical_json(d / "alphabet.json",
+                         [record_dict(e) for e in ds.alphabet.entries])
 
 
 def _meta(d: Path) -> dict:

@@ -34,6 +34,14 @@ def is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def record_dict(record: Any) -> dict:
+    """A dataclass record's fields by name, each tuple a list, copying no
+    value (unlike asdict).  Read from the instance dict, so the record may
+    have no __slots__ and no attribute besides its fields."""
+    return {name: list(value) if isinstance(value, tuple) else value
+            for name, value in vars(record).items()}
+
+
 def sha256_file(*paths: str | Path) -> str:
     """Hex sha256 of the files' bytes, read one after another."""
     h = hashlib.sha256()

@@ -184,7 +184,8 @@ def _count(symbols: np.ndarray, n: int, k: int) -> tuple[_Table, ...]:
 @dataclass(frozen=True)
 class MarkovModel:
     """Counts of orders 0..k with backoff: markov_k, top_frequency (order 0
-    alone) and random_uniform (no order, so every prediction is uniform).
+    alone), random_uniform (no order, so every prediction is uniform) and
+    an mmc whose top set covers the alphabet (order 1, so markov_1).
 
     tables[j] holds the order-j counts (see _Table).
     """
@@ -233,51 +234,44 @@ class MmcModel:
     """First-order chain over the top-M training POIs plus an "other" state.
 
     States are dense: state i is top_states[i] (sorted poi ids) and the
-    trailing state is "other", present only when the top set does not
-    cover the alphabet; without it the model coincides with markov_1
-    exactly, smoothing included.  Back in poi space, "other" probability
+    trailing state is "other".  Back in poi space, "other" probability
     mass is spread uniformly over the non-top symbols and an "other"
     argmax resolves to other_resolution, the most frequent non-top
-    training POI (None without an "other" state).  _mmc takes the top
-    set and other_resolution from the training stream's POI counts, and
-    inner counts that stream mapped to states.
+    training POI.  _mmc takes the top set and other_resolution from the
+    training stream's POI counts, and inner counts that stream mapped to
+    states.  A top set that covers the alphabet leaves no "other" POI:
+    that mmc is markov_1 exactly, smoothing included, and `train` fits
+    it as such.
     """
 
     spec: PredictorSpec
     alphabet_size: int
     inner: MarkovModel
     top_states: tuple[int, ...]
-    other_resolution: Optional[int]
+    other_resolution: int
 
     def score(self, seq: np.ndarray, ends: np.ndarray, truth: np.ndarray):
         truth = _states(self.top_states, truth)
         best, p = self.inner.score(_states(self.top_states, seq), ends, truth)
-        resolve = self.top_states
-        if self.other_resolution is not None:
-            n_top = len(resolve)
-            p[truth == n_top] /= self.alphabet_size - n_top
-            resolve += (self.other_resolution,)
-        return np.asarray(resolve)[best], p
+        n_top = len(self.top_states)
+        p[truth == n_top] /= self.alphabet_size - n_top
+        return np.asarray(self.top_states + (self.other_resolution,))[best], p
 
 
 def _mmc(spec: PredictorSpec, symbols: np.ndarray, n: int) -> MmcModel:
-    """The mmc of a training stream over n symbols: its top set and
-    "other" resolution by POI frequency, and its state chain counted on
-    the stream mapped to states."""
-    other = None
-    if spec.top_m >= n:
-        top = tuple(range(n))
+    """The mmc of a training stream over n > top_m symbols: its top set
+    and "other" resolution by POI frequency, and its state chain counted
+    on the stream mapped to states."""
+    seen, counts = np.unique(symbols, return_counts=True)
+    # seen POIs by descending count, then ascending id
+    by_freq = seen[np.argsort(-counts, kind="stable")]
+    top = tuple(sorted(by_freq[: spec.top_m].tolist()))
+    if by_freq.size > spec.top_m:
+        other = int(by_freq[spec.top_m])
     else:
-        seen, counts = np.unique(symbols, return_counts=True)
-        # seen POIs by descending count, then ascending id
-        by_freq = seen[np.argsort(-counts, kind="stable")]
-        top = tuple(sorted(by_freq[: spec.top_m].tolist()))
-        if by_freq.size > spec.top_m:
-            other = int(by_freq[spec.top_m])
-        else:
-            # the smallest id missing from the sorted top set
-            other = next(i for i, s in enumerate(top + (n,)) if s != i)
-    n_states = len(top) + (other is not None)
+        # the smallest id missing from the sorted top set
+        other = next(i for i, s in enumerate(top + (n,)) if s != i)
+    n_states = len(top) + 1
     inner = MarkovModel(replace(spec, kind="markov_k", k=1), n_states,
                         _count(_states(top, symbols), n_states, 1))
     return MmcModel(spec, n, inner, top, other)
@@ -304,7 +298,7 @@ def train(spec: PredictorSpec, symbols: Sequence[int], alphabet_size: int):
             f"{spec.label} needs at least {k + 1} training "
             f"symbol{'s' if k else ''}, got {symbols.size}"
         )
-    if spec.kind == "mmc":
+    if spec.kind == "mmc" and spec.top_m < alphabet_size:
         return _mmc(spec, symbols, alphabet_size)
     return MarkovModel(spec, alphabet_size, _count(symbols, alphabet_size, k))
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -20,6 +22,7 @@ from .characterize import report_from_dict
 from .core import DataError, Dataset
 from .jsonutil import is_number, read_json, write_canonical_json
 from .poi import haversine_m
+from .validation import SensitivityRow
 
 SUMMARY_SCHEMA_ID = "mobmeta.summary.v1"
 
@@ -95,17 +98,16 @@ FOLDS_CSV_COLUMNS = (
 )
 
 
+def _write_records_csv(path: Union[str, Path], columns: Sequence[str],
+                       records) -> None:
+    """One row per record: its fields named by columns, in their order."""
+    cells = attrgetter(*columns)
+    _write_csv(Path(path), columns, (_fmt_row(cells(r)) for r in records))
+
+
 def write_folds_csv(path: Union[str, Path], results) -> None:
-    """One row per (user, fold) from EvaluationResult.fold_results."""
-    lines = (
-        _fmt_row((
-            r.user_id, r.fold_index, r.train_lo, r.train_hi, r.test_lo,
-            r.test_hi, r.accuracy, r.bits_per_symbol, r.n_predictions,
-            r.leaky,
-        ))
-        for r in results
-    )
-    _write_csv(Path(path), FOLDS_CSV_COLUMNS, lines)
+    """One row per FoldResult of EvaluationResult.folds."""
+    _write_records_csv(path, FOLDS_CSV_COLUMNS, results)
 
 
 def write_fold_curve_csv(path: Union[str, Path], results) -> None:
@@ -136,13 +138,8 @@ def write_compression_csv(path: Union[str, Path], results) -> None:
 
 
 def write_sensitivity_csv(path: Union[str, Path], rows) -> None:
-    _write_csv(
-        Path(path),
-        ["scheme", "params", "accuracy_user_mean", "accuracy_weighted",
-         "leaky"],
-        (_fmt_row((r.scheme, r.params, r.accuracy_user_mean,
-                   r.accuracy_weighted, r.leaky)) for r in rows),
-    )
+    """One row per SensitivityRow, every field in order."""
+    _write_records_csv(path, [f.name for f in fields(SensitivityRow)], rows)
 
 
 def granularity(ds: Dataset) -> tuple[Optional[float], Optional[float]]:

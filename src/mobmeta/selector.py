@@ -17,6 +17,7 @@ from typing import Optional, Sequence, Union
 
 from .core import DataError
 from .characterize import MetaAttributeReport
+from .jsonutil import record_dict
 
 VERDICTS = ("markov_class", "rnn_lstm_class", "hm_rnn_class")
 
@@ -87,13 +88,8 @@ class Recommendation:
     trace: tuple[dict, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "fired_rule": self.fired_rule,
-            "rationale": self.rationale,
-            "derived": self.derived,
-            "trace": list(self.trace),
-        }
+        """The recommendation.json object: every field."""
+        return record_dict(self)
 
 
 def validate_rules(rules: Sequence[SelectionRule]) -> None:

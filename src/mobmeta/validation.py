@@ -40,6 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import DataError, Dataset, InfeasiblePlanError
+from .jsonutil import record_dict
 from .predictors import (
     ExternalModel, Pipes, PredictorSpec, request_block, request_lines, train,
 )
@@ -222,8 +223,10 @@ def make_folds(plan: ValidationPlan, n: int) -> list[Fold]:
 
 @dataclass(frozen=True)
 class FoldResult:
+    """One (user, fold): its fields are the keys of a results.json fold."""
+
     user_id: str
-    fold_index: int
+    fold: int
     train_lo: int
     train_hi: int
     test_lo: int
@@ -237,9 +240,11 @@ class FoldResult:
 
 @dataclass(frozen=True)
 class EvaluationResult:
-    plan_label: str
-    model_label: str
-    fold_results: tuple[FoldResult, ...]
+    """One evaluate run; its fields are the keys of results.json."""
+
+    plan: str
+    model: str
+    folds: tuple[FoldResult, ...]
     excluded_users: tuple[str, ...]
     accuracy_user_mean: float
     accuracy_weighted: float
@@ -251,41 +256,17 @@ class EvaluationResult:
     def fold_curve(self) -> list[tuple[int, float]]:
         """Mean accuracy per fold index across users (for drift plots)."""
         by_fold: dict[int, list[float]] = {}
-        for r in self.fold_results:
-            by_fold.setdefault(r.fold_index, []).append(r.accuracy)
+        for r in self.folds:
+            by_fold.setdefault(r.fold, []).append(r.accuracy)
         return [
             (f, float(np.mean(accs))) for f, accs in sorted(by_fold.items())
         ]
 
     def to_dict(self) -> dict:
-        return {
-            "plan": self.plan_label,
-            "model": self.model_label,
-            "leaky": self.leaky,
-            "accuracy_user_mean": self.accuracy_user_mean,
-            "accuracy_weighted": self.accuracy_weighted,
-            "bits_user_mean": self.bits_user_mean,
-            "bits_weighted": self.bits_weighted,
-            "n_predictions": self.n_predictions,
-            "excluded_users": list(self.excluded_users),
-            "fold_curve": [[f, a] for f, a in self.fold_curve()],
-            "folds": [
-                {
-                    "user_id": r.user_id,
-                    "fold": r.fold_index,
-                    "train_lo": r.train_lo,
-                    "train_hi": r.train_hi,
-                    "test_lo": r.test_lo,
-                    "test_hi": r.test_hi,
-                    "n_correct": r.n_correct,
-                    "n_predictions": r.n_predictions,
-                    "accuracy": r.accuracy,
-                    "bits_per_symbol": r.bits_per_symbol,
-                    "leaky": r.leaky,
-                }
-                for r in self.fold_results
-            ],
-        }
+        """The results.json object: every field, and the fold curve."""
+        return {**record_dict(self),
+                "folds": [record_dict(r) for r in self.folds],
+                "fold_curve": [[f, a] for f, a in self.fold_curve()]}
 
 
 def _context_need(spec: PredictorSpec, plan: ValidationPlan) -> int:
@@ -344,7 +325,7 @@ def _fold_result(user_id: str, fold: Fold, pos: np.ndarray, n_correct: int,
     n_pred = int(fold.test_idx.shape[0])
     return FoldResult(
         user_id=user_id,
-        fold_index=fold.index,
+        fold=fold.index,
         train_lo=int(pos[0]),
         train_hi=int(pos[-1]) + 1,
         test_lo=int(fold.test_idx[0]),
@@ -539,9 +520,9 @@ def evaluate(
             / total_pred
         )
     return EvaluationResult(
-        plan_label=plan.label,
-        model_label=spec.label,
-        fold_results=tuple(all_results),
+        plan=plan.label,
+        model=spec.label,
+        folds=tuple(all_results),
         excluded_users=tuple(excluded),
         accuracy_user_mean=float(np.mean(per_user_acc)),
         accuracy_weighted=total_correct / total_pred,

@@ -67,6 +67,98 @@ def tree_bytes(directory):
     }
 
 
+def synth_files(tmp_path):
+    """Paths to substitute for "{transition}" and "{spec}" in synth args:
+    a transition table and a periodic source spec."""
+    spec = tmp_path / "periodic.json"
+    spec.write_text(json.dumps({"kind": "periodic", "n_symbols": 60,
+                                "pattern": [0, 1, 2]}), encoding="utf-8")
+    return {"transition": str(write_zero_diag_transition(tmp_path)),
+            "spec": str(spec)}
+
+
+@pytest.mark.parametrize("kind, given, refused, reads", [
+    ("iid", ["--pattern", "0,1,2", "--k", "5"], "--pattern",
+     "--alphabet-size, --dist"),
+    ("iid", ["--eps", "0.0"], "--eps", "--alphabet-size, --dist"),
+    ("periodic", ["--pattern", "0,1,2", "--alphabet-size", "3"],
+     "--alphabet-size", "--pattern"),
+    ("markov_order_k", ["--transition", "{transition}", "--k", "2"], "--k",
+     "--transition"),
+    ("copy_with_gap", ["--k", "3", "--switch-fraction", "0.3"],
+     "--switch-fraction", "--k, --eps, --alphabet-size"),
+    ("regime_switch", ["--spec-a", "{spec}", "--spec-b", "{spec}",
+                       "--dist", "0.5,0.5"], "--dist",
+     "--spec-a, --spec-b, --switch-fraction"),
+], ids=["iid-pattern", "iid-eps", "periodic-alphabet-size",
+        "markov_order_k-k", "copy_with_gap-switch-fraction",
+        "regime_switch-dist"])
+def test_synth_refuses_an_option_its_kind_does_not_read(
+        tmp_path, capsys, kind, given, refused, reads):
+    # given with its default value too: the kind would ignore it
+    given = [arg.format(**synth_files(tmp_path)) for arg in given]
+    rc = main(["synth", "--kind", kind, *given, "--n", "60",
+               "--out", str(tmp_path / "d")])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert (f"usage error: --kind {kind} does not read {refused}; "
+            f"it reads: {reads}") in err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("given, pois", [
+    (["--kind", "copy_with_gap", "--alphabet-size", "10"], 4),
+    (["--kind", "iid", "--dist", "0.5,0.5", "--alphabet-size", "3"], 2),
+], ids=["copy_with_gap", "iid-dist"])
+def test_synth_refuses_an_alphabet_size_its_source_does_not_have(
+        tmp_path, capsys, given, pois):
+    rc = main(["synth", *given, "--n", "60", "--out", str(tmp_path / "d")])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert (f"usage error: --kind {given[1]} with these options has {pois} "
+            f"POIs, not --alphabet-size {given[-1]}") in err
+    assert not (tmp_path / "d").exists()
+
+
+def test_synth_spec_option_is_gone(tmp_path, capsys):
+    # --spec read a whole source spec and overrode every other option
+    with pytest.raises(SystemExit) as e:
+        main(["synth", "--kind", "copy_with_gap", "--k", "3",
+              "--spec", synth_files(tmp_path)["spec"],
+              "--out", str(tmp_path / "d")])
+    assert e.value.code == 2
+    assert "--spec" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("given, config_hash", [
+    (["--kind", "iid"],
+     "266fed3263156bfa9954e3d0d8883a43b2a7a673463b07a3ae636309505de6a2"),
+    (["--kind", "iid", "--alphabet-size", "4"],
+     "266fed3263156bfa9954e3d0d8883a43b2a7a673463b07a3ae636309505de6a2"),
+    (["--kind", "copy_with_gap"],
+     "a1050b414c1999333c5f36f295197601d15294a56cfe6f15d7cb9af859335e8d"),
+    (["--kind", "copy_with_gap", "--k", "1", "--eps", "0",
+      "--alphabet-size", "4"],
+     "a1050b414c1999333c5f36f295197601d15294a56cfe6f15d7cb9af859335e8d"),
+    (["--kind", "regime_switch", "--spec-a", "{spec}", "--spec-b",
+      "{spec}"],
+     "fd16f456abf01d60a628a16f6d20e4eb86514ab68696d74f6c2e687e7a38d137"),
+    (["--kind", "regime_switch", "--spec-a", "{spec}", "--spec-b", "{spec}",
+      "--switch-fraction", "0.5"],
+     "fd16f456abf01d60a628a16f6d20e4eb86514ab68696d74f6c2e687e7a38d137"),
+], ids=["iid", "iid-default-given", "copy_with_gap",
+        "copy_with_gap-defaults-given", "regime_switch",
+        "regime_switch-default-given"])
+def test_synth_default_config_hash(tmp_path, capsys, given, config_hash):
+    # the pinned hashes of the default configs: an option left out and one
+    # given at its default value configure the same run
+    given = [arg.format(**synth_files(tmp_path)) for arg in given]
+    ok(["synth", *given, "--n", 60, "--out", tmp_path / "d"], capsys)
+    assert read_manifest(tmp_path / "d")["config_hash"] == (
+        "sha256:" + config_hash)
+
+
 def test_synth_writes_dataset_and_ground_truth(tmp_path, capsys):
     d = synth_periodic(tmp_path, capsys)
     for name in ("alphabet.json", "sequences.jsonl", "meta.json",
@@ -287,6 +379,66 @@ def test_writer_bytes_pinned(tmp_path, capsys):
         assert read_manifest(tmp_path / directory)["dataset_hash"] == (
             WRITER_DATASET_HASH
         )
+
+
+# sha256 of the artifacts written from a record's fields (FoldResult and
+# EvaluationResult, SensitivityRow, Recommendation, IngestReport and
+# PoiRecord): writing them another way must reproduce these bytes.
+RECORD_PINS = {
+    "m2/results.json": "0ed2ae8664ef8bf8bf191b8de0bf6ec3"
+                       "afb6da9d309f68c5dcbf29f8d9f0715e",
+    "m2/folds.csv": "a51ab50aa37bdf1dfb5c7bb99c45d2f9"
+                    "b5836ff9f2405a443100cdec457d427e",
+    "mmc/results.json": "8cf501bc4a8f7d11c0aa2109d0db24f0"
+                        "0ae58a0d18583a4f103109ab4d871b14",
+    "mmc/folds.csv": "0ce4020675d749cd995ec96031da3e23"
+                     "fc1e7ec27e3cf7e7a5efd38ffed8ebf5",
+    "sens/sensitivity.json": "4dde9f63fd796aae43c8b4a94db4b91d"
+                             "4a7cfd92889f5b058589eeb3e98e41cc",
+    "sens/table.csv": "79a9d2f8ed2b141835fcc063ab4338e0"
+                      "286376a82b234e8f409adf585e63c932",
+    "rec/recommendation.json": "42f85ab7754811416436ca0009a204fd"
+                               "4c20ab9ff512fde65b842a49b03f5c0e",
+    "d/alphabet.json": "49f6e61b54a8c57395c85e96ecdf5350"
+                       "c8cbdf962274736f0563ac05fc4d93df",
+    "raw/ingest_report.json": "3bf8b7574107450c3ee10597de34a9b8"
+                              "bb4958cb1e45a65664562d0ed2ca7525",
+    "ds/alphabet.json": "5eef14bb909344ce04a1ee5dd051f8cb"
+                        "573b38f75ae3070014b41bcc335cbf43",
+}
+
+
+def test_record_bytes_pinned(tmp_path, capsys):
+    d = tmp_path / "d"
+    ok(["synth", "--kind", "copy_with_gap", "--k", 3, "--eps", 0.1,
+        "--n", 600, "--users", 3, "--seed", 13, "--out", d], capsys)
+    ok(["validate", d, "--model", "markov:2",
+        "--scheme", "block_rolling:k=10,p=2",
+        "--out", tmp_path / "m2" / "folds.csv"], capsys)
+    ok(["validate", d, "--model", "mmc:3", "--scheme", "rolling:k=10",
+        "--out", tmp_path / "mmc" / "folds.csv"], capsys)
+    ok(["sensitivity", d, "--model", "mmc:3", "--seed", 2,
+        "--out", tmp_path / "sens" / "table.csv"], capsys)
+    ok(["characterize", d, "--dmax", 8,
+        "--out", tmp_path / "ch" / "report.json"], capsys)
+    ok(["recommend", tmp_path / "ch" / "report.json",
+        "--out", tmp_path / "rec" / "recommendation.json"], capsys)
+    # two dwells at each of two places 5 km apart, then a blank line and
+    # a repeated fix, which the ingest report lists as rejects
+    lat_b = 45.0 + 5000.0 / 111194.92664455873
+    rows = [f"u1,{lat},7.0,{120 * i}"
+            for i, lat in enumerate(x for x in (45.0, lat_b) * 2
+                                    for _ in range(15))]
+    src = tmp_path / "fixes.csv"
+    src.write_text("\n".join(rows + ["", rows[-1]]) + "\n", encoding="utf-8")
+    ok(["ingest", src, "--out", tmp_path / "raw"], capsys)
+    ok(["extract-poi", tmp_path / "raw", "--min-visits", 1,
+        "--out", tmp_path / "ds"], capsys)
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in RECORD_PINS
+    }
+    assert got == RECORD_PINS
 
 
 def test_ingest_extract_poi_path(tmp_path, capsys):
@@ -603,7 +755,8 @@ def test_version_flag(capsys):
 # The two characterize pins were recorded again when its scope flags
 # were removed and its other options got help lines; validate -h,
 # sensitivity -h and "validate ds" when --concat-users was removed and
-# the two commands came to share their predictor arguments.
+# the two commands came to share their predictor arguments; synth -h and
+# "synth --n x" when synth --spec was removed.
 PARSER_OUTPUT_SHA256 = {
     ("-h",): "7bce9b06ecae00584fc75514dc7ed69cdb5ea59840eb5e79732c799b3402b91a",
     ("ingest", "-h"):
@@ -611,7 +764,7 @@ PARSER_OUTPUT_SHA256 = {
     ("extract-poi", "-h"):
         "0e2c12651a9e9c5576e345c518653df312948220f43486aea607080dc775d25b",
     ("synth", "-h"):
-        "78bf7209361f9486b6556fa34a844ce0b8cabc5f928ebf5f7af086629744dc35",
+        "5079b4621a7c9eb08d28ffe142c43f16534ae999c04bb540fef600346086c1be",
     ("characterize", "-h"):
         "6b585c8eaf779e6792eabab83ecf45c6491bddd2df03b38955b91e7b768628ed",
     ("validate", "-h"):
@@ -632,7 +785,7 @@ PARSER_OUTPUT_SHA256 = {
     ("ingest", "x", "--format", "nope"):
         "64f898e4bcf95bcc694ad92aafb64c684a7a6ac9180722d2526f25b6d9eebe7f",
     ("synth", "--n", "x"):
-        "a1bc87fad05b5ce170934969c5eb16c5943368cfc5859d2f23286ce6fd146982",
+        "75b124578cabd217052b33d5c0b8a6a30c66385e6d5ef8fdb9ad927301616d0e",
 }
 
 

@@ -104,7 +104,7 @@ def test_alphabet_dense_ids_and_separator():
     )
     assert alpha.size == 2
     assert alpha.separator_id == 2
-    assert 1 in alpha and 2 not in alpha
+    assert [e.poi_id for e in alpha.entries] == [0, 1]
     with pytest.raises(DataError):
         PoiAlphabet((PoiRecord(1, 0.0, 0.0, "a"),))
     synthetic = PoiAlphabet.synthetic(3)

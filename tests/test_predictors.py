@@ -13,6 +13,8 @@ from mobmeta import extpred, predictors
 from mobmeta.core import DataError
 from mobmeta.predictors import (
     ExternalModel,
+    MarkovModel,
+    MmcModel,
     PredictorSpec,
     ProtocolError,
     parse_model,
@@ -44,11 +46,15 @@ def test_spec_validation_and_labels():
     (PredictorSpec(kind="mmc", top_m=3), 1),
     (PredictorSpec(kind="markov_k", k=1), 1),
     (PredictorSpec(kind="markov_k", k=3), 3),
+    (PredictorSpec(kind="mmc", top_m=2), 1),
 ])
 def test_spec_order_is_the_highest_order_trained(spec, order):
     assert spec.order == order
     model = train(spec, [0, 1, 2, 0, 1, 2, 0], 3)
-    tables = model.inner.tables if spec.kind == "mmc" else model.tables
+    # mmc over part of the alphabet counts its state chain, and mmc over
+    # all of it is markov_1
+    tables = (model.inner.tables if isinstance(model, MmcModel)
+              else model.tables)
     assert len(tables) == order + 1
 
 
@@ -142,7 +148,8 @@ def test_mmc_equals_markov1_when_top_covers_alphabet(rng):
     seq = random_collapsed(rng, 200, 4)
     mmc = train(PredictorSpec(kind="mmc", top_m=10), seq, alphabet_size=4)
     m1 = train(M1, seq, alphabet_size=4)
-    assert mmc.other_resolution is None
+    assert type(mmc) is MarkovModel
+    assert transition_counts(mmc) == transition_counts(m1)
     for ctx in ([0], [1], [2], [3], [2, 3]):
         np.testing.assert_array_equal(
             native_predict(mmc, ctx)[1], native_predict(m1, ctx)[1]

@@ -96,10 +96,10 @@ def test_folds_csv_columns(tmp_path):
         ValidationPlan("block_rolling", k=5, p=1),
     )
     p = tmp_path / "folds.csv"
-    write_folds_csv(p, res.fold_results)
+    write_folds_csv(p, res.folds)
     lines = p.read_text().splitlines()
     assert lines[0] == ",".join(FOLDS_CSV_COLUMNS)
-    assert len(lines) == 1 + len(res.fold_results)
+    assert len(lines) == 1 + len(res.folds)
     assert lines[1].startswith("a,0,0,24,24,48,")
     assert lines[1].endswith(",24,false")
 

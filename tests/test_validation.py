@@ -257,7 +257,7 @@ def test_perfect_predictor_on_cycle():
         M1,
         ValidationPlan("block_rolling", k=10, p=1),
     )
-    assert all(r.accuracy == 1.0 for r in res.fold_results)
+    assert all(r.accuracy == 1.0 for r in res.folds)
     assert res.accuracy_user_mean == 1.0
     assert res.accuracy_weighted == 1.0
     assert res.bits_weighted is not None and res.bits_weighted <= 0.02
@@ -335,20 +335,20 @@ def test_markov2_beats_markov1_on_order2_source():
 def test_aggregate_identity_and_bounds():
     ds = order2_dataset()
     res = evaluate(ds, M1, ValidationPlan("block_rolling", k=10, p=1))
-    total_correct = sum(r.n_correct for r in res.fold_results)
-    total_pred = sum(r.n_predictions for r in res.fold_results)
+    total_correct = sum(r.n_correct for r in res.folds)
+    total_pred = sum(r.n_predictions for r in res.folds)
     assert res.n_predictions == total_pred
     assert res.accuracy_weighted == total_correct / total_pred
     per_user = {}
-    for r in res.fold_results:
+    for r in res.folds:
         per_user.setdefault(r.user_id, []).append(r.accuracy)
     assert res.accuracy_user_mean == pytest.approx(
         float(np.mean([np.mean(v) for v in per_user.values()]))
     )
-    assert all(0.0 <= r.accuracy <= 1.0 for r in res.fold_results)
+    assert all(0.0 <= r.accuracy <= 1.0 for r in res.folds)
     assert all(
         r.bits_per_symbol is None or r.bits_per_symbol >= 0.0
-        for r in res.fold_results
+        for r in res.folds
     )
 
 
@@ -384,7 +384,7 @@ def test_short_users_excluded_with_warning():
     with pytest.warns(UserWarning, match="excluding user 'short'"):
         res = evaluate(ds, M1, ValidationPlan("block_rolling", k=10, p=1))
     assert res.excluded_users == ("short",)
-    assert {r.user_id for r in res.fold_results} == {"long"}
+    assert {r.user_id for r in res.folds} == {"long"}
 
 
 def test_infeasible_for_every_stream_raises_plan_error():
@@ -429,7 +429,7 @@ def test_teacher_forcing_reveals_test_prefix():
     # symbols as context, so accuracy stays perfect deep into the block
     ds = make_dataset({"u": [0, 1, 2] * 50}, n_pois=3)
     res = evaluate(ds, M1, ValidationPlan("block_rolling", k=2, p=1))
-    (fold,) = res.fold_results
+    (fold,) = res.folds
     assert fold.n_predictions == 75
     assert fold.accuracy == 1.0
 
@@ -593,9 +593,9 @@ def test_expanding_windows_train_each_fold_on_its_prefix(rng, counted, plan):
                "b": random_collapsed(rng, 240, 5)}
     ds = make_dataset(streams, n_pois=5)
     result = evaluate(ds, PredictorSpec(kind="markov_k", k=2), plan)
-    assert len(result.fold_results) == 2 * 9
+    assert len(result.folds) == 2 * 9
     assert counted["symbols"] == [
-        streams[r.user_id][: r.train_hi] for r in result.fold_results
+        streams[r.user_id][: r.train_hi] for r in result.folds
     ]
 
 
@@ -779,7 +779,7 @@ def test_train_block_beyond_pipe_buffer_keeps_the_lookahead(tmp_path):
     t0 = time.perf_counter()
     res = evaluate(ds, spec, plan)
     elapsed = time.perf_counter() - t0
-    assert len(res.fold_results) == 3
+    assert len(res.folds) == 3
     assert elapsed < 2 * 1.0
 
 
