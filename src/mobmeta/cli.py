@@ -9,8 +9,11 @@ its outputs, recording the command line, the config hash, the dataset
 hash, tool version, wall time, and output paths.  The dataset hash is the
 sha256 of the files the command read or wrote: alphabet.json then
 sequences.jsonl of a dataset directory, raw.jsonl of a raw one, or the
-report.json that recommend reads.
-Defaults for --seed and --out come from MOBMETA_SEED and MOBMETA_OUT.
+report.json that recommend reads.  An option that selects a kind (synth
+--kind, ingest --format, --model) reads only its own options: one given
+that it does not read is a usage error, and one left out is left to the
+record's default.  An --out named like a file that the command writes
+beside it (FILE_OUTPUTS, run_manifest.json) is a usage error.
 
 Each command is defined once, in COMMANDS: its name, help line, handler
 and the function that adds its arguments.  A command line that starts
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import shlex
 import sys
 import time
@@ -88,20 +90,6 @@ class UsageError(Exception):
     """Bad arguments detected after argparse; exits 2 like argparse."""
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def _default_out(cmd_default: str | None) -> str | None:
-    return os.environ.get("MOBMETA_OUT") or cmd_default
-
-
 @dataclass(frozen=True)
 class Run:
     """What a finished command records in its run_manifest.json."""
@@ -120,7 +108,7 @@ def write_manifest(run: Run, argv: list[str], t0: float) -> Path:
         "sha256:"
         + hashlib.sha256(canonical_dumps(run.config).encode("utf-8")).hexdigest()
     )
-    path = directory / "run_manifest.json"
+    path = directory / MANIFEST
     write_canonical_json(
         path,
         {
@@ -166,18 +154,6 @@ def parse_cols(text: str) -> dict:
         raise UsageError(f"--cols {text!r} has no index for column "
                          f"{', '.join(missing)}")
     return out
-
-
-def parse_model_arg(
-    text: str, external_cmd: str | None = None
-) -> PredictorSpec:
-    """predictors.parse_model on --model and --external-cmd; exits 2."""
-    if text.partition(":")[0] == "external" and not external_cmd:
-        raise UsageError("external model needs --external-cmd")
-    try:
-        return parse_model(text, shlex.split(external_cmd or ""))
-    except ValueError as e:
-        raise UsageError(str(e)) from None
 
 
 def _yes_no(text: str) -> bool:
@@ -248,55 +224,54 @@ def parse_scheme_arg(
         raise UsageError(f"bad scheme {text!r}: {e}") from None
 
 
-def _spec_from_args(args) -> SourceSpec:
-    _read_options(args, "--kind", _KIND_OPTIONS[args.kind], _SYNTH_DEFAULTS)
-    common = {
-        "n_symbols": args.n,
-        "n_users": args.users,
-        "seed": args.seed,
-    }
-    try:
-        if args.kind == "iid":
-            if args.dist:
-                dist = tuple(float(p) for p in args.dist.split(","))
-            else:
-                m = args.alphabet_size
-                dist = tuple(1.0 / m for _ in range(m))
-            return SourceSpec(kind="iid", dist=dist, **common)
-        if args.kind == "periodic":
-            if not args.pattern:
-                raise UsageError("--kind periodic needs --pattern")
-            pattern = tuple(int(p) for p in args.pattern.split(","))
-            return SourceSpec(kind="periodic", pattern=pattern, **common)
-        if args.kind == "markov_order_k":
-            if not args.transition:
-                raise UsageError("--kind markov_order_k needs --transition")
-            import numpy as np
+def _given(args, flag: str, reads: tuple, options: dict) -> dict:
+    """{field: reader(value)} of the `options` (option -> (field, reader))
+    given; one that the chosen `flag` does not read is a usage error."""
+    fields = {}
+    for option, (field, read) in options.items():
+        value = getattr(args, option[2:].replace("-", "_"))
+        if value is None:
+            continue
+        if option not in reads:
+            raise UsageError(
+                f"{flag} {getattr(args, flag[2:])} does not read {option}; "
+                f"it reads: {', '.join(reads) or 'none'}"
+            )
+        fields[field] = read(value)
+    return fields
 
-            return SourceSpec(
-                kind="markov_order_k",
-                transition=np.asarray(read_json(args.transition)),
-                **common,
-            )
-        if args.kind == "copy_with_gap":
-            return SourceSpec(
-                kind="copy_with_gap", gap=args.k, eps=args.eps, **common
-            )
-        if args.kind == "regime_switch":
-            if not (args.spec_a and args.spec_b):
-                raise UsageError(
-                    "--kind regime_switch needs --spec-a and --spec-b"
-                )
-            return SourceSpec(
-                kind="regime_switch",
-                spec_a=spec_from_dict(read_json(args.spec_a)),
-                spec_b=spec_from_dict(read_json(args.spec_b)),
-                switch_fraction=args.switch_fraction,
-                **common,
-            )
-    except ValueError as e:
-        raise UsageError(f"bad source spec: {e}") from None
-    raise UsageError(f"unknown source kind {args.kind!r}")
+
+def _spec_file(path: str) -> dict:
+    """The source spec in a JSON file, checked whole; exits 3 naming it."""
+    obj = read_json(path)
+    try:
+        spec_from_dict(obj)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
+    return obj
+
+
+def _spec_from_args(args) -> SourceSpec:
+    """spec_from_dict of synth's options.  iid without --dist is uniform
+    over --alphabet-size POIs (4 if not given); an --alphabet-size that
+    the source does not have is a usage error."""
+    fields = _given(args, "--kind", _KIND_OPTIONS[args.kind], _SYNTH_FIELDS)
+    size = fields.pop("alphabet_size", None)
+    if args.users is not None:
+        fields["n_users"] = args.users
+    if args.kind == "iid" and "dist" not in fields:
+        m = 4 if size is None else size
+        fields["dist"] = [1.0 / m for _ in range(m)]
+    try:
+        spec = spec_from_dict({"kind": args.kind, "n_symbols": args.n,
+                               "seed": args.seed, **fields})
+    except DataError as e:
+        raise UsageError(str(e)) from None
+    if size not in (None, spec.alphabet_size):
+        raise UsageError(f"--kind {args.kind} with these options has "
+                         f"{spec.alphabet_size} POIs, not --alphabet-size "
+                         f"{size}")
+    return spec
 
 
 def _require_out(args, what: str) -> Path:
@@ -305,20 +280,38 @@ def _require_out(args, what: str) -> Path:
     return Path(args.out)
 
 
-def _out_file(args, default: str) -> Path:
-    """--out (or the command's default file name), its directory created."""
+# each command whose --out is a file: its default --out, then the files
+# that it writes beside it
+FILE_OUTPUTS = {
+    "characterize": ("report.json", "mi_curve.csv", "match_structure.csv",
+                     "corr_matrix.csv"),
+    "validate": ("folds.csv", "results.json"),
+    "sensitivity": ("table.csv", "sensitivity.json"),
+    "recommend": ("recommendation.json",),
+}
+
+
+def _out_files(args) -> list[Path]:
+    """--out, then the files written beside it (FILE_OUTPUTS).  An --out
+    named like one of those or like the manifest is a usage error: one
+    would overwrite the other."""
+    default, *siblings = FILE_OUTPUTS[args.command]
     out = Path(args.out or default)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    return out
+    if out.name in (*siblings, MANIFEST):
+        raise UsageError(f"--out {out}: {args.command} writes its own "
+                         f"{out.name} beside it")
+    return [out, *(out.parent / name for name in siblings)]
 
 
 DATASET_FILES = ("alphabet.json", "sequences.jsonl", "meta.json")
+MANIFEST = "run_manifest.json"
 
 
-# ingest's format-specific options with their defaults, and the ones
-# each --format reads; giving one that it does not read exits 2
-_INGEST_DEFAULTS = {"--cols": "user=0,lat=1,lon=2,t=3", "--tz-offset": 0,
-                    "--dedup": "drop_equal_timestamp"}
+# ingest's format-specific options with the IngestConfig field and reader
+# of each, and the ones each --format reads
+_INGEST_FIELDS = {"--cols": ("column_map", parse_cols),
+                  "--tz-offset": ("tz_offset_seconds", int),
+                  "--dedup": ("dedup_policy", str)}
 _FORMAT_OPTIONS = {"csv_gps": ("--cols", "--tz-offset", "--dedup"),
                    "plt_geolife_like": ("--tz-offset", "--dedup"),
                    "symbols_jsonl": ()}
@@ -335,31 +328,10 @@ def ingest_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--name", default=None)
 
 
-def _read_options(args, flag: str, reads: tuple, defaults: dict) -> None:
-    """Set each option of `defaults` that was not given to its default;
-    one given that the chosen `flag` (--format, --kind) does not read is
-    a usage error."""
-    for option, default in defaults.items():
-        dest = option[2:].replace("-", "_")
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-        elif option not in reads:
-            raise UsageError(
-                f"{flag} {getattr(args, flag[2:])} does not read {option}; "
-                f"it reads: {', '.join(reads) or 'none'}"
-            )
-
-
 def cmd_ingest(args) -> Run:
     out_dir = _require_out(args, "dataset directory")
-    _read_options(args, "--format", _FORMAT_OPTIONS[args.format],
-                  _INGEST_DEFAULTS)
-    cfg = IngestConfig(
-        format=args.format,
-        column_map=parse_cols(args.cols),
-        tz_offset_seconds=args.tz_offset,
-        dedup_policy=args.dedup,
-    )
+    cfg = IngestConfig(format=args.format, **_given(
+        args, "--format", _FORMAT_OPTIONS[args.format], _INGEST_FIELDS))
     name = args.name or Path(args.input).stem
     config = {**asdict(cfg), "name": name}
     if args.format == "symbols_jsonl":
@@ -420,13 +392,20 @@ def cmd_extract_poi(args) -> Run:
                [out_dir / f for f in DATASET_FILES])
 
 
-# synth's kind-specific options with their defaults, and the ones each
-# --kind reads; giving one that it does not read exits 2.  copy_with_gap
-# has 4 POIs, so it reads --alphabet-size only to check that it is 4.
-_SYNTH_DEFAULTS = {"--alphabet-size": 4, "--dist": None, "--pattern": None,
-                   "--transition": None, "--k": 1, "--eps": 0.0,
-                   "--spec-a": None, "--spec-b": None,
-                   "--switch-fraction": 0.5}
+# synth's kind-specific options with the SourceSpec field and reader of
+# each, and the ones each --kind reads.  --alphabet-size is checked
+# against the spec's: copy_with_gap reads it only to check that it is 4.
+_SYNTH_FIELDS = {
+    "--alphabet-size": ("alphabet_size", int),
+    "--dist": ("dist", lambda text: text.split(",")),
+    "--pattern": ("pattern", lambda text: text.split(",")),
+    "--transition": ("transition", read_json),
+    "--k": ("gap", int),
+    "--eps": ("eps", float),
+    "--spec-a": ("spec_a", _spec_file),
+    "--spec-b": ("spec_b", _spec_file),
+    "--switch-fraction": ("switch_fraction", float),
+}
 _KIND_OPTIONS = {
     "iid": ("--alphabet-size", "--dist"),
     "periodic": ("--pattern",),
@@ -440,27 +419,21 @@ def synth_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", default="iid", choices=list(_KIND_OPTIONS))
     p.add_argument("--n", type=int, default=10000,
                    help="symbols per user before collapse")
-    p.add_argument("--users", type=int, default=1)
+    p.add_argument("--users", type=int)
     p.add_argument("--alphabet-size", type=int)
-    p.add_argument("--dist", default=None, help="iid probabilities, comma-separated")
-    p.add_argument("--pattern", default=None, help="periodic symbols, comma-separated")
-    p.add_argument("--transition", default=None,
-                   help="JSON file with the transition table")
+    p.add_argument("--dist", help="iid probabilities, comma-separated")
+    p.add_argument("--pattern", help="periodic symbols, comma-separated")
+    p.add_argument("--transition", help="JSON file with the transition table")
     p.add_argument("--k", type=int, help="copy_with_gap gap")
     p.add_argument("--eps", type=float, help="copy noise")
-    p.add_argument("--spec-a", default=None, help="regime A spec JSON file")
-    p.add_argument("--spec-b", default=None, help="regime B spec JSON file")
+    p.add_argument("--spec-a", help="regime A spec JSON file")
+    p.add_argument("--spec-b", help="regime B spec JSON file")
     p.add_argument("--switch-fraction", type=float)
 
 
 def cmd_synth(args) -> Run:
     out_dir = _require_out(args, "dataset directory")
-    given_size = args.alphabet_size  # before _spec_from_args defaults it
     spec = _spec_from_args(args)
-    if given_size not in (None, spec.alphabet_size):
-        raise UsageError(f"--kind {args.kind} with these options has "
-                         f"{spec.alphabet_size} POIs, not --alphabet-size "
-                         f"{given_size}")
     ds, ground_truth = generate(spec)
     save_dataset(ds, out_dir)
     write_canonical_json(out_dir / "ground_truth.json", ground_truth)
@@ -488,6 +461,7 @@ def characterize_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_characterize(args) -> Run:
+    out, mi_path, ms_path, corr_path = _out_files(args)
     ds = load_dataset(args.dataset_dir)
     try:
         params = CharacterizeParams(
@@ -499,19 +473,16 @@ def cmd_characterize(args) -> Run:
     except ValueError as e:
         raise UsageError(str(e)) from None
     report = characterize(ds, params)
-    out = _out_file(args, "report.json")
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_canonical_json(out, report.to_dict())
-    mi_path = out.parent / "mi_curve.csv"
     write_mi_curve_csv(mi_path, report.mi_curve)
 
     # over the users the report kept, as its MI curve and PMI
     triples = match_structure(
         report.stream, separator_id=ds.alphabet.separator_id
     )
-    ms_path = out.parent / "match_structure.csv"
     write_match_structure_csv(ms_path, *triples.T)
 
-    corr_path = out.parent / "corr_matrix.csv"
     try:
         kept, corr = attribute_correlations(*per_user_attribute_matrix(report))
     except DataError as e:
@@ -552,16 +523,36 @@ def _predictor_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True,
                    help="markov:K | mmc[:M] | top_frequency | "
                         "random_uniform | external")
-    p.add_argument("--external-cmd", default=None,
-                   help="command line for --model external")
-    p.add_argument("--context-window", type=positive_int, default=64,
+    p.add_argument("--external-cmd", help="command line for --model external")
+    p.add_argument("--context-window", type=positive_int,
                    help="history cap shipped to external predictors")
 
 
-def _predictor_config(args, **schemes) -> dict:
-    """The manifest config of validate (scheme) or sensitivity (schemes)."""
-    return {"model": args.model, **schemes, "seed": args.seed,
-            "context_window": args.context_window}
+# the options that --model external reads; a native model reads none
+_MODEL_FIELDS = {"--external-cmd": ("external_cmd", str),
+                 "--context-window": ("context_window", int)}
+
+
+def _predictor(args) -> tuple[PredictorSpec, int, dict]:
+    """predictors.parse_model of --model, its plans' context window and
+    the manifest config, which records the window of an external model
+    only; exits 2 on a bad model or options."""
+    external = args.model.partition(":")[0] == "external"
+    fields = _given(args, "--model", tuple(_MODEL_FIELDS) if external else (),
+                    _MODEL_FIELDS)
+    if external and not fields.get("external_cmd"):
+        raise UsageError("external model needs --external-cmd")
+    try:
+        spec = parse_model(args.model,
+                           shlex.split(fields.get("external_cmd", "")))
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+    window = fields.get("context_window",
+                        ValidationPlan.external_context_window)
+    config = {"model": args.model, "seed": args.seed}
+    if external:
+        config["context_window"] = window
+    return spec, window, config
 
 
 def validate_arguments(p: argparse.ArgumentParser) -> None:
@@ -571,14 +562,13 @@ def validate_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_validate(args) -> Run:
+    out, results_path = _out_files(args)
+    spec, window, config = _predictor(args)
+    plan = parse_scheme_arg(args.scheme, args.seed, True, window)
     ds = load_dataset(args.dataset_dir)
-    spec = parse_model_arg(args.model, args.external_cmd)
-    plan = parse_scheme_arg(args.scheme, args.seed, True,
-                            args.context_window)
     result = evaluate(ds, spec, plan)
-    out = _out_file(args, "folds.csv")
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_folds_csv(out, result.folds)
-    results_path = out.parent / "results.json"
     write_canonical_json(results_path, result.to_dict())
     bits = (
         f"{result.bits_weighted:.4f}"
@@ -591,7 +581,7 @@ def cmd_validate(args) -> Run:
         f"weighted {result.accuracy_weighted:.4f}, bits/symbol {bits}, "
         f"{result.n_predictions} predictions -> {out}"
     )
-    return Run(out, _predictor_config(args, scheme=args.scheme),
+    return Run(out, {**config, "scheme": args.scheme},
                dataset_digest(args.dataset_dir), [out, results_path])
 
 
@@ -603,11 +593,11 @@ def sensitivity_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_sensitivity(args) -> Run:
-    ds = load_dataset(args.dataset_dir)
-    spec = parse_model_arg(args.model, args.external_cmd)
+    out, rows_json = _out_files(args)
+    spec, window, config = _predictor(args)
     if args.schemes:
         plans = [
-            parse_scheme_arg(s.strip(), args.seed, True, args.context_window)
+            parse_scheme_arg(s.strip(), args.seed, True, window)
             for s in args.schemes.split(";")
         ]
         if len(plans) < 2:
@@ -616,11 +606,10 @@ def cmd_sensitivity(args) -> Run:
                 f"got {len(plans)}"
             )
     else:
-        plans = default_sensitivity_plans(args.seed, args.context_window)
-    rows = validation_sensitivity(ds, spec, plans)
-    out = _out_file(args, "table.csv")
+        plans = default_sensitivity_plans(args.seed, window)
+    rows = validation_sensitivity(load_dataset(args.dataset_dir), spec, plans)
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_sensitivity_csv(out, rows)
-    rows_json = out.parent / "sensitivity.json"
     write_canonical_json(
         rows_json,
         {"model": spec.label, "rows": [record_dict(r) for r in rows]},
@@ -635,7 +624,7 @@ def cmd_sensitivity(args) -> Run:
             f"acc {r.accuracy_user_mean:.4f} ({tag})"
         )
     print(f"spread across schemes: {spread:.4f} -> {out}")
-    return Run(out, _predictor_config(args, schemes=args.schemes),
+    return Run(out, {**config, "schemes": args.schemes},
                dataset_digest(args.dataset_dir), [out, rows_json])
 
 
@@ -645,13 +634,14 @@ def recommend_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_recommend(args) -> Run:
+    (out,) = _out_files(args)
     try:
         report = report_from_dict(read_json(args.report))
     except DataError as e:
         raise DataError(f"{args.report}: {e}") from None
     rules = load_rules(args.rules) if args.rules else None
     rec = recommend(report, rules)
-    out = _out_file(args, "recommendation.json")
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_canonical_json(out, rec.to_dict())
     print(f"verdict: {rec.verdict}  (rule {rec.fired_rule}: {rec.rationale})")
     for entry in rec.trace:
@@ -749,14 +739,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     need it.
     """
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--seed", type=int, default=_env_int("MOBMETA_SEED", 0),
-        help="RNG seed (MOBMETA_SEED)",
-    )
-    common.add_argument(
-        "--out", default=_default_out(None),
-        help="output file or directory (MOBMETA_OUT)",
-    )
+    common.add_argument("--seed", type=int, default=0, help="RNG seed")
+    common.add_argument("--out", help="output file or directory")
     if command is not None:
         return COMMANDS[command].define(
             argparse.ArgumentParser(prog=f"mobmeta {command}",

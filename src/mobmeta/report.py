@@ -255,18 +255,25 @@ def bundle_files(out_dir: Union[str, Path]) -> list[Path]:
     return [Path(out_dir) / name for name in names]
 
 
-# The keys of a results.json that the bundle reads without a default.
-_RESULTS_KEYS = ("model", "plan", "accuracy_user_mean", "accuracy_weighted")
+# The keys of a results.json that summary.schema.json requires.
+_RESULTS_KEYS = ("model", "plan", "leaky", "accuracy_user_mean",
+                 "accuracy_weighted", "n_predictions")
+
+
+def _read_object(path: Path, what: str, keys: tuple) -> dict:
+    """The JSON object in `path`, refused unless it has `keys`."""
+    obj = read_json(path)
+    if not (isinstance(obj, dict) and all(k in obj for k in keys)):
+        raise DataError(f"{path}: not a {what}, which has the keys "
+                        f"{', '.join(keys)}")
+    return obj
 
 
 def _read_results(path: Path) -> dict:
     """A validate results.json, refused unless it has _RESULTS_KEYS, the
     numbers the table prints (bits_weighted null when argmax-only) and,
     if any, a fold_curve of [fold, accuracy] pairs."""
-    obj = read_json(path)
-    if not (isinstance(obj, dict) and all(k in obj for k in _RESULTS_KEYS)):
-        raise DataError(f"{path}: not a validation results.json, which "
-                        f"has the keys {', '.join(_RESULTS_KEYS)}")
+    obj = _read_object(path, "validation results.json", _RESULTS_KEYS)
     for key in ("accuracy_user_mean", "accuracy_weighted", "bits_weighted"):
         value = obj.get(key)
         if not (is_number(value) or (key == "bits_weighted" and value is None)):
@@ -318,16 +325,18 @@ def bundle_report(
         if validation_paths else None
     )
     recommendation = (
-        read_json(paths["recommendation"])
+        _read_object(paths["recommendation"], "recommendation.json",
+                     ("verdict", "fired_rule", "trace"))
         if recommendation_path is not None else None
     )
     sensitivity = None
     if sensitivity_path is not None:
-        obj = read_json(paths["sensitivity"])
-        sensitivity = obj.get("rows") if isinstance(obj, dict) else None
-        if not isinstance(sensitivity, list):
+        sensitivity = _read_object(paths["sensitivity"], "sensitivity.json",
+                                   ("rows",))["rows"]
+        if not (isinstance(sensitivity, list)
+                and all(isinstance(row, dict) for row in sensitivity)):
             raise DataError(f"{paths['sensitivity']}: not a sensitivity.json, "
-                            f"which has a list of rows")
+                            f"whose rows are a list of objects")
 
     summary = build_summary(
         ds, characterization, validation, recommendation, sensitivity

@@ -25,6 +25,17 @@ from .entropy import binary_entropy
 from .rng import SplitMix64, below
 
 
+# the fields each kind reads besides n_symbols, n_users and seed
+KIND_FIELDS = {
+    "iid": ("dist",),
+    "periodic": ("pattern",),
+    "markov_order_k": ("transition",),
+    "copy_with_gap": ("gap", "eps"),
+    "regime_switch": ("spec_a", "spec_b", "switch_fraction"),
+}
+_COMMON_FIELDS = ("n_symbols", "n_users", "seed")
+
+
 @dataclass(frozen=True)
 class SourceSpec:
     """Parameters of one synthetic source.
@@ -51,9 +62,7 @@ class SourceSpec:
     switch_fraction: float = 0.5
 
     def __post_init__(self):
-        kinds = ("iid", "periodic", "markov_order_k", "copy_with_gap",
-                 "regime_switch")
-        if self.kind not in kinds:
+        if self.kind not in KIND_FIELDS:
             raise ValueError(f"unknown source kind {self.kind!r}")
         if self.n_symbols < 2:
             raise ValueError("n_symbols must be >= 2")
@@ -288,53 +297,44 @@ def generate(spec: SourceSpec) -> tuple[Dataset, dict]:
     return ds, _ground_truth(spec)
 
 
+def _json_value(value):
+    if isinstance(value, SourceSpec):
+        return spec_to_dict(value)
+    if isinstance(value, (tuple, np.ndarray)):
+        return np.asarray(value).tolist()
+    return value
+
+
 def spec_to_dict(spec: SourceSpec) -> dict:
-    """JSON-safe form of a SourceSpec (CLI spec files, provenance)."""
-    out: dict = {
-        "kind": spec.kind,
-        "n_symbols": spec.n_symbols,
-        "n_users": spec.n_users,
-        "seed": spec.seed,
-    }
-    if spec.kind == "iid":
-        out["dist"] = list(spec.dist)
-    elif spec.kind == "periodic":
-        out["pattern"] = list(spec.pattern)
-    elif spec.kind == "markov_order_k":
-        out["transition"] = spec.transition.tolist()
-    elif spec.kind == "copy_with_gap":
-        out["gap"] = spec.gap
-        out["eps"] = spec.eps
-    else:
-        out["spec_a"] = spec_to_dict(spec.spec_a)
-        out["spec_b"] = spec_to_dict(spec.spec_b)
-        out["switch_fraction"] = spec.switch_fraction
-    return out
+    """JSON-safe form of a SourceSpec (CLI spec files, provenance): the
+    common fields, then those of KIND_FIELDS[kind]."""
+    fields = ("kind",) + _COMMON_FIELDS + KIND_FIELDS[spec.kind]
+    return {name: _json_value(getattr(spec, name)) for name in fields}
+
+
+# how spec_from_dict reads each field from its JSON value
+_READERS = {
+    "n_symbols": int, "n_users": int, "seed": int, "gap": int, "eps": float,
+    "switch_fraction": float, "dist": lambda v: tuple(map(float, v)),
+    "pattern": lambda v: tuple(map(int, v)),
+    "transition": lambda v: np.asarray(v, dtype=np.float64),
+    "spec_a": lambda v: spec_from_dict(v), "spec_b": lambda v: spec_from_dict(v),
+}
 
 
 def spec_from_dict(obj: dict) -> SourceSpec:
+    """The SourceSpec of spec_to_dict's form.  A field left out takes its
+    SourceSpec default; a key that the kind does not read is refused."""
     try:
-        kind = obj["kind"]
-        kwargs: dict = {
-            "kind": kind,
-            "n_symbols": int(obj["n_symbols"]),
-            "n_users": int(obj.get("n_users", 1)),
-            "seed": int(obj.get("seed", 0)),
-        }
-        if kind == "iid":
-            kwargs["dist"] = tuple(float(p) for p in obj["dist"])
-        elif kind == "periodic":
-            kwargs["pattern"] = tuple(int(p) for p in obj["pattern"])
-        elif kind == "markov_order_k":
-            kwargs["transition"] = np.asarray(obj["transition"],
-                                              dtype=np.float64)
-        elif kind == "copy_with_gap":
-            kwargs["gap"] = int(obj.get("gap", 1))
-            kwargs["eps"] = float(obj.get("eps", 0.0))
-        elif kind == "regime_switch":
-            kwargs["spec_a"] = spec_from_dict(obj["spec_a"])
-            kwargs["spec_b"] = spec_from_dict(obj["spec_b"])
-            kwargs["switch_fraction"] = float(obj.get("switch_fraction", 0.5))
-        return SourceSpec(**kwargs)
+        fields = _COMMON_FIELDS + KIND_FIELDS.get(obj["kind"], ())
+        spec = SourceSpec(kind=obj["kind"], **{
+            name: _READERS[name](obj[name]) for name in fields if name in obj
+        })
+        unread = sorted(set(obj) - {"kind", *fields})
+        if unread:
+            raise ValueError(f"kind {spec.kind} does not read "
+                             f"{', '.join(map(repr, unread))}; it reads: "
+                             f"{', '.join(fields)}")
+        return spec
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"malformed source spec: {e}") from e

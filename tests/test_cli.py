@@ -131,6 +131,41 @@ def test_synth_spec_option_is_gone(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+PERIODIC_SPEC = '{"kind": "periodic", "n_symbols": 60, "pattern": [0, 1, 2]'
+
+
+@pytest.mark.parametrize("option, text, named", [
+    ("--spec-a", PERIODIC_SPEC + ', "gap": 3}',
+     "malformed source spec: kind periodic does not read 'gap'; it reads: "
+     "n_symbols, n_users, seed, pattern"),
+    ("--spec-b", PERIODIC_SPEC + ', "seed_": 9}',
+     "malformed source spec: kind periodic does not read 'seed_'"),
+    ("--spec-a", '{"kind": "periodic", "n_symbols": 60}',
+     "malformed source spec: periodic needs a pattern"),
+    ("--spec-a", '{"kind": "regime_switch", "n_symbols": 60, "spec_a": '
+                 '{"kind": "periodic", "n_symbols": 60}, "spec_b": '
+     + PERIODIC_SPEC + '}}', "malformed source spec: periodic needs a pattern"),
+    ("--spec-b", "notjson", "Expecting value"),
+    ("--transition", "notjson", "Expecting value"),
+], ids=["key-its-kind-does-not-read", "key-no-kind-reads", "no-pattern",
+        "malformed-nested-spec", "spec-not-json", "transition-not-json"])
+def test_synth_refuses_a_bad_spec_file_naming_it(tmp_path, capsys, option,
+                                                 text, named):
+    # a spec file is data: checked whole, and any fault exits 3
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    files = synth_files(tmp_path)
+    kind = {"--transition": ["--kind", "markov_order_k"],
+            "--spec-a": ["--kind", "regime_switch", "--spec-b", files["spec"]],
+            "--spec-b": ["--kind", "regime_switch", "--spec-a", files["spec"]]}
+    rc = main(["synth", *kind[option], option, str(path), "--n", "60",
+               "--out", str(tmp_path / "d")])
+    _, err = capsys.readouterr()
+    assert rc == 3
+    assert f"data error: {path}: {named}" in err
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("given, config_hash", [
     (["--kind", "iid"],
      "266fed3263156bfa9954e3d0d8883a43b2a7a673463b07a3ae636309505de6a2"),
@@ -756,25 +791,27 @@ def test_version_flag(capsys):
 # were removed and its other options got help lines; validate -h,
 # sensitivity -h and "validate ds" when --concat-users was removed and
 # the two commands came to share their predictor arguments; synth -h and
-# "synth --n x" when synth --spec was removed.
+# "synth --n x" when synth --spec was removed; every command's -h when
+# the --seed and --out help lines stopped naming MOBMETA_SEED and
+# MOBMETA_OUT, which no longer exist.
 PARSER_OUTPUT_SHA256 = {
     ("-h",): "7bce9b06ecae00584fc75514dc7ed69cdb5ea59840eb5e79732c799b3402b91a",
     ("ingest", "-h"):
-        "daba428af4e613e2c196b650b00d3de01292e662d1072b3191defc50cc155ac5",
+        "4bb638a2f0b7ea25832cb92a3c030b4321d2167f8a7dbcc21a9e6a66cc5f1194",
     ("extract-poi", "-h"):
-        "0e2c12651a9e9c5576e345c518653df312948220f43486aea607080dc775d25b",
+        "89d07857fe3394a25910802c5f99c0905b4c2939d1d5df16ee27292c424c420e",
     ("synth", "-h"):
-        "5079b4621a7c9eb08d28ffe142c43f16534ae999c04bb540fef600346086c1be",
+        "14deda5466ca11fd6abeb6422bd367374637cbb2e4270536ca9ab3d58d1f5ec8",
     ("characterize", "-h"):
-        "6b585c8eaf779e6792eabab83ecf45c6491bddd2df03b38955b91e7b768628ed",
+        "dccde55c633226c1af145284a11a72ac8581de1bce737ec94209df3e17bbd31f",
     ("validate", "-h"):
-        "ae26b49bc8edd5c836b7420bcd54a486f237e78164cd8688bcbe39e3789ece92",
+        "533202e8de906da09c9bc4bd611c4aee0dfca50058619907fe8b6c53a78273ea",
     ("sensitivity", "-h"):
-        "08013e8b302d08ff94d941ab26c301eedfa14955d10b16731b4ae288c0d6595a",
+        "a4d91454baf8d5e83904b9b3a1ca490b789d8fecc49ef713e7726b12d039410c",
     ("recommend", "-h"):
-        "7691d2263f0b210494775d518236f1b13a130082647d3360a7005cf1ec240282",
+        "2afe94d41bc2db313108075541f2d81c1a577b43bb580d5de374ca6d6ce950b3",
     ("report", "-h"):
-        "dc98db019f0df834ad086a36d7d52dde68105d67197904cc10c92080d4bfcdb8",
+        "8beff04a836d2a6e0c5cc6d62a7a5af8fd5ba4ffed3f51d84ecd68f2dca9e624",
     (): "32c64bc09a83846c8e04729b634d4704777296a8c7bc3c519f838a65f1d8cc56",
     ("bogus",):
         "30a382a9159badec07ec8e4c7242ecf49ff6651dfcbc382b4f6e9b12e6ab6b60",
@@ -890,6 +927,11 @@ def test_context_window_must_be_positive(capsys, command, value):
             f"got {value!r}") in err
 
 
+# the reference external predictor, answering as markov:1 over 3 POIs
+EXTPRED_CMD = shlex.join([sys.executable, "-m", "mobmeta.extpred",
+                          "--model", "markov:1", "--alphabet-size", "3"])
+
+
 def test_sensitivity_default_grid_takes_context_window(tmp_path, capsys,
                                                       monkeypatch):
     d = synth_periodic(tmp_path, capsys)
@@ -901,16 +943,17 @@ def test_sensitivity_default_grid_takes_context_window(tmp_path, capsys,
         return sensitivity(ds, spec, plans)
 
     monkeypatch.setattr(cli, "validation_sensitivity", spy)
-    ok(["sensitivity", d, "--model", "markov:1", "--context-window", 5,
-        "--out", tmp_path / "t.csv"], capsys)
+    ok(["sensitivity", d, "--model", "external", "--external-cmd",
+        EXTPRED_CMD, "--context-window", 5, "--out", tmp_path / "t.csv"],
+       capsys)
     assert len(seen) == 6
     assert {plan.external_context_window for plan in seen} == {5}
 
 
 def test_sensitivity_config_hash_records_context_window(tmp_path, capsys):
     d = synth_periodic(tmp_path, capsys)
-    base = ["sensitivity", d, "--model", "markov:1",
-            "--schemes", "holdout:split=0.8;kfold:k=3"]
+    base = ["sensitivity", d, "--model", "external", "--external-cmd",
+            EXTPRED_CMD, "--schemes", "holdout:split=0.8;kfold:k=3"]
     hashes = []
     for i, extra in enumerate(([], ["--context-window", 5])):
         ok(base + extra + ["--out", tmp_path / f"s{i}" / "t.csv"], capsys)
@@ -1159,8 +1202,9 @@ def test_report_manifest_lists_only_the_files_of_its_run(tmp_path, capsys):
     (["--characterization", "d/meta.json"], {},
      "d/meta.json: malformed characterization report: 'per_user'"),
     (["--validation", "r.json"],
-     {"r.json": '{"model": "m", "plan": "p", "accuracy_user_mean": 0.5, '
-                '"accuracy_weighted": 0.5, "fold_curve": 5}'},
+     {"r.json": '{"model": "m", "plan": "p", "leaky": false, '
+                '"accuracy_user_mean": 0.5, "accuracy_weighted": 0.5, '
+                '"n_predictions": 4, "fold_curve": 5}'},
      "r.json: fold_curve must be a list of [fold, accuracy] pairs"),
     (["--sensitivity", "s.json"], {"s.json": '{"schemes": []}'},
      "s.json: not a sensitivity.json"),
@@ -1168,9 +1212,21 @@ def test_report_manifest_lists_only_the_files_of_its_run(tmp_path, capsys):
      "s.json: not a sensitivity.json"),
     (["--validation", "v/broken.json"], {"v/broken.json": "{"},
      "v/broken.json: Expecting property name enclosed in double quotes"),
+    # inputs that summary.schema.json rejects
+    (["--recommendation", "rec.json"], {"rec.json": "[1, 2]"},
+     "rec.json: not a recommendation.json, which has the keys verdict, "
+     "fired_rule, trace"),
+    (["--validation", "r.json"],
+     {"r.json": '{"model": "m", "plan": "p", "accuracy_user_mean": 0.5, '
+                '"accuracy_weighted": 0.5}'},
+     "r.json: not a validation results.json, which has the keys model, "
+     "plan, leaky, accuracy_user_mean, accuracy_weighted, n_predictions"),
+    (["--sensitivity", "s.json"], {"s.json": '{"rows": [1, "x"]}'},
+     "s.json: not a sensitivity.json, whose rows are a list of objects"),
 ], ids=["validation-is-a-report", "characterization-is-meta",
         "fold-curve-not-pairs", "sensitivity-without-rows",
-        "rows-not-a-list", "validation-not-json"])
+        "rows-not-a-list", "validation-not-json", "recommendation-not-object",
+        "results-without-leaky", "rows-not-objects"])
 def test_report_refuses_a_malformed_input_and_writes_nothing(
     tmp_path, capsys, args, files, named
 ):
@@ -1224,6 +1280,45 @@ def test_external_model_requires_command(tmp_path, capsys):
     _, err = capsys.readouterr()
     assert rc == 2
     assert "needs --external-cmd" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "--scheme", "rolling:k=5"], ["sensitivity"],
+], ids=["validate", "sensitivity"])
+@pytest.mark.parametrize("given", [
+    ["--context-window", "3"], ["--external-cmd", "false"],
+], ids=["context-window", "external-cmd"])
+def test_native_model_refuses_the_external_options(tmp_path, capsys, command,
+                                                   given):
+    d = synth_periodic(tmp_path, capsys)
+    rc = main([command[0], str(d), "--model", "markov:1", *command[1:],
+               *given, "--out", str(tmp_path / "v" / "out.csv")])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert (f"usage error: --model markov:1 does not read {given[0]}; "
+            f"it reads: none") in err
+    assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("command, out", [
+    (["characterize", "{data}"], "c/mi_curve.csv"),
+    (["characterize", "{data}"], "c/run_manifest.json"),
+    (["validate", "{data}", "--model", "markov:1", "--scheme", "rolling:k=4"],
+     "v/results.json"),
+    (["sensitivity", "{data}", "--model", "markov:1"], "s/sensitivity.json"),
+    (["recommend", "{data}/report.json"], "r/run_manifest.json"),
+], ids=["characterize", "characterize-manifest", "validate", "sensitivity",
+        "recommend"])
+def test_out_named_like_a_file_written_beside_it_exits_2(tmp_path, capsys,
+                                                         command, out):
+    # the input does not exist: the --out is refused before any is read
+    argv = [a.format(data=tmp_path / "missing") for a in command]
+    rc = main(argv + ["--out", str(tmp_path / out)])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert (f"usage error: --out {tmp_path / out}: {command[0]} writes its "
+            f"own {Path(out).name} beside it") in err
+    assert not (tmp_path / out).parent.exists()
 
 
 # answers every PREDICT with POI 0, but sleeps instead of exiting once its
@@ -1482,34 +1577,23 @@ def test_infeasible_plan_exits_4(tmp_path, capsys):
 
 
 def test_env_seed_matches_explicit_flag(tmp_path, capsys, monkeypatch):
-    explicit = synth_periodic(tmp_path, capsys, out="explicit", seed=77)
+    # MOBMETA_SEED once gave --seed its default; now the default seed holds
+    argv = ["synth", "--kind", "copy_with_gap", "--k", 3, "--eps", 0.2,
+            "--n", 200]
+    ok(argv + ["--seed", 0, "--out", tmp_path / "explicit"], capsys)
     monkeypatch.setenv("MOBMETA_SEED", "77")
-    ok(
-        ["synth", "--kind", "periodic", "--pattern", "0,1,2",
-         "--n", 120, "--users", 3, "--out", tmp_path / "env"],
-        capsys,
-    )
-    assert (tmp_path / "env" / "sequences.jsonl").read_bytes() == (
-        explicit / "sequences.jsonl"
-    ).read_bytes()
+    ok(argv + ["--out", tmp_path / "env"], capsys)
+    assert tree_bytes(tmp_path / "env") == tree_bytes(tmp_path / "explicit")
 
 
 def test_env_out_directory(tmp_path, capsys, monkeypatch):
+    # MOBMETA_OUT once gave --out its default; now --out must be given
     monkeypatch.setenv("MOBMETA_OUT", str(tmp_path / "from_env"))
-    ok(
-        ["synth", "--kind", "periodic", "--pattern", "0,1,2",
-         "--n", 120, "--users", 2, "--seed", 1],
-        capsys,
-    )
-    assert (tmp_path / "from_env" / "sequences.jsonl").is_file()
-
-
-def test_env_seed_must_be_integer(monkeypatch, capsys):
-    monkeypatch.setenv("MOBMETA_SEED", "many")
-    rc = main(["synth", "--kind", "iid", "--out", "unused"])
-    _, err = capsys.readouterr()
+    rc = main(["synth", "--kind", "periodic", "--pattern", "0,1,2",
+               "--n", "120", "--users", "2", "--seed", "1"])
     assert rc == 2
-    assert "MOBMETA_SEED" in err
+    assert "usage error: --out is required" in capsys.readouterr().err
+    assert not (tmp_path / "from_env").exists()
 
 
 def test_threads_flag_is_gone(tmp_path, capsys):

@@ -217,6 +217,10 @@ def test_spec_dict_round_trip():
     for spec in (
         SourceSpec(kind="iid", n_symbols=50, n_users=2, seed=3,
                    dist=(0.5, 0.5)),
+        SourceSpec(kind="periodic", n_symbols=40, n_users=3, seed=8,
+                   pattern=(2, 0, 3, 1)),
+        SourceSpec(kind="markov_order_k", n_symbols=60, n_users=2, seed=9,
+                   transition=np.full((3, 3, 3), 1 / 3)),
         SourceSpec(kind="copy_with_gap", n_symbols=50, gap=4, eps=0.1),
         SourceSpec(kind="regime_switch", n_symbols=50, seed=5,
                    spec_a=inner_a, spec_b=inner_b, switch_fraction=0.7),
@@ -230,6 +234,14 @@ def test_spec_from_dict_rejects_malformed():
         spec_from_dict({"kind": "iid", "n_symbols": 50})
     with pytest.raises(DataError, match="malformed source spec"):
         spec_from_dict({"n_symbols": 50})
+
+
+@pytest.mark.parametrize("key", ["gap", "seed_"])
+def test_spec_from_dict_refuses_a_key_its_kind_does_not_read(key):
+    obj = {"kind": "periodic", "n_symbols": 50, "pattern": [0, 1], key: 3}
+    with pytest.raises(DataError, match=f"kind periodic does not read "
+                                        f"'{key}'; it reads: n_symbols"):
+        spec_from_dict(obj)
 
 
 def test_provenance_recorded():
