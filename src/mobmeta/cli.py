@@ -241,14 +241,22 @@ def _given(args, flag: str, reads: tuple, options: dict) -> dict:
     return fields
 
 
-def _spec_file(path: str) -> dict:
-    """The source spec in a JSON file, checked whole; exits 3 naming it."""
-    obj = read_json(path)
+def _spec_file(path: str, as_spec=lambda value: value):
+    """The JSON value in a file, checked whole as the source spec that
+    `as_spec` makes of it (by default the value itself); exits 3 naming
+    the file."""
+    value = read_json(path)
     try:
-        spec_from_dict(obj)
+        spec_from_dict(as_spec(value))
     except DataError as e:
         raise DataError(f"{path}: {e}") from None
-    return obj
+    return value
+
+
+def _transition_file(path: str):
+    """markov_order_k's transition table in a JSON file, checked whole."""
+    return _spec_file(path, lambda table: {
+        "kind": "markov_order_k", "n_symbols": 2, "transition": table})
 
 
 def _spec_from_args(args) -> SourceSpec:
@@ -277,7 +285,10 @@ def _spec_from_args(args) -> SourceSpec:
 def _require_out(args, what: str) -> Path:
     if not args.out:
         raise UsageError(f"--out is required ({what})")
-    return Path(args.out)
+    out = Path(args.out)
+    if out.exists() and not out.is_dir():
+        raise UsageError(f"--out {out} exists and is not a directory ({what})")
+    return out
 
 
 # each command whose --out is a file: its default --out, then the files
@@ -293,10 +304,13 @@ FILE_OUTPUTS = {
 
 def _out_files(args) -> list[Path]:
     """--out, then the files written beside it (FILE_OUTPUTS).  An --out
-    named like one of those or like the manifest is a usage error: one
-    would overwrite the other."""
+    that is a directory, or named like one of those files or like the
+    manifest, is a usage error: one would overwrite the other."""
     default, *siblings = FILE_OUTPUTS[args.command]
     out = Path(args.out or default)
+    if out.is_dir():
+        raise UsageError(f"--out {out} is a directory; {args.command} "
+                         f"writes a file there")
     if out.name in (*siblings, MANIFEST):
         raise UsageError(f"--out {out}: {args.command} writes its own "
                          f"{out.name} beside it")
@@ -399,7 +413,7 @@ _SYNTH_FIELDS = {
     "--alphabet-size": ("alphabet_size", int),
     "--dist": ("dist", lambda text: text.split(",")),
     "--pattern": ("pattern", lambda text: text.split(",")),
-    "--transition": ("transition", read_json),
+    "--transition": ("transition", _transition_file),
     "--k": ("gap", int),
     "--eps": ("eps", float),
     "--spec-a": ("spec_a", _spec_file),

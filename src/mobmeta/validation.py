@@ -17,17 +17,17 @@ min(test) orders positions, and positions follow time only within one
 user: in a stream of users joined end to end, a fold could train on one
 user's late visits and test another's earlier ones.
 
-Each fold trains a fresh model on its distinct train positions in time
-order (a bootstrap fold's repeated draws count once).  A native model
-scores all test positions of a fold in one `score` call, which returns
-each position's argmax and the probability of its true symbol.  An
-external predictor gets a child of its own per fold and one PREDICT
-request per test position.  Each child sees one fold only, and strictly
-alternates: its next request goes out only once its last response has
-been read.  But the folds of every user are queued together and up to
-MAX_CHILDREN of them are in conversation at once, in one selectors
-loop, so one child's start-up, round trips and exit overlap the
-others'.
+A fold tests ascending positions of a range [lo, hi) and trains a fresh
+model on the rest of the range, so the context of test position t is the
+last positions of [lo, t).  A native model scores all test positions of
+a fold in one `score` call, which returns each position's argmax and the
+probability of its true symbol.  An external predictor gets a child of
+its own per fold and one PREDICT request per test position.  Each child
+sees one fold only, and strictly alternates: its next request goes out
+only once its last response has been read.  But the folds of every user
+are queued together and up to MAX_CHILDREN of them are in conversation
+at once, in one selectors loop, so one child's start-up, round trips and
+exit overlap the others'.
 """
 
 from __future__ import annotations
@@ -125,27 +125,26 @@ def _label_value(value) -> str:
 
 @dataclass(frozen=True)
 class Fold:
-    """One split of the positions [0, n).
+    """One split of the range of positions [lo, hi): the ascending test
+    positions `test_idx`, and as train positions the rest of the range.
 
-    `train` is None for the schemes that train on every position outside
-    the test set (kfold, leave_one_out): `train_idx` then builds those
-    positions on each read, so the n folds of leave_one_out take O(n)
-    memory rather than O(n^2).
+    Train and test together cover the range with no gap (make_folds
+    asserts it), so the positions before test position t that the fold
+    knows are exactly [lo, t).  `train_idx` is built on each read, so the
+    n folds of leave_one_out take O(n) memory rather than O(n^2).
     """
 
     index: int
+    lo: int
+    hi: int
     test_idx: np.ndarray
     leaky: bool
-    n: int
-    train: Optional[np.ndarray] = None
 
     @property
     def train_idx(self) -> np.ndarray:
-        if self.train is not None:
-            return self.train
-        mask = np.ones(self.n, dtype=bool)
-        mask[self.test_idx] = False
-        return np.flatnonzero(mask)
+        keep = np.ones(self.hi - self.lo, dtype=bool)
+        keep[self.test_idx - self.lo] = False
+        return np.flatnonzero(keep) + self.lo
 
 
 def _block_bounds(n: int, k: int) -> list[tuple[int, int]]:
@@ -173,7 +172,7 @@ def make_folds(plan: ValidationPlan, n: int) -> list[Fold]:
             raise InfeasiblePlanError(
                 f"holdout split {plan.split} leaves no train or no test at n={n}"
             )
-        folds.append(Fold(0, np.arange(m, n), True, n, np.arange(m)))
+        folds.append(Fold(0, 0, n, np.arange(m, n), True))
     elif scheme == "kfold":
         if plan.k > n:
             raise InfeasiblePlanError(f"kfold k={plan.k} exceeds n={n}")
@@ -183,19 +182,19 @@ def make_folds(plan: ValidationPlan, n: int) -> list[Fold]:
         order = np.asarray(order, dtype=np.int64)
         for f in range(plan.k):
             lo, hi = f * n // plan.k, (f + 1) * n // plan.k
-            folds.append(Fold(f, np.sort(order[lo:hi]), True, n))
+            folds.append(Fold(f, 0, n, np.sort(order[lo:hi]), True))
     elif scheme == "leave_one_out":
-        folds = [Fold(i, np.asarray([i]), True, n) for i in range(n)]
+        folds = [Fold(i, 0, n, np.asarray([i]), True) for i in range(n)]
     elif scheme == "bootstrap":
         rng = SplitMix64(plan.seed)
         for it in range(plan.iterations):
-            draws = np.sort(rng.randint(n, n))
-            mask = np.ones(n, dtype=bool)
-            mask[draws] = False
-            oob = np.flatnonzero(mask)
+            # the distinct draws train: the rest of [0, n) is out of bag
+            drawn = np.zeros(n, dtype=bool)
+            drawn[rng.randint(n, n)] = True
+            oob = np.flatnonzero(~drawn)
             if oob.size == 0:
                 continue
-            folds.append(Fold(it, oob, True, n, draws))
+            folds.append(Fold(it, 0, n, oob, True))
         if not folds:
             raise InfeasiblePlanError(
                 "bootstrap produced no out-of-bag test symbols"
@@ -203,19 +202,18 @@ def make_folds(plan: ValidationPlan, n: int) -> list[Fold]:
     else:
         k = 10 if scheme == "window10_cumulative" else plan.k
         blocks = _block_bounds(n, k)
-        if scheme == "block_rolling":
-            for i in range(k - plan.p):
-                t_lo, t_hi = blocks[i + plan.p]
-                folds.append(Fold(
-                    i, np.arange(t_lo, t_hi), False, n,
-                    np.arange(blocks[i][0], blocks[i + plan.p - 1][1]),
-                ))
-        else:  # rolling / window10_cumulative: expanding train
-            for i in range(k - 1):
-                t_lo, t_hi = blocks[i + 1]
-                folds.append(Fold(i, np.arange(t_lo, t_hi), False, n,
-                                  np.arange(0, blocks[i][1])))
+        # block_rolling trains on the p blocks before its test block;
+        # rolling and window10_cumulative on everything before it
+        p = plan.p if scheme == "block_rolling" else 1
+        for i in range(k - p):
+            t_lo, t_hi = blocks[i + p]
+            lo = blocks[i][0] if scheme == "block_rolling" else 0
+            folds.append(Fold(i, lo, t_hi, np.arange(t_lo, t_hi), False))
     for fold in folds:
+        # test positions ascend inside [lo, hi) and leave train positions
+        test = fold.test_idx
+        assert fold.lo <= test[0] and test[-1] < fold.hi
+        assert test.size < fold.hi - fold.lo and (test[1:] > test[:-1]).all()
         if not fold.leaky:
             assert int(fold.train_idx.max()) < int(fold.test_idx.min())
     return folds
@@ -275,22 +273,12 @@ def _context_need(spec: PredictorSpec, plan: ValidationPlan) -> int:
     return max(spec.order, 0)
 
 
-def _window(fold: Fold, n: int, need: int) -> tuple[np.ndarray, np.ndarray]:
-    """(known, ends): the known positions a fold's test contexts read, and
-    the index in `known` of each test position.
-
-    The context of test position t is the last `need` known positions
-    before t, known meaning in the train set or earlier in the test set.
-    Test indices ascend in every scheme, so that context is a slice of
-    the sorted union of both sets; only the part of the union from the
-    first context to the last test position is kept.
-    """
-    is_known = np.zeros(n, dtype=bool)
-    is_known[fold.train_idx] = is_known[fold.test_idx] = True
-    known = is_known.nonzero()[0]
-    ends = known.searchsorted(fold.test_idx)
-    first = max(0, int(ends[0]) - need)
-    return known[first : int(ends[-1]) + 1], ends - first
+def _window(fold: Fold, need: int) -> tuple[slice, np.ndarray]:
+    """The positions a fold's test contexts read, as a slice of the
+    stream, and the index in that slice of each test position: the
+    context of test position t is [max(lo, t - need), t)."""
+    first = max(fold.lo, int(fold.test_idx[0]) - need)
+    return slice(first, int(fold.test_idx[-1]) + 1), fold.test_idx - first
 
 
 def _test_contexts(
@@ -301,19 +289,11 @@ def _test_contexts(
     Each known position's "poi_id t" line is formatted once per fold, and
     a block joins the lines of its context.
     """
-    known, ends = _window(fold, symbols.shape[0], need)
-    syms = symbols[known].tolist()
-    lines = request_lines(syms, timestamps[known].tolist())
+    window, ends = _window(fold, need)
+    syms = symbols[window].tolist()
+    lines = request_lines(syms, timestamps[window].tolist())
     for e in ends.tolist():
         yield syms[e], request_block(b"PREDICT", lines[max(0, e - need) : e])
-
-
-def _train_positions(fold: Fold, n: int) -> np.ndarray:
-    """A fold's distinct train positions in time order: a bootstrap fold
-    draws repeats, which as a stream would read as self-transitions."""
-    in_train = np.zeros(n, dtype=bool)
-    in_train[fold.train_idx] = True
-    return in_train.nonzero()[0]
 
 
 def _fold_result(user_id: str, fold: Fold, pos: np.ndarray, n_correct: int,
@@ -345,7 +325,7 @@ class _Conversation:
     def __init__(self, user_id: str, fold: Fold, symbols: np.ndarray,
                  timestamps: np.ndarray, need: int):
         self.user_id, self.fold = user_id, fold
-        self.pos = _train_positions(fold, symbols.shape[0])
+        self.pos = fold.train_idx
         self.n_correct, self.probs = 0, []
         self.done = False
         self._requests = _test_contexts(fold, symbols, timestamps, need)
@@ -437,14 +417,13 @@ def _eval_native(
     alphabet_size: int,
     need: int,
 ) -> list[FoldResult]:
-    n = symbols.shape[0]
     results = []
     for fold in folds:
-        pos = _train_positions(fold, n)
+        pos = fold.train_idx
         model = train(spec, symbols[pos], alphabet_size)
         # a native model scores every test position of the fold at once
-        known, ends = _window(fold, n, need)
-        seq = symbols[known]
+        window, ends = _window(fold, need)
+        seq = symbols[window]
         truth = seq[ends]
         pred, p = model.score(seq, ends, truth)
         results.append(_fold_result(
@@ -459,10 +438,10 @@ def evaluate(
 ) -> EvaluationResult:
     """Train/test a predictor under a plan; teacher-forced test contexts.
 
-    A test position's context is made of the nearest preceding positions
-    that are in the fold's train set or already-revealed test prefix; for
-    time-ordered schemes that is exactly the window [train_lo, t).  Users
-    the plan cannot split are excluded with a warning.
+    The context of test position t is the last `need` positions of the
+    window [lo, t) of its fold's range, in every scheme: the fold's train
+    positions and its test positions already revealed.  Users the plan
+    cannot split are excluded with a warning.
     """
     need = _context_need(spec, plan)
     # per kept user, their folds' results (external: their folds' jobs)

@@ -147,8 +147,11 @@ PERIODIC_SPEC = '{"kind": "periodic", "n_symbols": 60, "pattern": [0, 1, 2]'
      + PERIODIC_SPEC + '}}', "malformed source spec: periodic needs a pattern"),
     ("--spec-b", "notjson", "Expecting value"),
     ("--transition", "notjson", "Expecting value"),
+    ("--transition", "[[0.5, 0.6], [0.5, 0.5]]",
+     "malformed source spec: transition rows must be normalized"),
 ], ids=["key-its-kind-does-not-read", "key-no-kind-reads", "no-pattern",
-        "malformed-nested-spec", "spec-not-json", "transition-not-json"])
+        "malformed-nested-spec", "spec-not-json", "transition-not-json",
+        "transition-not-normalized"])
 def test_synth_refuses_a_bad_spec_file_naming_it(tmp_path, capsys, option,
                                                  text, named):
     # a spec file is data: checked whole, and any fault exits 3
@@ -1319,6 +1322,47 @@ def test_out_named_like_a_file_written_beside_it_exits_2(tmp_path, capsys,
     assert (f"usage error: --out {tmp_path / out}: {command[0]} writes its "
             f"own {Path(out).name} beside it") in err
     assert not (tmp_path / out).parent.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["synth", "--kind", "periodic", "--pattern", "0,1,2", "--n", "60"],
+    ["ingest", "{csv}"],
+    ["extract-poi", "{raw}"],
+    ["report", "{data}", "--characterization", "{report}"],
+    ["characterize", "{data}"],
+    ["validate", "{data}", "--model", "markov:1", "--scheme", "rolling:k=4"],
+    ["sensitivity", "{data}", "--model", "markov:1"],
+    ["recommend", "{report}"],
+], ids=lambda command: command[0])
+def test_out_of_the_wrong_kind_exits_2_before_any_work(tmp_path, capsys,
+                                                       command):
+    # a command that writes a directory refuses an --out that is a file,
+    # and one that writes a file refuses a directory, naming it before it
+    # reads any input
+    data = synth_periodic(tmp_path, capsys)
+    csv = tmp_path / "fixes.csv"
+    csv.write_text("u0,0.0,0.0,0\nu0,0.0,0.0,3000\n", encoding="utf-8")
+    ok(["ingest", csv, "--out", tmp_path / "raw"], capsys)
+    ok(["characterize", data, "--out", tmp_path / "c" / "report.json"],
+       capsys)
+    argv = [a.format(csv=csv, raw=tmp_path / "raw", data=data,
+                     report=tmp_path / "c" / "report.json") for a in command]
+    taken = tmp_path / "taken"
+    writes_a_directory = command[0] in ("synth", "ingest", "extract-poi",
+                                        "report")
+    if writes_a_directory:
+        taken.write_text("kept", encoding="utf-8")
+    else:
+        taken.mkdir()
+    rc = main(argv + ["--out", str(taken)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err.startswith(f"usage error: --out {taken} ")
+    assert out == ""
+    if writes_a_directory:
+        assert taken.read_text(encoding="utf-8") == "kept"
+    else:
+        assert list(taken.iterdir()) == []
 
 
 # answers every PREDICT with POI 0, but sleeps instead of exiting once its

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import sys
@@ -18,6 +19,7 @@ from mobmeta.predictors import ExternalModel, PredictorSpec, train
 from mobmeta.synth import SourceSpec, generate
 from mobmeta.validation import (
     LEAKY_SCHEMES,
+    SCHEME_PARAMS,
     TIME_ORDERED_SCHEMES,
     ValidationPlan,
     _test_contexts,
@@ -112,9 +114,9 @@ def test_leave_one_out_shape():
     assert all(f.train_idx.shape[0] == 6 for f in folds)
 
 
-def test_complement_folds_hold_no_train_arrays():
-    # kfold and leave_one_out folds build their train positions when read,
-    # so the n folds of leave_one_out hold O(n) memory, not O(n^2)
+def test_no_fold_stores_a_train_array():
+    # every fold builds its train positions when read, so the n folds of
+    # leave_one_out hold O(n) memory, not O(n^2)
     n = 3000
     tracemalloc.start()
     try:
@@ -123,31 +125,75 @@ def test_complement_folds_hold_no_train_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * n // 20  # a twentieth of the n^2 int64 positions
-    assert all(f.train is None for f in folds)
     for f in (folds[0], folds[1234], folds[-1]):
         np.testing.assert_array_equal(
             f.train_idx, np.setdiff1d(np.arange(n), f.test_idx))
-    for f in make_folds(ValidationPlan("kfold", k=3, seed=1), 100):
-        assert f.train is None
+    for scheme, kw in (("kfold", dict(k=3)), ("bootstrap", dict(iterations=5))):
+        for f in make_folds(ValidationPlan(scheme, seed=1, **kw), 100):
+            np.testing.assert_array_equal(
+                f.train_idx, np.setdiff1d(np.arange(100), f.test_idx))
+    for f in make_folds(ValidationPlan("rolling", k=5), 100):
+        np.testing.assert_array_equal(f.train_idx, np.setdiff1d(
+            np.arange(int(f.test_idx[-1]) + 1), f.test_idx))
+    for scheme in SCHEME_PARAMS:
+        for f in make_folds(ValidationPlan(scheme), 100):
+            assert [field.name for field in dataclasses.fields(f)
+                    if isinstance(getattr(f, field.name), np.ndarray)
+                    ] == ["test_idx"]
+
+
+@st.composite
+def fold_plans(draw):
+    k = draw(st.integers(2, 12))
+    plan = ValidationPlan(
+        draw(st.sampled_from(sorted(SCHEME_PARAMS))),
+        split=draw(st.floats(0.05, 0.95)),
+        k=k,
+        p=draw(st.integers(1, k - 1)),
+        iterations=draw(st.integers(1, 6)),
+        shuffled=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return plan, draw(st.integers(2, 300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fold_plans())
+def test_every_fold_partitions_its_range(case):
+    plan, n = case
+    try:
+        folds = make_folds(plan, n)
+    except InfeasiblePlanError:
+        return
+    for f in folds:
+        train, test = f.train_idx, f.test_idx
+        assert train.size and test.size
+        assert np.all(np.diff(test) > 0)
+        assert np.intersect1d(train, test).size == 0
         np.testing.assert_array_equal(
-            f.train_idx, np.setdiff1d(np.arange(100), f.test_idx))
+            np.sort(np.concatenate([train, test])), np.arange(f.lo, f.hi))
+        if plan.leaky:
+            assert (f.lo, f.hi) == (0, n)
+        else:
+            np.testing.assert_array_equal(test, np.arange(test[0], f.hi))
 
 
 # sha256 of every fold's train then test positions as little-endian int64,
-# captured while every draw was one scalar SplitMix64 step
+# captured while every draw was one scalar SplitMix64 step (a bootstrap
+# fold's train positions are its distinct draws)
 PINNED_FOLDS = [
     ("kfold", dict(k=3), 257, 3,
      "5d7134e6bfb113ac84d47d91a26adf3560607c253985a0813ecad6df69d49c34"),
     ("kfold", dict(k=10), 257, 3,
      "ac1ee35935a8423b7207dd426c0e080023ca54ac4361d65267dd4f8b618aa7b3"),
     ("bootstrap", dict(iterations=20), 257, 3,
-     "7ef0de591523371cd0a7d7e7ea258f14428c80a3a2c2d57b59205c6677600ad9"),
+     "8357a1cd3b37ab29a153d18911412824b3caea189359a0bafd43669d97806a00"),
     ("kfold", dict(k=3), 4000, 11,
      "458d68a379b08cb658a1dba6baa7f77bf94dd3a807bea9f410dfa9b3f9d40c7e"),
     ("kfold", dict(k=10), 4000, 11,
      "ce1ed2f2e14431aff5cff7d51dd44bc227ab5702ceeaebdfefd75de4a168be2a"),
     ("bootstrap", dict(iterations=20), 4000, 11,
-     "0da03929f74bb9bc2cc8403e0abe589323f97e89145548059c4a7fcea35f755a"),
+     "8d79f6bf3e2c6f2f212dc78cbb50715844cfed3503d252a424a1d8d5fb0bce10"),
 ]
 
 
@@ -170,8 +216,10 @@ def test_bootstrap_oob_disjoint():
     folds = make_folds(ValidationPlan("bootstrap", iterations=5, seed=3), 40)
     assert folds
     for f in folds:
-        assert np.intersect1d(np.unique(f.train_idx), f.test_idx).size == 0
-        assert f.train_idx.shape[0] == 40  # drawn with replacement
+        assert np.intersect1d(f.train_idx, f.test_idx).size == 0
+        # the distinct draws and the out-of-bag positions partition [0, 40)
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate([f.train_idx, f.test_idx])), np.arange(40))
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 40, 257])
@@ -190,7 +238,7 @@ def test_bootstrap_folds_equal_setdiff(n, seed):
     folds = make_folds(plan, n)
     assert [f.index for f in folds] == [it for it, _, _ in expected]
     for f, (_, draws, oob) in zip(folds, expected):
-        np.testing.assert_array_equal(f.train_idx, draws)
+        np.testing.assert_array_equal(f.train_idx, np.unique(draws))
         np.testing.assert_array_equal(f.test_idx, oob)
         assert f.test_idx.dtype == oob.dtype
 
