@@ -10,7 +10,7 @@ statistics separate them:
 
 import numpy as np
 
-from mobmeta.characterize import CharacterizeParams, characterize
+from mobmeta.characterize import characterize
 from mobmeta.synth import SourceSpec, generate
 
 
@@ -40,12 +40,11 @@ def spark(curve, width=24):
 
 
 def main():
-    params = CharacterizeParams(d_max=24)
     print(f"{'source':<18} {'S bits':>7} {'Pi_max':>7} {'ldd':>4} "
           f"{'alpha':>6}  I(d), d=1..24")
     for name, spec in sources():
         ds, _ = generate(spec)
-        rep = characterize(ds, params)
+        rep = characterize(ds, d_max=24)
         alpha = "-" if rep.ldd_exponent_alpha is None else (
             f"{rep.ldd_exponent_alpha:.2f}"
         )

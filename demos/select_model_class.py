@@ -8,7 +8,7 @@ so a verdict is always explainable from the measured attributes.
 
 import numpy as np
 
-from mobmeta.characterize import CharacterizeParams, characterize
+from mobmeta.characterize import characterize
 from mobmeta.selector import recommend
 from mobmeta.synth import SourceSpec, generate
 
@@ -29,7 +29,7 @@ def datasets():
 def main():
     for name, spec in datasets():
         ds, _ = generate(spec)
-        rep = characterize(ds, CharacterizeParams(d_max=12))
+        rep = characterize(ds, 12)
         rec = recommend(rep)
         print(f"{name}: {rec.verdict}  ({rec.rationale})")
         for entry in rec.trace:

@@ -25,24 +25,8 @@ from .jsonutil import is_number
 from .metrics import MiDecay, mi_decay_curve, top_pmi
 
 SECONDS_PER_MONTH = 2629800  # Julian year / 12
-
-
-@dataclass(frozen=True)
-class CharacterizeParams:
-    d_max: int = 100
-    eps_fit: float = 1e-3
-    eps_depth: float = 0.1
-    pmi_top_k: int = 10
-
-    def __post_init__(self):
-        if self.d_max < 1:
-            raise ValueError("d_max must be >= 1")
-        if self.pmi_top_k < 0:
-            raise ValueError(f"pmi_top_k must be >= 0, got {self.pmi_top_k}")
-        for name in ("eps_fit", "eps_depth"):
-            eps = getattr(self, name)
-            if not (math.isfinite(eps) and eps >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {eps}")
+# how many highest-PMI POI pairs at d = 1 a report lists
+PMI_TOP_K = 10
 
 
 @dataclass(frozen=True)
@@ -180,9 +164,7 @@ def _user_stats(seq) -> UserStats:
     return UserStats(seq.user_id, int(ids.shape[0]), distinct, s, pi)
 
 
-def characterize(
-    ds: Dataset, params: CharacterizeParams = CharacterizeParams()
-) -> MetaAttributeReport:
+def characterize(ds: Dataset, d_max: int = 100) -> MetaAttributeReport:
     """Full meta-attribute report; deterministic for fixed inputs.
 
     Sequences too short for the entropy estimator (< 2 symbols), and
@@ -192,6 +174,8 @@ def characterize(
     d_max < stream_length / 10, and to the largest distance at which the
     usable sequences still hold 2 pairs.
     """
+    if d_max < 1:
+        raise ValueError(f"d_max must be >= 1, got {d_max}")
     notes: list[str] = []
     skipped = [s.user_id for s in ds.sequences if len(s) < 2]
     if skipped:
@@ -220,19 +204,17 @@ def characterize(
     # them, so the two longest users bound d however long the stream is
     *_, second, first = sorted([0] + [len(s) for s in usable])
     pair_cap = max(first - 2, second - 1)
-    d_max = min(params.d_max, d_cap, pair_cap)
+    capped = min(d_max, d_cap, pair_cap)
     decay: Optional[MiDecay] = None
-    if d_max >= 1:
-        decay = mi_decay_curve(
-            stream, d_max, params.eps_fit, params.eps_depth, sep
-        )
-        if d_max == d_cap < params.d_max:
+    if capped >= 1:
+        decay = mi_decay_curve(stream, capped, sep)
+        if capped == d_cap < d_max:
             notes.append(
-                f"d_max capped to {d_max} (stream length {stream.shape[0]})"
+                f"d_max capped to {capped} (stream length {stream.shape[0]})"
             )
-        elif d_max < params.d_max:
+        elif capped < d_max:
             notes.append(
-                f"d_max capped to {d_max} (fewer than 2 pairs beyond it: "
+                f"d_max capped to {capped} (fewer than 2 pairs beyond it: "
                 f"the longest users have {first} and {second} symbols)"
             )
     else:
@@ -247,7 +229,7 @@ def characterize(
     pmi_top = []
     if stream.shape[0] >= 3:
         try:
-            pmi_top = top_pmi(stream, 1, params.pmi_top_k, sep)
+            pmi_top = top_pmi(stream, 1, PMI_TOP_K, sep)
         except DataError as e:
             notes.append(f"pmi unavailable: {e}")
 

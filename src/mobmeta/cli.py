@@ -38,7 +38,6 @@ from typing import Callable
 
 from . import __version__
 from .characterize import (
-    CharacterizeParams,
     characterize,
     per_user_attribute_matrix,
     report_from_dict,
@@ -305,7 +304,9 @@ FILE_OUTPUTS = {
 def _out_files(args) -> list[Path]:
     """--out, then the files written beside it (FILE_OUTPUTS).  An --out
     that is a directory, or named like one of those files or like the
-    manifest, is a usage error: one would overwrite the other."""
+    manifest, is a usage error: one would overwrite the other.  So is a
+    file beside it that is a directory, or a parent that is a file:
+    neither could be written once the work is done."""
     default, *siblings = FILE_OUTPUTS[args.command]
     out = Path(args.out or default)
     if out.is_dir():
@@ -314,6 +315,13 @@ def _out_files(args) -> list[Path]:
     if out.name in (*siblings, MANIFEST):
         raise UsageError(f"--out {out}: {args.command} writes its own "
                          f"{out.name} beside it")
+    parent = next(p for p in out.parents if p.exists())
+    if not parent.is_dir():
+        raise UsageError(f"--out {out}: {parent} is not a directory")
+    for name in (*siblings, MANIFEST):
+        if (out.parent / name).is_dir():
+            raise UsageError(f"--out {out}: {out.parent / name} is a "
+                             f"directory; {args.command} writes a file there")
     return [out, *(out.parent / name for name in siblings)]
 
 
@@ -463,30 +471,14 @@ def cmd_synth(args) -> Run:
 
 def characterize_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("dataset_dir")
-    p.add_argument("--dmax", type=int, default=100,
+    p.add_argument("--dmax", type=positive_int, default=100,
                    help="largest MI distance d, capped below stream length/10")
-    p.add_argument("--eps-fit", type=float, default=1e-3,
-                   help="bits an I(d) must exceed to enter the power-law fit")
-    p.add_argument("--eps-depth", type=float, default=0.1,
-                   help="bits an I(d) must reach to count toward the LDD "
-                   "depth (the largest such d)")
-    p.add_argument("--pmi-top-k", type=int, default=10,
-                   help="how many highest-PMI POI pairs at d=1 to report")
 
 
 def cmd_characterize(args) -> Run:
     out, mi_path, ms_path, corr_path = _out_files(args)
     ds = load_dataset(args.dataset_dir)
-    try:
-        params = CharacterizeParams(
-            d_max=args.dmax,
-            eps_fit=args.eps_fit,
-            eps_depth=args.eps_depth,
-            pmi_top_k=args.pmi_top_k,
-        )
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    report = characterize(ds, params)
+    report = characterize(ds, args.dmax)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_canonical_json(out, report.to_dict())
     write_mi_curve_csv(mi_path, report.mi_curve)
@@ -513,12 +505,12 @@ def cmd_characterize(args) -> Run:
     )
     for note in report.warnings:
         print(f"note: {note}", file=sys.stderr)
-    return Run(out, asdict(params), dataset_digest(args.dataset_dir),
+    return Run(out, {"d_max": args.dmax}, dataset_digest(args.dataset_dir),
                [out, mi_path, ms_path, corr_path])
 
 
 def positive_int(text: str) -> int:
-    """argparse type of an integer >= 1 (--context-window)."""
+    """argparse type of an integer >= 1 (--dmax, --context-window)."""
     try:
         value = int(text)
     except ValueError:

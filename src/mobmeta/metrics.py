@@ -200,12 +200,19 @@ def fit_power_law(
     return float(-coeffs[0]), rmse
 
 
+# Bits an I(d) must exceed to enter the power-law fit, and must reach to
+# count toward the LDD depth; fixed, so that a report's alpha and depth
+# mean the same in every report.
+EPS_FIT = 1e-3
+EPS_DEPTH = 0.1
+
+
 @dataclass(frozen=True)
 class MiDecay:
     """I(d) for d = 1..d_max plus the fitted exponent and LDD depth.
 
-    alpha is None when no point clears eps_fit ("no measurable
-    dependence"); ldd_depth is None when no point clears eps_depth.
+    alpha is None when no point clears EPS_FIT ("no measurable
+    dependence"); ldd_depth is None when no point clears EPS_DEPTH.
     """
 
     curve: tuple[tuple[int, float], ...]
@@ -217,13 +224,11 @@ class MiDecay:
 def mi_decay_curve(
     seq: Sequence[int],
     d_max: int,
-    eps_fit: float = 1e-3,
-    eps_depth: float = 0.1,
     separator_id: Optional[int] = None,
 ) -> MiDecay:
     """I(d) for d = 1..d_max with a power-law fit over the points above
-    eps_fit; the LDD depth is the largest distance whose I(d) reaches
-    eps_depth."""
+    EPS_FIT; the LDD depth is the largest distance whose I(d) reaches
+    EPS_DEPTH."""
     stream = np.asarray(seq, dtype=np.int64)
     n = stream.shape[0]
     if d_max < 1:
@@ -235,7 +240,7 @@ def mi_decay_curve(
         )
     hits = _separator_hits(stream, separator_id)
     curve = [(d, _mi_bits(stream, d, hits)) for d in range(1, d_max + 1)]
-    fit_pts = [(d, i) for d, i in curve if i > eps_fit]
+    fit_pts = [(d, i) for d, i in curve if i > EPS_FIT]
     alpha = rmse = None
     if len(fit_pts) >= 2:
         alpha, rmse = fit_power_law([d for d, _ in fit_pts],
@@ -245,7 +250,7 @@ def mi_decay_curve(
             "only one MI point above eps_fit; exponent left undefined",
             stacklevel=2,
         )
-    depths = [d for d, i in curve if i >= eps_depth]
+    depths = [d for d, i in curve if i >= EPS_DEPTH]
     return MiDecay(
         curve=tuple(curve),
         alpha=alpha,

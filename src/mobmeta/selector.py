@@ -151,7 +151,7 @@ def derive_attributes(report: MetaAttributeReport) -> dict:
     """Scalar quantities the rules reference, with provenance notes.
 
     mi = max I(d) over d >= 2 (0.0 when the curve has no such point);
-    ldd_depth None becomes 0 (no distance reaches eps_depth).
+    ldd_depth None becomes 0 (no distance reaches metrics.EPS_DEPTH).
     """
     missing = [
         name

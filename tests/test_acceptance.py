@@ -16,7 +16,7 @@ import oracles
 from conftest import make_dataset
 from test_selector import report_for
 
-from mobmeta.characterize import CharacterizeParams, characterize
+from mobmeta.characterize import characterize
 from mobmeta.cli import main
 from mobmeta.core import InfeasiblePlanError
 from mobmeta.entropy import fano_predictability, lz_entropy_rate
@@ -131,13 +131,13 @@ def test_criterion_05_ldd_detection():
         spec = SourceSpec(kind="copy_with_gap", gap=k, eps=0.05,
                           n_symbols=100_000, n_users=1, seed=k)
         ds, _ = generate(spec)
-        rep = characterize(ds, CharacterizeParams(d_max=k + 3, eps_depth=0.1))
+        rep = characterize(ds, k + 3)
         assert rep.ldd_depth is not None and rep.ldd_depth >= k
 
     spec = SourceSpec(kind="iid", dist=(0.25,) * 4, n_symbols=100_000,
                       n_users=1, seed=99)
     stream = np.asarray(raw_stream(spec, SplitMix64(99)), dtype=np.int64)
-    decay = mi_decay_curve(stream, 15, eps_fit=1e-3, eps_depth=0.1)
+    decay = mi_decay_curve(stream, 15)
     # alpha None + depth None is the "no measurable dependence" outcome
     assert decay.alpha is None
     assert decay.ldd_depth is None

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from mobmeta.characterize import (
-    CharacterizeParams,
     characterize,
     per_user_attribute_matrix,
     report_from_dict,
@@ -44,7 +43,7 @@ def markov_report():
         transition=zero_diag_uniform(8),
     )
     ds, gt = generate(spec)
-    return ds, gt, characterize(ds, CharacterizeParams(d_max=6))
+    return ds, gt, characterize(ds, 6)
 
 
 def test_markov_dataset_example(markov_report):
@@ -88,7 +87,7 @@ def test_report_from_dict_rejects_malformed():
 
 def test_characterize_deterministic(markov_report):
     ds, _, rep = markov_report
-    again = characterize(ds, CharacterizeParams(d_max=6))
+    again = characterize(ds, 6)
     assert again == rep
 
 
@@ -96,7 +95,7 @@ def test_short_sequences_skipped():
     ds = make_dataset(
         {"a": [0, 1, 2, 0, 1, 2, 0, 1], "b": [3]}, n_pois=4
     )
-    rep = characterize(ds, CharacterizeParams(d_max=1))
+    rep = characterize(ds, 1)
     assert rep.n_users == 1
     assert any("skipped short" in w for w in rep.warnings)
     with pytest.raises(DataError, match=">= 2 symbols"):
@@ -108,9 +107,8 @@ def test_implausible_short_user_skipped():
     # more than 0.1 bits above log2(2), so that user is left out
     long = [0, 1, 2, 0, 1, 2, 3, 0, 1, 2] * 30
     ds = make_dataset({"a": long, "b": [0, 1, 0, 1, 0]}, n_pois=4)
-    rep = characterize(ds, CharacterizeParams(d_max=5))
-    alone = characterize(make_dataset({"a": long}, n_pois=4),
-                         CharacterizeParams(d_max=5))
+    rep = characterize(ds, 5)
+    alone = characterize(make_dataset({"a": long}, n_pois=4), 5)
     assert [u.user_id for u in rep.per_user] == ["a"]
     assert rep.per_user == alone.per_user
     assert rep.mi_curve == alone.mi_curve
@@ -121,7 +119,7 @@ def test_implausible_short_user_skipped():
 
 def test_dmax_capped_for_short_streams():
     ds = make_dataset({"a": [0, 1, 2, 3] * 15}, n_pois=4)
-    rep = characterize(ds, CharacterizeParams(d_max=100))
+    rep = characterize(ds, 100)
     assert max(d for d, _ in rep.mi_curve) == 5  # (60-1)//10
     assert any("capped" in w for w in rep.warnings)
 
@@ -135,7 +133,7 @@ def test_dmax_capped_for_short_streams():
 ])
 def test_dmax_capped_to_distances_with_two_pairs(streams, cap):
     ds = make_dataset(streams)
-    rep = characterize(ds, CharacterizeParams(d_max=100))
+    rep = characterize(ds, 100)
     assert [d for d, _ in rep.mi_curve] == list(range(1, cap + 1))
     assert any(f"d_max capped to {cap} (fewer than 2 pairs" in w
                for w in rep.warnings)
@@ -170,19 +168,5 @@ def test_attribute_matrix_shape(markov_report):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        CharacterizeParams(d_max=0)
-
-
-@pytest.mark.parametrize("field, value", [
-    ("pmi_top_k", -1), ("eps_fit", -1e-3), ("eps_fit", math.nan),
-    ("eps_fit", math.inf), ("eps_depth", -0.1), ("eps_depth", math.nan),
-])
-def test_params_refuse_nonsense(field, value):
-    with pytest.raises(ValueError, match=field):
-        CharacterizeParams(**{field: value})
-
-
-def test_params_allow_zero():
-    params = CharacterizeParams(pmi_top_k=0, eps_fit=0.0, eps_depth=0.0)
-    assert (params.pmi_top_k, params.eps_fit, params.eps_depth) == (0, 0, 0)
+    with pytest.raises(ValueError, match="d_max"):
+        characterize(make_dataset({"a": [0, 1] * 20}), 0)

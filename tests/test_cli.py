@@ -796,7 +796,8 @@ def test_version_flag(capsys):
 # the two commands came to share their predictor arguments; synth -h and
 # "synth --n x" when synth --spec was removed; every command's -h when
 # the --seed and --out help lines stopped naming MOBMETA_SEED and
-# MOBMETA_OUT, which no longer exist.
+# MOBMETA_OUT, which no longer exist; the two characterize pins again
+# when its fit, depth and PMI settings became constants.
 PARSER_OUTPUT_SHA256 = {
     ("-h",): "7bce9b06ecae00584fc75514dc7ed69cdb5ea59840eb5e79732c799b3402b91a",
     ("ingest", "-h"):
@@ -806,7 +807,7 @@ PARSER_OUTPUT_SHA256 = {
     ("synth", "-h"):
         "14deda5466ca11fd6abeb6422bd367374637cbb2e4270536ca9ab3d58d1f5ec8",
     ("characterize", "-h"):
-        "dccde55c633226c1af145284a11a72ac8581de1bce737ec94209df3e17bbd31f",
+        "4059179a8fd76895ef695a206fc5dec1cb426bb0f9237ab5a4ba84a0588e57d5",
     ("validate", "-h"):
         "533202e8de906da09c9bc4bd611c4aee0dfca50058619907fe8b6c53a78273ea",
     ("sensitivity", "-h"):
@@ -821,7 +822,7 @@ PARSER_OUTPUT_SHA256 = {
     ("validate", "ds"):
         "1f4371261956c9e6d0ee17baef1605e4a0f7106d9eafed634b83936baa6156f0",
     ("characterize",):
-        "1b567d27a8e3fd45229bc1994c450b0cf407dea0daf3983d981b2ecada7a7eeb",
+        "0378dabafc487f83db775f5d9aed6e3ae84b5a9537a5d7d2cba898cfea0c14f0",
     ("ingest", "x", "--format", "nope"):
         "64f898e4bcf95bcc694ad92aafb64c684a7a6ac9180722d2526f25b6d9eebe7f",
     ("synth", "--n", "x"):
@@ -893,16 +894,22 @@ def test_unknown_option_is_reported_by_its_command(capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--pmi-top-k", "-1"), ("--eps-fit", "-0.5"), ("--eps-fit", "nan"),
-    ("--eps-depth", "-1"), ("--eps-depth", "inf"),
+    ("--eps-depth", "-1"), ("--eps-depth", "inf"), ("--dmax", "0"),
 ])
 def test_characterize_refuses_nonsense_parameters(tmp_path, capsys, flag,
                                                   value):
+    # d_max is characterization's one setting: the fit and depth
+    # thresholds and the PMI list length are constants, not options
     d = synth_periodic(tmp_path, capsys)
-    rc = main(["characterize", str(d), flag, value,
-               "--out", str(tmp_path / "c" / "report.json")])
+    with pytest.raises(SystemExit) as e:
+        main(["characterize", str(d), flag, value,
+              "--out", str(tmp_path / "c" / "report.json")])
     _, err = capsys.readouterr()
-    assert rc == 2
-    assert f"usage error: {flag[2:].replace('-', '_')} must be" in err
+    assert e.value.code == 2
+    if flag == "--dmax":
+        assert "error: argument --dmax: must be an integer >= 1" in err
+    else:
+        assert f"error: unrecognized arguments: {flag} {value}\n" in err
     assert not (tmp_path / "c").exists()
 
 
@@ -1010,8 +1017,7 @@ def test_characterize_options(capsys):
     # one scope per statistic: no option switches scopes, and an option
     # the parser does not know is a usage error
     assert [a.dest for a in build_parser("characterize")._actions] == [
-        "help", "seed", "out", "dataset_dir", "dmax", "eps_fit", "eps_depth",
-        "pmi_top_k",
+        "help", "seed", "out", "dataset_dir", "dmax",
     ]
     with pytest.raises(SystemExit) as e:
         main(["characterize", "d", "--scope", "per_user"])
@@ -1266,12 +1272,12 @@ def test_recommend_input_that_is_not_json_exits_3(tmp_path, capsys, data,
 
 
 def test_characterize_default_config_hash(tmp_path, capsys):
-    # the hash of the default CharacterizeParams config; renaming a field
-    # or changing how the config is serialized shows here
+    # the hash of the default config, {"d_max": 100}; renaming its key or
+    # changing how the config is serialized shows here
     d = synth_periodic(tmp_path, capsys)
     ok(["characterize", d, "--out", tmp_path / "c" / "report.json"], capsys)
     assert read_manifest(tmp_path / "c")["config_hash"] == (
-        "sha256:16614944476ba4f53a2935f0a1782f7f65f6aa43f19d8ba4ac132bb94a822b1b"
+        "sha256:bdb1c3796f7afc8f47bd7f944a841f0ed696118c74ea2dd503fb2a74decf4032"
     )
 
 
@@ -1363,6 +1369,43 @@ def test_out_of_the_wrong_kind_exits_2_before_any_work(tmp_path, capsys,
         assert taken.read_text(encoding="utf-8") == "kept"
     else:
         assert list(taken.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, out, blocked", [
+    (["characterize"], "report.json", "mi_curve.csv"),
+    (["characterize"], "report.json", "match_structure.csv"),
+    (["characterize"], "report.json", "corr_matrix.csv"),
+    (["characterize"], "report.json", "run_manifest.json"),
+    (["validate", "--model", "markov:1", "--scheme", "rolling:k=4"],
+     "folds.csv", "results.json"),
+    (["sensitivity", "--model", "markov:1"], "table.csv", "sensitivity.json"),
+    (["validate", "--model", "markov:1", "--scheme", "rolling:k=4"],
+     "folds.csv", None),
+], ids=["mi_curve", "match_structure", "corr_matrix", "manifest", "results",
+        "sensitivity", "parent-is-a-file"])
+def test_out_that_could_not_be_written_exits_2_before_any_work(
+        tmp_path, capsys, command, out, blocked):
+    # a file beside --out that is a directory, or a parent of --out that
+    # is a file, is refused before the dataset is read: the dataset does
+    # not exist, so reading it would exit 3
+    parent = tmp_path / "o"
+    if blocked is None:
+        parent.write_text("kept", encoding="utf-8")
+        named = parent
+    else:
+        (parent / blocked).mkdir(parents=True)
+        named = parent / blocked
+    rc = main([command[0], str(tmp_path / "missing"), *command[1:],
+               "--out", str(parent / out)])
+    stdout, err = capsys.readouterr()
+    assert rc == 2
+    assert err.startswith(f"usage error: --out {parent / out}: {named} ")
+    assert stdout == ""
+    if blocked is None:
+        assert parent.read_text(encoding="utf-8") == "kept"
+    else:
+        assert [p.name for p in parent.iterdir()] == [blocked]
+        assert list(named.iterdir()) == []
 
 
 # answers every PREDICT with POI 0, but sleeps instead of exiting once its

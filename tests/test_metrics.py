@@ -195,7 +195,7 @@ def test_mi_decay_curve_guards():
 
 def test_mi_decay_no_dependence_leaves_alpha_none(rng):
     seq = rng.integers(0, 2, size=3000)
-    decay = mi_decay_curve(seq, 5, eps_fit=0.05)
+    decay = mi_decay_curve(seq, 5)
     assert decay.alpha is None
     assert decay.ldd_depth is None
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobmeta.characterize import CharacterizeParams, characterize
+from mobmeta.characterize import characterize
 from mobmeta.core import DataError
 from mobmeta.jsonutil import write_canonical_json
 from mobmeta import report
@@ -235,7 +235,7 @@ def test_stats_table_layout():
 
 def test_summary_marks_absent_sections():
     ds = small_dataset()
-    ch = characterize(ds, CharacterizeParams(d_max=3)).to_dict()
+    ch = characterize(ds, 3).to_dict()
     summary = build_summary(ds, ch)
     assert summary["validation"] == {"present": False, "results": []}
     assert summary["recommendation"] == {"present": False, "result": None}
@@ -246,7 +246,7 @@ def test_summary_marks_absent_sections():
 @pytest.fixture()
 def bundle_inputs(tmp_path):
     ds = small_dataset()
-    ch = characterize(ds, CharacterizeParams(d_max=3))
+    ch = characterize(ds, 3)
     res = evaluate(
         ds,
         PredictorSpec(kind="markov_k", k=1),
@@ -336,7 +336,7 @@ def test_bundle_rerun_byte_identical(bundle_inputs):
 
 def test_dataset_summary_row_keys():
     ds = small_dataset()
-    ch = characterize(ds, CharacterizeParams(d_max=3)).to_dict()
+    ch = characterize(ds, 3).to_dict()
     row = dataset_summary_row(ds, ch)
     assert row["name"] == "inline"
     assert row["n_users"] == 3
