@@ -12,16 +12,23 @@ sequences.jsonl of a dataset directory, raw.jsonl of a raw one, or the
 report.json that recommend reads.  An option that selects a kind (synth
 --kind, ingest --format, --model) reads only its own options: one given
 that it does not read is a usage error, and one left out is left to the
-record's default.  An --out named like a file that the command writes
-beside it (FILE_OUTPUTS, run_manifest.json) is a usage error.
+record's default.
 
-Each command is defined once, in COMMANDS: its name, help line, handler
-and the function that adds its arguments.  A command line that starts
-with a command name is parsed by that command's own parser (prog
-"mobmeta <command>"), so a command builds only its own arguments.  The
-full parser, every command as a subparser of "mobmeta", is built from
-the same definitions only for the top-level help, --version, and a
-missing or unknown command.
+Each command is defined once, in COMMANDS: its name, help line, handler,
+the function that adds its arguments, and what it writes: a file --out
+(with a default name) and the files beside it, or a directory --out
+(required) and the files inside it.  Before any input is read, one rule
+checks both kinds: an --out of the wrong kind, a file --out named like a
+file written beside it or like run_manifest.json, a nearest existing
+ancestor of --out that is not a directory, and an output or manifest
+path that is an existing directory are usage errors.  The manifest lists
+those files as its outputs.
+
+A command line that starts with a command name is parsed by that
+command's own parser (prog "mobmeta <command>"), so a command builds
+only its own arguments.  The full parser, every command as a subparser
+of "mobmeta", is built from the same definitions only for the top-level
+help, --version, and a missing or unknown command.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ from .metrics import attribute_correlations, match_structure
 from .poi import ExtractionParams, extract_dataset
 from .predictors import PredictorSpec, parse_model
 from .report import (
-    bundle_files,
+    BUNDLE_FILES,
     bundle_report,
     stats_table,
     write_corr_matrix_csv,
@@ -91,23 +98,20 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class Run:
-    """What a finished command records in its run_manifest.json."""
+    """What a finished command records in its run_manifest.json besides
+    the files it wrote, which main() knows from the command's Command."""
 
-    anchor: Path  # the output file or directory the manifest sits beside
     config: dict
     dataset_hash: str | None
-    outputs: list[Path]
 
 
-def write_manifest(run: Run, argv: list[str], t0: float) -> Path:
-    """One run_manifest.json next to (or inside) the command's output."""
-    directory = run.anchor if run.anchor.is_dir() else run.anchor.parent
-    directory.mkdir(parents=True, exist_ok=True)
+def write_manifest(path: Path, run: Run, outputs: list[Path],
+                   argv: list[str], t0: float) -> None:
+    """The run_manifest.json of a command that wrote `outputs`."""
     config_hash = (
         "sha256:"
         + hashlib.sha256(canonical_dumps(run.config).encode("utf-8")).hexdigest()
     )
-    path = directory / MANIFEST
     write_canonical_json(
         path,
         {
@@ -116,10 +120,9 @@ def write_manifest(run: Run, argv: list[str], t0: float) -> Path:
             "dataset_hash": run.dataset_hash,
             "tool_version": __version__,
             "wall_time_s": round(time.monotonic() - t0, 6),
-            "outputs": sorted(str(p) for p in run.outputs),
+            "outputs": sorted(str(p) for p in outputs),
         },
     )
-    return path
 
 
 def parse_cols(text: str) -> dict:
@@ -281,54 +284,6 @@ def _spec_from_args(args) -> SourceSpec:
     return spec
 
 
-def _require_out(args, what: str) -> Path:
-    if not args.out:
-        raise UsageError(f"--out is required ({what})")
-    out = Path(args.out)
-    if out.exists() and not out.is_dir():
-        raise UsageError(f"--out {out} exists and is not a directory ({what})")
-    return out
-
-
-# each command whose --out is a file: its default --out, then the files
-# that it writes beside it
-FILE_OUTPUTS = {
-    "characterize": ("report.json", "mi_curve.csv", "match_structure.csv",
-                     "corr_matrix.csv"),
-    "validate": ("folds.csv", "results.json"),
-    "sensitivity": ("table.csv", "sensitivity.json"),
-    "recommend": ("recommendation.json",),
-}
-
-
-def _out_files(args) -> list[Path]:
-    """--out, then the files written beside it (FILE_OUTPUTS).  An --out
-    that is a directory, or named like one of those files or like the
-    manifest, is a usage error: one would overwrite the other.  So is a
-    file beside it that is a directory, or a parent that is a file:
-    neither could be written once the work is done."""
-    default, *siblings = FILE_OUTPUTS[args.command]
-    out = Path(args.out or default)
-    if out.is_dir():
-        raise UsageError(f"--out {out} is a directory; {args.command} "
-                         f"writes a file there")
-    if out.name in (*siblings, MANIFEST):
-        raise UsageError(f"--out {out}: {args.command} writes its own "
-                         f"{out.name} beside it")
-    parent = next(p for p in out.parents if p.exists())
-    if not parent.is_dir():
-        raise UsageError(f"--out {out}: {parent} is not a directory")
-    for name in (*siblings, MANIFEST):
-        if (out.parent / name).is_dir():
-            raise UsageError(f"--out {out}: {out.parent / name} is a "
-                             f"directory; {args.command} writes a file there")
-    return [out, *(out.parent / name for name in siblings)]
-
-
-DATASET_FILES = ("alphabet.json", "sequences.jsonl", "meta.json")
-MANIFEST = "run_manifest.json"
-
-
 # ingest's format-specific options with the IngestConfig field and reader
 # of each, and the ones each --format reads
 _INGEST_FIELDS = {"--cols": ("column_map", parse_cols),
@@ -350,8 +305,7 @@ def ingest_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--name", default=None)
 
 
-def cmd_ingest(args) -> Run:
-    out_dir = _require_out(args, "dataset directory")
+def cmd_ingest(args, out_dir: Path) -> Run:
     cfg = IngestConfig(format=args.format, **_given(
         args, "--format", _FORMAT_OPTIONS[args.format], _INGEST_FIELDS))
     name = args.name or Path(args.input).stem
@@ -362,8 +316,7 @@ def cmd_ingest(args) -> Run:
         print(
             f"ingested {ds.n_users} users, {ds.alphabet.size} POIs -> {out_dir}"
         )
-        return Run(out_dir, config, dataset_digest(out_dir),
-                   [out_dir / f for f in DATASET_FILES])
+        return Run(config, dataset_digest(out_dir))
     trajs, rep = parse_raw_with_report(args.input, cfg)
     save_raw(
         trajs, out_dir, name,
@@ -374,10 +327,7 @@ def cmd_ingest(args) -> Run:
         f"ingested {rep.points_kept} points from {rep.rows_read} rows "
         f"({len(rep.rejects)} rejected) for {len(trajs)} users -> {out_dir}"
     )
-    return Run(
-        out_dir, config, "sha256:" + sha256_file(out_dir / "raw.jsonl"),
-        [out_dir / f for f in ("raw.jsonl", "meta.json", "ingest_report.json")],
-    )
+    return Run(config, "sha256:" + sha256_file(out_dir / "raw.jsonl"))
 
 
 def extract_poi_arguments(p: argparse.ArgumentParser) -> None:
@@ -389,8 +339,7 @@ def extract_poi_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--name", default=None)
 
 
-def cmd_extract_poi(args) -> Run:
-    out_dir = _require_out(args, "dataset directory")
+def cmd_extract_poi(args, out_dir: Path) -> Run:
     trajs = load_raw(args.raw_dir)
     try:
         params = ExtractionParams(
@@ -410,8 +359,7 @@ def cmd_extract_poi(args) -> Run:
         f"extracted {ds.alphabet.size} POIs, {ds.n_users} users "
         f"({len(excluded)} excluded as too short) -> {out_dir}"
     )
-    return Run(out_dir, config, dataset_digest(out_dir),
-               [out_dir / f for f in DATASET_FILES])
+    return Run(config, dataset_digest(out_dir))
 
 
 # synth's kind-specific options with the SourceSpec field and reader of
@@ -453,8 +401,7 @@ def synth_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--switch-fraction", type=float)
 
 
-def cmd_synth(args) -> Run:
-    out_dir = _require_out(args, "dataset directory")
+def cmd_synth(args, out_dir: Path) -> Run:
     spec = _spec_from_args(args)
     ds, ground_truth = generate(spec)
     save_dataset(ds, out_dir)
@@ -463,10 +410,7 @@ def cmd_synth(args) -> Run:
         f"generated {spec.kind}: {ds.n_users} users, "
         f"alphabet {ds.alphabet.size} -> {out_dir}"
     )
-    return Run(
-        out_dir, spec_to_dict(spec), dataset_digest(out_dir),
-        [out_dir / f for f in DATASET_FILES + ("ground_truth.json",)],
-    )
+    return Run(spec_to_dict(spec), dataset_digest(out_dir))
 
 
 def characterize_arguments(p: argparse.ArgumentParser) -> None:
@@ -475,8 +419,8 @@ def characterize_arguments(p: argparse.ArgumentParser) -> None:
                    help="largest MI distance d, capped below stream length/10")
 
 
-def cmd_characterize(args) -> Run:
-    out, mi_path, ms_path, corr_path = _out_files(args)
+def cmd_characterize(args, out: Path, mi_path: Path, ms_path: Path,
+                     corr_path: Path) -> Run:
     ds = load_dataset(args.dataset_dir)
     report = characterize(ds, args.dmax)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -505,8 +449,7 @@ def cmd_characterize(args) -> Run:
     )
     for note in report.warnings:
         print(f"note: {note}", file=sys.stderr)
-    return Run(out, {"d_max": args.dmax}, dataset_digest(args.dataset_dir),
-               [out, mi_path, ms_path, corr_path])
+    return Run({"d_max": args.dmax}, dataset_digest(args.dataset_dir))
 
 
 def positive_int(text: str) -> int:
@@ -567,8 +510,7 @@ def validate_arguments(p: argparse.ArgumentParser) -> None:
                    help="e.g. block_rolling:k=10,p=1 or holdout:split=0.8")
 
 
-def cmd_validate(args) -> Run:
-    out, results_path = _out_files(args)
+def cmd_validate(args, out: Path, results_path: Path) -> Run:
     spec, window, config = _predictor(args)
     plan = parse_scheme_arg(args.scheme, args.seed, True, window)
     ds = load_dataset(args.dataset_dir)
@@ -587,8 +529,8 @@ def cmd_validate(args) -> Run:
         f"weighted {result.accuracy_weighted:.4f}, bits/symbol {bits}, "
         f"{result.n_predictions} predictions -> {out}"
     )
-    return Run(out, {**config, "scheme": args.scheme},
-               dataset_digest(args.dataset_dir), [out, results_path])
+    return Run({**config, "scheme": args.scheme},
+               dataset_digest(args.dataset_dir))
 
 
 def sensitivity_arguments(p: argparse.ArgumentParser) -> None:
@@ -598,8 +540,7 @@ def sensitivity_arguments(p: argparse.ArgumentParser) -> None:
                         "holdout .8/.7/.6 + kfold 3/5/10")
 
 
-def cmd_sensitivity(args) -> Run:
-    out, rows_json = _out_files(args)
+def cmd_sensitivity(args, out: Path, rows_json: Path) -> Run:
     spec, window, config = _predictor(args)
     if args.schemes:
         plans = [
@@ -630,8 +571,8 @@ def cmd_sensitivity(args) -> Run:
             f"acc {r.accuracy_user_mean:.4f} ({tag})"
         )
     print(f"spread across schemes: {spread:.4f} -> {out}")
-    return Run(out, {**config, "schemes": args.schemes},
-               dataset_digest(args.dataset_dir), [out, rows_json])
+    return Run({**config, "schemes": args.schemes},
+               dataset_digest(args.dataset_dir))
 
 
 def recommend_arguments(p: argparse.ArgumentParser) -> None:
@@ -639,8 +580,7 @@ def recommend_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rules", default=None, help="rules JSON file")
 
 
-def cmd_recommend(args) -> Run:
-    (out,) = _out_files(args)
+def cmd_recommend(args, out: Path) -> Run:
     try:
         report = report_from_dict(read_json(args.report))
     except DataError as e:
@@ -663,7 +603,7 @@ def cmd_recommend(args) -> Run:
         print(f" {mark} {entry['rule']}: {conds} -> "
               f"{entry['verdict_if_matched']}")
     config = {"report": str(args.report), "rules": args.rules}
-    return Run(out, config, "sha256:" + sha256_file(args.report), [out])
+    return Run(config, "sha256:" + sha256_file(args.report))
 
 
 def report_arguments(p: argparse.ArgumentParser) -> None:
@@ -676,8 +616,7 @@ def report_arguments(p: argparse.ArgumentParser) -> None:
                    help="sensitivity.json from a sensitivity run")
 
 
-def cmd_report(args) -> Run:
-    out_dir = _require_out(args, "report directory")
+def cmd_report(args, out_dir: Path) -> Run:
     ds = load_dataset(args.dataset_dir)
     summary = bundle_report(
         ds,
@@ -695,18 +634,27 @@ def cmd_report(args) -> Run:
         "recommendation": args.recommendation,
         "sensitivity": args.sensitivity,
     }
-    return Run(out_dir, config, dataset_digest(args.dataset_dir),
-               bundle_files(out_dir))
+    return Run(config, dataset_digest(args.dataset_dir))
+
+
+DATASET_FILES = ("alphabet.json", "sequences.jsonl", "meta.json")
+MANIFEST = "run_manifest.json"
 
 
 @dataclass(frozen=True)
 class Command:
-    """One subcommand: its name, help line, handler and arguments."""
+    """One subcommand: its name, help line, handler, arguments and what it
+    writes.  A command with a default `out` writes that file, or the file
+    --out names, and `files` beside it; one without writes `files` inside
+    the directory --out names, which must be given.  `files` is a function
+    of the arguments where they choose it (ingest --format)."""
 
     name: str
     help: str
-    func: Callable[[argparse.Namespace], Run]
+    func: Callable[..., Run]
     add_arguments: Callable[[argparse.ArgumentParser], None]
+    out: str | None
+    files: tuple[str, ...] | Callable[[argparse.Namespace], tuple[str, ...]]
 
     def define(self, p: argparse.ArgumentParser) -> argparse.ArgumentParser:
         """p with this command's arguments and defaults (func, command)."""
@@ -714,24 +662,60 @@ class Command:
         p.set_defaults(func=self.func, command=self.name)
         return p
 
+    def outputs(self, args) -> tuple[list[Path], list[Path], Path]:
+        """The paths the handler takes after args (--out, then the files
+        beside a file --out), every file the command writes, and the path
+        of its manifest, checked by the rule in the module docstring: a
+        path that could not be written is refused before any work."""
+        files = self.files(args) if callable(self.files) else self.files
+        directory = self.out is None
+        if directory and not args.out:
+            raise UsageError(f"--out is required ({self.name} writes a "
+                             f"directory)")
+        out = Path(args.out or self.out)
+        if not directory and out.name in (*files, MANIFEST):
+            raise UsageError(f"--out {out}: {self.name} writes its own "
+                             f"{out.name} beside it")
+        nearest = next(p for p in (out, *out.parents) if p.exists())
+        if nearest == out and out.is_dir() != directory:
+            raise UsageError(
+                f"--out {out} is {'not ' * directory}a directory; {self.name} "
+                f"writes a {'directory' if directory else 'file'} there")
+        if nearest != out and not nearest.is_dir():
+            raise UsageError(f"--out {out}: {nearest} is not a directory")
+        folder = out if directory else out.parent
+        paths = [folder / name for name in files]
+        for path in (*paths, folder / MANIFEST):
+            if path.is_dir():
+                raise UsageError(f"--out {out}: {path} is a directory; "
+                                 f"{self.name} writes a file there")
+        if directory:
+            return [out], paths, folder / MANIFEST
+        return [out, *paths], [out, *paths], folder / MANIFEST
+
 
 COMMANDS = {c.name: c for c in (
     Command("ingest", "parse raw trajectories or symbol streams",
-            cmd_ingest, ingest_arguments),
+            cmd_ingest, ingest_arguments, None,
+            lambda args: DATASET_FILES if args.format == "symbols_jsonl"
+            else ("raw.jsonl", "meta.json", "ingest_report.json")),
     Command("extract-poi", "staypoints -> POI alphabet -> sequences",
-            cmd_extract_poi, extract_poi_arguments),
+            cmd_extract_poi, extract_poi_arguments, None, DATASET_FILES),
     Command("synth", "generate a synthetic dataset with ground truth",
-            cmd_synth, synth_arguments),
+            cmd_synth, synth_arguments, None,
+            DATASET_FILES + ("ground_truth.json",)),
     Command("characterize", "meta-attribute report plus plot CSVs",
-            cmd_characterize, characterize_arguments),
+            cmd_characterize, characterize_arguments, "report.json",
+            ("mi_curve.csv", "match_structure.csv", "corr_matrix.csv")),
     Command("validate", "evaluate one predictor under one split scheme",
-            cmd_validate, validate_arguments),
+            cmd_validate, validate_arguments, "folds.csv", ("results.json",)),
     Command("sensitivity", "accuracy instability across split schemes",
-            cmd_sensitivity, sensitivity_arguments),
+            cmd_sensitivity, sensitivity_arguments, "table.csv",
+            ("sensitivity.json",)),
     Command("recommend", "threshold rules -> model-class verdict",
-            cmd_recommend, recommend_arguments),
+            cmd_recommend, recommend_arguments, "recommendation.json", ()),
     Command("report", "bundle component outputs into one directory",
-            cmd_report, report_arguments),
+            cmd_report, report_arguments, None, BUNDLE_FILES),
 )}
 
 
@@ -779,14 +763,15 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parse_args(argv)
+        paths, outputs, manifest = COMMANDS[args.command].outputs(args)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                run = args.func(args)
+                run = args.func(args, *paths)
             finally:
                 for w in caught:
                     print(f"warning: {w.message}", file=sys.stderr)
-        write_manifest(run, ["mobmeta"] + argv, t0)
+        write_manifest(manifest, run, outputs, ["mobmeta"] + argv, t0)
         return 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

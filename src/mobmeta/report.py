@@ -247,12 +247,10 @@ def build_summary(
     }
 
 
-def bundle_files(out_dir: Union[str, Path]) -> list[Path]:
-    """The files bundle_report writes into out_dir, in the order it writes
-    them.  Other files already in out_dir are not the bundle's."""
-    names = ["summary.json", "table.txt", "mi_curve.csv", "fold_curve.csv",
-             "compression.csv"]
-    return [Path(out_dir) / name for name in names]
+# The files bundle_report writes into its directory, in the order it
+# writes them.  Other files already there are not the bundle's.
+BUNDLE_FILES = ("summary.json", "table.txt", "mi_curve.csv",
+                "fold_curve.csv", "compression.csv")
 
 
 # The keys of a results.json that summary.schema.json requires.
@@ -296,7 +294,7 @@ def bundle_report(
 ) -> dict:
     """Assemble the report directory from component outputs.
 
-    Writes the files bundle_files names: summary.json, table.txt,
+    Writes the files BUNDLE_FILES names: summary.json, table.txt,
     mi_curve.csv, fold_curve.csv and compression.csv.  Without validation
     results the two CSVs hold their header only, so no earlier run's rows
     are left beside a summary whose validation is absent.  Missing input
@@ -359,7 +357,7 @@ def bundle_report(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary_path, table_path, mi_path, fold_curve_path, compression_path = (
-        bundle_files(out))
+        out / name for name in BUNDLE_FILES)
     write_canonical_json(summary_path, summary)
     table_path.write_text(table, encoding="utf-8")
 

@@ -24,6 +24,7 @@ from mobmeta import __version__, cli, predictors
 from mobmeta.cli import COMMANDS, build_parser, main
 from mobmeta.ingest import load_dataset
 from mobmeta.report import FOLDS_CSV_COLUMNS
+from test_readme import readme_commands
 
 MANIFEST_KEYS = {
     "command_line", "config_hash", "dataset_hash", "tool_version",
@@ -65,6 +66,12 @@ def tree_bytes(directory):
         for p in sorted(directory.iterdir())
         if p.name != "run_manifest.json"
     }
+
+
+def disk_state(root):
+    """Every path under root, with a file's bytes (None for a directory)."""
+    return {p: p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
 
 
 def synth_files(tmp_path):
@@ -1372,21 +1379,40 @@ def test_out_of_the_wrong_kind_exits_2_before_any_work(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command, out, blocked", [
-    (["characterize"], "report.json", "mi_curve.csv"),
-    (["characterize"], "report.json", "match_structure.csv"),
-    (["characterize"], "report.json", "corr_matrix.csv"),
-    (["characterize"], "report.json", "run_manifest.json"),
-    (["validate", "--model", "markov:1", "--scheme", "rolling:k=4"],
-     "folds.csv", "results.json"),
-    (["sensitivity", "--model", "markov:1"], "table.csv", "sensitivity.json"),
-    (["validate", "--model", "markov:1", "--scheme", "rolling:k=4"],
-     "folds.csv", None),
+    (["characterize", "{missing}"], "report.json", "mi_curve.csv"),
+    (["characterize", "{missing}"], "report.json", "match_structure.csv"),
+    (["characterize", "{missing}"], "report.json", "corr_matrix.csv"),
+    (["characterize", "{missing}"], "report.json", "run_manifest.json"),
+    (["validate", "{missing}", "--model", "markov:1", "--scheme",
+      "rolling:k=4"], "folds.csv", "results.json"),
+    (["sensitivity", "{missing}", "--model", "markov:1"], "table.csv",
+     "sensitivity.json"),
+    (["validate", "{missing}", "--model", "markov:1", "--scheme",
+      "rolling:k=4"], "folds.csv", None),
+    # a directory --out, with the files written inside it
+    (["synth", "--kind", "markov_order_k", "--transition", "{missing}"],
+     "data", None),
+    (["synth", "--kind", "markov_order_k", "--transition", "{missing}"],
+     "data", "data/ground_truth.json"),
+    (["ingest", "{missing}"], "raw", None),
+    (["ingest", "{missing}"], "raw", "raw/raw.jsonl"),
+    (["extract-poi", "{missing}"], "data", None),
+    (["extract-poi", "{missing}"], "data", "data/alphabet.json"),
+    (["report", "{missing}", "--characterization", "{missing}"], "bundle",
+     None),
+    (["report", "{missing}", "--characterization", "{missing}"], "bundle",
+     "bundle/summary.json"),
+    (["report", "{missing}", "--characterization", "{missing}"], "bundle",
+     "bundle/run_manifest.json"),
 ], ids=["mi_curve", "match_structure", "corr_matrix", "manifest", "results",
-        "sensitivity", "parent-is-a-file"])
+        "sensitivity", "parent-is-a-file", "synth-parent-is-a-file",
+        "synth-ground_truth", "ingest-parent-is-a-file", "ingest-raw",
+        "extract-poi-parent-is-a-file", "extract-poi-alphabet",
+        "report-parent-is-a-file", "report-summary", "report-manifest"])
 def test_out_that_could_not_be_written_exits_2_before_any_work(
         tmp_path, capsys, command, out, blocked):
-    # a file beside --out that is a directory, or a parent of --out that
-    # is a file, is refused before the dataset is read: the dataset does
+    # a file the command writes that is a directory, or a parent of --out
+    # that is a file, is refused before any input is read: the input does
     # not exist, so reading it would exit 3
     parent = tmp_path / "o"
     if blocked is None:
@@ -1395,17 +1421,60 @@ def test_out_that_could_not_be_written_exits_2_before_any_work(
     else:
         (parent / blocked).mkdir(parents=True)
         named = parent / blocked
-    rc = main([command[0], str(tmp_path / "missing"), *command[1:],
-               "--out", str(parent / out)])
+    before = disk_state(tmp_path)
+    argv = [a.format(missing=tmp_path / "missing") for a in command]
+    rc = main(argv + ["--out", str(parent / out)])
     stdout, err = capsys.readouterr()
     assert rc == 2
     assert err.startswith(f"usage error: --out {parent / out}: {named} ")
     assert stdout == ""
-    if blocked is None:
-        assert parent.read_text(encoding="utf-8") == "kept"
-    else:
-        assert [p.name for p in parent.iterdir()] == [blocked]
-        assert list(named.iterdir()) == []
+    assert disk_state(tmp_path) == before
+
+
+def readme_chain():
+    """The README's command chain, from its synth through its report."""
+    commands = readme_commands()
+    names = [argv[1] for argv in commands]
+    start = names.index("synth")
+    return [argv[1:] for argv in
+            commands[start:names.index("report", start) + 1]]
+
+
+def write_gps_and_symbols(directory):
+    """fixes.csv (two dwells 5 km apart, one user) and sym.jsonl."""
+    lat_b = 45.0 + 5000.0 / 111194.92664455873
+    (directory / "fixes.csv").write_text(
+        "".join(f"u1,{lat},7.0,{120 * (15 * i + j)}\n"
+                for i, lat in enumerate((45.0, lat_b, 45.0))
+                for j in range(15)),
+        encoding="utf-8")
+    (directory / "sym.jsonl").write_text(
+        json.dumps({"user_id": "a", "symbols": [[0, 1], [1, 2], [0, 3]]})
+        + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("chain", [
+    readme_chain(),
+    [["ingest", "fixes.csv", "--format", "csv_gps", "--out", "raw"],
+     ["extract-poi", "raw", "--min-visits", "1", "--out", "pois"]],
+    [["ingest", "sym.jsonl", "--format", "symbols_jsonl", "--out", "ds"]],
+], ids=["readme", "ingest-csv_gps-extract-poi", "ingest-symbols_jsonl"])
+def test_manifest_outputs_are_the_files_its_command_wrote(
+        tmp_path, capsys, monkeypatch, chain):
+    # every file a command creates or rewrites, but its manifest, and
+    # nothing else: each older file's mtime is set to 0 before a command,
+    # so a file it writes is one that is new or has a later mtime
+    monkeypatch.chdir(tmp_path)
+    write_gps_and_symbols(tmp_path)
+    for argv in chain:
+        for p in tmp_path.rglob("*"):
+            os.utime(p, ns=(0, 0))
+        ok(argv, capsys)
+        written = {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
+                   if p.is_file() and p.stat().st_mtime_ns != 0}
+        (manifest,) = [p for p in written if p.endswith("run_manifest.json")]
+        outputs = json.loads(Path(manifest).read_text())["outputs"]
+        assert outputs == sorted(written - {manifest}), argv[0]
 
 
 # answers every PREDICT with POI 0, but sleeps instead of exiting once its
