@@ -243,16 +243,24 @@ def _given(args, flag: str, reads: tuple, options: dict) -> dict:
     return fields
 
 
-def _spec_file(path: str, as_spec=lambda value: value):
+def _spec_file(path: str, as_spec):
     """The JSON value in a file, checked whole as the source spec that
-    `as_spec` makes of it (by default the value itself); exits 3 naming
-    the file."""
+    `as_spec` makes of it; exits 3 naming the file."""
     value = read_json(path)
     try:
         spec_from_dict(as_spec(value))
     except DataError as e:
         raise DataError(f"{path}: {e}") from None
     return value
+
+
+def _regime_file(path: str):
+    """A regime's source spec in a JSON file, checked whole: its kind's
+    fields only, since the regime_switch spec sets n_symbols, n_users and
+    seed."""
+    return _spec_file(path, lambda spec: {
+        "kind": "regime_switch", "n_symbols": 2, "spec_a": spec,
+        "spec_b": spec})
 
 
 def _transition_file(path: str):
@@ -372,8 +380,8 @@ _SYNTH_FIELDS = {
     "--transition": ("transition", _transition_file),
     "--k": ("gap", int),
     "--eps": ("eps", float),
-    "--spec-a": ("spec_a", _spec_file),
-    "--spec-b": ("spec_b", _spec_file),
+    "--spec-a": ("spec_a", _regime_file),
+    "--spec-b": ("spec_b", _regime_file),
     "--switch-fraction": ("switch_fraction", float),
 }
 _KIND_OPTIONS = {

@@ -4,6 +4,16 @@ Figures are emitted as CSV plot data, never rendered images, so the
 artifact stays dependency-free.  All writers produce canonical bytes
 (sorted keys, fixed float repr via repr(), \n line endings) so reruns
 on identical inputs are byte-identical.
+
+Every CSV goes through `_write_csv`, which writes text blocks of whole
+lines.  The small tables format one row at a time (`_csv_blocks`).
+match_structure.csv, the one long table, is built by an array kernel
+(`_match_blocks`) once it has _KERNEL_MIN_ROWS rows: per chunk of rows,
+`pos` and `L` become ASCII digits right-aligned in a uint8 matrix, each
+distinct delta's repr'd log10 is gathered from a left-aligned byte
+table, and the comma and newline columns sit beside them; dropping the
+0 bytes that pad each cell leaves the chunk's lines, the same bytes that
+formatting each row would write.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ import statistics
 from dataclasses import fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,26 +48,69 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _fmt_row(row) -> str:
-    """One CSV line (no line ending) of _fmt'd cells."""
-    return ",".join(map(_fmt, row))
-
-
-# Lines joined per write: never a second copy of a long table in memory.
+# Rows per block of text written: never a second copy of a long table in
+# memory.  It also bounds the match_structure.csv kernel's temporaries,
+# which hold one block's rows at a time.
 _CSV_CHUNK_ROWS = 4096
 
 
-def _write_csv(path: Path, header: Sequence[str], lines: Iterable[str]) -> None:
-    """The header, then each formatted line, each ending in a newline."""
-    lines = iter(lines)
+def _write_csv(path: Path, header: Sequence[str], blocks: Iterable[str]) -> None:
+    """The header, then each block: whole lines, each ending in a newline."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
-        while chunk := list(itertools.islice(lines, _CSV_CHUNK_ROWS)):
-            f.write("\n".join(chunk) + "\n")
+        f.writelines(blocks)
+
+
+def _csv_blocks(rows: Iterable) -> Iterator[str]:
+    """Each row as a line of _fmt'd cells, _CSV_CHUNK_ROWS lines to a block."""
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, _CSV_CHUNK_ROWS)):
+        yield "".join(",".join(map(_fmt, row)) + "\n" for row in chunk)
 
 
 def write_mi_curve_csv(path: Union[str, Path], mi_curve) -> None:
-    _write_csv(Path(path), ["d", "I_bits"], map(_fmt_row, mi_curve))
+    _write_csv(Path(path), ["d", "I_bits"], _csv_blocks(mi_curve))
+
+
+def _ascii_digits(values: np.ndarray) -> np.ndarray:
+    """Non-negative integers as ASCII digits, right-aligned in a uint8
+    matrix as wide as the largest has digits; 0 bytes pad on the left."""
+    top = int(values.max())
+    q = values.astype(np.int32 if top < 2**31 else np.int64)
+    width = len(str(top))
+    digits = np.empty((len(q), width), np.uint8)
+    for j in reversed(range(width)):
+        higher = q // 10
+        digits[:, j] = q - 10 * higher + ord("0")
+        if j < width - 1:
+            digits[:, j] *= q > 0  # left of the value's first digit
+        q = higher
+    return digits
+
+
+def _match_blocks(pos: np.ndarray, length: np.ndarray,
+                  delta: np.ndarray) -> Iterator[str]:
+    """The lines "pos,L,log10_delta", _CSV_CHUNK_ROWS rows to a block."""
+    present = np.bincount(delta) > 0
+    distinct = np.flatnonzero(present).tolist()
+    text = np.array([repr(math.log10(d)) for d in distinct], dtype=bytes)
+    table = text.view(np.uint8).reshape(-1, text.itemsize)
+    rank = np.cumsum(present) - 1  # delta -> its row of table
+    for lo in range(0, len(delta), _CSV_CHUNK_ROWS):
+        rows = slice(lo, lo + _CSV_CHUNK_ROWS)
+        d = delta[rows]
+        comma = np.full((len(d), 1), ord(","), np.uint8)
+        block = np.concatenate([
+            _ascii_digits(pos[rows]), comma, _ascii_digits(length[rows]),
+            comma, table[rank[d]], np.full_like(comma, ord("\n")),
+        ], axis=1)
+        yield block[block != 0].tobytes().decode("ascii")
+
+
+# Shorter match tables are formatted row by row: the kernel's fixed cost,
+# a few dozen numpy calls (about 0.1 ms in a fresh characterize command),
+# is more than formatting this many rows costs.
+_KERNEL_MIN_ROWS = 64
 
 
 def write_match_structure_csv(
@@ -66,30 +119,29 @@ def write_match_structure_csv(
     """Rows (pos, L, log10_delta) from match_structure's three columns.
 
     delta is the smallest positive back-shift, so an adjacent repeat
-    (delta 1) logs as 0.0.  Each distinct delta is formatted once.
+    (delta 1) logs as 0.0.  pos and L are written as integers and
+    log10(delta) as its repr.  From _KERNEL_MIN_ROWS rows on, the rows
+    are built _CSV_CHUNK_ROWS at a time by an array kernel
+    (`_match_blocks`): the digits of pos and L, each distinct delta's text
+    (formatted once) gathered by rank, and the separators, as one uint8
+    matrix whose 0-byte padding is dropped.  A shorter table goes through
+    `_csv_blocks`, cell by cell; both give the same bytes.
     """
-    pos, length = np.asarray(pos), np.asarray(length)
-    delta = np.asarray(delta, dtype=np.int64)
-    distinct = np.flatnonzero(np.bincount(delta)).tolist()
-    text = dict(zip(distinct, (repr(math.log10(d)) for d in distinct)))
-    chunks = (slice(lo, lo + _CSV_CHUNK_ROWS)
-              for lo in range(0, delta.shape[0], _CSV_CHUNK_ROWS))
-    lines = itertools.chain.from_iterable(
-        map("{},{},{}".format, pos[s].tolist(), length[s].tolist(),
-            map(text.__getitem__, delta[s].tolist()))
-        for s in chunks
-    )
-    _write_csv(Path(path), ["pos", "L", "log10_delta"], lines)
+    pos, length, delta = (np.asarray(c, np.int64) for c in (pos, length, delta))
+    if len(delta) < _KERNEL_MIN_ROWS:
+        blocks = _csv_blocks(zip(pos.tolist(), length.tolist(),
+                                 map(math.log10, delta.tolist())))
+    else:
+        blocks = _match_blocks(pos, length, delta)
+    _write_csv(Path(path), ["pos", "L", "log10_delta"], blocks)
 
 
 def write_corr_matrix_csv(
     path: Union[str, Path], names: Sequence[str], matrix
 ) -> None:
-    lines = (
-        _fmt_row([name] + [float(matrix[i][j]) for j in range(len(names))])
-        for i, name in enumerate(names)
-    )
-    _write_csv(Path(path), ["attribute"] + list(names), lines)
+    rows = ([name] + [float(matrix[i][j]) for j in range(len(names))]
+            for i, name in enumerate(names))
+    _write_csv(Path(path), ["attribute"] + list(names), _csv_blocks(rows))
 
 
 FOLDS_CSV_COLUMNS = (
@@ -101,8 +153,8 @@ FOLDS_CSV_COLUMNS = (
 def _write_records_csv(path: Union[str, Path], columns: Sequence[str],
                        records) -> None:
     """One row per record: its fields named by columns, in their order."""
-    cells = attrgetter(*columns)
-    _write_csv(Path(path), columns, (_fmt_row(cells(r)) for r in records))
+    _write_csv(Path(path), columns,
+               _csv_blocks(map(attrgetter(*columns), records)))
 
 
 def write_folds_csv(path: Union[str, Path], results) -> None:
@@ -115,25 +167,25 @@ def write_fold_curve_csv(path: Union[str, Path], results) -> None:
 
     results are results.json dicts (EvaluationResult.to_dict()).
     """
-    lines = (
-        _fmt_row((r["model"], r["plan"], f, acc))
+    rows = (
+        (r["model"], r["plan"], f, acc)
         for r in results
         for f, acc in r.get("fold_curve", [])
     )
-    _write_csv(Path(path), ["model", "plan", "fold", "accuracy"], lines)
+    _write_csv(Path(path), ["model", "plan", "fold", "accuracy"],
+               _csv_blocks(rows))
 
 
 def write_compression_csv(path: Union[str, Path], results) -> None:
     """bits/symbol per results.json dict; argmax-only models print n/a."""
-    lines = (
-        _fmt_row((r["model"], r["plan"], r.get("bits_weighted"),
-                  r.get("bits_user_mean")))
+    rows = (
+        (r["model"], r["plan"], r.get("bits_weighted"), r.get("bits_user_mean"))
         for r in results
     )
     _write_csv(
         Path(path),
         ["model", "plan", "bits_weighted", "bits_user_mean"],
-        lines,
+        _csv_blocks(rows),
     )
 
 

@@ -45,7 +45,9 @@ class SourceSpec:
       periodic       pattern: symbol ids cycled verbatim
       markov_order_k transition: array of shape (N,)*k + (N,), rows normalized
       copy_with_gap  gap k and noise eps (see _copy_with_gap for the layout)
-      regime_switch  spec_a / spec_b (no nesting) and switch_fraction
+      regime_switch  spec_a / spec_b (no nesting) and switch_fraction;
+                     generation reads only the kind fields of spec_a and
+                     spec_b, and their JSON form holds nothing else
     """
 
     kind: str
@@ -299,16 +301,19 @@ def generate(spec: SourceSpec) -> tuple[Dataset, dict]:
 
 def _json_value(value):
     if isinstance(value, SourceSpec):
-        return spec_to_dict(value)
+        return spec_to_dict(value, nested=True)
     if isinstance(value, (tuple, np.ndarray)):
         return np.asarray(value).tolist()
     return value
 
 
-def spec_to_dict(spec: SourceSpec) -> dict:
+def spec_to_dict(spec: SourceSpec, nested: bool = False) -> dict:
     """JSON-safe form of a SourceSpec (CLI spec files, provenance): the
-    common fields, then those of KIND_FIELDS[kind]."""
-    fields = ("kind",) + _COMMON_FIELDS + KIND_FIELDS[spec.kind]
+    common fields, then those of KIND_FIELDS[kind].  A regime's nested
+    spec_a and spec_b hold their kind's fields only: generation takes
+    n_symbols, n_users and seed from the regime_switch spec."""
+    fields = (("kind",) + (() if nested else _COMMON_FIELDS)
+              + KIND_FIELDS[spec.kind])
     return {name: _json_value(getattr(spec, name)) for name in fields}
 
 
@@ -318,23 +323,37 @@ _READERS = {
     "switch_fraction": float, "dist": lambda v: tuple(map(float, v)),
     "pattern": lambda v: tuple(map(int, v)),
     "transition": lambda v: np.asarray(v, dtype=np.float64),
-    "spec_a": lambda v: spec_from_dict(v), "spec_b": lambda v: spec_from_dict(v),
 }
+
+
+def _read_spec(obj: dict, outer: Optional[dict] = None) -> SourceSpec:
+    """The SourceSpec of obj.  A regime's nested spec reads only its kind's
+    fields and takes the common ones, `outer`, from the regime_switch spec."""
+    fields = ((_COMMON_FIELDS if outer is None else ())
+              + KIND_FIELDS.get(obj["kind"], ()))
+    values = dict(outer or {})
+    for name in fields:
+        if name not in obj:
+            continue
+        if name in ("spec_a", "spec_b"):
+            values[name] = _read_spec(obj[name], {
+                k: values[k] for k in _COMMON_FIELDS if k in values})
+        else:
+            values[name] = _READERS[name](obj[name])
+    spec = SourceSpec(kind=obj["kind"], **values)
+    unread = sorted(set(obj) - {"kind", *fields})
+    if unread:
+        raise ValueError(f"kind {spec.kind} does not read "
+                         f"{', '.join(map(repr, unread))}; it reads: "
+                         f"{', '.join(fields)}")
+    return spec
 
 
 def spec_from_dict(obj: dict) -> SourceSpec:
     """The SourceSpec of spec_to_dict's form.  A field left out takes its
-    SourceSpec default; a key that the kind does not read is refused."""
+    SourceSpec default; a key that the kind does not read is refused, and
+    a regime's nested spec reads only its kind's fields."""
     try:
-        fields = _COMMON_FIELDS + KIND_FIELDS.get(obj["kind"], ())
-        spec = SourceSpec(kind=obj["kind"], **{
-            name: _READERS[name](obj[name]) for name in fields if name in obj
-        })
-        unread = sorted(set(obj) - {"kind", *fields})
-        if unread:
-            raise ValueError(f"kind {spec.kind} does not read "
-                             f"{', '.join(map(repr, unread))}; it reads: "
-                             f"{', '.join(fields)}")
-        return spec
+        return _read_spec(obj)
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"malformed source spec: {e}") from e

@@ -78,8 +78,8 @@ def synth_files(tmp_path):
     """Paths to substitute for "{transition}" and "{spec}" in synth args:
     a transition table and a periodic source spec."""
     spec = tmp_path / "periodic.json"
-    spec.write_text(json.dumps({"kind": "periodic", "n_symbols": 60,
-                                "pattern": [0, 1, 2]}), encoding="utf-8")
+    spec.write_text(json.dumps({"kind": "periodic", "pattern": [0, 1, 2]}),
+                    encoding="utf-8")
     return {"transition": str(write_zero_diag_transition(tmp_path)),
             "spec": str(spec)}
 
@@ -138,16 +138,24 @@ def test_synth_spec_option_is_gone(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
-PERIODIC_SPEC = '{"kind": "periodic", "n_symbols": 60, "pattern": [0, 1, 2]'
+PERIODIC_SPEC = '{"kind": "periodic", "pattern": [0, 1, 2]'
 
 
 @pytest.mark.parametrize("option, text, named", [
     ("--spec-a", PERIODIC_SPEC + ', "gap": 3}',
      "malformed source spec: kind periodic does not read 'gap'; it reads: "
-     "n_symbols, n_users, seed, pattern"),
+     "pattern"),
     ("--spec-b", PERIODIC_SPEC + ', "seed_": 9}',
      "malformed source spec: kind periodic does not read 'seed_'"),
-    ("--spec-a", '{"kind": "periodic", "n_symbols": 60}',
+    # the regime_switch spec sets these; a regime's spec never read them
+    ("--spec-a", PERIODIC_SPEC + ', "n_symbols": 99999}',
+     "malformed source spec: kind periodic does not read 'n_symbols'; it "
+     "reads: pattern"),
+    ("--spec-b", PERIODIC_SPEC + ', "n_users": 3}',
+     "malformed source spec: kind periodic does not read 'n_users'"),
+    ("--spec-a", PERIODIC_SPEC + ', "seed": 2}',
+     "malformed source spec: kind periodic does not read 'seed'"),
+    ("--spec-a", '{"kind": "periodic"}',
      "malformed source spec: periodic needs a pattern"),
     ("--spec-a", '{"kind": "regime_switch", "n_symbols": 60, "spec_a": '
                  '{"kind": "periodic", "n_symbols": 60}, "spec_b": '
@@ -156,7 +164,8 @@ PERIODIC_SPEC = '{"kind": "periodic", "n_symbols": 60, "pattern": [0, 1, 2]'
     ("--transition", "notjson", "Expecting value"),
     ("--transition", "[[0.5, 0.6], [0.5, 0.5]]",
      "malformed source spec: transition rows must be normalized"),
-], ids=["key-its-kind-does-not-read", "key-no-kind-reads", "no-pattern",
+], ids=["key-its-kind-does-not-read", "key-no-kind-reads", "n_symbols",
+        "n_users", "seed", "no-pattern",
         "malformed-nested-spec", "spec-not-json", "transition-not-json",
         "transition-not-normalized"])
 def test_synth_refuses_a_bad_spec_file_naming_it(tmp_path, capsys, option,
@@ -188,10 +197,10 @@ def test_synth_refuses_a_bad_spec_file_naming_it(tmp_path, capsys, option,
      "a1050b414c1999333c5f36f295197601d15294a56cfe6f15d7cb9af859335e8d"),
     (["--kind", "regime_switch", "--spec-a", "{spec}", "--spec-b",
       "{spec}"],
-     "fd16f456abf01d60a628a16f6d20e4eb86514ab68696d74f6c2e687e7a38d137"),
+     "2f3f93c17966476922bb36056687087945523fd2fd1871450cbef9440e27cda7"),
     (["--kind", "regime_switch", "--spec-a", "{spec}", "--spec-b", "{spec}",
       "--switch-fraction", "0.5"],
-     "fd16f456abf01d60a628a16f6d20e4eb86514ab68696d74f6c2e687e7a38d137"),
+     "2f3f93c17966476922bb36056687087945523fd2fd1871450cbef9440e27cda7"),
 ], ids=["iid", "iid-default-given", "copy_with_gap",
         "copy_with_gap-defaults-given", "regime_switch",
         "regime_switch-default-given"])

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import mobmeta
-from mobmeta import metrics
+from mobmeta import metrics, report
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -61,3 +61,25 @@ def test_pair_counts_seam_counts_a_real_call(seq):
         "metrics.mi_pairs": len(seq) - 1,
         "metrics.mi_cells": len(set(zip(seq, seq[1:]))),
     }
+
+
+CSV_SEAM = next(s for s in tracer.COUNTED_SEAMS
+                if s.label == "mobmeta.report._write_csv")
+
+
+def test_csv_seam_counts_the_match_structure_file(tmp_path):
+    # report.csv_rows and csv_bytes count what passes through _write_csv;
+    # a match_structure.csv writer that bypassed it would zero them
+    triples = metrics.match_structure([0, 1, 2, 0, 1, 3, 2] * 700)
+    assert len(triples) > report._CSV_CHUNK_ROWS  # several blocks
+    counts = tracer.Tracer()
+    seams = tracer.Seams(counts, [CSV_SEAM])
+    try:
+        report.write_match_structure_csv(tmp_path / "ms.csv", *triples.T)
+    finally:
+        seams.restore()
+    data = (tmp_path / "ms.csv").read_bytes()
+    assert seams.missing == [] and counts.bad_counts == set()
+    assert counts.counts == {"report.csv_rows": len(triples),
+                             "report.csv_bytes": len(data)}
+    assert data.count(b"\n") == len(triples) + 1

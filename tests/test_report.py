@@ -16,7 +16,7 @@ from mobmeta import report
 from mobmeta.predictors import PredictorSpec
 from mobmeta.report import (
     FOLDS_CSV_COLUMNS,
-    _fmt_row,
+    _csv_blocks,
     _write_csv,
     build_summary,
     bundle_report,
@@ -79,6 +79,48 @@ def test_match_structure_csv_log_delta(tmp_path):
         [(int(a), int(b), math.log10(c)) for a, b, c in zip(pos, length, delta)],
     )
     assert p.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+# the digit-count boundaries 9|10, 99|100, ... up to int64's largest
+BOUNDARIES = sorted({v for k in range(1, 19) for v in (10**k - 1, 10**k)}
+                    | {0, 2**31 - 1, 2**31, 2**31 + 1, 2**63 - 1})
+
+
+def match_tables():
+    rng = np.random.default_rng(5)
+    n = len(BOUNDARIES)
+    many = rng.integers(1, 2000, size=3000)
+    return {
+        "no-rows": np.zeros((0, 3), dtype=np.int64),
+        "one-row": np.array([[0, 1, 1]]),
+        "digit-boundaries": np.column_stack([
+            BOUNDARIES, BOUNDARIES[::-1], np.arange(1, n + 1)]),
+        "adjacent-repeats": np.column_stack([
+            np.arange(40), np.arange(40) % 3 + 1, np.ones(40, dtype=np.int64)]),
+        "many-deltas": np.column_stack([
+            rng.integers(0, 10**6, size=3000), rng.integers(1, 120, size=3000),
+            many]),
+    }
+
+
+@pytest.mark.parametrize("kernel_min_rows", [0, 10**9],
+                         ids=["kernel", "row-by-row"])
+@pytest.mark.parametrize("chunk_rows", [4096, 2, 3])
+@pytest.mark.parametrize("name", list(match_tables()))
+def test_match_structure_csv_equals_cell_by_cell(tmp_path, name, chunk_rows,
+                                                 kernel_min_rows):
+    # both paths against one repr'd cell at a time; columns passed as
+    # strided views of an (n, 3) table, as characterize passes them
+    triples = match_tables()[name].astype(np.int64)
+    with patch.object(report, "_CSV_CHUNK_ROWS", chunk_rows), \
+            patch.object(report, "_KERNEL_MIN_ROWS", kernel_min_rows):
+        write_match_structure_csv(tmp_path / "got.csv", *triples.T)
+    write_csv_cell_by_cell(
+        tmp_path / "want.csv", ["pos", "L", "log10_delta"],
+        [(p, length, math.log10(d)) for p, length, d in triples.tolist()],
+    )
+    assert (tmp_path / "got.csv").read_bytes() == (
+        tmp_path / "want.csv").read_bytes()
 
 
 def test_corr_matrix_csv(tmp_path):
@@ -171,17 +213,17 @@ def test_write_csv_equals_cell_by_cell(tmp_path_factory, table):
         write_csv_cell_by_cell(d / "want.csv", header, rows)
     except UnicodeEncodeError:  # a lone surrogate has no UTF-8 bytes
         with pytest.raises(UnicodeEncodeError):
-            _write_csv(d / "got.csv", header, map(_fmt_row, rows))
+            _write_csv(d / "got.csv", header, _csv_blocks(rows))
         return
     with patch.object(report, "_CSV_CHUNK_ROWS", 3):
-        _write_csv(d / "got.csv", header, map(_fmt_row, rows))
+        _write_csv(d / "got.csv", header, _csv_blocks(rows))
     assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
 
 
 def test_write_csv_mixed_column_bytes(tmp_path):
     p = tmp_path / "m.csv"
     rows = [(1, None), (2.5, True), (False, 0.1)]
-    _write_csv(p, ["a", "b"], map(_fmt_row, rows))
+    _write_csv(p, ["a", "b"], _csv_blocks(rows))
     assert p.read_text() == "a,b\n1,n/a\n2.5,true\nfalse,0.1\n"
     write_csv_cell_by_cell(tmp_path / "want.csv", ["a", "b"], rows)
     assert p.read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -244,6 +244,26 @@ def test_spec_from_dict_refuses_a_key_its_kind_does_not_read(key):
         spec_from_dict(obj)
 
 
+def test_nested_spec_holds_its_kind_fields_only():
+    # generation reads only the dynamics of spec_a and spec_b, so their
+    # JSON form holds nothing else and n_symbols, n_users, seed are refused
+    inner = SourceSpec(kind="periodic", n_symbols=99999, seed=2,
+                       pattern=(0, 1, 2))
+    spec = SourceSpec(kind="regime_switch", n_symbols=50, n_users=2, seed=5,
+                      spec_a=inner, spec_b=inner)
+    obj = spec_to_dict(spec)
+    assert obj["spec_a"] == obj["spec_b"] == {"kind": "periodic",
+                                              "pattern": [0, 1, 2]}
+    back = spec_from_dict(obj)
+    assert (back.spec_a.n_symbols, back.spec_a.n_users, back.spec_a.seed) == (
+        50, 2, 5)
+    for key in ("n_symbols", "n_users", "seed"):
+        bad = dict(obj, spec_b={**obj["spec_b"], key: 3})
+        with pytest.raises(DataError, match=f"kind periodic does not read "
+                                            f"'{key}'; it reads: pattern$"):
+            spec_from_dict(bad)
+
+
 def test_provenance_recorded():
     ds, _ = generate(
         SourceSpec(kind="periodic", n_symbols=30, pattern=(0, 1), seed=6)
