@@ -8,12 +8,11 @@ on identical inputs are byte-identical.
 Every CSV goes through `_write_csv`, which writes text blocks of whole
 lines.  The small tables format one row at a time (`_csv_blocks`).
 match_structure.csv, the one long table, is built by an array kernel
-(`_match_blocks`) once it has _KERNEL_MIN_ROWS rows: per chunk of rows,
-`pos` and `L` become ASCII digits right-aligned in a uint8 matrix, each
-distinct delta's repr'd log10 is gathered from a left-aligned byte
-table, and the comma and newline columns sit beside them; dropping the
-0 bytes that pad each cell leaves the chunk's lines, the same bytes that
-formatting each row would write.
+(`_match_blocks`): per chunk of rows, `pos` and `L` become ASCII digits
+right-aligned in a uint8 matrix, each distinct delta's repr'd log10 is
+gathered from a left-aligned byte table, and the comma and newline
+columns sit beside them; dropping the 0 bytes that pad each cell leaves
+the chunk's lines, the same bytes that formatting each row would write.
 """
 
 from __future__ import annotations
@@ -107,12 +106,6 @@ def _match_blocks(pos: np.ndarray, length: np.ndarray,
         yield block[block != 0].tobytes().decode("ascii")
 
 
-# Shorter match tables are formatted row by row: the kernel's fixed cost,
-# a few dozen numpy calls (about 0.1 ms in a fresh characterize command),
-# is more than formatting this many rows costs.
-_KERNEL_MIN_ROWS = 64
-
-
 def write_match_structure_csv(
     path: Union[str, Path], pos, length, delta
 ) -> None:
@@ -120,20 +113,14 @@ def write_match_structure_csv(
 
     delta is the smallest positive back-shift, so an adjacent repeat
     (delta 1) logs as 0.0.  pos and L are written as integers and
-    log10(delta) as its repr.  From _KERNEL_MIN_ROWS rows on, the rows
-    are built _CSV_CHUNK_ROWS at a time by an array kernel
-    (`_match_blocks`): the digits of pos and L, each distinct delta's text
-    (formatted once) gathered by rank, and the separators, as one uint8
-    matrix whose 0-byte padding is dropped.  A shorter table goes through
-    `_csv_blocks`, cell by cell; both give the same bytes.
+    log10(delta) as its repr.  The rows are built _CSV_CHUNK_ROWS at a
+    time by an array kernel (`_match_blocks`): the digits of pos and L,
+    each distinct delta's text (formatted once) gathered by rank, and the
+    separators, as one uint8 matrix whose 0-byte padding is dropped.
     """
     pos, length, delta = (np.asarray(c, np.int64) for c in (pos, length, delta))
-    if len(delta) < _KERNEL_MIN_ROWS:
-        blocks = _csv_blocks(zip(pos.tolist(), length.tolist(),
-                                 map(math.log10, delta.tolist())))
-    else:
-        blocks = _match_blocks(pos, length, delta)
-    _write_csv(Path(path), ["pos", "L", "log10_delta"], blocks)
+    _write_csv(Path(path), ["pos", "L", "log10_delta"],
+               _match_blocks(pos, length, delta))
 
 
 def write_corr_matrix_csv(

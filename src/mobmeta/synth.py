@@ -301,19 +301,21 @@ def generate(spec: SourceSpec) -> tuple[Dataset, dict]:
 
 def _json_value(value):
     if isinstance(value, SourceSpec):
-        return spec_to_dict(value, nested=True)
+        # a regime's nested spec_a / spec_b: generation takes n_symbols,
+        # n_users and seed from the regime_switch spec
+        return {"kind": value.kind,
+                **{name: _json_value(getattr(value, name))
+                   for name in KIND_FIELDS[value.kind]}}
     if isinstance(value, (tuple, np.ndarray)):
         return np.asarray(value).tolist()
     return value
 
 
-def spec_to_dict(spec: SourceSpec, nested: bool = False) -> dict:
+def spec_to_dict(spec: SourceSpec) -> dict:
     """JSON-safe form of a SourceSpec (CLI spec files, provenance): the
     common fields, then those of KIND_FIELDS[kind].  A regime's nested
-    spec_a and spec_b hold their kind's fields only: generation takes
-    n_symbols, n_users and seed from the regime_switch spec."""
-    fields = (("kind",) + (() if nested else _COMMON_FIELDS)
-              + KIND_FIELDS[spec.kind])
+    spec_a and spec_b hold their kind's fields only."""
+    fields = ("kind",) + _COMMON_FIELDS + KIND_FIELDS[spec.kind]
     return {name: _json_value(getattr(spec, name)) for name in fields}
 
 

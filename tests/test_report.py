@@ -103,17 +103,13 @@ def match_tables():
     }
 
 
-@pytest.mark.parametrize("kernel_min_rows", [0, 10**9],
-                         ids=["kernel", "row-by-row"])
 @pytest.mark.parametrize("chunk_rows", [4096, 2, 3])
 @pytest.mark.parametrize("name", list(match_tables()))
-def test_match_structure_csv_equals_cell_by_cell(tmp_path, name, chunk_rows,
-                                                 kernel_min_rows):
-    # both paths against one repr'd cell at a time; columns passed as
+def test_match_structure_csv_equals_cell_by_cell(tmp_path, name, chunk_rows):
+    # the kernel against one repr'd cell at a time; columns passed as
     # strided views of an (n, 3) table, as characterize passes them
     triples = match_tables()[name].astype(np.int64)
-    with patch.object(report, "_CSV_CHUNK_ROWS", chunk_rows), \
-            patch.object(report, "_KERNEL_MIN_ROWS", kernel_min_rows):
+    with patch.object(report, "_CSV_CHUNK_ROWS", chunk_rows):
         write_match_structure_csv(tmp_path / "got.csv", *triples.T)
     write_csv_cell_by_cell(
         tmp_path / "want.csv", ["pos", "L", "log10_delta"],
