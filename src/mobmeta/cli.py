@@ -7,9 +7,9 @@ command print to stderr as "warning: <message>" (also when it fails),
 and a command that succeeds gets exactly one run_manifest.json beside
 its outputs, recording the command line, the config hash, the dataset
 hash, tool version, wall time, and output paths.  The dataset hash is the
-sha256 of the files the command read or wrote: alphabet.json then
-sequences.jsonl of a dataset directory, raw.jsonl of a raw one, or the
-report.json that recommend reads.  An option that selects a kind (synth
+ingest.dataset_digest of the dataset or raw directory the command read
+or wrote, or the sha256 of the report that recommend reads.  Only synth,
+validate and sensitivity take --seed.  An option that selects a kind (synth
 --kind, ingest --format, --model) reads only its own options: one given
 that it does not read is a usage error, and one left out is left to the
 record's default.
@@ -52,6 +52,8 @@ from .characterize import (
 from .core import DataError, InfeasiblePlanError
 from .ingest import (
     CSV_COLUMNS,
+    DATASET_FILES,
+    RAW_FILES,
     IngestConfig,
     dataset_digest,
     load_dataset,
@@ -169,13 +171,8 @@ def _yes_no(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-_SCHEME_KEYS = {
-    "split": float,
-    "k": int,
-    "p": int,
-    "iterations": int,
-    "shuffled": _yes_no,
-}
+# every parameter some scheme reads
+_SCHEME_KEYS = {key for keys in SCHEME_PARAMS.values() for key in keys}
 
 
 def parse_scheme_arg(
@@ -211,8 +208,10 @@ def parse_scheme_arg(
                 raise UsageError(
                     f"scheme parameter {key!r} given twice in {text!r}"
                 )
+            default = getattr(ValidationPlan, key)
+            read = _yes_no if type(default) is bool else type(default)
             try:
-                kwargs[key] = _SCHEME_KEYS[key](value)
+                kwargs[key] = read(value)
             except ValueError:
                 raise UsageError(
                     f"bad value for {key!r} in scheme {text!r}"
@@ -335,7 +334,7 @@ def cmd_ingest(args, out_dir: Path) -> Run:
         f"ingested {rep.points_kept} points from {rep.rows_read} rows "
         f"({len(rep.rejects)} rejected) for {len(trajs)} users -> {out_dir}"
     )
-    return Run(config, "sha256:" + sha256_file(out_dir / "raw.jsonl"))
+    return Run(config, dataset_digest(out_dir, RAW_FILES))
 
 
 def extract_poi_arguments(p: argparse.ArgumentParser) -> None:
@@ -645,7 +644,6 @@ def cmd_report(args, out_dir: Path) -> Run:
     return Run(config, dataset_digest(args.dataset_dir))
 
 
-DATASET_FILES = ("alphabet.json", "sequences.jsonl", "meta.json")
 MANIFEST = "run_manifest.json"
 
 
@@ -655,7 +653,8 @@ class Command:
     writes.  A command with a default `out` writes that file, or the file
     --out names, and `files` beside it; one without writes `files` inside
     the directory --out names, which must be given.  `files` is a function
-    of the arguments where they choose it (ingest --format)."""
+    of the arguments where they choose it (ingest --format).  A `seeded`
+    command takes --seed."""
 
     name: str
     help: str
@@ -663,9 +662,13 @@ class Command:
     add_arguments: Callable[[argparse.ArgumentParser], None]
     out: str | None
     files: tuple[str, ...] | Callable[[argparse.Namespace], tuple[str, ...]]
+    seeded: bool = False
 
     def define(self, p: argparse.ArgumentParser) -> argparse.ArgumentParser:
         """p with this command's arguments and defaults (func, command)."""
+        if self.seeded:
+            p.add_argument("--seed", type=int, default=0, help="RNG seed")
+        p.add_argument("--out", help="output file or directory")
         self.add_arguments(p)
         p.set_defaults(func=self.func, command=self.name)
         return p
@@ -706,20 +709,21 @@ COMMANDS = {c.name: c for c in (
     Command("ingest", "parse raw trajectories or symbol streams",
             cmd_ingest, ingest_arguments, None,
             lambda args: DATASET_FILES if args.format == "symbols_jsonl"
-            else ("raw.jsonl", "meta.json", "ingest_report.json")),
+            else RAW_FILES + ("ingest_report.json",)),
     Command("extract-poi", "staypoints -> POI alphabet -> sequences",
             cmd_extract_poi, extract_poi_arguments, None, DATASET_FILES),
     Command("synth", "generate a synthetic dataset with ground truth",
             cmd_synth, synth_arguments, None,
-            DATASET_FILES + ("ground_truth.json",)),
+            DATASET_FILES + ("ground_truth.json",), seeded=True),
     Command("characterize", "meta-attribute report plus plot CSVs",
             cmd_characterize, characterize_arguments, "report.json",
             ("mi_curve.csv", "match_structure.csv", "corr_matrix.csv")),
     Command("validate", "evaluate one predictor under one split scheme",
-            cmd_validate, validate_arguments, "folds.csv", ("results.json",)),
+            cmd_validate, validate_arguments, "folds.csv", ("results.json",),
+            seeded=True),
     Command("sensitivity", "accuracy instability across split schemes",
             cmd_sensitivity, sensitivity_arguments, "table.csv",
-            ("sensitivity.json",)),
+            ("sensitivity.json",), seeded=True),
     Command("recommend", "threshold rules -> model-class verdict",
             cmd_recommend, recommend_arguments, "recommendation.json", ()),
     Command("report", "bundle component outputs into one directory",
@@ -736,14 +740,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     the top-level help and the errors of a missing or unknown command
     need it.
     """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed")
-    common.add_argument("--out", help="output file or directory")
     if command is not None:
         return COMMANDS[command].define(
-            argparse.ArgumentParser(prog=f"mobmeta {command}",
-                                    parents=[common])
-        )
+            argparse.ArgumentParser(prog=f"mobmeta {command}"))
 
     ap = argparse.ArgumentParser(
         prog="mobmeta",
@@ -753,7 +752,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
     for c in COMMANDS.values():
-        c.define(sub.add_parser(c.name, parents=[common], help=c.help))
+        c.define(sub.add_parser(c.name, help=c.help))
     return ap
 
 

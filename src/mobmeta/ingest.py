@@ -11,19 +11,22 @@ Raw GPS inputs hold one fix per line and are read by one loop
 Every timestamp is shifted by tz_offset_seconds (0 reads the input as
 UTC).  symbols_jsonl lines are already symbol streams (load_symbols_jsonl).
 
-Canonical dataset directory:
+This module owns both directory layouts; DATASET_FILES and RAW_FILES
+name their files, meta.json last, and a directory's digest is the sha256
+of the files before it, as bytes on disk.
+Canonical dataset directory (dataset_digest):
     alphabet.json   array of {poi_id, lat, lon, label}
-    sequences.jsonl one object per user: {"user_id": ..., "symbols": [[poi_id, t], ...]},
-                    poi_id and t whole numbers (3 or 3.0; not true, "3" or 3.5)
+    sequences.jsonl one object per user: {"user_id": ..., "symbols": [[poi_id, t], ...]}
     meta.json       {"schema_version", "name", "stage", "provenance"}
-Its digest (dataset_digest) is the sha256 of alphabet.json then
-sequences.jsonl, as bytes on disk.
+Raw (pre-extraction) directory, told apart by ``stage`` in meta.json:
+    raw.jsonl       one object per user: {"user_id": ..., "points": [[lat, lon, t], ...]}
+    meta.json
 
-Raw (pre-extraction) directories carry raw.jsonl instead of
-alphabet/sequences; ``stage`` in meta.json distinguishes the two:
-    raw.jsonl       one object per user: {"user_id": ..., "points": [[lat, lon, t], ...]},
-                    lat and lon JSON numbers (not true or "45"), t a
-                    whole number as in sequences.jsonl
+Every JSON-lines row format (sequences.jsonl, symbols_jsonl input and
+raw.jsonl) is read by one column reader, _columns, given a field table
+of (name, type code): poi_id and t for symbols; lat, lon and t for
+points.  Code "q" is a whole number read as int64 (3 or 3.0; not true,
+"3" or 3.5) and "d" any JSON number read as float64 (not true or "45").
 """
 
 from __future__ import annotations
@@ -50,6 +53,9 @@ from .core import (
 from .jsonutil import is_number, record_dict, sha256_file, write_canonical_json
 
 SCHEMA_VERSION = 1
+
+DATASET_FILES = ("alphabet.json", "sequences.jsonl", "meta.json")
+RAW_FILES = ("raw.jsonl", "meta.json")
 
 # offset between the plt day-number epoch (1899-12-30) and the unix epoch
 _PLT_EPOCH_DAYS = 25569
@@ -217,86 +223,55 @@ def parse_raw_with_report(
     )
 
 
-def _rows(rows: list, width: int, dtype) -> np.ndarray:
-    """A JSON list of ``width``-value rows as an (n, width) array."""
-    table = np.array(rows, dtype=dtype)
-    if table.size and table.shape[1:] != (width,):
-        raise ValueError(f"expected rows of {width} values")
-    return table.reshape(-1, width)
-
-
 def _is_whole(v) -> bool:
     return type(v) is int or (type(v) is float and v.is_integer())
 
 
-_SYMBOL_FIELDS = (("poi_id", _is_whole, "an integer"),
-                  ("t", _is_whole, "an integer"))
-_POINT_FIELDS = (("lat", is_number, "a number"),
-                 ("lon", is_number, "a number"),
-                 ("t", _is_whole, "an integer"))
+# (name, array type code) of each value of a row: "q" a whole number read
+# as int64, "d" any JSON number read as float64
+_SYMBOL_FIELDS = (("poi_id", "q"), ("t", "q"))
+_POINT_FIELDS = (("lat", "d"), ("lon", "d"), ("t", "q"))
 
 
-def _checked_rows(rows: list, fields: tuple) -> np.ndarray:
-    """``rows`` as an (n, len(fields)) object array, every value passed
-    by its field's test; the first that fails is a ValueError naming it."""
-    table = _rows(rows, len(fields), object)
-    for i, v in enumerate(table.ravel().tolist()):
-        name, test, kind = fields[i % len(fields)]
-        if not test(v):
-            raise ValueError(f"{name} {json.dumps(v)} is not {kind}")
-    return table
+def _columns(rows: list, fields: tuple, line: str) -> list[np.ndarray]:
+    """One array per field of the rows of one JSON line, of the field's
+    type code.
 
-
-def _packs(rows: list, width: int, line: str) -> bool:
-    """Whether ``rows`` may take the packed path: rows of ``width`` values
-    on a line whose text holds no boolean, which a packing would read as
-    0 or 1."""
+    The common line, rows of len(fields) values with no boolean in its
+    text, packs each column with array.array, whose "d" refuses strings
+    and "q" also floats; a line that does not pack is checked value by
+    value in row order.  There a row of another width is a ValueError, as
+    is the first value its field refuses (a "q" takes 3 or 3.0, not true,
+    "3" or 3.5; a "d" any number, not true or "45"), named by its field;
+    then the first field holding a value beyond its type is an
+    OverflowError naming the field.
+    """
+    width = len(fields)
     try:
         widths = set(map(len, rows))
     except TypeError:
-        return False
-    return widths == {width} and "true" not in line and "false" not in line
-
-
-def _symbol_rows(rows: list, line: str) -> np.ndarray:
-    """The [poi_id, t] rows of one sequences line as an (n, 2) int64 array.
-
-    A value that is not a whole number is a ValueError naming it, where an
-    int64 conversion would coerce it (true to 1, "2" to 2, 1.5 to 1); a
-    whole float such as 3.0 loads.  The common line, rows of two ints, is
-    packed as C longs, which refuse every other type but bool; a line
-    that does not pack, or whose text holds a boolean, is checked value
-    by value.
-    """
-    if _packs(rows, 2, line):
+        widths = None
+    if widths == {width} and "true" not in line and "false" not in line:
         try:
-            flat = array.array("q", itertools.chain.from_iterable(rows))
+            return [np.frombuffer(array.array(code, column), dtype=code)
+                    for (_, code), column in zip(fields, zip(*rows))]
         except (TypeError, OverflowError):
             pass
-        else:
-            return np.frombuffer(flat, dtype=np.int64).reshape(-1, 2)
-    return _checked_rows(rows, _SYMBOL_FIELDS).astype(np.int64)
-
-
-def _point_columns(rows: list, line: str) -> tuple:
-    """The lat, lon and t columns of one raw.jsonl line's points.
-
-    lat and lon must be JSON numbers and t a whole number (3 or 3.0); any
-    other value is a ValueError naming it.  The common line packs lat and
-    lon as C doubles, which refuse strings, and t as C longs, which also
-    refuse floats; a line that does not pack, or whose text holds a
-    boolean, is checked value by value as in _symbol_rows.
-    """
-    if _packs(rows, 3, line):
-        lat, lon, t = zip(*rows)
+    if not isinstance(rows, list) or not all(
+            type(row) is list and len(row) == width for row in rows):
+        raise ValueError(f"expected rows of {width} values")
+    for row in rows:
+        for (name, code), v in zip(fields, row):
+            if not (_is_whole(v) if code == "q" else is_number(v)):
+                kind = "an integer" if code == "q" else "a number"
+                raise ValueError(f"{name} {json.dumps(v)} is not {kind}")
+    columns = []
+    for i, (name, code) in enumerate(fields):
         try:
-            return (np.frombuffer(array.array("d", lat)),
-                    np.frombuffer(array.array("d", lon)),
-                    np.frombuffer(array.array("q", t), dtype=np.int64))
-        except (TypeError, OverflowError):
-            pass
-    table = _checked_rows(rows, _POINT_FIELDS)
-    return table[:, 0], table[:, 1], table[:, 2]
+            columns.append(np.array([row[i] for row in rows], dtype=code))
+        except OverflowError as e:  # beyond int64, or beyond float
+            raise OverflowError(f"{name}: {e}") from None
+    return columns
 
 
 def _records(path: Path, label: str,
@@ -332,12 +307,13 @@ def _user_id(obj: dict) -> str:
 
 
 def _sequence(obj: dict, line: str, build=PoiSequence) -> PoiSequence:
-    symbols = _symbol_rows(obj["symbols"], line)
-    return build(_user_id(obj), symbols[:, 0], symbols[:, 1])
+    return build(_user_id(obj),
+                 *_columns(obj["symbols"], _SYMBOL_FIELDS, line))
 
 
 def _trajectory(obj: dict, line: str) -> RawTrajectory:
-    return RawTrajectory(_user_id(obj), *_point_columns(obj["points"], line))
+    return RawTrajectory(_user_id(obj),
+                         *_columns(obj["points"], _POINT_FIELDS, line))
 
 
 def load_symbols_jsonl(path: str | Path, name: str) -> Dataset:
@@ -368,16 +344,18 @@ def load_symbols_jsonl(path: str | Path, name: str) -> Dataset:
     )
 
 
-def dataset_digest(dir_path: str | Path) -> str:
-    """sha256 of a dataset directory's alphabet.json then sequences.jsonl,
-    read as bytes.
+def dataset_digest(dir_path: str | Path,
+                   files: tuple[str, ...] = DATASET_FILES) -> str:
+    """sha256 of a directory's ``files`` but the last (meta.json), read as
+    bytes one after another: alphabet.json then sequences.jsonl of a
+    dataset directory, raw.jsonl of a raw one (files=RAW_FILES).
 
-    Every directory save_dataset writes is canonical, so its digest is a
-    function of the Dataset alone; a hand-edited directory hashes its own
-    bytes.
+    Every directory this module writes is canonical, so its digest is a
+    function of what was saved alone; a hand-edited directory hashes its
+    own bytes.
     """
     d = Path(dir_path)
-    return "sha256:" + sha256_file(d / "alphabet.json", d / "sequences.jsonl")
+    return "sha256:" + sha256_file(*(d / name for name in files[:-1]))
 
 
 def _save(d: Path, jsonl: str, objs: Iterable[dict], meta: dict) -> None:

@@ -259,12 +259,15 @@ def mi_decay_curve(
     )
 
 
+# the gram lengths match_structure reports, each twice the one before
+MATCH_LENGTHS = (1, 2, 4, 8)
+
+
 def match_structure(
-    seq: Sequence[int],
-    match_lengths: Sequence[int] = (1, 2, 4, 8),
-    separator_id: Optional[int] = None,
+    seq: Sequence[int], separator_id: Optional[int] = None
 ) -> np.ndarray:
-    """(position, L, delta) rows for every position whose length-L gram repeats.
+    """(position, L, delta) rows for every position whose length-L gram
+    repeats, L in MATCH_LENGTHS.
 
     delta is the smallest positive back-shift with seq[i:i+L] ==
     seq[i-delta:i-delta+L]; overlapping matches count.  Positions with no
@@ -273,49 +276,40 @@ def match_structure(
     (position, L) order.
 
     Grams are compared by exact ranks built by prefix doubling: the
-    L-gram at i is the pair of p-grams at i and i+L-p, p the largest
-    power of two below L.  One stable argsort of that pair's key ranks
-    the L-grams and puts each occurrence right after the previous one.
+    L-gram at i is the pair of L/2-grams at i and i+L/2.  One stable
+    argsort of that pair's key ranks the L-grams and puts each occurrence
+    right after the previous one.
     """
-    for L in match_lengths:
-        if L < 1:
-            raise ValueError(f"match length must be >= 1, got {L}")
     stream = np.asarray(seq, dtype=np.int64)
     n = stream.shape[0]
-    columns = sorted(L for L in match_lengths if L <= n)
-    if not columns:
+    lengths = [L for L in MATCH_LENGTHS if L <= n]
+    if not lengths:
         return np.empty((0, 3), dtype=np.int64)
     if separator_id is not None:
         # each separator becomes a symbol of its own, so no gram holding
         # one repeats or is repeated
         at = stream == separator_id
         stream = np.where(at, stream.max() + np.cumsum(at), stream)
-    doubling = {1 << j for j in range((columns[-1] - 1).bit_length())}
-    # deltas[i, j]: delta of the columns[j]-gram at i, 0 when it is new
-    deltas = np.zeros((n, len(columns)), dtype=np.int64)
-    rank, p = None, 0  # ranks (< n) of the p-grams, p the last power of two
-    for length in sorted(set(columns) | doubling):
-        if length == 1:
-            key = stream
-        else:
-            key = rank[: n - length + 1] * n + rank[length - p :]
+    # deltas[i, j]: delta of the lengths[j]-gram at i, 0 when it is new
+    deltas = np.zeros((n, len(lengths)), dtype=np.int64)
+    key = stream
+    for j, length in enumerate(lengths):
+        if j:
+            # rank (< n) holds the ranks of the L/2-grams
+            key = rank[: n - length + 1] * n + rank[length // 2 :]
         order = np.argsort(key, kind="stable")
         keys = key[order]
-        if length in doubling:
-            rank, p = np.searchsorted(keys, key), length
-        if length in columns:
-            repeat = np.flatnonzero(keys[1:] == keys[:-1])
-            pos = order[repeat + 1]
-            j = columns.index(length)  # a repeated length fills each copy
-            deltas[pos, j : j + columns.count(length)] = (
-                pos - order[repeat]
-            )[:, None]
+        if j + 1 < len(lengths):
+            rank = np.searchsorted(keys, key)
+        repeat = np.flatnonzero(keys[1:] == keys[:-1])
+        pos = order[repeat + 1]
+        deltas[pos, j] = pos - order[repeat]
     # row-major order is ascending (position, L)
     flat = np.flatnonzero(deltas)
     out = np.empty((flat.shape[0], 3), dtype=np.int64)
     out[:, 2] = deltas.ravel()[flat]
-    np.divmod(flat, len(columns), out=(out[:, 0], out[:, 1]))
-    out[:, 1] = np.asarray(columns, dtype=np.int64)[out[:, 1]]
+    np.divmod(flat, len(lengths), out=(out[:, 0], out[:, 1]))
+    out[:, 1] = np.asarray(lengths, dtype=np.int64)[out[:, 1]]
     return out
 
 

@@ -47,9 +47,6 @@ from .predictors import (
 from .rng import SplitMix64
 
 LEAKY_SCHEMES = frozenset({"holdout", "kfold", "leave_one_out", "bootstrap"})
-TIME_ORDERED_SCHEMES = frozenset(
-    {"rolling", "block_rolling", "window10_cumulative"}
-)
 
 # The ValidationPlan parameters each scheme reads, in the order its label
 # shows them.  A scheme ignores every other parameter, so the command

@@ -8,6 +8,7 @@ not tautology.
 from __future__ import annotations
 
 import io
+import json
 import math
 import subprocess
 from collections import Counter
@@ -451,6 +452,47 @@ def write_csv_cell_by_cell(path, header, rows) -> None:
     for row in rows:
         buf.write(",".join(fmt(c) for c in row) + "\n")
     path.write_text(buf.getvalue(), encoding="utf-8")
+
+
+def columns_by_value(rows, fields) -> list[list]:
+    """One list per (name, type code) field of a JSON line's rows, each
+    value checked on its own in row order.
+
+    Rows must be a list of lists of len(fields) values.  A "q" value must
+    be an int or a float with no fraction, and is read with int(); a "d"
+    value an int or a float, read with float().  bool is neither.  The
+    first value refused is a ValueError naming its field.  Once every
+    value has passed, the first field, in field order, holding a "q"
+    beyond int64 or a "d" beyond float is an OverflowError whose text is
+    the field's name.
+    """
+    width = len(fields)
+    if type(rows) is not list or any(
+        type(row) is not list or len(row) != width for row in rows
+    ):
+        raise ValueError(f"expected rows of {width} values")
+    for row in rows:
+        for (name, code), value in zip(fields, row):
+            if code == "q" and not (
+                type(value) is int
+                or (type(value) is float and math.isfinite(value)
+                    and value == int(value))
+            ):
+                raise ValueError(
+                    f"{name} {json.dumps(value)} is not an integer")
+            if code == "d" and type(value) not in (int, float):
+                raise ValueError(f"{name} {json.dumps(value)} is not a number")
+    columns = []
+    for i, (name, code) in enumerate(fields):
+        try:
+            column = [int(row[i]) if code == "q" else float(row[i])
+                      for row in rows]
+        except OverflowError:  # float() of an int beyond float
+            raise OverflowError(name) from None
+        if code == "q" and any(not -2**63 <= v < 2**63 for v in column):
+            raise OverflowError(name)
+        columns.append(column)
+    return columns
 
 
 def brute_match_lengths(seq) -> list[int]:

@@ -813,34 +813,37 @@ def test_version_flag(capsys):
 # "synth --n x" when synth --spec was removed; every command's -h when
 # the --seed and --out help lines stopped naming MOBMETA_SEED and
 # MOBMETA_OUT, which no longer exist; the two characterize pins again
-# when its fit, depth and PMI settings became constants.
+# when its fit, depth and PMI settings became constants; the -h of ingest,
+# extract-poi, characterize, recommend and report, "characterize" and
+# "ingest x --format nope" when --seed was left to the three commands
+# that read it.
 PARSER_OUTPUT_SHA256 = {
     ("-h",): "7bce9b06ecae00584fc75514dc7ed69cdb5ea59840eb5e79732c799b3402b91a",
     ("ingest", "-h"):
-        "4bb638a2f0b7ea25832cb92a3c030b4321d2167f8a7dbcc21a9e6a66cc5f1194",
+        "ab81423aa82a9fadf1bc548d1f3b0f84be8a3f5425e3cd52a59289a6feb22bed",
     ("extract-poi", "-h"):
-        "89d07857fe3394a25910802c5f99c0905b4c2939d1d5df16ee27292c424c420e",
+        "53c7db47eb853e9112a39162f0aeecf2f37ba25d03a5e6fdee42ebd0533c275b",
     ("synth", "-h"):
         "14deda5466ca11fd6abeb6422bd367374637cbb2e4270536ca9ab3d58d1f5ec8",
     ("characterize", "-h"):
-        "4059179a8fd76895ef695a206fc5dec1cb426bb0f9237ab5a4ba84a0588e57d5",
+        "cd8147bfb9830e8b037d99d6b807a549d6a90d4b2d96b1135688612b7968d403",
     ("validate", "-h"):
         "533202e8de906da09c9bc4bd611c4aee0dfca50058619907fe8b6c53a78273ea",
     ("sensitivity", "-h"):
         "a4d91454baf8d5e83904b9b3a1ca490b789d8fecc49ef713e7726b12d039410c",
     ("recommend", "-h"):
-        "2afe94d41bc2db313108075541f2d81c1a577b43bb580d5de374ca6d6ce950b3",
+        "a234b9cfe3da7bd9263345fdc7e59e5404fcd09d6fa722a3310a1a4774ed81a3",
     ("report", "-h"):
-        "8beff04a836d2a6e0c5cc6d62a7a5af8fd5ba4ffed3f51d84ecd68f2dca9e624",
+        "af26510443bcbc27b3ecf8da95881da48562b6ea25ba519fd9b2ca542814ecb1",
     (): "32c64bc09a83846c8e04729b634d4704777296a8c7bc3c519f838a65f1d8cc56",
     ("bogus",):
         "30a382a9159badec07ec8e4c7242ecf49ff6651dfcbc382b4f6e9b12e6ab6b60",
     ("validate", "ds"):
         "1f4371261956c9e6d0ee17baef1605e4a0f7106d9eafed634b83936baa6156f0",
     ("characterize",):
-        "0378dabafc487f83db775f5d9aed6e3ae84b5a9537a5d7d2cba898cfea0c14f0",
+        "122f0686a90e048b045c684c50568a7d624ede94f6f81ed08b40a825254790c2",
     ("ingest", "x", "--format", "nope"):
-        "64f898e4bcf95bcc694ad92aafb64c684a7a6ac9180722d2526f25b6d9eebe7f",
+        "3716d0cc0e644139b4bfd84f3f44c2dd04bd2c8cce62ed81b39d3ebba47c620d",
     ("synth", "--n", "x"):
         "75b124578cabd217052b33d5c0b8a6a30c66385e6d5ef8fdb9ad927301616d0e",
 }
@@ -894,7 +897,7 @@ def test_command_builds_only_its_own_arguments(tmp_path, capsys,
 
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument", spy)
     ok(["recommend", report, "--out", tmp_path / "rec.json"], capsys)
-    assert sorted(added) == ["help", "out", "report", "rules", "seed"]
+    assert sorted(added) == ["help", "out", "report", "rules"]
 
 
 def test_unknown_option_is_reported_by_its_command(capsys):
@@ -1008,6 +1011,33 @@ def test_concat_users_is_gone(tmp_path, capsys, command):
         cli.parse_scheme_arg("rolling:k=4", 0, False, 64)
 
 
+@pytest.mark.parametrize("command", [
+    ["ingest", "{csv}"],
+    ["extract-poi", "{raw}"],
+    ["characterize", "{data}"],
+    ["recommend", "{report}"],
+    ["report", "{data}", "--characterization", "{report}"],
+], ids=lambda command: command[0])
+def test_seed_is_refused_by_a_command_that_does_not_read_it(tmp_path, capsys,
+                                                           command):
+    # only synth, validate and sensitivity read --seed; these commands ran
+    # the same whatever seed was given, and their manifests recorded none
+    data = synth_periodic(tmp_path, capsys)
+    csv = tmp_path / "fixes.csv"
+    csv.write_text("u0,0.0,0.0,0\nu0,0.0,0.0,3000\n", encoding="utf-8")
+    ok(["ingest", csv, "--out", tmp_path / "raw"], capsys)
+    report = tmp_path / "c" / "report.json"
+    ok(["characterize", data, "--out", report], capsys)
+    argv = [a.format(csv=csv, raw=tmp_path / "raw", data=data, report=report)
+            for a in command]
+    before = disk_state(tmp_path)
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--seed", "99", "--out", str(tmp_path / "o")])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --seed 99" in capsys.readouterr().err
+    assert disk_state(tmp_path) == before
+
+
 @pytest.mark.parametrize("text, shuffled", [
     ("true", True), ("TRUE", True), ("1", True), ("Yes", True),
     ("false", False), ("False", False), ("0", False), ("NO", False),
@@ -1033,7 +1063,7 @@ def test_characterize_options(capsys):
     # one scope per statistic: no option switches scopes, and an option
     # the parser does not know is a usage error
     assert [a.dest for a in build_parser("characterize")._actions] == [
-        "help", "seed", "out", "dataset_dir", "dmax",
+        "help", "out", "dataset_dir", "dmax",
     ]
     with pytest.raises(SystemExit) as e:
         main(["characterize", "d", "--scope", "per_user"])

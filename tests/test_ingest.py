@@ -3,10 +3,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from mobmeta.core import Dataset, IngestError
 from mobmeta.ingest import (
+    _POINT_FIELDS,
+    _SYMBOL_FIELDS,
     IngestConfig,
+    _columns,
     dataset_digest,
     load_dataset,
     load_raw,
@@ -18,6 +23,7 @@ from mobmeta.ingest import (
 from mobmeta.synth import SourceSpec, generate
 
 from conftest import make_dataset
+from oracles import columns_by_value
 
 
 def write(tmp_path, name, text):
@@ -395,3 +401,69 @@ def test_corrupt_dataset_file_is_named(tmp_path, name, text):
     (tmp_path / "d" / name).write_text(text)
     with pytest.raises(IngestError, match=name):
         load_dataset(tmp_path / "d")
+
+
+# JSON values of every kind a row may hold; numbers are listed more than
+# once so that many lines are all numbers and take the packed path
+JSON_VALUES = st.one_of(
+    st.integers(-1000, 1000),
+    st.integers(-1000, 1000).map(float),
+    st.floats(-1e3, 1e3),
+    st.integers(-1000, 1000),
+    st.integers(-2**70, 2**70),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.text(max_size=2),
+    st.none(),
+    st.lists(st.integers(0, 9), max_size=3),
+)
+
+
+@st.composite
+def json_lines(draw):
+    """(rows, fields, line): the rows of a JSON line as json.loads reads
+    them, one of the two field tables, and the line's text; the user_id
+    puts true or false in some texts whose rows hold no boolean."""
+    fields = draw(st.sampled_from([_SYMBOL_FIELDS, _POINT_FIELDS]))
+    width = len(fields)
+    row = st.lists(JSON_VALUES, min_size=width, max_size=width)
+    rows = draw(st.one_of(
+        st.lists(row, max_size=6),
+        st.lists(row | st.lists(JSON_VALUES, max_size=width + 1),
+                 max_size=4),
+        st.sampled_from([7, None, "ab", {"ab": 1, "cd": 2}]),
+    ))
+    user = draw(st.sampled_from(["u", "true", "false"]))
+    line = json.dumps({"user_id": user, "rows": rows})
+    return json.loads(line)["rows"], fields, line
+
+
+@seed(20261020)
+@settings(max_examples=500, deadline=None)
+@given(json_lines())
+@example(([[0, True]], _SYMBOL_FIELDS, '{"symbols": [[0, true]]}'))
+@example(([[False, 7.0, 3]], _POINT_FIELDS, '{"points": [[false, 7.0, 3]]}'))
+@example(([[0, 2**63]], _SYMBOL_FIELDS, "[[0, 9223372036854775808]]"))
+@example(([[0, 1e30]], _SYMBOL_FIELDS, "[[0, 1e30]]"))
+@example(([[10**400, 7, 3]], _POINT_FIELDS, "[[1e400]]"))
+@example(([[0, 1.0], [2, 3]], _SYMBOL_FIELDS, "[[0, 1.0], [2, 3]]"))
+@example(([[45, 7.5, 3]], _POINT_FIELDS, '{"user_id": "true"}'))
+@example((["ab"], _SYMBOL_FIELDS, '["ab"]'))
+@example(([], _POINT_FIELDS, "[]"))
+def test_columns_equal_the_value_by_value_oracle(case):
+    # the packed path may take no value that the check refuses: either
+    # both read the same columns or both refuse the line the same way
+    rows, fields, line = case
+    try:
+        want = columns_by_value(rows, fields)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            _columns(rows, fields, line)
+        assert str(got.value) == str(e)
+    except OverflowError as e:
+        with pytest.raises(OverflowError, match=f"^{e}: "):
+            _columns(rows, fields, line)
+    else:
+        got = _columns(rows, fields, line)
+        assert [c.dtype for c in got] == [np.dtype(code) for _, code in fields]
+        assert [c.tolist() for c in got] == want

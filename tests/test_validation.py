@@ -20,7 +20,6 @@ from mobmeta.synth import SourceSpec, generate
 from mobmeta.validation import (
     LEAKY_SCHEMES,
     SCHEME_PARAMS,
-    TIME_ORDERED_SCHEMES,
     ValidationPlan,
     _test_contexts,
     default_sensitivity_plans,
@@ -243,8 +242,11 @@ def test_bootstrap_folds_equal_setdiff(n, seed):
         assert f.test_idx.dtype == oob.dtype
 
 
+TIME_ORDERED = ("rolling", "block_rolling", "window10_cumulative")
+
+
 def test_time_ordered_folds_never_leak():
-    for scheme in TIME_ORDERED_SCHEMES:
+    for scheme in TIME_ORDERED:
         for n in (40, 100, 173):
             for k in (4, 10):
                 for p in (1, 2):
@@ -548,7 +550,7 @@ def scoring_cases(draw):
     )
     k = draw(st.integers(2, 10))
     plan = ValidationPlan(
-        draw(st.sampled_from(sorted(LEAKY_SCHEMES | TIME_ORDERED_SCHEMES))),
+        draw(st.sampled_from(sorted(SCHEME_PARAMS))),
         split=draw(st.sampled_from([0.5, 0.7, 0.8, 0.9])),
         k=k,
         p=draw(st.integers(1, k - 1)),
