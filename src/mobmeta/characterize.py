@@ -22,7 +22,7 @@ import numpy as np
 from .core import DataError, Dataset, concat_user_streams
 from .entropy import CLAMP_SLACK_BITS, fano_predictability, lz_entropy_rate
 from .jsonutil import is_number
-from .metrics import MiDecay, mi_decay_curve, top_pmi
+from .metrics import EPS_FIT, MiDecay, mi_decay_curve, top_pmi
 
 SECONDS_PER_MONTH = 2629800  # Julian year / 12
 # how many highest-PMI POI pairs at d = 1 a report lists
@@ -224,7 +224,8 @@ def characterize(ds: Dataset, d_max: int = 100) -> MetaAttributeReport:
         (d, max(i, 0.0)) for d, i in (decay.curve if decay else ())
     )
     if decay and decay.alpha is None:
-        notes.append("no measurable dependence above eps_fit")
+        notes.append(f"fewer than 2 distances have I(d) above EPS_FIT "
+                     f"({EPS_FIT:g} bits): ldd_exponent_alpha left undefined")
 
     pmi_top = []
     if stream.shape[0] >= 3:

@@ -12,7 +12,8 @@ or wrote, or the sha256 of the report that recommend reads.  Only synth,
 validate and sensitivity take --seed.  An option that selects a kind (synth
 --kind, ingest --format, --model) reads only its own options: one given
 that it does not read is a usage error, and one left out is left to the
-record's default.
+record's default.  A synth kind reads the options of its fields in
+synth.KIND_FIELDS.
 
 Each command is defined once, in COMMANDS: its name, help line, handler,
 the function that adds its arguments, and what it writes: a file --out
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import shlex
 import sys
 import time
@@ -84,7 +86,13 @@ from .report import (
     write_sensitivity_csv,
 )
 from .selector import load_rules, recommend
-from .synth import generate, spec_from_dict, spec_to_dict, SourceSpec
+from .synth import (
+    KIND_FIELDS,
+    SourceSpec,
+    generate,
+    spec_from_dict,
+    spec_to_dict,
+)
 from .validation import (
     SCHEME_PARAMS,
     ValidationPlan,
@@ -227,8 +235,9 @@ def parse_scheme_arg(
 
 def _given(args, flag: str, reads: tuple, options: dict) -> dict:
     """{field: reader(value)} of the `options` (option -> (field, reader))
-    given; one that the chosen `flag` does not read is a usage error."""
-    fields = {}
+    given; one that the chosen `flag` does not read, or two that set one
+    field, is a usage error."""
+    fields, setters = {}, {}
     for option, (field, read) in options.items():
         value = getattr(args, option[2:].replace("-", "_"))
         if value is None:
@@ -238,6 +247,10 @@ def _given(args, flag: str, reads: tuple, options: dict) -> dict:
                 f"{flag} {getattr(args, flag[2:])} does not read {option}; "
                 f"it reads: {', '.join(reads) or 'none'}"
             )
+        if field in setters:
+            raise UsageError(f"{setters[field]} and {option} both set "
+                             f"{field}; give one of them")
+        setters[field] = option
         fields[field] = read(value)
     return fields
 
@@ -269,26 +282,21 @@ def _transition_file(path: str):
 
 
 def _spec_from_args(args) -> SourceSpec:
-    """spec_from_dict of synth's options.  iid without --dist is uniform
-    over --alphabet-size POIs (4 if not given); an --alphabet-size that
-    the source does not have is a usage error."""
-    fields = _given(args, "--kind", _KIND_OPTIONS[args.kind], _SYNTH_FIELDS)
-    size = fields.pop("alphabet_size", None)
+    """spec_from_dict of synth's options: the kind reads those whose field
+    is one of its KIND_FIELDS, and an iid given neither --alphabet-size
+    nor --dist is uniform over 4 POIs."""
+    reads = tuple(option for option, (field, _) in _SYNTH_FIELDS.items()
+                  if field in KIND_FIELDS[args.kind])
+    fields = _given(args, "--kind", reads, _SYNTH_FIELDS)
     if args.users is not None:
         fields["n_users"] = args.users
     if args.kind == "iid" and "dist" not in fields:
-        m = 4 if size is None else size
-        fields["dist"] = [1.0 / m for _ in range(m)]
+        fields["dist"] = _uniform(4)
     try:
-        spec = spec_from_dict({"kind": args.kind, "n_symbols": args.n,
+        return spec_from_dict({"kind": args.kind, "n_symbols": args.n,
                                "seed": args.seed, **fields})
     except DataError as e:
         raise UsageError(str(e)) from None
-    if size not in (None, spec.alphabet_size):
-        raise UsageError(f"--kind {args.kind} with these options has "
-                         f"{spec.alphabet_size} POIs, not --alphabet-size "
-                         f"{size}")
-    return spec
 
 
 # ingest's format-specific options with the IngestConfig field and reader
@@ -309,13 +317,12 @@ def ingest_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tz-offset", type=int,
                    help="seconds added to every timestamp (0: input is UTC)")
     p.add_argument("--dedup", choices=["drop_equal_timestamp", "error"])
-    p.add_argument("--name", default=None)
 
 
 def cmd_ingest(args, out_dir: Path) -> Run:
     cfg = IngestConfig(format=args.format, **_given(
         args, "--format", _FORMAT_OPTIONS[args.format], _INGEST_FIELDS))
-    name = args.name or Path(args.input).stem
+    name = Path(args.input).stem
     config = {**asdict(cfg), "name": name}
     if args.format == "symbols_jsonl":
         ds = load_symbols_jsonl(args.input, name=name)
@@ -343,7 +350,6 @@ def extract_poi_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stay-min", type=float, default=1200.0)
     p.add_argument("--merge-radius", type=float, default=250.0)
     p.add_argument("--min-visits", type=int, default=2)
-    p.add_argument("--name", default=None)
 
 
 def cmd_extract_poi(args, out_dir: Path) -> Run:
@@ -357,7 +363,8 @@ def cmd_extract_poi(args, out_dir: Path) -> Run:
         )
     except DataError as e:
         raise UsageError(str(e)) from None
-    name = args.name or Path(args.raw_dir).name
+    # the directory's own name, also for "." or "data/raw/.."
+    name = Path(os.path.abspath(args.raw_dir)).name
     ds = extract_dataset(trajs, params, name)
     save_dataset(ds, out_dir)
     config = {**asdict(params), "name": name}
@@ -369,11 +376,16 @@ def cmd_extract_poi(args, out_dir: Path) -> Run:
     return Run(config, dataset_digest(out_dir))
 
 
+def _uniform(m: int) -> list[float]:
+    """iid's dist over m POIs; empty, and refused by the spec, for m < 1."""
+    return [1.0 / m for _ in range(m)]
+
+
 # synth's kind-specific options with the SourceSpec field and reader of
-# each, and the ones each --kind reads.  --alphabet-size is checked
-# against the spec's: copy_with_gap reads it only to check that it is 4.
+# each; a --kind reads the options of its KIND_FIELDS, so iid reads both
+# --alphabet-size (a uniform dist) and --dist, one at a time
 _SYNTH_FIELDS = {
-    "--alphabet-size": ("alphabet_size", int),
+    "--alphabet-size": ("dist", _uniform),
     "--dist": ("dist", lambda text: text.split(",")),
     "--pattern": ("pattern", lambda text: text.split(",")),
     "--transition": ("transition", _transition_file),
@@ -383,17 +395,10 @@ _SYNTH_FIELDS = {
     "--spec-b": ("spec_b", _regime_file),
     "--switch-fraction": ("switch_fraction", float),
 }
-_KIND_OPTIONS = {
-    "iid": ("--alphabet-size", "--dist"),
-    "periodic": ("--pattern",),
-    "markov_order_k": ("--transition",),
-    "copy_with_gap": ("--k", "--eps", "--alphabet-size"),
-    "regime_switch": ("--spec-a", "--spec-b", "--switch-fraction"),
-}
 
 
 def synth_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", default="iid", choices=list(_KIND_OPTIONS))
+    p.add_argument("--kind", default="iid", choices=list(KIND_FIELDS))
     p.add_argument("--n", type=int, default=10000,
                    help="symbols per user before collapse")
     p.add_argument("--users", type=int)
@@ -444,10 +449,9 @@ def cmd_characterize(args, out: Path, mi_path: Path, ms_path: Path,
         kept, corr = attribute_correlations(*per_user_attribute_matrix(report))
     except DataError as e:
         # too few or identical users leave nothing to correlate; not fatal
-        corr_path.write_text("attribute\n", encoding="utf-8")
+        kept, corr = [], []
         print(f"warning: {e}, correlation matrix skipped", file=sys.stderr)
-    else:
-        write_corr_matrix_csv(corr_path, kept, corr)
+    write_corr_matrix_csv(corr_path, kept, corr)
 
     print(
         f"{report.dataset_name}: {report.n_users} users, "

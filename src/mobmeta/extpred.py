@@ -12,9 +12,6 @@ back off to lower orders, and it does the same floating-point operations
 in the same order.  It prints probabilities with repr(), which
 round-trips doubles exactly.  So a correctly wired adapter reproduces
 every native model's in-process results bit for bit.
-
-``--misbehave`` deliberately violates the protocol in one chosen way;
-the harness's error paths are tested against it.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ import argparse
 import sys
 from collections import Counter
 
-MISBEHAVIORS = ("none", "bad_sum", "wrong_len", "oob_id", "garbage", "close")
 ALPHA = 0.01  # predictors.SMOOTHING_ALPHA, without importing numpy
 
 
@@ -167,18 +163,9 @@ def _read_block(stdin, header: str) -> tuple[str, list[int]]:
     return op, symbols
 
 
-def _response(model: CountModel, ctx: list[int], n_sym: int,
-              args: argparse.Namespace) -> str:
+def _response(model: CountModel, ctx: list[int], argmax_only: bool) -> str:
     pred, probs = model.predict(ctx)
-    if args.misbehave == "garbage":
-        return "not-a-poi\n"
-    if args.misbehave == "oob_id":
-        return f"{n_sym + 5}\n"
-    if args.misbehave == "wrong_len":
-        return f"{pred} 0.5 0.5\n" if n_sym != 2 else f"{pred} 1.0\n"
-    if args.misbehave == "bad_sum":
-        return f"{pred} " + " ".join(["0.5"] * n_sym) + "\n"
-    if args.argmax_only:
+    if argmax_only:
         return f"{pred}\n"
     return f"{pred} " + " ".join(map(repr, probs)) + "\n"
 
@@ -191,7 +178,6 @@ def serve(argv=None) -> int:
     ap.add_argument("--alphabet-size", type=_alphabet_size, required=True)
     ap.add_argument("--argmax-only", action="store_true",
                     help="respond with the poi_id alone, no distribution")
-    ap.add_argument("--misbehave", choices=MISBEHAVIORS, default="none")
     args = ap.parse_args(argv)
     kind, arg = args.model
     n_sym = args.alphabet_size
@@ -222,9 +208,7 @@ def serve(argv=None) -> int:
             return 1
         key = tuple(symbols[-model.k:]) if model.k > 0 else ()
         if key not in memo:
-            memo[key] = _response(model, symbols, n_sym, args)
-        if args.misbehave == "close":
-            return 0
+            memo[key] = _response(model, symbols, args.argmax_only)
         stdout.write(memo[key])
         stdout.flush()
 

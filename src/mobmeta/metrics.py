@@ -211,8 +211,8 @@ EPS_DEPTH = 0.1
 class MiDecay:
     """I(d) for d = 1..d_max plus the fitted exponent and LDD depth.
 
-    alpha is None when no point clears EPS_FIT ("no measurable
-    dependence"); ldd_depth is None when no point clears EPS_DEPTH.
+    alpha is None when fewer than 2 points clear EPS_FIT, too few to fit;
+    ldd_depth is None when no point clears EPS_DEPTH.
     """
 
     curve: tuple[tuple[int, float], ...]
@@ -245,11 +245,6 @@ def mi_decay_curve(
     if len(fit_pts) >= 2:
         alpha, rmse = fit_power_law([d for d, _ in fit_pts],
                                     [i for _, i in fit_pts])
-    elif fit_pts:
-        warnings.warn(
-            "only one MI point above eps_fit; exponent left undefined",
-            stacklevel=2,
-        )
     depths = [d for d, i in curve if i >= EPS_DEPTH]
     return MiDecay(
         curve=tuple(curve),

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -12,7 +13,7 @@ from mobmeta.characterize import (
     report_from_dict,
 )
 from mobmeta.core import DataError, concat_user_streams
-from mobmeta.metrics import mutual_information_at_distance
+from mobmeta.metrics import EPS_FIT, mutual_information_at_distance
 from mobmeta.synth import SourceSpec, generate
 from conftest import make_dataset
 
@@ -122,6 +123,20 @@ def test_dmax_capped_for_short_streams():
     rep = characterize(ds, 100)
     assert max(d for d, _ in rep.mi_curve) == 5  # (60-1)//10
     assert any("capped" in w for w in rep.warnings)
+
+
+def test_one_distance_above_eps_fit_is_not_called_no_dependence():
+    # d_max is capped to 1 and I(1) is about 1 bit: the dependence is
+    # measured, but one distance is too few to fit the exponent to
+    ds, _ = generate(SourceSpec(kind="copy_with_gap", n_symbols=20))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = characterize(ds, 20)
+    assert rep.mi_curve[0][1] > EPS_FIT and rep.ldd_depth == 1
+    assert rep.ldd_exponent_alpha is None
+    assert ("fewer than 2 distances have I(d) above EPS_FIT (0.001 bits): "
+            "ldd_exponent_alpha left undefined") in rep.warnings
+    assert not any("no measurable dependence" in w for w in rep.warnings)
 
 
 @pytest.mark.parametrize("streams, cap", [

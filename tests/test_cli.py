@@ -6,6 +6,7 @@ asserts on exit codes, produced files, and printed lines.  Exit codes:
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -24,6 +25,7 @@ from mobmeta import __version__, cli, predictors
 from mobmeta.cli import COMMANDS, build_parser, main
 from mobmeta.ingest import load_dataset
 from mobmeta.report import FOLDS_CSV_COLUMNS
+from mobmeta.synth import KIND_FIELDS, SourceSpec, spec_to_dict
 from test_readme import readme_commands
 
 MANIFEST_KEYS = {
@@ -93,7 +95,7 @@ def synth_files(tmp_path):
     ("markov_order_k", ["--transition", "{transition}", "--k", "2"], "--k",
      "--transition"),
     ("copy_with_gap", ["--k", "3", "--switch-fraction", "0.3"],
-     "--switch-fraction", "--k, --eps, --alphabet-size"),
+     "--switch-fraction", "--k, --eps"),
     ("regime_switch", ["--spec-a", "{spec}", "--spec-b", "{spec}",
                        "--dist", "0.5,0.5"], "--dist",
      "--spec-a, --spec-b, --switch-fraction"),
@@ -113,17 +115,69 @@ def test_synth_refuses_an_option_its_kind_does_not_read(
     assert not (tmp_path / "d").exists()
 
 
-@pytest.mark.parametrize("given, pois", [
-    (["--kind", "copy_with_gap", "--alphabet-size", "10"], 4),
-    (["--kind", "iid", "--dist", "0.5,0.5", "--alphabet-size", "3"], 2),
-], ids=["copy_with_gap", "iid-dist"])
+# a value each synth option is accepted with
+SYNTH_VALUES = {"--alphabet-size": "3", "--dist": "0.5,0.5",
+                "--pattern": "0,1,2", "--transition": "{transition}",
+                "--k": "3", "--eps": "0.1", "--spec-a": "{spec}",
+                "--spec-b": "{spec}", "--switch-fraction": "0.3"}
+
+
+@pytest.mark.parametrize("kind", KIND_FIELDS)
+def test_kind_options_follow_kind_fields(tmp_path, capsys, kind):
+    # a kind reads the options of its fields: each is accepted and sets
+    # its field, and an option of another field is refused, naming them
+    files = synth_files(tmp_path)
+    options = {option: field
+               for option, (field, _) in cli._SYNTH_FIELDS.items()}
+    reads = [option for option, field in options.items()
+             if field in KIND_FIELDS[kind]]
+    assert {options[option] for option in reads} == set(KIND_FIELDS[kind])
+
+    def args(chosen):
+        # `chosen`, and the first option of each other field of the kind
+        first = {}
+        for option in (chosen, *reads):
+            first.setdefault(options[option], option)
+        return [a.format(**files) for option in first.values()
+                for a in (option, SYNTH_VALUES[option])]
+
+    defaults = {f.name: f.default for f in dataclasses.fields(SourceSpec)}
+    for option in reads:
+        argv = ["synth", "--kind", kind, *args(option), "--n", "60"]
+        ok([*argv, "--out", tmp_path / option[2:]], capsys)
+        field = options[option]
+        spec = cli._spec_from_args(cli.parse_args(argv))
+        assert spec_to_dict(spec)[field] != defaults[field]
+    for option in options.keys() - reads:
+        out = tmp_path / "refused"
+        rc = main(["synth", "--kind", kind, *args(reads[0]),
+                   option, SYNTH_VALUES[option].format(**files),
+                   "--n", "60", "--out", str(out)])
+        _, err = capsys.readouterr()
+        assert rc == 2
+        assert (f"usage error: --kind {kind} does not read {option}; "
+                f"it reads: {', '.join(reads)}") in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("given, message", [
+    # copy_with_gap always has 4 POIs, so it reads no size at all
+    (["--kind", "copy_with_gap", "--alphabet-size", "4"],
+     "--kind copy_with_gap does not read --alphabet-size; it reads: "
+     "--k, --eps"),
+    # both set iid's dist, also when their sizes agree
+    (["--kind", "iid", "--dist", "0.5,0.5", "--alphabet-size", "2"],
+     "--alphabet-size and --dist both set dist; give one of them"),
+    # an empty dist, not a division by zero
+    (["--kind", "iid", "--alphabet-size", "0"],
+     "malformed source spec: iid needs dist"),
+], ids=["copy_with_gap", "iid-dist", "iid-zero"])
 def test_synth_refuses_an_alphabet_size_its_source_does_not_have(
-        tmp_path, capsys, given, pois):
+        tmp_path, capsys, given, message):
     rc = main(["synth", *given, "--n", "60", "--out", str(tmp_path / "d")])
     _, err = capsys.readouterr()
     assert rc == 2
-    assert (f"usage error: --kind {given[1]} with these options has {pois} "
-            f"POIs, not --alphabet-size {given[-1]}") in err
+    assert f"usage error: {message}" in err
     assert not (tmp_path / "d").exists()
 
 
@@ -192,8 +246,7 @@ def test_synth_refuses_a_bad_spec_file_naming_it(tmp_path, capsys, option,
      "266fed3263156bfa9954e3d0d8883a43b2a7a673463b07a3ae636309505de6a2"),
     (["--kind", "copy_with_gap"],
      "a1050b414c1999333c5f36f295197601d15294a56cfe6f15d7cb9af859335e8d"),
-    (["--kind", "copy_with_gap", "--k", "1", "--eps", "0",
-      "--alphabet-size", "4"],
+    (["--kind", "copy_with_gap", "--k", "1", "--eps", "0"],
      "a1050b414c1999333c5f36f295197601d15294a56cfe6f15d7cb9af859335e8d"),
     (["--kind", "regime_switch", "--spec-a", "{spec}", "--spec-b",
       "{spec}"],
@@ -339,7 +392,7 @@ def test_rerun_byte_identical_except_manifest(tmp_path, capsys):
 CHARACTERIZE_PINS = {
     "copy_with_gap": (
         ["--kind", "copy_with_gap", "--k", 6, "--eps", 0.05,
-         "--alphabet-size", 4, "--n", 1500, "--users", 3, "--seed", 11],
+         "--n", 1500, "--users", 3, "--seed", 11],
         {
             "report.json": "8a8dda01090ff507abab1552c967e56a"
                            "d2da6163d965b40ffea9777997d96170",
@@ -407,8 +460,7 @@ WRITER_DATASET_HASH = ("sha256:99f773ebad947a9d0050d01f2a6d744a"
 def test_writer_bytes_pinned(tmp_path, capsys):
     d = tmp_path / "d"
     ok(["synth", "--kind", "copy_with_gap", "--k", 3, "--eps", 0.1,
-        "--alphabet-size", 4, "--n", 400, "--users", 3, "--seed", 11,
-        "--out", d], capsys)
+        "--n", 400, "--users", 3, "--seed", 11, "--out", d], capsys)
     ok(["characterize", d, "--dmax", 8,
         "--out", tmp_path / "ch" / "report.json"], capsys)
     ok(["validate", d, "--model", "markov:2",
@@ -530,6 +582,28 @@ def test_ingest_extract_poi_path(tmp_path, capsys):
     assert ds.sequences[0].poi_ids.tolist() == [0, 1, 0]
     m = read_manifest(tmp_path / "ds")
     assert m["command_line"][1] == "extract-poi"
+
+
+def test_extract_poi_names_the_dataset_after_the_raw_directory(
+        tmp_path, capsys, monkeypatch):
+    # "." names the working directory, so it writes what the directory's
+    # own path does: the same dataset and the same config.  The fixes are
+    # dwells at two places 5 km apart, 15 fixes each.
+    lat_b = 45.0 + 5000.0 / 111194.92664455873
+    src = tmp_path / "fixes.csv"
+    src.write_text("".join(f"u1,{lat},7.0,{120 * i}\n" for i, lat in
+                           enumerate(x for x in (45.0, lat_b, 45.0)
+                                     for _ in range(15))),
+                   encoding="utf-8")
+    ok(["ingest", src, "--out", tmp_path / "raw"], capsys)
+    ok(["extract-poi", tmp_path / "raw", "--min-visits", 1,
+        "--out", tmp_path / "a"], capsys)
+    monkeypatch.chdir(tmp_path / "raw")
+    ok(["extract-poi", ".", "--min-visits", 1, "--out", "../b"], capsys)
+    assert load_dataset(tmp_path / "b").name == "raw"
+    assert tree_bytes(tmp_path / "b") == tree_bytes(tmp_path / "a")
+    assert (read_manifest(tmp_path / "b")["config_hash"]
+            == read_manifest(tmp_path / "a")["config_hash"])
 
 
 def test_ingest_tz_offset_shifts_timestamps(tmp_path, capsys):
@@ -816,13 +890,14 @@ def test_version_flag(capsys):
 # when its fit, depth and PMI settings became constants; the -h of ingest,
 # extract-poi, characterize, recommend and report, "characterize" and
 # "ingest x --format nope" when --seed was left to the three commands
-# that read it.
+# that read it; the -h of ingest and extract-poi and "ingest x --format
+# nope" again when their --name was removed.
 PARSER_OUTPUT_SHA256 = {
     ("-h",): "7bce9b06ecae00584fc75514dc7ed69cdb5ea59840eb5e79732c799b3402b91a",
     ("ingest", "-h"):
-        "ab81423aa82a9fadf1bc548d1f3b0f84be8a3f5425e3cd52a59289a6feb22bed",
+        "e8501070e6812b4ea7bdf6d4525d531989f3296b3bc5922773b9a7cf3fab0413",
     ("extract-poi", "-h"):
-        "53c7db47eb853e9112a39162f0aeecf2f37ba25d03a5e6fdee42ebd0533c275b",
+        "1e2ec4fa2746efd273c9e3542f73ac71f74dc9899b83b87927a2d67f32ea3e9b",
     ("synth", "-h"):
         "14deda5466ca11fd6abeb6422bd367374637cbb2e4270536ca9ab3d58d1f5ec8",
     ("characterize", "-h"):
@@ -843,7 +918,7 @@ PARSER_OUTPUT_SHA256 = {
     ("characterize",):
         "122f0686a90e048b045c684c50568a7d624ede94f6f81ed08b40a825254790c2",
     ("ingest", "x", "--format", "nope"):
-        "3716d0cc0e644139b4bfd84f3f44c2dd04bd2c8cce62ed81b39d3ebba47c620d",
+        "a5045d06f5ba4cf7d6fac7a72361888b4f886a5100e29c8342d7aff5985819ed",
     ("synth", "--n", "x"):
         "75b124578cabd217052b33d5c0b8a6a30c66385e6d5ef8fdb9ad927301616d0e",
 }
@@ -1530,11 +1605,12 @@ LINGERING_PREDICTOR = textwrap.dedent("""\
 """)
 
 
-def run_external(tmp_path, capsys, script_text, scheme, n=120):
+def run_external(tmp_path, capsys, script_text, scheme, n=120,
+                 python_flags=()):
     script = tmp_path / "predictor.py"
     script.write_text(script_text, encoding="utf-8")
     d = synth_periodic(tmp_path, capsys, users=1, n=n)
-    cmd = shlex.join([sys.executable, str(script)])
+    cmd = shlex.join([sys.executable, *python_flags, str(script)])
     t0 = time.perf_counter()
     rc = main(["validate", str(d), "--model", "external",
                "--external-cmd", cmd, "--scheme", scheme,
@@ -1706,9 +1782,12 @@ def test_misbehaving_child_exits_3_within_its_deadline(
 ):
     script_text, cause = MISBEHAVING[case]
     monkeypatch.setattr(predictors, "REQUEST_TIMEOUT_S", 0.3)
+    # -S skips the site import: a child that took longer than the 0.3 s
+    # deadline to start reading would leave a TRAIN block larger than the
+    # pipe buffer unwritten and be killed for that instead
     rc, err, script, elapsed = run_external(
         tmp_path, capsys, textwrap.dedent(script_text), "holdout:split=0.8",
-        n=20_000,
+        n=20_000, python_flags=("-S",),
     )
     assert rc == 3
     assert "data error: user 'u0000' fold 0: " in err
@@ -1845,6 +1924,27 @@ def test_characterize_few_users_skips_correlations(tmp_path, capsys):
     out_file = tmp_path / "ch" / "report.json"
     _, err = ok(["characterize", d, "--dmax", 5, "--out", out_file], capsys)
     assert "correlation matrix skipped" in err
+    assert (tmp_path / "ch" / "corr_matrix.csv").read_text() == "attribute\n"
+
+
+def test_characterize_of_one_user_writes_every_csv_through_one_writer(
+        tmp_path, capsys, monkeypatch):
+    # report._write_csv writes every CSV, the header-only correlation
+    # matrix of a dataset too small to correlate included
+    d = synth_periodic(tmp_path, capsys, users=1)
+    written = []
+    write_csv = mobmeta.report._write_csv
+
+    def recorded(path, header, blocks):
+        written.append(path.name)
+        write_csv(path, header, blocks)
+
+    monkeypatch.setattr(mobmeta.report, "_write_csv", recorded)
+    _, err = ok(["characterize", d, "--dmax", 5,
+                 "--out", tmp_path / "ch" / "report.json"], capsys)
+    assert "correlation matrix skipped" in err
+    assert sorted(written) == ["corr_matrix.csv", "match_structure.csv",
+                               "mi_curve.csv"]
     assert (tmp_path / "ch" / "corr_matrix.csv").read_text() == "attribute\n"
 
 

@@ -323,7 +323,6 @@ def pair_count_cases(draw):
 @example(([0, 1, 2, 3] * 4 + [0], None), 1, 5)  # 16 cells, 16 pairs
 @example(([0, 1, 2, 3] * 4, None), 1, 5)  # 16 cells, 15 pairs
 @example(([0, 1, 2, 3] * 4 + [0, 4, 0], 4), 1, 5)  # one past the separator
-@pytest.mark.filterwarnings("ignore:only one MI point")
 def test_both_table_builds_equal_the_oracles(case, d, top_k):
     # exact equality: the dense and the sorted table give the same cells,
     # counts and marginals, so every figure keeps its last bit

@@ -322,6 +322,16 @@ def test_external_argmax_only(rng):
         assert poi == native_predict(train(M1, seq, alphabet_size=4), [2])[0]
 
 
+# what a child over 4 POIs does instead of answering its first PREDICT
+VIOLATIONS = {
+    "bad_sum": 'print("0 0.5 0.5 0.5 0.5", flush=True)',
+    "wrong_len": 'print("0 0.5 0.5", flush=True)',
+    "oob_id": 'print(9, flush=True)',
+    "garbage": 'print("not-a-poi", flush=True)',
+    "close": "sys.exit(0)",
+}
+
+
 @pytest.mark.parametrize(
     "mode,msg",
     [
@@ -334,7 +344,18 @@ def test_external_argmax_only(rng):
 )
 def test_external_protocol_violations(rng, mode, msg):
     seq = random_collapsed(rng, 50, 4)
-    with ExternalModel.start(ext_spec("--misbehave", mode), 4) as ext:
+    script = textwrap.dedent(f"""\
+        import sys
+        for line in sys.stdin:
+            word, count = line.split()
+            for _ in range(int(count)):
+                sys.stdin.readline()
+            if word == "PREDICT":
+                {VIOLATIONS[mode]}
+    """)
+    spec = PredictorSpec(kind="external",
+                         command=(sys.executable, "-c", script))
+    with ExternalModel.start(spec, 4) as ext:
         ext.send(train_block(seq))
         with pytest.raises(ProtocolError, match=msg) as exc:
             ext.predict([1])
