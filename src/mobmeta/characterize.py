@@ -4,11 +4,11 @@ dataset-level dependence structure folded into one report object.
 Each statistic has one scope.  Entropy and predictability are computed
 per user, with the Fano bound over that user's own distinct POIs, and
 reported with their means over users.  The MI decay curve and PMI run
-over the separator-joined dataset stream, so cross-user n-grams never
-form.  Every MI and PMI figure comes from metrics; this module only
-builds the streams.  The joined stream of the users a report kept rides
-on the report (MetaAttributeReport.stream), so the match structure
-reads the same users as every other statistic.
+over the dataset stream, the users joined by core.SEPARATOR (-1), so
+cross-user n-grams never form.  Every MI and PMI figure comes from
+metrics; this module only builds the streams.  The joined stream of the
+users a report kept rides on the report (MetaAttributeReport.stream),
+so the match structure reads the same users as every other statistic.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class MetaAttributeReport:
     ldd_depth: Optional[int]
     pmi_top: tuple[tuple[tuple[int, int, int], float], ...]
     warnings: tuple[str, ...] = field(default_factory=tuple)
-    # the separator-joined stream of the kept users, which the MI curve
+    # the kept users joined by core.SEPARATOR, the stream the MI curve
     # and PMI read; in memory only, so not in to_dict
     stream: Optional[np.ndarray] = field(default=None, compare=False,
                                          repr=False)
@@ -197,8 +197,7 @@ def characterize(ds: Dataset, d_max: int = 100) -> MetaAttributeReport:
             "estimate needed" + "".join(f"; {n}" for n in notes)
         )
 
-    sep = ds.alphabet.separator_id
-    stream = concat_user_streams(usable, sep)
+    stream = concat_user_streams(usable)
     d_cap = (stream.shape[0] - 1) // 10
     # MI at d needs 2 pairs, and a user of L symbols has max(0, L - d) of
     # them, so the two longest users bound d however long the stream is
@@ -207,7 +206,7 @@ def characterize(ds: Dataset, d_max: int = 100) -> MetaAttributeReport:
     capped = min(d_max, d_cap, pair_cap)
     decay: Optional[MiDecay] = None
     if capped >= 1:
-        decay = mi_decay_curve(stream, capped, sep)
+        decay = mi_decay_curve(stream, capped)
         if capped == d_cap < d_max:
             notes.append(
                 f"d_max capped to {capped} (stream length {stream.shape[0]})"
@@ -230,7 +229,7 @@ def characterize(ds: Dataset, d_max: int = 100) -> MetaAttributeReport:
     pmi_top = []
     if stream.shape[0] >= 3:
         try:
-            pmi_top = top_pmi(stream, 1, PMI_TOP_K, sep)
+            pmi_top = top_pmi(stream, 1, PMI_TOP_K)
         except DataError as e:
             notes.append(f"pmi unavailable: {e}")
 

@@ -296,6 +296,14 @@ def _spec_from_args(args) -> SourceSpec:
         return spec_from_dict({"kind": args.kind, "n_symbols": args.n,
                                "seed": args.seed, **fields})
     except DataError as e:
+        # name the option that set the field whose value the spec refuses
+        field = getattr(e.__cause__, "field", None)
+        setters = {"--n": "n_symbols", "--users": "n_users",
+                   **{o: f for o, (f, _) in _SYNTH_FIELDS.items()}}
+        for option, name in setters.items():
+            value = getattr(args, option[2:].replace("-", "_"))
+            if name == field and value is not None:
+                raise UsageError(f"{option} {value}: {e.__cause__}") from None
         raise UsageError(str(e)) from None
 
 
@@ -440,9 +448,7 @@ def cmd_characterize(args, out: Path, mi_path: Path, ms_path: Path,
     write_mi_curve_csv(mi_path, report.mi_curve)
 
     # over the users the report kept, as its MI curve and PMI
-    triples = match_structure(
-        report.stream, separator_id=ds.alphabet.separator_id
-    )
+    triples = match_structure(report.stream)
     write_match_structure_csv(ms_path, *triples.T)
 
     try:

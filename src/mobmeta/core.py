@@ -128,11 +128,7 @@ class PoiRecord:
 
 @dataclass(frozen=True)
 class PoiAlphabet:
-    """Indexed set of POIs; ids are dense integers 0..size-1.
-
-    ``separator_id`` (= size) is reserved for joining user streams and is
-    never a member of the alphabet.
-    """
+    """Indexed set of POIs; ids are dense integers 0..size-1."""
 
     entries: tuple[PoiRecord, ...]
 
@@ -144,10 +140,6 @@ class PoiAlphabet:
 
     @property
     def size(self) -> int:
-        return len(self.entries)
-
-    @property
-    def separator_id(self) -> int:
         return len(self.entries)
 
     @classmethod
@@ -167,9 +159,10 @@ class PoiSequence:
     """Time-ordered POI visits of one user, self-transitions eliminated.
 
     ``poi_ids`` and ``timestamps`` are int64 arrays of equal length, with
-    strictly ascending timestamps and no two consecutive equal poi_ids.
-    Use :meth:`from_visits` to build one from raw visit data, which
-    collapses runs of the same POI to their first visit.
+    strictly ascending timestamps, no two consecutive equal poi_ids and
+    no negative poi_id, so that no stream holds SEPARATOR.  Use
+    :meth:`from_visits` to build one from raw visit data, which collapses
+    runs of the same POI to their first visit.
     """
 
     user_id: str
@@ -195,6 +188,9 @@ class PoiSequence:
         i = _first(ids[1:] == ids[:-1])
         if i is not None:
             raise DataError(f"{who}: self-transition {ids[i]} -> {ids[i]}")
+        lo = int(ids.min())
+        if lo < 0:
+            raise DataError(f"{who}: poi_id {lo} not in alphabet")
 
     @classmethod
     def from_visits(
@@ -215,15 +211,12 @@ class PoiSequence:
     __eq__ = _same_columns
 
 
-def check_poi_ids(seq: PoiSequence, n_pois: Optional[int]) -> PoiSequence:
-    """seq itself, once every poi_id is >= 0 and, given n_pois, below it."""
-    lo, hi = int(seq.poi_ids.min()), int(seq.poi_ids.max())
-    if lo < 0 or (n_pois is not None and hi >= n_pois):
-        size = "" if n_pois is None else f" of size {n_pois}"
-        raise DataError(
-            f"user {seq.user_id!r}: poi_id {lo if lo < 0 else hi} "
-            f"not in alphabet{size}"
-        )
+def check_poi_ids(seq: PoiSequence, n_pois: int) -> PoiSequence:
+    """seq itself, once every poi_id is below n_pois."""
+    hi = int(seq.poi_ids.max())
+    if hi >= n_pois:
+        raise DataError(f"user {seq.user_id!r}: poi_id {hi} "
+                        f"not in alphabet of size {n_pois}")
     return seq
 
 
@@ -248,24 +241,22 @@ class Dataset:
         return len(self.sequences)
 
 
-def concat_user_streams(
-    sequences: Sequence[PoiSequence], separator_id: int
-) -> np.ndarray:
+# The symbol that joins user streams.  No PoiSequence holds a negative
+# poi_id, and the metrics treat every negative symbol as the end of a
+# user: no pair or gram spans one.
+SEPARATOR = -1
+
+
+def concat_user_streams(sequences: Sequence[PoiSequence]) -> np.ndarray:
     """Flatten per-user symbol streams into one dataset-level stream.
 
-    ``separator_id`` sits between users so that cross-user n-grams can
-    never form; it must lie outside every stream
-    (``PoiAlphabet.separator_id`` by convention).  One user's stream is
-    returned as is.  Returns an int64 array in user order.
+    SEPARATOR sits between users so that cross-user n-grams can never
+    form.  One user's stream is returned as is.  Returns an int64 array
+    in user order.
     """
     if not sequences:
         raise DataError("empty dataset")
-    top = max(int(seq.poi_ids.max()) for seq in sequences)
-    if separator_id <= top:
-        raise DataError(
-            f"separator {separator_id} collides with symbols up to {top}"
-        )
-    sep = np.asarray([separator_id], dtype=np.int64)
+    sep = np.asarray([SEPARATOR], dtype=np.int64)
     parts = []
     for seq in sequences:
         parts += (sep, seq.poi_ids)

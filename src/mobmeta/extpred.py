@@ -27,8 +27,10 @@ def _model_arg(text: str) -> tuple[str, int]:
     """(kind, markov order or mmc top set size) of a --model value:
     markov:K with K in 1..3, mmc[:M] with M >= 1, top_frequency or
     random_uniform, read as `predictors.parse_model` reads them."""
-    kind, _, arg = text.partition(":")
+    kind, colon, arg = text.partition(":")
     try:
+        if colon and kind in ("top_frequency", "random_uniform"):
+            raise ValueError(f"{kind} takes no argument")
         if kind == "markov":
             k = int(arg or 1)
             if not 1 <= k <= 3:

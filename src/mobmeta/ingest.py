@@ -329,8 +329,7 @@ def load_symbols_jsonl(path: str | Path, name: str) -> Dataset:
         raise IngestError(f"no such file: {path}")
     seqs = _records(
         path, path.name,
-        lambda obj, line: check_poi_ids(
-            _sequence(obj, line, PoiSequence.from_visits), None),
+        lambda obj, line: _sequence(obj, line, PoiSequence.from_visits),
     )
     if not seqs:
         raise IngestError(f"{path.name}: empty file")

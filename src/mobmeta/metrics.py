@@ -2,7 +2,9 @@
 distance, its decay curve over one stream with a power-law fit,
 pointwise MI and its top pairs, repeat (match) structure, and per-user
 attribute correlations.  A dataset's users are joined into that one
-stream with separators, and no pair or gram spans a separator.
+stream by core.SEPARATOR.  Every negative symbol ends a user: no pair
+whose window [i, i+d] holds one is counted, nor any gram that contains
+one.
 
 All estimates are plug-in (empirical counts, no bias correction).  MI,
 PMI and top-PMI read one pair-count table, `_pair_counts`, held in
@@ -40,15 +42,11 @@ def _log2(values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log2, values.tolist()), np.float64)
 
 
-def _separator_hits(
-    stream: np.ndarray, separator_id: Optional[int]
-) -> Optional[np.ndarray]:
-    """Prefix counts of the separator (hits[j] = separators in stream[:j]),
-    or None when the stream holds no separator, so that no pair needs
-    masking."""
-    if separator_id is None:
-        return None
-    at = stream == separator_id
+def _separator_hits(stream: np.ndarray) -> Optional[np.ndarray]:
+    """Prefix counts of the separators, the negative symbols (hits[j] =
+    separators in stream[:j]), or None when the stream holds none, so that
+    no pair needs masking."""
+    at = stream < 0
     if not at.any():
         return None
     return np.concatenate(([0], np.cumsum(at, dtype=np.int64)))
@@ -59,14 +57,15 @@ def _pair_counts(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
     """The count table of (s_i, s_{i+d}) pairs, one entry per occupied cell.
 
-    stream is an int64 array of non-negative symbols and hits its
-    `_separator_hits`.  Returns (x, y, c_xy, n_pairs, c_x, c_y): the cells
-    in ascending (x, y) order, their joint counts, the number of pairs,
-    and each cell's left (x) and right (y) marginal count.  Marginals are
-    taken from the paired positions only, so the three entropy forms of
-    the MI identity share one empirical table.  A pair is dropped when the
-    separator appears anywhere in its window [i, i+d], not just at the
-    endpoints, so no pair straddles a stream boundary.
+    stream is an int64 array of symbols and hits its `_separator_hits`,
+    which may be None only when no symbol is negative.  Returns (x, y,
+    c_xy, n_pairs, c_x, c_y): the cells in ascending (x, y) order, their
+    joint counts, the number of pairs, and each cell's left (x) and right
+    (y) marginal count.  Marginals are taken from the paired positions
+    only, so the three entropy forms of the MI identity share one
+    empirical table.  A pair is dropped when a separator appears anywhere
+    in its window [i, i+d], not just at the endpoints, so no pair
+    straddles a user boundary.
 
     With span = largest paired symbol + 1, the cells come from a dense
     span x span bincount of the joint codes, and the marginals from its
@@ -111,12 +110,10 @@ def _mi_bits(stream: np.ndarray, d: int, hits: Optional[np.ndarray]) -> float:
     return math.fsum((p_xy * _log2(p_xy / ((c_x / n) * (c_y / n)))).tolist())
 
 
-def mutual_information_at_distance(
-    seq: Sequence[int], d: int, separator_id: Optional[int] = None
-) -> float:
+def mutual_information_at_distance(seq: Sequence[int], d: int) -> float:
     """Plug-in I(s_i; s_{i+d}) in bits over all position pairs at lag d."""
     stream = np.asarray(seq, dtype=np.int64)
-    return _mi_bits(stream, d, _separator_hits(stream, separator_id))
+    return _mi_bits(stream, d, _separator_hits(stream))
 
 
 def pmi_from_counts(n_pairs: int, c_a: int, c_b: int, c_ab: int) -> float:
@@ -128,22 +125,14 @@ def pmi_from_counts(n_pairs: int, c_a: int, c_b: int, c_ab: int) -> float:
     return math.log2((n_pairs * c_ab) / (c_a * c_b))
 
 
-def pmi(
-    seq: Sequence[int],
-    a: int,
-    b: int,
-    d: int,
-    separator_id: Optional[int] = None,
-) -> float:
+def pmi(seq: Sequence[int], a: int, b: int, d: int) -> float:
     """Pointwise MI of seeing poi b exactly d steps after poi a.
 
     Returns -inf ("never co-occurs") when the pair count is zero; raises
     when a or b itself never occurs at the paired positions.
     """
     stream = np.asarray(seq, dtype=np.int64)
-    x, y, c_xy, n, _, _ = _pair_counts(
-        stream, d, _separator_hits(stream, separator_id)
-    )
+    x, y, c_xy, n, _, _ = _pair_counts(stream, d, _separator_hits(stream))
     c_a = int(c_xy[x == a].sum())
     c_b = int(c_xy[y == b].sum())
     if c_a == 0 or c_b == 0:
@@ -154,10 +143,7 @@ def pmi(
 
 
 def top_pmi(
-    seq: Sequence[int],
-    d: int,
-    top_k: int,
-    separator_id: Optional[int] = None,
+    seq: Sequence[int], d: int, top_k: int
 ) -> list[tuple[tuple[int, int, int], float]]:
     """The top_k occurring pairs by PMI at distance d, ties by (a, b).
 
@@ -166,9 +152,7 @@ def top_pmi(
     pmi_from_counts on the same counts for any stream under ~9e7 pairs.
     """
     stream = np.asarray(seq, dtype=np.int64)
-    x, y, c_xy, n, c_x, c_y = _pair_counts(
-        stream, d, _separator_hits(stream, separator_id)
-    )
+    x, y, c_xy, n, c_x, c_y = _pair_counts(stream, d, _separator_hits(stream))
     scores = _log2((n * c_xy) / (c_x * c_y))
     order = np.lexsort((y, x, -scores))[:top_k]
     return [
@@ -221,11 +205,7 @@ class MiDecay:
     ldd_depth: Optional[int]
 
 
-def mi_decay_curve(
-    seq: Sequence[int],
-    d_max: int,
-    separator_id: Optional[int] = None,
-) -> MiDecay:
+def mi_decay_curve(seq: Sequence[int], d_max: int) -> MiDecay:
     """I(d) for d = 1..d_max with a power-law fit over the points above
     EPS_FIT; the LDD depth is the largest distance whose I(d) reaches
     EPS_DEPTH."""
@@ -238,7 +218,7 @@ def mi_decay_curve(
             f"d_max {d_max} too large for length {n}: need d_max < n/10 "
             "for enough pairs per distance"
         )
-    hits = _separator_hits(stream, separator_id)
+    hits = _separator_hits(stream)
     curve = [(d, _mi_bits(stream, d, hits)) for d in range(1, d_max + 1)]
     fit_pts = [(d, i) for d, i in curve if i > EPS_FIT]
     alpha = rmse = None
@@ -258,17 +238,15 @@ def mi_decay_curve(
 MATCH_LENGTHS = (1, 2, 4, 8)
 
 
-def match_structure(
-    seq: Sequence[int], separator_id: Optional[int] = None
-) -> np.ndarray:
+def match_structure(seq: Sequence[int]) -> np.ndarray:
     """(position, L, delta) rows for every position whose length-L gram
     repeats, L in MATCH_LENGTHS.
 
     delta is the smallest positive back-shift with seq[i:i+L] ==
     seq[i-delta:i-delta+L]; overlapping matches count.  Positions with no
-    earlier occurrence are omitted.  Grams containing the separator are
-    skipped on both sides.  Returns an (m, 3) int64 array in ascending
-    (position, L) order.
+    earlier occurrence are omitted.  Grams containing a separator (a
+    negative symbol) are skipped on both sides.  Returns an (m, 3) int64
+    array in ascending (position, L) order.
 
     Grams are compared by exact ranks built by prefix doubling: the
     L-gram at i is the pair of L/2-grams at i and i+L/2.  One stable
@@ -280,10 +258,10 @@ def match_structure(
     lengths = [L for L in MATCH_LENGTHS if L <= n]
     if not lengths:
         return np.empty((0, 3), dtype=np.int64)
-    if separator_id is not None:
+    at = stream < 0
+    if at.any():
         # each separator becomes a symbol of its own, so no gram holding
         # one repeats or is repeated
-        at = stream == separator_id
         stream = np.where(at, stream.max() + np.cumsum(at), stream)
     # deltas[i, j]: delta of the lengths[j]-gram at i, 0 when it is new
     deltas = np.zeros((n, len(lengths)), dtype=np.int64)

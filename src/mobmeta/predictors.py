@@ -100,10 +100,12 @@ def parse_model(text: str, command: Sequence[str] = ()) -> PredictorSpec:
     """markov:K | mmc[:M] | top_frequency | random_uniform | external.
 
     external runs the argv `command`.  Raises ValueError on an unknown or
-    malformed model.
+    malformed model, such as an argument to a kind that takes none.
     """
-    kind, _, arg = text.partition(":")
+    kind, colon, arg = text.partition(":")
     try:
+        if colon and kind in ("top_frequency", "random_uniform", "external"):
+            raise ValueError(f"{kind} takes no argument")
         if kind == "markov":
             return PredictorSpec(kind="markov_k", k=int(arg or 1))
         if kind == "mmc":

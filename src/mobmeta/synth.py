@@ -36,6 +36,14 @@ KIND_FIELDS = {
 _COMMON_FIELDS = ("n_symbols", "n_users", "seed")
 
 
+class FieldError(ValueError):
+    """A value of one SourceSpec field that the spec refuses."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class SourceSpec:
     """Parameters of one synthetic source.
@@ -67,19 +75,20 @@ class SourceSpec:
         if self.kind not in KIND_FIELDS:
             raise ValueError(f"unknown source kind {self.kind!r}")
         if self.n_symbols < 2:
-            raise ValueError("n_symbols must be >= 2")
+            raise FieldError("n_symbols", "n_symbols must be >= 2")
         if self.n_users < 1:
-            raise ValueError("n_users must be >= 1")
+            raise FieldError("n_users", "n_users must be >= 1")
         if self.kind == "iid":
             if not self.dist:
-                raise ValueError("iid needs dist")
+                raise FieldError("dist", "iid needs dist")
             if any(p < 0 for p in self.dist) or abs(sum(self.dist) - 1.0) > 1e-9:
-                raise ValueError("dist must be a normalized distribution")
+                raise FieldError("dist",
+                                 "dist must be a normalized distribution")
         if self.kind == "periodic":
             if not self.pattern or len(self.pattern) < 1:
                 raise ValueError("periodic needs a pattern")
             if any(p < 0 for p in self.pattern):
-                raise ValueError("pattern symbols must be >= 0")
+                raise FieldError("pattern", "pattern symbols must be >= 0")
         if self.kind == "markov_order_k":
             t = self.transition
             if t is None:
@@ -94,9 +103,9 @@ class SourceSpec:
             object.__setattr__(self, "transition", t)
         if self.kind == "copy_with_gap":
             if self.gap < 1:
-                raise ValueError("gap must be >= 1")
+                raise FieldError("gap", "gap must be >= 1")
             if not 0.0 <= self.eps < 1.0:
-                raise ValueError("eps must be in [0, 1)")
+                raise FieldError("eps", "eps must be in [0, 1)")
         if self.kind == "regime_switch":
             if self.spec_a is None or self.spec_b is None:
                 raise ValueError("regime_switch needs spec_a and spec_b")
@@ -104,7 +113,8 @@ class SourceSpec:
                self.spec_b.kind == "regime_switch":
                 raise ValueError("regime specs cannot nest")
             if not 0.0 < self.switch_fraction < 1.0:
-                raise ValueError("switch_fraction must be in (0, 1)")
+                raise FieldError("switch_fraction",
+                                 "switch_fraction must be in (0, 1)")
 
     @property
     def alphabet_size(self) -> int:
@@ -341,7 +351,10 @@ def _read_spec(obj: dict, outer: Optional[dict] = None) -> SourceSpec:
             values[name] = _read_spec(obj[name], {
                 k: values[k] for k in _COMMON_FIELDS if k in values})
         else:
-            values[name] = _READERS[name](obj[name])
+            try:
+                values[name] = _READERS[name](obj[name])
+            except (TypeError, ValueError) as e:
+                raise FieldError(name, str(e)) from e
     spec = SourceSpec(kind=obj["kind"], **values)
     unread = sorted(set(obj) - {"kind", *fields})
     if unread:
@@ -354,7 +367,8 @@ def _read_spec(obj: dict, outer: Optional[dict] = None) -> SourceSpec:
 def spec_from_dict(obj: dict) -> SourceSpec:
     """The SourceSpec of spec_to_dict's form.  A field left out takes its
     SourceSpec default; a key that the kind does not read is refused, and
-    a regime's nested spec reads only its kind's fields."""
+    a regime's nested spec reads only its kind's fields.  A refused value
+    of one field raises DataError from a FieldError that names it."""
     try:
         return _read_spec(obj)
     except (KeyError, TypeError, ValueError) as e:

@@ -152,10 +152,9 @@ def test_dmax_capped_to_distances_with_two_pairs(streams, cap):
     assert [d for d, _ in rep.mi_curve] == list(range(1, cap + 1))
     assert any(f"d_max capped to {cap} (fewer than 2 pairs" in w
                for w in rep.warnings)
-    stream = concat_user_streams(ds.sequences, ds.alphabet.separator_id)
+    stream = concat_user_streams(ds.sequences)
     with pytest.raises(DataError, match="fewer than 2 pairs"):
-        mutual_information_at_distance(stream, cap + 1,
-                                       ds.alphabet.separator_id)
+        mutual_information_at_distance(stream, cap + 1)
 
 
 def test_mi_curve_clamped_nonnegative(markov_report):

@@ -170,7 +170,7 @@ def test_kind_options_follow_kind_fields(tmp_path, capsys, kind):
      "--alphabet-size and --dist both set dist; give one of them"),
     # an empty dist, not a division by zero
     (["--kind", "iid", "--alphabet-size", "0"],
-     "malformed source spec: iid needs dist"),
+     "--alphabet-size 0: iid needs dist"),
 ], ids=["copy_with_gap", "iid-dist", "iid-zero"])
 def test_synth_refuses_an_alphabet_size_its_source_does_not_have(
         tmp_path, capsys, given, message):
@@ -178,6 +178,44 @@ def test_synth_refuses_an_alphabet_size_its_source_does_not_have(
     _, err = capsys.readouterr()
     assert rc == 2
     assert f"usage error: {message}" in err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("given, rc, message", [
+    (["--alphabet-size", "0"], 2, "--alphabet-size 0: iid needs dist"),
+    (["--kind", "copy_with_gap", "--eps", "1.5"], 2,
+     "--eps 1.5: eps must be in [0, 1)"),
+    (["--kind", "copy_with_gap", "--k", "0"], 2,
+     "--k 0: gap must be >= 1"),
+    (["--n", "1"], 2, "--n 1: n_symbols must be >= 2"),
+    (["--users", "0"], 2, "--users 0: n_users must be >= 1"),
+    (["--dist", "0.5,0.6"], 2,
+     "--dist 0.5,0.6: dist must be a normalized distribution"),
+    (["--kind", "periodic", "--pattern", "0,-1"], 2,
+     "--pattern 0,-1: pattern symbols must be >= 0"),
+    (["--dist", "0.5,x"], 2,
+     "--dist 0.5,x: could not convert string to float: 'x'"),
+    (["--kind", "regime_switch", "--spec-a", "{spec}", "--spec-b", "{spec}",
+      "--switch-fraction", "1.5"], 2,
+     "--switch-fraction 1.5: switch_fraction must be in (0, 1)"),
+    # a spec file is data, and keeps its wording
+    (["--kind", "regime_switch", "--spec-a", "{iid}", "--spec-b", "{spec}"],
+     3, "{iid}: malformed source spec: dist must be a normalized "
+        "distribution"),
+], ids=["alphabet-size", "eps", "k", "n", "users", "dist", "pattern",
+        "dist-not-a-number", "switch-fraction", "spec-file"])
+def test_synth_names_the_option_whose_value_the_spec_refuses(
+        tmp_path, capsys, given, rc, message):
+    files = synth_files(tmp_path)
+    files["iid"] = str(tmp_path / "iid.json")
+    Path(files["iid"]).write_text('{"kind": "iid", "dist": [0.5, 0.6]}',
+                                  encoding="utf-8")
+    code = main(["synth", *[a.format(**files) for a in given],
+                 "--out", str(tmp_path / "d")])
+    _, err = capsys.readouterr()
+    assert code == rc
+    kind = "usage error" if rc == 2 else "data error"
+    assert f"{kind}: {message.format(**files)}" in err
     assert not (tmp_path / "d").exists()
 
 
@@ -1220,6 +1258,24 @@ def test_bad_model_order_is_usage_error(tmp_path, capsys):
     _, err = capsys.readouterr()
     assert rc == 2
     assert "usage error" in err and "order" in err
+
+
+@pytest.mark.parametrize("model", [
+    ["top_frequency:7"], ["random_uniform:"],
+    ["external:3", "--external-cmd", "false"],
+], ids=["top_frequency", "random_uniform", "external"])
+def test_model_argument_its_kind_does_not_read_is_usage_error(
+        tmp_path, capsys, model):
+    d = synth_periodic(tmp_path, capsys)
+    rc = main(["validate", str(d), "--model", *model,
+               "--scheme", "holdout:split=0.8", "--out",
+               str(tmp_path / "f.csv")])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    kind = model[0].partition(":")[0]
+    assert (f"usage error: bad model {model[0]!r}: {kind} takes no argument"
+            in err)
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_bad_scheme_parameter_is_usage_error(tmp_path, capsys):

@@ -8,6 +8,7 @@ from mobmeta.core import (
     PoiAlphabet,
     PoiRecord,
     PoiSequence,
+    SEPARATOR,
     RawTrajectory,
     concat_user_streams,
 )
@@ -103,7 +104,6 @@ def test_alphabet_dense_ids_and_separator():
         (PoiRecord(0, 0.0, 0.0, "a"), PoiRecord(1, 1.0, 1.0, "b"))
     )
     assert alpha.size == 2
-    assert alpha.separator_id == 2
     assert [e.poi_id for e in alpha.entries] == [0, 1]
     with pytest.raises(DataError):
         PoiAlphabet((PoiRecord(1, 0.0, 0.0, "a"),))
@@ -121,22 +121,22 @@ def test_dataset_rejects_out_of_alphabet_symbols():
 
 def test_concat_single_user_has_no_separator():
     ds = make_dataset({"a": [0, 1, 0, 2, 1]})
-    stream = concat_user_streams(ds.sequences, ds.alphabet.separator_id)
+    stream = concat_user_streams(ds.sequences)
     assert stream.tolist() == [0, 1, 0, 2, 1]
 
 
 def test_concat_unique_separator():
     ds = make_dataset({"a": [0, 1], "b": [2, 1], "c": [0, 2]})
-    stream = concat_user_streams(ds.sequences, ds.alphabet.separator_id)
-    assert stream.tolist() == [0, 1, 3, 2, 1, 3, 0, 2]
+    stream = concat_user_streams(ds.sequences)
+    assert stream.tolist() == [0, 1, SEPARATOR, 2, 1, SEPARATOR, 0, 2]
 
 
-def test_concat_separator_must_be_outside_alphabet():
-    ds = make_dataset({"a": [0, 1], "b": [2, 1]})
-    with pytest.raises(DataError):
-        concat_user_streams(ds.sequences, 2)
-    with pytest.raises(DataError):
-        concat_user_streams(ds.sequences[:1], 1)
+def test_sequence_refuses_a_negative_poi_id():
+    # so that no user stream can hold the separator
+    with pytest.raises(DataError, match="user 'u': poi_id -1 not in alphabet"):
+        PoiSequence("u", [0, -1, 0], [0, 1, 2])
+    with pytest.raises(DataError, match=f"poi_id {SEPARATOR} not in"):
+        PoiSequence.from_visits("u", [SEPARATOR, SEPARATOR, 0], [0, 1, 2])
 
 
 def test_dataset_equality_and_n_users():

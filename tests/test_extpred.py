@@ -84,14 +84,20 @@ def test_bad_flags_exit_2_naming_the_value(capsys, argv, named):
 
 
 def test_bad_model_exits_2_in_a_child():
-    proc = subprocess.run(
-        [sys.executable, "-m", "mobmeta.extpred", "--model", "markov:4",
-         "--alphabet-size", "4"],
-        input="", capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 2
-    assert "bad model 'markov:4': markov order must be in 1..3" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    for model, why in (
+        ("markov:4", "markov order must be in 1..3"),
+        ("top_frequency:7", "top_frequency takes no argument"),
+        ("random_uniform:zz", "random_uniform takes no argument"),
+        ("random_uniform:", "random_uniform takes no argument"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mobmeta.extpred", "--model", model,
+             "--alphabet-size", "4"],
+            input="", capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert f"bad model {model!r}: {why}" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("model,symbols,native,child", [

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from mobmeta.core import DataError
+from mobmeta.core import (
+    SEPARATOR,
+    DataError,
+    PoiSequence,
+    concat_user_streams,
+)
 from mobmeta.metrics import (
     MATCH_LENGTHS,
     _pair_counts,
@@ -53,14 +58,14 @@ def test_mi_matches_both_oracle_forms(rng):
 
 def test_mi_separator_windows_excluded(rng):
     # separator strictly inside the window must drop the pair too
-    sep = 5
+    sep = SEPARATOR
     seq = (
         rng.integers(0, 5, size=300).tolist()
         + [sep]
         + rng.integers(0, 5, size=300).tolist()
     )
     for d in (1, 2, 4):
-        got = mutual_information_at_distance(seq, d, separator_id=sep)
+        got = mutual_information_at_distance(seq, d)
         assert got == pytest.approx(
             mi_by_pair_enumeration(seq, d, separator=sep), abs=1e-12
         )
@@ -73,14 +78,15 @@ def test_mi_exact_at_wide_alphabets(rng, k):
     # the fsum'd cell terms equal the oracle's to the last bit, not just
     # within a tolerance, also where most cells hold one or two pairs
     seq = rng.integers(0, k, size=3000).tolist()
-    with_sep = seq[:1000] + [k] + seq[1000:2000] + [k] + seq[2000:]
+    with_sep = (seq[:1000] + [SEPARATOR] + seq[1000:2000] + [SEPARATOR]
+                + seq[2000:])
     for d in (1, 2, 7, 40):
         assert mutual_information_at_distance(seq, d) == mi_by_cell_sum(
             seq, d
         )
         assert mutual_information_at_distance(
-            with_sep, d, separator_id=k
-        ) == mi_by_cell_sum(with_sep, d, separator=k)
+            with_sep, d
+        ) == mi_by_cell_sum(with_sep, d, separator=SEPARATOR)
 
 
 def test_mi_reversal_symmetric(rng):
@@ -139,15 +145,16 @@ def test_top_pmi_matches_counting_oracle(rng, k):
     random_seq = rng.integers(0, k, size=2000).tolist()
     cyclic = list(range(k)) * (2000 // k) + [0]
     for seq in (random_seq, cyclic):
-        with_sep = seq[:700] + [k] + seq[700:]
+        with_sep = seq[:700] + [SEPARATOR] + seq[700:]
         for d in (1, 3):
             for top_k in (1, 10, 10**6):
                 assert top_pmi(seq, d, top_k) == top_pmi_by_counting(
                     seq, d, top_k
                 )
                 assert top_pmi(
-                    with_sep, d, top_k, k
-                ) == top_pmi_by_counting(with_sep, d, top_k, separator=k)
+                    with_sep, d, top_k
+                ) == top_pmi_by_counting(with_sep, d, top_k,
+                                         separator=SEPARATOR)
 
 
 def test_top_pmi_ties_by_pair():
@@ -220,16 +227,39 @@ def test_match_structure_matches_quadratic_oracle(rng):
 
 
 def test_match_structure_separator_skipped(rng):
-    sep = 3
+    sep = SEPARATOR
     seq = (
         rng.integers(0, 3, size=60).tolist()
         + [sep]
         + rng.integers(0, 3, size=60).tolist()
     )
-    got = triples(match_structure(seq, separator_id=sep))
+    got = triples(match_structure(seq))
     assert got == brute_match_structure(seq, separator=sep)
     assert all(
         sep not in seq[pos : pos + L] for pos, L, _ in got
+    )
+
+
+def test_joined_users_equal_the_oracles(rng):
+    # concat_user_streams puts SEPARATOR between the three users, and
+    # every metric reads it as the end of a user
+    seqs = [PoiSequence.from_visits(user, rng.integers(0, 4, size=n),
+                                    range(n))
+            for user, n in (("a", 90), ("b", 60), ("c", 75))]
+    stream = concat_user_streams(seqs)
+    joined = (seqs[0].poi_ids.tolist() + [SEPARATOR]
+              + seqs[1].poi_ids.tolist() + [SEPARATOR]
+              + seqs[2].poi_ids.tolist())
+    assert stream.tolist() == joined
+    assert mi_decay_curve(stream, 5).curve == tuple(
+        (d, mi_by_cell_sum(joined, d, separator=SEPARATOR))
+        for d in range(1, 6)
+    )
+    assert top_pmi(stream, 2, 10) == top_pmi_by_counting(
+        joined, 2, 10, separator=SEPARATOR
+    )
+    assert triples(match_structure(stream)) == brute_match_structure(
+        joined, separator=SEPARATOR
     )
 
 
@@ -248,7 +278,7 @@ def match_cases(draw):
     seq = draw(st.lists(st.integers(0, k - 1), max_size=80))
     sep = None
     if draw(st.booleans()):
-        sep = k
+        sep = SEPARATOR
         for i in draw(st.lists(st.integers(0, len(seq)), max_size=5)):
             seq.insert(i, sep)
     return seq, sep
@@ -257,23 +287,25 @@ def match_cases(draw):
 @seed(20261018)
 @settings(max_examples=400, deadline=None)
 @given(match_cases())
-@example(([9, 0, 1, 0, 1, 0], 9))  # separator first
-@example(([0, 1, 0, 1, 0, 9], 9))  # separator last
-@example(([0, 1, 9, 9, 0, 1, 9, 0, 1], 9))  # adjacent ones
-@example(([3, 0, 3, 1, 0, 3, 1, 3], 0))  # the smallest symbol
+@example(([SEPARATOR, 0, 1, 0, 1, 0], SEPARATOR))  # separator first
+@example(([0, 1, 0, 1, 0, SEPARATOR], SEPARATOR))  # separator last
+@example(([0, 1, SEPARATOR, SEPARATOR, 0, 1, SEPARATOR, 0, 1],
+          SEPARATOR))  # adjacent ones
+@example(([3, SEPARATOR, 3, 1, SEPARATOR, 3, 1, 3],
+          SEPARATOR))  # the smallest symbol
 @example(([2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0], None))
 @example(([0, 1, 0], None))  # some lengths greater than n
 @example(([5] * 40, None))  # constant stream
 def test_match_structure_equals_quadratic_oracle(case):
     seq, sep = case
-    got = match_structure(seq, sep)
+    got = match_structure(seq)
     assert triples(got) == brute_match_structure(seq, MATCH_LENGTHS, sep)
 
 
 def test_pair_counts_with_a_large_span(rng):
     # one symbol far above the rest makes span ~1e5 while only a few
-    # cells are occupied; the separator is the largest symbol
-    far, sep = 100_000, 100_001
+    # cells are occupied
+    far, sep = 100_000, SEPARATOR
     seq = rng.integers(0, 4, size=600).tolist()
     for i in rng.choice(600, size=40, replace=False).tolist():
         seq[i] = far
@@ -281,7 +313,7 @@ def test_pair_counts_with_a_large_span(rng):
     stream = np.asarray(seq, dtype=np.int64)
     for d in (1, 2, 5, 30):
         x, y, c_xy, n, c_x, c_y = _pair_counts(
-            stream, d, _separator_hits(stream, sep)
+            stream, d, _separator_hits(stream)
         )
         pairs = pairs_at_distance(seq, d, separator=sep)
         joint = sorted(Counter(pairs).items())
@@ -293,9 +325,9 @@ def test_pair_counts_with_a_large_span(rng):
         assert c_y.tolist() == [right[b] for b in y.tolist()]
         assert far in x.tolist() and sep not in x.tolist() + y.tolist()
         assert mutual_information_at_distance(
-            seq, d, separator_id=sep
+            seq, d
         ) == mi_by_cell_sum(seq, d, separator=sep)
-        assert top_pmi(seq, d, 25, separator_id=sep) == top_pmi_by_counting(
+        assert top_pmi(seq, d, 25) == top_pmi_by_counting(
             seq, d, 25, separator=sep
         )
 
@@ -313,8 +345,8 @@ def pair_count_cases(draw):
     if kind == "inside":
         for i in draw(st.lists(st.integers(1, len(seq) - 1), min_size=1,
                                max_size=4)):
-            seq.insert(i, k)
-    return seq, k
+            seq.insert(i, SEPARATOR)
+    return seq, SEPARATOR
 
 
 @seed(20261019)
@@ -322,16 +354,17 @@ def pair_count_cases(draw):
 @given(pair_count_cases(), st.integers(1, 12), st.integers(0, 20))
 @example(([0, 1, 2, 3] * 4 + [0], None), 1, 5)  # 16 cells, 16 pairs
 @example(([0, 1, 2, 3] * 4, None), 1, 5)  # 16 cells, 15 pairs
-@example(([0, 1, 2, 3] * 4 + [0, 4, 0], 4), 1, 5)  # one past the separator
+@example(([0, 1, 2, 3] * 4 + [0, SEPARATOR, 0], SEPARATOR),
+         1, 5)  # one past the separator
 def test_both_table_builds_equal_the_oracles(case, d, top_k):
     # exact equality: the dense and the sorted table give the same cells,
     # counts and marginals, so every figure keeps its last bit
     seq, sep = case
     if len(pairs_at_distance(seq, d, sep)) >= 2:
         assert mutual_information_at_distance(
-            seq, d, separator_id=sep
+            seq, d
         ) == mi_by_cell_sum(seq, d, separator=sep)
-        assert top_pmi(seq, d, top_k, separator_id=sep) == (
+        assert top_pmi(seq, d, top_k) == (
             top_pmi_by_counting(seq, d, top_k, separator=sep)
         )
     # pairs only fall as d grows, so the curve runs to the last d with 2
@@ -339,7 +372,7 @@ def test_both_table_builds_equal_the_oracles(case, d, top_k):
     while d_max and len(pairs_at_distance(seq, d_max, sep)) < 2:
         d_max -= 1
     if d_max:
-        assert mi_decay_curve(seq, d_max, separator_id=sep).curve == tuple(
+        assert mi_decay_curve(seq, d_max).curve == tuple(
             (e, mi_by_cell_sum(seq, e, separator=sep))
             for e in range(1, d_max + 1)
         )

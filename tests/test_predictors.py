@@ -87,6 +87,10 @@ def test_parse_model():
         parse_model("markov:9")
     with pytest.raises(ValueError, match="needs a command"):
         parse_model("external")
+    for kind in ("top_frequency", "random_uniform", "external"):
+        with pytest.raises(ValueError, match=f"bad model '{kind}:7': "
+                                             f"{kind} takes no argument"):
+            parse_model(f"{kind}:7", ["predict"])
 
 
 def test_markov1_counts_and_smoothing():
