@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import DataError, Dataset, concat_user_streams
 from .entropy import CLAMP_SLACK_BITS, fano_predictability, lz_entropy_rate
-from .jsonutil import is_number
+from .jsonutil import curve, is_number
 from .metrics import EPS_FIT, MiDecay, mi_decay_curve, top_pmi
 
 SECONDS_PER_MONTH = 2629800  # Julian year / 12
@@ -109,7 +109,7 @@ def _number(obj: dict, *keys: str, optional: bool = False):
 def report_from_dict(obj: dict) -> MetaAttributeReport:
     """Inverse of MetaAttributeReport.to_dict, for CLI round trips.  The
     scalars that the selection rules compare or the stats table formats
-    must be numbers."""
+    must be numbers, and mi_curve a curve of [d, I] pairs."""
     try:
         per_user = tuple(
             UserStats(
@@ -130,7 +130,8 @@ def report_from_dict(obj: dict) -> MetaAttributeReport:
             entropy_bits_mean=_number(obj, "entropy_bits", "mean"),
             predictability_mean=_number(obj, "predictability", "mean"),
             per_user=per_user,
-            mi_curve=tuple((int(d), float(i)) for d, i in obj["mi_curve"]),
+            mi_curve=tuple((d, float(i)) for d, i
+                           in curve(obj["mi_curve"], "mi_curve", "d", "I")),
             ldd_exponent_alpha=obj.get("ldd_exponent_alpha"),
             ldd_fit_rmse=obj.get("ldd_fit_rmse"),
             ldd_depth=_number(obj, "ldd_depth", optional=True),

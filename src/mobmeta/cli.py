@@ -85,7 +85,7 @@ from .report import (
     write_mi_curve_csv,
     write_sensitivity_csv,
 )
-from .selector import load_rules, recommend
+from .selector import recommend
 from .synth import (
     KIND_FIELDS,
     SourceSpec,
@@ -199,9 +199,9 @@ def parse_scheme_arg(
             "validation joining every user into one stream is gone; "
             "each user is validated on their own stream"
         )
-    name, _, params = text.partition(":")
+    name, colon, params = text.partition(":")
     kwargs: dict = {}
-    if params:
+    if colon:
         for part in params.split(","):
             key, eq, value = part.partition("=")
             if not eq or key not in _SCHEME_KEYS:
@@ -304,6 +304,11 @@ def _spec_from_args(args) -> SourceSpec:
             value = getattr(args, option[2:].replace("-", "_"))
             if name == field and value is not None:
                 raise UsageError(f"{option} {value}: {e.__cause__}") from None
+        # no option set that field: the kind needs one that does
+        needs = [o for o in reads if _SYNTH_FIELDS[o][0] == field]
+        if needs:
+            raise UsageError(f"--kind {args.kind} needs "
+                             f"{' or '.join(needs)}") from None
         raise UsageError(str(e)) from None
 
 
@@ -594,7 +599,6 @@ def cmd_sensitivity(args, out: Path, rows_json: Path) -> Run:
 
 def recommend_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("report", help="characterization report.json")
-    p.add_argument("--rules", default=None, help="rules JSON file")
 
 
 def cmd_recommend(args, out: Path) -> Run:
@@ -602,8 +606,7 @@ def cmd_recommend(args, out: Path) -> Run:
         report = report_from_dict(read_json(args.report))
     except DataError as e:
         raise DataError(f"{args.report}: {e}") from None
-    rules = load_rules(args.rules) if args.rules else None
-    rec = recommend(report, rules)
+    rec = recommend(report)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_canonical_json(out, rec.to_dict())
     print(f"verdict: {rec.verdict}  (rule {rec.fired_rule}: {rec.rationale})")
@@ -619,8 +622,8 @@ def cmd_recommend(args, out: Path) -> Run:
         mark = "*" if entry["fired"] else " "
         print(f" {mark} {entry['rule']}: {conds} -> "
               f"{entry['verdict_if_matched']}")
-    config = {"report": str(args.report), "rules": args.rules}
-    return Run(config, "sha256:" + sha256_file(args.report))
+    return Run({"report": str(args.report)},
+               "sha256:" + sha256_file(args.report))
 
 
 def report_arguments(p: argparse.ArgumentParser) -> None:

@@ -32,12 +32,12 @@ def _model_arg(text: str) -> tuple[str, int]:
         if colon and kind in ("top_frequency", "random_uniform"):
             raise ValueError(f"{kind} takes no argument")
         if kind == "markov":
-            k = int(arg or 1)
+            k = int(arg) if colon else 1
             if not 1 <= k <= 3:
                 raise ValueError(f"markov order must be in 1..3, got {k}")
             return kind, k
         if kind == "mmc":
-            top_m = int(arg or 10)
+            top_m = int(arg) if colon else 10
             if top_m < 1:
                 raise ValueError(f"top_m must be >= 1, got {top_m}")
             return kind, top_m

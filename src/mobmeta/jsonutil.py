@@ -34,6 +34,23 @@ def is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def curve(value: Any, name: str, x: str, y: str) -> list:
+    """A curve read from JSON: a list of [x, y] pairs, x an integer and y
+    a number.  ValueError names the first entry that is not one."""
+    if not (isinstance(value, list)
+            and all(isinstance(p, list) and len(p) == 2 for p in value)):
+        raise ValueError(f"{name} must be a list of [{x}, {y}] pairs")
+    for i, (a, b) in enumerate(value):
+        if not (is_number(a) and isinstance(a, int)):
+            wrong = f"{x} must be an integer"
+        elif not is_number(b):
+            wrong = f"{y} must be a number"
+        else:
+            continue
+        raise ValueError(f"{name} entry {i} {json.dumps([a, b])}: {wrong}")
+    return value
+
+
 def record_dict(record: Any) -> dict:
     """A dataclass record's fields by name, each tuple a list, copying no
     value (unlike asdict).  Read from the instance dict, so the record may

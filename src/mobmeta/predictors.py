@@ -100,16 +100,17 @@ def parse_model(text: str, command: Sequence[str] = ()) -> PredictorSpec:
     """markov:K | mmc[:M] | top_frequency | random_uniform | external.
 
     external runs the argv `command`.  Raises ValueError on an unknown or
-    malformed model, such as an argument to a kind that takes none.
+    malformed model, such as an argument to a kind that takes none or a
+    colon with no argument after it.
     """
     kind, colon, arg = text.partition(":")
     try:
         if colon and kind in ("top_frequency", "random_uniform", "external"):
             raise ValueError(f"{kind} takes no argument")
         if kind == "markov":
-            return PredictorSpec(kind="markov_k", k=int(arg or 1))
+            return PredictorSpec(kind="markov_k", k=int(arg) if colon else 1)
         if kind == "mmc":
-            return PredictorSpec(kind="mmc", top_m=int(arg or 10))
+            return PredictorSpec(kind="mmc", top_m=int(arg) if colon else 10)
         if kind == "top_frequency":
             return PredictorSpec(kind="top_frequency")
         if kind == "random_uniform":

@@ -29,7 +29,7 @@ import numpy as np
 
 from .characterize import report_from_dict
 from .core import DataError, Dataset
-from .jsonutil import is_number, read_json, write_canonical_json
+from .jsonutil import curve, is_number, read_json, write_canonical_json
 from .poi import haversine_m
 from .validation import SensitivityRow
 
@@ -309,17 +309,17 @@ def _read_object(path: Path, what: str, keys: tuple) -> dict:
 def _read_results(path: Path) -> dict:
     """A validate results.json, refused unless it has _RESULTS_KEYS, the
     numbers the table prints (bits_weighted null when argmax-only) and,
-    if any, a fold_curve of [fold, accuracy] pairs."""
+    if any, a fold_curve of [fold, accuracy] pairs with an integer fold
+    and a number accuracy."""
     obj = _read_object(path, "validation results.json", _RESULTS_KEYS)
     for key in ("accuracy_user_mean", "accuracy_weighted", "bits_weighted"):
         value = obj.get(key)
         if not (is_number(value) or (key == "bits_weighted" and value is None)):
             raise DataError(f"{path}: {key} must be a number, got {value!r}")
-    curve = obj.get("fold_curve", [])
-    if not (isinstance(curve, list)
-            and all(isinstance(p, list) and len(p) == 2 for p in curve)):
-        raise DataError(f"{path}: fold_curve must be a list of "
-                        "[fold, accuracy] pairs")
+    try:
+        curve(obj.get("fold_curve", []), "fold_curve", "fold", "accuracy")
+    except ValueError as e:
+        raise DataError(f"{path}: {e}") from None
     return obj
 
 

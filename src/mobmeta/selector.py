@@ -1,19 +1,16 @@
 """Threshold rules mapping a characterization report to a model class.
 
-Rules are data: an ordered list evaluated first-match, closed by a
-mandatory condition-free default so every report gets a verdict.  The
-rule quantity "mi" is the maximum of the MI decay curve over distances
-d >= 2 (beyond-bigram dependence); the trace records which distance
-attained it, plus every rule's boolean outcome.
+DEFAULT_RULES is the one rule table: R1-R3 evaluated first-match, closed
+by a condition-free default so every report gets a verdict.  The rule
+quantity "mi" is the maximum of the MI decay curve over distances d >= 2
+(beyond-bigram dependence); the trace records which distance attained
+it, plus every rule's boolean outcome.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from .core import DataError
 from .characterize import MetaAttributeReport
@@ -28,11 +25,6 @@ _CONDITIONS = {
     "mi_lt": ("mi", lambda v, t: v < t),
     "mi_ge": ("mi", lambda v, t: v >= t),
     "ldd_depth_gt": ("ldd_depth", lambda v, t: v > t),
-    "ldd_depth_le": ("ldd_depth", lambda v, t: v <= t),
-    "span_months_ge": ("span_months", lambda v, t: v >= t),
-    "span_months_lt": ("span_months", lambda v, t: v < t),
-    "symbols_avg_ge": ("symbols_avg", lambda v, t: v >= t),
-    "symbols_avg_lt": ("symbols_avg", lambda v, t: v < t),
 }
 
 
@@ -42,13 +34,6 @@ class SelectionRule:
     when: tuple[tuple[str, float], ...]  # empty = always fires
     verdict: str
     rationale: str
-
-    def __post_init__(self):
-        if self.verdict not in VERDICTS:
-            raise DataError(f"rule {self.name!r}: unknown verdict {self.verdict!r}")
-        for key, _ in self.when:
-            if key not in _CONDITIONS:
-                raise DataError(f"rule {self.name!r}: unknown condition {key!r}")
 
 
 DEFAULT_RULES = (
@@ -92,61 +77,6 @@ class Recommendation:
         return record_dict(self)
 
 
-def validate_rules(rules: Sequence[SelectionRule]) -> None:
-    """A rule set is total iff some rule is condition-free."""
-    if not rules:
-        raise DataError("rule set not total: no rules")
-    if not any(not r.when for r in rules):
-        raise DataError("rule set not total: no condition-free default rule")
-
-
-def load_rules(path: Union[str, Path]) -> tuple[SelectionRule, ...]:
-    """Read rules from JSON: {"rules": [{name, when, verdict, rationale}]}.
-
-    "when" maps condition keys to thresholds; an empty or missing "when"
-    makes the rule a default.  The set must contain a default.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"no such rules file: {path}")
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-        rules = []
-        for i, r in enumerate(obj["rules"]):
-            if not isinstance(r, dict):
-                raise DataError(f"{path}: rule {i} must be a JSON object, "
-                                f"got {r!r}")
-            name = str(r.get("name", f"rule{i}"))
-            conditions = r.get("when") or {}
-            if not isinstance(conditions, dict):
-                raise DataError(f"{path}: rule {name!r}: \"when\" must be a "
-                                f"JSON object, got {conditions!r}")
-            when = sorted(
-                (str(k), _threshold(name, k, v))
-                for k, v in conditions.items()
-            )
-            rules.append(SelectionRule(
-                name, tuple(when), str(r["verdict"]),
-                str(r.get("rationale", "")),
-            ))
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
-        raise DataError(f"{path}: malformed rules file: {e}") from e
-    validate_rules(rules)
-    return tuple(rules)
-
-
-def _threshold(rule: str, key: str, value) -> float:
-    """A condition's threshold as a float.  Booleans (float(True) is 1.0)
-    and NaN or infinities (a NaN condition never holds) are refused."""
-    t = math.nan if isinstance(value, bool) else float(value)
-    if not math.isfinite(t):
-        raise DataError(
-            f"rule {rule!r}: threshold of {key!r} must be a finite number, "
-            f"got {value!r}"
-        )
-    return t
-
-
 def derive_attributes(report: MetaAttributeReport) -> dict:
     """Scalar quantities the rules reference, with provenance notes.
 
@@ -180,17 +110,12 @@ def derive_attributes(report: MetaAttributeReport) -> dict:
     }
 
 
-def recommend(
-    report: MetaAttributeReport,
-    rules: Optional[Sequence[SelectionRule]] = None,
-) -> Recommendation:
-    """First-match verdict plus a trace of every rule evaluated."""
-    rules = tuple(rules) if rules is not None else DEFAULT_RULES
-    validate_rules(rules)
+def recommend(report: MetaAttributeReport) -> Recommendation:
+    """First-match verdict over DEFAULT_RULES plus a trace of every rule."""
     derived = derive_attributes(report)
     trace: list[dict] = []
     fired: Optional[SelectionRule] = None
-    for rule in rules:
+    for rule in DEFAULT_RULES:
         outcomes = {}
         matched = True
         for key, threshold in rule.when:
@@ -213,7 +138,7 @@ def recommend(
         )
         if matched and fired is None:
             fired = rule
-    assert fired is not None  # validate_rules guarantees a default
+    assert fired is not None  # the last rule has no condition
     return Recommendation(
         verdict=fired.verdict,
         fired_rule=fired.name,

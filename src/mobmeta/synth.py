@@ -86,13 +86,14 @@ class SourceSpec:
                                  "dist must be a normalized distribution")
         if self.kind == "periodic":
             if not self.pattern or len(self.pattern) < 1:
-                raise ValueError("periodic needs a pattern")
+                raise FieldError("pattern", "periodic needs a pattern")
             if any(p < 0 for p in self.pattern):
                 raise FieldError("pattern", "pattern symbols must be >= 0")
         if self.kind == "markov_order_k":
             t = self.transition
             if t is None:
-                raise ValueError("markov_order_k needs transition tables")
+                raise FieldError("transition",
+                                 "markov_order_k needs transition tables")
             t = np.asarray(t, dtype=np.float64)
             if t.ndim < 2 or len(set(t.shape)) != 1:
                 raise ValueError(
@@ -107,8 +108,10 @@ class SourceSpec:
             if not 0.0 <= self.eps < 1.0:
                 raise FieldError("eps", "eps must be in [0, 1)")
         if self.kind == "regime_switch":
-            if self.spec_a is None or self.spec_b is None:
-                raise ValueError("regime_switch needs spec_a and spec_b")
+            for name in ("spec_a", "spec_b"):
+                if getattr(self, name) is None:
+                    raise FieldError(name,
+                                     "regime_switch needs spec_a and spec_b")
             if self.spec_a.kind == "regime_switch" or \
                self.spec_b.kind == "regime_switch":
                 raise ValueError("regime specs cannot nest")

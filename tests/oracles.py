@@ -19,7 +19,6 @@ import numpy as np
 from mobmeta.core import DataError, InfeasiblePlanError
 from mobmeta.poi import Staypoint, haversine_m
 from mobmeta.predictors import SMOOTHING_ALPHA, MarkovModel, MmcModel, train
-from mobmeta.selector import DEFAULT_RULES
 from mobmeta.validation import make_folds
 
 
@@ -269,21 +268,6 @@ def transition_counts(model) -> dict[tuple[int, ...], dict[int, int]]:
     for cell, count in zip(cells, model.tables[-1].counts.tolist()):
         out.setdefault(cell[:-1], {})[cell[-1]] = count
     return out
-
-
-def default_rules_as_json() -> dict:
-    """selector.DEFAULT_RULES in the rules-file form load_rules reads."""
-    return {
-        "rules": [
-            {
-                "name": r.name,
-                "when": {k: v for k, v in r.when},
-                "verdict": r.verdict,
-                "rationale": r.rationale,
-            }
-            for r in DEFAULT_RULES
-        ]
-    }
 
 
 def contexts_by_walk(train_idx, test_idx, symbols, timestamps, need):

@@ -219,6 +219,25 @@ def test_synth_names_the_option_whose_value_the_spec_refuses(
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("given, message", [
+    (["--kind", "periodic"], "--kind periodic needs --pattern"),
+    (["--kind", "markov_order_k"], "--kind markov_order_k needs --transition"),
+    (["--kind", "regime_switch"], "--kind regime_switch needs --spec-a"),
+    (["--kind", "regime_switch", "--spec-a", "{spec}"],
+     "--kind regime_switch needs --spec-b"),
+], ids=["periodic", "markov_order_k", "regime_switch", "regime_switch-b"])
+def test_synth_names_the_option_its_kind_needs(tmp_path, capsys, given,
+                                               message):
+    # no value is at fault, so the error names the option left out
+    files = synth_files(tmp_path)
+    rc = main(["synth", *[a.format(**files) for a in given],
+               "--out", str(tmp_path / "d")])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert err == f"usage error: {message}\n"
+    assert not (tmp_path / "d").exists()
+
+
 def test_synth_spec_option_is_gone(tmp_path, capsys):
     # --spec read a whole source spec and overrode every other option
     with pytest.raises(SystemExit) as e:
@@ -929,7 +948,8 @@ def test_version_flag(capsys):
 # extract-poi, characterize, recommend and report, "characterize" and
 # "ingest x --format nope" when --seed was left to the three commands
 # that read it; the -h of ingest and extract-poi and "ingest x --format
-# nope" again when their --name was removed.
+# nope" again when their --name was removed; the -h of recommend when
+# --rules was removed.
 PARSER_OUTPUT_SHA256 = {
     ("-h",): "7bce9b06ecae00584fc75514dc7ed69cdb5ea59840eb5e79732c799b3402b91a",
     ("ingest", "-h"):
@@ -945,7 +965,7 @@ PARSER_OUTPUT_SHA256 = {
     ("sensitivity", "-h"):
         "a4d91454baf8d5e83904b9b3a1ca490b789d8fecc49ef713e7726b12d039410c",
     ("recommend", "-h"):
-        "a234b9cfe3da7bd9263345fdc7e59e5404fcd09d6fa722a3310a1a4774ed81a3",
+        "5cbc058b0c04b0db636e681ec479a793b1660f7b424f3eee0f147f7537beebd5",
     ("report", "-h"):
         "af26510443bcbc27b3ecf8da95881da48562b6ea25ba519fd9b2ca542814ecb1",
     (): "32c64bc09a83846c8e04729b634d4704777296a8c7bc3c519f838a65f1d8cc56",
@@ -1010,7 +1030,16 @@ def test_command_builds_only_its_own_arguments(tmp_path, capsys,
 
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument", spy)
     ok(["recommend", report, "--out", tmp_path / "rec.json"], capsys)
-    assert sorted(added) == ["help", "out", "report", "rules"]
+    assert sorted(added) == ["help", "out", "report"]
+
+
+def test_recommend_reads_no_rules_file(tmp_path, capsys):
+    # the verdict reads selector.DEFAULT_RULES and nothing else
+    with pytest.raises(SystemExit) as e:
+        main(["recommend", str(tmp_path / "report.json"),
+              "--rules", str(tmp_path / "x.json")])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --rules" in capsys.readouterr().err
 
 
 def test_unknown_option_is_reported_by_its_command(capsys):
@@ -1184,39 +1213,6 @@ def test_characterize_options(capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_non_finite_rule_threshold_exits_3(tmp_path, capsys):
-    d = synth_periodic(tmp_path, capsys)
-    ok(["characterize", d, "--out", tmp_path / "c" / "report.json"], capsys)
-    rules = tmp_path / "rules.json"
-    rules.write_text('{"rules": [{"name": "R1", "when": {"mi_lt": NaN}, '
-                     '"verdict": "markov_class"}, '
-                     '{"verdict": "hm_rnn_class"}]}')
-    rc = main(["recommend", str(tmp_path / "c" / "report.json"),
-               "--rules", str(rules), "--out", str(tmp_path / "r")])
-    _, err = capsys.readouterr()
-    assert rc == 3
-    assert "rule 'R1': threshold of 'mi_lt' must be a finite number" in err
-
-
-@pytest.mark.parametrize("rules, named", [
-    ('{"rules": [5]}', "rule 0 must be a JSON object, got 5"),
-    ('{"rules": [{"name": "R1", "when": [1, 2], "verdict": "markov_class"}, '
-     '{"verdict": "hm_rnn_class"}]}',
-     "rule 'R1': \"when\" must be a JSON object, got [1, 2]"),
-], ids=["rule", "when"])
-def test_rule_that_is_not_an_object_exits_3(tmp_path, capsys, rules, named):
-    d = synth_periodic(tmp_path, capsys)
-    ok(["characterize", d, "--out", tmp_path / "c" / "report.json"], capsys)
-    path = tmp_path / "rules.json"
-    path.write_text(rules)
-    rc = main(["recommend", str(tmp_path / "c" / "report.json"),
-               "--rules", str(path), "--out", str(tmp_path / "r")])
-    _, err = capsys.readouterr()
-    assert rc == 3
-    assert f"data error: {path}: {named}" in err
-    assert not (tmp_path / "r").exists()
-
-
 @pytest.mark.parametrize("field, value", [
     ("ldd_depth", "x"), ("pois_per_user_mean", True),
 ])
@@ -1233,6 +1229,31 @@ def test_report_attribute_that_is_not_a_number_exits_3(tmp_path, capsys,
     assert rc == 3
     assert (f"data error: {path}: malformed characterization report: "
             f"{field} must be a number, got {value!r}") in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("mi_curve, named", [
+    # read as numbers, this curve answered rnn_lstm_class through R2
+    ([[1, True], [2, "2.5"], ["3", "0.5"]],
+     'mi_curve entry 0 [1, true]: I must be a number'),
+    ([[1, 0.5], [2, "2.5"]], 'mi_curve entry 1 [2, "2.5"]: I must be a number'),
+    ([["3", 0.5]], 'mi_curve entry 0 ["3", 0.5]: d must be an integer'),
+    ([[True, 0.5]], "mi_curve entry 0 [true, 0.5]: d must be an integer"),
+    ([[2.0, 0.5]], "mi_curve entry 0 [2.0, 0.5]: d must be an integer"),
+], ids=["bool-I", "string-I", "string-d", "bool-d", "float-d"])
+def test_mi_curve_entry_that_is_not_a_number_exits_3(tmp_path, capsys,
+                                                     mi_curve, named):
+    d = synth_periodic(tmp_path, capsys)
+    path = tmp_path / "c" / "report.json"
+    ok(["characterize", d, "--out", path], capsys)
+    report = json.loads(path.read_text())
+    report["mi_curve"] = mi_curve
+    path.write_text(json.dumps(report))
+    rc = main(["recommend", str(path), "--out", str(tmp_path / "r")])
+    _, err = capsys.readouterr()
+    assert rc == 3
+    assert (f"data error: {path}: malformed characterization report: "
+            f"{named}") in err
     assert not (tmp_path / "r").exists()
 
 
@@ -1275,6 +1296,23 @@ def test_model_argument_its_kind_does_not_read_is_usage_error(
     kind = model[0].partition(":")[0]
     assert (f"usage error: bad model {model[0]!r}: {kind} takes no argument"
             in err)
+    assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("model, scheme, named", [
+    ("markov:", "holdout:split=0.8", "bad model 'markov:'"),
+    ("mmc:", "holdout:split=0.8", "bad model 'mmc:'"),
+    ("markov:1", "kfold:", "bad scheme parameter '' in 'kfold:'"),
+], ids=["markov", "mmc", "kfold"])
+def test_colon_with_nothing_after_it_is_usage_error(tmp_path, capsys, model,
+                                                    scheme, named):
+    # not read as the default order, top set size or scheme parameters
+    d = synth_periodic(tmp_path, capsys)
+    rc = main(["validate", str(d), "--model", model, "--scheme", scheme,
+               "--out", str(tmp_path / "f.csv")])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert f"usage error: {named}" in err
     assert not (tmp_path / "f.csv").exists()
 
 
@@ -1392,6 +1430,17 @@ def test_report_manifest_lists_only_the_files_of_its_run(tmp_path, capsys):
                 '"accuracy_user_mean": 0.5, "accuracy_weighted": 0.5, '
                 '"n_predictions": 4, "fold_curve": 5}'},
      "r.json: fold_curve must be a list of [fold, accuracy] pairs"),
+    # read as they were, these entries wrote the rows 0,x and true,n/a
+    (["--validation", "r.json"],
+     {"r.json": '{"model": "m", "plan": "p", "leaky": false, '
+                '"accuracy_user_mean": 0.5, "accuracy_weighted": 0.5, '
+                '"n_predictions": 4, "fold_curve": [[0, "x"], [true, null]]}'},
+     'r.json: fold_curve entry 0 [0, "x"]: accuracy must be a number'),
+    (["--validation", "r.json"],
+     {"r.json": '{"model": "m", "plan": "p", "leaky": false, '
+                '"accuracy_user_mean": 0.5, "accuracy_weighted": 0.5, '
+                '"n_predictions": 4, "fold_curve": [[0, 0.5], [true, 0.5]]}'},
+     "r.json: fold_curve entry 1 [true, 0.5]: fold must be an integer"),
     (["--sensitivity", "s.json"], {"s.json": '{"schemes": []}'},
      "s.json: not a sensitivity.json"),
     (["--sensitivity", "s.json"], {"s.json": '{"rows": 5}'},
@@ -1410,7 +1459,8 @@ def test_report_manifest_lists_only_the_files_of_its_run(tmp_path, capsys):
     (["--sensitivity", "s.json"], {"s.json": '{"rows": [1, "x"]}'},
      "s.json: not a sensitivity.json, whose rows are a list of objects"),
 ], ids=["validation-is-a-report", "characterization-is-meta",
-        "fold-curve-not-pairs", "sensitivity-without-rows",
+        "fold-curve-not-pairs", "accuracy-not-a-number",
+        "fold-not-an-integer", "sensitivity-without-rows",
         "rows-not-a-list", "validation-not-json", "recommendation-not-object",
         "results-without-leaky", "rows-not-objects"])
 def test_report_refuses_a_malformed_input_and_writes_nothing(

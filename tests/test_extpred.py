@@ -1,6 +1,7 @@
 """The reference external predictor: its stdlib count model against the
 native models, and the flags it rejects."""
 
+import argparse
 import contextlib
 import io
 import subprocess
@@ -73,6 +74,8 @@ def test_serve_lines_equal_native_predict(data, n_sym, model):
     (["--model", "markov:1", "--alphabet-size", "0"], "'0'"),
     (["--model", "markov:1", "--alphabet-size", "-3"], "'-3'"),
     (["--model", "markov:1", "--alphabet-size", "x"], "'x'"),
+    (["--model", "markov:", "--alphabet-size", "4"], "'markov:'"),
+    (["--model", "mmc:", "--alphabet-size", "4"], "'mmc:'"),
 ])
 def test_bad_flags_exit_2_naming_the_value(capsys, argv, named):
     with pytest.raises(SystemExit) as exc:
@@ -81,6 +84,33 @@ def test_bad_flags_exit_2_naming_the_value(capsys, argv, named):
     err = capsys.readouterr().err
     assert named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("model", [
+    "markov", "markov:1", "markov:3", "markov:0", "markov:4", "markov:",
+    "markov:x", "mmc", "mmc:5", "mmc:0", "mmc:", "top_frequency",
+    "top_frequency:7", "random_uniform", "random_uniform:1", "bogus",
+    "external",
+])
+def test_child_and_harness_read_one_model_grammar(model):
+    try:
+        spec = parse_model(model, ["predict"])
+    except ValueError:
+        spec = None
+    try:
+        kind, arg = extpred._model_arg(model)
+    except argparse.ArgumentTypeError:
+        kind = None
+    if model == "external":  # a child runs a model, it is not external
+        assert spec is not None and kind is None
+        return
+    assert (spec is None) == (kind is None)
+    if spec is None:
+        return
+    assert (kind, arg) == {"markov_k": ("markov", spec.k),
+                           "mmc": ("mmc", spec.top_m)
+                           }.get(spec.kind, (spec.kind, 0))
+    assert extpred.CountModel(kind, arg, [0, 1, 2, 3], 4).k == spec.order
 
 
 def test_bad_model_exits_2_in_a_child():

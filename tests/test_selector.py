@@ -1,19 +1,15 @@
-import json
-
 import pytest
 
+from mobmeta import selector
 from mobmeta.characterize import MetaAttributeReport, UserStats
 from mobmeta.core import DataError
 from mobmeta.selector import (
+    _CONDITIONS,
     DEFAULT_RULES,
-    SelectionRule,
     VERDICTS,
     derive_attributes,
-    load_rules,
     recommend,
-    validate_rules,
 )
-from oracles import default_rules_as_json
 
 
 def report_for(
@@ -135,66 +131,24 @@ def test_totality_over_random_grid(rng):
 
 
 def test_rule_validation():
-    with pytest.raises(DataError, match="unknown verdict"):
-        SelectionRule("x", (), "transformer_class", "")
-    with pytest.raises(DataError, match="unknown condition"):
-        SelectionRule("x", (("entropy_gt", 1.0),), "markov_class", "")
-    with pytest.raises(DataError, match="not total"):
-        validate_rules([SelectionRule("x", (("mi_lt", 2.0),), "markov_class", "")])
-    with pytest.raises(DataError, match="not total"):
-        validate_rules([])
-
-
-def test_load_rules_round_trip(tmp_path, rng):
-    path = tmp_path / "rules.json"
-    path.write_text(json.dumps(default_rules_as_json()))
-    loaded = load_rules(path)
-    for _ in range(50):
-        rep = report_for(
-            pois=float(rng.uniform(1, 300)),
-            mi_curve=((1, 1.0), (2, float(rng.uniform(0, 4)))),
-            ldd=int(rng.integers(0, 8)),
-        )
-        assert recommend(rep, loaded) == recommend(rep, DEFAULT_RULES)
-
-
-def test_load_rules_errors(tmp_path):
-    with pytest.raises(DataError, match="no such rules"):
-        load_rules(tmp_path / "absent.json")
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(DataError, match="malformed"):
-        load_rules(bad)
-    no_default = tmp_path / "nodefault.json"
-    no_default.write_text(json.dumps({
-        "rules": [
-            {"name": "only", "when": {"mi_lt": 2.0}, "verdict": "markov_class"}
-        ]
-    }))
-    with pytest.raises(DataError, match="not total"):
-        load_rules(no_default)
-
-
-@pytest.mark.parametrize("threshold", ["NaN", "Infinity", "-Infinity",
-                                       "true", "false"])
-def test_load_rules_refuses_non_finite_and_boolean_thresholds(tmp_path,
-                                                             threshold):
-    path = tmp_path / "rules.json"
-    path.write_text(
-        '{"rules": [{"name": "R1", "when": {"mi_lt": %s}, '
-        '"verdict": "markov_class"}, {"verdict": "hm_rnn_class"}]}'
-        % threshold
+    # DEFAULT_RULES is a constant, so its checks are made here, not each
+    # time a report is recommended
+    for rule in DEFAULT_RULES:
+        assert rule.verdict in VERDICTS
+        assert {key for key, _ in rule.when} <= set(_CONDITIONS)
+    # every condition is read by some rule
+    assert {key for rule in DEFAULT_RULES for key, _ in rule.when} == set(
+        _CONDITIONS
     )
-    with pytest.raises(DataError, match=(
-        "rule 'R1': threshold of 'mi_lt' must be a finite number, got"
-    )):
-        load_rules(path)
+    # the last rule always fires, so every report gets a verdict
+    assert DEFAULT_RULES[-1].when == ()
 
 
-def test_rule_order_changes_boundary_outcome():
+def test_rule_order_changes_boundary_outcome(monkeypatch):
     reordered = (DEFAULT_RULES[-1],) + DEFAULT_RULES[:-1]
+    monkeypatch.setattr(selector, "DEFAULT_RULES", reordered)
     rep = report_for(pois=80.0, mi_curve=((1, 3.0), (2, 1.5)))
-    first_match = recommend(rep, reordered)
+    first_match = recommend(rep)
     assert first_match.fired_rule == "default"
     assert first_match.trace[0]["fired"] is True
     # the trace still shows R1 would have matched
