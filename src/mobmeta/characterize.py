@@ -1,6 +1,10 @@
 """Dataset characterization: per-user entropy/predictability plus
 dataset-level dependence structure folded into one report object.
 
+This module alone knows report.json's layout (_SCALARS, _USER_KEYS and
+_PMI_KEYS): to_dict writes it, and report_from_dict, behind read_report
+for every command that reads the file, checks every value it carries.
+
 Each statistic has one scope.  Entropy and predictability are computed
 per user, with the Fano bound over that user's own distinct POIs, and
 reported with their means over users.  The MI decay curve and PMI run
@@ -14,14 +18,16 @@ so the match structure reads the same users as every other statistic.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from functools import reduce
+from operator import getitem
 from typing import Optional
 
 import numpy as np
 
 from .core import DataError, Dataset, concat_user_streams
 from .entropy import CLAMP_SLACK_BITS, fano_predictability, lz_entropy_rate
-from .jsonutil import curve, is_number
+from .jsonutil import curve, is_number, read_json
 from .metrics import EPS_FIT, MiDecay, mi_decay_curve, top_pmi
 
 SECONDS_PER_MONTH = 2629800  # Julian year / 12
@@ -63,106 +69,116 @@ class MetaAttributeReport:
                                          repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "dataset_name": self.dataset_name,
-            "n_users": self.n_users,
-            "span_months": self.span_months,
-            "raw_fix_count": self.raw_fix_count,
-            "symbol_count": {
-                "total": self.symbol_count_total,
-                "avg_per_user": self.symbol_count_avg,
-            },
-            "n_pois": self.n_pois,
-            "pois_per_user_mean": self.pois_per_user_mean,
-            "entropy_bits": {
-                "mean": self.entropy_bits_mean,
-                "per_user": [u.entropy_bits for u in self.per_user],
-            },
-            "predictability": {
-                "mean": self.predictability_mean,
-                "per_user": [u.predictability for u in self.per_user],
-            },
-            "per_user": [asdict(u) for u in self.per_user],
-            "mi_curve": [[d, i] for d, i in self.mi_curve],
-            "ldd_exponent_alpha": self.ldd_exponent_alpha,
-            "ldd_fit_rmse": self.ldd_fit_rmse,
-            "ldd_depth": self.ldd_depth,
-            "pmi_top": [
-                {"poi_a": a, "poi_b": b, "d": d, "pmi_bits": v}
-                for (a, b, d), v in self.pmi_top
-            ],
-            "warnings": list(self.warnings),
-        }
+        out: dict = {}
+        for name, path, _, _ in _SCALARS:
+            *parents, key = path.split(".")
+            reduce(lambda node, k: node.setdefault(k, {}), parents,
+                   out)[key] = getattr(self, name)
+        for stat in ("entropy_bits", "predictability"):
+            out[stat]["per_user"] = [getattr(u, stat) for u in self.per_user]
+        out["per_user"] = [{k: getattr(u, k) for k in _USER_KEYS}
+                           for u in self.per_user]
+        out["mi_curve"] = [[d, i] for d, i in self.mi_curve]
+        out["pmi_top"] = [dict(zip(_PMI_KEYS, (*pair, v)))
+                          for pair, v in self.pmi_top]
+        out["warnings"] = list(self.warnings)
+        return out
 
 
-def _number(obj: dict, *keys: str, optional: bool = False):
-    """The number at obj[keys[0]][keys[1]]...; null (or, when optional,
-    absent) only where optional."""
-    for key in keys[:-1]:
-        obj = obj[key]
-    value = obj.get(keys[-1]) if optional else obj[keys[-1]]
-    if is_number(value) or (optional and value is None):
+# report.json's layout, which to_dict and report_from_dict both read:
+# each scalar field of MetaAttributeReport with its dotted JSON path, kind
+# and whether it may be null (or absent), and the keys and kinds of a
+# per_user and a pmi_top entry in the order of the tuples they become.
+_SCALARS = (
+    ("dataset_name", "dataset_name", "a string", False),
+    ("n_users", "n_users", "an integer", False),
+    ("span_months", "span_months", "a number", False),
+    ("raw_fix_count", "raw_fix_count", "an integer", True),
+    ("symbol_count_total", "symbol_count.total", "an integer", False),
+    ("symbol_count_avg", "symbol_count.avg_per_user", "a number", False),
+    ("n_pois", "n_pois", "an integer", False),
+    ("pois_per_user_mean", "pois_per_user_mean", "a number", False),
+    ("entropy_bits_mean", "entropy_bits.mean", "a number", False),
+    ("predictability_mean", "predictability.mean", "a number", False),
+    ("ldd_exponent_alpha", "ldd_exponent_alpha", "a number", True),
+    ("ldd_fit_rmse", "ldd_fit_rmse", "a number", True),
+    ("ldd_depth", "ldd_depth", "a number", True),
+)
+_USER_KEYS = {"user_id": "a string", "n_symbols": "an integer",
+              "n_pois": "an integer", "entropy_bits": "a number",
+              "predictability": "a number"}
+_PMI_KEYS = {"poi_a": "an integer", "poi_b": "an integer",
+             "d": "an integer", "pmi_bits": "a number"}
+_KINDS = {"a string": lambda v: isinstance(v, str),
+          "an integer": lambda v: is_number(v) and isinstance(v, int),
+          "a number": is_number, "a list": lambda v: isinstance(v, list)}
+
+
+def _checked(value, name: str, kind: str, nullable: bool = False):
+    if (nullable and value is None) or _KINDS[kind](value):
         return value
-    raise ValueError(f"{'.'.join(keys)} must be a number, got {value!r}")
+    raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def _entries(entries, key: str, kind) -> list:
+    """The list at `key`: its entries of `kind`, or objects read as tuples
+    when `kind` maps keys to kinds."""
+    _checked(entries, key, "a list")
+    if isinstance(kind, str):
+        return [_checked(e, f"{key} entry {i}", kind)
+                for i, e in enumerate(entries)]
+    return [tuple(_checked(e[k], f"{key} entry {i} {k}", kind[k])
+                  for k in kind) for i, e in enumerate(entries)]
 
 
 def report_from_dict(obj: dict) -> MetaAttributeReport:
-    """Inverse of MetaAttributeReport.to_dict, for CLI round trips.  The
-    scalars that the selection rules compare or the stats table formats
-    must be numbers, and mi_curve a curve of [d, I] pairs."""
+    """Inverse of MetaAttributeReport.to_dict: every value the record
+    carries is checked for its kind, and mi_curve is a curve of [d, I]."""
     try:
-        per_user = tuple(
-            UserStats(
-                u["user_id"], u["n_symbols"], u["n_pois"],
-                u["entropy_bits"], u["predictability"],
-            )
-            for u in obj["per_user"]
-        )
+        per_user = _entries(obj["per_user"], "per_user", _USER_KEYS)
+        scalars = {}
+        for name, path, kind, nullable in _SCALARS:
+            *parents, key = path.split(".")
+            scalars[name] = _checked(reduce(getitem, parents, obj).get(key),
+                                     path, kind, nullable)
         return MetaAttributeReport(
-            dataset_name=obj["dataset_name"],
-            n_users=obj["n_users"],
-            span_months=_number(obj, "span_months"),
-            raw_fix_count=obj.get("raw_fix_count"),
-            symbol_count_total=obj["symbol_count"]["total"],
-            symbol_count_avg=_number(obj, "symbol_count", "avg_per_user"),
-            n_pois=obj["n_pois"],
-            pois_per_user_mean=_number(obj, "pois_per_user_mean"),
-            entropy_bits_mean=_number(obj, "entropy_bits", "mean"),
-            predictability_mean=_number(obj, "predictability", "mean"),
-            per_user=per_user,
+            per_user=tuple(UserStats(*u) for u in per_user),
             mi_curve=tuple((d, float(i)) for d, i
                            in curve(obj["mi_curve"], "mi_curve", "d", "I")),
-            ldd_exponent_alpha=obj.get("ldd_exponent_alpha"),
-            ldd_fit_rmse=obj.get("ldd_fit_rmse"),
-            ldd_depth=_number(obj, "ldd_depth", optional=True),
-            pmi_top=tuple(
-                ((e["poi_a"], e["poi_b"], e["d"]), e["pmi_bits"])
-                for e in obj.get("pmi_top", [])
-            ),
-            warnings=tuple(obj.get("warnings", [])),
+            pmi_top=tuple(((a, b, d), v) for a, b, d, v in _entries(
+                obj.get("pmi_top", []), "pmi_top", _PMI_KEYS)),
+            warnings=tuple(_entries(obj.get("warnings", []), "warnings",
+                                    "a string")),
+            **scalars,
         )
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise DataError(f"malformed characterization report: {e}") from e
 
 
+def read_report(path) -> MetaAttributeReport:
+    """The report.json at path, read by report_from_dict, naming it."""
+    try:
+        return report_from_dict(read_json(path))
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
+
+
 def _user_stats(seq) -> UserStats:
-    """Entropy and predictability of one user, with N its distinct POIs;
-    DataError when the LZ estimate is too far above log2(N) to be more
-    than small-sample noise (a handful of symbols alternating between two
-    POIs reads ~1.19 bits)."""
+    """Entropy and predictability of one user of >= 2 symbols, with N its
+    distinct POIs (>= 2, as PoiSequence forbids a repeat); DataError when
+    the LZ estimate is too far above log2(N) to be more than small-sample
+    noise (a handful of symbols alternating between two POIs reads ~1.19
+    bits)."""
     ids = seq.poi_ids
     distinct = int(np.count_nonzero(np.bincount(ids)))
     s = lz_entropy_rate(ids)
-    if distinct < 2:
-        pi = 1.0
-    elif s > math.log2(distinct) + CLAMP_SLACK_BITS:
+    if s > math.log2(distinct) + CLAMP_SLACK_BITS:
         raise DataError(
             f"entropy estimate {s} bits exceeds log2({distinct}) by more "
             f"than {CLAMP_SLACK_BITS} bits over {ids.shape[0]} symbols"
         )
-    else:
-        pi = fano_predictability(s, distinct)
-    return UserStats(seq.user_id, int(ids.shape[0]), distinct, s, pi)
+    return UserStats(seq.user_id, int(ids.shape[0]), distinct, s,
+                     fano_predictability(s, distinct))
 
 
 def characterize(ds: Dataset, d_max: int = 100) -> MetaAttributeReport:
@@ -227,12 +243,8 @@ def characterize(ds: Dataset, d_max: int = 100) -> MetaAttributeReport:
         notes.append(f"fewer than 2 distances have I(d) above EPS_FIT "
                      f"({EPS_FIT:g} bits): ldd_exponent_alpha left undefined")
 
-    pmi_top = []
-    if stream.shape[0] >= 3:
-        try:
-            pmi_top = top_pmi(stream, 1, PMI_TOP_K)
-        except DataError as e:
-            notes.append(f"pmi unavailable: {e}")
+    # 3 symbols hold 2 pairs at d = 1: one user has >= 3, or two have >= 2
+    pmi_top = top_pmi(stream, 1, PMI_TOP_K) if stream.shape[0] >= 3 else []
 
     ts = np.concatenate([s.timestamps for s in usable])
     span = float((int(ts.max()) - int(ts.min())) / SECONDS_PER_MONTH)
@@ -265,12 +277,5 @@ def per_user_attribute_matrix(
 ) -> tuple[list[str], np.ndarray]:
     """Attribute rows (n_symbols, n_pois, entropy, predictability) x users."""
     names = ["n_symbols", "n_pois", "entropy_bits", "predictability"]
-    m = np.asarray(
-        [
-            [float(u.n_symbols) for u in report.per_user],
-            [float(u.n_pois) for u in report.per_user],
-            [u.entropy_bits for u in report.per_user],
-            [u.predictability for u in report.per_user],
-        ]
-    )
-    return names, m
+    return names, np.asarray([[float(getattr(u, name)) for u in report.per_user]
+                              for name in names])

@@ -49,7 +49,7 @@ from . import __version__
 from .characterize import (
     characterize,
     per_user_attribute_matrix,
-    report_from_dict,
+    read_report,
 )
 from .core import DataError, InfeasiblePlanError
 from .ingest import (
@@ -357,25 +357,32 @@ def cmd_ingest(args, out_dir: Path) -> Run:
     return Run(config, dataset_digest(out_dir, RAW_FILES))
 
 
+# the ExtractionParams field that each extract-poi option sets and defaults to
+_EXTRACT_FIELDS = {"--stay-radius": "stay_radius_m",
+                   "--stay-min": "stay_min_duration_s",
+                   "--merge-radius": "cluster_merge_radius_m",
+                   "--min-visits": "min_visits"}
+
+
 def extract_poi_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("raw_dir")
-    p.add_argument("--stay-radius", type=float, default=200.0)
-    p.add_argument("--stay-min", type=float, default=1200.0)
-    p.add_argument("--merge-radius", type=float, default=250.0)
-    p.add_argument("--min-visits", type=int, default=2)
+    for option, field in _EXTRACT_FIELDS.items():
+        default = getattr(ExtractionParams, field)
+        p.add_argument(option, type=type(default), default=default)
 
 
 def cmd_extract_poi(args, out_dir: Path) -> Run:
-    trajs = load_raw(args.raw_dir)
+    given = {option: getattr(args, option[2:].replace("-", "_"))
+             for option in _EXTRACT_FIELDS}
     try:
         params = ExtractionParams(
-            stay_radius_m=args.stay_radius,
-            stay_min_duration_s=args.stay_min,
-            cluster_merge_radius_m=args.merge_radius,
-            min_visits=args.min_visits,
-        )
+            **{_EXTRACT_FIELDS[option]: v for option, v in given.items()})
     except DataError as e:
-        raise UsageError(str(e)) from None
+        # each refusal starts with the field's name: name its option
+        option = next(o for o, f in _EXTRACT_FIELDS.items()
+                      if str(e).startswith(f + " "))
+        raise UsageError(f"{option} {given[option]}: {e}") from None
+    trajs = load_raw(args.raw_dir)
     # the directory's own name, also for "." or "data/raw/.."
     name = Path(os.path.abspath(args.raw_dir)).name
     ds = extract_dataset(trajs, params, name)
@@ -602,11 +609,7 @@ def recommend_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_recommend(args, out: Path) -> Run:
-    try:
-        report = report_from_dict(read_json(args.report))
-    except DataError as e:
-        raise DataError(f"{args.report}: {e}") from None
-    rec = recommend(report)
+    rec = recommend(read_report(args.report))
     out.parent.mkdir(parents=True, exist_ok=True)
     write_canonical_json(out, rec.to_dict())
     print(f"verdict: {rec.verdict}  (rule {rec.fired_rule}: {rec.rationale})")

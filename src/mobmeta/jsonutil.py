@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -29,9 +30,11 @@ def read_json(path: str | Path) -> Any:
 
 
 def is_number(value: Any) -> bool:
-    """Whether a value read from JSON is a number; true and false are
-    not, though Python counts bool as int."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether a value read from JSON is a finite number; true and false
+    are not, though Python counts bool as int, and neither are the NaN
+    and Infinity that Python's json reads."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value)))
 
 
 def curve(value: Any, name: str, x: str, y: str) -> list:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 from .core import (
@@ -36,12 +36,9 @@ class ExtractionParams:
     min_visits: int = 2
 
     def __post_init__(self):
-        for name in ("stay_radius_m", "stay_min_duration_s",
-                     "cluster_merge_radius_m"):
-            if getattr(self, name) <= 0:
-                raise DataError(f"{name} must be positive")
-        if self.min_visits <= 0:
-            raise DataError("min_visits must be positive")
+        for f in fields(self):
+            if not 0 < getattr(self, f.name) < math.inf:
+                raise DataError(f"{f.name} must be a positive number")
         if self.cluster_merge_radius_m < self.stay_radius_m:
             warnings.warn(
                 "cluster_merge_radius_m < stay_radius_m: adjacent staypoints "

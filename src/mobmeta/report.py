@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .characterize import report_from_dict
+from .characterize import MetaAttributeReport, read_report
 from .core import DataError, Dataset
 from .jsonutil import curve, is_number, read_json, write_canonical_json
 from .poi import haversine_m
@@ -244,24 +244,24 @@ def stats_table(rows: Sequence[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dataset_summary_row(ds: Dataset, characterization: dict) -> dict:
+def dataset_summary_row(ds: Dataset, report: MetaAttributeReport) -> dict:
     gm, gs = granularity(ds)
     return {
-        "name": characterization["dataset_name"],
-        "n_users": characterization["n_users"],
-        "span_months": characterization["span_months"],
-        "traj_length_total": characterization["symbol_count"]["total"],
-        "n_pois": characterization["n_pois"],
+        "name": report.dataset_name,
+        "n_users": report.n_users,
+        "span_months": report.span_months,
+        "traj_length_total": report.symbol_count_total,
+        "n_pois": report.n_pois,
         "granularity_m": gm,
         "granularity_s": gs,
-        "entropy_bits_mean": characterization["entropy_bits"]["mean"],
-        "predictability_mean": characterization["predictability"]["mean"],
+        "entropy_bits_mean": report.entropy_bits_mean,
+        "predictability_mean": report.predictability_mean,
     }
 
 
 def build_summary(
     ds: Dataset,
-    characterization: dict,
+    report: MetaAttributeReport,
     validation: Optional[Sequence[dict]] = None,
     recommendation: Optional[dict] = None,
     sensitivity: Optional[Sequence[dict]] = None,
@@ -269,8 +269,8 @@ def build_summary(
     """The summary.json payload; absent sections are marked, not omitted."""
     return {
         "schema": SUMMARY_SCHEMA_ID,
-        "dataset": dataset_summary_row(ds, characterization),
-        "characterization": characterization,
+        "dataset": dataset_summary_row(ds, report),
+        "characterization": report.to_dict(),
         "validation": {
             "present": validation is not None,
             "results": list(validation) if validation is not None else [],
@@ -351,16 +351,9 @@ def bundle_report(
     if missing:
         raise DataError(f"missing report inputs: {', '.join(missing)}")
 
-    characterization = read_json(paths["characterization"])
-    try:
-        report_from_dict(characterization)
-    except DataError as e:
-        raise DataError(f"{paths['characterization']}: {e}") from None
-    validation = (
-        [_read_results(paths[f"validation[{i}]"])
-         for i in range(len(validation_paths))]
-        if validation_paths else None
-    )
+    report = read_report(paths["characterization"])
+    validation = [_read_results(paths[f"validation[{i}]"])
+                  for i in range(len(validation_paths))] or None
     recommendation = (
         _read_object(paths["recommendation"], "recommendation.json",
                      ("verdict", "fired_rule", "trace"))
@@ -375,9 +368,8 @@ def bundle_report(
             raise DataError(f"{paths['sensitivity']}: not a sensitivity.json, "
                             f"whose rows are a list of objects")
 
-    summary = build_summary(
-        ds, characterization, validation, recommendation, sensitivity
-    )
+    summary = build_summary(ds, report, validation, recommendation,
+                            sensitivity)
     table = stats_table([summary["dataset"]])
     if validation is None:
         table += "\naccuracy: absent (no validation results)\n"
@@ -400,7 +392,7 @@ def bundle_report(
     write_canonical_json(summary_path, summary)
     table_path.write_text(table, encoding="utf-8")
 
-    write_mi_curve_csv(mi_path, characterization["mi_curve"])
+    write_mi_curve_csv(mi_path, report.mi_curve)
     write_fold_curve_csv(fold_curve_path, validation or [])
     write_compression_csv(compression_path, validation or [])
     return summary

@@ -12,7 +12,7 @@ from mobmeta.characterize import (
     per_user_attribute_matrix,
     report_from_dict,
 )
-from mobmeta.core import DataError, concat_user_streams
+from mobmeta.core import DataError, PoiSequence, concat_user_streams
 from mobmeta.metrics import EPS_FIT, mutual_information_at_distance
 from mobmeta.synth import SourceSpec, generate
 from conftest import make_dataset
@@ -84,6 +84,81 @@ def test_report_round_trips(markov_report):
 def test_report_from_dict_rejects_malformed():
     with pytest.raises(DataError, match="malformed"):
         report_from_dict({"dataset_name": "x"})
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda r: r.update(ldd_exponent_alpha="x"),
+     "ldd_exponent_alpha must be a number, got 'x'"),
+    (lambda r: r.update(raw_fix_count="many"),
+     "raw_fix_count must be an integer, got 'many'"),
+    (lambda r: r.update(ldd_fit_rmse=[1]),
+     "ldd_fit_rmse must be a number, got [1]"),
+    (lambda r: r.update(ldd_fit_rmse=float("inf")),
+     "ldd_fit_rmse must be a number, got inf"),
+    (lambda r: r.update(dataset_name=7), "dataset_name must be a string"),
+    (lambda r: r.update(n_users=3.0), "n_users must be an integer, got 3.0"),
+    (lambda r: r.pop("n_pois"), "n_pois must be an integer, got None"),
+    (lambda r: r["symbol_count"].update(total=True),
+     "symbol_count.total must be an integer, got True"),
+    (lambda r: r["per_user"][2].update(user_id=None),
+     "per_user entry 2 user_id must be a string, got None"),
+    (lambda r: r["per_user"][0].update(n_pois=2.5),
+     "per_user entry 0 n_pois must be an integer, got 2.5"),
+    (lambda r: r["per_user"][1].update(entropy_bits=float("nan")),
+     "per_user entry 1 entropy_bits must be a number, got nan"),
+    (lambda r: r["pmi_top"][0].update(d="1"),
+     "pmi_top entry 0 d must be an integer, got '1'"),
+    (lambda r: r["pmi_top"][3].update(pmi_bits=None),
+     "pmi_top entry 3 pmi_bits must be a number, got None"),
+    (lambda r: r.update(pmi_top={}), "pmi_top must be a list, got {}"),
+    (lambda r: r.update(warnings="note"),
+     "warnings must be a list, got 'note'"),
+    (lambda r: r["warnings"].append(3), "warnings entry 0 must be a string"),
+], ids=["alpha", "raw-fixes", "rmse-list", "rmse-inf", "name", "users",
+        "pois-absent", "total-bool", "user-id", "user-pois", "user-nan",
+        "pmi-d", "pmi-bits", "pmi-object", "warnings-string",
+        "warning-number"])
+def test_report_from_dict_checks_every_value(markov_report, edit, named):
+    _, _, rep = markov_report
+    obj = rep.to_dict()
+    edit(obj)
+    with pytest.raises(DataError) as e:
+        report_from_dict(obj)
+    assert str(e.value).startswith("malformed characterization report: ")
+    assert named in str(e.value)
+
+
+def test_report_from_dict_reads_absent_optional_keys(markov_report):
+    _, _, rep = markov_report
+    obj = rep.to_dict()
+    for key in ("raw_fix_count", "ldd_exponent_alpha", "ldd_fit_rmse",
+                "ldd_depth", "pmi_top", "warnings"):
+        del obj[key]
+    got = report_from_dict(obj)
+    assert (got.raw_fix_count, got.ldd_exponent_alpha, got.ldd_fit_rmse,
+            got.ldd_depth, got.pmi_top, got.warnings) == (
+        None, None, None, None, (), ())
+    assert got.per_user == rep.per_user and got.mi_curve == rep.mi_curve
+
+
+def test_kept_users_have_two_pois_and_pmi_streams_two_pairs():
+    # why _user_stats needs no single-POI case and characterize's top_pmi
+    # call no error handling: PoiSequence forbids a repeat, so a user of
+    # >= 2 symbols visits >= 2 POIs; and a stream of >= 3 symbols joined
+    # from such users has one user of >= 3 symbols or two users of >= 2,
+    # so it holds >= 2 pairs at d = 1
+    with pytest.raises(DataError, match="self-transition 0 -> 0"):
+        PoiSequence("u", [0, 0], [0, 1])
+    for lengths in ([2], [3], [4], [2, 2], [2, 3], [2, 2, 2], [3, 2, 4]):
+        ds = make_dataset({f"u{i}": [j % 3 for j in range(n)]
+                           for i, n in enumerate(lengths)}, n_pois=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # clamped short-stream entropy
+            rep = characterize(ds, 1)
+        assert rep.n_users == len(lengths)
+        assert all(u.n_pois >= 2 for u in rep.per_user)
+        assert (len(rep.pmi_top) > 0) == (rep.stream.shape[0] >= 3)
+        assert not any("pmi" in note for note in rep.warnings)
 
 
 def test_characterize_deterministic(markov_report):

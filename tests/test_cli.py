@@ -22,8 +22,10 @@ import pytest
 
 import mobmeta
 from mobmeta import __version__, cli, predictors
+from mobmeta.characterize import read_report
 from mobmeta.cli import COMMANDS, build_parser, main
 from mobmeta.ingest import load_dataset
+from mobmeta.jsonutil import canonical_dumps
 from mobmeta.report import FOLDS_CSV_COLUMNS
 from mobmeta.synth import KIND_FIELDS, SourceSpec, spec_to_dict
 from test_readme import readme_commands
@@ -1257,6 +1259,137 @@ def test_mi_curve_entry_that_is_not_a_number_exits_3(tmp_path, capsys,
     assert not (tmp_path / "r").exists()
 
 
+def _bundle_or_recommend(tmp_path, command, d, report):
+    """Exit code of recommend or report reading `report`, whose outputs
+    would go under tmp_path / "out"."""
+    if command == "recommend":
+        argv = ["recommend", report, "--out", tmp_path / "out" / "rec.json"]
+    else:
+        argv = ["report", d, "--characterization", report,
+                "--out", tmp_path / "out"]
+    return main([str(a) for a in argv])
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda r: r.update(ldd_exponent_alpha="x"),
+     "ldd_exponent_alpha must be a number, got 'x'"),
+    (lambda r: r.update(raw_fix_count="many"),
+     "raw_fix_count must be an integer, got 'many'"),
+    (lambda r: r.update(ldd_fit_rmse=[1]),
+     "ldd_fit_rmse must be a number, got [1]"),
+    (lambda r: r["per_user"][1].update(n_symbols="40"),
+     "per_user entry 1 n_symbols must be an integer, got '40'"),
+    (lambda r: r["pmi_top"][0].update(poi_b=1.5),
+     "pmi_top entry 0 poi_b must be an integer, got 1.5"),
+    (lambda r: r.update(mi_curve=[[1, 0.5], [2, float("nan")]]),
+     "mi_curve entry 1 [2, NaN]: I must be a number"),
+    (lambda r: r.update(span_months=float("-inf")),
+     "span_months must be a number, got -inf"),
+], ids=["alpha", "raw-fixes", "rmse", "per-user", "pmi-top", "mi-curve-nan",
+        "span-inf"])
+@pytest.mark.parametrize("command", ["recommend", "report"])
+def test_report_value_of_wrong_kind_exits_3_and_writes_nothing(
+        tmp_path, capsys, command, edit, named):
+    # both commands read report.json through one reader, which checks
+    # every value it carries before any output exists
+    d = synth_periodic(tmp_path, capsys)
+    path = tmp_path / "c" / "report.json"
+    ok(["characterize", d, "--out", path], capsys)
+    report = json.loads(path.read_text())
+    edit(report)
+    path.write_text(json.dumps(report))  # NaN and Infinity as Python writes
+    rc = _bundle_or_recommend(tmp_path, command, d, path)
+    _, err = capsys.readouterr()
+    assert rc == 3
+    assert (f"data error: {path}: malformed characterization report: "
+            f"{named}") in err
+    assert not (tmp_path / "out").exists()
+
+
+# every synth kind with the options it needs
+KIND_ARGS = {"iid": ["--alphabet-size", "5"], "periodic": ["--pattern", "0,1,2"],
+             "markov_order_k": ["--transition", "{transition}"],
+             "copy_with_gap": ["--k", "3"],
+             "regime_switch": ["--spec-a", "{spec}", "--spec-b", "{spec}"]}
+
+
+def extracted_dataset(tmp_path, capsys):
+    """A dataset from extract-poi, so its report carries raw_fix_count:
+    two users, each dwelling 15 fixes at a time at 3 places 5 km apart."""
+    step = 5000.0 / 111194.92664455873
+    rows, t = [], 0
+    for user in ("u1", "u2"):
+        for visit in range(24):
+            lat = 45.0 + step * (visit * (1 + (user == "u2")) % 3)
+            for _ in range(15):
+                rows.append(f"{user},{lat},7.0,{t}")
+                t += 120
+    src = tmp_path / "fixes.csv"
+    src.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    ok(["ingest", src, "--out", tmp_path / "raw"], capsys)
+    ok(["extract-poi", tmp_path / "raw", "--out", tmp_path / "d"], capsys)
+    return tmp_path / "d"
+
+
+@pytest.mark.parametrize("source", [*KIND_ARGS, "extract-poi"])
+def test_report_json_round_trips_through_its_reader(tmp_path, capsys,
+                                                    source):
+    # a field that to_dict writes but the reader drops, or reads back
+    # changed, shows here as a difference in bytes
+    assert set(KIND_ARGS) == set(KIND_FIELDS)
+    if source == "extract-poi":
+        d = extracted_dataset(tmp_path, capsys)
+    else:
+        d = tmp_path / "d"
+        ok(["synth", "--kind", source, "--n", 400, "--users", 2,
+            *[a.format(**synth_files(tmp_path)) for a in KIND_ARGS[source]],
+            "--out", d], capsys)
+    path = tmp_path / "c" / "report.json"
+    ok(["characterize", d, "--out", path], capsys)
+    text = path.read_text(encoding="utf-8")
+    assert canonical_dumps(read_report(path).to_dict()) == text
+    report = json.loads(text)
+    assert isinstance(report["raw_fix_count"], int) == (
+        source == "extract-poi")
+    ok(["report", d, "--characterization", path, "--out", tmp_path / "b"],
+       capsys)
+    summary = json.loads((tmp_path / "b" / "summary.json").read_text())
+    assert summary["characterization"] == report
+
+
+def test_report_drops_keys_the_layout_does_not_have(tmp_path, capsys):
+    d = synth_periodic(tmp_path, capsys)
+    path = tmp_path / "c" / "report.json"
+    ok(["characterize", d, "--out", path], capsys)
+    written = json.loads(path.read_text())
+    path.write_text(json.dumps({**written, "extra": 1}))
+    ok(["report", d, "--characterization", path, "--out", tmp_path / "b"],
+       capsys)
+    summary = json.loads((tmp_path / "b" / "summary.json").read_text())
+    assert summary["characterization"] == written
+
+
+@pytest.mark.parametrize("option, value, shown, field", [
+    ("--stay-radius", "nan", "nan", "stay_radius_m"),
+    ("--stay-radius", "inf", "inf", "stay_radius_m"),
+    ("--stay-radius", "0", "0.0", "stay_radius_m"),
+    ("--stay-min", "nan", "nan", "stay_min_duration_s"),
+    ("--merge-radius", "nan", "nan", "cluster_merge_radius_m"),
+    ("--stay-min", "inf", "inf", "stay_min_duration_s"),
+    ("--min-visits", "0", "0", "min_visits"),
+])
+def test_extract_poi_names_the_option_whose_value_it_refuses(
+        tmp_path, capsys, option, value, shown, field):
+    # refused before the input is read: the raw directory does not exist
+    rc = main(["extract-poi", str(tmp_path / "raw"), option, value,
+               "--out", str(tmp_path / "pois")])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert (f"usage error: {option} {shown}: {field} must be a positive "
+            f"number") in err
+    assert not (tmp_path / "pois").exists()
+
+
 def test_raw_value_of_wrong_type_exits_3(tmp_path, capsys):
     src = tmp_path / "x.csv"
     src.write_text("u1,45.0,7.0,1000\nu1,45.0,7.0,1030\n", encoding="utf-8")
@@ -1458,11 +1591,28 @@ def test_report_manifest_lists_only_the_files_of_its_run(tmp_path, capsys):
      "plan, leaky, accuracy_user_mean, accuracy_weighted, n_predictions"),
     (["--sensitivity", "s.json"], {"s.json": '{"rows": [1, "x"]}'},
      "s.json: not a sensitivity.json, whose rows are a list of objects"),
+    # Python's json reads a bare NaN or Infinity
+    (["--validation", "r.json"],
+     {"r.json": '{"model": "m", "plan": "p", "leaky": false, '
+                '"accuracy_user_mean": 0.5, "accuracy_weighted": NaN, '
+                '"n_predictions": 4}'},
+     "r.json: accuracy_weighted must be a number, got nan"),
+    (["--validation", "r.json"],
+     {"r.json": '{"model": "m", "plan": "p", "leaky": false, '
+                '"accuracy_user_mean": 0.5, "accuracy_weighted": 0.5, '
+                '"bits_weighted": Infinity, "n_predictions": 4}'},
+     "r.json: bits_weighted must be a number, got inf"),
+    (["--validation", "r.json"],
+     {"r.json": '{"model": "m", "plan": "p", "leaky": false, '
+                '"accuracy_user_mean": 0.5, "accuracy_weighted": 0.5, '
+                '"n_predictions": 4, "fold_curve": [[0, 0.5], [1, NaN]]}'},
+     "r.json: fold_curve entry 1 [1, NaN]: accuracy must be a number"),
 ], ids=["validation-is-a-report", "characterization-is-meta",
         "fold-curve-not-pairs", "accuracy-not-a-number",
         "fold-not-an-integer", "sensitivity-without-rows",
         "rows-not-a-list", "validation-not-json", "recommendation-not-object",
-        "results-without-leaky", "rows-not-objects"])
+        "results-without-leaky", "rows-not-objects", "accuracy-nan",
+        "bits-inf", "fold-curve-nan"])
 def test_report_refuses_a_malformed_input_and_writes_nothing(
     tmp_path, capsys, args, files, named
 ):

@@ -273,7 +273,7 @@ def test_stats_table_layout():
 
 def test_summary_marks_absent_sections():
     ds = small_dataset()
-    ch = characterize(ds, 3).to_dict()
+    ch = characterize(ds, 3)
     summary = build_summary(ds, ch)
     assert summary["validation"] == {"present": False, "results": []}
     assert summary["recommendation"] == {"present": False, "result": None}
@@ -374,7 +374,7 @@ def test_bundle_rerun_byte_identical(bundle_inputs):
 
 def test_dataset_summary_row_keys():
     ds = small_dataset()
-    ch = characterize(ds, 3).to_dict()
+    ch = characterize(ds, 3)
     row = dataset_summary_row(ds, ch)
     assert row["name"] == "inline"
     assert row["n_users"] == 3
