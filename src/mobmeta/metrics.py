@@ -7,16 +7,24 @@ whose window [i, i+d] holds one is counted, nor any gram that contains
 one.
 
 All estimates are plug-in (empirical counts, no bias correction).  MI,
-PMI and top-PMI read one pair-count table, `_pair_counts`, held in
-arrays with one entry per occupied cell.  Per distance it is a dense
-bincount of the joint codes when the alphabet is narrow enough that the
-square table holds no more entries than there are pairs, and the runs of
-one sorted array of those codes otherwise.  A decay curve finds the
-separator positions once for all its distances, and skips the separator
-mask when the stream holds none.  The per-cell MI terms are summed with
-math.fsum, so results are exactly reproducible regardless of summation
-order.  Match structure is array code too: exact gram ranks by prefix
-doubling, one stable argsort per match length.
+PMI and top-PMI read one pair-count table, `_pair_counts`: its occupied
+cells in arrays with one entry per cell, and per-symbol marginals.  Per
+distance it is a dense bincount of the joint codes when the alphabet is
+narrow enough that the square table holds no more entries than there are
+pairs, and the runs of one sorted array of those codes otherwise.  A
+decay curve finds the separator positions once for all its distances,
+and skips the separator mask when the stream holds none.
+
+MI is taken in count form, I(d)·N = Σ_cells f(c_xy) − Σ_x f(c_x) −
+Σ_y f(c_y) + f(N) with f(c) = c·log2(c).  A curve tables f once, for
+every count up to the stream's largest symbol count, so each distance
+needs no logarithm: it sums f over the distinct counts, each weighted by
+how often it occurs as a cell count less as a marginal.  Each f is split
+into parts short enough that every weighted part is an exact product,
+and math.fsum adds them, so I(d)·N is the exactly rounded sum of the f
+terms of every cell and marginal, whatever their order or grouping.
+Match structure is array code too: exact gram ranks by prefix doubling,
+one stable argsort per match length.
 """
 
 from __future__ import annotations
@@ -55,24 +63,27 @@ def _separator_hits(stream: np.ndarray) -> Optional[np.ndarray]:
 def _pair_counts(
     stream: np.ndarray, d: int, hits: Optional[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
-    """The count table of (s_i, s_{i+d}) pairs, one entry per occupied cell.
+    """The count table of (s_i, s_{i+d}) pairs: its occupied cells and
+    per-symbol marginals.
 
     stream is an int64 array of symbols and hits its `_separator_hits`,
     which may be None only when no symbol is negative.  Returns (x, y,
-    c_xy, n_pairs, c_x, c_y): the cells in ascending (x, y) order, their
-    joint counts, the number of pairs, and each cell's left (x) and right
-    (y) marginal count.  Marginals are taken from the paired positions
-    only, so the three entropy forms of the MI identity share one
-    empirical table.  A pair is dropped when a separator appears anywhere
-    in its window [i, i+d], not just at the endpoints, so no pair
-    straddles a user boundary.
+    c_xy, n_pairs, c_x, c_y): the occupied cells in ascending (x, y)
+    order, their joint counts, the number of pairs, and the left and
+    right marginals indexed by symbol (c_x[s] pairs start at s, c_y[s]
+    end at it; 0 past a symbol that never does, and the two may differ
+    in length).  Marginals are taken from the paired positions only, so
+    the three entropy forms of the MI identity share one empirical table.
+    A pair is dropped when a separator appears anywhere in its window
+    [i, i+d], not just at the endpoints, so no pair straddles a user
+    boundary.
 
     With span = largest paired symbol + 1, the cells come from a dense
-    span x span bincount of the joint codes, and the marginals from its
+    span x span bincount of the joint codes, and the marginals are its
     row and column sums, when that table has no more entries than there
     are pairs: linear in the pairs.  Otherwise they are the runs of the
-    sorted codes with bincount marginals, so the cost is a sort of the
-    pairs and grows with the largest symbol as well.
+    sorted codes and the marginals two bincounts, so the cost is a sort
+    of the pairs and grows with the largest symbol as well.
     """
     if d < 1:
         raise ValueError(f"distance must be >= 1, got {d}")
@@ -94,26 +105,82 @@ def _pair_counts(
         x, y = np.divmod(cells, span)
         square = table.reshape(span, span)
         return (x, y, table[cells], n_pairs,
-                square.sum(axis=1)[x], square.sum(axis=0)[y])
+                square.sum(axis=1), square.sum(axis=0))
     codes = np.sort(left * span + right)
     starts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
     c_xy = np.diff(np.concatenate(([0], starts, [n_pairs])))
     x, y = np.divmod(codes[np.concatenate(([0], starts))], span)
-    c_x, c_y = np.bincount(left)[x], np.bincount(right)[y]
-    return x, y, c_xy, n_pairs, c_x, c_y
+    return x, y, c_xy, n_pairs, np.bincount(left), np.bincount(right)
 
 
-def _mi_bits(stream: np.ndarray, d: int, hits: Optional[np.ndarray]) -> float:
-    """mutual_information_at_distance on an int64 stream and its hits."""
+def _f_parts(stream: np.ndarray) -> np.ndarray:
+    """f(c) = c*log2(c) for c = 0 up to the largest count of one symbol in
+    the stream, which bounds every cell and marginal count at every
+    distance, as a (top + 1, 3) array: row c holds parts that sum to f(c)
+    exactly.
+
+    f is computed as the oracles compute it, the float product of c and
+    math.log2(c) (through `_log2`), with f(0) = f(1) = 0.
+    """
+    top = int(np.bincount(stream[stream >= 0]).max(initial=0))
+    c = np.arange(top + 1, dtype=np.int64)
+    f = np.zeros(top + 1)
+    f[2:] = c[2:] * _log2(c[2:])
+    return _split(f)
+
+
+# Each f(c) = c*log2(c) is split into parts of at most 18 significant bits
+# (18, 18 and 17 of its 53), so a part times any integer h with |h| <
+# 2**35 is exact in float64.  The h of a count c >= 2 counts cells and
+# marginals of c pairs each, so |h| <= 2N/c <= N, the number of pairs; f(0)
+# and f(1) are 0, so their h may be any size.
+_PART_SHIFTS = (35, 17, 0)
+_PART_MASKS = ((1 << 18) - 1, (1 << 18) - 1, (1 << 17) - 1)
+
+
+def _split(f: np.ndarray) -> np.ndarray:
+    """Each finite f >= 0 as a row of three parts of at most 18 significant
+    bits each, which sum to it exactly."""
+    fraction, exponent = np.frexp(f)
+    mantissa = np.ldexp(fraction, 53).astype(np.int64)  # f = m * 2**(e-53)
+    return np.stack([
+        np.ldexp((mantissa >> shift) & mask, exponent - 53 + shift)
+        for shift, mask in zip(_PART_SHIFTS, _PART_MASKS)
+    ], axis=1)
+
+
+def _weighted_terms(h: np.ndarray, parts: np.ndarray) -> list[float]:
+    """The exact products h[c] * each part of row c, over every c with
+    h[c] != 0: math.fsum of them is the exactly rounded sum of h[c] times
+    the value row c splits.  h is an int64 array as long as parts, each
+    |h[c]| < 2**35."""
+    c = h.nonzero()[0]
+    return (parts[c] * h[c, None]).ravel().tolist()
+
+
+def _mi_bits(
+    stream: np.ndarray, d: int, hits: Optional[np.ndarray], parts: np.ndarray
+) -> float:
+    """mutual_information_at_distance on an int64 stream, its hits and its
+    `_f_parts`.
+
+    The signed multiplicity h[c] counts the cells holding c pairs less the
+    left and the right marginals equal to c, so Σ_c h[c]·f(c) + f(N) is
+    the sum of every cell's and marginal's f term, added exactly.
+    """
     _, _, c_xy, n, c_x, c_y = _pair_counts(stream, d, hits)
-    p_xy = c_xy / n
-    return math.fsum((p_xy * _log2(p_xy / ((c_x / n) * (c_y / n)))).tolist())
+    size = parts.shape[0]
+    h = (np.bincount(c_xy, minlength=size)
+         - np.bincount(np.concatenate((c_x, c_y)), minlength=size))
+    terms = _weighted_terms(h, parts)
+    terms.append(n * math.log2(n))
+    return math.fsum(terms) / n
 
 
 def mutual_information_at_distance(seq: Sequence[int], d: int) -> float:
     """Plug-in I(s_i; s_{i+d}) in bits over all position pairs at lag d."""
     stream = np.asarray(seq, dtype=np.int64)
-    return _mi_bits(stream, d, _separator_hits(stream))
+    return _mi_bits(stream, d, _separator_hits(stream), _f_parts(stream))
 
 
 def pmi_from_counts(n_pairs: int, c_a: int, c_b: int, c_ab: int) -> float:
@@ -132,9 +199,9 @@ def pmi(seq: Sequence[int], a: int, b: int, d: int) -> float:
     when a or b itself never occurs at the paired positions.
     """
     stream = np.asarray(seq, dtype=np.int64)
-    x, y, c_xy, n, _, _ = _pair_counts(stream, d, _separator_hits(stream))
-    c_a = int(c_xy[x == a].sum())
-    c_b = int(c_xy[y == b].sum())
+    x, y, c_xy, n, c_x, c_y = _pair_counts(stream, d, _separator_hits(stream))
+    c_a = int(c_x[a]) if 0 <= a < c_x.shape[0] else 0
+    c_b = int(c_y[b]) if 0 <= b < c_y.shape[0] else 0
     if c_a == 0 or c_b == 0:
         raise DataError(
             f"poi {a if c_a == 0 else b} never occurs at the paired positions"
@@ -153,7 +220,7 @@ def top_pmi(
     """
     stream = np.asarray(seq, dtype=np.int64)
     x, y, c_xy, n, c_x, c_y = _pair_counts(stream, d, _separator_hits(stream))
-    scores = _log2((n * c_xy) / (c_x * c_y))
+    scores = _log2((n * c_xy) / (c_x[x] * c_y[y]))
     order = np.lexsort((y, x, -scores))[:top_k]
     return [
         ((a, b, d), s)
@@ -218,8 +285,9 @@ def mi_decay_curve(seq: Sequence[int], d_max: int) -> MiDecay:
             f"d_max {d_max} too large for length {n}: need d_max < n/10 "
             "for enough pairs per distance"
         )
-    hits = _separator_hits(stream)
-    curve = [(d, _mi_bits(stream, d, hits)) for d in range(1, d_max + 1)]
+    hits, parts = _separator_hits(stream), _f_parts(stream)
+    curve = [(d, _mi_bits(stream, d, hits, parts))
+             for d in range(1, d_max + 1)]
     fit_pts = [(d, i) for d, i in curve if i > EPS_FIT]
     alpha = rmse = None
     if len(fit_pts) >= 2:

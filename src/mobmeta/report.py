@@ -31,6 +31,7 @@ from .characterize import MetaAttributeReport, read_report
 from .core import DataError, Dataset
 from .jsonutil import curve, is_number, read_json, write_canonical_json
 from .poi import haversine_m
+from .selector import Recommendation
 from .validation import SensitivityRow
 
 SUMMARY_SCHEMA_ID = "mobmeta.summary.v1"
@@ -306,6 +307,36 @@ def _read_object(path: Path, what: str, keys: tuple) -> dict:
     return obj
 
 
+# How a record field of each annotated type reads back from JSON: what it
+# must be, and the check.
+_JSON_KINDS = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "float": ("a number", is_number),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "dict": ("an object", lambda v: isinstance(v, dict)),
+    "tuple[dict, ...]": ("a list of objects", lambda v: isinstance(v, list)
+                         and all(isinstance(e, dict) for e in v)),
+}
+
+
+def _check_record(obj, record: type, what: str, path: Path,
+                  at: str = "") -> dict:
+    """obj read from `path`, refused unless it holds every field of the
+    dataclass `record` as JSON writes its type.  The message names the
+    file, `at` (where in it obj is), and `what` obj should be or the
+    field that is wrong."""
+    names = [f.name for f in fields(record)]
+    if not (isinstance(obj, dict) and all(k in obj for k in names)):
+        raise DataError(f"{path}: {at}not a {what}, which has the keys "
+                        f"{', '.join(names)}")
+    for f in fields(record):
+        kind, ok = _JSON_KINDS[f.type]
+        if not ok(obj[f.name]):
+            raise DataError(f"{path}: {at}{f.name} must be {kind}, "
+                            f"got {obj[f.name]!r}")
+    return obj
+
+
 def _read_results(path: Path) -> dict:
     """A validate results.json, refused unless it has _RESULTS_KEYS, the
     numbers the table prints (bits_weighted null when argmax-only) and,
@@ -355,18 +386,21 @@ def bundle_report(
     validation = [_read_results(paths[f"validation[{i}]"])
                   for i in range(len(validation_paths))] or None
     recommendation = (
-        _read_object(paths["recommendation"], "recommendation.json",
-                     ("verdict", "fired_rule", "trace"))
+        _check_record(read_json(paths["recommendation"]), Recommendation,
+                      "recommendation.json", paths["recommendation"])
         if recommendation_path is not None else None
     )
     sensitivity = None
     if sensitivity_path is not None:
-        sensitivity = _read_object(paths["sensitivity"], "sensitivity.json",
-                                   ("rows",))["rows"]
+        path = paths["sensitivity"]
+        sensitivity = _read_object(path, "sensitivity.json", ("rows",))["rows"]
         if not (isinstance(sensitivity, list)
                 and all(isinstance(row, dict) for row in sensitivity)):
-            raise DataError(f"{paths['sensitivity']}: not a sensitivity.json, "
-                            f"whose rows are a list of objects")
+            raise DataError(f"{path}: not a sensitivity.json, whose rows are "
+                            f"a list of objects")
+        for i, row in enumerate(sensitivity):
+            _check_record(row, SensitivityRow, "sensitivity row", path,
+                          f"rows entry {i}: ")
 
     summary = build_summary(ds, report, validation, recommendation,
                             sensitivity)

@@ -141,6 +141,26 @@ def mi_by_cell_sum(seq, d, separator=None) -> float:
     )
 
 
+def mi_by_count_terms(seq, d, separator=None) -> float:
+    """Plug-in I(d) in count form: with f(c) = c * log2(c), the fsum of
+    +f per joint cell, -f per left and per right symbol, and +f(N),
+    divided by N."""
+    pairs = pairs_at_distance(seq, d, separator)
+    n = len(pairs)
+
+    def f(c):
+        return c * math.log2(c)
+
+    joint = Counter(pairs)
+    left = Counter(x for x, _ in pairs)
+    right = Counter(y for _, y in pairs)
+    terms = [f(c) for c in joint.values()]
+    terms += [-f(c) for c in left.values()]
+    terms += [-f(c) for c in right.values()]
+    terms.append(f(n))
+    return math.fsum(terms) / n
+
+
 def top_pmi_by_counting(seq, d, top_k, separator=None):
     """((a, b, d), pmi) for the top_k occurring pairs, sorted by
     (-pmi, a, b), from Counters over the enumerated pairs."""

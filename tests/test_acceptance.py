@@ -64,9 +64,12 @@ def test_criterion_01_mi_identity_and_oracle():
             hxy = oracles.entropy_of_counts(Counter(pairs), n)
             assert got == pytest.approx(hx + hy - hxy, abs=1e-9)
             assert got == pytest.approx(hy - (hxy - hx), abs=1e-9)
-            # the enumeration oracle builds the same plug-in sum, so
-            # fsum makes agreement exact, not merely close
-            assert got == oracles.mi_by_cell_sum(seq, d)
+            # the count-form oracle sums the same f terms, so an exact
+            # sum makes agreement exact, not merely close; the textbook
+            # cell sum agrees to rounding
+            assert got == oracles.mi_by_count_terms(seq, d)
+            assert got == pytest.approx(oracles.mi_by_cell_sum(seq, d),
+                                        abs=1e-13)
     assert time.monotonic() - t0 < 10.0
 
 

@@ -453,10 +453,10 @@ CHARACTERIZE_PINS = {
         ["--kind", "copy_with_gap", "--k", 6, "--eps", 0.05,
          "--n", 1500, "--users", 3, "--seed", 11],
         {
-            "report.json": "8a8dda01090ff507abab1552c967e56a"
-                           "d2da6163d965b40ffea9777997d96170",
-            "mi_curve.csv": "350b5e4edea6bce5dc98207a79290801"
-                            "cb4d9bf36731b2fd882ea7379312ee44",
+            "report.json": "aee6b4b5aa078b776463db789085c9f1"
+                           "7b044931aa88724c85f11af0d83d545e",
+            "mi_curve.csv": "32af6727b628f6bfca53f3f6f258f6b2"
+                            "ba7ee1d30adf18110c81a2b8d5b72356",
             "match_structure.csv": "3e551943d3dc848392a6695832d6ae24"
                                    "d198e39b91705a900c4a1116eff63493",
             "corr_matrix.csv": "5a366377454590ca5c8757efd7c6494b"
@@ -467,10 +467,10 @@ CHARACTERIZE_PINS = {
         ["--kind", "iid", "--alphabet-size", 300, "--n", 3000,
          "--users", 3, "--seed", 12],
         {
-            "report.json": "927b4850c86c80243aa5b0668b476150"
-                           "89bd1af0c9b609326412b10341cac44d",
-            "mi_curve.csv": "cf519e2c46b7848cf1939d3488a8efe5"
-                            "9c9e753c869fddc965ab8178a401ccd7",
+            "report.json": "298c3ef36f322f15cbab49fe236860b1"
+                           "2e420c0586a1a1a4cd7c7d69b56933c0",
+            "mi_curve.csv": "2222ae94f526b39a8eb6bb95ad8b2a5e"
+                            "42629d6e496416bcdaf8e4c7dfa12944",
             "match_structure.csv": "ac00984a3b9274fbc29b4b8ef8e5eff0"
                                    "50b3ac5d758196b9b1bd5f37beca0203",
             "corr_matrix.csv": "a6a4c8c0ee782d60910fa84ca90d93e1"
@@ -509,8 +509,8 @@ WRITER_PINS = {
                              "3b235d0d7dce560de7d9ace8c0f80fe6",
     "bundle/compression.csv": "dde153bddd01c93beccc2f4ca477b58f"
                               "697e738ab6e47d5fa9be1b1137538256",
-    "bundle/summary.json": "a71c2f43512e408000eaf4d7a0f6e334"
-                           "c3838afde6f09ff9c8efad359626e981",
+    "bundle/summary.json": "d9d96300971500f9e2f6eee1d5d784d8"
+                           "85579d47187e36f601706d70df6479f5",
 }
 WRITER_DATASET_HASH = ("sha256:99f773ebad947a9d0050d01f2a6d744a"
                        "34c96f5606c83df2942440c6f6514cd7")
@@ -562,8 +562,8 @@ RECORD_PINS = {
                              "4a7cfd92889f5b058589eeb3e98e41cc",
     "sens/table.csv": "79a9d2f8ed2b141835fcc063ab4338e0"
                       "286376a82b234e8f409adf585e63c932",
-    "rec/recommendation.json": "42f85ab7754811416436ca0009a204fd"
-                               "4c20ab9ff512fde65b842a49b03f5c0e",
+    "rec/recommendation.json": "c56fd61705ad609670377f54c0aec3b9"
+                               "ec2b1003214487c50d39b024ed632832",
     "d/alphabet.json": "49f6e61b54a8c57395c85e96ecdf5350"
                        "c8cbdf962274736f0563ac05fc4d93df",
     "raw/ingest_report.json": "3bf8b7574107450c3ee10597de34a9b8"
@@ -1583,7 +1583,7 @@ def test_report_manifest_lists_only_the_files_of_its_run(tmp_path, capsys):
     # inputs that summary.schema.json rejects
     (["--recommendation", "rec.json"], {"rec.json": "[1, 2]"},
      "rec.json: not a recommendation.json, which has the keys verdict, "
-     "fired_rule, trace"),
+     "fired_rule, rationale, derived, trace"),
     (["--validation", "r.json"],
      {"r.json": '{"model": "m", "plan": "p", "accuracy_user_mean": 0.5, '
                 '"accuracy_weighted": 0.5}'},
@@ -1607,12 +1607,47 @@ def test_report_manifest_lists_only_the_files_of_its_run(tmp_path, capsys):
                 '"accuracy_user_mean": 0.5, "accuracy_weighted": 0.5, '
                 '"n_predictions": 4, "fold_curve": [[0, 0.5], [1, NaN]]}'},
      "r.json: fold_curve entry 1 [1, NaN]: accuracy must be a number"),
+    # values of the wrong type, which summary.json once copied as given
+    (["--recommendation", "rec.json"],
+     {"rec.json": '{"verdict": 5, "fired_rule": [], "trace": 3}'},
+     "rec.json: not a recommendation.json, which has the keys verdict, "
+     "fired_rule, rationale, derived, trace"),
+    (["--recommendation", "rec.json"],
+     {"rec.json": '{"verdict": 5, "fired_rule": "R1", "rationale": "", '
+                  '"derived": {}, "trace": []}'},
+     "rec.json: verdict must be a string, got 5"),
+    (["--recommendation", "rec.json"],
+     {"rec.json": '{"verdict": "markov_class", "fired_rule": "R1", '
+                  '"rationale": "", "derived": [], "trace": []}'},
+     "rec.json: derived must be an object, got []"),
+    (["--recommendation", "rec.json"],
+     {"rec.json": '{"verdict": "markov_class", "fired_rule": "R1", '
+                  '"rationale": "", "derived": {}, "trace": [3]}'},
+     "rec.json: trace must be a list of objects, got [3]"),
+    (["--sensitivity", "s.json"], {"s.json": '{"rows": [{"x": "y"}]}'},
+     "s.json: rows entry 0: not a sensitivity row, which has the keys "
+     "scheme, params, accuracy_user_mean, accuracy_weighted, leaky"),
+    (["--sensitivity", "s.json"],
+     {"s.json": '{"rows": [{"scheme": "kfold", "params": "k=3", '
+                '"accuracy_user_mean": 0.5, "accuracy_weighted": 0.5, '
+                '"leaky": true}, {"scheme": "holdout", "params": "", '
+                '"accuracy_user_mean": 0.5, "accuracy_weighted": NaN, '
+                '"leaky": true}]}'},
+     "s.json: rows entry 1: accuracy_weighted must be a number, got nan"),
+    (["--sensitivity", "s.json"],
+     {"s.json": '{"rows": [{"scheme": "kfold", "params": "k=3", '
+                '"accuracy_user_mean": 0.5, "accuracy_weighted": 0.5, '
+                '"leaky": 1}]}'},
+     "s.json: rows entry 0: leaky must be true or false, got 1"),
 ], ids=["validation-is-a-report", "characterization-is-meta",
         "fold-curve-not-pairs", "accuracy-not-a-number",
         "fold-not-an-integer", "sensitivity-without-rows",
         "rows-not-a-list", "validation-not-json", "recommendation-not-object",
         "results-without-leaky", "rows-not-objects", "accuracy-nan",
-        "bits-inf", "fold-curve-nan"])
+        "bits-inf", "fold-curve-nan", "recommendation-keys-missing",
+        "verdict-not-a-string", "derived-not-an-object",
+        "trace-not-objects", "row-without-fields", "row-accuracy-nan",
+        "leaky-not-a-bool"])
 def test_report_refuses_a_malformed_input_and_writes_nothing(
     tmp_path, capsys, args, files, named
 ):

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,10 +13,13 @@ from mobmeta.core import (
     PoiSequence,
     concat_user_streams,
 )
+from mobmeta import metrics
 from mobmeta.metrics import (
     MATCH_LENGTHS,
     _pair_counts,
     _separator_hits,
+    _split,
+    _weighted_terms,
     attribute_correlations,
     fit_power_law,
     match_structure,
@@ -28,6 +32,7 @@ from mobmeta.metrics import (
 from oracles import (
     brute_match_structure,
     mi_by_cell_sum,
+    mi_by_count_terms,
     mi_by_pair_enumeration,
     pairs_at_distance,
     pearson_by_hand,
@@ -53,7 +58,8 @@ def test_mi_matches_both_oracle_forms(rng):
         seq = rng.integers(0, 5, size=800).tolist()
         got = mutual_information_at_distance(seq, d)
         assert got == pytest.approx(mi_by_pair_enumeration(seq, d), abs=1e-12)
-        assert got == mi_by_cell_sum(seq, d)
+        assert got == mi_by_count_terms(seq, d)
+        assert got == pytest.approx(mi_by_cell_sum(seq, d), abs=1e-13)
 
 
 def test_mi_separator_windows_excluded(rng):
@@ -75,18 +81,62 @@ def test_mi_separator_windows_excluded(rng):
 
 @pytest.mark.parametrize("k", [50, 300])
 def test_mi_exact_at_wide_alphabets(rng, k):
-    # the fsum'd cell terms equal the oracle's to the last bit, not just
-    # within a tolerance, also where most cells hold one or two pairs
+    # the exactly summed count terms equal the oracle's to the last bit,
+    # not just within a tolerance, also where most cells hold one or two
+    # pairs; the textbook cell sum agrees to rounding
     seq = rng.integers(0, k, size=3000).tolist()
     with_sep = (seq[:1000] + [SEPARATOR] + seq[1000:2000] + [SEPARATOR]
                 + seq[2000:])
     for d in (1, 2, 7, 40):
-        assert mutual_information_at_distance(seq, d) == mi_by_cell_sum(
-            seq, d
-        )
-        assert mutual_information_at_distance(
-            with_sep, d
-        ) == mi_by_cell_sum(with_sep, d, separator=SEPARATOR)
+        for s, sep in ((seq, None), (with_sep, SEPARATOR)):
+            got = mutual_information_at_distance(s, d)
+            assert got == mi_by_count_terms(s, d, separator=sep)
+            assert got == pytest.approx(
+                mi_by_cell_sum(s, d, separator=sep), abs=1e-13
+            )
+
+
+H_BOUND = 2**35  # |h| below it keeps every product of a part exact
+
+
+@seed(20261022)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**6),
+                          st.integers(-H_BOUND + 1, H_BOUND - 1)),
+                min_size=1, max_size=40))
+@example([(10**6, H_BOUND - 1), (10**6 - 1, -(H_BOUND - 1))])
+@example([(2, H_BOUND - 1), (3, H_BOUND - 1), (10**6, -(H_BOUND - 1))])
+@example([(0, 5), (1, -7)])  # f(0) = f(1) = 0
+def test_split_products_sum_exactly(weighted):
+    # each f(c) = c log2 c splits into three parts of at most 18
+    # significant bits that sum back to it, and fsum of the products
+    # h * part is the exact sum of h * f(c), rounded once
+    f = np.array([c * math.log2(c) if c > 1 else 0.0 for c, _ in weighted])
+    h = np.array([w for _, w in weighted], dtype=np.int64)
+    parts = _split(f)
+    assert parts.shape == (len(weighted), 3)
+    assert [math.fsum(row) for row in parts.tolist()] == f.tolist()
+    for part in parts.ravel().tolist():
+        m = abs(part.as_integer_ratio()[0])
+        assert m == 0 or (m // (m & -m)).bit_length() <= 18
+    exact = sum(Fraction(w) * Fraction(v) for w, v in zip(h.tolist(),
+                                                          f.tolist()))
+    assert math.fsum(_weighted_terms(h, parts)) == float(exact)
+
+
+def test_curve_counts_pairs_once_per_distance(rng, monkeypatch):
+    calls = []
+    pair_counts = metrics._pair_counts
+
+    def counted(*args):
+        calls.append(args[1])
+        return pair_counts(*args)
+
+    monkeypatch.setattr(metrics, "_pair_counts", counted)
+    seq = rng.integers(0, 30, size=400).tolist()
+    seq[150] = SEPARATOR
+    mi_decay_curve(seq, 12)
+    assert calls == list(range(1, 13))
 
 
 def test_mi_reversal_symmetric(rng):
@@ -251,9 +301,14 @@ def test_joined_users_equal_the_oracles(rng):
               + seqs[1].poi_ids.tolist() + [SEPARATOR]
               + seqs[2].poi_ids.tolist())
     assert stream.tolist() == joined
-    assert mi_decay_curve(stream, 5).curve == tuple(
-        (d, mi_by_cell_sum(joined, d, separator=SEPARATOR))
+    curve = mi_decay_curve(stream, 5).curve
+    assert curve == tuple(
+        (d, mi_by_count_terms(joined, d, separator=SEPARATOR))
         for d in range(1, 6)
+    )
+    assert [i for _, i in curve] == pytest.approx(
+        [mi_by_cell_sum(joined, d, separator=SEPARATOR) for d in range(1, 6)],
+        abs=1e-13,
     )
     assert top_pmi(stream, 2, 10) == top_pmi_by_counting(
         joined, 2, 10, separator=SEPARATOR
@@ -320,13 +375,17 @@ def test_pair_counts_with_a_large_span(rng):
         assert n == len(pairs)
         assert list(zip(x.tolist(), y.tolist())) == [xy for xy, _ in joint]
         assert c_xy.tolist() == [c for _, c in joint]
+        # marginals per symbol, 0 for a symbol no pair starts (ends) at
         left, right = Counter(a for a, _ in pairs), Counter(b for _, b in pairs)
-        assert c_x.tolist() == [left[a] for a in x.tolist()]
-        assert c_y.tolist() == [right[b] for b in y.tolist()]
+        assert c_x.tolist() == [left[a] for a in range(c_x.shape[0])]
+        assert c_y.tolist() == [right[b] for b in range(c_y.shape[0])]
+        assert c_x.shape[0] > max(left) and c_y.shape[0] > max(right)
         assert far in x.tolist() and sep not in x.tolist() + y.tolist()
-        assert mutual_information_at_distance(
-            seq, d
-        ) == mi_by_cell_sum(seq, d, separator=sep)
+        got = mutual_information_at_distance(seq, d)
+        assert got == mi_by_count_terms(seq, d, separator=sep)
+        assert got == pytest.approx(
+            mi_by_cell_sum(seq, d, separator=sep), abs=1e-13
+        )
         assert top_pmi(seq, d, 25) == top_pmi_by_counting(
             seq, d, 25, separator=sep
         )
@@ -361,9 +420,11 @@ def test_both_table_builds_equal_the_oracles(case, d, top_k):
     # counts and marginals, so every figure keeps its last bit
     seq, sep = case
     if len(pairs_at_distance(seq, d, sep)) >= 2:
-        assert mutual_information_at_distance(
-            seq, d
-        ) == mi_by_cell_sum(seq, d, separator=sep)
+        got = mutual_information_at_distance(seq, d)
+        assert got == mi_by_count_terms(seq, d, separator=sep)
+        assert got == pytest.approx(
+            mi_by_cell_sum(seq, d, separator=sep), abs=1e-13
+        )
         assert top_pmi(seq, d, top_k) == (
             top_pmi_by_counting(seq, d, top_k, separator=sep)
         )
@@ -372,9 +433,14 @@ def test_both_table_builds_equal_the_oracles(case, d, top_k):
     while d_max and len(pairs_at_distance(seq, d_max, sep)) < 2:
         d_max -= 1
     if d_max:
-        assert mi_decay_curve(seq, d_max).curve == tuple(
-            (e, mi_by_cell_sum(seq, e, separator=sep))
+        curve = mi_decay_curve(seq, d_max).curve
+        assert curve == tuple(
+            (e, mi_by_count_terms(seq, e, separator=sep))
             for e in range(1, d_max + 1)
+        )
+        assert [i for _, i in curve] == pytest.approx(
+            [mi_by_cell_sum(seq, e, separator=sep)
+             for e in range(1, d_max + 1)], abs=1e-13
         )
 
 

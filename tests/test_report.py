@@ -281,6 +281,25 @@ def test_summary_marks_absent_sections():
     jsonschema.validate(summary, SUMMARY_SCHEMA)
 
 
+@pytest.mark.parametrize("recommendation, rows", [
+    ({"verdict": 5, "fired_rule": [], "trace": 3}, []),
+    ({"verdict": "markov_class", "fired_rule": "R1", "rationale": "",
+      "derived": {}, "trace": [3]}, []),
+    (None, [{"x": "y"}]),
+    (None, [{"scheme": "kfold", "params": "k=3", "accuracy_user_mean": 0.5,
+             "accuracy_weighted": 0.5, "leaky": "no"}]),
+], ids=["recommendation-keys", "trace-not-objects", "row-keys",
+        "leaky-not-a-bool"])
+def test_summary_schema_refuses_mistyped_copies(recommendation, rows):
+    # the schema states what the report command checks of the
+    # recommendation and sensitivity rows it copies into summary.json
+    ds = small_dataset()
+    summary = build_summary(ds, characterize(ds, 3), None, recommendation,
+                            rows)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(summary, SUMMARY_SCHEMA)
+
+
 @pytest.fixture()
 def bundle_inputs(tmp_path):
     ds = small_dataset()
