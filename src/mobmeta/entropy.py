@@ -32,27 +32,30 @@ def lz_match_lengths(seq: Sequence[int]) -> np.ndarray:
     automaton extension is followed by the same ascent because clone
     splits can re-home strings of length <= len(clone).
     """
-    seq = [int(x) for x in seq]
+    seq = np.asarray(seq, dtype=np.int64).tolist()
     n = len(seq)
+    seq.append(None)  # no transition reads it, so every walk stops there
     length, link = [0], [-1]
     trans: list[dict[int, int]] = [{}]
+    add_length, add_link, add_trans = length.append, link.append, trans.append
+    states = 1  # len(length)
     last = 0  # the state of the whole prefix
-    lambdas = np.empty(n, dtype=np.int64)
+    lambdas = [0] * n
     state, l = 0, 0
     for i in range(n):
-        while i + l < n:
-            nxt = trans[state].get(seq[i + l])
-            if nxt is None:
-                break
+        nxt = trans[state].get(seq[i + l])
+        while nxt is not None:
             state = nxt
             l += 1
+            nxt = trans[state].get(seq[i + l])
         lambdas[i] = l + 1
         # extend the automaton by c = seq[i]
         c = seq[i]
-        cur = len(length)
-        length.append(length[last] + 1)
-        link.append(0)
-        trans.append({})
+        cur = states
+        add_length(length[last] + 1)
+        add_link(0)
+        add_trans({})
+        states += 1
         p = last
         while p != -1 and c not in trans[p]:
             trans[p][c] = cur
@@ -62,10 +65,11 @@ def lz_match_lengths(seq: Sequence[int]) -> np.ndarray:
             if length[p] + 1 == length[q]:
                 link[cur] = q
             else:
-                clone = len(length)
-                length.append(length[p] + 1)
-                link.append(link[q])
-                trans.append(dict(trans[q]))
+                clone = states
+                add_length(length[p] + 1)
+                add_link(link[q])
+                add_trans(dict(trans[q]))
+                states += 1
                 while p != -1 and trans[p].get(c) == q:
                     trans[p][c] = clone
                     p = link[p]
@@ -76,7 +80,7 @@ def lz_match_lengths(seq: Sequence[int]) -> np.ndarray:
             l -= 1
         while link[state] != -1 and l <= length[link[state]]:
             state = link[state]
-    return lambdas
+    return np.array(lambdas, dtype=np.int64)
 
 
 def lz_entropy_rate(seq: Sequence[int]) -> float:

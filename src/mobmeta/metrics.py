@@ -8,31 +8,36 @@ one.
 
 All estimates are plug-in (empirical counts, no bias correction).  MI,
 PMI and top-PMI read one pair-count table, `_pair_counts`: its occupied
-cells in arrays with one entry per cell, and per-symbol marginals.  Per
-distance it is a dense bincount of the joint codes when the alphabet is
-narrow enough that the square table holds no more entries than there are
-pairs, and the runs of one sorted array of those codes otherwise.  A
-decay curve finds the separator positions once for all its distances,
-and skips the separator mask when the stream holds none.
+cells in arrays with one entry per cell, and per-symbol marginals.  When
+the alphabet is narrow enough that a square table holds no more entries
+than there are pairs, one build covers a block of distances: one
+bincount of (distance, x, y) codes, whose right-hand symbols are rows of
+a sliding window over the padded stream.  A decay curve builds blocks of
+up to _BLOCK_PAIRS pairs.  Otherwise each distance is one build: a
+bincount of its (x, y) codes when its table is dense, and the runs of a
+sorted array of them when not.  A decay curve finds the separator
+positions once for all its distances, and skips the separator mask when
+the stream holds none.
 
 MI is taken in count form, I(d)·N = Σ_cells f(c_xy) − Σ_x f(c_x) −
-Σ_y f(c_y) + f(N) with f(c) = c·log2(c).  A curve tables f once, for
-every count up to the stream's largest symbol count, so each distance
-needs no logarithm: it sums f over the distinct counts, each weighted by
-how often it occurs as a cell count less as a marginal.  Each f is split
-into parts short enough that every weighted part is an exact product,
-and math.fsum adds them, so I(d)·N is the exactly rounded sum of the f
-terms of every cell and marginal, whatever their order or grouping.
+Σ_y f(c_y) + f(N) with f(c) = c·log2(c), computed once per count value
+that occurs.  math.fsum adds the f terms of every cell and marginal of
+a distance, so I(d)·N is their exactly rounded sum, whatever their order
+or grouping.  A wide table of one distance has more cells and marginals
+than distinct counts, so there each count value enters once, weighted by how often it occurs as a cell
+count less as a marginal, in parts short enough that every weighted part
+is an exact product: the same exactly rounded sum.
 Match structure is array code too: exact gram ranks by prefix doubling,
 one stable argsort per match length.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -60,37 +65,125 @@ def _separator_hits(stream: np.ndarray) -> Optional[np.ndarray]:
     return np.concatenate(([0], np.cumsum(at, dtype=np.int64)))
 
 
+# The most pairs one `_pair_counts` build of a decay curve holds: a curve
+# over n symbols builds the dense tables of max(1, _BLOCK_PAIRS // n)
+# distances at once, so a block's code array stays at 256 kB or below.
+_BLOCK_PAIRS = 1 << 15
+
+
+class _PairTable(NamedTuple):
+    """The count tables of (s_i, s_{i+d}) pairs over a range of distances.
+
+    The occupied cells come in ascending (distance, x, y) order: at[j]
+    is the index in the range of cell j's distance, and c_xy[j] its
+    joint count.  c_x[k, s] pairs at the k-th distance start at symbol
+    s, c_y[k, s] end at it, 0 for a symbol no pair does.  n_pairs counts
+    the pairs at every distance of the range.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    c_xy: np.ndarray
+    n_pairs: int
+    c_x: np.ndarray
+    c_y: np.ndarray
+    at: np.ndarray
+
+
 def _pair_counts(
-    stream: np.ndarray, d: int, hits: Optional[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
-    """The count table of (s_i, s_{i+d}) pairs: its occupied cells and
-    per-symbol marginals.
+    stream: np.ndarray, ds: range, hits: Optional[np.ndarray]
+) -> _PairTable:
+    """The count tables of the (s_i, s_{i+d}) pairs of every distance d in
+    ds, a nonempty range of consecutive distances >= 1.
 
     stream is an int64 array of symbols and hits its `_separator_hits`,
-    which may be None only when no symbol is negative.  Returns (x, y,
-    c_xy, n_pairs, c_x, c_y): the occupied cells in ascending (x, y)
-    order, their joint counts, the number of pairs, and the left and
-    right marginals indexed by symbol (c_x[s] pairs start at s, c_y[s]
-    end at it; 0 past a symbol that never does, and the two may differ
-    in length).  Marginals are taken from the paired positions only, so
-    the three entropy forms of the MI identity share one empirical table.
-    A pair is dropped when a separator appears anywhere in its window
-    [i, i+d], not just at the endpoints, so no pair straddles a user
-    boundary.
+    which may be None only when no symbol is negative.  Marginals are
+    taken from the paired positions only, so the three entropy forms of
+    the MI identity share one empirical table.  A pair is dropped when a
+    separator appears anywhere in its window [i, i+d], not just at the
+    endpoints, so no pair straddles a user boundary.  Raises DataError
+    naming the first distance with fewer than 2 pairs.
 
-    With span = largest paired symbol + 1, the cells come from a dense
-    span x span bincount of the joint codes, and the marginals are its
-    row and column sums, when that table has no more entries than there
-    are pairs: linear in the pairs.  Otherwise they are the runs of the
-    sorted codes and the marginals two bincounts, so the cost is a sort
-    of the pairs and grows with the largest symbol as well.
+    With span = largest symbol + 1, a table is dense when its span x span
+    square holds no more entries than there are pairs, and sorted
+    otherwise.  A range of several distances, which must have dense
+    tables, is one build: a bincount of (distance, x, y) codes over the
+    whole block (`_dense_block`), linear in the pairs, with one set of
+    array calls for the block.  One distance (`_one_distance`) is a
+    bincount of its (x, y) codes when dense, and the runs of its sorted
+    codes when not, so that the cost is a sort of the pairs and grows
+    with the largest symbol as well.
     """
-    if d < 1:
-        raise ValueError(f"distance must be >= 1, got {d}")
-    if stream.shape[0] <= d:
+    if ds.step != 1 or not ds or ds.start < 1:
+        raise ValueError(f"distances must be consecutive and >= 1, got {ds}")
+    n, last = stream.shape[0], ds[-1]
+    if n <= ds.start:
         raise DataError(
-            f"sequence of length {stream.shape[0]} has no pairs at distance {d}"
+            f"sequence of length {n} has no pairs at distance {ds.start}"
         )
+    span = max(int(stream.max()), 0) + 1
+    if len(ds) == 1:
+        return _one_distance(stream, ds.start, hits, span)
+    # pairs per distance before any separator drops one: n - mean(ds)
+    if span * span > n - (ds.start + last) / 2:
+        raise ValueError(f"distances {ds} have sorted tables: build each "
+                         "on its own")
+    return _dense_block(stream, ds, hits, span)
+
+
+def _windows(values: np.ndarray, ds: range, n: int) -> np.ndarray:
+    """Rows values[d : d + n] for d in ds, as a read-only view: the rows
+    of sliding_window_view(values, n)[ds.start :], without its argument
+    checks, which cost more than a small block's counting."""
+    step = values.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        values[ds.start :], (len(ds), n), (step, step), writeable=False)
+
+
+def _dense_block(
+    stream: np.ndarray, ds: range, hits: Optional[np.ndarray], span: int
+) -> _PairTable:
+    """`_pair_counts` as one bincount over the joint codes of the block.
+
+    Row k of a sliding window over the stream, padded by the largest
+    distance with the symbol span, holds the right-hand symbols of the
+    k-th distance.  A pair that runs into the padding, which only a
+    stream without separators keeps, gets y = span, a column the table
+    drops.  The marginals are the table's row and column sums.
+    """
+    n, last, size = stream.shape[0], ds[-1], len(ds)
+    width = span + 1
+    padded = np.concatenate((stream, np.full(last, span, dtype=np.int64)))
+    offsets = np.arange(size, dtype=np.int64) * (span * width)
+    codes = stream * width + offsets[:, None]
+    codes += _windows(padded, ds, n)  # in place: one block array less
+    if hits is None:
+        if n - last < 2:  # the largest distance has the fewest pairs
+            raise DataError(f"fewer than 2 pairs at distance "
+                            f"{max(ds.start, n - 1)}")
+    else:
+        # a window that runs past the end counts as holding a separator
+        ends = np.concatenate((hits[1:], hits[-1] + np.arange(1, last + 1)))
+        keep = _windows(ends, ds, n) == hits[:-1]
+        short = np.flatnonzero(keep.sum(axis=1) < 2)
+        if short.shape[0]:
+            raise DataError(f"fewer than 2 pairs at distance {ds[short[0]]}")
+        codes = codes[keep]
+    cube = np.bincount(codes.ravel(), minlength=size * span * width)
+    cube = cube.reshape(size, span, width)[:, :, :span]
+    flat = cube.ravel()
+    cells = np.flatnonzero(flat)  # ascending codes: (k, x, y) order
+    at, xy = np.divmod(cells, span * span)
+    x, y = np.divmod(xy, span)
+    c_x = cube.sum(axis=2)
+    return _PairTable(x, y, flat[cells], int(c_x.sum()), c_x,
+                      cube.sum(axis=1), at)
+
+
+def _one_distance(
+    stream: np.ndarray, d: int, hits: Optional[np.ndarray], span: int
+) -> _PairTable:
+    """`_pair_counts` of the one distance d."""
     left, right = stream[:-d], stream[d:]
     if hits is not None:
         keep = (hits[d + 1 :] - hits[: -d - 1]) == 0
@@ -98,35 +191,58 @@ def _pair_counts(
     n_pairs = int(left.shape[0])
     if n_pairs < 2:
         raise DataError(f"fewer than 2 pairs at distance {d}")
-    span = int(max(left.max(), right.max())) + 1
+    codes = left * span + right
     if span * span <= n_pairs:
-        table = np.bincount(left * span + right, minlength=span * span)
+        table = np.bincount(codes, minlength=span * span)
         cells = np.flatnonzero(table)  # ascending codes: (x, y) order
         x, y = np.divmod(cells, span)
         square = table.reshape(span, span)
-        return (x, y, table[cells], n_pairs,
-                square.sum(axis=1), square.sum(axis=0))
-    codes = np.sort(left * span + right)
+        return _PairTable(x, y, table[cells], n_pairs,
+                          square.sum(axis=1)[None, :],
+                          square.sum(axis=0)[None, :], np.zeros_like(x))
+    if span * span <= 1 << 31:
+        codes = codes.astype(np.int32)  # sorts in about half the time
+    codes.sort()
     starts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
     c_xy = np.diff(np.concatenate(([0], starts, [n_pairs])))
     x, y = np.divmod(codes[np.concatenate(([0], starts))], span)
-    return x, y, c_xy, n_pairs, np.bincount(left), np.bincount(right)
+    return _PairTable(x, y, c_xy, n_pairs,
+                      np.bincount(left, minlength=span)[None, :],
+                      np.bincount(right, minlength=span)[None, :],
+                      np.zeros_like(x))
 
 
-def _f_parts(stream: np.ndarray) -> np.ndarray:
-    """f(c) = c*log2(c) for c = 0 up to the largest count of one symbol in
-    the stream, which bounds every cell and marginal count at every
-    distance, as a (top + 1, 3) array: row c holds parts that sum to f(c)
-    exactly.
+class _CountLogs:
+    """f(c) = c*log2(c) for the counts of one stream's pair tables,
+    computed as the oracles compute it: the float product of c and
+    math.log2(c) (through `_log2`), with f(0) = f(1) = 0."""
 
-    f is computed as the oracles compute it, the float product of c and
-    math.log2(c) (through `_log2`), with f(0) = f(1) = 0.
-    """
-    top = int(np.bincount(stream[stream >= 0]).max(initial=0))
-    c = np.arange(top + 1, dtype=np.int64)
-    f = np.zeros(top + 1)
-    f[2:] = c[2:] * _log2(c[2:])
-    return _split(f)
+    def __init__(self, stream: np.ndarray):
+        # a symbol's count bounds every cell and marginal count
+        self.size = int(np.bincount(stream[stream >= 0]).max(initial=0)) + 1
+        self._f = np.full(self.size, np.nan)
+        self._f[:2] = 0.0
+
+    def __call__(self, counts: np.ndarray) -> np.ndarray:
+        """f of each count, each count value computed the first time it is
+        asked for."""
+        f = self._f[counts]
+        new = np.isnan(f)
+        if new.any():
+            # a set, not np.unique, whose first call in a process adds
+            # 1.6 MB to the peak RSS (numpy 2.4)
+            c = np.fromiter(set(counts[new].tolist()), np.int64)
+            self._f[c] = c * _log2(c)
+            f = self._f[counts]
+        return f
+
+    @functools.cached_property
+    def parts(self) -> np.ndarray:
+        """f of every count below size as a (size, 3) array of `_split`
+        parts: row c sums to f(c) exactly."""
+        c = np.arange(2, self.size)
+        self._f[2:] = c * _log2(c)
+        return _split(self._f)
 
 
 # Each f(c) = c*log2(c) is split into parts of at most 18 significant bits
@@ -158,29 +274,53 @@ def _weighted_terms(h: np.ndarray, parts: np.ndarray) -> list[float]:
     return (parts[c] * h[c, None]).ravel().tolist()
 
 
-def _mi_bits(
-    stream: np.ndarray, d: int, hits: Optional[np.ndarray], parts: np.ndarray
-) -> float:
-    """mutual_information_at_distance on an int64 stream, its hits and its
-    `_f_parts`.
+def _mi_bits(table: _PairTable, logs: _CountLogs) -> list[float]:
+    """I(d) in bits for each distance of a `_pair_counts` table.
 
-    The signed multiplicity h[c] counts the cells holding c pairs less the
-    left and the right marginals equal to c, so Σ_c h[c]·f(c) + f(N) is
-    the sum of every cell's and marginal's f term, added exactly.
+    I(d)·N is the exactly rounded sum of that distance's f terms, +f per
+    cell, -f per left and per right marginal and +f(N), whatever their
+    order or grouping.  math.fsum adds the terms themselves, leaving out
+    the cells of one pair (f(1) = 0), unless the table is of one distance
+    and has more terms than there are count values: then each count value
+    c enters once, weighted by its signed multiplicity h[c], the cells
+    holding c pairs less the marginals equal to c.
     """
-    _, _, c_xy, n, c_x, c_y = _pair_counts(stream, d, hits)
-    size = parts.shape[0]
-    h = (np.bincount(c_xy, minlength=size)
-         - np.bincount(np.concatenate((c_x, c_y)), minlength=size))
-    terms = _weighted_terms(h, parts)
-    terms.append(n * math.log2(n))
-    return math.fsum(terms) / n
+    rows, cells = table.c_x.shape[0], table.c_xy.shape[0]
+    if rows == 1 and cells + table.c_x.size * 2 > logs.size:
+        size = logs.size
+        h = (np.bincount(table.c_xy, minlength=size)
+             - np.bincount(np.concatenate((table.c_x[0], table.c_y[0])),
+                           minlength=size))
+        by_term, pairs = [_weighted_terms(h, logs.parts)], [table.n_pairs]
+    else:
+        pairs = table.c_x.sum(axis=1).tolist()
+        f = logs(np.concatenate((table.c_xy, table.c_x, table.c_y),
+                                axis=None))
+        many = f[:cells] != 0
+        cell_terms = f[:cells][many].tolist()
+        ends = np.searchsorted(table.at[many], np.arange(rows + 1)).tolist()
+        lefts, rights = np.negative(f[cells:]).reshape(2, rows, -1).tolist()
+        by_term = [cell_terms[ends[k] : ends[k + 1]] + lefts[k] + rights[k]
+                   for k in range(rows)]
+    bits = []
+    for terms, n in zip(by_term, pairs):
+        terms.append(n * math.log2(n))
+        bits.append(math.fsum(terms) / n)
+    return bits
+
+
+def _table_at(seq: Sequence[int], d: int) -> _PairTable:
+    """The `_pair_counts` table of the one distance d."""
+    if d < 1:
+        raise ValueError(f"distance must be >= 1, got {d}")
+    stream = np.asarray(seq, dtype=np.int64)
+    return _pair_counts(stream, range(d, d + 1), _separator_hits(stream))
 
 
 def mutual_information_at_distance(seq: Sequence[int], d: int) -> float:
     """Plug-in I(s_i; s_{i+d}) in bits over all position pairs at lag d."""
     stream = np.asarray(seq, dtype=np.int64)
-    return _mi_bits(stream, d, _separator_hits(stream), _f_parts(stream))
+    return _mi_bits(_table_at(stream, d), _CountLogs(stream))[0]
 
 
 def pmi_from_counts(n_pairs: int, c_a: int, c_b: int, c_ab: int) -> float:
@@ -198,8 +338,7 @@ def pmi(seq: Sequence[int], a: int, b: int, d: int) -> float:
     Returns -inf ("never co-occurs") when the pair count is zero; raises
     when a or b itself never occurs at the paired positions.
     """
-    stream = np.asarray(seq, dtype=np.int64)
-    x, y, c_xy, n, c_x, c_y = _pair_counts(stream, d, _separator_hits(stream))
+    x, y, c_xy, n, (c_x,), (c_y,), _ = _table_at(seq, d)
     c_a = int(c_x[a]) if 0 <= a < c_x.shape[0] else 0
     c_b = int(c_y[b]) if 0 <= b < c_y.shape[0] else 0
     if c_a == 0 or c_b == 0:
@@ -218,8 +357,7 @@ def top_pmi(
     are exact in float64 below 2**53, so each score equals
     pmi_from_counts on the same counts for any stream under ~9e7 pairs.
     """
-    stream = np.asarray(seq, dtype=np.int64)
-    x, y, c_xy, n, c_x, c_y = _pair_counts(stream, d, _separator_hits(stream))
+    x, y, c_xy, n, (c_x,), (c_y,), _ = _table_at(seq, d)
     scores = _log2((n * c_xy) / (c_x[x] * c_y[y]))
     order = np.lexsort((y, x, -scores))[:top_k]
     return [
@@ -285,9 +423,14 @@ def mi_decay_curve(seq: Sequence[int], d_max: int) -> MiDecay:
             f"d_max {d_max} too large for length {n}: need d_max < n/10 "
             "for enough pairs per distance"
         )
-    hits, parts = _separator_hits(stream), _f_parts(stream)
-    curve = [(d, _mi_bits(stream, d, hits, parts))
-             for d in range(1, d_max + 1)]
+    hits, logs = _separator_hits(stream), _CountLogs(stream)
+    # blocks of distances only where every distance's table is dense
+    span = max(int(stream.max()), 0) + 1
+    step = max(1, _BLOCK_PAIRS // n) if span * span <= n - d_max else 1
+    curve: list[tuple[int, float]] = []
+    for start in range(1, d_max + 1, step):
+        ds = range(start, min(start + step, d_max + 1))
+        curve += zip(ds, _mi_bits(_pair_counts(stream, ds, hits), logs))
     fit_pts = [(d, i) for d, i in curve if i > EPS_FIT]
     alpha = rmse = None
     if len(fit_pts) >= 2:

@@ -32,7 +32,7 @@ from .core import DataError, Dataset
 from .jsonutil import curve, is_number, read_json, write_canonical_json
 from .poi import haversine_m
 from .selector import Recommendation
-from .validation import SensitivityRow
+from .validation import EvaluationResult, SensitivityRow
 
 SUMMARY_SCHEMA_ID = "mobmeta.summary.v1"
 
@@ -307,46 +307,58 @@ def _read_object(path: Path, what: str, keys: tuple) -> dict:
     return obj
 
 
+def _list_of(kind: type):
+    """The check that a JSON value is a list of `kind` values."""
+    return lambda v: isinstance(v, list) and all(isinstance(e, kind)
+                                                 for e in v)
+
+
 # How a record field of each annotated type reads back from JSON: what it
-# must be, and the check.
+# must be, and the check.  Every integer field of a record is a count.
 _JSON_KINDS = {
     "str": ("a string", lambda v: isinstance(v, str)),
+    "int": ("a non-negative integer", lambda v: isinstance(v, int)
+            and not isinstance(v, bool) and v >= 0),
     "float": ("a number", is_number),
+    "Optional[float]": ("a number or null",
+                        lambda v: v is None or is_number(v)),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "dict": ("an object", lambda v: isinstance(v, dict)),
-    "tuple[dict, ...]": ("a list of objects", lambda v: isinstance(v, list)
-                         and all(isinstance(e, dict) for e in v)),
+    "tuple[dict, ...]": ("a list of objects", _list_of(dict)),
+    "tuple[FoldResult, ...]": ("a list of objects", _list_of(dict)),
+    "tuple[str, ...]": ("a list of strings", _list_of(str)),
 }
 
 
 def _check_record(obj, record: type, what: str, path: Path,
-                  at: str = "") -> dict:
-    """obj read from `path`, refused unless it holds every field of the
-    dataclass `record` as JSON writes its type.  The message names the
+                  at: str = "", required: Optional[tuple] = None) -> dict:
+    """obj read from `path`, refused unless it holds the fields of the
+    dataclass `record` named in `required` (by default every field), and
+    each field it holds as JSON writes its type.  The message names the
     file, `at` (where in it obj is), and `what` obj should be or the
     field that is wrong."""
-    names = [f.name for f in fields(record)]
-    if not (isinstance(obj, dict) and all(k in obj for k in names)):
+    if required is None:
+        required = tuple(f.name for f in fields(record))
+    if not (isinstance(obj, dict) and all(k in obj for k in required)):
         raise DataError(f"{path}: {at}not a {what}, which has the keys "
-                        f"{', '.join(names)}")
+                        f"{', '.join(required)}")
     for f in fields(record):
         kind, ok = _JSON_KINDS[f.type]
-        if not ok(obj[f.name]):
+        if f.name in obj and not ok(obj[f.name]):
             raise DataError(f"{path}: {at}{f.name} must be {kind}, "
                             f"got {obj[f.name]!r}")
     return obj
 
 
 def _read_results(path: Path) -> dict:
-    """A validate results.json, refused unless it has _RESULTS_KEYS, the
-    numbers the table prints (bits_weighted null when argmax-only) and,
-    if any, a fold_curve of [fold, accuracy] pairs with an integer fold
-    and a number accuracy."""
-    obj = _read_object(path, "validation results.json", _RESULTS_KEYS)
-    for key in ("accuracy_user_mean", "accuracy_weighted", "bits_weighted"):
-        value = obj.get(key)
-        if not (is_number(value) or (key == "bits_weighted" and value is None)):
-            raise DataError(f"{path}: {key} must be a number, got {value!r}")
+    """A validate results.json, refused unless it has _RESULTS_KEYS, every
+    `EvaluationResult` field it holds is of that field's type (a bits
+    figure may be null, or absent when argmax-only) and, if any, a
+    fold_curve of [fold, accuracy] pairs with an integer fold and a
+    number accuracy."""
+    obj = _check_record(read_json(path), EvaluationResult,
+                        "validation results.json", path,
+                        required=_RESULTS_KEYS)
     try:
         curve(obj.get("fold_curve", []), "fold_curve", "fold", "accuracy")
     except ValueError as e:

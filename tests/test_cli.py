@@ -1601,7 +1601,7 @@ def test_report_manifest_lists_only_the_files_of_its_run(tmp_path, capsys):
      {"r.json": '{"model": "m", "plan": "p", "leaky": false, '
                 '"accuracy_user_mean": 0.5, "accuracy_weighted": 0.5, '
                 '"bits_weighted": Infinity, "n_predictions": 4}'},
-     "r.json: bits_weighted must be a number, got inf"),
+     "r.json: bits_weighted must be a number or null, got inf"),
     (["--validation", "r.json"],
      {"r.json": '{"model": "m", "plan": "p", "leaky": false, '
                 '"accuracy_user_mean": 0.5, "accuracy_weighted": 0.5, '
@@ -1639,6 +1639,48 @@ def test_report_manifest_lists_only_the_files_of_its_run(tmp_path, capsys):
                 '"accuracy_user_mean": 0.5, "accuracy_weighted": 0.5, '
                 '"leaky": 1}]}'},
      "s.json: rows entry 0: leaky must be true or false, got 1"),
+    # results.json values that table.txt and compression.csv once printed
+    # as given
+    (["--validation", "r.json"],
+     {"r.json": '{"model": 5, "plan": "p", "leaky": false, '
+                '"accuracy_user_mean": 0.5, "accuracy_weighted": 0.5, '
+                '"n_predictions": 4}'},
+     "r.json: model must be a string, got 5"),
+    (["--validation", "r.json"],
+     {"r.json": '{"model": "m", "plan": ["x"], "leaky": false, '
+                '"accuracy_user_mean": 0.5, "accuracy_weighted": 0.5, '
+                '"n_predictions": 4}'},
+     "r.json: plan must be a string, got ['x']"),
+    (["--validation", "r.json"],
+     {"r.json": '{"model": "m", "plan": "p", "leaky": "no", '
+                '"accuracy_user_mean": 0.5, "accuracy_weighted": 0.5, '
+                '"n_predictions": 4}'},
+     "r.json: leaky must be true or false, got 'no'"),
+    (["--validation", "r.json"],
+     {"r.json": '{"model": "m", "plan": "p", "leaky": false, '
+                '"accuracy_user_mean": 0.5, "accuracy_weighted": 0.5, '
+                '"n_predictions": "many"}'},
+     "r.json: n_predictions must be a non-negative integer, got 'many'"),
+    (["--validation", "r.json"],
+     {"r.json": '{"model": "m", "plan": "p", "leaky": false, '
+                '"accuracy_user_mean": 0.5, "accuracy_weighted": 0.5, '
+                '"n_predictions": true}'},
+     "r.json: n_predictions must be a non-negative integer, got True"),
+    (["--validation", "r.json"],
+     {"r.json": '{"model": "m", "plan": "p", "leaky": false, '
+                '"accuracy_user_mean": 0.5, "accuracy_weighted": 0.5, '
+                '"n_predictions": -4}'},
+     "r.json: n_predictions must be a non-negative integer, got -4"),
+    (["--validation", "r.json"],
+     {"r.json": '{"model": "m", "plan": "p", "leaky": false, '
+                '"accuracy_user_mean": 0.5, "accuracy_weighted": 0.5, '
+                '"bits_user_mean": "1.5", "n_predictions": 4}'},
+     "r.json: bits_user_mean must be a number or null, got '1.5'"),
+    (["--validation", "r.json"],
+     {"r.json": '{"model": "m", "plan": "p", "leaky": false, '
+                '"accuracy_user_mean": 0.5, "accuracy_weighted": 0.5, '
+                '"bits_weighted": [], "n_predictions": 4}'},
+     "r.json: bits_weighted must be a number or null, got []"),
 ], ids=["validation-is-a-report", "characterization-is-meta",
         "fold-curve-not-pairs", "accuracy-not-a-number",
         "fold-not-an-integer", "sensitivity-without-rows",
@@ -1647,7 +1689,10 @@ def test_report_manifest_lists_only_the_files_of_its_run(tmp_path, capsys):
         "bits-inf", "fold-curve-nan", "recommendation-keys-missing",
         "verdict-not-a-string", "derived-not-an-object",
         "trace-not-objects", "row-without-fields", "row-accuracy-nan",
-        "leaky-not-a-bool"])
+        "leaky-not-a-bool", "model-not-a-string", "plan-not-a-string",
+        "results-leaky-not-a-bool", "n-predictions-not-an-integer",
+        "n-predictions-a-bool", "n-predictions-negative",
+        "bits-user-mean-not-a-number", "bits-weighted-not-a-number"])
 def test_report_refuses_a_malformed_input_and_writes_nothing(
     tmp_path, capsys, args, files, named
 ):

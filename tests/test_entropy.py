@@ -29,6 +29,31 @@ def test_match_lengths_agree_with_quadratic_scan(rng):
             ), (n_sym, n, seq[:20])
 
 
+def copy_with_gap_stream(rng, n, gap, eps):
+    """4 symbols, s_i = 2*b_i + (i mod 2), each bit b_i copying b_{i-gap}
+    with probability 1 - eps: long repeats, so the automaton clones about
+    one state per symbol."""
+    bits = rng.integers(0, 2, size=gap).tolist()
+    for i in range(gap, n):
+        bits.append(bits[i - gap] if rng.random() >= eps
+                    else int(rng.integers(0, 2)))
+    return [2 * b + i % 2 for i, b in enumerate(bits)]
+
+
+@pytest.mark.parametrize("kind", ["copy_with_gap", "periodic", "iid_k300"])
+def test_match_lengths_agree_on_repeats_and_wide_alphabets(rng, kind):
+    if kind == "copy_with_gap":
+        seq = copy_with_gap_stream(rng, 400, 6, 0.05)
+    elif kind == "periodic":
+        seq = [0, 3, 1, 3, 2] * 60 + [1]
+    else:
+        seq = rng.integers(0, 300, size=600).tolist()
+    got = lz_match_lengths(seq).tolist()
+    assert got == brute_match_lengths(seq)
+    if kind != "iid_k300":
+        assert max(got) > 40  # the scan really follows long matches
+
+
 def test_entropy_rate_matches_brute_force(rng):
     seq = rng.integers(0, 4, size=500).tolist()
     assert lz_entropy_rate(seq) == pytest.approx(brute_entropy_rate(seq))

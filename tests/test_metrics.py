@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -125,6 +126,9 @@ def test_split_products_sum_exactly(weighted):
 
 
 def test_curve_counts_pairs_once_per_distance(rng, monkeypatch):
+    # the builds of a curve cover d = 1..12 once each: 4 symbols over 400
+    # positions are dense, so one build holds all 12 distances; 30 are
+    # sorted, one build per distance
     calls = []
     pair_counts = metrics._pair_counts
 
@@ -133,10 +137,13 @@ def test_curve_counts_pairs_once_per_distance(rng, monkeypatch):
         return pair_counts(*args)
 
     monkeypatch.setattr(metrics, "_pair_counts", counted)
-    seq = rng.integers(0, 30, size=400).tolist()
-    seq[150] = SEPARATOR
-    mi_decay_curve(seq, 12)
-    assert calls == list(range(1, 13))
+    for k, builds in ((4, 1), (30, 12)):
+        calls.clear()
+        seq = rng.integers(0, k, size=400).tolist()
+        seq[150] = SEPARATOR
+        mi_decay_curve(seq, 12)
+        assert [d for ds in calls for d in ds] == list(range(1, 13))
+        assert len(calls) == builds
 
 
 def test_mi_reversal_symmetric(rng):
@@ -367,9 +374,10 @@ def test_pair_counts_with_a_large_span(rng):
     seq[200] = seq[201] = seq[450] = sep
     stream = np.asarray(seq, dtype=np.int64)
     for d in (1, 2, 5, 30):
-        x, y, c_xy, n, c_x, c_y = _pair_counts(
-            stream, d, _separator_hits(stream)
+        x, y, c_xy, n, (c_x,), (c_y,), at = _pair_counts(
+            stream, range(d, d + 1), _separator_hits(stream)
         )
+        assert not at.any()
         pairs = pairs_at_distance(seq, d, separator=sep)
         joint = sorted(Counter(pairs).items())
         assert n == len(pairs)
@@ -442,6 +450,99 @@ def test_both_table_builds_equal_the_oracles(case, d, top_k):
             [mi_by_cell_sum(seq, e, separator=sep)
              for e in range(1, d_max + 1)], abs=1e-13
         )
+
+
+@st.composite
+def block_cases(draw):
+    """(stream, step): 1-5 users over 2-8 symbols joined by SEPARATOR,
+    one of them 130-220 long, so that the curve spans at least 3 blocks
+    of `step` distances.  Users may be a block edge long or up to three
+    beyond it, so that a user's last pairs fall at the first or last
+    distance of a block, and a separator may also lead or end the
+    stream."""
+    k = draw(st.integers(2, 8))
+    step = draw(st.integers(2, 4))
+    symbols = st.integers(0, k - 1)
+    edge = st.builds(lambda e, off: e + off,
+                     st.sampled_from([step * j + b for j in range(1, 5)
+                                      for b in (0, 1)]),
+                     st.integers(0, 3))
+    lengths = draw(st.lists(st.one_of(edge, st.integers(1, 60)),
+                            max_size=4))
+    lengths.insert(draw(st.integers(0, len(lengths))),
+                   draw(st.integers(130, 220)))
+    seq = []
+    for length in lengths:
+        seq += [SEPARATOR] + draw(st.lists(symbols, min_size=length,
+                                           max_size=length))
+    seq = seq[1:]
+    if draw(st.booleans()):
+        seq.insert(0, SEPARATOR)
+    if draw(st.booleans()):
+        seq.append(SEPARATOR)
+    return seq, step
+
+
+@seed(20261022)
+@settings(max_examples=150, deadline=None)
+@given(block_cases())
+@example(([0, 1] * 70 + [SEPARATOR] + [1, 0, 1, 1, 0] + [SEPARATOR]
+          + [0, 0, 1, 1, 0, 1, 0], 2))  # users of 5 and 7 at d = 4..6
+@example(([SEPARATOR] + [2, 0, 1] * 50 + [SEPARATOR], 3))
+def test_block_curve_equals_the_oracle(case):
+    # a small block constant splits the curve into blocks of `step`
+    # distances: every I(d) is exact, whichever block holds d
+    seq, step = case
+    d_max = (len(seq) - 1) // 10
+    while len(pairs_at_distance(seq, d_max, SEPARATOR)) < 2:
+        d_max -= 1
+    calls = []
+    pair_counts = metrics._pair_counts
+
+    def counted(*args):
+        calls.append(args[1])
+        return pair_counts(*args)
+
+    with mock.patch.object(metrics, "_BLOCK_PAIRS", step * len(seq)), \
+            mock.patch.object(metrics, "_pair_counts", counted):
+        curve = mi_decay_curve(seq, d_max).curve
+    assert len(calls) >= 3 and {len(ds) for ds in calls[:-1]} == {step}
+    assert curve == tuple(
+        (d, mi_by_count_terms(seq, d, separator=SEPARATOR))
+        for d in range(1, d_max + 1)
+    )
+
+
+SEP = SEPARATOR
+
+
+@pytest.mark.parametrize("seq, ds, d", [
+    # users of 6 hold 1 pair each at d = 5 and none at 6
+    ([0, 1, 1, 0, 0, 1, SEP, 1, 0, 0, 1, 1, 0], range(1, 7), 6),  # block
+    ([0, 1, 2, 3, 4, 5, SEP, 5, 4, 3, 2, 1, 0], range(6, 7), 6),  # sorted
+    # 1 pair at d = 39, none beyond
+    ([0, 1] * 20, range(20, 40), 39),  # a block ending at one pair
+    ([0, 1] * 20, range(20, 45), 39),  # a block past the end
+    (list(range(40)), range(39, 40), 39),  # sorted
+], ids=["block", "sorted", "block-one-pair", "block-past-end",
+        "sorted-one-pair"])
+def test_block_names_its_first_distance_without_two_pairs(seq, ds, d):
+    stream = np.asarray(seq, dtype=np.int64)
+    with pytest.raises(DataError, match=f"fewer than 2 pairs at distance {d}$"):
+        _pair_counts(stream, ds, _separator_hits(stream))
+
+
+def test_pair_counts_refuses_a_range_without_pairs():
+    stream = np.asarray([0, 1, 0], dtype=np.int64)
+    with pytest.raises(DataError, match="no pairs at distance 3"):
+        _pair_counts(stream, range(3, 5), None)
+    for ds in (range(0, 3), range(2, 2), range(1, 9, 2)):
+        with pytest.raises(ValueError, match="distance"):
+            _pair_counts(stream, ds, None)
+    # 30 symbols over 60 positions: a block would be a sorted one
+    wide = np.arange(60, dtype=np.int64) % 30
+    with pytest.raises(ValueError, match="build each on its own"):
+        _pair_counts(wide, range(1, 3), None)
 
 
 def test_correlations_hand_checked():

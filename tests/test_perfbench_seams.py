@@ -54,7 +54,7 @@ PAIR_COUNTS_SEAM = next(s for s in tracer.COUNTED_SEAMS
 def test_pair_counts_seam_counts_a_real_call(seq):
     # the seam reads the pair count and the cells from the return tuple;
     # a change to its shape must fail here, not drop three metrics
-    args = (np.asarray(seq, dtype=np.int64), 1, None)
+    args = (np.asarray(seq, dtype=np.int64), range(1, 2), None)
     result = metrics._pair_counts(*args)
     assert PAIR_COUNTS_SEAM.count(args, {}, result) == {
         "metrics.mi_distances": 1,

@@ -281,21 +281,44 @@ def test_summary_marks_absent_sections():
     jsonschema.validate(summary, SUMMARY_SCHEMA)
 
 
-@pytest.mark.parametrize("recommendation, rows", [
-    ({"verdict": 5, "fired_rule": [], "trace": 3}, []),
-    ({"verdict": "markov_class", "fired_rule": "R1", "rationale": "",
-      "derived": {}, "trace": [3]}, []),
-    (None, [{"x": "y"}]),
-    (None, [{"scheme": "kfold", "params": "k=3", "accuracy_user_mean": 0.5,
-             "accuracy_weighted": 0.5, "leaky": "no"}]),
-], ids=["recommendation-keys", "trace-not-objects", "row-keys",
-        "leaky-not-a-bool"])
-def test_summary_schema_refuses_mistyped_copies(recommendation, rows):
-    # the schema states what the report command checks of the
-    # recommendation and sensitivity rows it copies into summary.json
+RESULTS = {"model": "m", "plan": "p", "leaky": False,
+           "accuracy_user_mean": 0.5, "accuracy_weighted": 0.5,
+           "bits_user_mean": None, "bits_weighted": 1.5, "n_predictions": 4}
+
+
+def test_summary_schema_accepts_results_with_null_bits():
     ds = small_dataset()
-    summary = build_summary(ds, characterize(ds, 3), None, recommendation,
-                            rows)
+    summary = build_summary(ds, characterize(ds, 3), [RESULTS])
+    jsonschema.validate(summary, SUMMARY_SCHEMA)
+
+
+@pytest.mark.parametrize("results, recommendation, rows", [
+    (None, {"verdict": 5, "fired_rule": [], "trace": 3}, []),
+    (None, {"verdict": "markov_class", "fired_rule": "R1", "rationale": "",
+            "derived": {}, "trace": [3]}, []),
+    (None, None, [{"x": "y"}]),
+    (None, None, [{"scheme": "kfold", "params": "k=3",
+                   "accuracy_user_mean": 0.5, "accuracy_weighted": 0.5,
+                   "leaky": "no"}]),
+    ({**RESULTS, "model": 5}, None, None),
+    ({**RESULTS, "plan": ["x"]}, None, None),
+    ({**RESULTS, "leaky": "no"}, None, None),
+    ({**RESULTS, "n_predictions": "many"}, None, None),
+    ({**RESULTS, "n_predictions": -4}, None, None),
+    ({**RESULTS, "bits_user_mean": "1.5"}, None, None),
+], ids=["recommendation-keys", "trace-not-objects", "row-keys",
+        "leaky-not-a-bool", "results-model", "results-plan",
+        "results-leaky", "results-n-predictions", "results-negative-count",
+        "results-bits"])
+def test_summary_schema_refuses_mistyped_copies(results, recommendation,
+                                                rows):
+    # the schema states what the report command checks of the validation
+    # results, recommendation and sensitivity rows it copies into
+    # summary.json
+    ds = small_dataset()
+    summary = build_summary(ds, characterize(ds, 3),
+                            None if results is None else [results],
+                            recommendation, rows)
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(summary, SUMMARY_SCHEMA)
 
