@@ -10,23 +10,23 @@ All estimates are plug-in (empirical counts, no bias correction).  MI,
 PMI and top-PMI read one pair-count table, `_pair_counts`: its occupied
 cells in arrays with one entry per cell, and per-symbol marginals.  When
 the alphabet is narrow enough that a square table holds no more entries
-than there are pairs, one build covers a block of distances: one
-bincount of (distance, x, y) codes, whose right-hand symbols are rows of
-a sliding window over the padded stream.  A decay curve builds blocks of
-up to _BLOCK_PAIRS pairs.  Otherwise each distance is one build: a
-bincount of its (x, y) codes when its table is dense, and the runs of a
-sorted array of them when not.  A decay curve finds the separator
-positions once for all its distances, and skips the separator mask when
-the stream holds none.
+than there are pairs, the table is dense: one build covers a block of
+one or more distances, one bincount of (distance, x, y) codes, whose
+right-hand symbols are rows of a sliding window over the padded stream.
+A decay curve builds blocks of up to _BLOCK_PAIRS pairs.  Otherwise
+each distance is one build, the runs of a sorted array of its (x, y)
+codes.  A decay curve finds the separator positions once for all its
+distances, and skips the separator mask when the stream holds none.
 
 MI is taken in count form, I(d)·N = Σ_cells f(c_xy) − Σ_x f(c_x) −
-Σ_y f(c_y) + f(N) with f(c) = c·log2(c), computed once per count value
-that occurs.  math.fsum adds the f terms of every cell and marginal of
-a distance, so I(d)·N is their exactly rounded sum, whatever their order
-or grouping.  A wide table of one distance has more cells and marginals
-than distinct counts, so there each count value enters once, weighted by how often it occurs as a cell
-count less as a marginal, in parts short enough that every weighted part
-is an exact product: the same exactly rounded sum.
+Σ_y f(c_y) + f(N) with f(c) = c·log2(c), tabled once per stream for
+every count up to the largest.  math.fsum adds the f terms of every
+cell and marginal of a distance, so I(d)·N is their exactly rounded sum,
+whatever their order or grouping.  A wide table of one distance has more
+cells and marginals than count values, so there each count value enters
+once, weighted by how often it occurs as a cell count less as a
+marginal, in parts short enough that every weighted part is an exact
+product: the same exactly rounded sum.
 Match structure is array code too: exact gram ranks by prefix doubling,
 one stable argsort per match length.
 """
@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import DataError
 
@@ -105,14 +106,14 @@ def _pair_counts(
     naming the first distance with fewer than 2 pairs.
 
     With span = largest symbol + 1, a table is dense when its span x span
-    square holds no more entries than there are pairs, and sorted
-    otherwise.  A range of several distances, which must have dense
-    tables, is one build: a bincount of (distance, x, y) codes over the
-    whole block (`_dense_block`), linear in the pairs, with one set of
-    array calls for the block.  One distance (`_one_distance`) is a
-    bincount of its (x, y) codes when dense, and the runs of its sorted
-    codes when not, so that the cost is a sort of the pairs and grows
-    with the largest symbol as well.
+    square holds no more entries than there are pairs (before separators
+    drop any), and sorted otherwise.  Dense tables, of one distance or
+    several, are one build: a bincount of (distance, x, y) codes over
+    the whole block (`_dense_block`), linear in the pairs, with one set
+    of array calls for the block.  A range of several distances must
+    have dense tables.  A sorted table is of one distance (`_sorted_one`):
+    the runs of its sorted codes, so that the cost is a sort of the pairs
+    and does not grow with the square of the largest symbol.
     """
     if ds.step != 1 or not ds or ds.start < 1:
         raise ValueError(f"distances must be consecutive and >= 1, got {ds}")
@@ -122,22 +123,13 @@ def _pair_counts(
             f"sequence of length {n} has no pairs at distance {ds.start}"
         )
     span = max(int(stream.max()), 0) + 1
-    if len(ds) == 1:
-        return _one_distance(stream, ds.start, hits, span)
     # pairs per distance before any separator drops one: n - mean(ds)
-    if span * span > n - (ds.start + last) / 2:
+    if span * span <= n - (ds.start + last) / 2:
+        return _dense_block(stream, ds, hits, span)
+    if len(ds) > 1:
         raise ValueError(f"distances {ds} have sorted tables: build each "
                          "on its own")
-    return _dense_block(stream, ds, hits, span)
-
-
-def _windows(values: np.ndarray, ds: range, n: int) -> np.ndarray:
-    """Rows values[d : d + n] for d in ds, as a read-only view: the rows
-    of sliding_window_view(values, n)[ds.start :], without its argument
-    checks, which cost more than a small block's counting."""
-    step = values.strides[0]
-    return np.lib.stride_tricks.as_strided(
-        values[ds.start :], (len(ds), n), (step, step), writeable=False)
+    return _sorted_one(stream, ds.start, hits, span)
 
 
 def _dense_block(
@@ -156,15 +148,14 @@ def _dense_block(
     padded = np.concatenate((stream, np.full(last, span, dtype=np.int64)))
     offsets = np.arange(size, dtype=np.int64) * (span * width)
     codes = stream * width + offsets[:, None]
-    codes += _windows(padded, ds, n)  # in place: one block array less
+    codes += sliding_window_view(padded, n)[ds.start :]  # one array less
     if hits is None:
-        if n - last < 2:  # the largest distance has the fewest pairs
-            raise DataError(f"fewer than 2 pairs at distance "
-                            f"{max(ds.start, n - 1)}")
+        if n - last < 2:  # n - 1 is the first distance with one pair
+            raise DataError(f"fewer than 2 pairs at distance {n - 1}")
     else:
         # a window that runs past the end counts as holding a separator
         ends = np.concatenate((hits[1:], hits[-1] + np.arange(1, last + 1)))
-        keep = _windows(ends, ds, n) == hits[:-1]
+        keep = sliding_window_view(ends, n)[ds.start :] == hits[:-1]
         short = np.flatnonzero(keep.sum(axis=1) < 2)
         if short.shape[0]:
             raise DataError(f"fewer than 2 pairs at distance {ds[short[0]]}")
@@ -180,10 +171,11 @@ def _dense_block(
                       cube.sum(axis=1), at)
 
 
-def _one_distance(
+def _sorted_one(
     stream: np.ndarray, d: int, hits: Optional[np.ndarray], span: int
 ) -> _PairTable:
-    """`_pair_counts` of the one distance d."""
+    """`_pair_counts` of the one distance d, from the runs of its sorted
+    (x, y) codes."""
     left, right = stream[:-d], stream[d:]
     if hits is not None:
         keep = (hits[d + 1 :] - hits[: -d - 1]) == 0
@@ -192,16 +184,6 @@ def _one_distance(
     if n_pairs < 2:
         raise DataError(f"fewer than 2 pairs at distance {d}")
     codes = left * span + right
-    if span * span <= n_pairs:
-        table = np.bincount(codes, minlength=span * span)
-        cells = np.flatnonzero(table)  # ascending codes: (x, y) order
-        x, y = np.divmod(cells, span)
-        square = table.reshape(span, span)
-        return _PairTable(x, y, table[cells], n_pairs,
-                          square.sum(axis=1)[None, :],
-                          square.sum(axis=0)[None, :], np.zeros_like(x))
-    if span * span <= 1 << 31:
-        codes = codes.astype(np.int32)  # sorts in about half the time
     codes.sort()
     starts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
     c_xy = np.diff(np.concatenate(([0], starts, [n_pairs])))
@@ -213,36 +195,25 @@ def _one_distance(
 
 
 class _CountLogs:
-    """f(c) = c*log2(c) for the counts of one stream's pair tables,
-    computed as the oracles compute it: the float product of c and
-    math.log2(c) (through `_log2`), with f(0) = f(1) = 0."""
+    """f(c) = c*log2(c) for c = 0 up to the largest count of one symbol in
+    a stream, which bounds every cell and marginal count of its pair
+    tables at every distance.
+
+    f is computed as the oracles compute it, the float product of c and
+    math.log2(c) (through `_log2`), with f(0) = f(1) = 0.
+    """
 
     def __init__(self, stream: np.ndarray):
-        # a symbol's count bounds every cell and marginal count
-        self.size = int(np.bincount(stream[stream >= 0]).max(initial=0)) + 1
-        self._f = np.full(self.size, np.nan)
-        self._f[:2] = 0.0
-
-    def __call__(self, counts: np.ndarray) -> np.ndarray:
-        """f of each count, each count value computed the first time it is
-        asked for."""
-        f = self._f[counts]
-        new = np.isnan(f)
-        if new.any():
-            # a set, not np.unique, whose first call in a process adds
-            # 1.6 MB to the peak RSS (numpy 2.4)
-            c = np.fromiter(set(counts[new].tolist()), np.int64)
-            self._f[c] = c * _log2(c)
-            f = self._f[counts]
-        return f
+        top = int(np.bincount(stream[stream >= 0]).max(initial=0))
+        c = np.arange(top + 1, dtype=np.int64)
+        self.f = np.zeros(top + 1)
+        self.f[2:] = c[2:] * _log2(c[2:])
 
     @functools.cached_property
     def parts(self) -> np.ndarray:
-        """f of every count below size as a (size, 3) array of `_split`
-        parts: row c sums to f(c) exactly."""
-        c = np.arange(2, self.size)
-        self._f[2:] = c * _log2(c)
-        return _split(self._f)
+        """f as a (len(f), 3) array of `_split` parts: row c sums to f(c)
+        exactly."""
+        return _split(self.f)
 
 
 # Each f(c) = c*log2(c) is split into parts of at most 18 significant bits
@@ -286,16 +257,16 @@ def _mi_bits(table: _PairTable, logs: _CountLogs) -> list[float]:
     holding c pairs less the marginals equal to c.
     """
     rows, cells = table.c_x.shape[0], table.c_xy.shape[0]
-    if rows == 1 and cells + table.c_x.size * 2 > logs.size:
-        size = logs.size
+    size = logs.f.shape[0]
+    if rows == 1 and cells + table.c_x.size * 2 > size:
         h = (np.bincount(table.c_xy, minlength=size)
              - np.bincount(np.concatenate((table.c_x[0], table.c_y[0])),
                            minlength=size))
         by_term, pairs = [_weighted_terms(h, logs.parts)], [table.n_pairs]
     else:
         pairs = table.c_x.sum(axis=1).tolist()
-        f = logs(np.concatenate((table.c_xy, table.c_x, table.c_y),
-                                axis=None))
+        f = logs.f[np.concatenate((table.c_xy, table.c_x, table.c_y),
+                                  axis=None)]
         many = f[:cells] != 0
         cell_terms = f[:cells][many].tolist()
         ends = np.searchsorted(table.at[many], np.arange(rows + 1)).tolist()
